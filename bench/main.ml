@@ -412,7 +412,8 @@ let run_grid_cell (name, protocol, fabric) =
     | None -> failwith ("perf: unknown application " ^ name)
   in
   let nprocs =
-    if String.lowercase_ascii name = "3d-fft" then 64 else grid_nodes
+    if String.lowercase_ascii name = "3d-fft" then Adsm_apps.Fft3d.max_nprocs
+    else grid_nodes
   in
   ( nprocs,
     Runner.run
@@ -465,17 +466,20 @@ let perf ~tiny ~jobs ~grid () =
   (* Allocation stats ride along with the wall clock: the words
      allocated by the cell (deltas over the run) plus the process-wide
      heap high-water mark after it, so allocation diets show up in the
-     artifact trajectory alongside wall_ns. *)
+     artifact trajectory alongside wall_ns.  Minor words come from
+     [Gc.minor_words], which counts the live minor heap; OCaml 5's
+     [quick_stat] only counts it up to the last minor collection, so
+     its deltas were quantized to whole minor heaps (often 0). *)
   let timed =
     List.map
       (fun cell ->
-        let g0 = Gc.quick_stat () in
+        let g0 = Gc.quick_stat () and minor0 = Gc.minor_words () in
         let t0 = now () in
         let m = run_cell cell in
         let wall_ns = int_of_float ((now () -. t0) *. 1e9) in
-        let g1 = Gc.quick_stat () in
+        let minor1 = Gc.minor_words () and g1 = Gc.quick_stat () in
         let alloc =
-          ( g1.Gc.minor_words -. g0.Gc.minor_words,
+          ( minor1 -. minor0,
             g1.Gc.major_words -. g0.Gc.major_words,
             g1.Gc.top_heap_words )
         in

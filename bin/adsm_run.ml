@@ -96,11 +96,17 @@ let run_one app_name protocol_name nprocs tiny seed trace_file trace_format
         1
       | Ok tracer ->
       let recorder = if check then Recorder.create () else Recorder.disabled in
-      let m =
+      match
         Runner.run ?tracer ~recorder ~tweak ?faults
           ?engine:(engine_of_par par) ~seed:(Int64.of_int seed) ~app
           ~protocol ~nprocs ~scale ()
-      in
+      with
+      | exception Invalid_argument msg ->
+        (* An unsupported configuration (e.g. 3D-FFT above its node
+           cap), rejected when the application is instantiated. *)
+        Printf.eprintf "%s\n" msg;
+        1
+      | m ->
       (match (tracer, trace_file) with
       | Some tracer, Some path ->
         Trace.Tracer.close tracer;

@@ -20,12 +20,22 @@ let log2i n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
   go 0 n
 
+(* One partial-norm slot per node, all on one shared page. *)
+let max_nprocs = 64
+
 let make t p =
+  let nprocs = (Dsm.config t).Adsm_dsm.Config.nprocs in
+  if nprocs > max_nprocs then
+    invalid_arg
+      (Printf.sprintf
+         "3D-FFT supports at most %d nodes (got %d): its per-node norms \
+          array has %d slots"
+         max_nprocs nprocs max_nprocs);
   let size = p.n1 * p.n2 * p.n3 in
   (* Split re/im halves keep plane blocks page-aligned. *)
   let a = Dsm.alloc_f64 t ~name:"fft-a" ~len:(2 * size) in
   let b = Dsm.alloc_f64 t ~name:"fft-b" ~len:(2 * size) in
-  let norms = Dsm.alloc_f64 t ~name:"fft-norms" ~len:64 in
+  let norms = Dsm.alloc_f64 t ~name:"fft-norms" ~len:max_nprocs in
   let checksum = Common.new_checksum () in
   let run ctx =
     let me = Dsm.me ctx and nprocs = Dsm.nprocs ctx in

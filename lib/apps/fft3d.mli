@@ -19,4 +19,8 @@ val data_desc : params -> string
 
 val sync_desc : string
 
+(** Largest supported cluster: one partial-norm slot per node. *)
+val max_nprocs : int
+
+(** Raises [Invalid_argument] on a cluster above {!max_nprocs} nodes. *)
 val make : Adsm_dsm.Dsm.t -> params -> (Adsm_dsm.Dsm.ctx -> unit) * (unit -> float)

@@ -11,7 +11,7 @@ type t = {
 }
 
 let make ~proc ~vc ~notices =
-  { proc; seq = Vc.get vc proc; vc = Vc.copy vc; notices; wn_bytes = -1 }
+  { proc; seq = Vc.get vc proc; vc; notices; wn_bytes = -1 }
 
 let size_bytes ?(vc_bytes = Vc.size_bytes) t =
   if t.wn_bytes < 0 then

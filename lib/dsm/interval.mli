@@ -14,6 +14,10 @@ type t = {
           list is immutable; construct through {!make}) *)
 }
 
+(** [make ~proc ~vc ~notices] takes ownership of [vc]: the interval
+    keeps it as its timestamp without copying, so the caller must pass a
+    clock nobody mutates afterwards (a fresh snapshot — the clock's own
+    notices may share it, since notices never mutate their clock). *)
 val make : proc:int -> vc:Vc.t -> notices:Notice.t list -> t
 
 (** Wire size: 8-byte header + timestamp + notices.  [vc_bytes]

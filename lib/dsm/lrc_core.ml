@@ -241,7 +241,7 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
         assert e.dirty;
         e.dirty <- false;
         Stats.note_write cl.stats ~page;
-        set_last_notice node e node.id vc_snapshot;
+        set_last_notice ~covers_all:false node e node.id vc_snapshot;
         let version =
           P.close_page cl node e ~seq ~vc:vc_snapshot ~charge:charge_later
         in
@@ -257,8 +257,9 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
     in
     List.iter close_page node.dirty_pages;
     node.dirty_pages <- [];
+    (* The interval owns the snapshot its notices already share. *)
     let ival =
-      Interval.make ~proc:node.id ~vc:node.vc ~notices:(List.rev !notices)
+      Interval.make ~proc:node.id ~vc:vc_snapshot ~notices:(List.rev !notices)
     in
     Interval.Log.append node.intervals.(node.id) ival
   end;
@@ -268,38 +269,30 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
 (* Notice application (acquire side)                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Note false sharing if any recorded writer is concurrent with [n];
+   returns whether [n] covers every recorded slot, for [set_last_notice]
+   (false when the check is skipped). *)
 let note_concurrent_writers cl node (e : entry) (n : Notice.t) =
   (* Both effects of a detected concurrent writer are idempotent — the
      stats note is a set insert, and flipping an already-active fs mode
-     is a no-op — so once the page's false sharing is committed to the
-     stats AND (for adaptive protocols) this entry's fs mode is already
-     active, the sweep can have no observable effect: skip it.  Under
-     deferred stats the membership answer may lag the insert, which only
-     means a few more no-op sweeps before the skip kicks in. *)
+     is a no-op — so noting them once per notice is the same as once per
+     concurrent writer, and once the page's false sharing is committed
+     to the stats AND (for adaptive protocols) this entry's fs mode is
+     already active, the check can have no observable effect: skip it.
+     Under deferred stats the membership answer may lag the insert,
+     which only means a few more no-op checks before the skip kicks in. *)
   if
     (not (Stats.page_false_shared cl.stats ~page:n.page))
     || (Mode.adaptive cl && not e.fs_active)
   then
-    (* Plain loop over the entry's sparse writer map: only pages' actual
-       writers occupy slots — the former dense scan walked all [nprocs]
-       components per notice, an O(nprocs^2) term per barrier at large
-       clusters. *)
-    for i = 0 to e.nw_len - 1 do
-    let q = e.nw_procs.(i) in
-    (* O(1) concurrency via the transitive-clock invariant (see
-       [Notice.covers]): [q]'s recorded snapshot [m] has [m.(q)] = the
-       seq of [q]'s writing interval, so coverage either way is one
-       component read. *)
-    let m = e.nw_vcs.(i) in
-    if
-      q <> n.proc
-      && Vc.get n.vc q < Vc.get m q
-      && Vc.get m n.proc < n.seq
-    then begin
+    match check_writers e n with
+    | Covers_all -> true
+    | Uncovered -> false
+    | Concurrent ->
       Stats.note_false_sharing cl.stats ~page:n.page;
-      if Mode.adaptive cl then Mode.set_fs_active cl ~node:node.id e true
-    end
-  done
+      if Mode.adaptive cl then Mode.set_fs_active cl ~node:node.id e true;
+      false
+  else false
 
 (* Is notice [n]'s modification still missing from this node's copy?
    Plain notices are tracked per applied diff (reflected sequence numbers);
@@ -314,8 +307,8 @@ let notice_relevant node (e : entry) (n : Notice.t) =
 let apply_notice ?(replay = false) cl node (n : Notice.t) =
   let e = entry_of node n.page in
   Stats.note_write cl.stats ~page:n.page;
-  note_concurrent_writers cl node e n;
-  set_last_notice node e n.proc n.vc;
+  let covers_all = note_concurrent_writers cl node e n in
+  set_last_notice ~covers_all node e n.proc n.vc;
   if notice_relevant node e n then begin
     (match n.version with
     | Some v ->

@@ -37,6 +37,15 @@ type entry = {
          indexing (and allocating) an O(nprocs) table per entry. *)
   mutable nw_vcs : Vc.t array;
   mutable nw_len : int;
+  mutable nw_dom : int;
+      (* Dominating-slot summary of the map above: slot [nw_dom] (-1 =
+         no summary) holds a clock covering every slot NOT listed in
+         [nw_since] — the slots written since it was recorded, at most
+         [since_cap], [nw_nsince] live.  A notice covering the
+         dominating clock covers every such slot too (transitive-clock
+         invariant), so the false-sharing check scans [nw_since] only. *)
+  mutable nw_since : int array;
+  mutable nw_nsince : int;
   mutable fs_view : bool array;  (* [[||]] = all [true] *)
   mutable copyset : bool array;  (* [[||]] = all [false] *)
   mutable own_diff_seqs : int list;
@@ -191,6 +200,9 @@ let make_entry ~nprocs:_ ~page ~home =
     nw_procs = [||];
     nw_vcs = [||];
     nw_len = 0;
+    nw_dom = -1;
+    nw_since = [||];
+    nw_nsince = 0;
     fs_view = [||];
     copyset = [||];
     own_diff_seqs = [];
@@ -235,22 +247,57 @@ let last_notice node (e : entry) q =
   | Some i -> Some e.nw_vcs.(i)
   | None -> None
 
-let set_last_notice node (e : entry) q vc =
-  match Hashtbl.find_opt node.nw_idx (nw_key node e q) with
-  | Some i -> e.nw_vcs.(i) <- vc
-  | None ->
-    if e.nw_len = Array.length e.nw_procs then begin
-      let cap = max 4 (2 * e.nw_len) in
-      let procs = Array.make cap 0 and vcs = Array.make cap vc in
-      Array.blit e.nw_procs 0 procs 0 e.nw_len;
-      Array.blit e.nw_vcs 0 vcs 0 e.nw_len;
-      e.nw_procs <- procs;
-      e.nw_vcs <- vcs
-    end;
-    e.nw_procs.(e.nw_len) <- q;
-    e.nw_vcs.(e.nw_len) <- vc;
-    Hashtbl.replace node.nw_idx (nw_key node e q) e.nw_len;
-    e.nw_len <- e.nw_len + 1
+(* Bounded like [Vc.dirty_cap]: a page written by more writers than this
+   between two dominating notices takes the dense scan anyway. *)
+let since_cap = 8
+
+let forget_dominating (e : entry) =
+  e.nw_dom <- -1;
+  e.nw_nsince <- 0
+
+let rec in_since (e : entry) i j =
+  j < e.nw_nsince && (e.nw_since.(j) = i || in_since e i (j + 1))
+
+(* Slot [i] was written by a clock not known to cover the others. *)
+let note_since (e : entry) i =
+  if e.nw_dom = i then forget_dominating e
+  else if e.nw_dom >= 0 then begin
+    if not (in_since e i 0) then
+      if e.nw_nsince = since_cap then forget_dominating e
+      else begin
+        if Array.length e.nw_since = 0 then e.nw_since <- Array.make since_cap 0;
+        e.nw_since.(e.nw_nsince) <- i;
+        e.nw_nsince <- e.nw_nsince + 1
+      end
+  end
+
+let set_last_notice ~covers_all node (e : entry) q vc =
+  let i =
+    match Hashtbl.find_opt node.nw_idx (nw_key node e q) with
+    | Some i ->
+      e.nw_vcs.(i) <- vc;
+      i
+    | None ->
+      if e.nw_len = Array.length e.nw_procs then begin
+        let cap = max 4 (2 * e.nw_len) in
+        let procs = Array.make cap 0 and vcs = Array.make cap vc in
+        Array.blit e.nw_procs 0 procs 0 e.nw_len;
+        Array.blit e.nw_vcs 0 vcs 0 e.nw_len;
+        e.nw_procs <- procs;
+        e.nw_vcs <- vcs
+      end;
+      let i = e.nw_len in
+      e.nw_procs.(i) <- q;
+      e.nw_vcs.(i) <- vc;
+      Hashtbl.replace node.nw_idx (nw_key node e q) i;
+      e.nw_len <- i + 1;
+      i
+  in
+  if covers_all then begin
+    e.nw_dom <- i;
+    e.nw_nsince <- 0
+  end
+  else note_since e i
 
 let clear_last_notices node (e : entry) =
   for i = 0 to e.nw_len - 1 do
@@ -258,7 +305,42 @@ let clear_last_notices node (e : entry) =
   done;
   e.nw_procs <- [||];
   e.nw_vcs <- [||];
-  e.nw_len <- 0
+  e.nw_len <- 0;
+  forget_dominating e
+
+(* Does notice [n] cover slot [i]?  One component read: the slot's clock
+   is writer [q]'s snapshot at its writing interval, so [m.(q)] is that
+   interval's seq (see [Notice.covers]). *)
+let covers_slot (e : entry) (n : Notice.t) i =
+  let q = e.nw_procs.(i) in
+  Vc.get n.vc q >= Vc.get e.nw_vcs.(i) q
+
+type writers = Covers_all | Uncovered | Concurrent
+
+(* Fold slot [i] into [acc].  An uncovered slot is concurrent with [n]
+   unless it is [n]'s own writer or saw [n]'s interval.  A top-level
+   function, not a closure, so the scans below allocate nothing. *)
+let classify visit (e : entry) (n : Notice.t) i acc =
+  if covers_slot e n i then acc
+  else
+    let q = e.nw_procs.(i) in
+    if q <> n.proc && Vc.get e.nw_vcs.(i) n.proc < n.seq then begin
+      (match visit with Some f -> f q | None -> ());
+      Concurrent
+    end
+    else match acc with Concurrent -> acc | Covers_all | Uncovered -> Uncovered
+
+let check_writers ?visit (e : entry) (n : Notice.t) =
+  let acc = ref Covers_all in
+  if e.nw_dom >= 0 && covers_slot e n e.nw_dom then
+    for j = 0 to e.nw_nsince - 1 do
+      acc := classify visit e n e.nw_since.(j) !acc
+    done
+  else
+    for i = 0 to e.nw_len - 1 do
+      acc := classify visit e n i !acc
+    done;
+  !acc
 
 let fs_view_get (e : entry) q =
   Array.length e.fs_view = 0 || e.fs_view.(q)

@@ -49,6 +49,15 @@ type entry = {
         parallel arrays of writer ids / clocks, [nw_len] live slots *)
   mutable nw_vcs : Vc.t array;
   mutable nw_len : int;
+  mutable nw_dom : int;
+      (** dominating-slot summary of the last-notice map: the slot whose
+          clock covers every slot not in [nw_since]; [-1] = no summary.
+          Maintained by {!set_last_notice}, dropped by
+          {!forget_dominating}; see {!check_writers} *)
+  mutable nw_since : int array;
+      (** slots written since [nw_dom] was recorded, [nw_nsince] live,
+          at most {!since_cap} *)
+  mutable nw_nsince : int;
   mutable fs_view : bool array;
       (** per processor: piggybacked "I see this page as SW" flags (WFS
           rule 1); [[||]] = all [true] *)
@@ -237,9 +246,43 @@ val reflected_reset : entry -> unit
     the owning node's [nw_idx] slot index. *)
 val last_notice : node -> entry -> int -> Vc.t option
 
-val set_last_notice : node -> entry -> int -> Vc.t -> unit
+(** Record [vc] as writer [q]'s latest notice clock.  [covers_all] says
+    [vc] covers every slot recorded before this call ({!check_writers}
+    answered [Covers_all] for the notice) and makes this slot the
+    dominating one.  Otherwise the slot joins the since-set; overwriting
+    the dominating slot itself, or overflowing the since-set, drops the
+    summary. *)
+val set_last_notice : covers_all:bool -> node -> entry -> int -> Vc.t -> unit
 
+(** Drop every slot (and the summary with them). *)
 val clear_last_notices : node -> entry -> unit
+
+(** Capacity of the since-set. *)
+val since_cap : int
+
+(** Drop the dominating-slot summary, keeping the slots; the next check
+    scans every slot and may re-establish it.  Needed wherever the
+    transitive-clock invariant may not hold for the recorded clocks
+    (crash rollback). *)
+val forget_dominating : entry -> unit
+
+(** How a notice relates to the recorded writers. *)
+type writers =
+  | Covers_all  (** the notice covers every recorded slot *)
+  | Uncovered  (** some slot is not covered, none is concurrent *)
+  | Concurrent  (** some recorded writer is concurrent with the notice *)
+
+(** [check_writers ?visit e n] classifies notice [n] against the
+    recorded writers, calling [visit q] for every writer [q] whose
+    latest notice is concurrent with [n] (neither saw the other).
+
+    When [n] covers the dominating clock only the since-set is scanned:
+    by the transitive-clock invariant (see {!Notice.covers}) [n] then
+    covers every slot the dominating clock covers.  Otherwise every slot
+    is scanned.  The answer and the set of writers visited are the same
+    either way; the visiting order may differ.  Allocation-free without
+    [visit]. *)
+val check_writers : ?visit:(int -> unit) -> entry -> Notice.t -> writers
 
 val fs_view_get : entry -> int -> bool
 

@@ -79,6 +79,10 @@ let crash_pause cl node =
      lose frame, twin, permissions, versions, reflected view and
      notices.  Directory fields survive (durable directory claim). *)
   iter_entries node (fun (e : entry) ->
+      (* Durable entries keep their last-notice slots while the clock
+         rolls back below, so the transitive-clock invariant behind the
+         dominating-slot summary no longer holds for them: drop it. *)
+      forget_dominating e;
       if not (e.is_owner || e.owner = node.id) then begin
         e.data <- None;
         e.has_base <- false;

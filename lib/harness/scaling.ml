@@ -9,8 +9,8 @@
    large-n hot-path work (summarized clocks, indexed interval logs, O(1)
    notice coverage) brought the worst cells from minutes to seconds, see
    EXPERIMENTS.md.  The one exception is structural, not a cost cap:
-   3D-FFT's tiny problem has 64 planes, so it cannot spread over more
-   than 64 nodes.
+   3D-FFT keeps one partial-norm slot per node and rejects clusters
+   above [Fft3d.max_nprocs] (64) nodes.
 
    Two properties are checked over the collected rows and surfaced to the
    CLI (and CI) as hard failures:
@@ -50,19 +50,22 @@ type study = { smoke : bool; max_nodes : int; rows : row list }
 
 let node_grid = [ 8; 16; 32; 64; 128; 256; 512; 1024 ]
 
-(* Structural limits only: 3D-FFT's tiny problem has 64 planes and
-   cannot occupy more nodes than that.  Cost is no longer a reason to
-   cap — the former 256-node cap on IS and Water is gone. *)
+(* Structural limits only: 3D-FFT rejects clusters above its per-node
+   norms array.  Cost is no longer a reason to cap — the former 256-node
+   cap on IS and Water is gone. *)
 let app_cap name =
-  if String.lowercase_ascii name = "3d-fft" then 64 else max_int
+  if String.lowercase_ascii name = "3d-fft" then Adsm_apps.Fft3d.max_nprocs
+  else max_int
 
 let default_apps =
   [ "SOR"; "IS"; "Water"; "3D-FFT"; "TSP"; "Shallow"; "Barnes"; "ILINK" ]
 
 (* Rough host-cost weight of a cell, for dispatch order only: the
-   lock-chain apps (IS, Water) do work superlinear in n, ILINK moves the
-   most diff bytes; everything else is light.  Wrong weights cost a
-   little wall clock, never correctness. *)
+   lock-chain apps (IS, Water) are the heaviest cells at every size and
+   IS still grows superlinearly in n (each barrier relays O(n) intervals
+   with n-component timestamps), ILINK moves the most diff bytes;
+   everything else is light.  Wrong weights cost a little wall clock,
+   never correctness. *)
 let cell_weight (app, _protocol, n, _fabric) =
   let factor =
     match String.lowercase_ascii app with

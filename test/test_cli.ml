@@ -74,6 +74,11 @@ let test_unknown_ablation () =
   check_failure "unknown ablation" "ablations nosuchstudy" ~code:1
     ~stderr_has:"unknown study"
 
+let test_fft_node_cap () =
+  check_failure "3D-FFT above its node cap"
+    "run --app 3D-FFT --protocol MW --procs 128 --tiny" ~code:1
+    ~stderr_has:"3D-FFT supports at most 64 nodes"
+
 let test_list_ok () =
   let code, out, _err = run_capture "list" in
   Alcotest.(check int) "list: exit code" 0 code;
@@ -97,6 +102,7 @@ let () =
             test_unknown_mutation;
           Alcotest.test_case "unknown ablation study" `Quick
             test_unknown_ablation;
+          Alcotest.test_case "3D-FFT above 64 nodes" `Quick test_fft_node_cap;
         ] );
       ("smoke", [ Alcotest.test_case "list exits zero" `Quick test_list_ok ]);
     ]

@@ -1,8 +1,9 @@
 (* Randomized model tests for the large-n data structures.
 
    The summarized vector clock (cached sum, dirty-component tracking,
-   epoch-stamped bases, per-epoch delta caches) and the array-backed
-   interval log both exist to skip dense rescans; correctness means
+   epoch-stamped bases, per-epoch delta caches), the array-backed
+   interval log and the last-notice map's dominating-slot summary all
+   exist to skip dense rescans; correctness means
    every observable agrees with the naive implementation they replaced.
    Seeded op sequences drive the real structure and a naive reference
    through the same mutations — honoring the documented preconditions
@@ -11,6 +12,9 @@
 
 module Vc = Adsm_dsm.Vc
 module Interval = Adsm_dsm.Interval
+module Notice = Adsm_dsm.Notice
+module State = Adsm_dsm.State
+module Config = Adsm_dsm.Config
 
 (* ------------------------------------------------------------------ *)
 (* Naive vector-clock reference: a plain int array, rescanned fully    *)
@@ -233,6 +237,175 @@ let test_log_model () =
     done
   done
 
+(* ------------------------------------------------------------------ *)
+(* Naive last-notice reference: every recorded slot, scanned densely   *)
+(* ------------------------------------------------------------------ *)
+
+(* Writer 0 is the observing node; the rest are remote writers. *)
+let nwriters = 12
+
+(* The check the dominating-slot summary replaced: walk every (writer,
+   latest clock) slot, collect the writers concurrent with [n] and
+   whether [n] covers them all. *)
+let dense_scan slots (n : Notice.t) =
+  List.fold_left
+    (fun (conc, all) (q, m) ->
+      let covered = Vc.get n.vc q >= Vc.get m q in
+      let conc =
+        if q <> n.proc && (not covered) && Vc.get m n.proc < n.seq then q :: conc
+        else conc
+      in
+      (conc, all && covered))
+    ([], true) slots
+
+let summarized e n =
+  let seen = ref [] in
+  let answer = State.check_writers ~visit:(fun q -> seen := q :: !seen) e n in
+  (List.sort compare !seen, answer)
+
+let vc_of_array a =
+  let vc = Vc.zero ~nprocs:nwriters in
+  Array.iteri (fun p v -> if v <> 0 then Vc.set vc p v) a;
+  vc
+
+let merge_clock dst src = Array.iteri (fun p v -> dst.(p) <- max dst.(p) v) src
+
+(* Seeded per-page notice streams at one observing node.  Remote writers
+   close intervals, sometimes after merging another writer's clock
+   (causally ordered — the migratory lock-chain pattern) and sometimes
+   without (truly concurrent writers); their notices reach the observer
+   in arbitrary order.  The observer closes its own intervals, applies
+   notices with or without the check's answer (the already-flagged skip
+   path), and occasionally crashes.  Every clock is built by merging
+   whole clocks, the transitive-clock invariant the summary relies on
+   (the crash's clock rollback is undone by the recovery round before
+   the next close, so it is not modelled).  After every step each
+   undelivered notice is checked against the dense scan. *)
+let test_notice_summary_model () =
+  let fast_with_since = ref 0 and overflows = ref 0 and dom_overwrites = ref 0 in
+  let reestablished = ref 0 and concurrent_hits = ref 0 in
+  for seed = 0 to 19 do
+    let rs = Random.State.make [| 0x5107; seed |] in
+    let cfg = Config.make ~protocol:Config.Wfs ~nprocs:nwriters () in
+    let node = State.make_node ~cfg ~id:0 ~total_pages:1 in
+    let e = State.entry_of node 0 in
+    let slots = ref [] (* naive map, insertion order *) in
+    let record q vc =
+      if List.mem_assoc q !slots then
+        slots := List.map (fun (p, m) -> if p = q then (p, vc) else (p, m)) !slots
+      else slots := !slots @ [ (q, vc) ]
+    in
+    let clk = Array.init nwriters (fun _ -> Array.make nwriters 0) in
+    let pending = ref [] in
+    let last_writer = ref 1 in
+    let close p =
+      clk.(p).(p) <- clk.(p).(p) + 1;
+      let vc = vc_of_array clk.(p) in
+      { Notice.page = 0; proc = p; seq = clk.(p).(p); vc; version = None }
+    in
+    let check step (n : Notice.t) =
+      let name what =
+        Printf.sprintf "seed %d, step %d, notice p%d#%d: %s" seed step n.proc
+          n.seq what
+      in
+      let conc, all = dense_scan !slots n in
+      let conc', answer = summarized e n in
+      if e.State.nw_dom >= 0
+         && Vc.get n.vc e.State.nw_procs.(e.State.nw_dom)
+            >= Vc.get e.State.nw_vcs.(e.State.nw_dom)
+                 e.State.nw_procs.(e.State.nw_dom)
+         && e.State.nw_nsince > 0
+      then incr fast_with_since;
+      if conc <> [] then incr concurrent_hits;
+      if List.sort compare conc <> conc' then Alcotest.fail (name "concurrent writers");
+      if all <> (answer = State.Covers_all) then
+        Alcotest.fail (name "covers every slot");
+      if (conc <> []) <> (answer = State.Concurrent) then
+        Alcotest.fail (name "concurrent answer");
+      all
+    in
+    let apply step (n : Notice.t) =
+      let all = check step n in
+      let dom_before = e.State.nw_dom and since_before = e.State.nw_nsince in
+      let slot_before = Hashtbl.find_opt node.State.nw_idx n.proc in
+      (* One apply in six takes the skipped-check path: no answer. *)
+      let covers_all = all && Random.State.int rs 6 > 0 in
+      State.set_last_notice ~covers_all node e n.proc n.vc;
+      record n.proc n.vc;
+      merge_clock clk.(0) (Array.init nwriters (Vc.get n.vc));
+      if covers_all && dom_before < 0 then incr reestablished;
+      if (not covers_all) && dom_before >= 0 && e.State.nw_dom < 0 then
+        if slot_before = Some dom_before then incr dom_overwrites
+        else if since_before = State.since_cap then incr overflows
+    in
+    for step = 1 to 400 do
+      (match Random.State.int rs 20 with
+      | 0 | 1 | 2 | 3 ->
+        (* causally ordered: see the previous writer's clock, then write *)
+        let p = 1 + Random.State.int rs (nwriters - 1) in
+        merge_clock clk.(p) clk.(!last_writer);
+        if Random.State.bool rs then merge_clock clk.(p) clk.(0);
+        last_writer := p;
+        pending := !pending @ [ close p ]
+      | 4 | 5 | 6 ->
+        (* truly concurrent: write without merging anything *)
+        let p = 1 + Random.State.int rs (nwriters - 1) in
+        pending := !pending @ [ close p ]
+      | 7 | 8 ->
+        let p = Random.State.int rs nwriters
+        and q = Random.State.int rs nwriters in
+        merge_clock clk.(p) clk.(q)
+      | 9 | 10 ->
+        (* own interval close *)
+        let n = close 0 in
+        State.set_last_notice ~covers_all:false node e 0 n.vc;
+        record 0 n.vc
+      | 11 ->
+        (* crash: durable entries keep their slots, others lose them *)
+        State.forget_dominating e;
+        if Random.State.bool rs then begin
+          State.clear_last_notices node e;
+          slots := []
+        end
+      | _ -> (
+        match !pending with
+        | [] -> ()
+        | l ->
+          (* mostly oldest first, sometimes out of order *)
+          let k =
+            if Random.State.int rs 3 = 0 then Random.State.int rs (List.length l)
+            else 0
+          in
+          let n = List.nth l k in
+          pending := List.filteri (fun i _ -> i <> k) l;
+          apply step n));
+      List.iter (fun n -> ignore (check step n)) !pending;
+      (* The summary's own invariant: the dominating clock covers every
+         slot outside the since-set. *)
+      let dom = e.State.nw_dom in
+      if dom >= 0 then
+        for i = 0 to e.State.nw_len - 1 do
+          let q = e.State.nw_procs.(i) in
+          let in_since = ref false in
+          for j = 0 to e.State.nw_nsince - 1 do
+            if e.State.nw_since.(j) = i then in_since := true
+          done;
+          if (not !in_since)
+             && Vc.get e.State.nw_vcs.(dom) q < Vc.get e.State.nw_vcs.(i) q
+          then Alcotest.failf "seed %d, step %d: slot %d not dominated" seed step i
+        done
+    done
+  done;
+  (* The streams must actually reach every path the summary has. *)
+  let reached name count =
+    if count = 0 then Alcotest.failf "model never exercised: %s" name
+  in
+  reached "fast path with a non-empty since-set" !fast_with_since;
+  reached "since-set overflow" !overflows;
+  reached "dominating slot overwritten" !dom_overwrites;
+  reached "summary re-established" !reestablished;
+  reached "concurrent writers" !concurrent_hits
+
 let () =
   Alcotest.run "model"
     [
@@ -242,4 +415,9 @@ let () =
       ( "interval-log",
         [ Alcotest.test_case "indexed vs naive (seeded)" `Quick test_log_model ]
       );
+      ( "notice-summary",
+        [
+          Alcotest.test_case "dominating slot vs dense scan (seeded)" `Quick
+            test_notice_summary_model;
+        ] );
     ]

@@ -215,6 +215,41 @@ let test_large_n_byte_identity () =
         [ ("flat", Fun.id, flat); ("tree", tree_tweak, tree) ])
     [ 512; 1024 ]
 
+(* The dominating-slot summary behind the write-write false-sharing
+   check is host-side only; pin the full measurement where it matters,
+   at 256 nodes on the tree fabric.  IS never detects false sharing, so
+   every notice takes the summary's fast path; Water detects it on 7
+   pages with ~8.5k mode switches, so it exercises the dense fallback
+   and the re-establishment of the summary.  Values recorded before the
+   summary existed. *)
+let fast_path_pins =
+  [
+    ( "IS", 16656785629, 6128, 143445004, 0, 0, 10697.545982764903,
+      [ ("barrier", (2550, 93443824)); ("lock", (1530, 46588828));
+        ("own", (1024, 537600)); ("page", (1024, 2629632)) ] );
+    ( "Water", 27584512165, 50403, 346644196, 7, 8475, 1.5938376384442556,
+      [ ("barrier", (4080, 264823668)); ("diff", (35780, 13813162));
+        ("lock", (7493, 60761628)); ("own", (1274, 668850));
+        ("page", (1776, 4560768)) ] );
+  ]
+
+let test_notice_summary_pins () =
+  List.iter
+    (fun (app, time_ns, messages, wire_bytes, false_shared, switches, checksum,
+          by_kind) ->
+      let m = run ~tweak:tree_tweak ~app ~protocol:Config.Wfs ~nprocs:256 () in
+      let name what = Printf.sprintf "%s/WFS/256 tree: %s" app what in
+      Alcotest.(check int) (name "time") time_ns m.Runner.time_ns;
+      Alcotest.(check int) (name "messages") messages m.Runner.messages;
+      Alcotest.(check int) (name "wire bytes") wire_bytes m.Runner.wire_bytes;
+      Alcotest.(check (list (pair string (pair int int))))
+        (name "by kind") by_kind m.Runner.by_kind;
+      Alcotest.(check int) (name "pages false shared") false_shared
+        m.Runner.pages_false_shared;
+      Alcotest.(check int) (name "mode switches") switches m.Runner.mode_switches;
+      Alcotest.(check (float 0.0)) (name "checksum") checksum m.Runner.checksum)
+    fast_path_pins
+
 let () =
   Alcotest.run "scale"
     [
@@ -241,5 +276,7 @@ let () =
           Alcotest.test_case "smoke study to 256 nodes" `Slow test_smoke_study;
           Alcotest.test_case "byte identity at 512/1024 nodes" `Slow
             test_large_n_byte_identity;
+          Alcotest.test_case "IS/Water WFS pinned at 256 nodes" `Slow
+            test_notice_summary_pins;
         ] );
     ]
