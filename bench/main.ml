@@ -390,7 +390,7 @@ let scaling_cells =
         [ 8; 64; 256; 1024 ])
     [ Config.Mw; Config.Wfs ]
 
-let run_scaling_cell ?engine (protocol, nprocs, fabric) =
+let run_scaling_cell (protocol, nprocs, fabric) =
   let module Scaling = Adsm_harness.Scaling in
   let app =
     match Registry.find "SOR" with
@@ -399,7 +399,7 @@ let run_scaling_cell ?engine (protocol, nprocs, fabric) =
   in
   Runner.run
     ~tweak:(Scaling.tweak_of_fabric fabric)
-    ?engine ~app ~protocol ~nprocs ~scale:Registry.Tiny ()
+    ~app ~protocol ~nprocs ~scale:Registry.Tiny ()
 
 (* The full large-cluster grid: every application under all four
    protocols on both fabrics at 1024 nodes (3D-FFT at its structural
@@ -436,25 +436,6 @@ let run_grid_cell (name, protocol, fabric) =
     Runner.run
       ~tweak:(Scaling.tweak_of_fabric fabric)
       ~app ~protocol ~nprocs ~scale:Registry.Tiny () )
-
-(* Conservative parallel-engine rows (see PARALLELISM.md): each cell is
-   the same simulation run twice, on the sequential engine and on the
-   safe-horizon engine.  The two measurements must be identical field
-   for field — the engine is behavior-neutral — so the artifact records
-   only host wall-clock for both plus the divergence bit.  64 and 256
-   nodes are where the windows hold enough events per domain for the
-   parallel engine to win on a multicore host. *)
-let engine_cells =
-  let module Scaling = Adsm_harness.Scaling in
-  List.concat_map
-    (fun protocol ->
-      List.concat_map
-        (fun nprocs ->
-          List.map
-            (fun fabric -> (protocol, nprocs, fabric))
-            [ Scaling.Flat_central; Scaling.Tree_combining ])
-        [ 64; 256 ])
-    [ Config.Mw; Config.Wfs ]
 
 (* Measures the real (host) cost of the simulator itself: per-cell wall
    clock and events/second for the full 8-app x 4-protocol suite, then
@@ -526,30 +507,6 @@ let perf ~tiny ~jobs ~grid () =
         let wall_ns = int_of_float ((now () -. t0) *. 1e9) in
         (cell, m, wall_ns))
       scaling_cells
-  in
-  let engine_domains = max 2 (min 4 (Domain.recommended_domain_count ())) in
-  let engine_timed =
-    List.map
-      (fun cell ->
-        let t0 = now () in
-        let m = run_scaling_cell cell in
-        let t1 = now () in
-        let m' =
-          run_scaling_cell
-            ~engine:(Config.Parallel { domains = engine_domains })
-            cell
-        in
-        let t2 = now () in
-        let seq_wall_ns = int_of_float ((t1 -. t0) *. 1e9) in
-        let par_wall_ns = int_of_float ((t2 -. t1) *. 1e9) in
-        (cell, m, m', seq_wall_ns, par_wall_ns))
-      engine_cells
-  in
-  let engine_mismatches =
-    List.filter (fun (_, m, m', _, _) -> m <> m') engine_timed
-  in
-  let engine_speedup (_, _, _, s, p) =
-    float_of_int s /. float_of_int (max 1 p)
   in
   let grid_timed =
     if not grid then []
@@ -649,26 +606,6 @@ let perf ~tiny ~jobs ~grid () =
                      ("checksum", Json.Float m.Runner.checksum);
                    ])
                scaling_timed) );
-        ("engine_domains", Json.Int engine_domains);
-        ( "engine",
-          Json.List
-            (List.map
-               (fun (((protocol, nprocs, fabric), (m : Runner.measurement),
-                      m', seq_wall_ns, par_wall_ns) as row) ->
-                 Json.Obj
-                   [
-                     ("app", Json.String "SOR");
-                     ("protocol", Json.String (Config.protocol_name protocol));
-                     ("nprocs", Json.Int nprocs);
-                     ( "fabric",
-                       Json.String (Adsm_harness.Scaling.fabric_name fabric) );
-                     ("domains", Json.Int engine_domains);
-                     ("seq_wall_ns", Json.Int seq_wall_ns);
-                     ("par_wall_ns", Json.Int par_wall_ns);
-                     ("par_speedup", Json.Float (engine_speedup row));
-                     ("identical", Json.Bool (m = m'));
-                   ])
-               engine_timed) );
       ]
       @ grid_json)
   in
@@ -718,26 +655,6 @@ let perf ~tiny ~jobs ~grid () =
            m.Runner.events
            (float_of_int m.Runner.time_ns /. 1e6)))
     scaling_timed;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  parallel engine (SOR, tiny scale; --par %d vs sequential):\n"
-       engine_domains);
-  Buffer.add_string buf
-    (Printf.sprintf "  %-8s %6s %-6s %12s %12s %9s %10s\n" "protocol" "nodes"
-       "fabric" "seq ms" "par ms" "speedup" "identical");
-  List.iter
-    (fun (((protocol, nprocs, fabric), m, m', seq_wall_ns, par_wall_ns) as row)
-    ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-8s %6d %-6s %12.2f %12.2f %8.2fx %10s\n"
-           (Config.protocol_name protocol)
-           nprocs
-           (Adsm_harness.Scaling.fabric_name fabric)
-           (float_of_int seq_wall_ns /. 1e6)
-           (float_of_int par_wall_ns /. 1e6)
-           (engine_speedup row)
-           (if m = m' then "yes" else "NO")))
-    engine_timed;
   if grid_timed <> [] then begin
     Buffer.add_string buf
       (Printf.sprintf
@@ -769,33 +686,6 @@ let perf ~tiny ~jobs ~grid () =
   if mismatches <> [] then begin
     print_string (Buffer.contents buf);
     failwith "perf: parallel suite diverged from sequential"
-  end;
-  if engine_mismatches <> [] then begin
-    print_string (Buffer.contents buf);
-    failwith
-      (Printf.sprintf
-         "perf: parallel engine diverged from sequential in %d cell(s)"
-         (List.length engine_mismatches))
-  end;
-  (* The engine must actually pay off where it claims to: on a >= 4-core
-     host, the best 256-node cell must beat sequential by >= 1.5x with
-     >= 4 domains.  Smaller hosts record the rows but skip the
-     assertion — there is no parallel hardware to claim. *)
-  if engine_domains >= 4 && Domain.recommended_domain_count () >= 4 then begin
-    let best_256 =
-      List.fold_left
-        (fun acc (((_, nprocs, _), _, _, _, _) as row) ->
-          if nprocs = 256 then max acc (engine_speedup row) else acc)
-        0. engine_timed
-    in
-    if best_256 < 1.5 then begin
-      print_string (Buffer.contents buf);
-      failwith
-        (Printf.sprintf
-           "perf: parallel engine best 256-node speedup %.2fx < 1.5x on a \
-            >=4-core host"
-           best_256)
-    end
   end;
   (* Smoke criterion: on a multicore host, a parallel pass that is not
      actually faster than sequential is a pool regression.  Single-core

@@ -33,9 +33,6 @@ let fabric_tweak net topology =
 
 (* --- run one configuration --- *)
 
-let engine_of_par par =
-  if par > 1 then Some (Config.Parallel { domains = par }) else None
-
 (* --faults SPEC shared by `run` and `fuzz`: parse early so a typo is a
    usage error, not a mid-run exception. *)
 let faults_of_spec ~nprocs = function
@@ -49,7 +46,7 @@ let faults_of_spec ~nprocs = function
       | Ok () -> Ok (Some sched)))
 
 let run_one app_name protocol_name nprocs tiny seed trace_file trace_format
-    check faults_spec net topology par =
+    check faults_spec net topology =
   match Registry.find app_name with
   | None ->
     Printf.eprintf "unknown application %S; try `adsm_run list'\n" app_name;
@@ -97,9 +94,8 @@ let run_one app_name protocol_name nprocs tiny seed trace_file trace_format
       | Ok tracer ->
       let recorder = if check then Recorder.create () else Recorder.disabled in
       match
-        Runner.run ?tracer ~recorder ~tweak ?faults
-          ?engine:(engine_of_par par) ~seed:(Int64.of_int seed) ~app
-          ~protocol ~nprocs ~scale ()
+        Runner.run ?tracer ~recorder ~tweak ?faults ~seed:(Int64.of_int seed)
+          ~app ~protocol ~nprocs ~scale ()
       with
       | exception Invalid_argument msg ->
         (* An unsupported configuration (e.g. 3D-FFT above its node
@@ -156,24 +152,23 @@ let run_one app_name protocol_name nprocs tiny seed trace_file trace_format
 
 (* --- the full experiment suite --- *)
 
-let run_experiments tiny nprocs apps out jobs net topology par =
+let run_experiments tiny nprocs apps out jobs net topology =
   match fabric_tweak net topology with
   | Error msg ->
     Printf.eprintf "bad --topology: %s\n" msg;
     1
   | Ok tweak -> (
     let apps = match apps with [] -> None | l -> Some l in
-    let engine = engine_of_par par in
     match out with
     | None ->
       print_string
         (Experiments.run_all ?apps ~scale:(scale_of_tiny tiny) ~nprocs ~jobs
-           ~tweak ?engine ());
+           ~tweak ());
       0
     | Some dir ->
       let suite =
         Experiments.collect ?apps ~scale:(scale_of_tiny tiny) ~nprocs ~jobs
-          ~tweak ?engine ()
+          ~tweak ()
       in
       let written = Experiments.export_csv suite ~dir in
       List.iter (Printf.printf "wrote %s\n") written;
@@ -251,17 +246,6 @@ let topology_arg =
               the default), $(b,tree), or $(b,tree:N) (2-level switched \
               tree with N nodes per leaf switch).")
 
-let par_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "par" ] ~docv:"N"
-        ~doc:"Run each simulation on the conservative parallel engine \
-              with $(docv) OCaml domains (default 1 = the sequential \
-              engine).  Behavior-neutral: traces, checksums, counters and \
-              oracle streams are byte-identical (see PARALLELISM.md); \
-              only host wall-clock changes.  Avoid oversubscribing the \
-              host when combined with $(b,--jobs).")
-
 let faults_arg =
   Arg.(
     value
@@ -288,7 +272,7 @@ let run_cmd =
     Term.(
       const run_one $ app_arg $ protocol_arg $ procs_arg $ tiny_arg $ seed_arg
       $ trace_arg $ trace_format_arg $ check_arg $ faults_arg $ net_arg
-      $ topology_arg $ par_arg)
+      $ topology_arg)
 
 (* --- oracle-checked workload fuzzing --- *)
 
@@ -426,7 +410,7 @@ let experiments_cmd =
        ~doc:"Regenerate every table and figure of the paper")
     Term.(
       const run_experiments $ tiny_arg $ procs_arg $ apps_arg $ out_arg
-      $ jobs_arg $ net_arg $ topology_arg $ par_arg)
+      $ jobs_arg $ net_arg $ topology_arg)
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the available applications")
@@ -434,7 +418,7 @@ let list_cmd =
 
 (* --- node-count scaling study --- *)
 
-let run_scaling smoke max_nodes jobs out par apps =
+let run_scaling smoke max_nodes jobs out apps =
   let module Scaling = Adsm_harness.Scaling in
   let apps =
     match apps with
@@ -445,7 +429,7 @@ let run_scaling smoke max_nodes jobs out par apps =
            (fun a -> a <> "")
            (String.split_on_char ',' s))
   in
-  let study = Scaling.collect ~smoke ~max_nodes ~jobs ~par ?apps () in
+  let study = Scaling.collect ~smoke ~max_nodes ~jobs ?apps () in
   print_string (Scaling.render study);
   (match out with
   | Some path ->
@@ -502,7 +486,7 @@ let scaling_cmd =
           n-log-n message bound.")
     Term.(
       const run_scaling $ scaling_tiny_arg $ max_nodes_arg $ jobs_arg
-      $ scaling_out_arg $ par_arg $ scaling_apps_arg)
+      $ scaling_out_arg $ scaling_apps_arg)
 
 let run_ablations studies jobs =
   let module Ablations = Adsm_harness.Ablations in

@@ -70,12 +70,6 @@ let barrier_of_string s =
 
 type lock_homes = Modulo | Sharded of int
 
-type engine_mode = Sequential | Parallel of { domains : int }
-
-let engine_mode_name = function
-  | Sequential -> "seq"
-  | Parallel { domains } -> Printf.sprintf "par:%d" domains
-
 type t = {
   protocol : protocol;
   nprocs : int;
@@ -101,7 +95,6 @@ type t = {
   schedule_fuzz : int option;
   mutation : mutation option;
   faults : Adsm_net.Fault.schedule option;
-  engine : engine_mode;
   seed : int64;
 }
 
@@ -132,6 +125,5 @@ let make ?(seed = 0x5EEDL) ~protocol ~nprocs () =
     schedule_fuzz = None;
     mutation = None;
     faults = None;
-    engine = Sequential;
     seed;
   }

@@ -75,20 +75,6 @@ val barrier_of_string : string -> barrier option
     low-numbered nodes. *)
 type lock_homes = Modulo | Sharded of int
 
-(** Event-engine execution mode (see PARALLELISM.md).  [Sequential] is
-    the historical single-threaded event loop.  [Parallel {domains}]
-    runs the conservative safe-horizon engine over that many OCaml
-    domains; the simulation it produces — traces, checksums, counters,
-    observation streams — is byte-identical, only host wall-clock
-    changes.  Requests that cannot run in parallel fall back to
-    [Sequential] silently: [domains <= 1], a single-node cluster, or
-    [schedule_fuzz] set (fuzzing permutes the sequence numbers the
-    parallel merge relies on). *)
-type engine_mode = Sequential | Parallel of { domains : int }
-
-(** ["seq"] or ["par:<domains>"] (for reports and artifacts). *)
-val engine_mode_name : engine_mode -> string
-
 type t = {
   protocol : protocol;
   nprocs : int;
@@ -153,10 +139,6 @@ type t = {
           fault subsystem; [Some Fault.empty] behaves identically.
           Crash schedules require eager diffing (no [lazy_diffing], no
           [write_ranges]) and a non-HLRC protocol. *)
-  engine : engine_mode;
-      (** event-engine execution mode (default [Sequential]); behavior-
-          neutral — a [Parallel] run is byte-identical, just faster on a
-          multi-core host *)
   seed : int64;  (** root seed for all application randomness *)
 }
 

@@ -75,9 +75,9 @@ let run_end a b w0 n =
 (* Reusable per-caller working space for [create]: the scan writes run
    boundaries and payload here in a single pass, then copies out
    exact-sized arrays.  A page of [w] modified words has at most
-   [(w+1)/2 <= 512] runs.  NOT thread-safe — callers running in separate
-   domains (the parallel bench pool) must each use their own scratch;
-   the DSM runtime keeps one per cluster. *)
+   [(w+1)/2 <= 512] runs.  NOT thread-safe — simulations running in
+   separate domains (the [Pool] workers) must each use their own
+   scratch; the DSM runtime keeps one per cluster. *)
 type scratch = {
   s_offs : int array;
   s_lens : int array;

@@ -8,8 +8,8 @@ type t
 
 (** Reusable working space for {!create}: the single-pass scan stages run
     boundaries and payload here before copying out exact-sized arrays.
-    NOT thread-safe — each domain (e.g. each parallel-bench worker) must
-    use its own; the DSM runtime keeps one per cluster. *)
+    NOT thread-safe — each domain (e.g. each [Pool] worker) must use its
+    own; the DSM runtime keeps one per cluster. *)
 type scratch
 
 val make_scratch : unit -> scratch

@@ -87,27 +87,9 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
      O(log per-node events) at large clusters.  The lane split never
      changes execution order (see Engine), so small runs stay
      byte-identical. *)
-  (* Parallel-mode gate: fall back to the sequential engine whenever the
-     request cannot run in parallel — one domain, one node, or schedule
-     fuzzing (which permutes the sequence numbers the parallel merge
-     relies on being monotone).  The lookahead is the fabric's static
-     minimum delivery delay; it is > 0 for every preset cost model. *)
-  let parallel =
-    match cfg.Config.engine with
-    | Config.Sequential -> None
-    | Config.Parallel { domains } ->
-      if domains <= 1 || cfg.Config.nprocs <= 1 || cfg.Config.schedule_fuzz <> None
-      then None
-      else
-        let lookahead =
-          Adsm_net.Topology.lookahead_ns cfg.Config.net cfg.Config.topology
-        in
-        if lookahead <= 0 then None
-        else Some (min domains cfg.Config.nprocs, lookahead)
-  in
   let engine =
     Engine.create ?schedule_seed:cfg.Config.schedule_fuzz
-      ~lanes:cfg.Config.nprocs ?parallel ()
+      ~lanes:cfg.Config.nprocs ()
   in
   let topo =
     Adsm_net.Topology.make cfg.Config.net cfg.Config.topology
@@ -161,12 +143,10 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
       running = cfg.Config.nprocs;
       tracer;
       recorder;
+      diff_scratch = None;
     }
   in
   t.cluster <- Some cluster;
-  if Engine.is_parallel engine then
-    (* Shared statistics updates must replay in global event order. *)
-    Stats.set_defer cluster.State.stats (Some (Engine.defer engine));
   for node = 0 to cfg.Config.nprocs - 1 do
     Rpc.set_handler rpc ~node (fun ~src msg respond ->
         Proto.handle_message cluster ~node ~src msg respond)
@@ -179,7 +159,7 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
       (Some
          (Adsm_net.Fault.runtime sched ~seed:cfg.Config.seed
             ~nodes:cfg.Config.nprocs));
-    (* Crash and restart are lane-local events on the affected node: the
+    (* Crash and restart are events on the affected node's lane: the
        crash parks subsequent deliveries and marks the node so its next
        DSM operation boundary fail-stops (Sync.crash_pause); the restart
        flushes the parked queue and resumes a process suspended in the
@@ -204,9 +184,7 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
   for id = 0 to cfg.Config.nprocs - 1 do
     Proc.spawn ~lane:id engine (fun () ->
         app { cluster; node = nodes.(id) };
-        (* [running] is cluster-shared; decrement it in global order. *)
-        Engine.defer engine (fun () ->
-            cluster.State.running <- cluster.State.running - 1))
+        cluster.State.running <- cluster.State.running - 1)
   done;
   let time_ns = Engine.run engine in
   if cluster.State.running > 0 then begin

@@ -72,7 +72,7 @@ let materialize_pending_diff cl node (e : entry) =
       | None -> failwith "Proto: pending diff without its twin"
     in
     let diff =
-      Diff.create ~scratch:(State.scratch node) ~twin ~current:(frame e) ()
+      Diff.create ~scratch:(State.scratch cl) ~twin ~current:(frame e) ()
     in
     Hashtbl.replace node.diffs (e.page, node.id, seq) (vc, diff);
     e.own_diff_seqs <- seq :: e.own_diff_seqs;
@@ -170,7 +170,7 @@ let close_page_default ?(allow_lazy = true) ?(measure = false)
   | Some twin ->
     (* MW-mode page: eager twin/diff. *)
     let current = frame e in
-    let diff = Diff.create ~scratch:(State.scratch node) ~twin ~current () in
+    let diff = Diff.create ~scratch:(State.scratch cl) ~twin ~current () in
     charge cl.cfg.Config.diff_create_ns;
     let bytes = Diff.size_bytes diff in
     let modified = Diff.modified_bytes diff in
@@ -278,9 +278,7 @@ let note_concurrent_writers cl node (e : entry) (n : Notice.t) =
      is a no-op — so noting them once per notice is the same as once per
      concurrent writer, and once the page's false sharing is committed
      to the stats AND (for adaptive protocols) this entry's fs mode is
-     already active, the check can have no observable effect: skip it.
-     Under deferred stats the membership answer may lag the insert,
-     which only means a few more no-op checks before the skip kicks in. *)
+     already active, the check can have no observable effect: skip it. *)
   if
     (not (Stats.page_false_shared cl.stats ~page:n.page))
     || (Mode.adaptive cl && not e.fs_active)

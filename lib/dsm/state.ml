@@ -136,11 +136,6 @@ type node = {
   mutable tlb : tlb option;
   tb : tree_barrier option;  (* Some iff [cfg.barrier] is [Tree] *)
   rng : Rng.t;
-  mutable diff_scratch : Diff.scratch option;
-      (* lazily allocated per node: diff encoding happens inside the
-         owning node's events, and under the parallel engine nodes on
-         different domains encode concurrently, so the scratch buffer
-         cannot be shared cluster-wide *)
   (* Crash-recovery state, all inert when [cfg.faults] has no crashes:
      [crash_pending] is set by the crash event on this node's lane and
      checked (one bool load) at every DSM operation boundary. *)
@@ -174,6 +169,7 @@ type cluster = {
   mutable running : int;
   tracer : Adsm_trace.Tracer.t;
   recorder : Adsm_check.Recorder.t;
+  mutable diff_scratch : Diff.scratch option;
 }
 
 let make_entry ~nprocs:_ ~page ~home =
@@ -406,7 +402,6 @@ let make_node ~cfg ~id ~total_pages =
             tb_self_gc_done = false;
           });
     rng = Rng.create (Int64.add cfg.Config.seed (Int64.of_int (id * 7919)));
-    diff_scratch = None;
     ckpt = None;
     crash_pending = false;
     crash_restart_at = 0;
@@ -414,12 +409,12 @@ let make_node ~cfg ~id ~total_pages =
     crash_count = 0;
   }
 
-let scratch node =
-  match node.diff_scratch with
+let scratch cluster =
+  match cluster.diff_scratch with
   | Some s -> s
   | None ->
     let s = Diff.make_scratch () in
-    node.diff_scratch <- Some s;
+    cluster.diff_scratch <- Some s;
     s
 
 (* Get-or-create the node's entry for [page].  A lazily-created entry is
@@ -499,17 +494,9 @@ let home_of_lock cluster lock =
    so the event payload is never even constructed when tracing is off. *)
 let tracing cluster = Adsm_trace.Tracer.enabled cluster.tracer
 
-(* Trace sinks are shared across every node, so under the parallel engine
-   an in-window emission is journaled and replayed by the inter-window
-   walk — the sink sees the exact global-order stream a sequential run
-   writes.  The timestamp is captured here, at the original call. *)
 let emit cluster ~node event =
-  let engine = cluster.engine in
-  let time = Engine.now engine in
-  if Engine.deferring engine then
-    Engine.defer engine (fun () ->
-        Adsm_trace.Tracer.emit cluster.tracer ~time ~node event)
-  else Adsm_trace.Tracer.emit cluster.tracer ~time ~node event
+  Adsm_trace.Tracer.emit cluster.tracer ~time:(Engine.now cluster.engine) ~node
+    event
 
 (* Same guard pattern for the consistency oracle's observation stream:
      [if checking cl then observe cl ~node (Obs.X { ... })]
@@ -517,9 +504,5 @@ let emit cluster ~node event =
 let checking cluster = Adsm_check.Recorder.enabled cluster.recorder
 
 let observe cluster ~node obs =
-  let engine = cluster.engine in
-  let time = Engine.now engine in
-  if Engine.deferring engine then
-    Engine.defer engine (fun () ->
-        Adsm_check.Recorder.record cluster.recorder ~time ~node obs)
-  else Adsm_check.Recorder.record cluster.recorder ~time ~node obs
+  Adsm_check.Recorder.record cluster.recorder ~time:(Engine.now cluster.engine)
+    ~node obs

@@ -179,10 +179,6 @@ type node = {
   mutable tlb : tlb option;  (** accessor fast-path cache; see {!tlb_reset} *)
   tb : tree_barrier option;  (** [Some] iff [cfg.barrier] is [Tree] *)
   rng : Adsm_sim.Rng.t;
-  mutable diff_scratch : Diff.scratch option;
-      (** lazily allocated working space for {!Diff.create}, per node —
-          nodes on different domains encode diffs concurrently under the
-          parallel engine, so the scratch cannot be cluster-wide *)
   mutable ckpt : ckpt option;
       (** latest barrier-leave checkpoint; [None] until the first
           barrier (and always [None] without a crash schedule) *)
@@ -222,6 +218,8 @@ type cluster = {
   tracer : Adsm_trace.Tracer.t;  (** structured trace emission front-end *)
   recorder : Adsm_check.Recorder.t;
       (** consistency-oracle observation stream front-end *)
+  mutable diff_scratch : Diff.scratch option;
+      (** lazily allocated working space for {!Diff.create} *)
 }
 
 val make_entry : nprocs:int -> page:int -> home:int -> entry
@@ -309,8 +307,8 @@ val entry_of : node -> int -> entry
     any protocol state. *)
 val iter_entries : node -> (entry -> unit) -> unit
 
-(** The node's diff-encoding scratch space, allocated on first use. *)
-val scratch : node -> Diff.scratch
+(** The cluster's diff-encoding scratch space, allocated on first use. *)
+val scratch : cluster -> Diff.scratch
 
 (** Committed contents of a page at this node: the twin while the page is
     dirty, the current data otherwise.  [None] when the node has no copy. *)

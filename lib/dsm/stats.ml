@@ -24,14 +24,6 @@ type t = {
   fault_ns : int array;
   lock_ns : int array;
   barrier_ns : int array;
-  mutable defer : ((unit -> unit) -> unit) option;
-      (** Parallel-engine hook (see PARALLELISM.md): when set, updates to
-          state shared across nodes — the scalar counters, the series, the
-          hashtables, the size list — are routed through it so the
-          inter-window walk applies them in global event order.  Per-node
-          array slots ([diff_store], the time breakdown) stay immediate:
-          they are lane-owned, and [diff_store_bytes] must reflect a
-          node's own writes mid-window (it triggers GC). *)
 }
 
 let create ~nprocs () =
@@ -58,32 +50,15 @@ let create ~nprocs () =
     fault_ns = Array.make nprocs 0;
     lock_ns = Array.make nprocs 0;
     barrier_ns = Array.make nprocs 0;
-    defer = None;
   }
-
-let set_defer t defer = t.defer <- defer
 
 let nprocs t = t.procs
 
-(* Every shared-state mutator below has the same two-branch shape: the
-   [None] branch is the historical sequential path (no closure built —
-   these run on hot paths), the [Some d] branch journals the identical
-   update for ordered replay. *)
-
 let twin_created t ~node:_ =
-  match t.defer with
-  | None ->
-    t.twins_created <- t.twins_created + 1;
-    t.twins_live <- t.twins_live + 1
-  | Some d ->
-    d (fun () ->
-        t.twins_created <- t.twins_created + 1;
-        t.twins_live <- t.twins_live + 1)
+  t.twins_created <- t.twins_created + 1;
+  t.twins_live <- t.twins_live + 1
 
-let twin_freed t ~node:_ =
-  match t.defer with
-  | None -> t.twins_live <- t.twins_live - 1
-  | Some d -> d (fun () -> t.twins_live <- t.twins_live - 1)
+let twin_freed t ~node:_ = t.twins_live <- t.twins_live - 1
 
 let twins_created_total t = t.twins_created
 
@@ -95,44 +70,23 @@ let record_live t ~time =
 let diff_created t ~node ~page ~bytes ~modified ~time =
   ignore page;
   t.diff_store.(node) <- t.diff_store.(node) + bytes;
-  match t.defer with
-  | None ->
-    t.diffs_created <- t.diffs_created + 1;
-    t.diff_bytes_created <- t.diff_bytes_created + bytes;
-    t.diffs_live <- t.diffs_live + 1;
-    t.sizes <- modified :: t.sizes;
-    record_live t ~time
-  | Some d ->
-    d (fun () ->
-        t.diffs_created <- t.diffs_created + 1;
-        t.diff_bytes_created <- t.diff_bytes_created + bytes;
-        t.diffs_live <- t.diffs_live + 1;
-        t.sizes <- modified :: t.sizes;
-        record_live t ~time)
+  t.diffs_created <- t.diffs_created + 1;
+  t.diff_bytes_created <- t.diff_bytes_created + bytes;
+  t.diffs_live <- t.diffs_live + 1;
+  t.sizes <- modified :: t.sizes;
+  record_live t ~time
 
 let diff_stored t ~node ~bytes ~time =
   t.diff_store.(node) <- t.diff_store.(node) + bytes;
   (* a fetched diff is another live copy; garbage collection drops it
      per node, so it must be counted per node too *)
-  match t.defer with
-  | None ->
-    t.diffs_live <- t.diffs_live + 1;
-    record_live t ~time
-  | Some d ->
-    d (fun () ->
-        t.diffs_live <- t.diffs_live + 1;
-        record_live t ~time)
+  t.diffs_live <- t.diffs_live + 1;
+  record_live t ~time
 
 let diffs_dropped t ~node ~bytes ~count ~time =
   t.diff_store.(node) <- t.diff_store.(node) - bytes;
-  match t.defer with
-  | None ->
-    t.diffs_live <- t.diffs_live - count;
-    record_live t ~time
-  | Some d ->
-    d (fun () ->
-        t.diffs_live <- t.diffs_live - count;
-        record_live t ~time)
+  t.diffs_live <- t.diffs_live - count;
+  record_live t ~time
 
 let diffs_created_total t = t.diffs_created
 
@@ -142,35 +96,20 @@ let diff_store_bytes t ~node = t.diff_store.(node)
 
 let live_diff_series t = t.series
 
-let ownership_request t =
-  match t.defer with
-  | None -> t.own_requests <- t.own_requests + 1
-  | Some d -> d (fun () -> t.own_requests <- t.own_requests + 1)
+let ownership_request t = t.own_requests <- t.own_requests + 1
 
 let ownership_requests t = t.own_requests
 
-let ownership_refused t =
-  match t.defer with
-  | None -> t.own_refusals <- t.own_refusals + 1
-  | Some d -> d (fun () -> t.own_refusals <- t.own_refusals + 1)
+let ownership_refused t = t.own_refusals <- t.own_refusals + 1
 
 let ownership_refusals t = t.own_refusals
 
-let gc_started t =
-  match t.defer with
-  | None -> t.gcs <- t.gcs + 1
-  | Some d -> d (fun () -> t.gcs <- t.gcs + 1)
+let gc_started t = t.gcs <- t.gcs + 1
 
 let gc_count t = t.gcs
 
 let page_fault t ~read =
-  match t.defer with
-  | None ->
-    if read then t.rfaults <- t.rfaults + 1 else t.wfaults <- t.wfaults + 1
-  | Some d ->
-    d (fun () ->
-        if read then t.rfaults <- t.rfaults + 1
-        else t.wfaults <- t.wfaults + 1)
+  if read then t.rfaults <- t.rfaults + 1 else t.wfaults <- t.wfaults + 1
 
 let page_faults t = t.rfaults + t.wfaults
 
@@ -181,23 +120,12 @@ let write_faults t = t.wfaults
 let note_write t ~page =
   (* Hot path (every write notice on every node): test-then-add beats
      [replace], which re-removes the binding on every call. *)
-  match t.defer with
-  | None ->
-    if not (Int_tbl.mem t.writers page) then Int_tbl.add t.writers page ()
-  | Some d ->
-    d (fun () ->
-        if not (Int_tbl.mem t.writers page) then Int_tbl.add t.writers page ())
+  if not (Int_tbl.mem t.writers page) then Int_tbl.add t.writers page ()
 
-let note_false_sharing t ~page =
-  match t.defer with
-  | None -> Int_tbl.replace t.false_shared page ()
-  | Some d -> d (fun () -> Int_tbl.replace t.false_shared page ())
+let note_false_sharing t ~page = Int_tbl.replace t.false_shared page ()
 
 let pages_written t = Int_tbl.length t.writers
 
-(* Committed membership only: under deferred stats a pending insert is
-   invisible here, so callers using this to skip idempotent re-noting
-   merely re-note until the flush — never the other way round. *)
 let page_false_shared t ~page = Int_tbl.mem t.false_shared page
 
 let pages_false_shared t = Int_tbl.length t.false_shared
@@ -217,15 +145,9 @@ let mean_diff_size t =
 
 let mode_switches t = t.switches
 
-let mode_switch t =
-  match t.defer with
-  | None -> t.switches <- t.switches + 1
-  | Some d -> d (fun () -> t.switches <- t.switches + 1)
+let mode_switch t = t.switches <- t.switches + 1
 
-let migratory_upgrade t =
-  match t.defer with
-  | None -> t.migratory_upgrades <- t.migratory_upgrades + 1
-  | Some d -> d (fun () -> t.migratory_upgrades <- t.migratory_upgrades + 1)
+let migratory_upgrade t = t.migratory_upgrades <- t.migratory_upgrades + 1
 
 let migratory_upgrades t = t.migratory_upgrades
 

@@ -10,15 +10,6 @@ type t
 
 val create : nprocs:int -> unit -> t
 
-(** [set_defer t (Some d)] routes every update to state shared across
-    nodes (scalar counters, the live-diff series, the sharing hashtables,
-    the diff-size list) through [d] — the parallel engine's
-    {!Adsm_sim.Engine.defer}, which replays them in global event order
-    between windows.  Per-node slots ([diff_store], the time breakdown)
-    stay immediate: they are lane-owned and read mid-window (the GC
-    trigger).  [None] (the default) is the unchanged sequential path. *)
-val set_defer : t -> ((unit -> unit) -> unit) option -> unit
-
 val nprocs : t -> int
 
 (* --- twins --- *)
@@ -93,9 +84,7 @@ val note_false_sharing : t -> page:int -> unit
 val pages_written : t -> int
 (** Pages with at least one recorded writer. *)
 
-(** Has [note_false_sharing] for this page been committed?  Under
-    deferred stats, pending notes are not yet visible — a [false] answer
-    may lag, a [true] answer is definitive. *)
+(** Has [note_false_sharing] been called for this page? *)
 val page_false_shared : t -> page:int -> bool
 
 val pages_false_shared : t -> int

@@ -10,9 +10,6 @@ type suite = {
       (* configuration post-processing (e.g. a non-default network or
          topology from the CLI), re-applied by artifacts that make their
          own dedicated runs *)
-  engine : Config.engine_mode option;
-      (* event-engine mode for every run (wall-clock only; None = default
-         Sequential), also re-applied by dedicated artifact runs *)
   measurements : Runner.measurement list;
 }
 
@@ -27,7 +24,7 @@ let selected_apps = function
       names
 
 let collect ?apps ?(scale = Registry.Default) ?(nprocs = 8) ?(jobs = 1)
-    ?(tweak = Fun.id) ?engine () =
+    ?(tweak = Fun.id) () =
   let apps = selected_apps apps in
   let cells =
     List.concat_map
@@ -40,10 +37,10 @@ let collect ?apps ?(scale = Registry.Default) ?(nprocs = 8) ?(jobs = 1)
   let measurements =
     Pool.map ~jobs
       (fun (app, protocol) ->
-        Runner.run ~tweak ?engine ~app ~protocol ~nprocs ~scale ())
+        Runner.run ~tweak ~app ~protocol ~nprocs ~scale ())
       cells
   in
-  { scale; nprocs; tweak; engine; measurements }
+  { scale; nprocs; tweak; measurements }
 
 let find suite ~app ~protocol =
   List.find_opt
@@ -329,7 +326,7 @@ let figure3 suite =
       List.map
         (fun p ->
           ( p,
-            Runner.run ~tweak ?engine:suite.engine ~app:entry ~protocol:p
+            Runner.run ~tweak ~app:entry ~protocol:p
               ~nprocs:suite.nprocs ~scale:suite.scale () ))
         protocols
     in
@@ -542,8 +539,8 @@ let export_csv suite ~dir =
 
 (* ------------------------------------------------------------------ *)
 
-let run_all ?apps ?scale ?nprocs ?jobs ?tweak ?engine () =
-  let suite = collect ?apps ?scale ?nprocs ?jobs ?tweak ?engine () in
+let run_all ?apps ?scale ?nprocs ?jobs ?tweak () =
+  let suite = collect ?apps ?scale ?nprocs ?jobs ?tweak () in
   String.concat "\n"
     [
       table1 suite;

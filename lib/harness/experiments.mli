@@ -12,26 +12,19 @@ type suite = {
   tweak : Adsm_dsm.Config.t -> Adsm_dsm.Config.t;
       (** configuration post-processing (e.g. a non-default network or
           topology), re-applied by artifacts that make dedicated runs *)
-  engine : Adsm_dsm.Config.engine_mode option;
-      (** event-engine execution mode for every run (behavior-neutral;
-          [None] = sequential), also re-applied by dedicated runs *)
   measurements : Runner.measurement list;
 }
 
 (** Runs the whole grid.  [apps] restricts the application set (default:
     all eight).  [jobs] (default 1) runs the independent (app, protocol)
     simulations on that many worker domains via {!Pool}; the resulting
-    suite is field-for-field identical for any [jobs] value.  [engine]
-    selects the event-engine mode per run (see PARALLELISM.md) — also
-    behavior-neutral; don't combine [jobs > 1] with a parallel engine on
-    a small host (oversubscription; see EXPERIMENTS.md). *)
+    suite is field-for-field identical for any [jobs] value. *)
 val collect :
   ?apps:string list ->
   ?scale:Adsm_apps.Registry.scale ->
   ?nprocs:int ->
   ?jobs:int ->
   ?tweak:(Adsm_dsm.Config.t -> Adsm_dsm.Config.t) ->
-  ?engine:Adsm_dsm.Config.engine_mode ->
   unit ->
   suite
 
@@ -92,6 +85,5 @@ val run_all :
   ?nprocs:int ->
   ?jobs:int ->
   ?tweak:(Adsm_dsm.Config.t -> Adsm_dsm.Config.t) ->
-  ?engine:Adsm_dsm.Config.engine_mode ->
   unit ->
   string

@@ -37,18 +37,13 @@ type measurement = {
   barrier_time_ns : int;
 }
 
-let run ?(seed = 0x5EEDL) ?(tweak = Fun.id) ?faults ?engine ?tracer ?recorder
+let run ?(seed = 0x5EEDL) ?(tweak = Fun.id) ?faults ?tracer ?recorder
     ~(app : Registry.entry) ~protocol ~nprocs ~scale () =
   let cfg = tweak (Config.make ~seed ~protocol ~nprocs ()) in
-  (* [faults] and [engine] are applied after [tweak]: [faults] so a CLI
-     --faults flag composes with any tweak, [engine] because the
-     execution mode is a harness concern (wall-clock only), never part
-     of a study's configuration. *)
+  (* [faults] is applied after [tweak] so a CLI --faults flag composes
+     with any tweak. *)
   let cfg =
     match faults with None -> cfg | Some s -> { cfg with Config.faults = Some s }
-  in
-  let cfg =
-    match engine with None -> cfg | Some e -> { cfg with Config.engine = e }
   in
   let t = Dsm.create cfg in
   let program, result = app.Registry.instantiate scale t in

@@ -41,7 +41,6 @@ val run :
   ?seed:int64 ->
   ?tweak:(Adsm_dsm.Config.t -> Adsm_dsm.Config.t) ->
   ?faults:Adsm_net.Fault.schedule ->
-  ?engine:Adsm_dsm.Config.engine_mode ->
   ?tracer:Adsm_trace.Tracer.t ->
   ?recorder:Adsm_check.Recorder.t ->
   app:Adsm_apps.Registry.entry ->
@@ -53,10 +52,8 @@ val run :
 (** [tweak] post-processes the configuration (e.g. a smaller GC threshold
     for the Figure 3 runs, matching the scaled-down data set); [faults]
     runs the app under a fault schedule (applied after [tweak], see
-    FAULTS.md); [engine] overrides the event-engine execution mode after
-    [tweak] (behavior-neutral — see PARALLELISM.md); [tracer] receives
-    the structured event
-    stream (the caller closes it); [recorder] captures the consistency
+    FAULTS.md); [tracer] receives the structured event stream (the
+    caller closes it); [recorder] captures the consistency
     oracle's observation stream (validate with {!Adsm_check.Oracle.check}
     afterwards). *)
 

@@ -100,16 +100,9 @@ let tweak_of_fabric fabric cfg =
       sparse_vc = true;
     }
 
-let collect ?(smoke = false) ?(max_nodes = 1024) ?(jobs = 1) ?(par = 1) ?apps
-    () =
-  (* [par > 1] runs every cell on the conservative parallel engine —
-     behavior-neutral (same rows, checksums and bounds), host wall-clock
-     only.  Don't combine with [jobs > 1] on a small host.  [apps]
-     restricts the sweep to the named applications (CI smoke, local
-     iteration). *)
-  let engine =
-    if par > 1 then Some (Config.Parallel { domains = par }) else None
-  in
+let collect ?(smoke = false) ?(max_nodes = 1024) ?(jobs = 1) ?apps () =
+  (* [apps] restricts the sweep to the named applications (CI smoke,
+     local iteration). *)
   let apps =
     match apps with
     | Some l ->
@@ -143,7 +136,7 @@ let collect ?(smoke = false) ?(max_nodes = 1024) ?(jobs = 1) ?(par = 1) ?apps
       | None -> invalid_arg ("Scaling.collect: unknown app " ^ a)
     in
     let m =
-      Runner.run ~tweak:(tweak_of_fabric f) ?engine ~app ~protocol:p ~nprocs:n
+      Runner.run ~tweak:(tweak_of_fabric f) ~app ~protocol:p ~nprocs:n
         ~scale:Registry.Tiny ()
     in
     {

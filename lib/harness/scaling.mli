@@ -41,18 +41,13 @@ type study = { smoke : bool; max_nodes : int; rows : row list }
     the full grid except 3D-FFT, structurally capped at 64 nodes (its
     tiny problem has 64 planes).  [jobs] fans the independent runs over
     worker domains, dispatched heaviest-cell-first; the returned rows
-    are in grid order regardless.  [par] (default 1) runs each cell on
-    the conservative parallel engine with that many domains —
-    behavior-neutral (identical rows, checksums and bounds; see
-    PARALLELISM.md), host wall-clock only; don't combine with
-    [jobs > 1] on a small host.  [apps] restricts the sweep to the named
+    are in grid order regardless.  [apps] restricts the sweep to the named
     applications (any case), overriding the [smoke]/default app list.
     @raise Invalid_argument on an unknown app name. *)
 val collect :
   ?smoke:bool ->
   ?max_nodes:int ->
   ?jobs:int ->
-  ?par:int ->
   ?apps:string list ->
   unit ->
   study

@@ -1,11 +1,9 @@
 (* The envelope is a mutable record rather than an immutable variant so
-   the sequential hot path can recycle envelopes through a free pool:
-   the send path allocates one envelope per message — millions per run
-   at large n — and every one of them dies at delivery, pure minor-heap
-   churn.  [Rpc] takes envelopes from its pool at send time and releases
-   them after extracting the payload at dispatch; under the parallel
-   engine envelopes cross domains, so the pool is disabled there and
-   every envelope is freshly allocated ([make None]). *)
+   the hot path can recycle envelopes through a free pool: the send path
+   allocates one envelope per message — millions per run at large n —
+   and every one of them dies at delivery, pure minor-heap churn.  [Rpc]
+   takes envelopes from its pool at send time and releases them after
+   extracting the payload at dispatch. *)
 
 type tag = Request | Reply | Oneway
 
@@ -30,31 +28,25 @@ let pool_cap = 4096
 
 let payload t = t.payload
 
-let make pool tag ~id payload =
-  match pool with
-  | None -> { tag; id; payload }
-  | Some p ->
-    if p.len = 0 then { tag; id; payload }
-    else begin
-      let n = p.len - 1 in
-      p.len <- n;
-      let e = p.slots.(n) in
-      e.tag <- tag;
-      e.id <- id;
-      e.payload <- payload;
-      e
-    end
+let make p tag ~id payload =
+  if p.len = 0 then { tag; id; payload }
+  else begin
+    let n = p.len - 1 in
+    p.len <- n;
+    let e = p.slots.(n) in
+    e.tag <- tag;
+    e.id <- id;
+    e.payload <- payload;
+    e
+  end
 
-let release pool e =
-  match pool with
-  | None -> ()
-  | Some p ->
-    if p.len < pool_cap then begin
-      if p.len = Array.length p.slots then begin
-        let grown = Array.make (max 64 (2 * p.len)) e in
-        Array.blit p.slots 0 grown 0 p.len;
-        p.slots <- grown
-      end;
-      p.slots.(p.len) <- e;
-      p.len <- p.len + 1
-    end
+let release p e =
+  if p.len < pool_cap then begin
+    if p.len = Array.length p.slots then begin
+      let grown = Array.make (max 64 (2 * p.len)) e in
+      Array.blit p.slots 0 grown 0 p.len;
+      p.slots <- grown
+    end;
+    p.slots.(p.len) <- e;
+    p.len <- p.len + 1
+  end

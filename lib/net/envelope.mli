@@ -2,12 +2,9 @@
 
     A mutable record plus a free pool rather than an immutable variant:
     one envelope is allocated per message sent, and all of them die at
-    delivery, so the sequential hot path recycles them.  {!Rpc} is the
-    only producer and consumer — it takes envelopes from its pool on
-    send and releases them after extracting the payload at dispatch.
-    With no pool ([None]), {!make} allocates and {!release} is a no-op —
-    the behavior under the parallel engine, where envelopes cross
-    domains and a shared free list would race. *)
+    delivery, so the hot path recycles them.  {!Rpc} is the only
+    producer and consumer — it takes envelopes from its pool on send and
+    releases them after extracting the payload at dispatch. *)
 
 type tag = Request | Reply | Oneway
 
@@ -22,12 +19,12 @@ type 'msg pool
 val create_pool : unit -> 'msg pool
 
 (** Take an envelope from the pool (or allocate one) and fill it. *)
-val make : 'msg pool option -> tag -> id:int -> 'msg -> 'msg t
+val make : 'msg pool -> tag -> id:int -> 'msg -> 'msg t
 
 (** Return a dispatched envelope to the pool.  The caller must have
     extracted everything it needs: the fields may be overwritten by the
     next {!make}.  Each envelope is released at most once, by the
     dispatch path of its own delivery. *)
-val release : 'msg pool option -> 'msg t -> unit
+val release : 'msg pool -> 'msg t -> unit
 
 val payload : 'msg t -> 'msg

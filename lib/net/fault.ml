@@ -3,10 +3,9 @@
    A schedule is pure data: node crash/restart windows, message-level
    perturbations (loss, duplication, reorder jitter) and link-partition
    windows.  It travels with the configuration — the same (seed,
-   schedule) pair must replay byte-identically on either engine — so
-   everything random is drawn from one dedicated SplitMix64 stream
-   consumed inside {!Network.send_now}, which executes in global send
-   order on both the sequential and the conservative parallel engine.
+   schedule) pair must replay byte-identically — so everything random is
+   drawn from one dedicated SplitMix64 stream consumed inside
+   {!Network.send}, in global send order.
 
    The transport model is RELIABLE delivery over a faulty link: a lost
    message is retransmitted until it gets through (the draw decides how
@@ -307,11 +306,9 @@ let shrink s () =
 (* Runtime state                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Mutable per-run state.  [down] and the parked queues (which live in
-   {!Network}, where the message type is known) are only touched by
-   events on the affected node's lane; [rng] and [counters] are only
-   touched inside [perturb], which {!Network.send_now} runs in global
-   send order on both engines. *)
+(* Mutable per-run state.  The parked queues live in {!Network}, where
+   the message type is known; [rng] and [counters] are only touched
+   inside [perturb], which {!Network.send} runs in global send order. *)
 
 type counters = {
   mutable retransmits : int;
@@ -341,11 +338,10 @@ let runtime sched ~seed ~nodes =
 
 (* Perturb one message: returns its (possibly delayed) fabric arrival
    and the wire-byte overhead of retransmissions/duplicates.  Loss and
-   duplication draw from [rng]; the draw order is the global send order,
-   identical on both engines.  The delay is strictly additive, so the
-   parallel engine's lookahead bound still holds, and it lands BEFORE
-   the receiver-NIC serialization step, so per-destination delivery
-   order is preserved (rx_done is strictly monotone per destination). *)
+   duplication draw from [rng] in global send order.  The delay is
+   strictly additive and lands BEFORE the receiver-NIC serialization
+   step, so per-destination delivery order is preserved (rx_done is
+   strictly monotone per destination). *)
 let perturb rt ~now ~arrival ~src ~dst ~wire_bytes =
   let s = rt.sched in
   let c = rt.counters in

@@ -6,8 +6,8 @@
     link, so delivery is delayed and wire bytes grow but no message is
     protocol-visibly lost), and link-partition windows.  All randomness
     comes from one dedicated SplitMix64 stream consumed in global send
-    order, so the same (seed, schedule) pair replays byte-identically
-    on the sequential and parallel engines.  See FAULTS.md. *)
+    order, so the same (seed, schedule) pair replays byte-identically.
+    See FAULTS.md. *)
 
 type crash = {
   node : int;
@@ -65,9 +65,8 @@ val shrink : schedule -> schedule Seq.t
 (** {1 Runtime state}
 
     Owned by {!Network}; exposed here because the schedule types live in
-    this module.  [down]/parked queues are only touched from the affected
-    node's engine lane; [rng] and [counters] only from [perturb], which
-    runs in global send order on both engines. *)
+    this module.  [rng] and [counters] are only touched from [perturb],
+    which runs in global send order. *)
 
 type counters = {
   mutable retransmits : int;
@@ -90,7 +89,7 @@ val runtime : schedule -> seed:int64 -> nodes:int -> runtime
 (** Perturb one message: given its unperturbed fabric [arrival], return
     the (possibly delayed) arrival plus the wire-byte overhead of
     retransmissions and duplicates.  Never returns an arrival below the
-    input, so the parallel engine's lookahead bound is preserved. *)
+    input. *)
 val perturb :
   runtime ->
   now:int ->

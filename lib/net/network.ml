@@ -78,9 +78,7 @@ let set_faults t rt =
 
 let fault_runtime t = Option.map (fun f -> f.rt) t.faults
 
-(* Mark [node] crashed: subsequent deliveries to it are parked.  Called
-   from a crash event on [node]'s lane; the flag is only read by delivery
-   events on that same lane, so this is lane-local state. *)
+(* Mark [node] crashed: subsequent deliveries to it are parked. *)
 let fault_crash t ~node =
   match t.faults with
   | None -> invalid_arg "Network.fault_crash: no fault schedule installed"
@@ -130,16 +128,15 @@ let count t ~src ~dst ~bytes ~kind =
    queue up, which is what limited the paper's SPARC/ATM testbed.  On
    a tree shape the payload additionally traverses switches and — for
    cross-switch traffic — the two shared uplink channels, each of
-   which serializes contending transfers the same way the NICs do.
-
-   [send_now] mutates state shared across every node — the counters and
-   the NIC/uplink contention arrays, whose [max]-then-advance updates
-   depend on the global order of sends.  Under the parallel engine the
-   whole body is therefore deferred: [send] journals it and the
-   inter-window walk replays it at the sending event's position in the
-   global order, so contention resolves exactly as in a sequential run
-   (see PARALLELISM.md).  [now] is captured at the original call site. *)
-let send_now t ~now ~src ~dst ~bytes ~kind msg =
+   which serializes contending transfers the same way the NICs do. *)
+let send t ~src ~dst ~bytes ~kind msg =
+  if src < 0 || src >= t.node_count then
+    invalid_arg "Network.send: src out of range";
+  if dst < 0 || dst >= t.node_count then
+    invalid_arg "Network.send: dst out of range";
+  if src = dst then invalid_arg "Network.send: self-send";
+  if bytes < 0 then invalid_arg "Network.send: negative size";
+  let now = Engine.now t.engine in
   count t ~src ~dst ~bytes ~kind;
   (match t.monitor with
   | None -> ()
@@ -200,13 +197,7 @@ let send_now t ~now ~src ~dst ~bytes ~kind msg =
   Engine.schedule_at ~lane:dst t.engine ~time:delivery (fun () ->
       (match t.monitor with
       | None -> ()
-      | Some m ->
-        (* The monitor feeds globally ordered sinks (trace files); inside
-           a parallel window its call is deferred to the walk. *)
-        if Engine.deferring t.engine then
-          Engine.defer t.engine (fun () ->
-              m.on_deliver ~now:delivery ~src ~dst ~bytes ~kind)
-        else m.on_deliver ~now:delivery ~src ~dst ~bytes ~kind);
+      | Some m -> m.on_deliver ~now:delivery ~src ~dst ~bytes ~kind);
       match t.faults with
       | Some f when f.rt.Fault.down.(dst) ->
         (* Destination is crashed: park the message; [fault_restart]
@@ -217,18 +208,6 @@ let send_now t ~now ~src ~dst ~bytes ~kind msg =
         | Some handler -> handler ~src msg
         | None ->
           failwith (Printf.sprintf "Network: node %d has no handler" dst)))
-
-let send t ~src ~dst ~bytes ~kind msg =
-  if src < 0 || src >= t.node_count then
-    invalid_arg "Network.send: src out of range";
-  if dst < 0 || dst >= t.node_count then
-    invalid_arg "Network.send: dst out of range";
-  if src = dst then invalid_arg "Network.send: self-send";
-  if bytes < 0 then invalid_arg "Network.send: negative size";
-  let now = Engine.now t.engine in
-  if Engine.deferring t.engine then
-    Engine.defer t.engine (fun () -> send_now t ~now ~src ~dst ~bytes ~kind msg)
-  else send_now t ~now ~src ~dst ~bytes ~kind msg
 
 let total_messages t = t.messages
 

@@ -41,13 +41,12 @@ val set_faults : 'msg t -> Fault.runtime option -> unit
 val fault_runtime : 'msg t -> Fault.runtime option
 
 (** Mark [node] crashed: messages addressed to it are parked instead of
-    delivered.  Must be called from an event on [node]'s lane.
+    delivered.
     @raise Invalid_argument if no fault runtime is installed. *)
 val fault_crash : 'msg t -> node:int -> unit
 
 (** Restart [node]: clears the crashed flag and synchronously hands every
-    parked message to its handler in arrival order.  Must be called from
-    an event on [node]'s lane.
+    parked message to its handler in arrival order.
     @raise Invalid_argument if no fault runtime is installed. *)
 val fault_restart : 'msg t -> node:int -> unit
 

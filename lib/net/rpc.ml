@@ -5,23 +5,15 @@ type 'msg respond = bytes:int -> kind:Kind.t -> 'msg -> unit
 
 type 'msg handler = src:int -> 'msg -> 'msg respond option -> unit
 
-(* Request ids and the pending-reply tables are sharded per caller node:
-   ids are never observable (they ride inside the envelope and cost no
-   wire bytes beyond the fixed header), and a reply is always delivered
-   back to the node that issued the call, so each node can match replies
-   out of its own table.  This keeps every RPC structure lane-owned —
-   under the parallel engine a node's calls and its reply deliveries all
-   execute on that node's lane, so no two domains ever touch the same
-   counter or table (see PARALLELISM.md). *)
+(* Request ids are never observable: they ride inside the envelope and
+   cost no wire bytes beyond the fixed header. *)
 type 'msg t = {
   engine : Engine.t;
   net : 'msg Envelope.t Network.t;
-  next_ids : int array;
-  pendings : (int, 'msg Proc.Ivar.t) Hashtbl.t array;
+  mutable next_id : int;
+  pending : (int, 'msg Proc.Ivar.t) Hashtbl.t;
   handlers : 'msg handler option array;
-  pool : 'msg Envelope.pool option;
-      (* envelope free pool; [None] under the parallel engine, where
-         envelopes cross domains and a shared free list would race *)
+  pool : 'msg Envelope.pool;
 }
 
 let create_topo engine topo ~nodes =
@@ -29,12 +21,10 @@ let create_topo engine topo ~nodes =
     {
       engine;
       net = Network.create_topo engine topo ~nodes;
-      next_ids = Array.make nodes 0;
-      pendings = Array.init nodes (fun _ -> Hashtbl.create 16);
+      next_id = 0;
+      pending = Hashtbl.create 16;
       handlers = Array.make nodes None;
-      pool =
-        (if Engine.is_parallel engine then None
-         else Some (Envelope.create_pool ()));
+      pool = Envelope.create_pool ();
     }
   in
   for node = 0 to nodes - 1 do
@@ -47,10 +37,9 @@ let create_topo engine topo ~nodes =
         Envelope.release t.pool env;
         match tag with
         | Envelope.Reply -> (
-          let pending = t.pendings.(node) in
-          match Hashtbl.find_opt pending id with
+          match Hashtbl.find_opt t.pending id with
           | Some ivar ->
-            Hashtbl.remove pending id;
+            Hashtbl.remove t.pending id;
             Proc.Ivar.fill t.engine ivar msg
           | None ->
             failwith (Printf.sprintf "Rpc: unexpected reply id %d" id))
@@ -81,10 +70,10 @@ let set_monitor t monitor = Network.set_monitor t.net monitor
 let set_handler t ~node h = t.handlers.(node) <- Some h
 
 let call_async t ~src ~dst ~bytes ~kind msg =
-  let id = t.next_ids.(src) in
-  t.next_ids.(src) <- id + 1;
+  let id = t.next_id in
+  t.next_id <- id + 1;
   let ivar = Proc.Ivar.create () in
-  Hashtbl.replace t.pendings.(src) id ivar;
+  Hashtbl.replace t.pending id ivar;
   Network.send t.net ~src ~dst ~bytes ~kind
     (Envelope.make t.pool Envelope.Request ~id msg);
   ivar

@@ -98,35 +98,6 @@ let switch_count t ~nodes =
   | Flat -> 1
   | Tree tr -> ((nodes - 1) / tr.nodes_per_switch) + 1
 
-(* Static lower bound on [delivery - send] for any message under
-   {!Network.send}'s cost arithmetic: send overhead, the header's
-   serialization (every message pays at least [header_bytes] on the NIC),
-   the cheapest fabric path, and receive overhead.  Queueing behind busy
-   NICs or uplinks only increases the delay, so this is a safe lookahead
-   for the conservative parallel engine.  Mirror any change to
-   [Network.send]'s arithmetic here — the parallel engine fails loudly if
-   a delivery ever lands below the horizon this bound implies. *)
-let lookahead_ns (base : Netcfg.t) shape =
-  let header_ns = base.Netcfg.header_bytes * base.Netcfg.per_byte_ns in
-  let path =
-    match shape with
-    | Flat -> base.Netcfg.wire_latency_ns
-    | Tree tr ->
-      (* Same-switch: edge + switch + edge.  Cross-switch additionally
-         serializes the header on both shared uplink channels and crosses
-         the root: edge + switch + (up serialize + up latency) + switch +
-         (down serialize + down latency) + switch + edge. *)
-      let same = (2 * tr.edge_latency_ns) + tr.switch_ns in
-      let uplink_ns =
-        (base.Netcfg.header_bytes * tr.uplink.per_byte_ns) + tr.uplink.latency_ns
-      in
-      let cross =
-        (2 * tr.edge_latency_ns) + (3 * tr.switch_ns) + (2 * uplink_ns)
-      in
-      min same cross
-  in
-  base.Netcfg.send_overhead_ns + header_ns + path + base.Netcfg.recv_overhead_ns
-
 let shape_to_string = function
   | Flat -> "flat"
   | Tree { nodes_per_switch; _ } -> Printf.sprintf "tree:%d" nodes_per_switch

@@ -66,15 +66,6 @@ val switch_of : t -> int -> int
 
 val switch_count : t -> nodes:int -> int
 
-(** [lookahead_ns base shape] is a static lower bound, in simulated
-    nanoseconds, on the delay between any [Network.send] call and its
-    delivery event under this fabric: send overhead + header serialization
-    + the cheapest path through the shape + receive overhead.  Contention
-    (busy NICs, shared uplinks) only adds delay, so the bound is safe.
-    Strictly positive for every preset cost model; used as the safe-horizon
-    window by the conservative parallel engine (see PARALLELISM.md). *)
-val lookahead_ns : Netcfg.t -> shape -> int
-
 val shape_to_string : shape -> string
 
 (** Parse ["flat"], ["tree"], or ["tree:N"] (N = nodes per switch); tree

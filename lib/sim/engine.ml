@@ -1,144 +1,5 @@
-(* Discrete-event engine with two execution modes sharing one event
-   vocabulary:
-
-   - Sequential (the historical engine): one thread drains the [Eheap]
-     in global (time, seq) order.  This path is allocation-free per
-     event and byte-identical to every release since PR 4.
-
-   - Parallel (conservative, safe-horizon): lanes are partitioned over
-     OCaml 5 domains — round-robin initially, then rebalanced by cost
-     (see "Load balancing" below).  Execution alternates between two
-     phases:
-
-       window  Every domain executes its own lanes' events up to a
-               global safe horizon H = T_min + lookahead, where T_min
-               is the earliest pending event anywhere and [lookahead]
-               is a static lower bound on cross-lane influence delay
-               (the minimum network latency — see Topology.lookahead_ns).
-               Inside a window an event may only touch its own domain's
-               lanes; anything with a cross-domain (or otherwise
-               globally ordered) effect is journaled via [defer] or a
-               [schedule] journal entry instead of being performed.
-
-       walk    One thread (the caller of [run]) merges the domains'
-               per-window execution logs back into the exact global
-               (time, seq) order and replays each event's journal in
-               that order: deferred effects run, and journaled schedule
-               calls are assigned their final sequence numbers from the
-               global counter — exactly the numbers the sequential
-               engine would have handed out.  New cross-window events
-               land in the owning domain's heap for the next window.
-
-     Determinism argument (the full contract lives in PARALLELISM.md):
-     cross-lane influence travels only through deferred effects, which
-     schedule at time >= T_min + lookahead = H, so no event executed in
-     a window (all < H) can be affected by one; within a domain the
-     window executes main-heap events and same-window children in
-     merged (time, key) order with main-heap events winning ties, which
-     is the sequential order restricted to that domain because every
-     pre-window seq is smaller than every seq assigned during the walk;
-     and the walk's merge therefore reproduces the global sequential
-     order, making the replayed seq assignment, clock, probe stream and
-     deferred side effects identical to the sequential engine's.
-
-     Load balancing.  The lane->domain assignment is DATA, not a
-     formula: [p_lane_dom]/[p_lane_local] map a global lane to its
-     owning domain and its index in that domain's heap, and each domain
-     counts the events it executes per lane.  Between windows — a full
-     quiescence point: the workers are parked on the phase condition,
-     every pending event sits in some domain's main heap with its final
-     (time, seq) key, and no provisional children survive the walk —
-     the coordinator periodically repartitions the lanes across domains
-     by LPT (longest processing time first) on the accumulated costs
-     and migrates the pending events into the new owners' heaps.  The
-     keys never change, and the walk merges by (time, seq) regardless
-     of which domain executed what, so the assignment is invisible to
-     the simulation: it only moves wall-clock work between threads.
-
-     Handshake batching.  A window in which at most one domain has any
-     event below the horizon (the common shape for lock-chain phases,
-     which serialize by construction) is executed by the coordinator
-     thread directly on the active domain's state — no broadcast, no
-     condition-variable round trip.  Consecutive such windows therefore
-     run back-to-back on one thread at sequential-engine cost instead
-     of paying a coordinator handshake each. *)
-
-type jitem =
-  | Jdef of (unit -> unit)  (* deferred side effect, replayed in the walk *)
-  | Jsched of pev  (* schedule call made inside a window *)
-
-(* A provisionally scheduled event: created inside a window, keyed there
-   by domain-local scheduling order ([d_prov]), and given its final
-   global [seq] when the walk replays the scheduling call. *)
-and pev = {
-  pv_time : int;
-  pv_lane : int;
-  pv_fn : unit -> unit;
-  mutable pv_seq : int;  (* final seq; -1 until the walk assigns it *)
-  mutable pv_ran : bool;  (* executed inside the same window *)
-}
-
-(* One executed event in a domain's window log. *)
-type xev = {
-  x_time : int;
-  x_lane : int;
-  x_seq : int;  (* final seq for heap events; -1 for same-window children *)
-  x_pev : pev option;  (* the child record, holding its walk-assigned seq *)
-  x_journal : jitem list;  (* in call order *)
-}
-
-let dummy_xev =
-  { x_time = 0; x_lane = 0; x_seq = 0; x_pev = None; x_journal = [] }
-
-(* Per-domain state.  The main heap holds events with final sequence
-   numbers; only the coordinator thread pushes into it (setup, walk and
-   repartition) and only the owning domain pops from it (windows) — the
-   phase handshake orders the two.  [d_lanes] maps the heap's local
-   lane indices back to global lanes; it and [d_main] are replaced
-   together when the coordinator repartitions. *)
-type dstate = {
-  d_index : int;
-  mutable d_main : (unit -> unit) Eheap.t;
-  mutable d_lanes : int array;  (* local lane index -> global lane *)
-  d_kids : pev Eheap.t;  (* same-window children, keyed (time, d_prov) *)
-  mutable d_prov : int;  (* domain-local provisional counter, per window *)
-  mutable d_exec : xev array;  (* window execution log, read by the walk *)
-  mutable d_exec_len : int;
-}
-
-type par = {
-  p_domains : int;
-  p_lookahead : int;
-  p_dstates : dstate array;
-  p_lane_dom : int array;  (* global lane -> owning domain *)
-  p_lane_local : int array;  (* global lane -> local index in that domain *)
-  p_lane_cost : int array;  (* events executed per lane since last decay *)
-  p_mutex : Mutex.t;
-  p_start : Condition.t;  (* coordinator -> workers: window open *)
-  p_done : Condition.t;  (* workers -> coordinator: window complete *)
-  mutable p_epoch : int;
-  mutable p_horizon : int;
-  mutable p_pending : int;
-  mutable p_stop : bool;
-  mutable p_in_walk : bool;
-  mutable p_exn : (exn * Printexc.raw_backtrace) option;
-  mutable p_windows : int;  (* windows since the last repartition check *)
-  mutable p_reparts : int;  (* repartitions performed *)
-  mutable p_batched : int;  (* windows run without a coordinator handshake *)
-}
-
-(* Window execution context, domain-local.  Present in a domain's DLS
-   exactly while that domain is executing a window. *)
-type wctx = {
-  w_ds : dstate;
-  w_domains : int;
-  w_horizon : int;
-  mutable w_clock : int;
-  mutable w_lane : int;
-  mutable w_journal : jitem list;  (* current event's journal, reversed *)
-}
-
-let wkey : wctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+(* Discrete-event engine: one thread drains the [Eheap] in global
+   (time, seq) order.  The loop is allocation-free per event. *)
 
 type t = {
   mutable clock : int;
@@ -152,7 +13,6 @@ type t = {
          on that node's lane *)
   tiebreak : int -> int;
   mutable probe : (time:int -> executed:int -> unit) option;
-  par : par option;
 }
 
 (* SplitMix64 finalizer: a bijection on 64-bit integers, used to permute
@@ -164,219 +24,58 @@ let mix64 seed z =
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
   Int64.to_int (Int64.shift_right_logical z 2)
 
-(* The lane->domain assignment is table-driven; [create] deals the
-   lanes round-robin (domain of lane l is l mod domains) and the
-   repartitioner rewrites the tables later. *)
-let domain_of_lane p lane = p.p_lane_dom.(lane)
-
-let local_of_lane p lane = p.p_lane_local.(lane)
-
-let local_lanes ~lanes ~domains index =
-  if lanes <= index then 1 else ((lanes - index - 1) / domains) + 1
-
-let create ?schedule_seed ?(lanes = 1) ?parallel () =
+let create ?schedule_seed ?(lanes = 1) () =
   if lanes <= 0 then invalid_arg "Engine.create: lanes must be positive";
   let tiebreak =
     match schedule_seed with
     | None -> Fun.id
     | Some seed -> mix64 (Int64.of_int seed)
   in
-  let par =
-    match parallel with
-    | None -> None
-    | Some (domains, lookahead) ->
-      if domains <= 0 then
-        invalid_arg "Engine.create: parallel domains must be positive";
-      let domains = min domains lanes in
-      if domains <= 1 then None
-      else begin
-        if schedule_seed <> None then
-          invalid_arg
-            "Engine.create: schedule fuzzing permutes sequence numbers and \
-             is incompatible with the parallel engine";
-        if lookahead <= 0 then
-          invalid_arg "Engine.create: parallel lookahead must be positive";
-        Some
-          {
-            p_domains = domains;
-            p_lookahead = lookahead;
-            p_dstates =
-              Array.init domains (fun i ->
-                  let nlocal = local_lanes ~lanes ~domains i in
-                  {
-                    d_index = i;
-                    d_main = Eheap.create ~lanes:nlocal ();
-                    d_lanes =
-                      Array.init nlocal (fun j -> (j * domains) + i);
-                    d_kids = Eheap.create ();
-                    d_prov = 0;
-                    d_exec = [||];
-                    d_exec_len = 0;
-                  });
-            p_lane_dom = Array.init lanes (fun l -> l mod domains);
-            p_lane_local = Array.init lanes (fun l -> l / domains);
-            p_lane_cost = Array.make lanes 0;
-            p_mutex = Mutex.create ();
-            p_start = Condition.create ();
-            p_done = Condition.create ();
-            p_epoch = 0;
-            p_horizon = 0;
-            p_pending = 0;
-            p_stop = false;
-            p_in_walk = false;
-            p_exn = None;
-            p_windows = 0;
-            p_reparts = 0;
-            p_batched = 0;
-          }
-      end
-  in
   {
     clock = 0;
     next_seq = 0;
     executed = 0;
-    queue = Eheap.create ~lanes:(if par = None then lanes else 1) ();
+    queue = Eheap.create ~lanes ();
     lane_count = lanes;
     current_lane = 0;
     tiebreak;
     probe = None;
-    par;
   }
-
-let lanes t = t.lane_count
-
-let parallel_domains t =
-  match t.par with None -> 1 | Some p -> p.p_domains
-
-let is_parallel t = t.par <> None
-
-let lookahead_window t =
-  match t.par with None -> None | Some p -> Some p.p_lookahead
 
 let set_probe t probe = t.probe <- probe
 
-let[@inline never] now_par t =
-  match Domain.DLS.get wkey with
-  | Some w -> w.w_clock
-  | None -> t.clock
-
-let now t = match t.par with None -> t.clock | Some _ -> now_par t
-
-let deferring t =
-  match t.par with
-  | None -> false
-  | Some _ -> Domain.DLS.get wkey <> None
-
-let defer t f =
-  match t.par with
-  | None -> f ()
-  | Some _ -> (
-    match Domain.DLS.get wkey with
-    | Some w -> w.w_journal <- Jdef f :: w.w_journal
-    | None -> f ())
+let now t = t.clock
 
 let check_lane t lane =
   if lane < 0 || lane >= t.lane_count then
     invalid_arg "Engine.schedule_at: lane out of range"
 
-(* Parallel-mode scheduling, two contexts:
-
-   - inside a window (the domain's DLS carries a [wctx]): the target
-     lane must belong to the executing domain — cross-domain effects
-     must travel through [defer] (the network does).  The event is
-     journaled; if it lands inside the current window it also enters
-     the domain's child heap, keyed by domain-local scheduling order.
-
-   - on the coordinator (setup before [run], or journal replay during a
-     walk): the event receives its final global sequence number and
-     goes straight to the owning domain's heap.  During a walk the
-     event must not land below the horizon — every event below it has
-     already executed, so a violation means the configured lookahead
-     overstated the minimum cross-lane delay. *)
-let[@inline never] schedule_par ?lane t p ~time f =
-  match Domain.DLS.get wkey with
-  | Some w ->
-    if time < w.w_clock then
-      invalid_arg
-        (Printf.sprintf "Engine.schedule_at: time %d is before now %d" time
-           w.w_clock);
-    let lane =
-      match lane with
-      | Some l ->
-        check_lane t l;
-        l
-      | None -> w.w_lane
-    in
-    if domain_of_lane p lane <> w.w_ds.d_index then
-      invalid_arg
-        "Engine.schedule_at: cross-domain schedule inside a parallel window \
-         (cross-lane effects must go through the network or Engine.defer)";
-    let pev =
-      { pv_time = time; pv_lane = lane; pv_fn = f; pv_seq = -1; pv_ran = false }
-    in
-    w.w_journal <- Jsched pev :: w.w_journal;
-    if time < w.w_horizon then begin
-      let prov = w.w_ds.d_prov in
-      w.w_ds.d_prov <- prov + 1;
-      Eheap.push w.w_ds.d_kids ~time ~seq:prov pev
-    end
-  | None ->
-    if time < t.clock then
-      invalid_arg
-        (Printf.sprintf "Engine.schedule_at: time %d is before now %d" time
-           t.clock);
-    let lane =
+let schedule_at ?lane t ~time f =
+  if time < t.clock then
+    invalid_arg
+      (Printf.sprintf "Engine.schedule_at: time %d is before now %d" time
+         t.clock);
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (* Lane routing is a cost-locality hint only: the heap pops in global
+     (time, seq) order whatever the lane, so a 1-lane engine and an
+     n-lane engine run byte-identical simulations. *)
+  let lane =
+    if t.lane_count = 1 then 0
+    else
       match lane with
       | Some l ->
         check_lane t l;
         l
       | None -> t.current_lane
-    in
-    if p.p_in_walk && time < p.p_horizon then
-      failwith
-        (Printf.sprintf
-           "Engine: deferred effect scheduled an event at %d below the safe \
-            horizon %d — the lookahead overstates the minimum cross-lane \
-            delay"
-           time p.p_horizon);
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    let ds = p.p_dstates.(domain_of_lane p lane) in
-    Eheap.push ~lane:(local_of_lane p lane) ds.d_main ~time ~seq f
-
-let schedule_at ?lane t ~time f =
-  match t.par with
-  | Some p -> schedule_par ?lane t p ~time f
-  | None ->
-    if time < t.clock then
-      invalid_arg
-        (Printf.sprintf "Engine.schedule_at: time %d is before now %d" time
-           t.clock);
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    (* Lane routing is a cost-locality hint only: the heap pops in global
-       (time, seq) order whatever the lane, so a 1-lane engine and an
-       n-lane engine run byte-identical simulations. *)
-    let lane =
-      if t.lane_count = 1 then 0
-      else
-        match lane with
-        | Some l ->
-          check_lane t l;
-          l
-        | None -> t.current_lane
-    in
-    Eheap.push ~lane t.queue ~time ~seq:(t.tiebreak seq) f
+  in
+  Eheap.push ~lane t.queue ~time ~seq:(t.tiebreak seq) f
 
 let schedule ?lane t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at ?lane t ~time:(now t + delay) f
+  schedule_at ?lane t ~time:(t.clock + delay) f
 
-(* ------------------------------------------------------------------ *)
-(* Sequential run                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let run_seq t =
+let run t =
   (* Allocation-free event loop: read the key, then pop just the value —
      no [Some (time, seq, f)] box per event. *)
   let q = t.queue in
@@ -398,382 +97,7 @@ let run_seq t =
   in
   loop ()
 
-(* ------------------------------------------------------------------ *)
-(* Parallel run                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let push_exec ds x =
-  let n = ds.d_exec_len in
-  if n = Array.length ds.d_exec then begin
-    let grown = Array.make (max 64 (2 * n)) dummy_xev in
-    Array.blit ds.d_exec 0 grown 0 n;
-    ds.d_exec <- grown
-  end;
-  ds.d_exec.(n) <- x;
-  ds.d_exec_len <- n + 1
-
-(* Execute one domain's window: merged (time, key) order over the main
-   heap (final seqs) and the child heap (provisional keys), main heap
-   winning ties — every pre-window seq is smaller than every seq the
-   walk will assign, so this IS the sequential order restricted to the
-   domain's lanes. *)
-let exec_window t p ds =
-  let horizon = p.p_horizon in
-  let w =
-    {
-      w_ds = ds;
-      w_domains = p.p_domains;
-      w_horizon = horizon;
-      w_clock = t.clock;
-      w_lane = 0;
-      w_journal = [];
-    }
-  in
-  Domain.DLS.set wkey (Some w);
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set wkey None)
-    (fun () ->
-      let rec loop () =
-        let tm =
-          if Eheap.is_empty ds.d_main then max_int
-          else Eheap.min_time_exn ds.d_main
-        in
-        let tk =
-          if Eheap.is_empty ds.d_kids then max_int
-          else Eheap.min_time_exn ds.d_kids
-        in
-        let time = if tm <= tk then tm else tk in
-        if time < horizon then begin
-          w.w_journal <- [];
-          if tm <= tk then begin
-            let local = Eheap.min_lane ds.d_main in
-            match Eheap.pop_min ds.d_main with
-            | None -> assert false
-            | Some (time, seq, f) ->
-              let lane = ds.d_lanes.(local) in
-              w.w_clock <- time;
-              w.w_lane <- lane;
-              p.p_lane_cost.(lane) <- p.p_lane_cost.(lane) + 1;
-              f ();
-              push_exec ds
-                {
-                  x_time = time;
-                  x_lane = lane;
-                  x_seq = seq;
-                  x_pev = None;
-                  x_journal = List.rev w.w_journal;
-                }
-          end
-          else begin
-            match Eheap.pop_min ds.d_kids with
-            | None -> assert false
-            | Some (time, _prov, pev) ->
-              pev.pv_ran <- true;
-              w.w_clock <- time;
-              w.w_lane <- pev.pv_lane;
-              p.p_lane_cost.(pev.pv_lane) <- p.p_lane_cost.(pev.pv_lane) + 1;
-              pev.pv_fn ();
-              push_exec ds
-                {
-                  x_time = time;
-                  x_lane = pev.pv_lane;
-                  x_seq = -1;
-                  x_pev = Some pev;
-                  x_journal = List.rev w.w_journal;
-                }
-          end;
-          loop ()
-        end
-      in
-      loop ())
-
-(* Merge the domains' window logs back into global (time, seq) order and
-   replay each event's journal: assign final sequence numbers to
-   journaled schedule calls (pushing not-yet-run events into their
-   owning domain's heap) and run deferred effects.  A candidate's seq is
-   always known when it reaches the front of its domain's log: a child's
-   scheduling parent sits earlier in the same log, so its Jsched was
-   already replayed. *)
-let walk t p cursors =
-  p.p_in_walk <- true;
-  let ds = p.p_dstates in
-  let nd = Array.length ds in
-  Array.fill cursors 0 nd 0;
-  let rec next () =
-    let best_d = ref (-1) in
-    let best_time = ref max_int in
-    let best_seq = ref max_int in
-    for d = 0 to nd - 1 do
-      let s = ds.(d) in
-      if cursors.(d) < s.d_exec_len then begin
-        let x = s.d_exec.(cursors.(d)) in
-        let seq =
-          match x.x_pev with None -> x.x_seq | Some pv -> pv.pv_seq
-        in
-        if seq < 0 then
-          failwith
-            "Engine: walk reached an executed event with no assigned seq \
-             (parallel determinism invariant violated)";
-        if
-          x.x_time < !best_time
-          || (x.x_time = !best_time && seq < !best_seq)
-        then begin
-          best_d := d;
-          best_time := x.x_time;
-          best_seq := seq
-        end
-      end
-    done;
-    if !best_d >= 0 then begin
-      let d = !best_d in
-      let x = ds.(d).d_exec.(cursors.(d)) in
-      cursors.(d) <- cursors.(d) + 1;
-      t.clock <- x.x_time;
-      t.current_lane <- x.x_lane;
-      t.executed <- t.executed + 1;
-      (match t.probe with
-      | None -> ()
-      | Some probe -> probe ~time:x.x_time ~executed:t.executed);
-      List.iter
-        (fun item ->
-          match item with
-          | Jsched pv ->
-            let seq = t.next_seq in
-            t.next_seq <- seq + 1;
-            pv.pv_seq <- seq;
-            if not pv.pv_ran then begin
-              let target = p.p_dstates.(domain_of_lane p pv.pv_lane) in
-              Eheap.push
-                ~lane:(local_of_lane p pv.pv_lane)
-                target.d_main ~time:pv.pv_time ~seq pv.pv_fn
-            end
-          | Jdef f -> f ())
-        x.x_journal;
-      next ()
-    end
-  in
-  next ();
-  Array.iter
-    (fun s ->
-      Array.fill s.d_exec 0 s.d_exec_len dummy_xev;
-      s.d_exec_len <- 0;
-      s.d_prov <- 0;
-      if not (Eheap.is_empty s.d_kids) then
-        failwith "Engine: window left same-window children unexecuted")
-    ds;
-  p.p_in_walk <- false
-
-(* How many windows between repartition checks, and how lopsided the
-   per-domain costs must be before a repartition is worth the event
-   migration (max domain cost > 1.25x the mean). *)
-let repart_interval = 64
-
-let imbalanced dom_cost total nd = 4 * nd * Array.fold_left max 0 dom_cost > 5 * total
-
-(* Repartition the lanes across domains by LPT on the accumulated
-   per-lane costs, at full quiescence (between windows: workers parked,
-   every pending event in a main heap under its final (time, seq) key,
-   child heaps empty).  The events migrate to their lanes' new owners
-   with their keys intact, so the walk's (time, seq) merge — and hence
-   the simulation — is unchanged; only the wall-clock distribution of
-   work moves.  Costs are halved afterwards so the balance tracks
-   recent behavior rather than the whole run. *)
-let repartition t p =
-  let lanes = t.lane_count in
-  let nd = p.p_domains in
-  let dom_cost = Array.make nd 0 in
-  for l = 0 to lanes - 1 do
-    dom_cost.(p.p_lane_dom.(l)) <- dom_cost.(p.p_lane_dom.(l)) + p.p_lane_cost.(l)
-  done;
-  let total = Array.fold_left ( + ) 0 dom_cost in
-  if total > 0 && imbalanced dom_cost total nd then begin
-    (* LPT: heaviest lane first, each to the least-loaded domain
-       (ties to the lowest index — fully deterministic).  Idle lanes
-       count as 1 so they still spread across domains. *)
-    let order = Array.init lanes Fun.id in
-    Array.sort
-      (fun a b ->
-        let c = Int.compare p.p_lane_cost.(b) p.p_lane_cost.(a) in
-        if c <> 0 then c else Int.compare a b)
-      order;
-    let load = Array.make nd 0 in
-    let counts = Array.make nd 0 in
-    let new_dom = Array.make lanes 0 in
-    let new_local = Array.make lanes 0 in
-    Array.iter
-      (fun l ->
-        let best = ref 0 in
-        for d = 1 to nd - 1 do
-          if load.(d) < load.(!best) then best := d
-        done;
-        let d = !best in
-        new_dom.(l) <- d;
-        new_local.(l) <- counts.(d);
-        counts.(d) <- counts.(d) + 1;
-        load.(d) <- load.(d) + max 1 p.p_lane_cost.(l))
-      order;
-    (* Rebuild each domain's heap and lane table, migrating pending
-       events under their existing keys. *)
-    let new_heaps =
-      Array.init nd (fun d -> Eheap.create ~lanes:(max 1 counts.(d)) ())
-    in
-    let new_tables =
-      Array.init nd (fun d -> Array.make (max 1 counts.(d)) 0)
-    in
-    for l = 0 to lanes - 1 do
-      new_tables.(new_dom.(l)).(new_local.(l)) <- l
-    done;
-    Array.iter
-      (fun ds ->
-        let rec drain () =
-          if not (Eheap.is_empty ds.d_main) then begin
-            let local = Eheap.min_lane ds.d_main in
-            match Eheap.pop_min ds.d_main with
-            | None -> assert false
-            | Some (time, seq, f) ->
-              let l = ds.d_lanes.(local) in
-              Eheap.push ~lane:new_local.(l)
-                new_heaps.(new_dom.(l))
-                ~time ~seq f;
-              drain ()
-          end
-        in
-        drain ())
-      p.p_dstates;
-    Array.iteri
-      (fun d ds ->
-        ds.d_main <- new_heaps.(d);
-        ds.d_lanes <- new_tables.(d))
-      p.p_dstates;
-    Array.blit new_dom 0 p.p_lane_dom 0 lanes;
-    Array.blit new_local 0 p.p_lane_local 0 lanes;
-    p.p_reparts <- p.p_reparts + 1
-  end;
-  for l = 0 to lanes - 1 do
-    p.p_lane_cost.(l) <- p.p_lane_cost.(l) / 2
-  done
-
-let record_exn p exn =
-  let bt = Printexc.get_raw_backtrace () in
-  Mutex.lock p.p_mutex;
-  if p.p_exn = None then p.p_exn <- Some (exn, bt);
-  Mutex.unlock p.p_mutex
-
-let worker t p i =
-  let rec loop last_epoch =
-    Mutex.lock p.p_mutex;
-    while p.p_epoch = last_epoch && not p.p_stop do
-      Condition.wait p.p_start p.p_mutex
-    done;
-    let epoch = p.p_epoch in
-    let stop = p.p_stop in
-    Mutex.unlock p.p_mutex;
-    if not stop then begin
-      (try exec_window t p p.p_dstates.(i) with exn -> record_exn p exn);
-      Mutex.lock p.p_mutex;
-      p.p_pending <- p.p_pending - 1;
-      if p.p_pending = 0 then Condition.signal p.p_done;
-      Mutex.unlock p.p_mutex;
-      loop epoch
-    end
-  in
-  loop 0
-
-let run_par t p =
-  let nd = p.p_domains in
-  let workers =
-    Array.init (nd - 1) (fun i -> Domain.spawn (fun () -> worker t p (i + 1)))
-  in
-  let stopped = ref false in
-  let stop_workers () =
-    if not !stopped then begin
-      stopped := true;
-      Mutex.lock p.p_mutex;
-      p.p_stop <- true;
-      Condition.broadcast p.p_start;
-      Mutex.unlock p.p_mutex;
-      Array.iter Domain.join workers
-    end
-  in
-  let cursors = Array.make nd 0 in
-  let next_window_start () =
-    Array.fold_left
-      (fun acc s ->
-        if Eheap.is_empty s.d_main then acc
-        else
-          let m = Eheap.min_time_exn s.d_main in
-          if m < acc then m else acc)
-      max_int p.p_dstates
-  in
-  let rec windows () =
-    let t_min = next_window_start () in
-    if t_min < max_int then begin
-      p.p_horizon <- t_min + p.p_lookahead;
-      (* Which domains have any event below the horizon?  When at most
-         one does, skip the coordinator handshake entirely and run that
-         domain's window on this thread — the parked workers would have
-         found nothing to execute, and the next real handshake's mutex
-         publishes our writes to them. *)
-      let active = ref 0 in
-      let active_d = ref 0 in
-      Array.iter
-        (fun s ->
-          if
-            (not (Eheap.is_empty s.d_main))
-            && Eheap.min_time_exn s.d_main < p.p_horizon
-          then begin
-            incr active;
-            active_d := s.d_index
-          end)
-        p.p_dstates;
-      if !active <= 1 then begin
-        p.p_batched <- p.p_batched + 1;
-        (try exec_window t p p.p_dstates.(!active_d)
-         with exn -> record_exn p exn)
-      end
-      else begin
-        Mutex.lock p.p_mutex;
-        p.p_epoch <- p.p_epoch + 1;
-        p.p_pending <- nd - 1;
-        Condition.broadcast p.p_start;
-        Mutex.unlock p.p_mutex;
-        (* The coordinator doubles as domain 0's worker. *)
-        (try exec_window t p p.p_dstates.(0) with exn -> record_exn p exn);
-        Mutex.lock p.p_mutex;
-        while p.p_pending > 0 do
-          Condition.wait p.p_done p.p_mutex
-        done;
-        Mutex.unlock p.p_mutex
-      end;
-      (match p.p_exn with
-      | Some (exn, bt) ->
-        stop_workers ();
-        Printexc.raise_with_backtrace exn bt
-      | None -> ());
-      walk t p cursors;
-      p.p_windows <- p.p_windows + 1;
-      if p.p_windows >= repart_interval then begin
-        p.p_windows <- 0;
-        repartition t p
-      end;
-      windows ()
-    end
-  in
-  (match windows () with
-  | () -> stop_workers ()
-  | exception exn ->
-    let bt = Printexc.get_raw_backtrace () in
-    stop_workers ();
-    Printexc.raise_with_backtrace exn bt);
-  t.clock
-
-let run t = match t.par with None -> run_seq t | Some p -> run_par t p
-
 let events_executed t = t.executed
-
-let repartitions t = match t.par with None -> 0 | Some p -> p.p_reparts
-
-let batched_windows t = match t.par with None -> 0 | Some p -> p.p_batched
 
 let ns x = x
 let us x = x * 1_000

@@ -1,30 +1,12 @@
 (** Discrete-event simulation engine.
 
     Simulated time is an integer number of nanoseconds.  All state changes in
-    a simulation happen inside events; [run] drains the event queue in
-    deterministic [(time, insertion)] order.
-
-    The engine has two execution modes producing byte-identical simulations
-    (the full contract lives in PARALLELISM.md):
-
-    - {b sequential} (the default): one thread drains the heap in global
-      [(time, seq)] order;
-    - {b parallel} ([?parallel] below): lanes are partitioned over OCaml 5
-      domains (round-robin initially, then LPT-rebalanced from per-lane
-      executed-event costs at inter-window quiescence points) and
-      executed conservatively in safe-horizon windows derived from a static
-      lookahead (the minimum cross-lane influence delay, e.g.
-      {!Adsm_net.Topology.lookahead_ns}).  Between windows a single-threaded
-      walk merges the domains' execution logs back into global [(time, seq)]
-      order and replays journaled cross-lane effects, so sequence numbers,
-      clock values, probes, and deferred side effects are assigned exactly
-      as the sequential engine would.  The lane->domain assignment and the
-      handshake batching of single-active-domain windows move wall-clock
-      work between threads but never change the simulation. *)
+    a simulation happen inside events; [run] drains the event queue on one
+    thread in deterministic [(time, insertion)] order. *)
 
 type t
 
-(** [create ?schedule_seed ?lanes ?parallel ()] makes a fresh engine.  By
+(** [create ?schedule_seed ?lanes ()] makes a fresh engine.  By
     default, same-instant events fire in scheduling order (FIFO).  With
     [schedule_seed], their order is permuted deterministically from the
     seed — schedule fuzzing: different seeds explore different legal
@@ -36,37 +18,10 @@ type t
     operations cost O(log per-node events) instead of O(log total).  The
     lane split never changes the execution order — a 1-lane and an n-lane
     engine run byte-identical simulations.
+    @raise Invalid_argument if [lanes <= 0]. *)
+val create : ?schedule_seed:int -> ?lanes:int -> unit -> t
 
-    [parallel], when [Some (domains, lookahead_ns)], enables the
-    conservative parallel mode with lanes partitioned over [domains] OCaml
-    domains and safe-horizon windows of [lookahead_ns] simulated
-    nanoseconds.  [domains] is clamped to [lanes]; a clamped or requested
-    value of 1 yields the exact sequential engine.  In parallel mode every
-    event is lane-confined: it may only mutate state owned by its own
-    domain's lanes, and must route cross-lane effects through {!defer} or a
-    lane-targeted {!schedule_at} made from a deferred context.
-    @raise Invalid_argument if [lookahead_ns <= 0], if [domains <= 0], or
-    if [schedule_seed] is combined with an effective [domains > 1]
-    (fuzzing permutes sequence numbers, which the parallel merge relies
-    on being monotone). *)
-val create : ?schedule_seed:int -> ?lanes:int -> ?parallel:int * int -> unit -> t
-
-(** The lane count the engine was created with. *)
-val lanes : t -> int
-
-(** Number of domains the engine executes on: 1 for the sequential engine
-    (including a [?parallel] request clamped down to 1). *)
-val parallel_domains : t -> int
-
-(** Whether the conservative parallel mode is active ([parallel_domains > 1]). *)
-val is_parallel : t -> bool
-
-(** The safe-horizon lookahead in simulated nanoseconds, when parallel. *)
-val lookahead_window : t -> int option
-
-(** Current simulated time in nanoseconds.  Inside a parallel window this is
-    the executing domain's local clock — the time of the event running on
-    this domain, exactly what the sequential engine would report. *)
+(** Current simulated time in nanoseconds. *)
 val now : t -> int
 
 (** [schedule ?lane t ~delay f] runs [f ()] at time [now t + delay].
@@ -77,27 +32,8 @@ val now : t -> int
 val schedule : ?lane:int -> t -> delay:int -> (unit -> unit) -> unit
 
 (** [schedule_at ?lane t ~time f] runs [f ()] at absolute [time], which must
-    not be in the simulated past.
-    @raise Invalid_argument additionally, in parallel mode, if the call is
-    made inside a window and [lane] belongs to another domain — cross-domain
-    effects must travel through {!defer} (as the network layer does). *)
+    not be in the simulated past. *)
 val schedule_at : ?lane:int -> t -> time:int -> (unit -> unit) -> unit
-
-(** [defer t f] runs [f ()] in global event order.  On the sequential engine
-    (and outside parallel windows) this is just [f ()], allocation-free.
-    Inside a parallel window, [f] is journaled and replayed by the
-    single-threaded inter-window walk at this event's position in the global
-    [(time, seq)] order — use it for effects that touch state shared across
-    domains (global counters, contention bookkeeping, trace sinks).  [f] may
-    call {!schedule_at} with any lane; the event lands in the owning domain's
-    queue for a later window and must not fall below the current safe
-    horizon. *)
-val defer : t -> (unit -> unit) -> unit
-
-(** [deferring t] is [true] exactly when {!defer} would journal rather than
-    run immediately — i.e. inside a parallel window.  Lets hot paths skip
-    building a closure on the sequential engine. *)
-val deferring : t -> bool
 
 (** Drain the event queue.  Returns the final simulated time. *)
 val run : t -> int
@@ -105,22 +41,11 @@ val run : t -> int
 (** Number of events executed so far. *)
 val events_executed : t -> int
 
-(** Times the parallel engine LPT-repartitioned lanes across domains
-    (0 on the sequential engine). *)
-val repartitions : t -> int
-
-(** Parallel windows executed entirely on the coordinator thread because
-    at most one domain had events below the horizon — each saved a full
-    broadcast/wait handshake (0 on the sequential engine). *)
-val batched_windows : t -> int
-
 (** [set_probe t (Some f)] arranges for [f ~time ~executed] to run just
     before each event fires; [set_probe t None] removes it.  The probe
     must not schedule events or otherwise touch the engine — it exists
     so an observer (e.g. the tracing subsystem) can sample progress
-    without perturbing the simulation.  In parallel mode the probe runs
-    during the inter-window walk, in global order with the global
-    executed count — the identical stream to the sequential engine. *)
+    without perturbing the simulation. *)
 val set_probe : t -> (time:int -> executed:int -> unit) option -> unit
 
 (** Time helpers (nanosecond arithmetic). *)

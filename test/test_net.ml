@@ -353,68 +353,6 @@ let test_node_speeds () =
     (Topology.node_speed (Topology.flat Netcfg.atm_155) 5)
 
 (* ------------------------------------------------------------------ *)
-(* Lookahead: the parallel engine's safe-horizon bound                 *)
-(* ------------------------------------------------------------------ *)
-
-(* [lookahead_ns] underpins the conservative parallel engine (see
-   PARALLELISM.md): it must be a true lower bound on every possible
-   delivery latency, and as tight as the cost model allows — a slack
-   bound costs parallel window width. *)
-
-let test_lookahead_flat () =
-  (* On a flat fabric the cheapest message is a 0-byte payload, so the
-     bound is exactly the cost model's empty one-way time. *)
-  List.iter
-    (fun (name, base) ->
-      Alcotest.(check int)
-        (name ^ " flat lookahead = empty one-way")
-        (Netcfg.one_way_ns base ~bytes:0)
-        (Topology.lookahead_ns base Topology.Flat))
-    [ ("atm", Netcfg.atm_155); ("fast-ethernet", Netcfg.fast_ethernet) ];
-  (* Pin the ATM value: it is the default safe-horizon width, quoted in
-     PARALLELISM.md's lookahead table. *)
-  Alcotest.(check int) "atm flat lookahead pinned" 499_000
-    (Topology.lookahead_ns Netcfg.atm_155 Topology.Flat)
-
-let test_lookahead_positive () =
-  List.iter
-    (fun (name, base) ->
-      List.iter
-        (fun (shape_name, shape) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s lookahead > 0" name shape_name)
-            true
-            (Topology.lookahead_ns base shape > 0))
-        [
-          ("flat", Topology.Flat);
-          ("tree", Topology.shape (Topology.tree base));
-        ])
-    [ ("atm", Netcfg.atm_155); ("fast-ethernet", Netcfg.fast_ethernet) ]
-
-let test_lookahead_bounds_tree_delivery () =
-  (* Measure the two cheapest tree deliveries (0-byte payload, same
-     switch and cross switch) on an otherwise idle fabric: the static
-     bound must not exceed either, and must equal the cheaper one. *)
-  let measure ~dst =
-    let e, net = make_tree_net () in
-    let seen = ref (-1) in
-    Network.set_handler net ~node:dst (fun ~src:_ _ -> seen := Engine.now e);
-    Network.send net ~src:0 ~dst ~bytes:0 ~kind:Kind.Page ();
-    ignore (Engine.run e);
-    !seen
-  in
-  let same_switch = measure ~dst:1 in
-  let cross_switch = measure ~dst:2 in
-  let bound =
-    Topology.lookahead_ns Netcfg.atm_155 (Topology.shape tree_topo)
-  in
-  Alcotest.(check bool) "bound <= same-switch delivery" true
-    (bound <= same_switch);
-  Alcotest.(check bool) "bound <= cross-switch delivery" true
-    (bound <= cross_switch);
-  Alcotest.(check int) "bound is tight" (min same_switch cross_switch) bound
-
-(* ------------------------------------------------------------------ *)
 (* RPC                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -529,14 +467,6 @@ let () =
             test_tree_same_switch_avoids_uplink;
           Alcotest.test_case "shape_of_string" `Quick test_shape_of_string;
           Alcotest.test_case "node speeds" `Quick test_node_speeds;
-        ] );
-      ( "lookahead",
-        [
-          Alcotest.test_case "flat = empty one-way" `Quick test_lookahead_flat;
-          Alcotest.test_case "positive on all fabrics" `Quick
-            test_lookahead_positive;
-          Alcotest.test_case "lower-bounds tree delivery" `Quick
-            test_lookahead_bounds_tree_delivery;
         ] );
       ( "rpc",
         [

@@ -10,13 +10,13 @@ module Registry = Adsm_apps.Registry
 module Runner = Adsm_harness.Runner
 module Scaling = Adsm_harness.Scaling
 
-let run ?(tweak = Fun.id) ?engine ~app ~protocol ~nprocs () =
+let run ?(tweak = Fun.id) ~app ~protocol ~nprocs () =
   let entry =
     match Registry.find app with
     | Some e -> e
     | None -> Alcotest.fail ("unknown app " ^ app)
   in
-  Runner.run ~tweak ?engine ~app:entry ~protocol ~nprocs ~scale:Registry.Tiny ()
+  Runner.run ~tweak ~app:entry ~protocol ~nprocs ~scale:Registry.Tiny ()
 
 let tree_tweak = Scaling.tweak_of_fabric Scaling.Tree_combining
 
@@ -185,36 +185,6 @@ let test_smoke_study () =
   Alcotest.(check bool) "tree fabric wins at 256 nodes" true
     (time Scaling.Tree_combining * 10 < time Scaling.Flat_central)
 
-(* The large-n fast paths (summarized clocks, indexed interval logs,
-   repartitioned domains, pooled envelopes) are all behavior-neutral
-   claims; pin them where they actually bite — 512 and 1024 nodes —
-   by requiring full measurement identity between the sequential and
-   2-domain engines on both fabrics, and checksum identity between the
-   fabrics themselves. *)
-let test_large_n_byte_identity () =
-  List.iter
-    (fun nprocs ->
-      let name fmt = Printf.sprintf "SOR/%d nodes: %s" nprocs fmt in
-      let flat = run ~app:"SOR" ~protocol:Config.Mw ~nprocs () in
-      let tree =
-        run ~tweak:tree_tweak ~app:"SOR" ~protocol:Config.Mw ~nprocs ()
-      in
-      Alcotest.(check (float 0.0))
-        (name "flat vs tree checksum")
-        flat.Runner.checksum tree.Runner.checksum;
-      List.iter
-        (fun (fabric, tweak, (base : Runner.measurement)) ->
-          let par =
-            run ~tweak
-              ~engine:(Config.Parallel { domains = 2 })
-              ~app:"SOR" ~protocol:Config.Mw ~nprocs ()
-          in
-          Alcotest.(check bool)
-            (name (fabric ^ " seq vs par:2 measurement"))
-            true (par = base))
-        [ ("flat", Fun.id, flat); ("tree", tree_tweak, tree) ])
-    [ 512; 1024 ]
-
 (* The dominating-slot summary behind the write-write false-sharing
    check is host-side only; pin the full measurement where it matters,
    at 256 nodes on the tree fabric.  IS never detects false sharing, so
@@ -242,6 +212,46 @@ let check_pinned name ~time_ns ~messages ~wire_bytes ~checksum ~by_kind
   Alcotest.(check (list (pair string (pair int int))))
     (name "by kind") by_kind m.Runner.by_kind;
   Alcotest.(check (float 0.0)) (name "checksum") checksum m.Runner.checksum
+
+(* The large-n fast paths (summarized clocks, indexed interval logs,
+   pooled envelopes) are all behavior-neutral claims; pin them where
+   they actually bite — SOR/MW at 512 and 1024 nodes on both fabrics —
+   and require checksum identity between the fabrics themselves.
+   Values recorded while the parallel engine was still in the tree. *)
+let large_n_pins =
+  [
+    ( 512,
+      [ ("flat", Fun.id, 30804566170, 10670, 147071865,
+         [ ("barrier", (10220, 145590032)); ("diff", (450, 1055033)) ]);
+        ("tree", tree_tweak, 164266762, 10670, 3094537,
+         [ ("barrier", (10220, 2263552)); ("diff", (450, 404185)) ]) ] );
+    ( 1024,
+      [ ("flat", Fun.id, 122385117750, 20910, 583170937,
+         [ ("barrier", (20460, 580589328)); ("diff", (450, 1745209)) ]);
+        ("tree", tree_tweak, 184595950, 20910, 5765129,
+         [ ("barrier", (20460, 4524544)); ("diff", (450, 404185)) ]) ] );
+  ]
+
+let test_large_n_byte_identity () =
+  List.iter
+    (fun (nprocs, fabrics) ->
+      let checksums =
+        List.map
+          (fun (fabric, tweak, time_ns, messages, wire_bytes, by_kind) ->
+            let m = run ~tweak ~app:"SOR" ~protocol:Config.Mw ~nprocs () in
+            check_pinned
+              (Printf.sprintf "SOR/MW/%d %s" nprocs fabric)
+              ~time_ns ~messages ~wire_bytes ~checksum:2.618033988749895
+              ~by_kind m;
+            m.Runner.checksum)
+          fabrics
+      in
+      List.iter
+        (Alcotest.(check (float 0.0))
+           (Printf.sprintf "SOR/%d nodes: flat vs tree checksum" nprocs)
+           (List.hd checksums))
+        checksums)
+    large_n_pins
 
 let test_notice_summary_pins () =
   List.iter

@@ -265,6 +265,113 @@ let test_engine_counts_events () =
   ignore (Engine.run e);
   Alcotest.(check int) "executed" 17 (Engine.events_executed e)
 
+(* A pure hash (splitmix-style) so every decision of the lane model
+   below depends only on (seed, id, k), never on execution order. *)
+let model_hash seed id k =
+  let z = Int64.of_int ((seed * 0x9E3779B9) + (id * 0x85EBCA6B) + (k * 0xC2B2AE35)) in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.to_int (Int64.shift_right_logical (Int64.logxor z (Int64.shift_right_logical z 31)) 2)
+
+let model_lanes = 8
+
+(* Seeded handler workload, shaped like the DSM runtime's use of lanes:
+   each handler logs [(time, id)] and spawns two children — one with no
+   [?lane], which inherits the lane of the event running it (how a
+   node's handler keeps its follow-up work on the node's lane), and one
+   routed to an explicit lane (how the network delivers a message).
+   Times are coarse multiples of 250 ns and delays may be 0, so events
+   on different lanes often share an instant.  Returns the final time,
+   the executed-event count and the execution log. *)
+let lane_model ?schedule_seed ~lanes seed =
+  let e = Engine.create ?schedule_seed ~lanes () in
+  let log = ref [] in
+  let rec handler id depth () =
+    log := (Engine.now e, id) :: !log;
+    if depth < 4 then begin
+      let kid k = (id * 7) + k + 1 in
+      Engine.schedule e
+        ~delay:(model_hash seed id 1 mod 4 * 250)
+        (handler (kid 1) (depth + 1));
+      Engine.schedule
+        ~lane:(model_hash seed id 2 mod lanes)
+        e
+        ~delay:(model_hash seed id 3 mod 4 * 250)
+        (handler (kid 2) (depth + 1))
+    end
+  in
+  for lane = 0 to model_lanes - 1 do
+    Engine.schedule_at ~lane:(lane mod lanes) e
+      ~time:(model_hash seed lane 0 mod 4 * 250)
+      (handler lane 0)
+  done;
+  let final = Engine.run e in
+  (final, Engine.events_executed e, List.rev !log)
+
+let fuzz_label = function
+  | None -> ""
+  | Some s -> Printf.sprintf ", fuzz %d" s
+
+let test_engine_seeded_merge_model () =
+  (* The lane split is a cost-locality hint only: the seeded model run
+     on 2, 3, 4 and 8 lanes (3 maps the model's 8 start lanes unevenly)
+     merges its lanes into the same event order as the sequential
+     1-lane engine, with or without schedule fuzzing. *)
+  for seed = 0 to 9 do
+    List.iter
+      (fun schedule_seed ->
+        let ft', ev', log' = lane_model ?schedule_seed ~lanes:1 seed in
+        List.iter
+          (fun lanes ->
+            let ft, ev, log = lane_model ?schedule_seed ~lanes seed in
+            let name what =
+              Printf.sprintf "seed %d, %d lanes%s: %s" seed lanes
+                (fuzz_label schedule_seed) what
+            in
+            Alcotest.(check int) (name "final time") ft' ft;
+            Alcotest.(check int) (name "events executed") ev' ev;
+            Alcotest.(check bool) (name "execution log") true (log = log'))
+          [ 2; 3; 4; model_lanes ])
+      [ None; Some (seed + 100) ]
+  done
+
+(* The seeded model written for an engine with a single heap: no event
+   names a lane, so every schedule takes the default-lane path.  This is
+   the oracle the per-node lanes, queued side by side, must reproduce. *)
+let single_lane_oracle seed =
+  let e = Engine.create () in
+  let log = ref [] in
+  let rec handler id depth () =
+    log := (Engine.now e, id) :: !log;
+    if depth < 4 then begin
+      let kid k = (id * 7) + k + 1 in
+      Engine.schedule e
+        ~delay:(model_hash seed id 1 mod 4 * 250)
+        (handler (kid 1) (depth + 1));
+      Engine.schedule e
+        ~delay:(model_hash seed id 3 mod 4 * 250)
+        (handler (kid 2) (depth + 1))
+    end
+  in
+  for lane = 0 to model_lanes - 1 do
+    Engine.schedule_at e ~time:(model_hash seed lane 0 mod 4 * 250)
+      (handler lane 0)
+  done;
+  let final = Engine.run e in
+  (final, Engine.events_executed e, List.rev !log)
+
+let test_engine_parallel_lanes_oracle () =
+  (* The 8-lane engine, with lane-inheriting and lane-targeted children,
+     runs the same simulation as the lane-free oracle above. *)
+  for seed = 0 to 9 do
+    let ft, ev, log = lane_model ~lanes:model_lanes seed in
+    let ft', ev', log' = single_lane_oracle seed in
+    let name fmt = Printf.sprintf "seed %d: %s" seed fmt in
+    Alcotest.(check int) (name "final time vs 1-lane oracle") ft' ft;
+    Alcotest.(check int) (name "events vs 1-lane oracle") ev' ev;
+    Alcotest.(check bool) (name "log vs 1-lane oracle") true (log = log')
+  done
+
 let test_time_units () =
   Alcotest.(check int) "us" 3_000 (Engine.us 3);
   Alcotest.(check int) "ms" 2_000_000 (Engine.ms 2);
@@ -531,6 +638,10 @@ let () =
           Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo;
           Alcotest.test_case "event count" `Quick test_engine_counts_events;
           Alcotest.test_case "time units" `Quick test_time_units;
+          Alcotest.test_case "seeded merge model = sequential" `Quick
+            test_engine_seeded_merge_model;
+          Alcotest.test_case "parallel = single-lane oracle" `Quick
+            test_engine_parallel_lanes_oracle;
         ] );
       ( "proc",
         [
