@@ -43,31 +43,45 @@ let of_runs ~nruns ~modified_words offs lens payload =
     modified_bytes;
   }
 
-(* The page scan compares one 32-bit word at a time, avoiding
-   [Int32.equal]: comparing boxed [int32]/[int64] values goes through a C
+(* The page scan skips equal words eight bytes at a time and decides run
+   boundaries one 32-bit word at a time.  It avoids [Int32.equal] and
+   [Int64.equal]: comparing boxed [int32]/[int64] values goes through a C
    call, which dominated the scan, while [Int32.to_int] is a compiler
-   primitive, so this compiles to an unboxed register compare.  Only
-   *equality* of same-offset words is ever tested, so native-endian loads
-   are fine on any architecture, and the indices are bounded by the page
-   size by construction, so the unchecked primitive is safe. *)
+   primitive and [=] at the known type [int64] compiles to an unboxed
+   register compare.  Only *equality* of same-offset words is ever
+   tested, so native-endian loads are fine on any architecture, and the
+   indices are bounded by the page size by construction, so the
+   unchecked primitives are safe. *)
 
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
 let word_equal a b w =
   Int32.to_int (get32u a (w * word)) = Int32.to_int (get32u b (w * word))
 
-(* First differing word index >= [w0], or [n] if none. *)
-let next_diff a b w0 n =
-  let w = ref w0 in
-  while !w < n && word_equal a b !w do
-    incr w
-  done;
-  !w
+(* Words [w] and [w + 1] are both equal ([w] even). *)
+let pair_equal a b w = (get64u a (w * word) : int64) = get64u b (w * word)
 
-(* First equal word index >= [w0] (the end of a run), or [n] if none. *)
-let run_end a b w0 n =
+(* First differing word index >= [w0], or [n] if none ([n] even).  [w0]
+   is 0 or the end of a run, whose word is equal, so the scan may start
+   at the even word that rounds it up. *)
+let[@inline] next_diff a b w0 n =
+  let w = ref ((w0 + 1) land lnot 1) in
+  while !w < n && pair_equal a b !w do
+    w := !w + 2
+  done;
+  if !w < n && word_equal a b !w then !w + 1 else !w
+
+(* Copy the run of differing words starting at [w0] from [b] into
+   [payload] at byte [pos]; return the first equal word index (the end of
+   the run), or [n] if none. *)
+let[@inline] copy_run a b w0 n payload pos =
   let w = ref w0 in
   while !w < n && not (word_equal a b !w) do
+    set32u payload (pos + ((!w - w0) * word)) (get32u b (!w * word));
     incr w
   done;
   !w
@@ -98,11 +112,10 @@ let create ?scratch ~twin ~current () =
   let nruns = ref 0 and pos = ref 0 in
   let w = ref (next_diff a b 0 n) in
   while !w < n do
-    let stop = run_end a b !w n in
-    let off = !w * word and len = (stop - !w) * word in
-    s.s_offs.(!nruns) <- off;
+    let stop = copy_run a b !w n s.s_payload !pos in
+    let len = (stop - !w) * word in
+    s.s_offs.(!nruns) <- !w * word;
     s.s_lens.(!nruns) <- len;
-    Bytes.blit b off s.s_payload !pos len;
     pos := !pos + len;
     incr nruns;
     w := next_diff a b stop n

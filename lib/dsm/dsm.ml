@@ -288,19 +288,26 @@ let barrier ctx = Proto.barrier ctx.cluster ctx.node
 (* --- shared-array accessors --- *)
 
 (* The accessor hot path.  A scalar access compiles down to: bounds test,
-   shift/mask address arithmetic (page sizes are powers of two), one-slot
-   TLB probe, raw byte access.  Everything else — permission test against
-   the entry, protocol faults, TLB fill, write logging — lives in the
-   outlined cold paths below.  The TLB may only serve accesses the entry
-   itself would have allowed: it is filled here after the permission check
-   and reset by every site that downgrades a page's rights (see
-   {!State.tlb_reset}), so hits never change the fault sequence.
+   shift/mask address arithmetic (page sizes are powers of two), one
+   software-TLB probe (slot [page land tlb_mask], key [page + tlb_gen]),
+   raw byte access.  Everything else — permission test against the
+   entry, protocol faults, TLB fill, write logging, recorder observation
+   — lives in the outlined cold paths below.  The TLB may only serve
+   accesses the entry itself would have allowed: a slot is filled here
+   after the permission check and every slot is forgotten by every site
+   that downgrades a page's rights (see {!State.tlb_reset}), so hits
+   never change the fault sequence.
 
-   The loops use bounds-checked bytes primitives declared here rather
-   than [Page.get_f64]/[set_f64]: without flambda a cross-module call is
-   not inlined and every returned float is boxed — two minor words per
-   word accessed.  Primitives applied directly are unboxed by the
-   backend.  [Page] asserts a little-endian host at startup. *)
+   The scalar accessors are [@inline] and their bodies small, so in a
+   build with cross-module inlining (any non-[-opaque] build, e.g. the
+   release profile) they are expanded into the application loop: the
+   float an app computes reaches [set_64] unboxed and the float
+   [f64_get] returns stays in a register.  Called out of line instead
+   (dev builds compile with [-opaque]), every [f64_get] result and
+   [f64_set] argument is a boxed float.  The byte accesses use
+   bounds-checked primitives declared here rather than
+   [Page.get_f64]/[set_f64] so that the inlined body is primitives only.
+   [Page] asserts a little-endian host at startup. *)
 
 external get_32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
 
@@ -324,15 +331,13 @@ let[@inline never] oob_run kind i len bound =
 let[@inline never] oob_buf fn =
   invalid_arg (Printf.sprintf "Dsm.%s: buffer range out of bounds" fn)
 
-let install_tlb node page raw (e : State.entry) =
-  node.State.tlb <-
-    Some
-      {
-        State.t_page = page;
-        t_raw = raw;
-        t_entry = e;
-        t_write = Perm.allows_write e.State.perm && not e.State.log_writes;
-      }
+let[@inline never] observe_read ctx page off width bits =
+  State.observe ctx.cluster ~node:ctx.node.State.id
+    (Adsm_check.Obs.Read { page; off; width; bits })
+
+let[@inline never] observe_write ctx page off width bits =
+  State.observe ctx.cluster ~node:ctx.node.State.id
+    (Adsm_check.Obs.Write { page; off; width; bits })
 
 let[@inline never] read_slow ctx page =
   let e = State.entry_of ctx.node page in
@@ -340,7 +345,8 @@ let[@inline never] read_slow ctx page =
     Proto.read_fault ctx.cluster ctx.node e
   done;
   let raw = Page.raw (State.frame e) in
-  install_tlb ctx.node page raw e;
+  State.tlb_fill ctx.node page raw
+    ~write:(Perm.allows_write e.State.perm && not e.State.log_writes);
   raw
 
 (* [words] is the number of word writes the logged range covers: software
@@ -356,102 +362,83 @@ let[@inline never] write_slow ctx page off ~bytes ~words =
   let raw = Page.raw (State.frame e) in
   if e.State.log_writes then begin
     (* software write detection (Config.write_ranges); the TLB must not
-       cache a writable slot for a logging page. *)
+       admit writes to a logging page, so every write comes here. *)
     e.State.logged_ranges <- (off, bytes) :: e.State.logged_ranges;
     e.State.logged_count <- e.State.logged_count + words
   end
-  else install_tlb ctx.node page raw e;
+  else State.tlb_fill ctx.node page raw ~write:true;
   raw
 
-let f64_get ctx a i =
+(* The frame to read [page] from: a TLB hit, else the slow path. *)
+let[@inline] read_raw ctx page =
+  let node = ctx.node in
+  let slot = page land State.tlb_mask in
+  if node.State.tlb_rkey.(slot) = page + node.State.tlb_gen then
+    node.State.tlb_raw.(slot)
+  else read_slow ctx page
+
+(* The frame to write [page] at: a TLB hit, else the slow path (which
+   logs the write on a logging page). *)
+let[@inline] write_raw ctx page off ~bytes ~words =
+  let node = ctx.node in
+  let slot = page land State.tlb_mask in
+  if node.State.tlb_wkey.(slot) = page + node.State.tlb_gen then
+    node.State.tlb_raw.(slot)
+  else write_slow ctx page off ~bytes ~words
+
+let[@inline] f64_get ctx a i =
   if i < 0 || i >= a.f_len then oob_f64 i a.f_len;
   let byte = i lsl 3 in
   let page = a.f_region.Layout.first_page + (byte lsr Page.shift) in
   let off = byte land Page.mask in
-  let v =
-    match ctx.node.State.tlb with
-    | Some t when t.State.t_page = page ->
-      Int64.float_of_bits (get_64 t.State.t_raw off)
-    | _ -> Int64.float_of_bits (get_64 (read_slow ctx page) off)
-  in
-  if State.checking ctx.cluster then
-    State.observe ctx.cluster ~node:ctx.node.State.id
-      (Adsm_check.Obs.Read { page; off; width = 8; bits = Int64.bits_of_float v });
-  v
+  let bits = get_64 (read_raw ctx page) off in
+  if State.checking ctx.cluster then observe_read ctx page off 8 bits;
+  Int64.float_of_bits bits
 
-let f64_set ctx a i v =
+let[@inline] f64_set ctx a i v =
   if i < 0 || i >= a.f_len then oob_f64 i a.f_len;
   let byte = i lsl 3 in
   let page = a.f_region.Layout.first_page + (byte lsr Page.shift) in
   let off = byte land Page.mask in
-  (match ctx.node.State.tlb with
-  | Some t when t.State.t_page = page && t.State.t_write ->
-    set_64 t.State.t_raw off (Int64.bits_of_float v)
-  | _ ->
-    set_64
-      (write_slow ctx page off ~bytes:8 ~words:1)
-      off (Int64.bits_of_float v));
-  if State.checking ctx.cluster then
-    State.observe ctx.cluster ~node:ctx.node.State.id
-      (Adsm_check.Obs.Write { page; off; width = 8; bits = Int64.bits_of_float v })
+  let bits = Int64.bits_of_float v in
+  set_64 (write_raw ctx page off ~bytes:8 ~words:1) off bits;
+  if State.checking ctx.cluster then observe_write ctx page off 8 bits
 
-let i32_get ctx a i =
+let[@inline] i32_get ctx a i =
   if i < 0 || i >= a.i_len then oob_i32 i a.i_len;
   let byte = i lsl 2 in
   let page = a.i_region.Layout.first_page + (byte lsr Page.shift) in
   let off = byte land Page.mask in
-  let v =
-    match ctx.node.State.tlb with
-    | Some t when t.State.t_page = page -> get_32 t.State.t_raw off
-    | _ -> get_32 (read_slow ctx page) off
-  in
+  let v = get_32 (read_raw ctx page) off in
   if State.checking ctx.cluster then
-    State.observe ctx.cluster ~node:ctx.node.State.id
-      (Adsm_check.Obs.Read
-         { page; off; width = 4; bits = Int64.of_int32 v });
+    observe_read ctx page off 4 (Int64.of_int32 v);
   v
 
-let i32_set ctx a i v =
+let[@inline] i32_set ctx a i v =
   if i < 0 || i >= a.i_len then oob_i32 i a.i_len;
   let byte = i lsl 2 in
   let page = a.i_region.Layout.first_page + (byte lsr Page.shift) in
   let off = byte land Page.mask in
-  (match ctx.node.State.tlb with
-  | Some t when t.State.t_page = page && t.State.t_write ->
-    set_32 t.State.t_raw off v
-  | _ -> set_32 (write_slow ctx page off ~bytes:4 ~words:1) off v);
+  set_32 (write_raw ctx page off ~bytes:4 ~words:1) off v;
   if State.checking ctx.cluster then
-    State.observe ctx.cluster ~node:ctx.node.State.id
-      (Adsm_check.Obs.Write
-         { page; off; width = 4; bits = Int64.of_int32 v })
+    observe_write ctx page off 4 (Int64.of_int32 v)
 
 (* One locate for the whole read-modify-write.  Observable semantics are
    those of [i32_get] followed by [i32_set]: the read (and its possible
    read fault) happens first, the addend is applied to the value read
    BEFORE the write fault, and the write never re-reads. *)
-let i32_add ctx a i v =
+let[@inline] i32_add ctx a i v =
   if i < 0 || i >= a.i_len then oob_i32 i a.i_len;
   let byte = i lsl 2 in
   let page = a.i_region.Layout.first_page + (byte lsr Page.shift) in
   let off = byte land Page.mask in
-  let current =
-    match ctx.node.State.tlb with
-    | Some t when t.State.t_page = page -> get_32 t.State.t_raw off
-    | _ -> get_32 (read_slow ctx page) off
-  in
+  let current = get_32 (read_raw ctx page) off in
   if State.checking ctx.cluster then
-    State.observe ctx.cluster ~node:ctx.node.State.id
-      (Adsm_check.Obs.Read
-         { page; off; width = 4; bits = Int64.of_int32 current });
+    observe_read ctx page off 4 (Int64.of_int32 current);
   let sum = Int32.add current v in
-  (match ctx.node.State.tlb with
-  | Some t when t.State.t_page = page && t.State.t_write ->
-    set_32 t.State.t_raw off sum
-  | _ -> set_32 (write_slow ctx page off ~bytes:4 ~words:1) off sum);
+  set_32 (write_raw ctx page off ~bytes:4 ~words:1) off sum;
   if State.checking ctx.cluster then
-    State.observe ctx.cluster ~node:ctx.node.State.id
-      (Adsm_check.Obs.Write
-         { page; off; width = 4; bits = Int64.of_int32 sum })
+    observe_write ctx page off 4 (Int64.of_int32 sum)
 
 (* --- bulk page-run operations --- *)
 
@@ -480,11 +467,7 @@ let f64_get_run ctx a i dst pos len =
       let page = first_page + (byte lsr Page.shift) in
       let off = byte land Page.mask in
       let run = min !remaining ((Page.size - off) lsr 3) in
-      let raw =
-        match ctx.node.State.tlb with
-        | Some t when t.State.t_page = page -> t.State.t_raw
-        | _ -> read_slow ctx page
-      in
+      let raw = read_raw ctx page in
       let d = !dpos in
       for k = 0 to run - 1 do
         dst.(d + k) <- Int64.float_of_bits (get_64 raw (off + (k lsl 3)))
@@ -510,12 +493,7 @@ let f64_set_run ctx a i src pos len =
       let page = first_page + (byte lsr Page.shift) in
       let off = byte land Page.mask in
       let run = min !remaining ((Page.size - off) lsr 3) in
-      let raw =
-        match ctx.node.State.tlb with
-        | Some t when t.State.t_page = page && t.State.t_write ->
-          t.State.t_raw
-        | _ -> write_slow ctx page off ~bytes:(run lsl 3) ~words:run
-      in
+      let raw = write_raw ctx page off ~bytes:(run lsl 3) ~words:run in
       let s = !spos in
       for k = 0 to run - 1 do
         set_64 raw (off + (k lsl 3)) (Int64.bits_of_float src.(s + k))
@@ -543,11 +521,7 @@ let f64_fold_run ctx a i len ~init ~f =
       let page = first_page + (byte lsr Page.shift) in
       let off = byte land Page.mask in
       let run = min !remaining ((Page.size - off) lsr 3) in
-      let raw =
-        match ctx.node.State.tlb with
-        | Some t when t.State.t_page = page -> t.State.t_raw
-        | _ -> read_slow ctx page
-      in
+      let raw = read_raw ctx page in
       for k = 0 to run - 1 do
         acc := f !acc (Int64.float_of_bits (get_64 raw (off + (k lsl 3))))
       done;
@@ -572,11 +546,7 @@ let i32_get_run ctx a i dst pos len =
       let page = first_page + (byte lsr Page.shift) in
       let off = byte land Page.mask in
       let run = min !remaining ((Page.size - off) lsr 2) in
-      let raw =
-        match ctx.node.State.tlb with
-        | Some t when t.State.t_page = page -> t.State.t_raw
-        | _ -> read_slow ctx page
-      in
+      let raw = read_raw ctx page in
       let d = !dpos in
       for k = 0 to run - 1 do
         dst.(d + k) <- get_32 raw (off + (k lsl 2))
@@ -602,12 +572,7 @@ let i32_set_run ctx a i src pos len =
       let page = first_page + (byte lsr Page.shift) in
       let off = byte land Page.mask in
       let run = min !remaining ((Page.size - off) lsr 2) in
-      let raw =
-        match ctx.node.State.tlb with
-        | Some t when t.State.t_page = page && t.State.t_write ->
-          t.State.t_raw
-        | _ -> write_slow ctx page off ~bytes:(run lsl 2) ~words:run
-      in
+      let raw = write_raw ctx page off ~bytes:(run lsl 2) ~words:run in
       let s = !spos in
       for k = 0 to run - 1 do
         set_32 raw (off + (k lsl 2)) src.(s + k)
@@ -635,11 +600,7 @@ let i32_fold_run ctx a i len ~init ~f =
       let page = first_page + (byte lsr Page.shift) in
       let off = byte land Page.mask in
       let run = min !remaining ((Page.size - off) lsr 2) in
-      let raw =
-        match ctx.node.State.tlb with
-        | Some t when t.State.t_page = page -> t.State.t_raw
-        | _ -> read_slow ctx page
-      in
+      let raw = read_raw ctx page in
       for k = 0 to run - 1 do
         acc := f !acc (get_32 raw (off + (k lsl 2)))
       done;

@@ -66,18 +66,6 @@ type lock_state = {
   mutable home_tail : int;
 }
 
-type tlb = {
-  t_page : int;
-  t_raw : Bytes.t;
-      (* the frame's raw buffer: the accessor loops read/write it with
-         direct primitives, avoiding a non-inlinable cross-module call
-         (and a boxed float) per word *)
-  t_entry : entry;
-  t_write : bool;
-      (* the slot may serve writes directly: Read_write perm AND no
-         software write logging (logging writes must reach the entry) *)
-}
-
 (* Per-node combining state for the tree barrier (Config.Tree).  A node
    folds its own arrival and each direct child's into [tb_vcmin] (the
    componentwise MINIMUM — the knowledge every member of the subtree
@@ -106,6 +94,12 @@ type tree_barrier = {
    would be valid only relative to the page copies the crash wipes. *)
 type ckpt = { ck_vc : Vc.t }
 
+(* Software TLB size: a power of two, so a page's slot is [page land
+   tlb_mask].  64 slots hold every array a stencil row touches at once. *)
+let tlb_slots = 64
+
+let tlb_mask = tlb_slots - 1
+
 type node = {
   id : int;
   nprocs : int;
@@ -133,7 +127,11 @@ type node = {
   last_barrier_vc : Vc.t;  (* overwritten in place at every barrier leave *)
   mutable barrier_epoch : int;
   mutable hlrc_waiting : (int * (int * int) list * Msg.t Adsm_net.Rpc.respond) list;
-  mutable tlb : tlb option;
+  tlb_rkey : int array;
+  tlb_wkey : int array;
+  tlb_raw : Bytes.t array;
+      (* the software TLB: [tlb_slots] direct-mapped slots, see [tlb_fill] *)
+  mutable tlb_gen : int;
   tb : tree_barrier option;  (* Some iff [cfg.barrier] is [Tree] *)
   rng : Rng.t;
   (* Crash-recovery state, all inert when [cfg.faults] has no crashes:
@@ -383,7 +381,10 @@ let make_node ~cfg ~id ~total_pages =
     last_barrier_vc;
     barrier_epoch = 0;
     hlrc_waiting = [];
-    tlb = None;
+    tlb_rkey = Array.make tlb_slots (-1);
+    tlb_wkey = Array.make tlb_slots (-1);
+    tlb_raw = Array.make tlb_slots Bytes.empty;
+    tlb_gen = 0;
     tb =
       (match cfg.Config.barrier with
       | Config.Central -> None
@@ -436,10 +437,24 @@ let iter_entries node f =
 
 (* TLB contract (see DESIGN.md, "Access fast path"): any code that lowers
    an entry's effective access rights on a node — protection downgrade,
-   frame drop, or turning on write logging — must reset that node's TLB
-   slot, because the slot bypasses the entry's permission test entirely.
-   Upgrades need no reset: a stale slot is only ever conservative. *)
-let tlb_reset node = node.tlb <- None
+   frame drop, or turning on write logging — must reset that node's TLB,
+   because a slot bypasses the entry's permission test entirely.
+   Upgrades need no reset: a stale slot is only ever conservative.
+
+   Slot [page land tlb_mask] caches [page] under the key
+   [page + tlb_gen]; [tlb_rkey] admits reads, [tlb_wkey] writes.  A reset
+   moves [tlb_gen] past every key in use (pages are far below [1 lsl 32]),
+   so it forgets every slot in O(1).  Unused keys are [-1], which no page
+   matches.  A stored key could only match again after 2^31 resets on one
+   node, when [tlb_gen] has wrapped all the way round. *)
+let tlb_reset node = node.tlb_gen <- node.tlb_gen + (1 lsl 32)
+
+let tlb_fill node page raw ~write =
+  let slot = page land tlb_mask in
+  let key = page + node.tlb_gen in
+  node.tlb_rkey.(slot) <- key;
+  node.tlb_wkey.(slot) <- (if write then key else -1);
+  node.tlb_raw.(slot) <- raw
 
 let frame entry =
   match entry.data with

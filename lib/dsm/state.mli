@@ -98,21 +98,11 @@ type lock_state = {
                                 distributed queue *)
 }
 
-(** One-slot software TLB: the last page an accessor touched on this node,
-    with the permission test pre-resolved.  Installed only by the accessor
-    slow path after the entry's permission has been verified; the fast path
-    serves hits without consulting [pages.(page)] at all. *)
-type tlb = {
-  t_page : int;
-  t_raw : Bytes.t;
-      (** the frame's raw buffer ({!Adsm_mem.Page.raw}): accessor loops
-          use direct primitives on it, avoiding a cross-module call and a
-          boxed float per word *)
-  t_entry : entry;
-  t_write : bool;
-      (** the slot may serve writes directly: [Read_write] permission AND
-          no software write logging (logged writes must reach the entry) *)
-}
+(** Number of software-TLB slots per node (a power of two); page [p]
+    lives in slot [p land tlb_mask]. *)
+val tlb_slots : int
+
+val tlb_mask : int
 
 (** Per-node combining state for the tree barrier ([Config.Tree]): a node
     folds its own arrival and each direct child subtree's into the
@@ -176,7 +166,15 @@ type node = {
   mutable hlrc_waiting : (int * (int * int) list * Msg.t Adsm_net.Rpc.respond) list;
       (** HLRC: deferred fetch replies (page, needed (proc,seq) pairs,
           respond closure) waiting for in-flight diffs to reach this home *)
-  mutable tlb : tlb option;  (** accessor fast-path cache; see {!tlb_reset} *)
+  tlb_rkey : int array;
+  tlb_wkey : int array;
+  tlb_raw : Bytes.t array;
+  mutable tlb_gen : int;
+      (** The accessor fast-path cache, [tlb_slots] direct-mapped slots.
+          Slot [s] serves a read of page [p] iff [tlb_rkey.(s) = p + tlb_gen]
+          and a write iff [tlb_wkey.(s) = p + tlb_gen]; [tlb_raw.(s)] is
+          then the page's frame ({!Adsm_mem.Page.raw}).  Filled only by
+          {!tlb_fill}, invalidated only by {!tlb_reset}. *)
   tb : tree_barrier option;  (** [Some] iff [cfg.barrier] is [Tree] *)
   rng : Adsm_sim.Rng.t;
   mutable ckpt : ckpt option;
@@ -317,13 +315,21 @@ val committed_copy : entry -> Page.t option
 (** The node's frame for the page, allocating it on first use. *)
 val frame : entry -> Page.t
 
-(** Invalidate the node's accessor TLB slot.  Contract (see DESIGN.md,
-    "Access fast path"): every site that lowers an entry's effective access
-    rights on a node — protection downgrade, frame drop, or turning on
-    software write logging — MUST call this, because the cached slot
-    bypasses the entry's permission test entirely.  Upgrades need no reset:
-    a stale slot is only ever conservative (extra slow-path trip). *)
+(** Invalidate every slot of the node's accessor TLB, in O(1).  Contract
+    (see DESIGN.md, "Access fast path"): every site that lowers an entry's
+    effective access rights on a node — protection downgrade, frame drop,
+    or turning on software write logging — MUST call this, because a
+    cached slot bypasses the entry's permission test entirely.  Upgrades
+    need no reset: a stale slot is only ever conservative (extra slow-path
+    trip). *)
 val tlb_reset : node -> unit
+
+(** [tlb_fill node page raw ~write] caches [page]'s frame [raw] in its
+    slot, evicting whatever the slot held.  Called by the accessor slow
+    path only after the entry's permission test passed: for reads always,
+    for writes iff [write] (the entry is [Read_write] and not logging
+    writes). *)
+val tlb_fill : node -> int -> Bytes.t -> write:bool -> unit
 
 (** The node's state for a lock, created on first use; the token initially
     rests at the [home] node. *)

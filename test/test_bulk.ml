@@ -9,6 +9,7 @@ module Config = Adsm_dsm.Config
 module Dsm = Adsm_dsm.Dsm
 module Stats = Adsm_dsm.Stats
 module Diff = Adsm_dsm.Diff
+module State = Adsm_dsm.State
 module Page = Adsm_mem.Page
 module Recorder = Adsm_check.Recorder
 
@@ -226,40 +227,149 @@ let test_recorded_streams_equal () =
         (Recorder.stream rec_scalar = Recorder.stream rec_bulk))
     protocols
 
-(* Software-TLB staleness: a node's cached page entry must be reset on
-   every effective-rights downgrade.  p0 caches the page by writing,
-   p1's write invalidates it across the barrier, and p0's read must see
-   p1's value — under every protocol, via both access paths. *)
+(* Software-TLB staleness: a node's cached slots must be forgotten on
+   every effective-rights downgrade.  p0 caches several pages — among
+   them pages 0 and [tlb_slots], which share a slot — by writing and then
+   re-reading them, p1's write invalidates one of them across the
+   barrier, and p0's reads must see p1's value on that page and its own
+   on every other — under every protocol, via both access paths. *)
 let test_tlb_staleness () =
+  let slots = State.tlb_slots in
+  let cached = [ 0; 1; 2; slots ] in
+  List.iter
+    (fun protocol ->
+      List.iter
+        (fun bulk ->
+          List.iter
+            (fun victim ->
+              let cfg = Config.make ~protocol ~nprocs:2 () in
+              let t = Dsm.create cfg in
+              let a = Dsm.alloc_f64 t ~name:"tlb" ~len:(512 * (slots + 1)) in
+              let seen = ref [] in
+              let buf = Array.make 1 0. in
+              let get ctx i =
+                if bulk then begin
+                  Dsm.f64_get_run ctx a i buf 0 1;
+                  buf.(0)
+                end
+                else Dsm.f64_get ctx a i
+              in
+              ignore
+                (Dsm.run t (fun ctx ->
+                     let me = Dsm.me ctx in
+                     if me = 0 then
+                       List.iter
+                         (fun p -> Dsm.f64_set ctx a ((512 * p) + 7) 1.0)
+                         cached;
+                     Dsm.barrier ctx;
+                     (* p0 re-warms every slot while p1 writes the victim. *)
+                     if me = 0 then
+                       List.iter
+                         (fun p -> ignore (get ctx ((512 * p) + 7)))
+                         cached;
+                     if me = 1 then Dsm.f64_set ctx a ((512 * victim) + 9) 2.0;
+                     Dsm.barrier ctx;
+                     if me = 0 then
+                       seen :=
+                         List.map
+                           (fun p ->
+                             (get ctx ((512 * p) + 7), get ctx ((512 * p) + 9)))
+                           cached));
+              List.iter2
+                (fun p (w7, w9) ->
+                  let label =
+                    Printf.sprintf "%s %s victim %d: page %d"
+                      (Config.protocol_name protocol)
+                      (if bulk then "bulk" else "scalar")
+                      victim p
+                  in
+                  Alcotest.(check (float 0.)) (label ^ " own write") 1.0 w7;
+                  Alcotest.(check (float 0.))
+                    (label ^ " remote write")
+                    (if p = victim then 2.0 else 0.0)
+                    w9)
+                cached !seen)
+            [ 0; slots; 1 ])
+        [ false; true ])
+    protocols
+
+(* A downgrade that lands while other slots stay warm: p0 holds pages A,
+   B and C writable, p1's write to B takes B away from p0 (under SW an
+   ownership grant, which fires as a scheduled event while p0 is
+   computing), and p0 then writes A and B again in the same interval.
+   The write to B must fault instead of hitting its stale slot, or p1
+   never sees it; the write to A may hit. *)
+let test_tlb_downgrade_warm () =
   List.iter
     (fun protocol ->
       List.iter
         (fun bulk ->
           let cfg = Config.make ~protocol ~nprocs:2 () in
           let t = Dsm.create cfg in
-          let a = Dsm.alloc_f64 t ~name:"tlb" ~len:512 in
-          let seen = ref 0. in
-          let buf = Array.make 1 0. in
+          let a = Dsm.alloc_f64 t ~name:"warm" ~len:(512 * 3) in
+          let pa = 0 and pb = 512 and pc = 1024 in
+          let set ctx i v =
+            if bulk then Dsm.f64_set_run ctx a i [| v |] 0 1
+            else Dsm.f64_set ctx a i v
+          in
+          let seen = ref [] in
           ignore
             (Dsm.run t (fun ctx ->
                  let me = Dsm.me ctx in
-                 if me = 0 then Dsm.f64_set ctx a 7 1.0;
+                 if me = 0 then begin
+                   set ctx (pa + 7) 1.0;
+                   set ctx (pb + 7) 1.0;
+                   set ctx (pc + 7) 1.0;
+                   Dsm.compute ctx 50_000_000;
+                   set ctx (pb + 11) 3.0;
+                   set ctx (pa + 11) 3.0
+                 end
+                 else begin
+                   Dsm.compute ctx 10_000_000;
+                   set ctx (pb + 9) 2.0
+                 end;
                  Dsm.barrier ctx;
-                 if me = 1 then Dsm.f64_set ctx a 7 2.0;
-                 Dsm.barrier ctx;
-                 if me = 0 then
-                   if bulk then begin
-                     Dsm.f64_get_run ctx a 7 buf 0 1;
-                     seen := buf.(0)
-                   end
-                   else seen := Dsm.f64_get ctx a 7));
-          Alcotest.(check (float 0.))
-            (Printf.sprintf "%s %s sees latest write"
+                 if me = 1 then
+                   seen :=
+                     List.map (Dsm.f64_get ctx a)
+                       [ pa + 7; pa + 11; pb + 7; pb + 9; pb + 11; pc + 7 ]));
+          Alcotest.(check (list (float 0.)))
+            (Printf.sprintf "%s %s writes after downgrade"
                (Config.protocol_name protocol)
                (if bulk then "bulk" else "scalar"))
-            2.0 !seen)
+            [ 1.0; 3.0; 1.0; 2.0; 3.0; 1.0 ]
+            !seen)
         [ false; true ])
     protocols
+
+(* The accessor hit path allocates nothing: after warm-up, scalar writes
+   and read-modify-writes round-robin over 8 resident writable pages
+   (each access on a different page from the last) stay in the TLB and
+   box no float.  Holds whether or not the accessors are inlined. *)
+let test_hit_path_no_alloc () =
+  let cfg = Config.make ~protocol:Config.Mw ~nprocs:1 () in
+  let t = Dsm.create cfg in
+  let f = Dsm.alloc_f64 t ~name:"f" ~len:(512 * 4) in
+  let n = Dsm.alloc_i32 t ~name:"n" ~len:(1024 * 4) in
+  let calls = 10_000 in
+  let words = ref nan in
+  ignore
+    (Dsm.run t (fun ctx ->
+         for p = 0 to 3 do
+           Dsm.f64_set ctx f (512 * p) 0.5;
+           Dsm.i32_add ctx n (1024 * p) 1l
+         done;
+         let before = Gc.minor_words () in
+         for k = 0 to calls - 1 do
+           let p = k land 3 and w = (k lsr 2) land 511 in
+           Dsm.f64_set ctx f ((512 * p) + w) 1.5;
+           Dsm.i32_add ctx n ((1024 * p) + w) 1l
+         done;
+         words := Gc.minor_words () -. before));
+  let per_access = !words /. float_of_int (2 * calls) in
+  if per_access >= 0.01 then
+    Alcotest.failf "%.0f minor words over %d accesses (%.3f per access)"
+      !words (2 * calls) per_access
 
 (* One coalesced logged range must produce a byte-identical diff to
    per-word logging of the same writes. *)
@@ -299,6 +409,10 @@ let () =
         [
           Alcotest.test_case "TLB reset on downgrade" `Quick
             test_tlb_staleness;
+          Alcotest.test_case "TLB downgrade with warm slots" `Quick
+            test_tlb_downgrade_warm;
+          Alcotest.test_case "hit path allocates nothing" `Quick
+            test_hit_path_no_alloc;
           Alcotest.test_case "of_ranges coalescing" `Quick
             test_of_ranges_coalescing;
         ] );

@@ -8,13 +8,17 @@
    Seeded op sequences drive the real structure and a naive reference
    through the same mutations — honoring the documented preconditions
    (rebase on a just-taken snapshot, equal components per epoch stamp,
-   strictly ascending log appends) — and compare every query. *)
+   strictly ascending log appends) — and compare every query.  The
+   page-diff scan, which skips equal words eight bytes at a time, is
+   checked the same way against a word-at-a-time scan. *)
 
 module Vc = Adsm_dsm.Vc
 module Interval = Adsm_dsm.Interval
 module Notice = Adsm_dsm.Notice
 module State = Adsm_dsm.State
 module Config = Adsm_dsm.Config
+module Diff = Adsm_dsm.Diff
+module Page = Adsm_mem.Page
 
 (* ------------------------------------------------------------------ *)
 (* Naive vector-clock reference: a plain int array, rescanned fully    *)
@@ -479,6 +483,90 @@ let test_notice_summary_model () =
   reached "summary re-established" !reestablished;
   reached "concurrent writers" !concurrent_hits
 
+(* ------------------------------------------------------------------ *)
+(* Page diff: the pairwise scan vs a word-at-a-time reference          *)
+(* ------------------------------------------------------------------ *)
+
+let page_words = Page.size / 4
+
+(* Runs of 32-bit words on which the pages differ in any byte. *)
+let naive_ranges twin current =
+  let a = Page.raw twin and b = Page.raw current in
+  let differs w = Bytes.sub a (4 * w) 4 <> Bytes.sub b (4 * w) 4 in
+  let runs = ref [] and w = ref 0 in
+  while !w < page_words do
+    if differs !w then begin
+      let start = !w in
+      while !w < page_words && differs !w do
+        incr w
+      done;
+      runs := (4 * start, 4 * (!w - start)) :: !runs
+    end
+    else incr w
+  done;
+  List.rev !runs
+
+(* [pattern] picks which words change: 0 sparse, 1 dense, 2 every
+   [period]-th word from a random phase (period 2 alternates), 3 the
+   edge words 0 and 1023 plus a few others.  A changed word gets one
+   random byte flipped, so runs are found at word granularity even when
+   a single byte moves. *)
+let diff_pages (pattern, seed) =
+  let rng = Random.State.make [| seed |] in
+  let twin =
+    Page.of_bytes
+      (Bytes.init Page.size (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  let current = Page.copy twin in
+  let change w =
+    let i = (4 * w) + Random.State.int rng 4 in
+    let c = Bytes.get (Page.raw current) i in
+    Bytes.set (Page.raw current) i
+      (Char.chr ((Char.code c + 1 + Random.State.int rng 255) land 255))
+  in
+  let sparse k =
+    for _ = 1 to k do
+      change (Random.State.int rng page_words)
+    done
+  in
+  (match pattern with
+  | 0 -> sparse (Random.State.int rng 24)
+  | 1 ->
+    for w = 0 to page_words - 1 do
+      if Random.State.int rng 10 > 0 then change w
+    done
+  | 2 ->
+    let period = 2 + Random.State.int rng 3 in
+    let phase = Random.State.int rng period in
+    for w = 0 to page_words - 1 do
+      if w mod period = phase then change w
+    done
+  | _ ->
+    change 0;
+    change (page_words - 1);
+    sparse (Random.State.int rng 8));
+  (twin, current)
+
+let prop_diff_scan =
+  QCheck.Test.make ~name:"Diff.create = word-at-a-time scan" ~count:400
+    QCheck.(pair (int_range 0 3) int)
+    (fun gen ->
+      let twin, current = diff_pages gen in
+      let d = Diff.create ~scratch:(Diff.make_scratch ()) ~twin ~current () in
+      let ranges = naive_ranges twin current in
+      let modified = List.fold_left (fun acc (_, len) -> acc + len) 0 ranges in
+      let applied = Page.copy twin and reference = Page.copy twin in
+      Diff.apply d applied;
+      List.iter
+        (fun (off, len) ->
+          Bytes.blit (Page.raw current) off (Page.raw reference) off len)
+        ranges;
+      Diff.ranges d = ranges
+      && Diff.modified_bytes d = modified
+      && Diff.size_bytes d = (4 * List.length ranges) + modified
+      && Page.equal applied reference
+      && Page.equal applied current)
+
 let () =
   Alcotest.run "model"
     [
@@ -498,4 +586,5 @@ let () =
           Alcotest.test_case "dominating slot vs dense scan (seeded)" `Quick
             test_notice_summary_model;
         ] );
+      ("diff-scan", [ QCheck_alcotest.to_alcotest prop_diff_scan ]);
     ]
