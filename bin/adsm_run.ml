@@ -252,9 +252,9 @@ let faults_arg =
     & opt (some string) None
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:"Run under a deterministic fault schedule, e.g. \
-              $(b,crash=1\\@400us:200us;loss=0.05;jitter=2us).  Clauses \
-              (`;'-separated): $(b,crash=N\\@T:D) (node N down at time T \
-              for D), $(b,part=LO-HI\\@F:U) (partition), $(b,loss=P), \
+              $(b,crash=1@400us:200us;loss=0.05;jitter=2us).  Clauses \
+              (`;'-separated): $(b,crash=N@T:D) (node N down at time T \
+              for D), $(b,part=LO-HI@F:U) (partition), $(b,loss=P), \
               $(b,dup=P), $(b,jitter=D), $(b,rto=D); durations take \
               ns/us/ms suffixes.  See FAULTS.md.")
 

@@ -32,10 +32,10 @@ val size_bytes_list : ?vc_bytes:(Vc.t -> int) -> t list -> int
 val unseen_by : Vc.t -> t list -> t list
 
 (** Array-backed, clock-indexed per-processor interval log.  Appends are
-    strictly ascending in [seq] (asserted), so coverage queries binary
-    search on the observer's clock component instead of filtering a
-    list; GC/crash truncation resets the length in place and keeps the
-    capacity. *)
+    ascending in [seq], so coverage queries binary search on the
+    observer's clock component instead of filtering a list.  The storage
+    grows by doubling from one slot, so a log holding [k] intervals
+    takes fewer than [2k] slots; truncation releases it. *)
 module Log : sig
   type interval := t
 
@@ -48,10 +48,12 @@ module Log : sig
   (** [get l i] — the [i]-th oldest retained interval. *)
   val get : t -> int -> interval
 
-  (** Append; [iv.seq] must exceed the last logged seq (asserted). *)
+  (** Append.  A [seq] at or below the last logged one (only seeded
+      recovery mutations produce one) turns the log into a linearly
+      filtered one. *)
   val append : t -> interval -> unit
 
-  (** Drop every logged interval, keeping the capacity. *)
+  (** Drop every logged interval and release the storage. *)
   val clear : t -> unit
 
   (** Index of the first logged interval with [seq > s] ([length] if
@@ -64,10 +66,11 @@ module Log : sig
   val unseen_by : Vc.t -> proc:int -> t -> interval list -> interval list
 end
 
-(** A node's interval logs, one {!Log} per writer, indexed by writer id
-    and created on the writer's first append.  The writers with a
-    non-empty log are tracked, so walks, GC and crash truncation cost
-    O(writers), not O(nprocs). *)
+(** A node's interval logs, one per writer, indexed by writer id: the
+    same storage and queries as {!Log}, without a record per writer.  A
+    writer's storage is allocated on its first append and released when
+    its log is emptied.  The writers with a non-empty log are tracked,
+    so walks, GC and crash truncation cost O(writers), not O(nprocs). *)
 module Logs : sig
   type interval := t
 
@@ -86,7 +89,7 @@ module Logs : sig
       cover onto [acc]: writer 0's first, each writer's newest first. *)
   val unseen_by : t -> Vc.t -> interval list -> interval list
 
-  (** Empty every log (GC), keeping their capacity. *)
+  (** Empty every log (GC). *)
   val clear : t -> unit
 
   (** Empty every log but writer [keep]'s (crash truncation). *)

@@ -233,27 +233,26 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
     let vc_snapshot = Vc.copy node.vc in
     let seq = Vc.get node.vc node.id in
     let notices = ref [] in
-    let seen = Hashtbl.create 16 in
+    (* [mark_dirty] lists a page only while its [dirty] flag is off,
+       and only [close_page] and the crash wipe (which runs after the
+       interval closed) clear it: no page is listed twice. *)
     let close_page page =
-      if not (Hashtbl.mem seen page) then begin
-        Hashtbl.add seen page ();
-        let e = entry_of node page in
-        assert e.dirty;
-        e.dirty <- false;
-        Stats.note_write cl.stats ~page;
-        set_last_notice ~covers_all:false node e node.id vc_snapshot;
-        let version =
-          P.close_page cl node e ~seq ~vc:vc_snapshot ~charge:charge_later
-        in
-        (* Mutation seam (testing only): lose odd pages' write notices —
-           the modification happened and was diffed, but nobody is told. *)
-        if cl.cfg.Config.mutation <> Some Config.Drop_write_notice
-           || page land 1 = 0
-        then
-          notices :=
-            { Notice.page; proc = node.id; seq; vc = vc_snapshot; version }
-            :: !notices
-      end
+      let e = entry_of node page in
+      assert e.dirty;
+      e.dirty <- false;
+      Stats.note_write cl.stats ~page;
+      set_last_notice ~covers_all:false node e node.id vc_snapshot;
+      let version =
+        P.close_page cl node e ~seq ~vc:vc_snapshot ~charge:charge_later
+      in
+      (* Mutation seam (testing only): lose odd pages' write notices —
+         the modification happened and was diffed, but nobody is told. *)
+      if cl.cfg.Config.mutation <> Some Config.Drop_write_notice
+         || page land 1 = 0
+      then
+        notices :=
+          { Notice.page; proc = node.id; seq; vc = vc_snapshot; version }
+          :: !notices
     in
     List.iter close_page node.dirty_pages;
     node.dirty_pages <- [];
@@ -325,7 +324,7 @@ let apply_notice ?(replay = false) cl node (n : Notice.t) =
          writes count as secondary notices here: an owner notice concurrent
          with them does NOT end the false sharing. *)
       let own_concurrent =
-        match last_notice node e node.id with
+        match last_notice e node.id with
         | Some v ->
           Vc.get n.vc node.id < Vc.get v node.id
           && Vc.get v n.proc < n.seq
@@ -404,7 +403,7 @@ let install_copy cl node e ~data ~version ~committed ~reflected =
      newer interval that must not be claimed. *)
   if committed > e.content_version then e.content_version <- committed;
   if committed > e.committed_version then e.committed_version <- committed;
-  e.reflected <- Array.copy reflected;
+  reflected_install e reflected;
   e.notices <- List.filter (still_needed node e) e.notices
 
 (* Fetch (in parallel, one request per writer) and apply, in timestamp

@@ -141,10 +141,7 @@ let write_fault cl node (e : entry) =
       e.owner <- node.id;
       e.owned_at <- Engine.now cl.engine;
       e.notices <- [];
-      let r = reflected_rw e ~nprocs:node.nprocs in
-      for q = 0 to Array.length r - 1 do
-        r.(q) <- Vc.get node.vc q
-      done;
+      reflected_fill e node.vc;
       Proc.sleep cl.engine cl.cfg.Config.page_install_ns;
       Hashtbl.remove node.own_waits e.page;
       Lrc_core.mark_dirty node e;

@@ -23,18 +23,15 @@ type entry = {
   mutable drop_at_release : bool;
   mutable dirty : bool;
   mutable notices : Notice.t list;
-  mutable reflected : int array;
-      (* [[||]] is the all-zeros view: entries materialize the dense
-         per-processor array only once a nonzero sequence is recorded
-         (or a fetched copy installs one).  Most of a large cluster's
-         entries are read-only touches that never leave the sentinel,
-         so per-entry metadata stays O(active sharers), not O(nprocs). *)
+  mutable reflected : Wmap.t;
+  mutable nw_slots : Wmap.t;
+      (* writer -> its slot in [nw_procs]/[nw_vcs] plus one, so that a
+         last-notice lookup is O(1) without a dense per-entry table *)
   mutable nw_procs : int array;
       (* Sparse "last notice per writer" map, replacing the former dense
          [Vc.t option array]: parallel arrays of writer ids and their
-         latest notice clocks, [nw_len] slots live.  Pages have few
-         writers, so lookups scan a handful of slots instead of
-         indexing (and allocating) an O(nprocs) table per entry. *)
+         latest notice clocks, [nw_len] slots live, in the order the
+         writers were first recorded.  [nw_slots] indexes them. *)
   mutable nw_vcs : Vc.t array;
   mutable nw_len : int;
   mutable nw_dom : int;
@@ -105,18 +102,12 @@ type node = {
   nprocs : int;
   vc : Vc.t;
   pages : entry option array;
-      (* Entries materialize on first touch ([entry_of]): a fresh entry
-         carries several O(nprocs) arrays, so eager allocation would cost
-         O(pages * nprocs) words per node — O(pages * nprocs^2) for the
-         cluster, prohibitive at 1024 nodes.  An untouched page has no
+      (* Entries materialize on first touch ([entry_of]), so a node pays
+         only for the pages it touches.  An untouched page has no
          notices, dirty flag or diffs, so every whole-array scan
          (rule 3, GC validation/purge, post-run checks) is a no-op on it:
          laziness is observationally identical to the old eager array. *)
   intervals : Interval.Logs.t;
-  nw_idx : int Int_tbl.t;
-      (* (page * nprocs + proc) -> slot in that entry's [nw_procs] /
-         [nw_vcs] arrays: O(1) last-notice lookup without a dense
-         per-entry table.  Per-node, so one table serves all entries. *)
   mutable dirty_pages : int list;
   diffs : (int * int * int, Vc.t * Diff.t) Hashtbl.t;
   locks : (int, lock_state) Hashtbl.t;
@@ -192,7 +183,8 @@ let make_entry ~nprocs:_ ~page ~home =
     drop_at_release = false;
     dirty = false;
     notices = [];
-    reflected = [||];
+    reflected = Wmap.empty;
+    nw_slots = Wmap.empty;
     nw_procs = [||];
     nw_vcs = [||];
     nw_len = 0;
@@ -213,35 +205,29 @@ let make_entry ~nprocs:_ ~page ~home =
   }
 
 (* --- sparse entry-metadata accessors ------------------------------- *)
-(* All of these preserve the dense semantics exactly; the sentinel
-   representations above are materialized only when a value deviates
-   from the initial one. *)
+(* All of these preserve the dense semantics exactly.  Message
+   [reflected] fields stay dense: their wire size is part of the byte
+   accounting and must not depend on the representation. *)
 
-let reflected_get (e : entry) q =
-  if Array.length e.reflected = 0 then 0 else e.reflected.(q)
-
-(* Dense view, materializing: for whole-array fills and wire copies
-   (message [reflected] fields stay dense — their wire size is part of
-   the byte accounting and must not depend on the representation). *)
-let reflected_rw (e : entry) ~nprocs =
-  if Array.length e.reflected = 0 then e.reflected <- Array.make nprocs 0;
-  e.reflected
+let reflected_get (e : entry) q = Wmap.get e.reflected q
 
 let reflected_set (e : entry) ~nprocs q v =
-  if v <> 0 || Array.length e.reflected > 0 then (reflected_rw e ~nprocs).(q) <- v
+  e.reflected <- Wmap.set e.reflected ~nprocs q v
 
-let reflected_copy (e : entry) ~nprocs =
-  if Array.length e.reflected = 0 then Array.make nprocs 0
-  else Array.copy e.reflected
+let reflected_fill (e : entry) vc =
+  e.reflected <- Wmap.init ~nprocs:(Vc.nprocs vc) (Vc.get vc)
 
-let reflected_reset (e : entry) = e.reflected <- [||]
+let reflected_install (e : entry) dense = e.reflected <- Wmap.of_dense dense
 
-let nw_key node (e : entry) q = (e.page * node.nprocs) + q
+let reflected_copy (e : entry) ~nprocs = Wmap.to_dense e.reflected ~nprocs
 
-let last_notice node (e : entry) q =
-  match Int_tbl.find_opt node.nw_idx (nw_key node e q) with
-  | Some i -> Some e.nw_vcs.(i)
-  | None -> None
+let reflected_reset (e : entry) = e.reflected <- Wmap.empty
+
+let notice_slot (e : entry) q = Wmap.get e.nw_slots q - 1
+
+let last_notice (e : entry) q =
+  let i = notice_slot e q in
+  if i < 0 then None else Some e.nw_vcs.(i)
 
 (* Bounded like [Vc.dirty_cap]: a page written by more writers than this
    between two dominating notices takes the dense scan anyway. *)
@@ -268,12 +254,13 @@ let note_since (e : entry) i =
   end
 
 let set_last_notice ~covers_all node (e : entry) q vc =
+  let i = notice_slot e q in
   let i =
-    match Int_tbl.find node.nw_idx (nw_key node e q) with
-    | i ->
+    if i >= 0 then begin
       e.nw_vcs.(i) <- vc;
       i
-    | exception Not_found ->
+    end
+    else begin
       if e.nw_len = Array.length e.nw_procs then begin
         let cap = max 4 (2 * e.nw_len) in
         let procs = Array.make cap 0 and vcs = Array.make cap vc in
@@ -285,9 +272,10 @@ let set_last_notice ~covers_all node (e : entry) q vc =
       let i = e.nw_len in
       e.nw_procs.(i) <- q;
       e.nw_vcs.(i) <- vc;
-      Int_tbl.replace node.nw_idx (nw_key node e q) i;
+      e.nw_slots <- Wmap.set e.nw_slots ~nprocs:node.nprocs q (i + 1);
       e.nw_len <- i + 1;
       i
+    end
   in
   if covers_all then begin
     e.nw_dom <- i;
@@ -295,10 +283,8 @@ let set_last_notice ~covers_all node (e : entry) q vc =
   end
   else note_since e i
 
-let clear_last_notices node (e : entry) =
-  for i = 0 to e.nw_len - 1 do
-    Int_tbl.remove node.nw_idx (nw_key node e e.nw_procs.(i))
-  done;
+let clear_last_notices (e : entry) =
+  e.nw_slots <- Wmap.empty;
   e.nw_procs <- [||];
   e.nw_vcs <- [||];
   e.nw_len <- 0;
@@ -370,7 +356,6 @@ let make_node ~cfg ~id ~total_pages =
     vc;
     pages = Array.make total_pages None;
     intervals = Interval.Logs.create ~nprocs;
-    nw_idx = Int_tbl.create 64;
     dirty_pages = [];
     diffs = Hashtbl.create 256;
     locks = Hashtbl.create 16;

@@ -37,16 +37,17 @@ type entry = {
           ownership and switch the page to MW mode *)
   mutable dirty : bool;  (** written during the current interval *)
   mutable notices : Notice.t list;  (** pending (unapplied) write notices *)
-  mutable reflected : int array;
-      (** per processor: highest interval seq whose modifications are
-          reflected in the committed local copy.  [[||]] is the all-zeros
-          sentinel — use {!reflected_get}/{!reflected_set}; the dense
-          array materializes only once a nonzero seq is recorded, so
-          entry metadata scales with active sharers, not cluster size *)
+  mutable reflected : Wmap.t;
+      (** per writer: highest interval seq whose modifications are
+          reflected in the committed local copy (absent = 0).  Use
+          {!reflected_get} and the other [reflected_*] accessors *)
+  mutable nw_slots : Wmap.t;
+      (** writer -> its slot in [nw_procs]/[nw_vcs] plus one (absent =
+          no slot); see {!notice_slot} *)
   mutable nw_procs : int array;
       (** sparse "latest notice timestamp per writer" map (write-write
-          false-sharing detection), replacing a dense [Vc.t option array]:
-        parallel arrays of writer ids / clocks, [nw_len] live slots *)
+          false-sharing detection): parallel arrays of writer ids /
+          clocks in insertion order, [nw_len] live slots *)
   mutable nw_vcs : Vc.t array;
   mutable nw_len : int;
   mutable nw_dom : int;
@@ -139,16 +140,12 @@ type node = {
   vc : Vc.t;
   pages : entry option array;
       (** indexed by global page number; entries materialize on first
-          touch via {!entry_of} — an entry carries O(nprocs) arrays, so
-          eager allocation would be O(pages x nprocs) words per node.
-          Untouched pages hold no protocol state, so lazy creation is
-          observationally identical. *)
+          touch via {!entry_of}, so a node pays only for the pages it
+          touches.  Untouched pages hold no protocol state, so lazy
+          creation is observationally identical. *)
   intervals : Interval.Logs.t;
       (** one log per writer, created on first append (see
           {!Interval.Logs}) *)
-  nw_idx : int Int_tbl.t;
-      (** (page * nprocs + proc) -> slot in the entry's last-notice
-          arrays; see {!last_notice} *)
   mutable dirty_pages : int list;  (** pages written this interval *)
   diffs : (int * int * int, Vc.t * Diff.t) Hashtbl.t;
       (** (page, proc, seq) -> (interval timestamp, diff) *)
@@ -224,28 +221,33 @@ val make_entry : nprocs:int -> page:int -> home:int -> entry
 
 (** {2 Sparse entry-metadata accessors}
 
-    Dense semantics over the sentinel representations above; the dense
-    arrays materialize only when a value first deviates from its initial
-    one ({!reflected_rw} and message construction excepted, where a dense
-    array is part of the wire-size accounting). *)
+    Dense semantics over the sized representations above; a message's
+    [reflected] field stays a dense array, because its length is part of
+    the wire-size accounting. *)
 
 val reflected_get : entry -> int -> int
 
-(** Dense, materializing view of [reflected] (whole-array fills). *)
-val reflected_rw : entry -> nprocs:int -> int array
-
 val reflected_set : entry -> nprocs:int -> int -> int -> unit
 
-(** Dense copy for a message's [reflected] field (always [nprocs] long —
-    its length is part of the wire-byte accounting). *)
+(** Every writer [q] gets [Vc.get vc q] (the copy is up to date with
+    the clock). *)
+val reflected_fill : entry -> Vc.t -> unit
+
+(** Install the dense [reflected] field of a received page copy. *)
+val reflected_install : entry -> int array -> unit
+
+(** Dense copy for a message's [reflected] field (always [nprocs] long). *)
 val reflected_copy : entry -> nprocs:int -> int array
 
-(** Back to the all-zeros sentinel (crash wipe / GC drop). *)
+(** Back to all zeros (crash wipe / GC drop). *)
 val reflected_reset : entry -> unit
 
+(** Writer [q]'s slot in the last-notice arrays, [-1] if none. *)
+val notice_slot : entry -> int -> int
+
 (** Latest notice clock recorded for writer [q], if any.  O(1) through
-    the owning node's [nw_idx] slot index. *)
-val last_notice : node -> entry -> int -> Vc.t option
+    [nw_slots]. *)
+val last_notice : entry -> int -> Vc.t option
 
 (** Record [vc] as writer [q]'s latest notice clock.  [covers_all] says
     [vc] covers every slot recorded before this call ({!check_writers}
@@ -255,8 +257,8 @@ val last_notice : node -> entry -> int -> Vc.t option
     summary. *)
 val set_last_notice : covers_all:bool -> node -> entry -> int -> Vc.t -> unit
 
-(** Drop every slot (and the summary with them). *)
-val clear_last_notices : node -> entry -> unit
+(** Drop every slot (and the summary with them), in O(1). *)
+val clear_last_notices : entry -> unit
 
 (** Capacity of the since-set. *)
 val since_cap : int

@@ -94,7 +94,7 @@ let crash_pause cl node =
         e.content_version <- 0;
         e.committed_version <- 0;
         reflected_reset e;
-        clear_last_notices node e
+        clear_last_notices e
       end);
   tlb_reset node;
   (* Remote diffs and remote interval logs are volatile caches. *)
@@ -319,7 +319,7 @@ let rule3_scan cl node =
                 Notice.same_write n m || Notice.covers ~by:n m)
               notices
             &&
-            match last_notice node e node.id with
+            match last_notice e node.id with
             | Some own ->
               (* [own.(id)] is the seq of this node's latest writing
                  interval on the page: O(1) coverage (see
@@ -363,10 +363,7 @@ let gc_validate cl node =
         e.perm <- Perm.Read_only;
         e.content_version <- e.version;
         e.committed_version <- e.version;
-        let r = reflected_rw e ~nprocs:node.nprocs in
-        for q = 0 to Array.length r - 1 do
-          r.(q) <- Vc.get node.vc q
-        done
+        reflected_fill e node.vc
       end
       else begin
         let hint = gc_fetch_hint pending e.owner in

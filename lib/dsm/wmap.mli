@@ -1,0 +1,37 @@
+(** Writer maps: writer id -> int, sized by the writers actually held.
+
+    Per-entry "per writer" metadata (the last-notice slot index, the
+    reflected sequence numbers) maps a few of [nprocs] writers to ints.
+    A map stores them in one of three forms, chosen by its population:
+    a linear list of pairs while small, an open-addressed hash table at
+    mid size, and a dense [nprocs] array as soon as the sparse form
+    would not be smaller.  Below 9 nodes every non-empty map is dense.
+
+    An absent writer reads as 0, and storing 0 makes a writer absent.
+    Maps are values: {!set} may return a new map, which replaces the
+    old one (the old one must no longer be used). *)
+
+type t
+
+type form = Empty | Linear | Hashed | Dense
+
+val empty : t
+
+(** The form the map is in (for tests and measurements). *)
+val form : t -> form
+
+(** [get m q] — writer [q]'s value, 0 if absent. *)
+val get : t -> int -> int
+
+(** [set m ~nprocs q v] — [m] with writer [q] mapped to [v], [0 <= q <
+    nprocs]; reuses [m] when it has room. *)
+val set : t -> nprocs:int -> int -> int -> t
+
+(** [init ~nprocs f] maps every writer [q < nprocs] to [f q]. *)
+val init : nprocs:int -> (int -> int) -> t
+
+(** The map of a dense array ([nprocs] is its length). *)
+val of_dense : int array -> t
+
+(** The dense [nprocs]-long array of the map. *)
+val to_dense : t -> nprocs:int -> int array

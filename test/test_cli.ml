@@ -84,6 +84,21 @@ let test_list_ok () =
   Alcotest.(check int) "list: exit code" 0 code;
   Alcotest.(check bool) "list: mentions SOR" true (contains ~needle:"SOR" out)
 
+(* Every subcommand's help renders cleanly: cmdliner reports doc-string
+   markup errors on stderr while still exiting 0, so stderr must be
+   empty, and the --faults example must keep its literal [@]. *)
+let test_help_renders () =
+  List.iter
+    (fun cmd ->
+      let code, out, err = run_capture (cmd ^ " --help=plain") in
+      Alcotest.(check int) (cmd ^ " --help: exit code") 0 code;
+      Alcotest.(check string) (cmd ^ " --help: stderr") "" err;
+      if cmd = "run" then
+        Alcotest.(check bool) "run --help: --faults example" true
+          (contains ~needle:"crash=1@400us:200us" out))
+    [ "ablations"; "experiments"; "fuzz"; "list"; "run"; "scaling";
+      "survive"; "verify" ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -104,5 +119,9 @@ let () =
             test_unknown_ablation;
           Alcotest.test_case "3D-FFT above 64 nodes" `Quick test_fft_node_cap;
         ] );
-      ("smoke", [ Alcotest.test_case "list exits zero" `Quick test_list_ok ]);
+      ( "smoke",
+        [
+          Alcotest.test_case "list exits zero" `Quick test_list_ok;
+          Alcotest.test_case "every --help renders" `Quick test_help_renders;
+        ] );
     ]

@@ -2,9 +2,10 @@
 
    The summarized vector clock (cached sum, dirty-component tracking,
    epoch-stamped bases, per-epoch delta caches), the array-backed
-   interval log, the writer-indexed logs and the last-notice map's
-   dominating-slot summary all exist to skip dense rescans; correctness means
-   every observable agrees with the naive implementation they replaced.
+   interval log, the writer-indexed logs, the writer maps and the
+   last-notice map's dominating-slot summary all exist to skip dense
+   rescans; correctness means every observable agrees with the naive
+   implementation they replaced.
    Seeded op sequences drive the real structure and a naive reference
    through the same mutations — honoring the documented preconditions
    (rebase on a just-taken snapshot, equal components per epoch stamp,
@@ -404,7 +405,7 @@ let test_notice_summary_model () =
     let apply step (n : Notice.t) =
       let all = check step n in
       let dom_before = e.State.nw_dom and since_before = e.State.nw_nsince in
-      let slot_before = Adsm_dsm.Int_tbl.find_opt node.State.nw_idx n.proc in
+      let slot_before = State.notice_slot e n.proc in
       (* One apply in six takes the skipped-check path: no answer. *)
       let covers_all = all && Random.State.int rs 6 > 0 in
       State.set_last_notice ~covers_all node e n.proc n.vc;
@@ -412,7 +413,7 @@ let test_notice_summary_model () =
       merge_clock clk.(0) (Array.init nwriters (Vc.get n.vc));
       if covers_all && dom_before < 0 then incr reestablished;
       if (not covers_all) && dom_before >= 0 && e.State.nw_dom < 0 then
-        if slot_before = Some dom_before then incr dom_overwrites
+        if slot_before = dom_before then incr dom_overwrites
         else if since_before = State.since_cap then incr overflows
     in
     for step = 1 to 400 do
@@ -441,7 +442,7 @@ let test_notice_summary_model () =
         (* crash: durable entries keep their slots, others lose them *)
         State.forget_dominating e;
         if Random.State.bool rs then begin
-          State.clear_last_notices node e;
+          State.clear_last_notices e;
           slots := []
         end
       | _ -> (
@@ -482,6 +483,97 @@ let test_notice_summary_model () =
   reached "dominating slot overwritten" !dom_overwrites;
   reached "summary re-established" !reestablished;
   reached "concurrent writers" !concurrent_hits
+
+(* ------------------------------------------------------------------ *)
+(* Writer maps: every form against a dense array                       *)
+(* ------------------------------------------------------------------ *)
+
+module Wmap = Adsm_dsm.Wmap
+
+(* Widths on both sides of the dense threshold, one not a power of two. *)
+let wmap_widths = [ 3; 8; 64; 512; 1000 ]
+
+(* Values for [n] writers, a random share of them nonzero. *)
+let sparse_values rs n =
+  let density = Random.State.int rs 101 in
+  Array.init n (fun _ ->
+      if Random.State.int rs 100 < density then 1 + Random.State.int rs 1000
+      else 0)
+
+(* An entry's [reflected] map driven through every accessor next to a
+   dense array.  First every writer is set once, in a random order, so
+   the map grows through each form its width allows; then random sets
+   (some to 0), resets, installs of a dense array and fills from a
+   clock.  After every step the map must read back as the dense array
+   and be no larger than the dense form; below 9 nodes a non-empty map
+   is dense. *)
+let prop_writer_map =
+  QCheck.Test.make ~name:"writer map = dense array" ~count:30 QCheck.int
+    (fun seed ->
+      let rs = Random.State.make [| 0x3A9; seed |] in
+      List.for_all
+        (fun nprocs ->
+          let e = State.make_entry ~nprocs ~page:0 ~home:0 in
+          let dense = Array.make nprocs 0 in
+          let forms = ref [] in
+          let agrees () =
+            let f = Wmap.form e.State.reflected in
+            if not (List.mem f !forms) then forms := f :: !forms;
+            State.reflected_copy e ~nprocs = dense
+            && Array.for_all
+                 (fun q -> State.reflected_get e q = dense.(q))
+                 (Array.init 4 (fun _ -> Random.State.int rs nprocs))
+            && Obj.size (Obj.repr e.State.reflected) <= nprocs + 1
+            && (nprocs > 8 || f = Wmap.Empty || f = Wmap.Dense)
+          in
+          let set q v =
+            State.reflected_set e ~nprocs q v;
+            dense.(q) <- v
+          in
+          let order = Array.init nprocs Fun.id in
+          for i = nprocs - 1 downto 1 do
+            let j = Random.State.int rs (i + 1) in
+            let t = order.(i) in
+            order.(i) <- order.(j);
+            order.(j) <- t
+          done;
+          let grown =
+            agrees ()
+            && Array.for_all
+                 (fun q ->
+                   set q (1 + Random.State.int rs 1000);
+                   agrees ())
+                 order
+          in
+          let expected =
+            List.sort compare
+              (if nprocs <= 8 then [ Wmap.Empty; Wmap.Dense ]
+               else [ Wmap.Empty; Wmap.Linear; Wmap.Hashed; Wmap.Dense ])
+          in
+          let step _ =
+            (match Random.State.int rs 50 with
+            | 0 ->
+              State.reflected_reset e;
+              Array.fill dense 0 nprocs 0
+            | 1 | 2 ->
+              let a = sparse_values rs nprocs in
+              State.reflected_install e a;
+              Array.blit a 0 dense 0 nprocs
+            | 3 | 4 ->
+              let a = sparse_values rs nprocs in
+              let vc = Vc.zero ~nprocs in
+              Array.iteri (fun q v -> if v <> 0 then Vc.set vc q v) a;
+              State.reflected_fill e vc;
+              Array.blit a 0 dense 0 nprocs
+            | k ->
+              set (Random.State.int rs nprocs)
+                (if k < 15 then 0 else 1 + Random.State.int rs 1000));
+            agrees ()
+          in
+          grown
+          && List.sort compare !forms = expected
+          && List.for_all step (List.init 200 Fun.id))
+        wmap_widths)
 
 (* ------------------------------------------------------------------ *)
 (* Page diff: the pairwise scan vs a word-at-a-time reference          *)
@@ -586,5 +678,6 @@ let () =
           Alcotest.test_case "dominating slot vs dense scan (seeded)" `Quick
             test_notice_summary_model;
         ] );
+      ("writer-map", [ QCheck_alcotest.to_alcotest prop_writer_map ]);
       ("diff-scan", [ QCheck_alcotest.to_alcotest prop_diff_scan ]);
     ]

@@ -290,6 +290,27 @@ let test_central_barrier_pins () =
       check_pinned name ~time_ns ~messages ~wire_bytes ~checksum ~by_kind m)
     central_pins
 
+(* Per-node metadata is sized by the writers a node has heard from: pin
+   the words reachable from the [Dsm.t] after a run (what perfbench's
+   [heap.retained_mb] reads) on the 256-node tree.  Measured on the
+   release build: IS/WFS 2,331,741 words and TSP/MW 1,567,260 before
+   the writer maps and the record-free interval logs, 1,481,809 and
+   1,386,832 with them. *)
+let footprint_pins = [ ("IS", Config.Wfs, 1_700_000); ("TSP", Config.Mw, 1_470_000) ]
+
+let test_footprint_pins () =
+  List.iter
+    (fun (app, protocol, bound) ->
+      let entry = Option.get (Registry.find app) in
+      let t = Dsm.create (tree_tweak (Config.make ~protocol ~nprocs:256 ())) in
+      let program, _ = entry.Registry.instantiate Registry.Tiny t in
+      ignore (Dsm.run t program);
+      let words = Obj.reachable_words (Obj.repr t) in
+      if words > bound then
+        Alcotest.failf "%s/%s/256 tree: %d words reachable, bound %d" app
+          (Config.protocol_name protocol) words bound)
+    footprint_pins
+
 let () =
   Alcotest.run "scale"
     [
@@ -320,5 +341,7 @@ let () =
             test_notice_summary_pins;
           Alcotest.test_case "central barrier pinned at 256 nodes" `Slow
             test_central_barrier_pins;
+          Alcotest.test_case "retained words bounded at 256 nodes" `Slow
+            test_footprint_pins;
         ] );
     ]
