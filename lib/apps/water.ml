@@ -52,6 +52,11 @@ let make t p =
     (* Run buffers: force clear and the pair loop's position reads. *)
     let zero3 = Array.make 3 0. in
     let pos3i = Array.make 3 0. and pos3j = Array.make 3 0. in
+    (* The pair loop's private force sums, slot [3m + k] for component
+       [k] of molecule [m], and whether the slot has had a contribution
+       this step. *)
+    let sums = Array.make (3 * p.molecules) 0. in
+    let seen = Bytes.make (3 * p.molecules) '\000' in
     (* Initialize own molecules deterministically; per-molecule seeds keep
        the workload independent of the processor count. *)
     for m = lo to hi - 1 do
@@ -75,12 +80,23 @@ let make t p =
       Dsm.barrier ctx;
       (* Pairwise forces with cutoff.  Own half of the i<j pair matrix;
          contributions to other processors' molecules are accumulated
-         privately and added under the owner region's lock. *)
+         privately and added under the owner region's lock.
+
+         [contrib] holds only the keys with a contribution.  The
+         write-back walks it with [Hashtbl.iter], and that order decides
+         which page the locked write-back touches first, so it is
+         simulated behaviour: each key is added once, on its first
+         contribution, which gives the table the insertion sequence (and
+         so the bucket order) of a table holding the running sums, while
+         the sums themselves grow in [sums] by the same additions. *)
       let contrib = Hashtbl.create 64 in
       let add_contrib m k v =
-        let key = (m, k) in
-        Hashtbl.replace contrib key
-          (v +. Option.value ~default:0. (Hashtbl.find_opt contrib key))
+        let slot = (3 * m) + k in
+        if Bytes.get seen slot = '\000' then begin
+          Bytes.set seen slot '\001';
+          Hashtbl.add contrib (m, k) ()
+        end;
+        sums.(slot) <- v +. sums.(slot)
       in
       let pairs = ref 0 in
       for i = lo to hi - 1 do
@@ -117,15 +133,18 @@ let make t p =
         if any then begin
           Dsm.lock ctx region_lock.(q mod Array.length region_lock);
           Hashtbl.iter
-            (fun (m, k) v ->
+            (fun (m, k) () ->
               if m >= qlo && m < qhi then begin
                 let idx = fidx m (force_off + k) in
-                Dsm.f64_set ctx mols idx (Dsm.f64_get ctx mols idx +. v)
+                Dsm.f64_set ctx mols idx
+                  (Dsm.f64_get ctx mols idx +. sums.((3 * m) + k))
               end)
             contrib;
           Dsm.unlock ctx region_lock.(q mod Array.length region_lock)
         end
       done;
+      Array.fill sums 0 (Array.length sums) 0.;
+      Bytes.fill seen 0 (Bytes.length seen) '\000';
       Dsm.barrier ctx;
       (* Integrate own molecules and accumulate the potential-energy
          partial sum under a lock (small migratory writes). *)

@@ -123,8 +123,8 @@ let create ?scratch ~twin ~current () =
   if !nruns = 0 then empty
   else
     of_runs ~nruns:!nruns ~modified_words:(!pos / word)
-      (Array.sub s.s_offs 0 !nruns)
-      (Array.sub s.s_lens 0 !nruns)
+      (Int_array.sub s.s_offs 0 !nruns)
+      (Int_array.sub s.s_lens 0 !nruns)
       (Bytes.sub s.s_payload 0 !pos)
 
 let apply t page =
@@ -190,7 +190,7 @@ let of_ranges ranges page =
       sorted;
     let raw = Page.raw page in
     let nruns = !count in
-    let offs = Array.sub starts 0 nruns in
+    let offs = Int_array.sub starts 0 nruns in
     let lens = Array.init nruns (fun i -> stops.(i) - starts.(i)) in
     let modified_bytes = Array.fold_left ( + ) 0 lens in
     let payload = Bytes.create modified_bytes in

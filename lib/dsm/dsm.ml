@@ -450,7 +450,9 @@ let[@inline] i32_add ctx a i v =
    process never yields, so no handler can change the page's protection
    mid-run (the same argument that makes the scalar loop fault-free after
    its first touch).  When the consistency recorder is live the bulk ops
-   degrade to the scalar loop so the observation stream is identical. *)
+   degrade to the scalar loop so the observation stream is identical.
+   The f64 runs move each within-page run with one memory copy
+   ({!Page.get_f64_run}); the fold and the i32 runs go word by word. *)
 
 let f64_get_run ctx a i dst pos len =
   if len < 0 || i < 0 || i + len > a.f_len then oob_run "f64" i len a.f_len;
@@ -467,11 +469,8 @@ let f64_get_run ctx a i dst pos len =
       let page = first_page + (byte lsr Page.shift) in
       let off = byte land Page.mask in
       let run = min !remaining ((Page.size - off) lsr 3) in
-      let raw = read_raw ctx page in
       let d = !dpos in
-      for k = 0 to run - 1 do
-        dst.(d + k) <- Int64.float_of_bits (get_64 raw (off + (k lsl 3)))
-      done;
+      Page.get_f64_run (read_raw ctx page) off dst d run;
       idx := !idx + run;
       dpos := d + run;
       remaining := !remaining - run
@@ -493,11 +492,10 @@ let f64_set_run ctx a i src pos len =
       let page = first_page + (byte lsr Page.shift) in
       let off = byte land Page.mask in
       let run = min !remaining ((Page.size - off) lsr 3) in
-      let raw = write_raw ctx page off ~bytes:(run lsl 3) ~words:run in
       let s = !spos in
-      for k = 0 to run - 1 do
-        set_64 raw (off + (k lsl 3)) (Int64.bits_of_float src.(s + k))
-      done;
+      Page.set_f64_run
+        (write_raw ctx page off ~bytes:(run lsl 3) ~words:run)
+        off src s run;
       idx := !idx + run;
       spos := s + run;
       remaining := !remaining - run

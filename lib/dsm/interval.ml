@@ -154,7 +154,7 @@ module Logs = struct
   let add_live t p =
     if t.nlive = Array.length t.live then begin
       let a = Array.make (max 8 (2 * t.nlive)) 0 in
-      Array.blit t.live 0 a 0 t.nlive;
+      Int_array.blit t.live 0 a 0 t.nlive;
       t.live <- a
     end;
     if t.nlive > 0 && t.live.(t.nlive - 1) > p then t.live_sorted <- false;
@@ -170,7 +170,7 @@ module Logs = struct
       let n' = min t.nprocs (max (p + 1) (2 * n)) in
       let logs = Array.make n' [||] and lens = Array.make n' 0 in
       Array.blit t.logs 0 logs 0 n;
-      Array.blit t.lens 0 lens 0 n;
+      Int_array.blit t.lens 0 lens 0 n;
       t.logs <- logs;
       t.lens <- lens
     end;
@@ -190,9 +190,9 @@ module Logs = struct
 
   let sort_live t =
     if not t.live_sorted then begin
-      let a = Array.sub t.live 0 t.nlive in
+      let a = Int_array.sub t.live 0 t.nlive in
       Array.sort Int.compare a;
-      Array.blit a 0 t.live 0 t.nlive;
+      Int_array.blit a 0 t.live 0 t.nlive;
       t.live_sorted <- true
     end
 

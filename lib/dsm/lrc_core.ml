@@ -161,7 +161,7 @@ let close_page_default ?(allow_lazy = true) ?(measure = false)
        first request or when the page is written again.  At most one
        interval can be pending per page — the next write fault
        materializes it before re-twinning. *)
-    assert (e.pending_diff = None);
+    assert (Option.is_none e.pending_diff);
     e.pending_diff <- Some (seq, vc);
     reflected_set e ~nprocs:node.nprocs node.id seq;
     e.perm <- Perm.Read_only;
@@ -247,9 +247,12 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
       in
       (* Mutation seam (testing only): lose odd pages' write notices —
          the modification happened and was diffed, but nobody is told. *)
-      if cl.cfg.Config.mutation <> Some Config.Drop_write_notice
-         || page land 1 = 0
-      then
+      let dropped =
+        match cl.cfg.Config.mutation with
+        | Some Config.Drop_write_notice -> page land 1 = 1
+        | _ -> false
+      in
+      if not dropped then
         notices :=
           { Notice.page; proc = node.id; seq; vc = vc_snapshot; version }
           :: !notices
@@ -490,9 +493,12 @@ let fetch_and_apply_diffs cl node (e : entry) =
         (* Mutation seam (testing only): skip the memory effect of remote
            diffs while keeping every cost, message and bookkeeping step, so
            only the consistency oracle can tell the difference. *)
-        if cl.cfg.Config.mutation <> Some Config.Skip_diff_apply
-           || proc = node.id
-        then Diff.apply diff target;
+        let skipped =
+          match cl.cfg.Config.mutation with
+          | Some Config.Skip_diff_apply -> proc <> node.id
+          | _ -> false
+        in
+        if not skipped then Diff.apply diff target;
         if tracing cl then
           emit cl ~node:node.id
             (Adsm_trace.Event.Diff_apply { page = e.page; writer = proc; seq });
@@ -559,7 +565,7 @@ let mark_dirty node (e : entry) =
 let make_twin cl node (e : entry) =
   let pending_cost = materialize_pending_diff cl node e in
   if pending_cost > 0 then Proc.sleep cl.engine pending_cost;
-  assert (e.twin = None);
+  assert (Option.is_none e.twin);
   Proc.sleep cl.engine cl.cfg.Config.twin_ns;
   e.twin <- Some (Page.copy (frame e));
   Stats.twin_created cl.stats ~node:node.id;

@@ -197,9 +197,9 @@ let handle_own_req cl node ~src ~page ~version:v_req ~want_data respond =
      new owner's bumped version collides with what peers already hold and
      its owner write notices are silently discarded as dominated. *)
   let grant_version () =
-    if cl.cfg.Config.mutation = Some Config.Stale_ownership_grant then
-      e.version - 1
-    else e.version
+    match cl.cfg.Config.mutation with
+    | Some Config.Stale_ownership_grant -> e.version - 1
+    | _ -> e.version
   in
   let refuse_fs () =
     Stats.note_false_sharing cl.stats ~page;

@@ -42,9 +42,9 @@ let sw_grant cl node (e : entry) requester =
        owner's version bump collides with peers' existing knowledge and
        its write notices are silently discarded as dominated. *)
     let version =
-      if cl.cfg.Config.mutation = Some Config.Stale_ownership_grant then
-        e.version - 1
-      else e.version
+      match cl.cfg.Config.mutation with
+      | Some Config.Stale_ownership_grant -> e.version - 1
+      | _ -> e.version
     in
     Lrc_core.cast cl ~src:node.id ~dst:requester
       (Msg.Sw_own_transfer

@@ -264,7 +264,7 @@ let set_last_notice ~covers_all node (e : entry) q vc =
       if e.nw_len = Array.length e.nw_procs then begin
         let cap = max 4 (2 * e.nw_len) in
         let procs = Array.make cap 0 and vcs = Array.make cap vc in
-        Array.blit e.nw_procs 0 procs 0 e.nw_len;
+        Int_array.blit e.nw_procs 0 procs 0 e.nw_len;
         Array.blit e.nw_vcs 0 vcs 0 e.nw_len;
         e.nw_procs <- procs;
         e.nw_vcs <- vcs

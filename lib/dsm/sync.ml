@@ -401,7 +401,7 @@ let gc_purge cl node =
       match e.pending_diff with
       | Some _ ->
         e.pending_diff <- None;
-        if e.twin <> None then begin
+        if Option.is_some e.twin then begin
           e.twin <- None;
           Stats.twin_freed cl.stats ~node:node.id
         end

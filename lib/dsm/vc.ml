@@ -85,12 +85,12 @@ let zero ~nprocs =
 
 let copy t =
   {
-    c = Array.copy t.c;
+    c = Int_array.copy t.c;
     sum = t.sum;
     ver = 0;
     base = t.base;
     base_ver = t.base_ver;
-    dirty = (if Array.length t.dirty = 0 then [||] else Array.copy t.dirty);
+    dirty = Int_array.copy t.dirty;
     ndirty = t.ndirty;
     epoch = -1;  (* being an epoch base is not inherited *)
     epoch_ver = 0;
@@ -177,7 +177,7 @@ let merge_into t other =
 let blit_into ~src ~dst =
   if Array.length src.c <> Array.length dst.c then
     invalid_arg "Vc.blit_into: size mismatch";
-  Array.blit src.c 0 dst.c 0 (Array.length src.c);
+  Int_array.blit src.c 0 dst.c 0 (Array.length src.c);
   dst.sum <- src.sum;
   touched dst;
   (* The overwritten content bears no relation to [dst]'s old base, and

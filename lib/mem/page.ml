@@ -41,6 +41,49 @@ let[@inline] get_f64 t i = Int64.float_of_bits (get_64 t i)
 
 let[@inline] set_f64 t i v = set_64 t i (Int64.bits_of_float v)
 
+(* Word runs by one memcpy (page_stubs.c).  The stubs copy raw 8-byte
+   patterns into and out of a float array's storage, which is what
+   [get_f64]/[set_f64] produce word by word only when float arrays are
+   flat (unboxed doubles; the compiler's default) — the same host
+   contract as the little-endian check above.  Every bound is checked
+   here, before the call: the stubs trust their arguments. *)
+let () =
+  if Obj.tag (Obj.repr (Array.make 1 0.)) <> Obj.double_array_tag then
+    failwith "Page: flat float arrays required"
+
+external get_f64s :
+  Bytes.t -> (int[@untagged]) -> float array -> (int[@untagged]) ->
+  (int[@untagged]) -> unit = "adsm_page_get_f64s_byte" "adsm_page_get_f64s"
+  [@@noalloc]
+
+external set_f64s :
+  Bytes.t -> (int[@untagged]) -> float array -> (int[@untagged]) ->
+  (int[@untagged]) -> unit = "adsm_page_set_f64s_byte" "adsm_page_set_f64s"
+  [@@noalloc]
+
+let[@inline never] bad_run fn raw off a pos len =
+  invalid_arg
+    (Printf.sprintf
+       "Page.%s: %d words at byte %d of %d, array range [%d,%d) of %d" fn len
+       off (Bytes.length raw) pos (pos + len) (Array.length a))
+
+let[@inline] check_run fn raw off a pos len =
+  if
+    off < 0 || len < 0
+    || off > Bytes.length raw
+    || len > (Bytes.length raw - off) lsr 3
+    || pos < 0
+    || pos > Array.length a - len
+  then bad_run fn raw off a pos len
+
+let get_f64_run raw off dst pos len =
+  check_run "get_f64_run" raw off dst pos len;
+  get_f64s raw off dst pos len
+
+let set_f64_run raw off src pos len =
+  check_run "set_f64_run" raw off src pos len;
+  set_f64s raw off src pos len
+
 let raw t = t
 
 let of_bytes b =

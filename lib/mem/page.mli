@@ -39,6 +39,21 @@ val get_f64 : t -> int -> float
 
 val set_f64 : t -> int -> float -> unit
 
+val get_f64_run : Bytes.t -> int -> float array -> int -> int -> unit
+(** [get_f64_run raw off dst pos len] copies the [len] 64-bit words of
+    the frame buffer [raw] (see {!raw}) that start at byte [off] into
+    [dst.(pos)] .. [dst.(pos + len - 1)] with one memory copy.  The
+    result is bit for bit what [len] calls of {!get_f64} would store,
+    NaN payloads included.
+    @raise Invalid_argument if the run does not lie within [raw] or the
+    range within [dst]; nothing is copied then. *)
+
+val set_f64_run : Bytes.t -> int -> float array -> int -> int -> unit
+(** [set_f64_run raw off src pos len] is the reverse of {!get_f64_run}:
+    the [len] words at byte [off] of [raw] take the bit patterns of
+    [src.(pos)] .. [src.(pos + len - 1)].
+    @raise Invalid_argument as {!get_f64_run}. *)
+
 val raw : t -> Bytes.t
 (** The underlying buffer (for diffing); treat as read-only outside the
     DSM runtime. *)

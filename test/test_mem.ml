@@ -105,6 +105,118 @@ let prop_locate_consistent =
       let linear p o = (p * Page.size) + o in
       linear p2 o2 = linear p1 o1 + 1)
 
+(* --- word-run copies: one memcpy = the word-at-a-time loop --- *)
+
+(* Bit patterns a float round trip could disturb: quiet and signalling
+   NaNs with payloads, both signs; -0.0; subnormals; infinities. *)
+let special_bits =
+  [|
+    0x7FF8000000000001L; 0x7FF0000000000001L; 0xFFF4DEADBEEF0001L;
+    0xFFFFFFFFFFFFFFFFL; 0x8000000000000000L; 0x0000000000000001L;
+    0x800FFFFFFFFFFFFFL; 0x7FF0000000000000L; 0xFFF0000000000000L;
+  |]
+
+let random_bits rng =
+  if Random.State.int rng 3 = 0 then
+    special_bits.(Random.State.int rng (Array.length special_bits))
+  else Random.State.bits64 rng
+
+let random_page rng =
+  let p = Page.create () in
+  for w = 0 to (Page.size / 8) - 1 do
+    Bytes.set_int64_le (Page.raw p) (8 * w) (random_bits rng)
+  done;
+  p
+
+let random_floats rng n =
+  Array.init n (fun _ -> Int64.float_of_bits (random_bits rng))
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* A valid (offset, length, position, array length): the run starts at
+   byte [off] (mostly word-aligned), lies within the page and within
+   the array.  Edge shapes are drawn on purpose: length 0, a full page,
+   a run ending exactly at the page end. *)
+let random_run rng =
+  let off, len =
+    match Random.State.int rng 6 with
+    | 0 -> (8 * Random.State.int rng (Page.size / 8 + 1), 0)
+    | 1 -> (0, Page.size / 8)
+    | 2 ->
+      let len = Random.State.int rng (Page.size / 8 + 1) in
+      (Page.size - (8 * len), len)
+    | 3 ->
+      let off = Random.State.int rng (Page.size + 1) in
+      (off, Random.State.int rng (((Page.size - off) / 8) + 1))
+    | _ ->
+      let off = 8 * Random.State.int rng (Page.size / 8 + 1) in
+      (off, Random.State.int rng (min 8 ((Page.size - off) / 8) + 1))
+  in
+  let n = len + Random.State.int rng 9 in
+  (off, len, Random.State.int rng (n - len + 1), n)
+
+let prop_get_run =
+  QCheck.Test.make ~name:"get_f64_run = get_f64 word loop" ~count:500
+    QCheck.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let p = random_page rng in
+      let off, len, pos, n = random_run rng in
+      let dst = random_floats rng n in
+      let expect = Array.copy dst in
+      for k = 0 to len - 1 do
+        expect.(pos + k) <- Page.get_f64 p (off + (8 * k))
+      done;
+      let before = Page.copy p in
+      Page.get_f64_run (Page.raw p) off dst pos len;
+      same_bits dst expect && Page.equal p before)
+
+let prop_set_run =
+  QCheck.Test.make ~name:"set_f64_run = set_f64 word loop" ~count:500
+    QCheck.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let p = random_page rng in
+      let off, len, pos, n = random_run rng in
+      let src = random_floats rng n in
+      let expect = Page.copy p in
+      for k = 0 to len - 1 do
+        Page.set_f64 expect (off + (8 * k)) src.(pos + k)
+      done;
+      let src_before = Array.copy src in
+      Page.set_f64_run (Page.raw p) off src pos len;
+      Page.equal p expect && same_bits src src_before)
+
+(* Out-of-range arguments raise before anything is copied: the page and
+   the array are left as they were. *)
+let prop_run_bounds =
+  QCheck.Test.make ~name:"f64 runs reject out-of-range arguments" ~count:300
+    QCheck.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let off, len, pos, n = random_run rng in
+      let off, len, pos =
+        match Random.State.int rng 6 with
+        | 0 -> (-1 - Random.State.int rng 16, len, pos)
+        | 1 -> (Page.size + 1 + Random.State.int rng 16, len, pos)
+        | 2 -> (off, ((Page.size - off) / 8) + 1 + Random.State.int rng 4, pos)
+        | 3 -> (off, -1 - Random.State.int rng 4, pos)
+        | 4 -> (off, len, -1 - Random.State.int rng 4)
+        | _ -> (off, len, n - len + 1 + Random.State.int rng 4)
+      in
+      let raises f =
+        match f () with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      let p = random_page rng in
+      let a = random_floats rng n in
+      let p0 = Page.copy p and a0 = Array.copy a in
+      raises (fun () -> Page.get_f64_run (Page.raw p) off a pos len)
+      && raises (fun () -> Page.set_f64_run (Page.raw p) off a pos len)
+      && Page.equal p p0 && same_bits a a0)
+
 let () =
   Alcotest.run "mem"
     [
@@ -114,6 +226,9 @@ let () =
           Alcotest.test_case "accessors" `Quick test_page_accessors;
           Alcotest.test_case "copy/blit" `Quick test_page_copy_blit;
           Alcotest.test_case "of_bytes" `Quick test_page_of_bytes;
+          QCheck_alcotest.to_alcotest prop_get_run;
+          QCheck_alcotest.to_alcotest prop_set_run;
+          QCheck_alcotest.to_alcotest prop_run_bounds;
         ] );
       ("perm", [ Alcotest.test_case "permissions" `Quick test_perm ]);
       ( "layout",

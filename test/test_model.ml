@@ -25,8 +25,6 @@ module Page = Adsm_mem.Page
 (* Naive vector-clock reference: a plain int array, rescanned fully    *)
 (* ------------------------------------------------------------------ *)
 
-let width = 16
-
 let nnodes = 5
 
 let nsum = Array.fold_left ( + ) 0
@@ -68,20 +66,30 @@ let check_pair step i j vc nv vc' nv' =
     Alcotest.fail (name "order sign");
   if Vc.order vc vc' = 0 && nv <> nv' then Alcotest.fail (name "order zero")
 
-let check_node step i vc nv =
+let check_node step i vc nv ~ver =
+  let width = Array.length nv in
   let name fmt = Printf.sprintf "step %d, clock %d: %s" step i fmt in
   for p = 0 to width - 1 do
     if Vc.get vc p <> nv.(p) then
       Alcotest.failf "%s" (name (Printf.sprintf "component %d" p))
   done;
   if Vc.sum vc <> nsum nv then Alcotest.fail (name "sum");
+  if Vc.version vc <> ver then Alcotest.fail (name "version");
   if Vc.size_bytes vc <> 4 * width then Alcotest.fail (name "size_bytes")
 
-let test_vc_model () =
-  for seed = 0 to 9 do
+(* [promote]: run a full major collection before the ops and every 50
+   steps, so that [blit_into] and [copy] also work on promoted clocks —
+   narrow clocks start in the minor heap, clocks over 256 words are
+   allocated in the major heap directly. *)
+let vc_model ~width ~seeds ~steps ~promote =
+  for seed = 0 to seeds - 1 do
     let rs = Random.State.make [| 0xADC0; seed |] in
     let vcs = Array.init nnodes (fun _ -> Vc.zero ~nprocs:width) in
     let nvs = Array.init nnodes (fun _ -> Array.make width 0) in
+    (* Expected [Vc.version]: bumped by every content change and by
+       every [blit_into], restarted at 0 by [copy]. *)
+    let vers = Array.make nnodes 0 in
+    let bump i changed = if changed then vers.(i) <- vers.(i) + 1 in
     (* Pool of rebase snapshots, each frozen at creation; delta queries
        pick arbitrary (clock, base) pairs to exercise the same-base,
        same-epoch and cold paths alike. *)
@@ -93,7 +101,8 @@ let test_vc_model () =
             else !bases)
     in
     let epoch = ref 0 in
-    for step = 1 to 300 do
+    for step = 1 to steps do
+      if promote && step mod 50 = 1 then Gc.full_major ();
       let i = Random.State.int rs nnodes in
       let j = Random.State.int rs nnodes in
       (match Random.State.int rs 12 with
@@ -107,22 +116,28 @@ let test_vc_model () =
           else cur + 1 + Random.State.int rs 4
         in
         Vc.set vcs.(i) p v;
+        bump i (v <> cur);
         nvs.(i).(p) <- v
       | 2 | 3 | 4 ->
         let p = Random.State.int rs width in
         Vc.tick vcs.(i) ~proc:p;
+        bump i true;
         nvs.(i).(p) <- nvs.(i).(p) + 1
       | 5 | 6 ->
         Vc.merge_into vcs.(i) vcs.(j);
+        bump i (not (nleq nvs.(j) nvs.(i)));
         Array.iteri (fun p v -> nvs.(i).(p) <- max nvs.(i).(p) v) nvs.(j)
       | 7 ->
         Vc.min_into vcs.(i) vcs.(j);
+        bump i (not (nleq nvs.(i) nvs.(j)));
         Array.iteri (fun p v -> nvs.(i).(p) <- min nvs.(i).(p) v) nvs.(j)
       | 8 ->
         Vc.blit_into ~src:vcs.(j) ~dst:vcs.(i);
+        bump i true;
         Array.blit nvs.(j) 0 nvs.(i) 0 width
       | 9 ->
         vcs.(i) <- Vc.copy vcs.(j);
+        vers.(i) <- 0;
         nvs.(i) <- Array.copy nvs.(j)
       | 10 ->
         (* plain rebase: snapshot then rebase, per the precondition *)
@@ -142,6 +157,7 @@ let test_vc_model () =
         Array.iteri
           (fun k vc ->
             Vc.blit_into ~src:sup ~dst:vc;
+            bump k true;
             Array.blit nsup 0 nvs.(k) 0 width;
             let b = Vc.copy vc in
             Vc.rebase ~epoch:!epoch vc ~base:b;
@@ -149,7 +165,7 @@ let test_vc_model () =
           vcs;
         incr epoch);
       for a = 0 to nnodes - 1 do
-        check_node step a vcs.(a) nvs.(a);
+        check_node step a vcs.(a) nvs.(a) ~ver:vers.(a);
         for b = 0 to nnodes - 1 do
           check_pair step a b vcs.(a) nvs.(a) vcs.(b) nvs.(b)
         done;
@@ -168,6 +184,13 @@ let test_vc_model () =
       done
     done
   done
+
+let test_vc_model () = vc_model ~width:16 ~seeds:10 ~steps:300 ~promote:false
+
+let test_vc_wide () =
+  List.iter
+    (fun width -> vc_model ~width ~seeds:3 ~steps:200 ~promote:true)
+    [ 3; 8; 257; 1024 ]
 
 (* ------------------------------------------------------------------ *)
 (* Naive interval-log reference: a plain list, filtered fully          *)
@@ -659,12 +682,47 @@ let prop_diff_scan =
       && Page.equal applied reference
       && Page.equal applied current)
 
+(* ------------------------------------------------------------------ *)
+(* Int_array: write-barrier-free int copies = the stdlib ones         *)
+(* ------------------------------------------------------------------ *)
+
+module Int_array = Adsm_dsm.Int_array
+
+let prop_int_array =
+  QCheck.Test.make ~name:"Int_array = Array blit/sub/copy" ~count:200
+    QCheck.int (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      (* Widths on both sides of the 256-word minor-heap limit. *)
+      let n = Random.State.int rs (if Random.State.bool rs then 12 else 600) in
+      let a = Array.init n (fun _ -> Random.State.bits rs) in
+      let m = n + Random.State.int rs 4 in
+      let b = if Random.State.bool rs then a else Array.init m (fun i -> -i) in
+      Gc.full_major ();
+      let spos = Random.State.int rs (n + 3) - 1
+      and dpos = Random.State.int rs (Array.length b + 3) - 1
+      and len = Random.State.int rs (n + 3) - 1 in
+      let outcome f x =
+        match f x with r -> Ok r | exception Invalid_argument _ -> Error ()
+      in
+      let a' = Array.copy a in
+      let b' = if b == a then a' else Array.copy b in
+      let blitted =
+        outcome (fun () -> Int_array.blit a spos b dpos len) ()
+        = outcome (fun () -> Array.blit a' spos b' dpos len) ()
+      in
+      blitted && a = a' && b = b'
+      && outcome (Int_array.sub a spos) len = outcome (Array.sub a spos) len
+      && Int_array.copy a = Array.copy a)
+
 let () =
   Alcotest.run "model"
     [
       ( "vc",
-        [ Alcotest.test_case "summarized vs naive (seeded)" `Quick test_vc_model ]
-      );
+        [
+          Alcotest.test_case "summarized vs naive (seeded)" `Quick test_vc_model;
+          Alcotest.test_case "wide promoted clocks vs naive (seeded)" `Quick
+            test_vc_wide;
+        ] );
       ( "interval-log",
         [ Alcotest.test_case "indexed vs naive (seeded)" `Quick test_log_model ]
       );
@@ -680,4 +738,5 @@ let () =
         ] );
       ("writer-map", [ QCheck_alcotest.to_alcotest prop_writer_map ]);
       ("diff-scan", [ QCheck_alcotest.to_alcotest prop_diff_scan ]);
+      ("int-array", [ QCheck_alcotest.to_alcotest prop_int_array ]);
     ]

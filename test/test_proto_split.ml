@@ -12,6 +12,7 @@
 module Config = Adsm_dsm.Config
 module Dsm = Adsm_dsm.Dsm
 module Registry = Adsm_apps.Registry
+module Stats = Adsm_dsm.Stats
 
 (* (app, protocol, fuzz seed, result, messages, wire bytes, by_kind) —
    recorded from the pre-refactor monolith at Registry.Tiny, nprocs=4. *)
@@ -193,6 +194,79 @@ let test_all_protocols_agree () =
           rest)
     [ "SOR"; "TSP"; "Water"; "Shallow" ]
 
+(* Paper scale: SOR, Water and 3D-FFT under the four protocols at 8
+   nodes, default scale, default seed (the configuration of the
+   paper's tables).  The pins above run tiny inputs at 4 nodes, where
+   a change to, say, the order of Water's locked force write-back could
+   go unseen.  Recorded at 83f0341 as (app, protocol, simulated time,
+   events, messages, wire bytes, read faults, write faults, diff bytes,
+   result, by_kind). *)
+let paper_scale =
+  [
+    ("SOR", Config.Mw, 5270689650, 84567, 4594, 4637605,
+     1562, 24640, 34309608, 2.6180339887498949,
+     [ ("barrier", (1372, 1635536)); ("diff", (2482, 1487301)); ("gc", (98, 784)); ("page", (642, 1330224)) ]);
+    ("SOR", Config.Sw, 4801927400, 59346, 4722, 9450160,
+     1451, 24640, 0, 2.6180339887498949,
+     [ ("barrier", (1372, 2325456)); ("own", (448, 922880)); ("page", (2902, 6012944)) ]);
+    ("SOR", Config.Wfs, 4687822500, 59229, 4768, 8637424,
+     1474, 24640, 0, 2.6180339887498949,
+     [ ("barrier", (1372, 2325456)); ("own", (448, 12992)); ("page", (2948, 6108256)) ]);
+    ("SOR", Config.Wfs_wg, 4588227055, 61793, 4952, 5162156,
+     1566, 24640, 1618072, 2.6180339887498949,
+     [ ("barrier", (1372, 2288020)); ("diff", (2648, 1660216)); ("own", (448, 12992)); ("page", (484, 1002848)) ]);
+    ("Water", Config.Mw, 4111049550, 43963, 19433, 3522871,
+     3157, 2792, 477792, 1.3515464410031166,
+     [ ("barrier", (238, 194656)); ("diff", (18646, 2460315)); ("lock", (549, 90580)) ]);
+    ("Water", Config.Sw, 6232602200, 28485, 12013, 21342084,
+     3117, 2978, 0, 1.3515464410031166,
+     [ ("barrier", (238, 277892)); ("lock", (549, 121424)); ("own", (4992, 7545400)); ("page", (6234, 12916848)) ]);
+    ("Water", Config.Wfs, 5206795485, 26912, 11087, 13549340,
+     3157, 2914, 21552, 1.3515464410031166,
+     [ ("barrier", (238, 264028)); ("diff", (856, 102792)); ("lock", (549, 117272)); ("own", (3400, 98600)); ("page", (6044, 12523168)) ]);
+    ("Water", Config.Wfs_wg, 4417417645, 40683, 17785, 6013806,
+     3157, 2823, 383572, 1.3515464410031166,
+     [ ("barrier", (238, 211248)); ("diff", (14892, 1980866)); ("lock", (549, 95040)); ("own", (660, 19140)); ("page", (1446, 2996112)) ]);
+    ("3D-FFT", Config.Mw, 3007361710, 32658, 6286, 13497211,
+     2717, 880, 3411096, -192243679.412635,
+     [ ("barrier", (266, 85848)); ("diff", (5950, 13043779)); ("gc", (14, 112)); ("page", (56, 116032)) ]);
+    ("3D-FFT", Config.Sw, 2800491900, 31021, 6054, 12267572,
+     2717, 880, 0, -192243679.412635,
+     [ ("barrier", (266, 110488)); ("own", (354, 655676)); ("page", (5434, 11259248)) ]);
+    ("3D-FFT", Config.Wfs, 2706581630, 31508, 6412, 11672605,
+     2717, 880, 564, -192243679.412635,
+     [ ("barrier", (266, 109172)); ("diff", (462, 15939)); ("own", (238, 6902)); ("page", (5446, 11284112)) ]);
+    ("3D-FFT", Config.Wfs_wg, 2702933445, 31580, 6412, 11676637,
+     2717, 880, 262964, -192243679.412635,
+     [ ("barrier", (266, 107380)); ("diff", (1358, 1878275)); ("own", (238, 6902)); ("page", (4550, 9427600)) ]);
+  ]
+
+let test_paper_scale () =
+  List.iter
+    (fun (app_name, protocol, time_ns, events, messages, wire_bytes,
+          read_faults, write_faults, diff_bytes, result, by_kind) ->
+      let name what =
+        Printf.sprintf "%s/%s: %s" app_name (Config.protocol_name protocol) what
+      in
+      let app = Option.get (Registry.find app_name) in
+      let t = Dsm.create (Config.make ~protocol ~nprocs:8 ()) in
+      let program, got_result = app.Registry.instantiate Registry.Default t in
+      let r = Dsm.run t program in
+      let s = r.Dsm.stats in
+      Alcotest.(check int) (name "time") time_ns r.Dsm.time_ns;
+      Alcotest.(check int) (name "events") events r.Dsm.events;
+      Alcotest.(check int) (name "messages") messages r.Dsm.messages;
+      Alcotest.(check int) (name "wire bytes") wire_bytes r.Dsm.wire_bytes;
+      Alcotest.(check (list (pair string (pair int int))))
+        (name "per-kind counters") by_kind r.Dsm.by_kind;
+      Alcotest.(check int) (name "read faults") read_faults (Stats.read_faults s);
+      Alcotest.(check int)
+        (name "write faults") write_faults (Stats.write_faults s);
+      Alcotest.(check int)
+        (name "diff bytes") diff_bytes (Stats.diff_bytes_total s);
+      Alcotest.(check (float 0.0)) (name "result") result (got_result ()))
+    paper_scale
+
 let () =
   Alcotest.run "proto-split"
     [
@@ -202,5 +276,7 @@ let () =
             test_against_baselines;
           Alcotest.test_case "all protocols agree" `Quick
             test_all_protocols_agree;
+          Alcotest.test_case "paper-scale pins at 8 nodes" `Slow
+            test_paper_scale;
         ] );
     ]
