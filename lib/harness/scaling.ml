@@ -156,25 +156,9 @@ let collect ?(smoke = false) ?(max_nodes = 1024) ?(jobs = 1) ?apps () =
     }
   in
   (* Dispatch heaviest-first so a trailing 1024-node cell cannot
-     serialize the tail of a [jobs > 1] sweep, then scatter the results
-     back into grid order — the artifact's row order is stable whatever
-     the dispatch order. *)
-  let cell_arr = Array.of_list cells in
-  let order = Array.init (Array.length cell_arr) Fun.id in
-  Array.sort
-    (fun i j ->
-      let c =
-        Int.compare (cell_weight cell_arr.(j)) (cell_weight cell_arr.(i))
-      in
-      if c <> 0 then c else Int.compare i j)
-    order;
-  let dispatched =
-    Pool.map ~jobs run_cell
-      (Array.to_list (Array.map (fun i -> cell_arr.(i)) order))
-  in
-  let out = Array.make (Array.length cell_arr) None in
-  List.iteri (fun k r -> out.(order.(k)) <- Some r) dispatched;
-  let rows = Array.to_list (Array.map Option.get out) in
+     serialize the tail of a [jobs > 1] sweep; rows still come back in
+     grid order. *)
+  let rows = Pool.map ~jobs ~weight:cell_weight run_cell cells in
   { smoke; max_nodes; rows }
 
 (* ------------------------------------------------------------------ *)

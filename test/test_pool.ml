@@ -67,6 +67,32 @@ let test_oversubscription () =
   Alcotest.(check bool) "each task ran exactly once" true
     (Array.for_all (fun h -> h = 1) hits)
 
+let test_weighted_dispatch () =
+  (* Heaviest-first dispatch changes only the start order: results are
+     still [List.map], every item runs once, and the failure re-raised
+     is the lowest-indexed one even when a heavier item failed first. *)
+  let n = 60 in
+  let items = List.init n Fun.id in
+  let weight x = (x * 37) mod 11 in
+  let hits = Array.init n (fun _ -> Atomic.make 0) in
+  let f x =
+    Atomic.incr hits.(x);
+    (x * x) + 1
+  in
+  Alcotest.(check (list int)) "weighted jobs=4 is List.map"
+    (List.map (fun x -> (x * x) + 1) items)
+    (Pool.map ~jobs:4 ~weight f items);
+  Alcotest.(check bool) "each item ran exactly once" true
+    (Array.for_all (fun h -> Atomic.get h = 1) hits);
+  (* Item 9 weighs 3 and item 40 weighs 6, so 40 starts first. *)
+  match
+    Pool.map ~jobs:4 ~weight
+      (fun x -> if x = 9 || x = 40 then raise (Boom x) else x)
+      items
+  with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom i -> Alcotest.(check int) "lowest failing index" 9 i
+
 let test_default_jobs () =
   Alcotest.(check bool) "default_jobs >= 1" true (Pool.default_jobs () >= 1)
 
@@ -154,6 +180,7 @@ let () =
           Alcotest.test_case "reusable after failure" `Quick
             test_exception_does_not_poison_pool;
           Alcotest.test_case "oversubscription" `Quick test_oversubscription;
+          Alcotest.test_case "weighted dispatch" `Quick test_weighted_dispatch;
           Alcotest.test_case "default_jobs" `Quick test_default_jobs;
         ] );
       ( "suite",
