@@ -75,7 +75,6 @@ type t = {
   nprocs : int;
   net : Adsm_net.Netcfg.t;
   topology : Adsm_net.Topology.shape;
-  node_speeds : float array;
   barrier : barrier;
   lock_homes : lock_homes;
   sparse_vc : bool;
@@ -105,7 +104,6 @@ let make ?(seed = 0x5EEDL) ~protocol ~nprocs () =
     nprocs;
     net = Adsm_net.Netcfg.atm_155;
     topology = Adsm_net.Topology.Flat;
-    node_speeds = [||];
     barrier = Central;
     lock_homes = Modulo;
     sparse_vc = false;

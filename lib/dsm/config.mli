@@ -82,12 +82,11 @@ type t = {
   topology : Adsm_net.Topology.shape;
       (** fabric shape the cluster runs on; [Flat] (default) reproduces
           the paper's network byte-identically *)
-  node_speeds : float array;
-      (** per-node compute-speed multipliers, indexed modulo the length;
-          [[||]] (default) = homogeneous cluster.  Affects only
-          [Dsm.compute] accounting, not protocol costs. *)
-  barrier : barrier;  (** default [Central] *)
-  lock_homes : lock_homes;  (** default [Modulo] *)
+  barrier : barrier;
+      (** default [Central]; [Dsm.run] rejects a [Tree] fanout below 2 *)
+  lock_homes : lock_homes;
+      (** default [Modulo]; [Dsm.run] rejects a [Sharded] count outside
+          [1..nprocs] *)
   sparse_vc : bool;
       (** account piggybacked vector clocks at their delta-encoded wire
           size (entries changed since the sender's last barrier) instead

@@ -55,6 +55,17 @@ let fresh_lock t =
 let run ?(tracer = Adsm_trace.Tracer.disabled)
     ?(recorder = Adsm_check.Recorder.disabled) t app =
   let cfg = t.cfg in
+  (match cfg.Config.barrier with
+  | Config.Tree { fanout } when fanout < 2 ->
+    invalid_arg
+      (Printf.sprintf "Dsm.run: tree barrier fanout %d is below 2" fanout)
+  | Config.Tree _ | Config.Central -> ());
+  (match cfg.Config.lock_homes with
+  | Config.Sharded k when k < 1 || k > cfg.Config.nprocs ->
+    invalid_arg
+      (Printf.sprintf "Dsm.run: %d lock shards is outside 1..%d" k
+         cfg.Config.nprocs)
+  | Config.Sharded _ | Config.Modulo -> ());
   (* Fault-schedule gate.  Message faults (loss/dup/jitter/partitions)
      compose with every configuration; crash schedules additionally need
      the durable write-behind log of eagerly created diffs (so neither
@@ -83,14 +94,7 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
           "Dsm.run: crash schedules are not supported under HLRC (homes \
            hold the only diff copies; recovery needs replicated homes)"
     end);
-  (* One event lane per simulated node: heap operations cost
-     O(log per-node events) at large clusters.  The lane split never
-     changes execution order (see Engine), so small runs stay
-     byte-identical. *)
-  let engine =
-    Engine.create ?schedule_seed:cfg.Config.schedule_fuzz
-      ~lanes:cfg.Config.nprocs ()
-  in
+  let engine = Engine.create ?schedule_seed:cfg.Config.schedule_fuzz () in
   let topo =
     Adsm_net.Topology.make cfg.Config.net cfg.Config.topology
   in
@@ -159,20 +163,18 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
       (Some
          (Adsm_net.Fault.runtime sched ~seed:cfg.Config.seed
             ~nodes:cfg.Config.nprocs));
-    (* Crash and restart are events on the affected node's lane: the
-       crash parks subsequent deliveries and marks the node so its next
-       DSM operation boundary fail-stops (Sync.crash_pause); the restart
-       flushes the parked queue and resumes a process suspended in the
-       downtime window. *)
+    (* Crash and restart are engine events: the crash parks subsequent
+       deliveries and marks the node so its next DSM operation boundary
+       fail-stops (Sync.crash_pause); the restart flushes the parked
+       queue and resumes a process suspended in the downtime window. *)
     List.iter
       (fun (c : Adsm_net.Fault.crash) ->
         let n = nodes.(c.Adsm_net.Fault.node) in
-        Engine.schedule_at ~lane:c.Adsm_net.Fault.node engine
-          ~time:c.Adsm_net.Fault.at (fun () ->
+        Engine.schedule_at engine ~time:c.Adsm_net.Fault.at (fun () ->
             Network.fault_crash net ~node:c.Adsm_net.Fault.node;
             n.State.crash_pending <- true;
             n.State.crash_restart_at <- c.Adsm_net.Fault.at + c.Adsm_net.Fault.downtime);
-        Engine.schedule_at ~lane:c.Adsm_net.Fault.node engine
+        Engine.schedule_at engine
           ~time:(c.Adsm_net.Fault.at + c.Adsm_net.Fault.downtime) (fun () ->
             Network.fault_restart net ~node:c.Adsm_net.Fault.node;
             match n.State.restart_wait with
@@ -182,7 +184,7 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
             | None -> ()))
       sched.Adsm_net.Fault.crashes);
   for id = 0 to cfg.Config.nprocs - 1 do
-    Proc.spawn ~lane:id engine (fun () ->
+    Proc.spawn engine (fun () ->
         app { cluster; node = nodes.(id) };
         cluster.State.running <- cluster.State.running - 1)
   done;
@@ -257,17 +259,6 @@ let nprocs ctx = ctx.cluster.State.cfg.Config.nprocs
 
 let compute ctx ns =
   Proto.pause_if_crashed ctx.cluster ctx.node;
-  (* Heterogeneous clusters: node [i] runs compute phases at
-     [node_speeds.(i mod len)] times the base speed.  Protocol software
-     costs (twinning, diffing, fault handling) stay at the calibrated
-     base values — they model fixed DSM library code paths. *)
-  let ns =
-    let speeds = ctx.cluster.State.cfg.Config.node_speeds in
-    if Array.length speeds = 0 then ns
-    else
-      let s = speeds.(ctx.node.State.id mod Array.length speeds) in
-      max 0 (int_of_float (Float.round (float_of_int ns /. s)))
-  in
   if State.tracing ctx.cluster then
     State.emit ctx.cluster ~node:ctx.node.State.id
       (Adsm_trace.Event.Compute { ns });

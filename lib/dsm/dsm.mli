@@ -76,6 +76,10 @@ val fresh_lock : t -> int
     an unchecked one.  Validate afterwards with
     {!Adsm_check.Oracle.check}.
 
+    @raise Invalid_argument before any event runs if the configuration
+    is malformed: a [Tree] barrier fanout below 2, a [Sharded] lock-home
+    count outside [1..nprocs], or a fault schedule the configuration
+    cannot honour.
     @raise Failure if the run deadlocks (processes blocked when the
     event queue empties). *)
 val run :

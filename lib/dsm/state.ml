@@ -126,8 +126,8 @@ type node = {
   tb : tree_barrier option;  (* Some iff [cfg.barrier] is [Tree] *)
   rng : Rng.t;
   (* Crash-recovery state, all inert when [cfg.faults] has no crashes:
-     [crash_pending] is set by the crash event on this node's lane and
-     checked (one bool load) at every DSM operation boundary. *)
+     [crash_pending] is set by the node's crash event and checked (one
+     bool load) at every DSM operation boundary. *)
   mutable ckpt : ckpt option;
   mutable crash_pending : bool;
   mutable crash_restart_at : int;
@@ -485,9 +485,7 @@ let home_of_lock cluster lock =
   let n = cluster.cfg.Config.nprocs in
   match cluster.cfg.Config.lock_homes with
   | Config.Modulo -> lock mod n
-  | Config.Sharded k ->
-    let k = max 1 (min k n) in
-    lock mod k * (n / k)
+  | Config.Sharded k -> lock mod k * (n / k)
 
 (* Emission guard: callers write
      [if tracing cl then emit cl ~node (Event.X { ... })]

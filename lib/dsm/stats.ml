@@ -17,7 +17,7 @@ type t = {
   mutable wfaults : int;
   writers : unit Int_tbl.t;  (** pages with a recorded writer *)
   false_shared : unit Int_tbl.t;
-  mutable sizes : int list;  (** modified bytes per created diff *)
+  mutable modified_bytes : int;  (** summed over every created diff *)
   mutable switches : int;
   mutable migratory_upgrades : int;
   compute_ns : int array;
@@ -43,7 +43,7 @@ let create ~nprocs () =
     wfaults = 0;
     writers = Int_tbl.create 256;
     false_shared = Int_tbl.create 64;
-    sizes = [];
+    modified_bytes = 0;
     switches = 0;
     migratory_upgrades = 0;
     compute_ns = Array.make nprocs 0;
@@ -73,7 +73,7 @@ let diff_created t ~node ~page ~bytes ~modified ~time =
   t.diffs_created <- t.diffs_created + 1;
   t.diff_bytes_created <- t.diff_bytes_created + bytes;
   t.diffs_live <- t.diffs_live + 1;
-  t.sizes <- modified :: t.sizes;
+  t.modified_bytes <- t.modified_bytes + modified;
   record_live t ~time
 
 let diff_stored t ~node ~bytes ~time =
@@ -111,8 +111,6 @@ let gc_count t = t.gcs
 let page_fault t ~read =
   if read then t.rfaults <- t.rfaults + 1 else t.wfaults <- t.wfaults + 1
 
-let page_faults t = t.rfaults + t.wfaults
-
 let read_faults t = t.rfaults
 
 let write_faults t = t.wfaults
@@ -134,14 +132,9 @@ let false_shared_fraction t =
   let w = pages_written t in
   if w = 0 then 0. else float_of_int (pages_false_shared t) /. float_of_int w
 
-let diff_sizes t = List.rev t.sizes
-
 let mean_diff_size t =
-  match t.sizes with
-  | [] -> 0.
-  | sizes ->
-    let sum = List.fold_left ( + ) 0 sizes in
-    float_of_int sum /. float_of_int (List.length sizes)
+  if t.diffs_created = 0 then 0.
+  else float_of_int t.modified_bytes /. float_of_int t.diffs_created
 
 let mode_switches t = t.switches
 

@@ -65,8 +65,6 @@ val gc_started : t -> unit
 
 val gc_count : t -> int
 
-val page_faults : t -> int
-
 val page_fault : t -> read:bool -> unit
 
 val read_faults : t -> int
@@ -92,10 +90,8 @@ val pages_false_shared : t -> int
 val false_shared_fraction : t -> float
 (** Falsely shared pages over written pages (0 if none written). *)
 
-val diff_sizes : t -> int list
-(** Modified-byte counts of every diff created (write granularity). *)
-
 val mean_diff_size : t -> float
+(** Mean modified bytes per created diff (write granularity; 0 if none). *)
 
 val mode_switches : t -> int
 (** Number of per-page SW<->MW mode transitions (adaptive protocols). *)

@@ -38,10 +38,6 @@ let empty =
   { crashes = []; loss = 0.; dup = 0.; jitter_ns = 0;
     rto_ns = default_rto_ns; partitions = [] }
 
-let is_null s =
-  s.crashes = [] && s.loss = 0. && s.dup = 0. && s.jitter_ns = 0
-  && s.partitions = []
-
 (* ------------------------------------------------------------------ *)
 (* Spec strings                                                       *)
 (* ------------------------------------------------------------------ *)

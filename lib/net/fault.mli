@@ -35,8 +35,6 @@ val default_rto_ns : int
     to running with [None]. *)
 val empty : schedule
 
-val is_null : schedule -> bool
-
 (** Parse a spec string: [;]-separated clauses [crash=NODE@AT:DOWNTIME],
     [part=LO-HI@FROM:UNTIL], [loss=P], [dup=P], [jitter=DUR], [rto=DUR],
     where durations take an optional [ns]/[us]/[ms] suffix (default ns).

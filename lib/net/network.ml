@@ -76,8 +76,6 @@ let set_faults t rt =
         { rt; parked = Array.init t.node_count (fun _ -> Queue.create ()) })
       rt
 
-let fault_runtime t = Option.map (fun f -> f.rt) t.faults
-
 (* Mark [node] crashed: subsequent deliveries to it are parked. *)
 let fault_crash t ~node =
   match t.faults with
@@ -194,7 +192,7 @@ let send t ~src ~dst ~bytes ~kind msg =
   let rx_done = max fabric_arrival (t.rx_free.(dst) + bytes_ns) in
   t.rx_free.(dst) <- rx_done;
   let delivery = rx_done + cfg.Netcfg.recv_overhead_ns in
-  Engine.schedule_at ~lane:dst t.engine ~time:delivery (fun () ->
+  Engine.schedule_at t.engine ~time:delivery (fun () ->
       (match t.monitor with
       | None -> ()
       | Some m -> m.on_deliver ~now:delivery ~src ~dst ~bytes ~kind);

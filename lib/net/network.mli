@@ -25,8 +25,7 @@ val create : Adsm_sim.Engine.t -> Netcfg.t -> nodes:int -> 'msg t
 
 (** A network over an arbitrary fabric shape.  The [Flat] shape is
     byte-identical to [create]; tree shapes add switch hops and shared,
-    serializing uplink channels (see {!Topology}).  Deliveries are routed
-    to the destination node's engine lane when the engine has lanes. *)
+    serializing uplink channels (see {!Topology}). *)
 val create_topo : Adsm_sim.Engine.t -> Topology.t -> nodes:int -> 'msg t
 
 (** Install or remove the traffic monitor (at most one at a time). *)
@@ -36,9 +35,6 @@ val set_monitor : 'msg t -> monitor option -> unit
     the run's schedule, or remove it.  With no runtime installed (the
     default) the delivery path is byte-identical to a fault-free build. *)
 val set_faults : 'msg t -> Fault.runtime option -> unit
-
-(** The installed fault runtime, for reading its counters. *)
-val fault_runtime : 'msg t -> Fault.runtime option
 
 (** Mark [node] crashed: messages addressed to it are parked instead of
     delivered.

@@ -5,15 +5,22 @@ type 'msg respond = bytes:int -> kind:Kind.t -> 'msg -> unit
 
 type 'msg handler = src:int -> 'msg -> 'msg respond option -> unit
 
+type tag = Request | Reply | Oneway
+
 (* Request ids are never observable: they ride inside the envelope and
    cost no wire bytes beyond the fixed header. *)
+type 'msg envelope = {
+  tag : tag;
+  id : int;  (* correlation id; meaningless for [Oneway] *)
+  payload : 'msg;
+}
+
 type 'msg t = {
   engine : Engine.t;
-  net : 'msg Envelope.t Network.t;
+  net : 'msg envelope Network.t;
   mutable next_id : int;
   pending : (int, 'msg Proc.Ivar.t) Hashtbl.t;
   handlers : 'msg handler option array;
-  pool : 'msg Envelope.pool;
 }
 
 let create_topo engine topo ~nodes =
@@ -24,35 +31,28 @@ let create_topo engine topo ~nodes =
       next_id = 0;
       pending = Hashtbl.create 16;
       handlers = Array.make nodes None;
-      pool = Envelope.create_pool ();
     }
   in
   for node = 0 to nodes - 1 do
-    Network.set_handler t.net ~node (fun ~src env ->
-        (* Extract everything, then release: a recycled envelope may be
-           overwritten by any send the handler makes. *)
-        let tag = env.Envelope.tag in
-        let id = env.Envelope.id in
-        let msg = env.Envelope.payload in
-        Envelope.release t.pool env;
+    Network.set_handler t.net ~node (fun ~src { tag; id; payload = msg } ->
         match tag with
-        | Envelope.Reply -> (
+        | Reply -> (
           match Hashtbl.find_opt t.pending id with
           | Some ivar ->
             Hashtbl.remove t.pending id;
             Proc.Ivar.fill t.engine ivar msg
           | None ->
             failwith (Printf.sprintf "Rpc: unexpected reply id %d" id))
-        | Envelope.Request -> (
+        | Request -> (
           match t.handlers.(node) with
           | None -> failwith (Printf.sprintf "Rpc: node %d has no handler" node)
           | Some h ->
             let respond ~bytes ~kind reply =
               Network.send t.net ~src:node ~dst:src ~bytes ~kind
-                (Envelope.make t.pool Envelope.Reply ~id reply)
+                { tag = Reply; id; payload = reply }
             in
             h ~src msg (Some respond))
-        | Envelope.Oneway -> (
+        | Oneway -> (
           match t.handlers.(node) with
           | None -> failwith (Printf.sprintf "Rpc: node %d has no handler" node)
           | Some h -> h ~src msg None))
@@ -75,7 +75,7 @@ let call_async t ~src ~dst ~bytes ~kind msg =
   let ivar = Proc.Ivar.create () in
   Hashtbl.replace t.pending id ivar;
   Network.send t.net ~src ~dst ~bytes ~kind
-    (Envelope.make t.pool Envelope.Request ~id msg);
+    { tag = Request; id; payload = msg };
   ivar
 
 let call t ~src ~dst ~bytes ~kind msg =
@@ -83,4 +83,4 @@ let call t ~src ~dst ~bytes ~kind msg =
 
 let cast t ~src ~dst ~bytes ~kind msg =
   Network.send t.net ~src ~dst ~bytes ~kind
-    (Envelope.make t.pool Envelope.Oneway ~id:0 msg)
+    { tag = Oneway; id = 0; payload = msg }

@@ -7,6 +7,10 @@
 
 type 'msg t
 
+(** What travels on the wire: a payload tagged as request, reply or
+    one-way, with the correlation id that pairs a reply to its call. *)
+type 'msg envelope
+
 type 'msg respond = bytes:int -> kind:Kind.t -> 'msg -> unit
 
 (** What a node does with an incoming message. *)
@@ -22,7 +26,7 @@ val create_topo : Adsm_sim.Engine.t -> Topology.t -> nodes:int -> 'msg t
 val nodes : 'msg t -> int
 
 (** The underlying network (for statistics). *)
-val network : 'msg t -> ('msg Envelope.t) Network.t
+val network : 'msg t -> 'msg envelope Network.t
 
 (** Install or remove a {!Network.monitor} on the underlying network.
     Requests, replies and casts are all observed (each as one message,

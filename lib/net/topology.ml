@@ -23,15 +23,9 @@ type tree = {
 
 type shape = Flat | Tree of tree
 
-type t = {
-  base : Netcfg.t;
-  shape : shape;
-  speeds : float array;
-      (* per-node compute-speed multipliers, indexed modulo its length;
-         [||] means a homogeneous cluster (every node at 1.0) *)
-}
+type t = { base : Netcfg.t; shape : shape }
 
-let flat base = { base; shape = Flat; speeds = [||] }
+let flat base = { base; shape = Flat }
 
 (* Tree defaults carve the flat wire latency into its hops — half for
    each node<->switch edge — so an uncontended same-switch hop costs
@@ -59,7 +53,6 @@ let tree ?(nodes_per_switch = 32) ?edge_latency_ns ?(switch_ns = 1_000)
   {
     base;
     shape = Tree { nodes_per_switch; edge_latency_ns; switch_ns; uplink };
-    speeds = [||];
   }
 
 let make base shape =
@@ -68,39 +61,18 @@ let make base shape =
   | Tree tr ->
     if tr.nodes_per_switch <= 0 then
       invalid_arg "Topology.make: nodes_per_switch must be positive";
-    { base; shape; speeds = [||] }
-
-let with_speeds t speeds =
-  Array.iter
-    (fun s ->
-      if not (s > 0.) then
-        invalid_arg "Topology.with_speeds: multipliers must be positive")
-    speeds;
-  { t with speeds }
+    { base; shape }
 
 let base t = t.base
 
 let shape t = t.shape
 
-let node_speed t node =
-  let n = Array.length t.speeds in
-  if n = 0 then 1.0 else t.speeds.(node mod n)
-
 let is_flat t = t.shape = Flat
-
-let switch_of t node =
-  match t.shape with
-  | Flat -> 0
-  | Tree tr -> node / tr.nodes_per_switch
 
 let switch_count t ~nodes =
   match t.shape with
   | Flat -> 1
   | Tree tr -> ((nodes - 1) / tr.nodes_per_switch) + 1
-
-let shape_to_string = function
-  | Flat -> "flat"
-  | Tree { nodes_per_switch; _ } -> Printf.sprintf "tree:%d" nodes_per_switch
 
 (* "flat" | "tree" | "tree:<nodes-per-switch>", applied to a base cost
    model by the caller. *)

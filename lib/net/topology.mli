@@ -5,9 +5,7 @@
     bandwidth) plus a {!shape}.  The [Flat] shape reproduces the
     historical flat network byte-for-byte; the [Tree] shape adds leaf
     switches and a root with per-hop latencies and shared, serializing
-    uplink channels.  Per-node compute-speed multipliers model
-    heterogeneous clusters and are consumed by the DSM runtime's compute
-    accounting, not by the network itself. *)
+    uplink channels. *)
 
 type link = { latency_ns : int; per_byte_ns : int }
 
@@ -22,13 +20,7 @@ type tree = {
 
 type shape = Flat | Tree of tree
 
-type t = private {
-  base : Netcfg.t;
-  shape : shape;
-  speeds : float array;
-      (** per-node compute-speed multipliers, indexed modulo the array
-          length; [[||]] = homogeneous cluster *)
-}
+type t = private { base : Netcfg.t; shape : shape }
 
 (** The paper's flat network over the given cost model. *)
 val flat : Netcfg.t -> t
@@ -45,12 +37,8 @@ val tree :
   Netcfg.t ->
   t
 
-(** Pair a cost model with an already-built shape (no speed multipliers). *)
+(** Pair a cost model with an already-built shape. *)
 val make : Netcfg.t -> shape -> t
-
-(** Attach per-node compute-speed multipliers (> 0; node [i] runs at
-    [speeds.(i mod length)] times the base speed). *)
-val with_speeds : t -> float array -> t
 
 val base : t -> Netcfg.t
 
@@ -58,15 +46,7 @@ val shape : t -> shape
 
 val is_flat : t -> bool
 
-(** Effective compute-speed multiplier for a node (1.0 when homogeneous). *)
-val node_speed : t -> int -> float
-
-(** Leaf switch a node attaches to (always 0 under [Flat]). *)
-val switch_of : t -> int -> int
-
 val switch_count : t -> nodes:int -> int
-
-val shape_to_string : shape -> string
 
 (** Parse ["flat"], ["tree"], or ["tree:N"] (N = nodes per switch); tree
     hop costs are derived from [base]. *)

@@ -1,4 +1,4 @@
-(* Packed binary min-heap, optionally split into per-lane sub-heaps.
+(* Packed binary min-heap.
 
    The heap is the simulator's hottest data structure: every simulated
    event passes through one push and one pop.  Keys are stored packed —
@@ -20,72 +20,40 @@
    type, and vacated slots are reset to an untyped unit sentinel.  Slots
    at indices >= size are always [nil], so a popped value is never kept
    reachable from the heap (a value retained here would be un-GC-able
-   for the rest of the run).
+   for the rest of the run). *)
 
-   Lanes: with [create ~lanes:n] the heap is split into [n] independent
-   sub-heaps plus a small index heap over the lanes' minima.  A push or
-   pop then sifts within one lane — O(log lane_size) — plus an O(log n)
-   fix-up of the lane index, so one hot lane (a busy simulated node)
-   cannot degrade every other lane's operations.  The observable order
-   is STILL the global [(time, seq)] order: the lane index is keyed by
-   each lane's minimum, so [pop_min] always returns the global minimum
-   regardless of which lane holds it.  A 1-lane heap skips the index
-   entirely and is exactly the classic single heap. *)
-
-type lane = {
+type 'a t = {
   mutable keys : int array;  (* 2 cells per entry: time, seq *)
   mutable values : Obj.t array;
   mutable size : int;
 }
 
-type 'a t = {
-  lanes : lane array;
-  (* Index heap over non-empty lanes, ordered by the lane's root key.
-     Only used when [Array.length lanes > 1].  A lane leaves the index
-     when it empties (always at the index root, since only the global
-     minimum's lane is ever popped) and re-enters on its next push. *)
-  top : int array;
-  mutable top_size : int;
-  mutable total : int;
-}
-
 let nil = Obj.repr ()
 
-let make_lane () = { keys = [||]; values = [||]; size = 0 }
+let create () = { keys = [||]; values = [||]; size = 0 }
 
-let create ?(lanes = 1) () =
-  if lanes <= 0 then invalid_arg "Eheap.create: lanes must be positive";
-  {
-    lanes = Array.init lanes (fun _ -> make_lane ());
-    top = Array.make lanes 0;
-    top_size = 0;
-    total = 0;
-  }
+let length h = h.size
 
-let lanes h = Array.length h.lanes
+let is_empty h = h.size = 0
 
-let length h = h.total
-
-let is_empty h = h.total = 0
-
-let grow l =
-  let cap = Array.length l.values in
+let grow h =
+  let cap = Array.length h.values in
   let cap' = if cap = 0 then 64 else cap * 2 in
   let keys' = Array.make (2 * cap') 0 in
   let values' = Array.make cap' nil in
-  Array.blit l.keys 0 keys' 0 (2 * l.size);
-  Array.blit l.values 0 values' 0 l.size;
-  l.keys <- keys';
-  l.values <- values'
+  Array.blit h.keys 0 keys' 0 (2 * h.size);
+  Array.blit h.values 0 values' 0 h.size;
+  h.keys <- keys';
+  h.values <- values'
 
-let lane_push l ~time ~seq value =
-  if l.size = Array.length l.values then grow l;
-  let keys = l.keys and values = l.values in
+let push h ~time ~seq value =
+  if h.size = Array.length h.values then grow h;
+  let keys = h.keys and values = h.values in
   let v = Obj.repr value in
   (* Sift up: shift preceded parents down into the hole, then write the
      new entry once. *)
-  let i = ref l.size in
-  l.size <- l.size + 1;
+  let i = ref h.size in
+  h.size <- h.size + 1;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
@@ -107,10 +75,10 @@ let lane_push l ~time ~seq value =
    popped value is not retained by the heap), and sift it down from the
    root — shifting preceding children up into the hole and writing the
    entry once at its final position. *)
-let lane_remove_min l =
-  let n = l.size - 1 in
-  l.size <- n;
-  let keys = l.keys and values = l.values in
+let remove_min h =
+  let n = h.size - 1 in
+  h.size <- n;
+  let keys = h.keys and values = h.values in
   if n = 0 then Array.unsafe_set values 0 nil
   else begin
     let time = Array.unsafe_get keys (2 * n) in
@@ -120,21 +88,21 @@ let lane_remove_min l =
     let i = ref 0 in
     let continue = ref true in
     while !continue do
-      let l' = (2 * !i) + 1 in
-      if l' >= n then continue := false
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
       else begin
         (* smallest child of the hole *)
-        let lt = Array.unsafe_get keys (2 * l') in
-        let ls = Array.unsafe_get keys ((2 * l') + 1) in
-        let r = l' + 1 in
+        let lt = Array.unsafe_get keys (2 * l) in
+        let ls = Array.unsafe_get keys ((2 * l) + 1) in
+        let r = l + 1 in
         let c, ct, cs =
           if r < n then begin
             let rt = Array.unsafe_get keys (2 * r) in
             let rs = Array.unsafe_get keys ((2 * r) + 1) in
             if rt < lt || (rt = lt && rs < ls) then (r, rt, rs)
-            else (l', lt, ls)
+            else (l, lt, ls)
           end
-          else (l', lt, ls)
+          else (l, lt, ls)
         in
         if ct < time || (ct = time && cs < seq) then begin
           Array.unsafe_set keys (2 * !i) ct;
@@ -150,141 +118,23 @@ let lane_remove_min l =
     Array.unsafe_set values !i v
   end
 
-(* --- lane index maintenance (multi-lane heaps only) --- *)
-
-(* Compare two lanes by their root keys.  Both lanes are non-empty by
-   construction (only lanes in the index are compared). *)
-let lane_before (a : lane) (b : lane) =
-  let at = Array.unsafe_get a.keys 0 and bt = Array.unsafe_get b.keys 0 in
-  at < bt
-  || (at = bt && Array.unsafe_get a.keys 1 < Array.unsafe_get b.keys 1)
-
-let top_sift_up h i0 =
-  let top = h.top and lanes = h.lanes in
-  let i = ref i0 in
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if lane_before lanes.(top.(!i)) lanes.(top.(parent)) then begin
-      let tmp = top.(!i) in
-      top.(!i) <- top.(parent);
-      top.(parent) <- tmp;
-      i := parent
-    end
-    else continue := false
-  done
-
-let top_sift_down h =
-  let top = h.top and lanes = h.lanes in
-  let n = h.top_size in
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 in
-    if l >= n then continue := false
-    else begin
-      let c =
-        if l + 1 < n && lane_before lanes.(top.(l + 1)) lanes.(top.(l)) then
-          l + 1
-        else l
-      in
-      if lane_before lanes.(top.(c)) lanes.(top.(!i)) then begin
-        let tmp = top.(!i) in
-        top.(!i) <- top.(c);
-        top.(c) <- tmp;
-        i := c
-      end
-      else continue := false
-    end
-  done
-
-(* Find the index-heap slot of [lane] by scanning.  Only called on the
-   push path when the pushed entry became its lane's new minimum, which
-   needs an upward fix from the lane's slot.  The scan is O(lanes); to
-   stay O(log lanes) we instead only ever fix from wherever the lane
-   sits, found by linear search — but since pushes that change a lane
-   minimum are rare (most pushes land mid-heap), the search cost is
-   negligible against the per-event work it replaces.  [top_size] is at
-   most the lane count (<= node count). *)
-let top_slot_of h lane =
-  let rec go i = if h.top.(i) = lane then i else go (i + 1) in
-  go 0
-
-let push ?(lane = 0) h ~time ~seq value =
-  let nlanes = Array.length h.lanes in
-  if nlanes = 1 then begin
-    lane_push h.lanes.(0) ~time ~seq value;
-    h.total <- h.total + 1
-  end
-  else begin
-    if lane < 0 || lane >= nlanes then
-      invalid_arg "Eheap.push: lane out of range";
-    let l = h.lanes.(lane) in
-    let was_empty = l.size = 0 in
-    let old_t = if was_empty then 0 else Array.unsafe_get l.keys 0 in
-    let old_s = if was_empty then 0 else Array.unsafe_get l.keys 1 in
-    lane_push l ~time ~seq value;
-    h.total <- h.total + 1;
-    if was_empty then begin
-      h.top.(h.top_size) <- lane;
-      h.top_size <- h.top_size + 1;
-      top_sift_up h (h.top_size - 1)
-    end
-    else if time < old_t || (time = old_t && seq < old_s) then
-      (* The lane's minimum decreased: fix the index upward from the
-         lane's current slot. *)
-      top_sift_up h (top_slot_of h lane)
-  end
-
-(* Pop the global minimum's lane root and repair the index: the popped
-   lane is always at the index root, so the repair is a sift-down (its
-   key grew) or a root deletion (it emptied). *)
-let multi_after_pop h =
-  let lane = h.top.(0) in
-  if h.lanes.(lane).size = 0 then begin
-    h.top_size <- h.top_size - 1;
-    if h.top_size > 0 then begin
-      h.top.(0) <- h.top.(h.top_size);
-      top_sift_down h
-    end
-  end
-  else top_sift_down h
-
 let pop_min (type a) (h : a t) =
-  if h.total = 0 then None
+  if h.size = 0 then None
   else begin
-    let l =
-      if Array.length h.lanes = 1 then h.lanes.(0) else h.lanes.(h.top.(0))
-    in
-    let time = l.keys.(0) and seq = l.keys.(1) in
-    let v : a = Obj.obj l.values.(0) in
-    lane_remove_min l;
-    h.total <- h.total - 1;
-    if Array.length h.lanes > 1 then multi_after_pop h;
+    let time = h.keys.(0) and seq = h.keys.(1) in
+    let v : a = Obj.obj h.values.(0) in
+    remove_min h;
     Some (time, seq, v)
   end
 
 let min_time_exn h =
-  if h.total = 0 then invalid_arg "Eheap.min_time_exn: empty heap";
-  if Array.length h.lanes = 1 then h.lanes.(0).keys.(0)
-  else h.lanes.(h.top.(0)).keys.(0)
-
-let min_lane h =
-  if h.total = 0 then invalid_arg "Eheap.min_lane: empty heap";
-  if Array.length h.lanes = 1 then 0 else h.top.(0)
+  if h.size = 0 then invalid_arg "Eheap.min_time_exn: empty heap";
+  h.keys.(0)
 
 let pop_min_exn (type a) (h : a t) =
-  if h.total = 0 then invalid_arg "Eheap.pop_min_exn: empty heap";
-  let l =
-    if Array.length h.lanes = 1 then h.lanes.(0) else h.lanes.(h.top.(0))
-  in
-  let v : a = Obj.obj l.values.(0) in
-  lane_remove_min l;
-  h.total <- h.total - 1;
-  if Array.length h.lanes > 1 then multi_after_pop h;
+  if h.size = 0 then invalid_arg "Eheap.pop_min_exn: empty heap";
+  let v : a = Obj.obj h.values.(0) in
+  remove_min h;
   v
 
-let peek_time h =
-  if h.total = 0 then None
-  else if Array.length h.lanes = 1 then Some h.lanes.(0).keys.(0)
-  else Some h.lanes.(h.top.(0)).keys.(0)
+let peek_time h = if h.size = 0 then None else Some h.keys.(0)

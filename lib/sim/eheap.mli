@@ -3,32 +3,19 @@
     Events are ordered by [(time, seq)]: [seq] is a monotonically increasing
     insertion counter supplied by the caller, so that events scheduled for the
     same simulated instant fire in insertion order.  This makes the whole
-    simulation deterministic.
-
-    The heap can be split into independent per-lane sub-heaps (one lane per
-    simulated node, say) indexed by a small heap over the lanes' minima: a
-    push or pop then costs O(log lane_size) instead of O(log total), so one
-    hot lane cannot degrade operations for every idle one.  The pop order is
-    the global [(time, seq)] order regardless of the lane split. *)
+    simulation deterministic. *)
 
 type 'a t
 
-(** [create ?lanes ()] makes an empty heap.  [lanes] defaults to 1 — a
-    classic single heap. *)
-val create : ?lanes:int -> unit -> 'a t
-
-(** Number of lanes the heap was created with. *)
-val lanes : 'a t -> int
+(** [create ()] makes an empty heap. *)
+val create : unit -> 'a t
 
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-(** [push ?lane h ~time ~seq v] inserts [v] with priority [(time, seq)] into
-    [lane] (default 0).  On a 1-lane heap [lane] is ignored; otherwise it
-    must be within range.  The lane choice never affects pop order — only
-    which sub-heap absorbs the sifting cost. *)
-val push : ?lane:int -> 'a t -> time:int -> seq:int -> 'a -> unit
+(** [push h ~time ~seq v] inserts [v] with priority [(time, seq)]. *)
+val push : 'a t -> time:int -> seq:int -> 'a -> unit
 
 (** [pop_min h] removes and returns the event with the smallest [(time, seq)],
     or [None] when the heap is empty.  The heap drops every reference to the
@@ -44,10 +31,6 @@ val pop_min_exn : 'a t -> 'a
 (** The time of the earliest event, without removing it.
     @raise Invalid_argument on an empty heap. *)
 val min_time_exn : 'a t -> int
-
-(** The lane holding the earliest event.
-    @raise Invalid_argument on an empty heap. *)
-val min_lane : 'a t -> int
 
 (** [peek_time h] is the time of the earliest event without removing it. *)
 val peek_time : 'a t -> int option

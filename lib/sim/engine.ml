@@ -6,11 +6,6 @@ type t = {
   mutable next_seq : int;
   mutable executed : int;
   queue : (unit -> unit) Eheap.t;
-  lane_count : int;
-  mutable current_lane : int;
-      (* lane of the event being executed; events scheduled without an
-         explicit lane inherit it, so work a node's handler spawns stays
-         on that node's lane *)
   tiebreak : int -> int;
   mutable probe : (time:int -> executed:int -> unit) option;
 }
@@ -24,8 +19,7 @@ let mix64 seed z =
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
   Int64.to_int (Int64.shift_right_logical z 2)
 
-let create ?schedule_seed ?(lanes = 1) () =
-  if lanes <= 0 then invalid_arg "Engine.create: lanes must be positive";
+let create ?schedule_seed () =
   let tiebreak =
     match schedule_seed with
     | None -> Fun.id
@@ -35,9 +29,7 @@ let create ?schedule_seed ?(lanes = 1) () =
     clock = 0;
     next_seq = 0;
     executed = 0;
-    queue = Eheap.create ~lanes ();
-    lane_count = lanes;
-    current_lane = 0;
+    queue = Eheap.create ();
     tiebreak;
     probe = None;
   }
@@ -46,45 +38,27 @@ let set_probe t probe = t.probe <- probe
 
 let now t = t.clock
 
-let check_lane t lane =
-  if lane < 0 || lane >= t.lane_count then
-    invalid_arg "Engine.schedule_at: lane out of range"
-
-let schedule_at ?lane t ~time f =
+let schedule_at t ~time f =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %d is before now %d" time
          t.clock);
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  (* Lane routing is a cost-locality hint only: the heap pops in global
-     (time, seq) order whatever the lane, so a 1-lane engine and an
-     n-lane engine run byte-identical simulations. *)
-  let lane =
-    if t.lane_count = 1 then 0
-    else
-      match lane with
-      | Some l ->
-        check_lane t l;
-        l
-      | None -> t.current_lane
-  in
-  Eheap.push ~lane t.queue ~time ~seq:(t.tiebreak seq) f
+  Eheap.push t.queue ~time ~seq:(t.tiebreak seq) f
 
-let schedule ?lane t ~delay f =
+let schedule t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at ?lane t ~time:(t.clock + delay) f
+  schedule_at t ~time:(t.clock + delay) f
 
 let run t =
   (* Allocation-free event loop: read the key, then pop just the value —
      no [Some (time, seq, f)] box per event. *)
   let q = t.queue in
-  let multi = t.lane_count > 1 in
   let rec loop () =
     if Eheap.is_empty q then t.clock
     else begin
       let time = Eheap.min_time_exn q in
-      if multi then t.current_lane <- Eheap.min_lane q;
       let f = Eheap.pop_min_exn q in
       t.clock <- time;
       t.executed <- t.executed + 1;

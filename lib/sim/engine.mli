@@ -6,34 +6,24 @@
 
 type t
 
-(** [create ?schedule_seed ?lanes ()] makes a fresh engine.  By
+(** [create ?schedule_seed ()] makes a fresh engine.  By
     default, same-instant events fire in scheduling order (FIFO).  With
     [schedule_seed], their order is permuted deterministically from the
     seed — schedule fuzzing: different seeds explore different legal
     interleavings, and correct protocols must produce identical results
-    under all of them.
-
-    [lanes] (default 1) splits the event queue into that many per-lane
-    sub-heaps (see {!Eheap}): with one lane per simulated node, heap
-    operations cost O(log per-node events) instead of O(log total).  The
-    lane split never changes the execution order — a 1-lane and an n-lane
-    engine run byte-identical simulations.
-    @raise Invalid_argument if [lanes <= 0]. *)
-val create : ?schedule_seed:int -> ?lanes:int -> unit -> t
+    under all of them. *)
+val create : ?schedule_seed:int -> unit -> t
 
 (** Current simulated time in nanoseconds. *)
 val now : t -> int
 
-(** [schedule ?lane t ~delay f] runs [f ()] at time [now t + delay].
-    [lane] routes the event to that per-lane queue; without it the event
-    inherits the lane of the event currently executing, so work a node's
-    handler spawns stays on that node's lane.  Ignored on 1-lane engines.
-    @raise Invalid_argument if [delay] is negative or [lane] out of range. *)
-val schedule : ?lane:int -> t -> delay:int -> (unit -> unit) -> unit
+(** [schedule t ~delay f] runs [f ()] at time [now t + delay].
+    @raise Invalid_argument if [delay] is negative. *)
+val schedule : t -> delay:int -> (unit -> unit) -> unit
 
-(** [schedule_at ?lane t ~time f] runs [f ()] at absolute [time], which must
+(** [schedule_at t ~time f] runs [f ()] at absolute [time], which must
     not be in the simulated past. *)
-val schedule_at : ?lane:int -> t -> time:int -> (unit -> unit) -> unit
+val schedule_at : t -> time:int -> (unit -> unit) -> unit
 
 (** Drain the event queue.  Returns the final simulated time. *)
 val run : t -> int

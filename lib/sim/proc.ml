@@ -5,7 +5,7 @@ type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 let suspend f = perform (Suspend f)
 
-let spawn ?lane engine f =
+let spawn engine f =
   let body () =
     match_with f ()
       {
@@ -21,7 +21,7 @@ let spawn ?lane engine f =
             | _ -> None);
       }
   in
-  Engine.schedule ?lane engine ~delay:0 body
+  Engine.schedule engine ~delay:0 body
 
 let sleep engine d =
   if d < 0 then invalid_arg "Proc.sleep: negative duration";
@@ -63,21 +63,4 @@ module Ivar = struct
       (match !result with
       | Some v -> v
       | None -> assert false)
-end
-
-module Semaphore = struct
-  type t = { mutable count : int; waiters : (unit -> unit) Queue.t }
-
-  let create count =
-    if count < 0 then invalid_arg "Semaphore.create: negative count";
-    { count; waiters = Queue.create () }
-
-  let acquire t =
-    if t.count > 0 then t.count <- t.count - 1
-    else suspend (fun resume -> Queue.add resume t.waiters)
-
-  let release engine t =
-    match Queue.take_opt t.waiters with
-    | Some resume -> Engine.schedule engine ~delay:0 resume
-    | None -> t.count <- t.count + 1
 end

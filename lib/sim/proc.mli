@@ -6,12 +6,10 @@
     a time, so process code can freely mutate simulation state without
     locking. *)
 
-(** [spawn ?lane engine f] schedules process [f] to start at the current
-    simulated time, on event-queue [lane] when given (see
-    {!Engine.schedule}); the process's later wake-ups inherit the lane of
-    whatever event resumes them.  An exception escaping [f] aborts the
-    whole simulation ([run] re-raises it). *)
-val spawn : ?lane:int -> Engine.t -> (unit -> unit) -> unit
+(** [spawn engine f] schedules process [f] to start at the current
+    simulated time.  An exception escaping [f] aborts the whole simulation
+    ([run] re-raises it). *)
+val spawn : Engine.t -> (unit -> unit) -> unit
 
 (** [sleep engine d] suspends the calling process for [d] simulated
     nanoseconds.  Must be called from process context. *)
@@ -38,15 +36,4 @@ module Ivar : sig
   val await : 'a t -> 'a
 
   val is_filled : 'a t -> bool
-end
-
-(** Counting semaphore for process coordination inside one simulated node. *)
-module Semaphore : sig
-  type t
-
-  val create : int -> t
-
-  val acquire : t -> unit
-
-  val release : Engine.t -> t -> unit
 end

@@ -135,11 +135,6 @@ let chrome ~nodes write =
 
 type format = Jsonl | Chrome
 
-let format_of_string = function
-  | "jsonl" -> Some Jsonl
-  | "chrome" -> Some Chrome
-  | _ -> None
-
 let file format ~nodes path =
   let oc = open_out path in
   let inner =

@@ -57,9 +57,6 @@ val chrome : nodes:int -> (string -> unit) -> t
 
 type format = Jsonl | Chrome
 
-(** Recognizes the [--trace-format] spellings ["jsonl"] and ["chrome"]. *)
-val format_of_string : string -> format option
-
 (** [file format ~nodes path] opens [path] for writing and returns the
     corresponding writer sink; [close] flushes and closes the file (and
     is idempotent).  [nodes] is only consulted by the [Chrome] format. *)

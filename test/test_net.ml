@@ -343,15 +343,6 @@ let test_shape_of_string () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "tree:bogus must be rejected"
 
-let test_node_speeds () =
-  let t =
-    Topology.with_speeds (Topology.flat Netcfg.atm_155) [| 1.0; 2.0; 0.5 |]
-  in
-  Alcotest.(check (float 0.0)) "node 1" 2.0 (Topology.node_speed t 1);
-  Alcotest.(check (float 0.0)) "wraps modulo" 1.0 (Topology.node_speed t 3);
-  Alcotest.(check (float 0.0)) "homogeneous" 1.0
-    (Topology.node_speed (Topology.flat Netcfg.atm_155) 5)
-
 (* ------------------------------------------------------------------ *)
 (* RPC                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -466,7 +457,6 @@ let () =
           Alcotest.test_case "same-switch avoids uplink" `Quick
             test_tree_same_switch_avoids_uplink;
           Alcotest.test_case "shape_of_string" `Quick test_shape_of_string;
-          Alcotest.test_case "node speeds" `Quick test_node_speeds;
         ] );
       ( "rpc",
         [

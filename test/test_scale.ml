@@ -155,6 +155,56 @@ let test_sharded_lock_fifo () =
     [ Config.Modulo; Config.Sharded 1; Config.Sharded 2; Config.Sharded 4;
       Config.Sharded 8 ]
 
+(* A barrier fanout below 2 or a shard count outside 1..nprocs is
+   rejected by [Dsm.run] before any event runs — the application body
+   never starts — instead of dividing by zero mid-run (fanout 0) or
+   being silently clamped (shards).  The boundary values still run. *)
+let test_bad_sync_config_rejected () =
+  let nprocs = 8 in
+  let attempt (barrier, lock_homes) =
+    let cfg =
+      { (Config.make ~protocol:Config.Mw ~nprocs ()) with barrier; lock_homes }
+    in
+    let t = Dsm.create cfg in
+    let l = Dsm.fresh_lock t in
+    let started = ref false in
+    let result =
+      try
+        Ok
+          (Dsm.run t (fun ctx ->
+               started := true;
+               Dsm.lock ctx l;
+               Dsm.unlock ctx l;
+               Dsm.barrier ctx))
+      with Invalid_argument msg -> Error msg
+    in
+    (result, !started)
+  in
+  let label (barrier, lock_homes) =
+    Printf.sprintf "%s, %s" (Config.barrier_name barrier)
+      (match lock_homes with
+      | Config.Modulo -> "modulo"
+      | Config.Sharded k -> Printf.sprintf "sharded %d" k)
+  in
+  List.iter
+    (fun c ->
+      match attempt c with
+      | Error _, started ->
+        Alcotest.(check bool) (label c ^ ": no event ran") false started
+      | Ok _, _ -> Alcotest.fail (label c ^ ": accepted"))
+    [ (Config.Tree { fanout = 0 }, Config.Modulo);
+      (Config.Tree { fanout = 1 }, Config.Modulo);
+      (Config.Central, Config.Sharded 0);
+      (Config.Central, Config.Sharded (-1));
+      (Config.Central, Config.Sharded (nprocs + 1)) ];
+  List.iter
+    (fun c ->
+      match attempt c with
+      | Ok _, started -> Alcotest.(check bool) (label c ^ ": ran") true started
+      | Error msg, _ -> Alcotest.fail (label c ^ ": rejected: " ^ msg))
+    [ (Config.Tree { fanout = 2 }, Config.Sharded 1);
+      (Config.Central, Config.Sharded nprocs) ]
+
 (* ------------------------------------------------------------------ *)
 (* 256-node completion and the scaling study's own checks              *)
 (* ------------------------------------------------------------------ *)
@@ -213,10 +263,10 @@ let check_pinned name ~time_ns ~messages ~wire_bytes ~checksum ~by_kind
     (name "by kind") by_kind m.Runner.by_kind;
   Alcotest.(check (float 0.0)) (name "checksum") checksum m.Runner.checksum
 
-(* The large-n fast paths (summarized clocks, indexed interval logs,
-   pooled envelopes) are all behavior-neutral claims; pin them where
-   they actually bite — SOR/MW at 512 and 1024 nodes on both fabrics —
-   and require checksum identity between the fabrics themselves.
+(* The large-n fast paths (summarized clocks, indexed interval logs)
+   are all behavior-neutral claims; pin them where they actually bite —
+   SOR/MW at 512 and 1024 nodes on both fabrics — and require checksum
+   identity between the fabrics themselves.
    Values recorded while the parallel engine was still in the tree. *)
 let large_n_pins =
   [
@@ -331,6 +381,8 @@ let () =
             test_sharded_locks_transparent;
           Alcotest.test_case "fifo grants under any placement" `Quick
             test_sharded_lock_fifo;
+          Alcotest.test_case "bad fanout and shard counts rejected" `Quick
+            test_bad_sync_config_rejected;
         ] );
       ( "study",
         [
