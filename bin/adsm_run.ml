@@ -301,10 +301,14 @@ let run_fuzz protocol_name nprocs seeds seed mutation_name faults jobs =
       (* The seed sweep fans out over [jobs] worker domains; results come
          back in seed order, and shrinking of any failing seed stays
          sequential down here so its output is deterministic. *)
-      let results =
+      match
         Fuzz.sweep ~jobs ?mutation ~protocol ~faults ~nprocs ~seed
           ~count:seeds ()
-      in
+      with
+      | exception Invalid_argument msg ->
+        Printf.eprintf "%s\n" msg;
+        1
+      | results ->
       let failures = ref 0 in
       List.iter
         (fun (s, result) ->
@@ -536,8 +540,8 @@ let run_survive tiny nprocs apps jobs =
     print_string table;
     0
   | exception Invalid_argument msg ->
-    (* A checksum divergence under crashes is the one way this study
-       can fail; surface it as a non-zero exit for CI. *)
+    (* A node count below 2, or a checksum divergence under crashes:
+       surface either as a non-zero exit for CI. *)
     Printf.eprintf "%s\n" msg;
     1
 

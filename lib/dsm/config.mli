@@ -57,10 +57,12 @@ val mutation_of_string : string -> mutation option
 
 val all_mutations : mutation list
 
-(** Barrier algorithm (see PROTOCOL.md, "Barriers").  [Central] is the
-    paper's manager-at-node-0 scheme; [Tree] is the combining tree for
-    large clusters: arrivals merge interval sets and vector clocks up a
-    [fanout]-ary tree rooted at node 0, releases fan back down it. *)
+(** Barrier shape (see PROTOCOL.md §6).  The barrier is a combining tree
+    rooted at node 0: arrivals merge interval sets and vector clocks up
+    a [fanout]-ary tree, releases fan back down it.  [Central] is the
+    paper's manager at node 0, run as the one-level tree (every other
+    node a direct child of node 0); [Tree] picks the fanout for large
+    clusters. *)
 type barrier = Central | Tree of { fanout : int }
 
 val barrier_name : barrier -> string

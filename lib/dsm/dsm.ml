@@ -55,11 +55,10 @@ let fresh_lock t =
 let run ?(tracer = Adsm_trace.Tracer.disabled)
     ?(recorder = Adsm_check.Recorder.disabled) t app =
   let cfg = t.cfg in
-  (match cfg.Config.barrier with
-  | Config.Tree { fanout } when fanout < 2 ->
+  let fanout = Sync.barrier_fanout cfg in
+  if fanout < 2 then
     invalid_arg
-      (Printf.sprintf "Dsm.run: tree barrier fanout %d is below 2" fanout)
-  | Config.Tree _ | Config.Central -> ());
+      (Printf.sprintf "Dsm.run: tree barrier fanout %d is below 2" fanout);
   (match cfg.Config.lock_homes with
   | Config.Sharded k when k < 1 || k > cfg.Config.nprocs ->
     invalid_arg
@@ -135,14 +134,6 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
       layout = t.layout;
       nodes;
       stats = Stats.create ~nprocs:cfg.Config.nprocs ();
-      barrier_mgr =
-        {
-          State.epoch = 0;
-          arrived = 0;
-          arrivals = [];
-          gc_requested = false;
-          gc_done_count = 0;
-        };
       next_lock = t.next_lock;
       running = cfg.Config.nprocs;
       tracer;

@@ -21,7 +21,7 @@ type t =
       (** home -> last queued requester *)
   | Lock_grant of { lock : int; intervals : Interval.t list }
       (** previous holder -> requester *)
-  (* Barriers (one-way, manager = node 0). *)
+  (* Barriers (one-way, along the barrier tree rooted at node 0). *)
   | Barrier_arrive of {
       epoch : int;
       vc : Vc.t;
@@ -38,8 +38,10 @@ type t =
       intervals : Interval.t list;
       gc_round : bool;
     }
-  | Gc_done of { epoch : int }  (** node -> manager: validation finished *)
-  | Gc_complete of { epoch : int }  (** manager -> all: purge diff stores *)
+  | Gc_done of { epoch : int }
+      (** child -> parent: the child's subtree finished validating *)
+  | Gc_complete of { epoch : int }
+      (** parent -> child: every node validated, purge diff stores *)
   (* Paging (request/reply). *)
   | Page_req of { page : int }
   | Page_reply of {

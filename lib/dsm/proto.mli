@@ -20,8 +20,8 @@ val lock : State.cluster -> State.node -> int -> unit
 
 val unlock : State.cluster -> State.node -> int -> unit
 
-(** Global barrier (manager at node 0); runs garbage collection when any
-    node's diff store exceeded the threshold. *)
+(** Global barrier (a combining tree rooted at node 0); runs garbage
+    collection when any node's diff store exceeded the threshold. *)
 val barrier : State.cluster -> State.node -> unit
 
 (** Close the current interval if the node has dirty pages (creates diffs /

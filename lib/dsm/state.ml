@@ -63,17 +63,18 @@ type lock_state = {
   mutable home_tail : int;
 }
 
-(* Per-node combining state for the tree barrier (Config.Tree).  A node
-   folds its own arrival and each direct child's into [tb_vcmin] (the
-   componentwise MINIMUM — the knowledge every member of the subtree
-   shares) and [tb_intervals], then forwards one combined arrival to its
-   parent.  The fields are reset when the node fans its release down. *)
+(* Per-node combining state for the barrier tree (see Sync).  A node
+   folds its own arrival and each direct child's into [tb_intervals] and,
+   if it is an interior node, into [tb_vcmin] (the componentwise MINIMUM —
+   the knowledge every member of the subtree shares), then forwards one
+   combined arrival to its parent.  The fields are reset when the node
+   fans its release down. *)
 type tree_barrier = {
   mutable tb_epoch : int;
   mutable tb_arrived : int;  (* direct children whose subtrees arrived *)
   mutable tb_self_arrived : bool;
-  mutable tb_vc_valid : bool;  (* [tb_vcmin] holds at least one arrival *)
-  tb_vcmin : Vc.t;  (* preallocated: no per-barrier O(nprocs) allocation *)
+  mutable tb_vcmin : Vc.t option;
+      (* interior nodes only, allocated at the first barrier and reused *)
   mutable tb_intervals : Interval.t list;
   mutable tb_gc_wanted : bool;
   mutable tb_child_vcs : (int * Vc.t * int) list;
@@ -123,7 +124,7 @@ type node = {
   tlb_raw : Bytes.t array;
       (* the software TLB: [tlb_slots] direct-mapped slots, see [tlb_fill] *)
   mutable tlb_gen : int;
-  tb : tree_barrier option;  (* Some iff [cfg.barrier] is [Tree] *)
+  tb : tree_barrier;
   rng : Rng.t;
   (* Crash-recovery state, all inert when [cfg.faults] has no crashes:
      [crash_pending] is set by the node's crash event and checked (one
@@ -135,17 +136,6 @@ type node = {
   mutable crash_count : int;
 }
 
-type barrier_manager = {
-  mutable epoch : int;
-  mutable arrived : int;
-  mutable arrivals : (int * Vc.t * int * Interval.t list) list;
-      (** buffered (src, vc, version of vc when sent, intervals);
-          processed only once all nodes have arrived, so notices never
-          land on a dirty page *)
-  mutable gc_requested : bool;
-  mutable gc_done_count : int;
-}
-
 type cluster = {
   cfg : Config.t;
   engine : Engine.t;
@@ -153,7 +143,6 @@ type cluster = {
   layout : Layout.t;
   nodes : node array;
   stats : Stats.t;
-  barrier_mgr : barrier_manager;
   mutable next_lock : int;
   mutable running : int;
   tracer : Adsm_trace.Tracer.t;
@@ -371,22 +360,17 @@ let make_node ~cfg ~id ~total_pages =
     tlb_raw = Array.make tlb_slots Bytes.empty;
     tlb_gen = 0;
     tb =
-      (match cfg.Config.barrier with
-      | Config.Central -> None
-      | Config.Tree _ ->
-        Some
-          {
-            tb_epoch = 0;
-            tb_arrived = 0;
-            tb_self_arrived = false;
-            tb_vc_valid = false;
-            tb_vcmin = Vc.zero ~nprocs;
-            tb_intervals = [];
-            tb_gc_wanted = false;
-            tb_child_vcs = [];
-            tb_gc_done = 0;
-            tb_self_gc_done = false;
-          });
+      {
+        tb_epoch = 0;
+        tb_arrived = 0;
+        tb_self_arrived = false;
+        tb_vcmin = None;
+        tb_intervals = [];
+        tb_gc_wanted = false;
+        tb_child_vcs = [];
+        tb_gc_done = 0;
+        tb_self_gc_done = false;
+      };
     rng = Rng.create (Int64.add cfg.Config.seed (Int64.of_int (id * 7919)));
     ckpt = None;
     crash_pending = false;

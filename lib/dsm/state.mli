@@ -105,19 +105,21 @@ val tlb_slots : int
 
 val tlb_mask : int
 
-(** Per-node combining state for the tree barrier ([Config.Tree]): a node
-    folds its own arrival and each direct child subtree's into the
+(** Per-node combining state for the barrier, a tree rooted at node 0
+    ({!Sync}; [Config.Central] is its one-level shape).  A node folds its
+    own arrival and each direct child subtree's into the concatenated
+    interval list and, if it is an interior node, into the
     componentwise-minimum clock [tb_vcmin] (the knowledge every subtree
-    member shares) and the concatenated interval list, then forwards ONE
-    combined arrival to its parent.  Reset when the release fans down. *)
+    member shares), then forwards ONE combined arrival to its parent.
+    The root forwards nothing and a leaf lends its own clock, so neither
+    folds clocks.  Reset when the release fans down. *)
 type tree_barrier = {
   mutable tb_epoch : int;
   mutable tb_arrived : int;  (** direct children whose subtrees arrived *)
   mutable tb_self_arrived : bool;
-  mutable tb_vc_valid : bool;  (** [tb_vcmin] holds at least one arrival *)
-  tb_vcmin : Vc.t;
-      (** preallocated — the tree barrier never allocates an O(nprocs)
-          clock per barrier *)
+  mutable tb_vcmin : Vc.t option;
+      (** interior nodes only: allocated at the first barrier and reused,
+          so the barrier never allocates an O(nprocs) clock per round *)
   mutable tb_intervals : Interval.t list;
   mutable tb_gc_wanted : bool;
   mutable tb_child_vcs : (int * Vc.t * int) list;
@@ -157,8 +159,8 @@ type node = {
   mutable barrier_wait : Msg.t Adsm_sim.Proc.Ivar.t option;
   mutable gc_wait : unit Adsm_sim.Proc.Ivar.t option;
   last_barrier_vc : Vc.t;
-      (** manager knowledge at the last barrier (bounds what we resend);
-          overwritten in place at every barrier leave *)
+      (** the cluster's knowledge at the last barrier (bounds what we
+          resend); overwritten in place at every barrier leave *)
   mutable barrier_epoch : int;
   mutable hlrc_waiting : (int * (int * int) list * Msg.t Adsm_net.Rpc.respond) list;
       (** HLRC: deferred fetch replies (page, needed (proc,seq) pairs,
@@ -172,7 +174,7 @@ type node = {
           and a write iff [tlb_wkey.(s) = p + tlb_gen]; [tlb_raw.(s)] is
           then the page's frame ({!Adsm_mem.Page.raw}).  Filled only by
           {!tlb_fill}, invalidated only by {!tlb_reset}. *)
-  tb : tree_barrier option;  (** [Some] iff [cfg.barrier] is [Tree] *)
+  tb : tree_barrier;
   rng : Adsm_sim.Rng.t;
   mutable ckpt : ckpt option;
       (** latest barrier-leave checkpoint; [None] until the first
@@ -187,19 +189,8 @@ type node = {
   mutable crash_count : int;
 }
 
-(** Barrier manager bookkeeping (lives at node 0). *)
-type barrier_manager = {
-  mutable epoch : int;
-  mutable arrived : int;
-  mutable arrivals : (int * Vc.t * int * Interval.t list) list;
-      (** buffered (src, vc, {!Vc.version} of vc when sent, intervals);
-          processed only once all nodes have arrived, so notices never
-          land on a dirty page.  [vc] is the blocked node's own clock,
-          lent by reference (node 0's is a copy) *)
-  mutable gc_requested : bool;
-  mutable gc_done_count : int;
-}
-
+(** The whole simulated cluster.  It holds no barrier bookkeeping: each
+    node's combining state is its own [tb]. *)
 type cluster = {
   cfg : Config.t;
   engine : Adsm_sim.Engine.t;
@@ -207,7 +198,6 @@ type cluster = {
   layout : Layout.t;
   nodes : node array;
   stats : Stats.t;
-  barrier_mgr : barrier_manager;
   mutable next_lock : int;
   mutable running : int;  (** application processes still active *)
   tracer : Adsm_trace.Tracer.t;  (** structured trace emission front-end *)

@@ -1,6 +1,8 @@
 (* Synchronization over the LRC substrate: distributed locks (a
-   home-rooted distributed queue), the global barrier (manager at node 0),
-   and diff garbage collection (piggybacked on a barrier round).
+   home-rooted distributed queue), the global barrier (a combining tree
+   rooted at node 0, of which the paper's central manager is the
+   one-level shape), and diff garbage collection (piggybacked on a
+   barrier round).
 
    Protocol policy enters only through {!Dispatch.for_cluster}: interval
    closure runs the protocol's [close_page], and the GC validation phase
@@ -411,11 +413,42 @@ let gc_purge cl node =
   Interval.Logs.clear node.intervals
 
 (* ------------------------------------------------------------------ *)
-(* Lent clocks                                                        *)
+(* Barrier: a combining tree rooted at node 0                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A barrier arrival lends the arriving node's clock (or, in the tree,
-   its subtree minimum) by reference instead of copying it: the node is
+(* Node i's parent is (i-1)/fanout and its children are i*fanout+1 ..
+   i*fanout+fanout.  A node folds its own arrival and each direct child
+   subtree's combined arrival into one (min-clock, concatenated-intervals,
+   OR'd gc flag) record and forwards a single Barrier_arrive to its
+   parent.  The subtree MINIMUM clock is the right summary: it covers an
+   interval iff every subtree member does, so collect_unseen against it
+   returns the union of what the members are missing — over-sending to
+   an individual member is harmless because apply_intervals skips covered
+   intervals.  Only interior nodes fold: a leaf lends its own clock, and
+   the root forwards nothing.
+
+   Interior nodes only BUFFER interval lists on the way up (they apply
+   nothing), and the root applies the full combined batch in ONE step:
+   applying arrivals one at a time would merge one node's clock (which
+   covers other nodes' intervals) before those intervals' notices have
+   been applied, silently dropping them.  Releases fan back down: the
+   root sends them from the handler that completed the barrier; every
+   other node, after applying its own release (which makes its knowledge
+   complete — its release was computed against its subtree minimum),
+   recomputes each direct child's missing set from the child's lent
+   clock.
+
+   The paper's barrier, [Config.Central] (a manager at node 0 that every
+   node reports to directly), is the one-level tree: the same 2(n-1)
+   messages with the same contents. *)
+
+let barrier_fanout (cfg : Config.t) =
+  match cfg.Config.barrier with
+  | Config.Central -> max 2 cfg.Config.nprocs
+  | Config.Tree { fanout } -> fanout
+
+(* A barrier arrival lends a clock by reference instead of copying it —
+   the leaf's own, or an interior node's subtree minimum: the lender is
    blocked until its release, and nothing mutates a blocked node's clock
    before then.  The releases are computed from the lent clocks, so a
    handler that broke that rule would silently release the wrong
@@ -426,119 +459,55 @@ let check_lent ~src vc version =
     failwith
       (Printf.sprintf "Proto: node %d's clock changed while lent to a barrier" src)
 
-(* ------------------------------------------------------------------ *)
-(* Tree (combining) barrier                                           *)
-(* ------------------------------------------------------------------ *)
+let tree_parent cl node = (node.id - 1) / barrier_fanout cl.cfg
 
-(* The combining tree (Config.Tree { fanout }) replaces the manager's
-   n-way fan-in with a fanout-ary tree rooted at node 0: node i's parent
-   is (i-1)/fanout, its children are i*fanout+1 .. i*fanout+fanout.  A
-   node folds its own arrival and each direct child subtree's combined
-   arrival into one (min-clock, concatenated-intervals, OR'd gc flag)
-   record and forwards a single Barrier_arrive to its parent.  The
-   subtree MINIMUM clock is the right summary: it covers an interval iff
-   every subtree member does, so collect_unseen against it returns the
-   union of what the members are missing — over-sending to an individual
-   member is harmless because apply_intervals skips covered intervals.
+(* A node's direct children are [tree_first_child ..] onwards,
+   [tree_children] of them. *)
+let tree_first_child cl node = (node.id * barrier_fanout cl.cfg) + 1
 
-   The one-batch invariant of [barrier_complete] carries over: interior
-   nodes only BUFFER interval lists on the way up (they apply nothing),
-   and the root applies the full combined batch at once.  Releases fan
-   back down: each node, after applying its own release (which makes its
-   knowledge complete — its release was computed against its subtree
-   minimum), recomputes each direct child's missing set from the child's
-   stored subtree-min clock.  Children stay blocked until their release
-   arrives, so the clock buffers they sent up by reference are stable. *)
-
-let tree_state node =
-  match node.tb with
-  | Some tb -> tb
-  | None -> failwith "Proto: tree barrier message under a central config"
-
-let tree_parent ~fanout id = (id - 1) / fanout
-
-let tree_first_child ~fanout id = (id * fanout) + 1
-
-let tree_children_count ~fanout ~nprocs id =
-  let first = tree_first_child ~fanout id in
-  if first >= nprocs then 0 else min fanout (nprocs - first)
-
-let tree_iter_children ~fanout ~nprocs id f =
-  let first = tree_first_child ~fanout id in
-  let last = min (nprocs - 1) (first + fanout - 1) in
-  for c = first to last do
-    f c
-  done
+let tree_children cl node =
+  let first = tree_first_child cl node in
+  if first >= node.nprocs then 0
+  else min (barrier_fanout cl.cfg) (node.nprocs - first)
 
 (* Fold one arrival (the node's own, or a child subtree's combined one)
-   into the local combining state.  Clock components are copied into the
-   preallocated [tb_vcmin]; nothing O(nprocs) is allocated. *)
-let tree_contribute tb ~epoch ~vc ~intervals ~gc_wanted =
-  if not tb.tb_vc_valid then begin
-    tb.tb_epoch <- epoch;
-    Vc.blit_into ~src:vc ~dst:tb.tb_vcmin;
-    tb.tb_vc_valid <- true
-  end
-  else begin
-    if epoch <> tb.tb_epoch then
-      failwith
-        (Printf.sprintf "Proto: tree barrier epoch mismatch (%d vs %d)" epoch
-           tb.tb_epoch);
-    Vc.min_into tb.tb_vcmin vc
+   into the local combining state.  An interior node copies clock
+   components into [tb_vcmin], allocated at its first barrier and reused
+   after: nothing O(nprocs) is allocated per barrier. *)
+let tree_contribute cl node ~epoch ~vc ~intervals ~gc_wanted =
+  let tb = node.tb in
+  let first = tb.tb_arrived = 0 && not tb.tb_self_arrived in
+  if first then tb.tb_epoch <- epoch
+  else if epoch <> tb.tb_epoch then
+    failwith
+      (Printf.sprintf "Proto: barrier epoch mismatch (%d vs %d)" epoch
+         tb.tb_epoch);
+  if node.id <> 0 && tree_children cl node > 0 then begin
+    let vcmin =
+      match tb.tb_vcmin with
+      | Some m -> m
+      | None ->
+        let m = Vc.zero ~nprocs:node.nprocs in
+        tb.tb_vcmin <- Some m;
+        m
+    in
+    if first then Vc.blit_into ~src:vc ~dst:vcmin else Vc.min_into vcmin vc
   end;
   (* Order is irrelevant: apply_intervals sorts by timestamp. *)
   tb.tb_intervals <- List.rev_append intervals tb.tb_intervals;
   if gc_wanted then tb.tb_gc_wanted <- true
 
-(* Root completion: apply the whole combined batch in ONE step (the
-   barrier_complete invariant), then unblock the root's own process.  The
-   fan-out of child releases happens in [tree_fan_release] when that
-   process resumes — collect_unseen needs the root's interval log to be
-   fully up to date, which apply_intervals just made true. *)
-let tree_root_complete cl node tb =
-  Lrc_core.apply_intervals cl node tb.tb_intervals;
-  let gc_round = tb.tb_gc_wanted in
-  if gc_round then Stats.gc_started cl.stats;
-  let msg =
-    Msg.Barrier_release { epoch = tb.tb_epoch; intervals = []; gc_round }
-  in
+let handle_barrier_release cl node msg =
   match node.barrier_wait with
   | Some ivar ->
     node.barrier_wait <- None;
     Proc.Ivar.fill cl.engine ivar msg
-  | None -> assert false
+  | None -> failwith "Proto: unexpected barrier release"
 
-let tree_maybe_forward cl node tb ~fanout =
-  let nprocs = cl.cfg.Config.nprocs in
-  if
-    tb.tb_self_arrived
-    && tb.tb_arrived = tree_children_count ~fanout ~nprocs node.id
-  then
-    if node.id = 0 then tree_root_complete cl node tb
-    else
-      Lrc_core.cast cl ~src:node.id ~dst:(tree_parent ~fanout node.id)
-        (Msg.Barrier_arrive
-           {
-             epoch = tb.tb_epoch;
-             vc = tb.tb_vcmin;
-             vc_version = Vc.version tb.tb_vcmin;
-             intervals = tb.tb_intervals;
-             gc_wanted = tb.tb_gc_wanted;
-           })
-
-let tree_handle_arrive cl node ~fanout ~src ~vc ~vc_version ~intervals
-    ~gc_wanted epoch =
-  let tb = tree_state node in
-  tree_contribute tb ~epoch ~vc ~intervals ~gc_wanted;
-  tb.tb_arrived <- tb.tb_arrived + 1;
-  tb.tb_child_vcs <- (src, vc, vc_version) :: tb.tb_child_vcs;
-  tree_maybe_forward cl node tb ~fanout
-
-(* Fan the release down: runs in the released node's own process, AFTER
-   it applied its release batch, so its clock and interval log cover
-   everything any descendant can be missing. *)
-let tree_fan_release cl node ~epoch ~gc_round =
-  let tb = tree_state node in
+(* Send each direct child the intervals its lent clock misses, in arrival
+   order, and reset the combining state for the next barrier. *)
+let tree_release_children cl node ~epoch ~gc_round =
+  let tb = node.tb in
   List.iter
     (fun (child, cvc, version) ->
       check_lent ~src:child cvc version;
@@ -548,18 +517,56 @@ let tree_fan_release cl node ~epoch ~gc_round =
     (List.rev tb.tb_child_vcs);
   tb.tb_arrived <- 0;
   tb.tb_self_arrived <- false;
-  tb.tb_vc_valid <- false;
   tb.tb_intervals <- [];
   tb.tb_gc_wanted <- false;
   tb.tb_child_vcs <- []
 
-(* GC completion fans down the static tree (the child clocks recorded
-   for the barrier are already reset by now). *)
-let tree_gc_complete_down cl node ~fanout ~epoch =
-  let tb = tree_state node in
+(* Root completion: apply the whole combined batch, send the children's
+   releases, and only then wake the root's own process — the order in
+   which the paper's manager released its nodes. *)
+let tree_root_complete cl node =
+  let tb = node.tb in
+  Lrc_core.apply_intervals cl node tb.tb_intervals;
+  let gc_round = tb.tb_gc_wanted in
+  if gc_round then Stats.gc_started cl.stats;
+  let epoch = tb.tb_epoch in
+  tree_release_children cl node ~epoch ~gc_round;
+  handle_barrier_release cl node
+    (Msg.Barrier_release { epoch; intervals = []; gc_round })
+
+let tree_maybe_forward cl node =
+  let tb = node.tb in
+  if tb.tb_self_arrived && tb.tb_arrived = tree_children cl node then
+    if node.id = 0 then tree_root_complete cl node
+    else
+      let vc = Option.value tb.tb_vcmin ~default:node.vc in
+      Lrc_core.cast cl ~src:node.id
+        ~dst:(tree_parent cl node)
+        (Msg.Barrier_arrive
+           {
+             epoch = tb.tb_epoch;
+             vc;
+             vc_version = Vc.version vc;
+             intervals = tb.tb_intervals;
+             gc_wanted = tb.tb_gc_wanted;
+           })
+
+let handle_barrier_arrive cl node ~src ~vc ~vc_version ~intervals ~gc_wanted
+    epoch =
+  let tb = node.tb in
+  tree_contribute cl node ~epoch ~vc ~intervals ~gc_wanted;
+  tb.tb_arrived <- tb.tb_arrived + 1;
+  tb.tb_child_vcs <- (src, vc, vc_version) :: tb.tb_child_vcs;
+  tree_maybe_forward cl node
+
+(* GC completion fans down the static tree. *)
+let handle_gc_complete cl node epoch =
+  let tb = node.tb in
   let msg = Msg.Gc_complete { epoch } in
-  tree_iter_children ~fanout ~nprocs:cl.cfg.Config.nprocs node.id (fun c ->
-      Lrc_core.cast cl ~src:node.id ~dst:c msg);
+  let first = tree_first_child cl node in
+  for c = first to first + tree_children cl node - 1 do
+    Lrc_core.cast cl ~src:node.id ~dst:c msg
+  done;
   tb.tb_gc_done <- 0;
   tb.tb_self_gc_done <- false;
   match node.gc_wait with
@@ -570,115 +577,18 @@ let tree_gc_complete_down cl node ~fanout ~epoch =
 
 (* Combine Gc_done up the tree: forwarded once this node AND every direct
    child subtree have finished validating. *)
-let tree_gc_maybe_up cl node ~fanout ~epoch =
-  let tb = tree_state node in
-  if
-    tb.tb_self_gc_done
-    && tb.tb_gc_done
-       = tree_children_count ~fanout ~nprocs:cl.cfg.Config.nprocs node.id
-  then
-    if node.id = 0 then tree_gc_complete_down cl node ~fanout ~epoch
+let tree_gc_maybe_up cl node ~epoch =
+  let tb = node.tb in
+  if tb.tb_self_gc_done && tb.tb_gc_done = tree_children cl node then
+    if node.id = 0 then handle_gc_complete cl node epoch
     else
-      Lrc_core.cast cl ~src:node.id ~dst:(tree_parent ~fanout node.id)
+      Lrc_core.cast cl ~src:node.id
+        ~dst:(tree_parent cl node)
         (Msg.Gc_done { epoch })
 
-(* ------------------------------------------------------------------ *)
-(* Central barrier (the paper's manager at node 0)                    *)
-(* ------------------------------------------------------------------ *)
-
-let barrier_complete cl =
-  let mgr = cl.barrier_mgr in
-  let manager = cl.nodes.(0) in
-  (* Merge every arrival's intervals into the manager's knowledge in ONE
-     batch: applying them per arrival would merge one node's vector clock
-     (which covers other nodes' intervals) before those intervals' notices
-     have been applied, silently dropping them. *)
-  let all_intervals =
-    List.concat_map (fun (_, _, _, intervals) -> intervals) mgr.arrivals
-  in
-  Lrc_core.apply_intervals cl manager all_intervals;
-  let gc_round = mgr.gc_requested in
-  if gc_round then Stats.gc_started cl.stats;
-  let epoch = mgr.epoch in
-  (* Release every node with the intervals it is missing. *)
-  List.iter
-    (fun (src, vc, version, _) ->
-      check_lent ~src vc version;
-      let intervals = Lrc_core.collect_unseen manager vc in
-      let msg = Msg.Barrier_release { epoch; intervals; gc_round } in
-      if src = 0 then begin
-        match manager.barrier_wait with
-        | Some ivar ->
-          manager.barrier_wait <- None;
-          Proc.Ivar.fill cl.engine ivar msg
-        | None -> assert false
-      end
-      else Lrc_core.cast cl ~src:0 ~dst:src msg)
-    (List.rev mgr.arrivals);
-  mgr.arrivals <- [];
-  mgr.arrived <- 0;
-  mgr.epoch <- epoch + 1;
-  mgr.gc_requested <- false;
-  if gc_round then mgr.gc_done_count <- 0
-
-let handle_barrier_arrive cl node ~src ~vc ~vc_version ~intervals ~gc_wanted
-    epoch =
-  match cl.cfg.Config.barrier with
-  | Config.Tree { fanout } ->
-    tree_handle_arrive cl node ~fanout ~src ~vc ~vc_version ~intervals
-      ~gc_wanted epoch
-  | Config.Central ->
-    let mgr = cl.barrier_mgr in
-    if epoch <> mgr.epoch then
-      failwith
-        (Printf.sprintf "Proto: barrier epoch mismatch (%d vs %d)" epoch
-           mgr.epoch);
-    mgr.arrivals <- (src, vc, vc_version, intervals) :: mgr.arrivals;
-    mgr.arrived <- mgr.arrived + 1;
-    if gc_wanted then mgr.gc_requested <- true;
-    if mgr.arrived = cl.cfg.Config.nprocs then barrier_complete cl
-
-let handle_barrier_release cl node msg =
-  match node.barrier_wait with
-  | Some ivar ->
-    node.barrier_wait <- None;
-    Proc.Ivar.fill cl.engine ivar msg
-  | None -> failwith "Proto: unexpected barrier release"
-
-let gc_complete_all cl =
-  (* One record fanned to every node — the broadcast reuses the same
-     immutable message instead of allocating n-1 copies. *)
-  let msg = Msg.Gc_complete { epoch = cl.barrier_mgr.epoch } in
-  for p = 1 to cl.cfg.Config.nprocs - 1 do
-    Lrc_core.cast cl ~src:0 ~dst:p msg
-  done;
-  let manager = cl.nodes.(0) in
-  match manager.gc_wait with
-  | Some ivar ->
-    manager.gc_wait <- None;
-    Proc.Ivar.fill cl.engine ivar ()
-  | None -> assert false
-
 let handle_gc_done cl node epoch =
-  match cl.cfg.Config.barrier with
-  | Config.Tree { fanout } ->
-    let tb = tree_state node in
-    tb.tb_gc_done <- tb.tb_gc_done + 1;
-    tree_gc_maybe_up cl node ~fanout ~epoch
-  | Config.Central ->
-    let mgr = cl.barrier_mgr in
-    mgr.gc_done_count <- mgr.gc_done_count + 1;
-    if mgr.gc_done_count = cl.cfg.Config.nprocs then gc_complete_all cl
-
-let handle_gc_complete cl node epoch =
-  match cl.cfg.Config.barrier with
-  | Config.Tree { fanout } -> tree_gc_complete_down cl node ~fanout ~epoch
-  | Config.Central -> (
-    match node.gc_wait with
-    | Some ivar ->
-      node.gc_wait <- None;
-      Proc.Ivar.fill cl.engine ivar ()
-    | None -> failwith "Proto: unexpected gc complete")
+  node.tb.tb_gc_done <- node.tb.tb_gc_done + 1;
+  tree_gc_maybe_up cl node ~epoch
 
 let barrier cl node =
   pause_if_crashed cl node;
@@ -701,41 +611,17 @@ let barrier cl node =
   let own_intervals =
     Interval.Logs.unseen_of node.intervals ~proc:node.id node.last_barrier_vc []
   in
-  (match cl.cfg.Config.barrier with
-  | Config.Central ->
-    if node.id = 0 then begin
-      (* The manager's own clock is merged into by [barrier_complete]
-         before the releases are computed: it cannot be lent. *)
-      let vc = Vc.copy node.vc in
-      handle_barrier_arrive cl node ~src:0 ~vc ~vc_version:(Vc.version vc)
-        ~intervals:own_intervals ~gc_wanted epoch
-    end
-    else
-      Lrc_core.cast cl ~src:node.id ~dst:0
-        (Msg.Barrier_arrive
-           {
-             epoch;
-             vc = node.vc;
-             vc_version = Vc.version node.vc;
-             intervals = own_intervals;
-             gc_wanted;
-           })
-  | Config.Tree { fanout } ->
-    (* Own arrival: fold our clock into the preallocated subtree minimum
-       (no copy) and forward the combined arrival if the children already
-       all checked in. *)
-    let tb = tree_state node in
-    tree_contribute tb ~epoch ~vc:node.vc ~intervals:own_intervals ~gc_wanted;
-    tb.tb_self_arrived <- true;
-    tree_maybe_forward cl node tb ~fanout);
+  tree_contribute cl node ~epoch ~vc:node.vc ~intervals:own_intervals
+    ~gc_wanted;
+  node.tb.tb_self_arrived <- true;
+  tree_maybe_forward cl node;
   (match Proc.Ivar.await ivar with
   | Msg.Barrier_release { intervals; gc_round; _ } ->
     Lrc_core.apply_intervals cl node intervals;
     (* Knowledge is complete now; release the children before the
-       (possibly long) rule-3 scan and GC work below. *)
-    (match cl.cfg.Config.barrier with
-    | Config.Tree _ -> tree_fan_release cl node ~epoch ~gc_round
-    | Config.Central -> ());
+       (possibly long) rule-3 scan and GC work below.  The root released
+       its children when it completed the barrier. *)
+    if node.id <> 0 then tree_release_children cl node ~epoch ~gc_round;
     Vc.blit_into ~src:node.vc ~dst:node.last_barrier_vc;
     (* The clock now equals the refreshed last-barrier snapshot: rebase
        so the sparse-VC wire accounting of everything piggybacking this
@@ -752,14 +638,8 @@ let barrier cl node =
       let gc_ivar = Proc.Ivar.create () in
       node.gc_wait <- Some gc_ivar;
       gc_validate cl node;
-      (match cl.cfg.Config.barrier with
-      | Config.Central ->
-        if node.id = 0 then handle_gc_done cl node epoch
-        else Lrc_core.cast cl ~src:node.id ~dst:0 (Msg.Gc_done { epoch })
-      | Config.Tree { fanout } ->
-        let tb = tree_state node in
-        tb.tb_self_gc_done <- true;
-        tree_gc_maybe_up cl node ~fanout ~epoch);
+      node.tb.tb_self_gc_done <- true;
+      tree_gc_maybe_up cl node ~epoch;
       Proc.Ivar.await gc_ivar;
       gc_purge cl node
     end

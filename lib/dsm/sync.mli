@@ -1,7 +1,8 @@
 (** Synchronization over the LRC substrate: distributed locks, the global
-    barrier (manager at node 0), and diff garbage collection.  Protocol
-    policy enters only via {!Dispatch.for_cluster} (interval closure and
-    the GC survival test). *)
+    barrier (a combining tree rooted at node 0; the paper's central
+    manager is its one-level shape), and diff garbage collection.
+    Protocol policy enters only via {!Dispatch.for_cluster} (interval
+    closure and the GC survival test). *)
 
 open State
 
@@ -20,6 +21,11 @@ val lock : cluster -> node -> int -> unit
 val unlock : cluster -> node -> int -> unit
 
 (* --- barriers (application side; process context) --- *)
+
+(** Fanout of the barrier tree: [Tree { fanout }] is used as given, and
+    [Central] maps to [max 2 nprocs], the one-level tree in which every
+    other node is a direct child of node 0. *)
+val barrier_fanout : Config.t -> int
 
 (** Global barrier; runs garbage collection when any node's diff store
     exceeded the threshold. *)
@@ -53,12 +59,12 @@ val handle_lock_forward :
 
 val handle_lock_grant : cluster -> node -> lock:int -> Interval.t list -> unit
 
-(** Barrier arrival at [node]: the central manager buffers it (one-batch
-    apply once everyone arrived); a tree-barrier node folds it into its
-    combining state and forwards one combined arrival up when its whole
-    subtree has checked in.  [vc] is lent by reference; [vc_version] is
-    its {!Vc.version} when sent, checked again when the release is
-    computed. *)
+(** A child subtree's barrier arrival at [node]: folded into the node's
+    combining state; once the whole subtree has checked in, the node
+    forwards one combined arrival to its parent, or, at the root, applies
+    the combined batch and releases everyone.  [vc] is lent by reference;
+    [vc_version] is its {!Vc.version} when sent, checked again when the
+    release is computed. *)
 val handle_barrier_arrive :
   cluster -> node -> src:int -> vc:Vc.t -> vc_version:int ->
   intervals:Interval.t list -> gc_wanted:bool -> int -> unit
@@ -66,6 +72,10 @@ val handle_barrier_arrive :
 (** Wake the local barrier waiter with the release message. *)
 val handle_barrier_release : cluster -> node -> Msg.t -> unit
 
+(** A child subtree finished GC validation; forwarded up once the whole
+    subtree has. *)
 val handle_gc_done : cluster -> node -> int -> unit
 
+(** GC is complete everywhere: pass it down to the children and wake the
+    local waiter. *)
 val handle_gc_complete : cluster -> node -> int -> unit

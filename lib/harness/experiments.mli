@@ -69,7 +69,9 @@ val export_csv : suite -> dir:string -> string list
     overhead of SOR/IS/Water under MW, SW and WFS with 1 and 2 node
     crashes, schedules derived from each cell's fault-free duration so
     the crashes land mid-run.  Every faulty run's checksum is verified
-    against the fault-free one ([Invalid_argument] on divergence). *)
+    against the fault-free one ([Invalid_argument] on divergence).
+    Raises [Invalid_argument] before any run if [nprocs < 2]: node 0 is
+    never crashed, so there must be another node to crash. *)
 val survivability :
   ?apps:string list ->
   ?scale:Adsm_apps.Registry.scale ->

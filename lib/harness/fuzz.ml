@@ -135,6 +135,8 @@ let fuzz_once ?mutation ?protocol ?(faults = false) ~nprocs ~seed () =
    seed, exactly as the sequential loop did.  Shrinking of failing seeds
    stays with the caller, after the sweep. *)
 let sweep ?(jobs = 1) ?mutation ?protocol ?faults ~nprocs ~seed ~count () =
+  if nprocs < 1 then
+    invalid_arg (Printf.sprintf "fuzz: needs at least 1 node (got %d)" nprocs);
   let seeds = List.init count (fun i -> seed + i) in
   Pool.map ~jobs
     (fun s ->

@@ -65,7 +65,8 @@ val fuzz_once :
     seed whose run raises is reported as [Error] with the exception text
     instead of aborting the sweep.  Used for both plain fuzzing and
     mutation-detection sweeps (pass [mutation], and [~faults:true] for
-    the recovery mutations, which only manifest under crashes). *)
+    the recovery mutations, which only manifest under crashes).  Raises
+    [Invalid_argument] before any run if [nprocs < 1]. *)
 val sweep :
   ?jobs:int ->
   ?mutation:Adsm_dsm.Config.mutation ->

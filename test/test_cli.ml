@@ -79,6 +79,16 @@ let test_fft_node_cap () =
     "run --app 3D-FFT --protocol MW --procs 128 --tiny" ~code:1
     ~stderr_has:"3D-FFT supports at most 64 nodes"
 
+(* Node counts the commands cannot run are rejected before any run,
+   not reported as a protocol crash per seed or an uncaught exception. *)
+let test_survive_one_node () =
+  check_failure "survive on 1 node" "survive --procs 1" ~code:1
+    ~stderr_has:"survive: needs at least 2 nodes"
+
+let test_fuzz_zero_nodes () =
+  check_failure "fuzz on 0 nodes" "fuzz --procs 0 --seeds 2" ~code:1
+    ~stderr_has:"fuzz: needs at least 1 node"
+
 let test_list_ok () =
   let code, out, _err = run_capture "list" in
   Alcotest.(check int) "list: exit code" 0 code;
@@ -118,6 +128,9 @@ let () =
           Alcotest.test_case "unknown ablation study" `Quick
             test_unknown_ablation;
           Alcotest.test_case "3D-FFT above 64 nodes" `Quick test_fft_node_cap;
+          Alcotest.test_case "survive below 2 nodes" `Quick
+            test_survive_one_node;
+          Alcotest.test_case "fuzz below 1 node" `Quick test_fuzz_zero_nodes;
         ] );
       ( "smoke",
         [

@@ -74,6 +74,30 @@ let test_apps_oracle () =
         Config.all_protocols)
     [ "SOR"; "TSP"; "IS"; "Water" ]
 
+(* The same apps at 8 nodes on a binary barrier tree: nodes 1-3 are
+   interior, so subtree-minimum clocks, buffered interval lists and the
+   relayed releases and GC messages all run under the oracle. *)
+let test_apps_oracle_deep_tree () =
+  let nprocs = 8 in
+  List.iter
+    (fun app_name ->
+      let app = Option.get (Registry.find app_name) in
+      List.iter
+        (fun protocol ->
+          let recorder = Recorder.create () in
+          let tweak cfg =
+            { cfg with Config.barrier = Config.Tree { fanout = 2 } }
+          in
+          let (_ : Runner.measurement) =
+            Runner.run ~tweak ~recorder ~app ~protocol ~nprocs
+              ~scale:Registry.Tiny ()
+          in
+          assert_clean
+            (case app_name protocol ^ " tree:2")
+            (Oracle.check ~nprocs (Recorder.stream recorder)))
+        Config.all_protocols)
+    [ "SOR"; "TSP"; "IS"; "Water" ]
+
 (* --- mutation detection: the oracle must have teeth --- *)
 
 (* For each broken protocol variant, some seed in a small budget must
@@ -216,7 +240,11 @@ let () =
             test_mutation_seeds_clean_without_mutation;
         ] );
       ( "apps",
-        [ Alcotest.test_case "four apps, four protocols" `Quick test_apps_oracle ] );
+        [
+          Alcotest.test_case "four apps, four protocols" `Quick test_apps_oracle;
+          Alcotest.test_case "four apps on a binary barrier tree" `Quick
+            test_apps_oracle_deep_tree;
+        ] );
       ( "mutations",
         [
           Alcotest.test_case "every mutant detected and shrunk" `Quick

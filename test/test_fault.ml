@@ -143,34 +143,40 @@ let test_apps_survive_crashes () =
         Alcotest.failf "%s: crashes made the run faster?" name)
     Registry.all
 
+(* Each cell runs on the paper's barrier and on a binary barrier tree,
+   where crashed node 1 is an interior node and crashed node 2 a leaf. *)
 let test_oracle_clean_under_crashes () =
   List.iter
-    (fun name ->
+    (fun barrier ->
       List.iter
-        (fun protocol ->
-          let recorder = Recorder.create () in
-          let _m =
-            measure ~tweak:(with_faults crash_sched) ~recorder name protocol
-          in
-          let report = Oracle.check ~nprocs:4 (Recorder.stream recorder) in
-          if not (Oracle.ok report) then
-            Alcotest.failf "%s/%s: %s" name
-              (Config.protocol_name protocol)
-              (Format.asprintf "%a" Oracle.pp_report report);
-          (* The stream must actually contain both crash/restart pairs. *)
-          let crashes =
-            Array.fold_left
-              (fun acc (s : Adsm_check.Obs.stamped) ->
-                match s.Adsm_check.Obs.obs with
-                | Adsm_check.Obs.Crash -> acc + 1
-                | _ -> acc)
-              0 (Recorder.stream recorder)
-          in
-          Alcotest.(check int)
-            (name ^ ": both crashes manifested")
-            2 crashes)
-        [ Config.Mw; Config.Sw; Config.Wfs ])
-    [ "sor"; "is"; "water" ]
+        (fun name ->
+          List.iter
+            (fun protocol ->
+              let cell =
+                Printf.sprintf "%s/%s/%s" name
+                  (Config.protocol_name protocol)
+                  (Config.barrier_name barrier)
+              in
+              let recorder = Recorder.create () in
+              let tweak cfg = with_faults crash_sched { cfg with Config.barrier } in
+              let _m = measure ~tweak ~recorder name protocol in
+              let report = Oracle.check ~nprocs:4 (Recorder.stream recorder) in
+              if not (Oracle.ok report) then
+                Alcotest.failf "%s: %s" cell
+                  (Format.asprintf "%a" Oracle.pp_report report);
+              (* The stream must actually contain both crash/restart pairs. *)
+              let crashes =
+                Array.fold_left
+                  (fun acc (s : Adsm_check.Obs.stamped) ->
+                    match s.Adsm_check.Obs.obs with
+                    | Adsm_check.Obs.Crash -> acc + 1
+                    | _ -> acc)
+                  0 (Recorder.stream recorder)
+              in
+              Alcotest.(check int) (cell ^ ": both crashes manifested") 2 crashes)
+            [ Config.Mw; Config.Sw; Config.Wfs ])
+        [ "sor"; "is"; "water" ])
+    [ Config.Central; Config.Tree { fanout = 2 } ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism and the disabled path                                  *)

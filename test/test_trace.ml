@@ -317,6 +317,69 @@ let test_is_mw_trace_shows_multiple_writers () =
     (Query.count ~tag:"lock-acquire" evs)
     (Query.count ~tag:"lock-release" evs)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned traces of the paper configuration                           *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of the JSONL trace of every (app, protocol) cell of the paper's
+   grid at 8 nodes, tiny scale, on the paper's central barrier.  The
+   trace records every fault, diff, message and barrier step with its
+   simulated time, plus a [sim-events] record every 64 engine events, so
+   any change to what the protocol does, or to the order in which the
+   engine runs it, moves a digest. *)
+let trace_pins =
+  [
+    ("IS", Config.Mw, "a03510daa29e667de8714d8250953e2f");
+    ("IS", Config.Sw, "bc0e8e3027536c0e7b3df75726d5fc65");
+    ("IS", Config.Wfs, "9e3004da2c855949f9b5d60b781c37eb");
+    ("IS", Config.Wfs_wg, "c02b85fd6a79e9f9aa5e3b59e2f4fc15");
+    ("3D-FFT", Config.Mw, "efa5170b6817d8e6ef9da31a3ea0f8da");
+    ("3D-FFT", Config.Sw, "9f7fa062b6ea5df64f44c902d86106b4");
+    ("3D-FFT", Config.Wfs, "d9482ad77ac4ddc0c67503d3ea28a54b");
+    ("3D-FFT", Config.Wfs_wg, "9997ee305cd2991b57201ae80bcb7a4b");
+    ("SOR", Config.Mw, "3dec4b9f38cd7419eb152f77367e9f99");
+    ("SOR", Config.Sw, "d74b7a972681ad42ea44896d9869f4d2");
+    ("SOR", Config.Wfs, "7ae525404d60dacf1a51deaf5a9e1966");
+    ("SOR", Config.Wfs_wg, "48f6998a6db64b022599871695cdce1a");
+    ("TSP", Config.Mw, "59b188bdd26ea1f31196e8a9d64ee817");
+    ("TSP", Config.Sw, "45a4056e0fcaf65af888305de6124af6");
+    ("TSP", Config.Wfs, "d4d779984a3b11a1c9f4b2326493667f");
+    ("TSP", Config.Wfs_wg, "2a3e9d6350d1971b2678c19d314ab45c");
+    ("Water", Config.Mw, "add8d014e69aee15b90048b4c440c1c7");
+    ("Water", Config.Sw, "802544d4f084a8a071884c4466a92ab8");
+    ("Water", Config.Wfs, "b4fef62a0a26370717452b65196d5839");
+    ("Water", Config.Wfs_wg, "4e782366def39d389cdd3700d988f1f6");
+    ("Shallow", Config.Mw, "1eb46848ee7d717eda1d610d4e94903c");
+    ("Shallow", Config.Sw, "aa81cd5d7437deff952c695e140aec48");
+    ("Shallow", Config.Wfs, "68f17c1b4690603a31d53e608b978af0");
+    ("Shallow", Config.Wfs_wg, "0e98b5d9c399df99b1a2534e2e1216a4");
+    ("Barnes", Config.Mw, "729e3294a431658e18257fa10176a9b8");
+    ("Barnes", Config.Sw, "e099c290b321472ba6984c0aa8aa8acd");
+    ("Barnes", Config.Wfs, "02832fce1e21fb265dedf4b1111e0db2");
+    ("Barnes", Config.Wfs_wg, "5f9246e3be7557fafa6623b5dba74e62");
+    ("ILINK", Config.Mw, "3e5b03c714e0b68b120a8e9cd26011d7");
+    ("ILINK", Config.Sw, "c1ec7627054dcea2798a8c500b279cf4");
+    ("ILINK", Config.Wfs, "036ee2402ab02004126ec708650fc8ce");
+    ("ILINK", Config.Wfs_wg, "4db8826aad05153c45c98a184aec620f")
+  ]
+
+let test_paper_trace_pins () =
+  List.iter
+    (fun (app_name, protocol, digest) ->
+      let app = Option.get (Registry.find app_name) in
+      let buf = Buffer.create (1 lsl 20) in
+      let tracer = Tracer.create [ Sink.jsonl (Buffer.add_string buf) ] in
+      let (_ : Runner.measurement) =
+        Runner.run ~tracer ~app ~protocol ~nprocs:8 ~scale:Registry.Tiny ()
+      in
+      Tracer.close tracer;
+      Alcotest.(check string)
+        (Printf.sprintf "%s/%s trace digest" app_name
+           (Config.protocol_name protocol))
+        digest
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    trace_pins
+
 let () =
   Alcotest.run "trace"
     [
@@ -352,5 +415,10 @@ let () =
             test_sor_wfs_trace_matches_stats;
           Alcotest.test_case "IS/MW multiple writers" `Quick
             test_is_mw_trace_shows_multiple_writers;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "paper grid traces at 8 nodes" `Quick
+            test_paper_trace_pins;
         ] );
     ]
