@@ -159,20 +159,21 @@ let run_experiments tiny nprocs apps out jobs net topology =
     1
   | Ok tweak -> (
     let apps = match apps with [] -> None | l -> Some l in
-    match out with
-    | None ->
-      print_string
-        (Experiments.run_all ?apps ~scale:(scale_of_tiny tiny) ~nprocs ~jobs
-           ~tweak ());
+    let scale = scale_of_tiny tiny in
+    (* An unknown application name is rejected before any run starts. *)
+    try
+      (match out with
+      | None ->
+        print_string
+          (Experiments.run_all ?apps ~scale ~nprocs ~jobs ~tweak ())
+      | Some dir ->
+        let suite = Experiments.collect ?apps ~scale ~nprocs ~jobs ~tweak () in
+        let written = Experiments.export_csv suite ~dir in
+        List.iter (Printf.printf "wrote %s\n") written);
       0
-    | Some dir ->
-      let suite =
-        Experiments.collect ?apps ~scale:(scale_of_tiny tiny) ~nprocs ~jobs
-          ~tweak ()
-      in
-      let written = Experiments.export_csv suite ~dir in
-      List.iter (Printf.printf "wrote %s\n") written;
-      0)
+    with Invalid_argument msg ->
+      Printf.eprintf "%s\n" msg;
+      1)
 
 let list_apps () =
   List.iter
@@ -354,10 +355,21 @@ let run_fuzz protocol_name nprocs seeds seed mutation_name faults jobs =
         end
       | None -> if !failures = 0 then 0 else 1)
 
+(* A worker count below 1 is a usage error (exit 124) in every
+   subcommand that takes --jobs, not an exception from [Pool.map]. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs_arg =
   Arg.(
     value
-    & opt int (Pool.default_jobs ())
+    & opt positive_int (Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:"Run independent simulations on $(docv) worker domains \
               (default: the number of cores).  Results are bit-identical \
@@ -433,20 +445,26 @@ let run_scaling smoke max_nodes jobs out apps =
            (fun a -> a <> "")
            (String.split_on_char ',' s))
   in
-  let study = Scaling.collect ~smoke ~max_nodes ~jobs ?apps () in
-  print_string (Scaling.render study);
-  (match out with
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Scaling.to_json study);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  | None -> ());
-  let mismatches = Scaling.checksum_mismatches study in
-  let violations = Scaling.barrier_bound_violations study in
-  List.iter (Printf.eprintf "FABRIC CHECKSUM MISMATCH: %s\n") mismatches;
-  List.iter (Printf.eprintf "BARRIER BOUND EXCEEDED: %s\n") violations;
-  if mismatches = [] && violations = [] then 0 else 1
+  (* Unknown apps and a --max-nodes below the grid are rejected before
+     any run starts; an empty sweep would pass its checks vacuously. *)
+  match Scaling.collect ~smoke ~max_nodes ~jobs ?apps () with
+  | exception Invalid_argument msg ->
+    Printf.eprintf "%s\n" msg;
+    1
+  | study ->
+    print_string (Scaling.render study);
+    (match out with
+    | Some path ->
+      let oc = open_out path in
+      output_string oc (Scaling.to_json study);
+      close_out oc;
+      Printf.printf "wrote %s\n" path
+    | None -> ());
+    let mismatches = Scaling.checksum_mismatches study in
+    let violations = Scaling.barrier_bound_violations study in
+    List.iter (Printf.eprintf "FABRIC CHECKSUM MISMATCH: %s\n") mismatches;
+    List.iter (Printf.eprintf "BARRIER BOUND EXCEEDED: %s\n") violations;
+    if mismatches = [] && violations = [] then 0 else 1
 
 let max_nodes_arg =
   Arg.(
@@ -517,7 +535,7 @@ let studies_arg =
     value & pos_all string []
     & info [] ~docv:"STUDY"
         ~doc:"Studies to run: quantum, threshold, network, migratory, \
-              hlrc, scaling.  Default: all.")
+              writeranges, hlrc, scaling.  Default: all.")
 
 let ablations_cmd =
   Cmd.v

@@ -4,8 +4,6 @@ let band ~n ~nprocs ~me =
   let hi = lo + per + if me < extra then 1 else 0 in
   (lo, hi)
 
-let round_up x m = (x + m - 1) / m * m
-
 let fold_range lo hi ~init ~f =
   let rec go acc i = if i >= hi then acc else go (f acc i) (i + 1) in
   go init lo

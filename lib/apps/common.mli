@@ -4,9 +4,6 @@
     under contiguous block partitioning. *)
 val band : n:int -> nprocs:int -> me:int -> int * int
 
-(** Rounds [x] up to the next multiple of [m]. *)
-val round_up : int -> int -> int
-
 (** Fold over [lo..hi-1]. *)
 val fold_range : int -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 

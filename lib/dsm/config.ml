@@ -58,16 +58,6 @@ let barrier_name = function
   | Central -> "central"
   | Tree { fanout } -> Printf.sprintf "tree:%d" fanout
 
-let barrier_of_string s =
-  match String.lowercase_ascii s with
-  | "central" -> Some Central
-  | "tree" -> Some (Tree { fanout = 4 })
-  | s when String.length s > 5 && String.sub s 0 5 = "tree:" -> (
-    match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-    | Some k when k >= 2 -> Some (Tree { fanout = k })
-    | Some _ | None -> None)
-  | _ -> None
-
 type lock_homes = Modulo | Sharded of int
 
 type t = {
@@ -90,7 +80,6 @@ type t = {
   migratory_detection : bool;
   write_ranges : bool;
   write_log_ns : int;
-  lazy_diffing : bool;
   schedule_fuzz : int option;
   mutation : mutation option;
   faults : Adsm_net.Fault.schedule option;
@@ -119,7 +108,6 @@ let make ?(seed = 0x5EEDL) ~protocol ~nprocs () =
     migratory_detection = false;
     write_ranges = false;
     write_log_ns = 250;
-    lazy_diffing = false;
     schedule_fuzz = None;
     mutation = None;
     faults = None;

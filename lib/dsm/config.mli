@@ -67,14 +67,11 @@ type barrier = Central | Tree of { fanout : int }
 
 val barrier_name : barrier -> string
 
-(** Parse ["central"], ["tree"] (fanout 4), or ["tree:K"] (K >= 2). *)
-val barrier_of_string : string -> barrier option
-
-(** Lock-home placement.  [Modulo] (the historical default) homes lock
-    [l] at node [l mod nprocs]; [Sharded k] spreads homes over [k]
-    manager nodes chosen evenly across the cluster — on a tree topology
-    that keeps managers on distinct switches instead of crowding the
-    low-numbered nodes. *)
+(** Lock-home placement.  [Sharded k] homes lock [l] at node
+    [l mod k * (nprocs / k)]: [k] manager nodes chosen evenly across the
+    cluster, which on a tree topology keeps managers on distinct switches
+    instead of crowding the low-numbered nodes.  [Modulo] (the default)
+    is the [Sharded nprocs] shape: lock [l] at node [l mod nprocs]. *)
 type lock_homes = Modulo | Sharded of int
 
 type t = {
@@ -117,13 +114,6 @@ type t = {
           no twins, no page scans, but a per-write logging cost
           ([write_log_ns]).  Off by default. *)
   write_log_ns : int;  (** per-write logging cost when [write_ranges] *)
-  lazy_diffing : bool;
-      (** TreadMarks's actual scheme: keep the twin at release and create
-          the diff only when first requested (or when the page is
-          re-written).  Diffs whose notices are garbage-collected before
-          anyone asks are never created at all.  Off by default — the
-          baseline reproduction documents eager diffing as a
-          simplification; the `lazydiff` ablation quantifies the gap. *)
   schedule_fuzz : int option;
       (** schedule fuzzing: permute the firing order of same-instant
           simulation events deterministically from this seed.  Correct
@@ -138,8 +128,9 @@ type t = {
           partitions — see FAULTS.md).  [None] (the default) is the
           failure-free cluster, byte-identical to builds without the
           fault subsystem; [Some Fault.empty] behaves identically.
-          Crash schedules require eager diffing (no [lazy_diffing], no
-          [write_ranges]) and a non-HLRC protocol. *)
+          Crash schedules require every closed interval's modifications
+          to sit in the diff store (so no [write_ranges]) and a non-HLRC
+          protocol. *)
   seed : int64;  (** root seed for all application randomness *)
 }
 

@@ -43,10 +43,6 @@ let alloc_i32 t ~name ~len =
   if len <= 0 then invalid_arg "Dsm.alloc_i32: len must be positive";
   { i_region = Layout.alloc t.layout ~name ~bytes:(4 * len); i_len = len }
 
-let f64_len a = a.f_len
-
-let i32_len a = a.i_len
-
 let fresh_lock t =
   let l = t.next_lock in
   t.next_lock <- l + 1;
@@ -67,12 +63,11 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
   | Config.Sharded _ | Config.Modulo -> ());
   (* Fault-schedule gate.  Message faults (loss/dup/jitter/partitions)
      compose with every configuration; crash schedules additionally need
-     the durable write-behind log of eagerly created diffs (so neither
-     lazy diffing nor write-range logging, both of which keep dirty
-     state outside the diff store at interval close) and a non-HLRC
-     protocol (HLRC flushes diffs to homes and discards them locally, so
-     a crashed home would need replicated-home recovery — out of
-     scope). *)
+     the durable write-behind log of eagerly created diffs (so no
+     write-range logging, which keeps dirty state outside the diff store
+     until the diff is built) and a non-HLRC protocol (HLRC flushes diffs
+     to homes and discards them locally, so a crashed home would need
+     replicated-home recovery — out of scope). *)
   (match cfg.Config.faults with
   | None -> ()
   | Some sched ->
@@ -80,10 +75,6 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
     | Ok () -> ()
     | Error msg -> invalid_arg ("Dsm.run: bad fault schedule: " ^ msg));
     if sched.Adsm_net.Fault.crashes <> [] then begin
-      if cfg.Config.lazy_diffing then
-        invalid_arg
-          "Dsm.run: crash schedules are incompatible with lazy_diffing \
-           (diffs must be durable at interval close)";
       if cfg.Config.write_ranges then
         invalid_arg
           "Dsm.run: crash schedules are incompatible with write_ranges \
@@ -249,7 +240,7 @@ let me ctx = ctx.node.State.id
 let nprocs ctx = ctx.cluster.State.cfg.Config.nprocs
 
 let compute ctx ns =
-  Proto.pause_if_crashed ctx.cluster ctx.node;
+  Sync.pause_if_crashed ctx.cluster ctx.node;
   if State.tracing ctx.cluster then
     State.emit ctx.cluster ~node:ctx.node.State.id
       (Adsm_trace.Event.Compute { ns });
@@ -261,11 +252,11 @@ let now ctx = Engine.now ctx.cluster.State.engine
 
 let rng ctx = ctx.node.State.rng
 
-let lock ctx l = Proto.lock ctx.cluster ctx.node l
+let lock ctx l = Sync.lock ctx.cluster ctx.node l
 
-let unlock ctx l = Proto.unlock ctx.cluster ctx.node l
+let unlock ctx l = Sync.unlock ctx.cluster ctx.node l
 
-let barrier ctx = Proto.barrier ctx.cluster ctx.node
+let barrier ctx = Sync.barrier ctx.cluster ctx.node
 
 (* --- shared-array accessors --- *)
 
@@ -589,8 +580,3 @@ let i32_fold_run ctx a i len ~init ~f =
     done;
     !acc
   end
-
-let f64_pages _t a ~lo ~hi =
-  if lo >= hi then []
-  else
-    Layout.pages_of_range a.f_region ~offset:(8 * lo) ~len:(8 * (hi - lo))

@@ -52,10 +52,6 @@ val alloc_f64 : t -> name:string -> len:int -> f64s
 (** Allocate a page-aligned shared array of [len] int32s. *)
 val alloc_i32 : t -> name:string -> len:int -> i32s
 
-val f64_len : f64s -> int
-
-val i32_len : i32s -> int
-
 (** A fresh lock identifier. *)
 val fresh_lock : t -> int
 
@@ -157,6 +153,3 @@ val i32_set_run : ctx -> i32s -> int -> int32 array -> int -> int -> unit
 
 val i32_fold_run :
   ctx -> i32s -> int -> int -> init:'a -> f:('a -> int32 -> 'a) -> 'a
-
-(** Pages spanned by elements [\[lo, hi)] of the array (for diagnostics). *)
-val f64_pages : t -> f64s -> lo:int -> hi:int -> int list

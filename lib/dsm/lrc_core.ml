@@ -5,15 +5,16 @@
    Protocol policy enters through two seams: {!end_interval} threads the
    cluster's protocol module (a {!Protocol_intf.t}) into the per-page close
    step, and {!close_page_default} exposes the twin/diff machinery with the
-   per-protocol choices (diff sink, clean-page closure, lazy diffing,
-   granularity measurement) as parameters.
+   per-protocol choices (diff sink, clean-page closure, granularity
+   measurement) as parameters.
 
    Conventions inherited from the paper (Section 3):
    - an interval is closed (diffs / owner write notices created) at every
      release *and* before applying remotely received notices, so
      [apply_notice] never encounters a dirty page;
    - diffs are created eagerly at interval close (a documented
-     simplification of TreadMarks's lazy diffing) unless [lazy_diffing];
+     simplification of TreadMarks's lazy diffing): [close_page_default]
+     is the one place a closed interval's diff is created;
    - an owner that grants ownership does NOT learn the new version number;
      it propagates only through owner write notices, which is what makes
      the ownership-refusal test detect false sharing (paper Section 3.1.1,
@@ -55,55 +56,6 @@ let respond_msg cl node respond msg =
   respond ~bytes:(msg_bytes cl ~src:node.id msg) ~kind:(Msg.kind msg) msg
 
 (* ------------------------------------------------------------------ *)
-(* Lazy diffing                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Materialize a lazily-pending diff (twin vs current frame) into the diff
-   store.  Returns the creation cost to charge (0 if nothing was pending);
-   callers in event context turn it into reply latency. *)
-let materialize_pending_diff cl node (e : entry) =
-  match e.pending_diff with
-  | None -> 0
-  | Some (seq, vc) ->
-    e.pending_diff <- None;
-    let twin =
-      match e.twin with
-      | Some t -> t
-      | None -> failwith "Proto: pending diff without its twin"
-    in
-    let diff =
-      Diff.create ~scratch:(State.scratch cl) ~twin ~current:(frame e) ()
-    in
-    Hashtbl.replace node.diffs (e.page, node.id, seq) (vc, diff);
-    e.own_diff_seqs <- seq :: e.own_diff_seqs;
-    Stats.diff_created cl.stats ~node:node.id ~page:e.page
-      ~bytes:(Diff.size_bytes diff)
-      ~modified:(Diff.modified_bytes diff)
-      ~time:(Engine.now cl.engine);
-    if tracing cl then begin
-      emit cl ~node:node.id
-        (Adsm_trace.Event.Diff_create
-           {
-             page = e.page;
-             seq;
-             bytes = Diff.size_bytes diff;
-             modified = Diff.modified_bytes diff;
-           });
-      emit cl ~node:node.id (Adsm_trace.Event.Twin_free { page = e.page })
-    end;
-    e.twin <- None;
-    Stats.twin_freed cl.stats ~node:node.id;
-    cl.cfg.Config.diff_create_ns
-
-(* Process-context variant: charge the cost by sleeping. *)
-let materialize_now cl node (e : entry) =
-  match e.pending_diff with
-  | None -> ()
-  | Some _ ->
-    let cost = materialize_pending_diff cl node e in
-    if cost > 0 then Proc.sleep cl.engine cost
-
-(* ------------------------------------------------------------------ *)
 (* Interval closure (release side)                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -141,11 +93,9 @@ let close_owned cl node (e : entry) ~seq =
    [sink] receives each created diff (stored locally by default, flushed to
    the home by HLRC); [close_clean] closes a dirty page with neither twin
    nor write log (an owned SW-mode page by default, the master copy under
-   HLRC); [measure] enables the WFS+WG write-granularity measurement;
-   [allow_lazy] permits deferring the diff when [Config.lazy_diffing]. *)
-let close_page_default ?(allow_lazy = true) ?(measure = false)
-    ?(sink = store_diff) ?(close_clean = close_owned) cl node (e : entry)
-    ~seq ~vc ~charge =
+   HLRC); [measure] enables the WFS+WG write-granularity measurement. *)
+let close_page_default ?(measure = false) ?(sink = store_diff)
+    ?(close_clean = close_owned) cl node (e : entry) ~seq ~vc ~charge =
   let wg_measure modified =
     (* Write-granularity measurement (Section 3.2). *)
     if measure then begin
@@ -156,17 +106,6 @@ let close_page_default ?(allow_lazy = true) ?(measure = false)
     end
   in
   match e.twin with
-  | Some _ when cl.cfg.Config.lazy_diffing && allow_lazy ->
-    (* Lazy diffing (TreadMarks): keep the twin; the diff materializes on
-       first request or when the page is written again.  At most one
-       interval can be pending per page — the next write fault
-       materializes it before re-twinning. *)
-    assert (Option.is_none e.pending_diff);
-    e.pending_diff <- Some (seq, vc);
-    reflected_set e ~nprocs:node.nprocs node.id seq;
-    e.perm <- Perm.Read_only;
-    tlb_reset node;
-    None
   | Some twin ->
     (* MW-mode page: eager twin/diff. *)
     let current = frame e in
@@ -394,9 +333,6 @@ let still_needed = notice_relevant
 
 (* Install a received page copy as the new base of the local frame. *)
 let install_copy cl node e ~data ~version ~committed ~reflected =
-  (* A lazily-pending diff lives only in the frame we are about to
-     overwrite: materialize it first or the interval's writes are lost. *)
-  materialize_now cl node e;
   Proc.sleep cl.engine cl.cfg.Config.page_install_ns;
   Page.blit ~src:data ~dst:(frame e);
   e.has_base <- true;
@@ -416,11 +352,6 @@ let fetch_and_apply_diffs cl node (e : entry) =
   let plain = List.filter (fun n -> not (Notice.is_owner n)) pending in
   (* Own committed modifications not reflected in the (possibly freshly
      installed) base copy must be merged back from our own diffs. *)
-  (* A lazily-pending own diff must be materialized BEFORE any remote diff
-     touches the frame: the diff is computed twin-vs-frame, and foreign
-     words applied first would be captured into it at a stale position in
-     the timestamp order. *)
-  materialize_now cl node e;
   let own_missing =
     List.filter (fun seq -> seq > reflected_get e node.id) e.own_diff_seqs
   in
@@ -563,8 +494,6 @@ let mark_dirty node (e : entry) =
   end
 
 let make_twin cl node (e : entry) =
-  let pending_cost = materialize_pending_diff cl node e in
-  if pending_cost > 0 then Proc.sleep cl.engine pending_cost;
   assert (Option.is_none e.twin);
   Proc.sleep cl.engine cl.cfg.Config.twin_ns;
   e.twin <- Some (Page.copy (frame e));
@@ -575,9 +504,6 @@ let make_twin cl node (e : entry) =
 (* Become (or re-become) owner locally: bump the version, as ownership is
    being (re)acquired (Section 2.3). *)
 let acquire_ownership_locally cl node (e : entry) =
-  (* Entering SW mode: the page will be written without a twin, so any
-     lazily-pending diff must be captured now. *)
-  materialize_now cl node e;
   e.version <- e.version + 1;
   e.content_version <- e.version;
   e.is_owner <- true;
@@ -589,9 +515,6 @@ let acquire_ownership_locally cl node (e : entry) =
 let mw_write_path cl node (e : entry) =
   validate cl node e;
   if cl.cfg.Config.write_ranges then begin
-    (* The pending lazy diff (if any) still needs its twin captured. *)
-    let cost = materialize_pending_diff cl node e in
-    if cost > 0 then Proc.sleep cl.engine cost;
     e.log_writes <- true;
     (* A cached writable slot would bypass the write log. *)
     tlb_reset node
@@ -632,14 +555,6 @@ let serve_page cl node ~src page respond =
    copyset sees the page as SW, false sharing has stopped. *)
 let serve_diffs ?(rule1 = false) cl node ~src ~page ~seqs ~sees_sw respond =
   let e = entry_of node page in
-  (* Lazy diffing: the requested interval may still be pending; create the
-     diff now and charge its cost as added latency on the reply. *)
-  let delay = materialize_pending_diff cl node e in
-  let respond =
-    if delay = 0 then respond
-    else fun ~bytes ~kind msg ->
-      Engine.schedule cl.engine ~delay (fun () -> respond ~bytes ~kind msg)
-  in
   copyset_add e ~nprocs:node.nprocs src;
   fs_view_set e ~nprocs:node.nprocs src sees_sw;
   if rule1 then begin

@@ -17,16 +17,6 @@ val call : cluster -> src:int -> dst:int -> Msg.t -> Msg.t
     is the delta base under the [sparse_vc] cost model). *)
 val respond_msg : cluster -> node -> Msg.t Adsm_net.Rpc.respond -> Msg.t -> unit
 
-(* --- lazy diffing --- *)
-
-(** Materialize a lazily-pending diff into the diff store; returns the
-    creation cost in ns (0 if nothing was pending).  Event-context callers
-    turn it into reply latency. *)
-val materialize_pending_diff : cluster -> node -> entry -> int
-
-(** Process-context variant: materialize and sleep the cost. *)
-val materialize_now : cluster -> node -> entry -> unit
-
 (* --- interval closure (release side) --- *)
 
 (** Default diff sink: store the diff locally (TreadMarks-style). *)
@@ -40,10 +30,9 @@ val close_owned : cluster -> node -> entry -> seq:int -> int option
 (** The twin/diff machinery behind each protocol's
     {!Protocol_intf.PROTOCOL.close_page}.  [sink] consumes created diffs;
     [close_clean] closes a dirty page with neither twin nor write log;
-    [measure] enables WFS+WG granularity measurement; [allow_lazy] permits
-    lazy diffing when configured. *)
+    [measure] enables WFS+WG granularity measurement.  It is the one
+    place a closed interval's diff is created (eagerly, at close). *)
 val close_page_default :
-  ?allow_lazy:bool ->
   ?measure:bool ->
   ?sink:(cluster -> node -> entry -> seq:int -> vc:Vc.t -> Diff.t -> unit) ->
   ?close_clean:(cluster -> node -> entry -> seq:int -> int option) ->

@@ -8,8 +8,6 @@ let adaptive cl =
   | Config.Wfs | Config.Wfs_wg -> true
   | Config.Mw | Config.Sw | Config.Hlrc -> false
 
-let is_hlrc cl = cl.cfg.Config.protocol = Config.Hlrc
-
 let is_wfs_wg cl = cl.cfg.Config.protocol = Config.Wfs_wg
 
 (* A page "prefers" SW mode when the adaptive state variables say so. *)

@@ -6,8 +6,6 @@ open State
 (** The cluster runs one of the adaptive protocols (WFS, WFS+WG). *)
 val adaptive : cluster -> bool
 
-val is_hlrc : cluster -> bool
-
 val is_wfs_wg : cluster -> bool
 
 (** The page should be written in single-writer mode under the cluster's

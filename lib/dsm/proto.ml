@@ -20,18 +20,6 @@ module Engine = Adsm_sim.Engine
 module Proc = Adsm_sim.Proc
 open State
 
-let sees_page_as_sw = Mode.sees_page_as_sw
-
-let end_interval_local = Sync.end_interval_local
-
-let lock = Sync.lock
-
-let unlock = Sync.unlock
-
-let barrier = Sync.barrier
-
-let pause_if_crashed = Sync.pause_if_crashed
-
 let read_fault cl node (e : entry) =
   Sync.pause_if_crashed cl node;
   let t0 = Engine.now cl.engine in

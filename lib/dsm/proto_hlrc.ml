@@ -31,7 +31,7 @@ let close_home cl node (e : entry) ~seq =
   None
 
 let close_page cl node (e : entry) ~seq ~vc ~charge =
-  Lrc_core.close_page_default ~allow_lazy:false ~sink:flush_to_home
+  Lrc_core.close_page_default ~sink:flush_to_home
     ~close_clean:close_home cl node e ~seq ~vc ~charge
 
 (* Validation: the home waits for in-flight diffs to land in its master

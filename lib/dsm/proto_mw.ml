@@ -28,9 +28,6 @@ let handle_protocol_msg _cl _node ~src:_ _msg _respond = false
 (* A node with live own diffs (and a frame to validate) keeps its copy at a
    GC round; everyone else drops theirs and refetches on demand. *)
 let gc_validator _cl _node (e : entry) =
-  (match (e.own_diff_seqs, e.pending_diff) with
-  | [], None -> false
-  | _ -> true)
-  && Option.is_some e.data
+  e.own_diff_seqs <> [] && Option.is_some e.data
 
 let gc_retarget_owner_on_drop = true

@@ -50,7 +50,6 @@ type entry = {
   mutable pending_own : (int * int) list;
   mutable migratory_score : int;
   mutable read_fault_seq : int;
-  mutable pending_diff : (int * Vc.t) option;
   mutable log_writes : bool;
   mutable logged_ranges : (int * int) list;
   mutable logged_count : int;
@@ -187,7 +186,6 @@ let make_entry ~nprocs:_ ~page ~home =
     pending_own = [];
     migratory_score = 0;
     read_fault_seq = -1;
-    pending_diff = None;
     log_writes = false;
     logged_ranges = [];
     logged_count = 0;
@@ -461,15 +459,18 @@ let lock_state node ~home lock =
 
 let home_of_page cluster page = page mod cluster.cfg.Config.nprocs
 
-(* Lock homes: [Modulo] is the historical placement (lock l lives at node
-   l mod n).  [Sharded k] spreads the homes over k manager nodes chosen
-   evenly across the id space — stride n/k keeps them on distinct leaf
-   switches of a tree fabric instead of crowding the low-numbered nodes. *)
+(* Lock homes: lock l lives at one of k manager nodes chosen evenly
+   across the id space — stride n/k keeps them on distinct leaf switches
+   of a tree fabric instead of crowding the low-numbered nodes.  [Modulo]
+   is the k = n shape (lock l at node l mod n). *)
 let home_of_lock cluster lock =
   let n = cluster.cfg.Config.nprocs in
-  match cluster.cfg.Config.lock_homes with
-  | Config.Modulo -> lock mod n
-  | Config.Sharded k -> lock mod k * (n / k)
+  let k =
+    match cluster.cfg.Config.lock_homes with
+    | Config.Modulo -> n
+    | Config.Sharded k -> k
+  in
+  lock mod k * (n / k)
 
 (* Emission guard: callers write
      [if tracing cl then emit cl ~node (Event.X { ... })]

@@ -79,9 +79,6 @@ type entry = {
           a read-then-write pattern at this node *)
   mutable read_fault_seq : int;
       (** interval index of the last local read fault on this page *)
-  mutable pending_diff : (int * Vc.t) option;
-      (** lazy diffing: a closed interval whose diff has not been
-          materialized yet (the twin is retained until it is) *)
   mutable log_writes : bool;
       (** software write detection: the accessors log this interval's
           write ranges instead of relying on a twin *)

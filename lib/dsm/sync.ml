@@ -90,7 +90,6 @@ let crash_pause cl node =
         e.has_base <- false;
         e.perm <- Perm.No_access;
         e.twin <- None;
-        e.pending_diff <- None;
         e.dirty <- false;
         e.notices <- [];
         e.content_version <- 0;
@@ -395,19 +394,7 @@ let gc_purge cl node =
   if tracing cl then
     emit cl ~node:node.id
       (Adsm_trace.Event.Diff_gc { count = !count; bytes = !bytes });
-  iter_entries node
-    (fun (e : entry) ->
-      e.own_diff_seqs <- [];
-      (* Lazily-pending diffs whose notices were just discarded will never
-         be requested: drop them uncreated (the lazy scheme's win). *)
-      match e.pending_diff with
-      | Some _ ->
-        e.pending_diff <- None;
-        if Option.is_some e.twin then begin
-          e.twin <- None;
-          Stats.twin_freed cl.stats ~node:node.id
-        end
-      | None -> ());
+  iter_entries node (fun (e : entry) -> e.own_diff_seqs <- []);
   (* Interval logs are globally known at this point; drop them so grants
      stay small.  Vector clocks keep the ordering information. *)
   Interval.Logs.clear node.intervals

@@ -158,43 +158,6 @@ let migratory ?(jobs = 1) () =
       [ "Program"; "speedup off"; "speedup on"; "msgs off"; "msgs on" ]
     rows
 
-(* --- lazy diffing --------------------------------------------------- *)
-
-let lazydiff ?(jobs = 1) () =
-  let apps = [ "SOR"; "3D-FFT"; "Shallow"; "Barnes" ] in
-  let results =
-    cells ~jobs (grid_of apps [ false; true ]) (fun (name, lazy_diffing) ->
-        Runner.run
-          ~tweak:(fun c -> { c with Config.lazy_diffing })
-          ~app:(app name) ~protocol:Config.Mw ~nprocs:8
-          ~scale:Registry.Default ())
-  in
-  let rows =
-    List.map2
-      (fun name ms ->
-        match ms with
-        | [ eager; lz ] ->
-          [
-            name;
-            fmt2 (Runner.speedup eager);
-            fmt2 (Runner.speedup lz);
-            string_of_int eager.Runner.diffs_created;
-            string_of_int lz.Runner.diffs_created;
-          ]
-        | _ -> assert false)
-      apps (chunk 2 results)
-  in
-  Tables.render
-    ~title:
-      "Ablation: eager vs lazy diff creation under MW.  The baseline\n\
-       reproduction diffs eagerly at release (a documented TreadMarks\n\
-       simplification); with lazy diffing the diff is created on first\n\
-       request, and diffs garbage-collected before anyone asks are never\n\
-       created at all."
-    ~header:
-      [ "Program (MW)"; "spd eager"; "spd lazy"; "diffs eager"; "diffs lazy" ]
-    rows
-
 (* --- software write detection --------------------------------------- *)
 
 let writeranges ?(jobs = 1) () =
@@ -298,7 +261,6 @@ let studies =
     ("threshold", threshold);
     ("network", network);
     ("migratory", migratory);
-    ("lazydiff", lazydiff);
     ("writeranges", writeranges);
     ("hlrc", hlrc);
     ("scaling", scaling);

@@ -23,8 +23,6 @@ val network : ?jobs:int -> unit -> string
 
 val migratory : ?jobs:int -> unit -> string
 
-val lazydiff : ?jobs:int -> unit -> string
-
 val writeranges : ?jobs:int -> unit -> string
 
 val hlrc : ?jobs:int -> unit -> string

@@ -168,12 +168,3 @@ let counterexample outcome =
       (Format.asprintf "%a@.--- workload ---@.%a%s" Oracle.pp_report
          outcome.report Workload.pp outcome.program faults)
   | [], [] -> None
-
-let check_app ?seed ?mutation ?faults ~(app : Registry.entry) ~protocol
-    ~nprocs ~scale () =
-  let recorder = Recorder.create () in
-  let tweak cfg = { cfg with Config.mutation; faults } in
-  let (_ : Runner.measurement) =
-    Runner.run ?seed ~tweak ~recorder ~app ~protocol ~nprocs ~scale ()
-  in
-  Oracle.check ~nprocs (Recorder.stream recorder)

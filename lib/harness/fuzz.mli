@@ -82,16 +82,3 @@ val sweep :
     the workload program and, in fault mode, the schedule); [None] if
     the outcome passed. *)
 val counterexample : outcome -> string option
-
-(** Run a registry application with the oracle recording and validate
-    the whole run. *)
-val check_app :
-  ?seed:int64 ->
-  ?mutation:Adsm_dsm.Config.mutation ->
-  ?faults:Adsm_net.Fault.schedule ->
-  app:Adsm_apps.Registry.entry ->
-  protocol:Adsm_dsm.Config.protocol ->
-  nprocs:int ->
-  scale:Adsm_apps.Registry.scale ->
-  unit ->
-  Adsm_check.Oracle.report

@@ -101,6 +101,14 @@ let tweak_of_fabric fabric cfg =
     }
 
 let collect ?(smoke = false) ?(max_nodes = 1024) ?(jobs = 1) ?apps () =
+  (* Both grids start at 8 nodes; a lower cap would sweep nothing. *)
+  let min_nodes = List.hd node_grid in
+  if max_nodes < min_nodes then
+    invalid_arg
+      (Printf.sprintf
+         "Scaling.collect: max_nodes %d is below the grid's smallest node \
+          count %d"
+         max_nodes min_nodes);
   (* [apps] restricts the sweep to the named applications (CI smoke,
      local iteration). *)
   let apps =

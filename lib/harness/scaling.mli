@@ -43,7 +43,8 @@ type study = { smoke : bool; max_nodes : int; rows : row list }
     worker domains, dispatched heaviest-cell-first; the returned rows
     are in grid order regardless.  [apps] restricts the sweep to the named
     applications (any case), overriding the [smoke]/default app list.
-    @raise Invalid_argument on an unknown app name. *)
+    @raise Invalid_argument on an unknown app name or a [max_nodes]
+    below the grid's smallest node count (8). *)
 val collect :
   ?smoke:bool ->
   ?max_nodes:int ->

@@ -89,6 +89,35 @@ let test_fuzz_zero_nodes () =
   check_failure "fuzz on 0 nodes" "fuzz --procs 0 --seeds 2" ~code:1
     ~stderr_has:"fuzz: needs at least 1 node"
 
+(* Unknown application names are rejected before any run, as `survive`
+   does, instead of escaping as an uncaught exception. *)
+let test_unknown_experiments_app () =
+  check_failure "experiments unknown app" "experiments --tiny --app Nope"
+    ~code:1 ~stderr_has:"unknown application Nope"
+
+let test_unknown_scaling_app () =
+  check_failure "scaling unknown app" "scaling --tiny --apps Nope" ~code:1
+    ~stderr_has:"unknown app Nope"
+
+let test_survive_unknown_app () =
+  check_failure "survive unknown app" "survive --tiny --app Nope" ~code:1
+    ~stderr_has:"unknown application Nope"
+
+(* --jobs goes through one positive-int converter: cmdliner's usage-error
+   exit (124) in every subcommand that takes it. *)
+let test_zero_jobs () =
+  List.iter
+    (fun cmd ->
+      check_failure (cmd ^ " --jobs 0") (cmd ^ " --jobs 0") ~code:124
+        ~stderr_has:"not a positive integer")
+    [ "experiments"; "ablations"; "scaling"; "verify"; "survive"; "fuzz" ]
+
+(* A cap below the grid would run an empty sweep whose checksum and
+   barrier-bound checks pass vacuously. *)
+let test_scaling_max_nodes_below_grid () =
+  check_failure "scaling --max-nodes 5" "scaling --tiny --max-nodes 5"
+    ~code:1 ~stderr_has:"below the grid's smallest node count 8"
+
 let test_list_ok () =
   let code, out, _err = run_capture "list" in
   Alcotest.(check int) "list: exit code" 0 code;
@@ -131,6 +160,15 @@ let () =
           Alcotest.test_case "survive below 2 nodes" `Quick
             test_survive_one_node;
           Alcotest.test_case "fuzz below 1 node" `Quick test_fuzz_zero_nodes;
+          Alcotest.test_case "experiments: unknown application" `Quick
+            test_unknown_experiments_app;
+          Alcotest.test_case "scaling: unknown application" `Quick
+            test_unknown_scaling_app;
+          Alcotest.test_case "survive: unknown application" `Quick
+            test_survive_unknown_app;
+          Alcotest.test_case "--jobs 0" `Quick test_zero_jobs;
+          Alcotest.test_case "scaling: --max-nodes below the grid" `Quick
+            test_scaling_max_nodes_below_grid;
         ] );
       ( "smoke",
         [

@@ -61,42 +61,47 @@ let test_fuzz_node_counts () =
 
 (* --- real applications, whole runs validated --- *)
 
+let oracle_apps = [ "SOR"; "TSP"; "IS"; "Water" ]
+
+(* Record one whole tiny-scale run and validate it. *)
+let check_app_cell ~tweak ~label ~nprocs app_name protocol =
+  let app = Option.get (Registry.find app_name) in
+  let recorder = Recorder.create () in
+  let (_ : Runner.measurement) =
+    Runner.run ~tweak ~recorder ~app ~protocol ~nprocs ~scale:Registry.Tiny ()
+  in
+  assert_clean
+    (case app_name protocol ^ label)
+    (Oracle.check ~nprocs (Recorder.stream recorder))
+
+(* Every protocol, HLRC included, on the paper configuration and with
+   software write detection, whose diffs are built from the logged write
+   ranges instead of a twin. *)
 let test_apps_oracle () =
   List.iter
-    (fun app_name ->
-      let app = Option.get (Registry.find app_name) in
+    (fun (label, tweak) ->
       List.iter
-        (fun protocol ->
-          let report =
-            Fuzz.check_app ~app ~protocol ~nprocs:4 ~scale:Registry.Tiny ()
-          in
-          assert_clean (case app_name protocol) report)
-        Config.all_protocols)
-    [ "SOR"; "TSP"; "IS"; "Water" ]
+        (fun app_name ->
+          List.iter
+            (check_app_cell ~tweak ~label ~nprocs:4 app_name)
+            Config.extended_protocols)
+        oracle_apps)
+    [
+      ("", Fun.id);
+      (" write_ranges", fun cfg -> { cfg with Config.write_ranges = true });
+    ]
 
 (* The same apps at 8 nodes on a binary barrier tree: nodes 1-3 are
    interior, so subtree-minimum clocks, buffered interval lists and the
    relayed releases and GC messages all run under the oracle. *)
 let test_apps_oracle_deep_tree () =
-  let nprocs = 8 in
+  let tweak cfg = { cfg with Config.barrier = Config.Tree { fanout = 2 } } in
   List.iter
     (fun app_name ->
-      let app = Option.get (Registry.find app_name) in
       List.iter
-        (fun protocol ->
-          let recorder = Recorder.create () in
-          let tweak cfg =
-            { cfg with Config.barrier = Config.Tree { fanout = 2 } }
-          in
-          let (_ : Runner.measurement) =
-            Runner.run ~tweak ~recorder ~app ~protocol ~nprocs
-              ~scale:Registry.Tiny ()
-          in
-          assert_clean
-            (case app_name protocol ^ " tree:2")
-            (Oracle.check ~nprocs (Recorder.stream recorder)))
+        (check_app_cell ~tweak ~label:" tree:2" ~nprocs:8 app_name)
         Config.all_protocols)
-    [ "SOR"; "TSP"; "IS"; "Water" ]
+    oracle_apps
 
 (* --- mutation detection: the oracle must have teeth --- *)
 

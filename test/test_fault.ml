@@ -178,6 +178,48 @@ let test_oracle_clean_under_crashes () =
         [ "sor"; "is"; "water" ])
     [ Config.Central; Config.Tree { fanout = 2 } ]
 
+let mentions ~needle s =
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = needle || at (i + 1))
+  in
+  at 0
+
+(* [Dsm.run]'s crash-schedule gate: write-range logging keeps a closed
+   interval's writes outside the diff store until the diff is built, and
+   HLRC keeps diffs only at the homes, so a crash schedule under either
+   is rejected before any process starts.  Message-only faults compose
+   with both and leave the checksum alone. *)
+let test_crash_gate () =
+  List.iter
+    (fun (label, protocol, tweak) ->
+      let cfg = tweak (Config.make ~protocol ~nprocs:4 ()) in
+      let started = ref false in
+      (match
+         Dsm.run (Dsm.create (with_faults crash_sched cfg)) (fun _ ->
+             started := true)
+       with
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: reason given (%S)" label msg)
+          true
+          (mentions ~needle:label msg)
+      | _ -> Alcotest.failf "%s: crash schedule accepted" label);
+      Alcotest.(check bool) (label ^ ": no process started") false !started;
+      let base = measure ~tweak "sor" protocol in
+      let perturbed =
+        measure
+          ~tweak:(fun c -> with_faults (sched "loss=0.05;jitter=2us") (tweak c))
+          "sor" protocol
+      in
+      Alcotest.(check (float 0.0))
+        (label ^ ": message faults keep the checksum")
+        base.Runner.checksum perturbed.Runner.checksum)
+    [
+      ("write_ranges", Config.Wfs, fun c -> { c with Config.write_ranges = true });
+      ("HLRC", Config.Hlrc, Fun.id);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Determinism and the disabled path                                  *)
 (* ------------------------------------------------------------------ *)
@@ -388,6 +430,8 @@ let () =
             test_apps_survive_crashes;
           Alcotest.test_case "oracle clean under crashes" `Slow
             test_oracle_clean_under_crashes;
+          Alcotest.test_case "crash gate: write_ranges and HLRC" `Quick
+            test_crash_gate;
         ] );
       ( "determinism",
         [

@@ -19,15 +19,13 @@ module Rng = Adsm_sim.Rng
 
 let total_len = 1536 (* three pages of f64 *)
 
-let run_program ?(lazy_diffing = false) ?(write_ranges = false)
-    ?schedule_fuzz ~seed ~protocol ~nprocs ~phases () =
+let run_program ?(write_ranges = false) ?schedule_fuzz ~seed ~protocol ~nprocs ~phases () =
   let cfg = Config.make ~protocol ~nprocs () in
   (* a tiny GC threshold exercises garbage collection in the mix *)
   let cfg =
     {
       cfg with
       Config.gc_threshold_bytes = 24_576;
-      lazy_diffing;
       write_ranges;
       schedule_fuzz;
     }
@@ -102,13 +100,13 @@ let prop_cross_protocol_equivalence =
           List.for_all
             (fun nprocs ->
               List.for_all
-                (fun (lazy_diffing, write_ranges) ->
+                (fun write_ranges ->
                   let value, _ =
-                    run_program ~lazy_diffing ~write_ranges ~seed ~protocol
-                      ~nprocs ~phases:3 ()
+                    run_program ~write_ranges ~seed ~protocol ~nprocs
+                      ~phases:3 ()
                   in
                   value = reference)
-                [ (false, false); (true, false); (false, true) ])
+                [ false; true ])
             [ 2; 4 ])
         Config.extended_protocols)
 

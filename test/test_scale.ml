@@ -121,7 +121,11 @@ let test_sharded_locks_transparent () =
       Alcotest.(check (float 0.0))
         (Printf.sprintf "%d shards checksum" shards)
         base.Runner.checksum m.Runner.checksum)
-    [ 1; 2; 4 ]
+    [ 1; 2; 4 ];
+  (* [Modulo] is the [Sharded nprocs] shape: the whole run is the same. *)
+  let tweak cfg = { cfg with Config.lock_homes = Config.Sharded 8 } in
+  if run ~tweak ~app:"Water" ~protocol:Config.Mw ~nprocs:8 () <> base then
+    Alcotest.fail "Sharded 8 and Modulo differ at 8 nodes"
 
 (* Grant order is FIFO by request arrival at the home, whichever node
    the placement policy makes the home.  Node 0 grabs the lock and
