@@ -192,7 +192,7 @@ let app_arg =
 let protocol_arg =
   Arg.(
     value & opt string "WFS"
-    & info [ "protocol"; "p" ] ~doc:"Protocol: MW, SW, WFS or WFS+WG.")
+    & info [ "protocol"; "p" ] ~doc:"Protocol: MW, SW, WFS, WFS+WG or HLRC.")
 
 let procs_arg =
   Arg.(value & opt int 8 & info [ "procs"; "n" ] ~doc:"Simulated processors.")
@@ -356,7 +356,8 @@ let run_fuzz protocol_name nprocs seeds seed mutation_name faults jobs =
       | None -> if !failures = 0 then 0 else 1)
 
 (* A worker count below 1 is a usage error (exit 124) in every
-   subcommand that takes --jobs, not an exception from [Pool.map]. *)
+   subcommand that takes --jobs, not an exception from [Pool.map]; so is
+   a fuzz seed count below 1, which would check nothing. *)
 let positive_int =
   let parse s =
     match int_of_string_opt s with
@@ -377,7 +378,7 @@ let jobs_arg =
 
 let seeds_arg =
   Arg.(
-    value & opt int 10
+    value & opt positive_int 10
     & info [ "seeds" ] ~docv:"N" ~doc:"Number of consecutive seeds to run.")
 
 let mutation_arg =
@@ -589,17 +590,18 @@ let run_verify app_name tiny nprocs jobs =
       (Config.Sw, 1)
       :: List.map (fun p -> (p, nprocs)) Config.extended_protocols
     in
-    let checksums =
+    match
       Pool.map ~jobs
         (fun (protocol, nprocs) ->
           (Runner.run ~app ~protocol ~nprocs ~scale ()).Runner.checksum)
         cells
-    in
-    let reference, values =
-      match checksums with
-      | r :: vs -> (r, vs)
-      | [] -> assert false
-    in
+    with
+    | exception Invalid_argument msg ->
+      (* An unsupported configuration, as in [run_one]. *)
+      Printf.eprintf "%s\n" msg;
+      1
+    | [] -> assert false
+    | reference :: values ->
     Printf.printf "%s: sequential checksum %h\n" app.Registry.name reference;
     let failures = ref 0 in
     List.iter2

@@ -8,8 +8,6 @@
    at any protocol state, which is what makes it an independent check:
    the same stream semantics must hold whichever protocol produced it. *)
 
-module Json = Adsm_trace.Json
-
 type t =
   | Read of { page : int; off : int; width : int; bits : int64 }
   | Write of { page : int; off : int; width : int; bits : int64 }
@@ -45,71 +43,6 @@ let location = function
 let value_string ~width bits =
   if width = 8 then Printf.sprintf "%.17g" (Int64.float_of_bits bits)
   else Printf.sprintf "%ld" (Int64.to_int32 bits)
-
-(* ------------------------------------------------------------------ *)
-(* JSON codec                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* [bits] is a full 64-bit pattern (e.g. the sign bit of a negative
-   float), which does not fit OCaml's 63-bit [Json.Int]: encode it as a
-   hex string instead. *)
-let bits_to_json bits = Json.String (Printf.sprintf "0x%Lx" bits)
-
-let bits_of_json = function
-  | Json.String s -> Int64.of_string_opt s
-  | _ -> None
-
-let args = function
-  | Read { page; off; width; bits } | Write { page; off; width; bits } ->
-    [
-      ("page", Json.Int page);
-      ("off", Json.Int off);
-      ("width", Json.Int width);
-      ("bits", bits_to_json bits);
-    ]
-  | Acquire { lock } | Release { lock } -> [ ("lock", Json.Int lock) ]
-  | Barrier_enter { epoch } | Barrier_leave { epoch } ->
-    [ ("epoch", Json.Int epoch) ]
-  | Crash | Restart -> []
-
-let to_json { time; node; obs } =
-  Json.Obj
-    (("t", Json.Int time)
-    :: ("node", Json.Int node)
-    :: ("ob", Json.String (tag obs))
-    :: args obs)
-
-let of_json json =
-  let ( let* ) o f = Option.bind o f in
-  let field key conv = let* v = Json.member key json in conv v in
-  let int key = field key Json.to_int in
-  let obs =
-    let* tag = field "ob" Json.to_str in
-    match tag with
-    | "read" | "write" ->
-      let* page = int "page" in
-      let* off = int "off" in
-      let* width = int "width" in
-      let* bits = field "bits" bits_of_json in
-      Some
-        (if tag = "read" then Read { page; off; width; bits }
-         else Write { page; off; width; bits })
-    | "acquire" | "release" ->
-      let* lock = int "lock" in
-      Some (if tag = "acquire" then Acquire { lock } else Release { lock })
-    | "barrier-enter" | "barrier-leave" ->
-      let* epoch = int "epoch" in
-      Some
-        (if tag = "barrier-enter" then Barrier_enter { epoch }
-         else Barrier_leave { epoch })
-    | "crash" -> Some Crash
-    | "restart" -> Some Restart
-    | _ -> None
-  in
-  let* time = int "t" in
-  let* node = int "node" in
-  let* obs = obs in
-  Some { time; node; obs }
 
 let pp ppf { time; node; obs } =
   let body =

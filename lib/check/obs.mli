@@ -30,8 +30,4 @@ val location : t -> (int * int) option
     otherwise. *)
 val value_string : width:int -> int64 -> string
 
-val to_json : stamped -> Adsm_trace.Json.t
-
-val of_json : Adsm_trace.Json.t -> stamped option
-
 val pp : Format.formatter -> stamped -> unit

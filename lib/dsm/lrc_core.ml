@@ -34,8 +34,9 @@ open State
 (* Wire-size accounting for one outgoing message.  Under [sparse_vc]
    every piggybacked vector clock is charged at its delta-encoded size
    relative to the sender's last-barrier clock — knowledge the receiver
-   provably shares — instead of 4 dense bytes per processor.  Pure cost
-   model: message content and protocol behaviour are unchanged. *)
+   provably shares — instead of 4 dense bytes per processor; a clock
+   relayed to many receivers is counted once per barrier epoch.  Pure
+   cost model: message content and protocol behaviour are unchanged. *)
 let msg_bytes cl ~src msg =
   if cl.cfg.Config.sparse_vc then
     Msg.size_bytes
@@ -172,7 +173,7 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
     let vc_snapshot = Vc.copy node.vc in
     let seq = Vc.get node.vc node.id in
     let notices = ref [] in
-    (* [mark_dirty] lists a page only while its [dirty] flag is off,
+    (* [mark_page_dirty] lists a page only while its [dirty] flag is off,
        and only [close_page] and the crash wipe (which runs after the
        interval closed) clear it: no page is listed twice. *)
     let close_page page =
@@ -486,7 +487,7 @@ let validate cl node (e : entry) =
 (* Write-side helpers                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let mark_dirty node (e : entry) =
+let mark_page_dirty node (e : entry) =
   e.perm <- Perm.Read_write;
   if not e.dirty then begin
     e.dirty <- true;
@@ -520,7 +521,7 @@ let mw_write_path cl node (e : entry) =
     tlb_reset node
   end
   else make_twin cl node e;
-  mark_dirty node e
+  mark_page_dirty node e
 
 (* ------------------------------------------------------------------ *)
 (* Server-side page and diff service (event context: never block)     *)

@@ -80,7 +80,7 @@ val validate : cluster -> node -> entry -> unit
 
 (* --- write-side helpers --- *)
 
-val mark_dirty : node -> entry -> unit
+val mark_page_dirty : node -> entry -> unit
 
 val make_twin : cluster -> node -> entry -> unit
 

@@ -51,7 +51,7 @@ let rec adaptive_write_fault cl node (e : entry) =
       if not e.is_owner then restart ()
       else begin
         Lrc_core.acquire_ownership_locally cl node e;
-        Lrc_core.mark_dirty node e
+        Lrc_core.mark_page_dirty node e
       end
     end
     else if e.owner = node.id then begin
@@ -67,7 +67,7 @@ let rec adaptive_write_fault cl node (e : entry) =
           emit cl ~node:node.id
             (Adsm_trace.Event.Mode_change
                { page = e.page; mode = Adsm_trace.Event.Sw });
-        Lrc_core.mark_dirty node e
+        Lrc_core.mark_page_dirty node e
       end
     end
     else begin
@@ -91,7 +91,7 @@ let rec adaptive_write_fault cl node (e : entry) =
           Lrc_core.fetch_and_apply_diffs cl node e;
           e.version <- version;
           Lrc_core.acquire_ownership_locally cl node e;
-          Lrc_core.mark_dirty node e
+          Lrc_core.mark_page_dirty node e
         | Msg.Refused_measure ->
           e.measured <- true;
           adaptive_mw_write cl node e

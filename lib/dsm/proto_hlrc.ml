@@ -85,7 +85,7 @@ let write_fault cl node (e : entry) =
   hlrc_validate cl node e;
   (* The home writes its master copy in place; everyone else twins. *)
   if home_of_page cl e.page <> node.id then Lrc_core.make_twin cl node e;
-  Lrc_core.mark_dirty node e
+  Lrc_core.mark_page_dirty node e
 
 (* --- home-side handlers (event context) --- *)
 

@@ -110,7 +110,7 @@ let write_fault cl node (e : entry) =
   if e.is_owner then begin
     (* Local reacquisition: version bump, no messages. *)
     Lrc_core.acquire_ownership_locally cl node e;
-    Lrc_core.mark_dirty node e
+    Lrc_core.mark_page_dirty node e
   end
   else begin
     Stats.ownership_request cl.stats;
@@ -144,7 +144,7 @@ let write_fault cl node (e : entry) =
       reflected_fill e node.vc;
       Proc.sleep cl.engine cl.cfg.Config.page_install_ns;
       Hashtbl.remove node.own_waits e.page;
-      Lrc_core.mark_dirty node e;
+      Lrc_core.mark_page_dirty node e;
       (* Serve ownership requests that were queued on us while the
          transfer was in flight (unless a forward arriving during the
          install already took the ownership away). *)

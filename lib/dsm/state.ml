@@ -216,8 +216,8 @@ let last_notice (e : entry) q =
   let i = notice_slot e q in
   if i < 0 then None else Some e.nw_vcs.(i)
 
-(* Bounded like [Vc.dirty_cap]: a page written by more writers than this
-   between two dominating notices takes the dense scan anyway. *)
+(* A page written by more writers than this between two dominating
+   notices takes the dense scan anyway. *)
 let since_cap = 8
 
 let forget_dominating (e : entry) =
@@ -332,8 +332,7 @@ let make_node ~cfg ~id ~total_pages =
   let nprocs = cfg.Config.nprocs in
   let vc = Vc.zero ~nprocs in
   let last_barrier_vc = Vc.zero ~nprocs in
-  (* Both zero: the precondition of [Vc.rebase] (equal contents) holds,
-     and pre-first-barrier sparse-VC accounting gets the fast path.
+  (* Both zero: the precondition of [Vc.rebase] (equal contents) holds.
      Epoch 0 = the all-zeros snapshot every node starts from (barrier
      completions stamp from 1 up). *)
   Vc.rebase vc ~base:last_barrier_vc ~epoch:0;

@@ -1,6 +1,29 @@
 module Series = Adsm_sim.Series
 module Page = Adsm_mem.Page
 
+(* A set of page numbers: one flag byte per page, grown by doubling,
+   and the number of flags set. *)
+type page_set = { mutable flags : Bytes.t; mutable count : int }
+
+let page_set () = { flags = Bytes.make 64 '\000'; count = 0 }
+
+let page_mem s page =
+  page < Bytes.length s.flags && Bytes.get s.flags page <> '\000'
+
+let page_add s page =
+  if not (page_mem s page) then begin
+    let len = Bytes.length s.flags in
+    if page >= len then begin
+      let n = ref (2 * len) in
+      while page >= !n do n := 2 * !n done;
+      let flags = Bytes.make !n '\000' in
+      Bytes.blit s.flags 0 flags 0 len;
+      s.flags <- flags
+    end;
+    Bytes.set s.flags page '\001';
+    s.count <- s.count + 1
+  end
+
 type t = {
   procs : int;
   mutable twins_created : int;
@@ -15,8 +38,8 @@ type t = {
   mutable gcs : int;
   mutable rfaults : int;
   mutable wfaults : int;
-  writers : unit Int_tbl.t;  (** pages with a recorded writer *)
-  false_shared : unit Int_tbl.t;
+  writers : page_set;  (** pages with a recorded writer *)
+  false_shared : page_set;
   mutable modified_bytes : int;  (** summed over every created diff *)
   mutable switches : int;
   mutable migratory_upgrades : int;
@@ -41,8 +64,8 @@ let create ~nprocs () =
     gcs = 0;
     rfaults = 0;
     wfaults = 0;
-    writers = Int_tbl.create 256;
-    false_shared = Int_tbl.create 64;
+    writers = page_set ();
+    false_shared = page_set ();
     modified_bytes = 0;
     switches = 0;
     migratory_upgrades = 0;
@@ -115,18 +138,15 @@ let read_faults t = t.rfaults
 
 let write_faults t = t.wfaults
 
-let note_write t ~page =
-  (* Hot path (every write notice on every node): test-then-add beats
-     [replace], which re-removes the binding on every call. *)
-  if not (Int_tbl.mem t.writers page) then Int_tbl.add t.writers page ()
+let note_write t ~page = page_add t.writers page
 
-let note_false_sharing t ~page = Int_tbl.replace t.false_shared page ()
+let note_false_sharing t ~page = page_add t.false_shared page
 
-let pages_written t = Int_tbl.length t.writers
+let pages_written t = t.writers.count
 
-let page_false_shared t ~page = Int_tbl.mem t.false_shared page
+let page_false_shared t ~page = page_mem t.false_shared page
 
-let pages_false_shared t = Int_tbl.length t.false_shared
+let pages_false_shared t = t.false_shared.count
 
 let false_shared_fraction t =
   let w = pages_written t in

@@ -610,15 +610,11 @@ let barrier cl node =
        its children when it completed the barrier. *)
     if node.id <> 0 then tree_release_children cl node ~epoch ~gc_round;
     Vc.blit_into ~src:node.vc ~dst:node.last_barrier_vc;
-    (* The clock now equals the refreshed last-barrier snapshot: rebase
-       so the sparse-VC wire accounting of everything piggybacking this
-       clock (or copies of it — intervals, arrivals, acquires) counts
-       only post-barrier components instead of scanning all [nprocs].
-       Every node completing this barrier holds the same supremum, so
-       stamp the snapshot with the epoch number ([epoch + 1], keeping 0
-       for the initial all-zeros stamp of [make_node]): clocks relayed
-       between nodes stay delta-comparable against the receiver's own
-       snapshot of the same epoch. *)
+    (* Every node completing this barrier holds the same supremum, so
+       stamp the refreshed snapshot with the epoch number ([epoch + 1],
+       keeping 0 for the initial all-zeros stamp of [make_node]): the
+       sparse-VC delta count of a clock relayed to many nodes is then
+       cached once per epoch instead of rescanned per receiver. *)
     Vc.rebase node.vc ~base:node.last_barrier_vc ~epoch:(epoch + 1);
     rule3_scan cl node;
     if gc_round then begin

@@ -39,23 +39,15 @@ val blit_into : src:t -> dst:t -> unit
     which is what the combining tree sends upward. *)
 val min_into : t -> t -> unit
 
-(** Record [base] as the clock's delta base and clear its
-    dirty-component set: from here on, {!delta_size_bytes} against
-    exactly [base] (same clock, unchanged) counts only components
-    touched since this call.  PRECONDITION: the clock's components must
-    equal [base]'s at the time of the call (true at every call site —
-    the base is a just-taken snapshot of the clock).  Copies inherit the
-    base, so interval snapshots taken from a rebased clock keep the fast
-    path against the origin's last-barrier knowledge.
-
-    [epoch >= 0] additionally stamps [base] as the epoch-[epoch]
-    snapshot.  PRECONDITION: all clocks stamped with the same epoch
-    number (across all nodes of the cluster) have identical components —
-    true for barrier-completion snapshots, which all equal the global
-    supremum of the epoch.  The stamp extends the delta/merge/leq fast
-    paths across nodes: a clock based on THIS node's epoch-[e] snapshot
-    is delta-comparable against ANOTHER node's epoch-[e] snapshot. *)
-val rebase : ?epoch:int -> t -> base:t -> unit
+(** Stamp [base] as the epoch-[epoch] snapshot, for the delta cache of
+    {!delta_size_bytes}.  PRECONDITION: the clock [t] equals [base] (the
+    base is a just-taken snapshot of it), checked in O(1) through the
+    sums; [Invalid_argument] when the sums differ.  PRECONDITION: all
+    clocks stamped with the same epoch number (across all nodes of the
+    cluster) have identical components — true for barrier-completion
+    snapshots, which all equal the global supremum of the epoch.  A
+    stamp lapses when [base] is next mutated. *)
+val rebase : epoch:int -> t -> base:t -> unit
 
 (** [leq a b] — every component of [a] is at or below [b]:
     "[a] happened before or is [b]". *)
@@ -78,7 +70,10 @@ val size_bytes : t -> int
 (** Wire size under delta encoding against [since], a clock the receiver
     is known to share: 8-byte header + 8 bytes per differing component.
     Used by the [sparse_vc] cost model with the sender's last-barrier
-    clock as the base. *)
+    clock as the base.  When [since] is a current epoch snapshot (see
+    {!rebase}) the count is cached on the clock, keyed by the epoch and
+    the clock's {!version}: a timestamp relayed to many receivers is
+    scanned once. *)
 val delta_size_bytes : since:t -> t -> int
 
 val equal : t -> t -> bool

@@ -31,7 +31,7 @@ let form m =
     let h = m.(0) in
     if h < 0 then Dense else if h land 1 = 0 then Linear else Hashed
 
-(* Multiply by 2^62/phi and keep high bits, as [Int_tbl] does: writer
+(* Fibonacci hashing: multiply by 2^62/phi and keep high bits — writer
    ids are consecutive, and the high bits spread them over the table. *)
 let hash q mask = ((q * 0x278DDE6E5FD29F05) lsr 32) land mask
 

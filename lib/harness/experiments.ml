@@ -451,7 +451,7 @@ let survivability ?(apps = [ "SOR"; "IS"; "Water" ])
                    (Config.protocol_name protocol)
                    count);
             let pct part whole =
-              Printf.sprintf "+%.1f%%"
+              Printf.sprintf "%+.1f%%"
                 (100. *. float_of_int (part - whole) /. float_of_int whole)
             in
             [

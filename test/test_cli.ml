@@ -89,6 +89,18 @@ let test_fuzz_zero_nodes () =
   check_failure "fuzz on 0 nodes" "fuzz --procs 0 --seeds 2" ~code:1
     ~stderr_has:"fuzz: needs at least 1 node"
 
+(* One stderr line and exit 1, as `run --procs 0` gives. *)
+let test_verify_zero_nodes () =
+  let code, _out, err = run_capture "verify --procs 0 --tiny" in
+  Alcotest.(check int) "verify on 0 nodes: exit code" 1 code;
+  Alcotest.(check string) "verify on 0 nodes: stderr"
+    "Config.make: nprocs must be positive\n" err
+
+(* Zero seeds would check nothing and exit 0. *)
+let test_fuzz_zero_seeds () =
+  check_failure "fuzz --seeds 0" "fuzz --seeds 0" ~code:124
+    ~stderr_has:"not a positive integer"
+
 (* Unknown application names are rejected before any run, as `survive`
    does, instead of escaping as an uncaught exception. *)
 let test_unknown_experiments_app () =
@@ -160,6 +172,9 @@ let () =
           Alcotest.test_case "survive below 2 nodes" `Quick
             test_survive_one_node;
           Alcotest.test_case "fuzz below 1 node" `Quick test_fuzz_zero_nodes;
+          Alcotest.test_case "verify below 1 node" `Quick
+            test_verify_zero_nodes;
+          Alcotest.test_case "fuzz --seeds 0" `Quick test_fuzz_zero_seeds;
           Alcotest.test_case "experiments: unknown application" `Quick
             test_unknown_experiments_app;
           Alcotest.test_case "scaling: unknown application" `Quick

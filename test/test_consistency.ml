@@ -9,15 +9,14 @@
      flagged, with the failure shrunk to a minimal counterexample —
      otherwise a green oracle proves nothing.
 
-   Plus the observation codec round-trip and the guarantee that an
-   oracle-enabled run is event-identical to a plain one. *)
+   Plus the guarantee that an oracle-enabled run is event-identical to
+   a plain one. *)
 
 module Config = Adsm_dsm.Config
 module Dsm = Adsm_dsm.Dsm
 module Registry = Adsm_apps.Registry
 module Runner = Adsm_harness.Runner
 module Fuzz = Adsm_harness.Fuzz
-module Obs = Adsm_check.Obs
 module Oracle = Adsm_check.Oracle
 module Recorder = Adsm_check.Recorder
 module Workload = Adsm_check.Workload
@@ -168,52 +167,6 @@ let test_mutation_seeds_clean_without_mutation () =
       done)
     [ Config.Mw; Config.Sw ]
 
-(* --- observation codec --- *)
-
-let stamped_testable =
-  Alcotest.testable Obs.pp (fun (a : Obs.stamped) b -> a = b)
-
-let test_codec_roundtrip () =
-  let samples =
-    [
-      { Obs.time = 0; node = 0;
-        obs = Obs.Read { page = 3; off = 8; width = 8;
-                         bits = Int64.bits_of_float (-1.5e-300) } };
-      { Obs.time = 17; node = 2;
-        obs = Obs.Write { page = 0; off = 4088; width = 8;
-                          bits = Int64.bits_of_float Float.nan } };
-      { Obs.time = 99; node = 1;
-        obs = Obs.Read { page = 12; off = 0; width = 4;
-                         bits = Int64.of_int32 (-7l) } };
-      { Obs.time = 100; node = 1;
-        obs = Obs.Write { page = 12; off = 0; width = 4;
-                          bits = Int64.of_int32 Int32.max_int } };
-      { Obs.time = 5; node = 3; obs = Obs.Acquire { lock = 2 } };
-      { Obs.time = 6; node = 3; obs = Obs.Release { lock = 2 } };
-      { Obs.time = 7; node = 0; obs = Obs.Barrier_enter { epoch = 4 } };
-      { Obs.time = 8; node = 0; obs = Obs.Barrier_leave { epoch = 4 } };
-    ]
-  in
-  List.iter
-    (fun s ->
-      match Obs.of_json (Obs.to_json s) with
-      | Some back -> Alcotest.(check stamped_testable) "round-trip" s back
-      | None -> Alcotest.failf "codec rejected its own output for %s"
-                  (Obs.tag s.Obs.obs))
-    samples;
-  (* Unknown tags and missing fields decode to None, not an exception. *)
-  let module Json = Adsm_trace.Json in
-  Alcotest.(check bool) "garbage tag rejected" true
-    (Obs.of_json
-       (Json.Obj [ ("t", Json.Int 0); ("node", Json.Int 0);
-                   ("ob", Json.String "flush") ])
-    = None);
-  Alcotest.(check bool) "missing field rejected" true
-    (Obs.of_json
-       (Json.Obj [ ("t", Json.Int 0); ("node", Json.Int 0);
-                   ("ob", Json.String "read"); ("page", Json.Int 1) ])
-    = None)
-
 (* --- enabling the oracle is purely observational --- *)
 
 let test_recorder_is_observational () =
@@ -255,8 +208,6 @@ let () =
           Alcotest.test_case "every mutant detected and shrunk" `Quick
             test_mutations_detected;
         ] );
-      ( "codec",
-        [ Alcotest.test_case "observation round-trip" `Quick test_codec_roundtrip ] );
       ( "overhead",
         [
           Alcotest.test_case "recorder is observational" `Quick

@@ -414,7 +414,15 @@ let test_stats_sharing_profile () =
   Stats.note_false_sharing s ~page:1;
   Alcotest.(check int) "written" 2 (Stats.pages_written s);
   Alcotest.(check int) "false shared" 1 (Stats.pages_false_shared s);
-  Alcotest.(check (float 1e-9)) "fraction" 0.5 (Stats.false_shared_fraction s)
+  Alcotest.(check (float 1e-9)) "fraction" 0.5 (Stats.false_shared_fraction s);
+  (* page sets grow past their initial size *)
+  Stats.note_write s ~page:4097;
+  Stats.note_write s ~page:4097;
+  Alcotest.(check int) "written after growth" 3 (Stats.pages_written s);
+  Alcotest.(check bool) "page 1 false shared" true
+    (Stats.page_false_shared s ~page:1);
+  Alcotest.(check bool) "page 4097 not false shared" false
+    (Stats.page_false_shared s ~page:4097)
 
 let test_stats_series () =
   let s = Stats.create ~nprocs:1 () in

@@ -134,6 +134,21 @@ let test_figure1_narrative () =
     (contains s "producer-consumer" && contains s "migratory"
     && contains s "write-write FS")
 
+(* Negative overheads render as "-3.7%", not "+-3.7%".  Default-scale IS
+   has negative Wire cells; the test requires one, so it cannot pass
+   vacuously. *)
+let test_survive_signed_overheads () =
+  let s =
+    Experiments.survivability ~apps:[ "IS" ] ~scale:Registry.Default
+      ~nprocs:8 ~jobs:1 ()
+  in
+  let n = String.length s in
+  let rec find p i = i < n - 1 && (p s.[i] s.[i + 1] || find p (i + 1)) in
+  Alcotest.(check bool) "has a negative cell" true
+    (find (fun a b -> a = '-' && b >= '0' && b <= '9') 0);
+  Alcotest.(check bool) "no \"+-\"" false
+    (find (fun a b -> a = '+' && b = '-') 0)
+
 (* ------------------------------------------------------------------ *)
 (* Paper-shape assertions (default scale, 4 processors for speed)     *)
 (* ------------------------------------------------------------------ *)
@@ -222,6 +237,8 @@ let () =
           Alcotest.test_case "collect+render" `Slow test_collect_and_render;
           Alcotest.test_case "csv export" `Quick test_export_csv;
           Alcotest.test_case "figure1" `Quick test_figure1_narrative;
+          Alcotest.test_case "survive signed overheads" `Quick
+            test_survive_signed_overheads;
         ] );
       ( "paper-shapes",
         [

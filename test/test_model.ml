@@ -1,14 +1,13 @@
 (* Randomized model tests for the large-n data structures.
 
-   The summarized vector clock (cached sum, dirty-component tracking,
-   epoch-stamped bases, per-epoch delta caches), the array-backed
-   interval log, the writer-indexed logs, the writer maps and the
-   last-notice map's dominating-slot summary all exist to skip dense
-   rescans; correctness means every observable agrees with the naive
+   The summarized vector clock (cached sum, epoch-stamped snapshots,
+   per-epoch delta cache), the array-backed interval log, the
+   writer-indexed logs, the writer maps and the last-notice map's
+   dominating-slot summary all exist to skip dense rescans; correctness means every observable agrees with the naive
    implementation they replaced.
    Seeded op sequences drive the real structure and a naive reference
    through the same mutations — honoring the documented preconditions
-   (rebase on a just-taken snapshot, equal components per epoch stamp,
+   (stamp a just-taken snapshot, equal components per epoch stamp,
    strictly ascending log appends) — and compare every query.  The
    page-diff scan, which skips equal words eight bytes at a time, is
    checked the same way against a word-at-a-time scan. *)
@@ -90,9 +89,9 @@ let vc_model ~width ~seeds ~steps ~promote =
        every [blit_into], restarted at 0 by [copy]. *)
     let vers = Array.make nnodes 0 in
     let bump i changed = if changed then vers.(i) <- vers.(i) + 1 in
-    (* Pool of rebase snapshots, each frozen at creation; delta queries
-       pick arbitrary (clock, base) pairs to exercise the same-base,
-       same-epoch and cold paths alike. *)
+    (* Pool of epoch snapshots; delta queries pair every clock with
+       every snapshot, so counts cached against one node's snapshot are
+       reused against another node's snapshot of the same epoch. *)
     let bases = ref [ (Vc.zero ~nprocs:width, Array.make width 0) ] in
     let push_base b nb =
       bases :=
@@ -139,11 +138,24 @@ let vc_model ~width ~seeds ~steps ~promote =
         vcs.(i) <- Vc.copy vcs.(j);
         vers.(i) <- 0;
         nvs.(i) <- Array.copy nvs.(j)
-      | 10 ->
-        (* plain rebase: snapshot then rebase, per the precondition *)
-        let b = Vc.copy vcs.(i) in
-        Vc.rebase vcs.(i) ~base:b;
-        push_base b (Array.copy nvs.(i))
+      | 10 -> (
+        (* mutate a pooled snapshot after stamping, as crash rollback
+           does to [last_barrier_vc]: its stamp must lapse, or counts
+           cached against its epoch would be served against it *)
+        let pool = Array.of_list !bases in
+        let bvc, bnv = pool.(Random.State.int rs (Array.length pool)) in
+        match Random.State.int rs 3 with
+        | 0 ->
+          let p = Random.State.int rs width in
+          let v = bnv.(p) + 1 + Random.State.int rs 3 in
+          Vc.set bvc p v;
+          bnv.(p) <- v
+        | 1 ->
+          Vc.merge_into bvc vcs.(j);
+          Array.iteri (fun p v -> bnv.(p) <- max bnv.(p) v) nvs.(j)
+        | _ ->
+          Vc.blit_into ~src:vcs.(j) ~dst:bvc;
+          Array.blit nvs.(j) 0 bnv 0 width)
       | _ ->
         (* barrier: every clock becomes the global supremum, then takes
            an epoch-stamped snapshot — the one legitimate way to stamp
@@ -173,8 +185,8 @@ let vc_model ~width ~seeds ~steps ~promote =
         let d = Vc.delta_size_bytes ~since:vcs.(j) vcs.(a) in
         if d <> ndelta ~since:nvs.(j) nvs.(a) then
           Alcotest.failf "step %d: delta clock %d since clock %d" step a j;
-        (* delta against pooled snapshots (same-base / same-epoch /
-           cross-node-epoch fast paths, depending on provenance) *)
+        (* delta against pooled snapshots (cached per epoch while the
+           snapshot's stamp holds, scanned once it has lapsed) *)
         List.iteri
           (fun k (bvc, bnv) ->
             let d = Vc.delta_size_bytes ~since:bvc vcs.(a) in
@@ -186,6 +198,16 @@ let vc_model ~width ~seeds ~steps ~promote =
   done
 
 let test_vc_model () = vc_model ~width:16 ~seeds:10 ~steps:300 ~promote:false
+
+(* [rebase]'s precondition (the clock equals its base) is checked. *)
+let test_vc_rebase_guard () =
+  let vc = Vc.zero ~nprocs:4 in
+  let base = Vc.copy vc in
+  Vc.rebase ~epoch:0 vc ~base;
+  Vc.tick vc ~proc:2;
+  Alcotest.check_raises "differing base"
+    (Invalid_argument "Vc.rebase: clock differs from base") (fun () ->
+      Vc.rebase ~epoch:1 vc ~base)
 
 let test_vc_wide () =
   List.iter
@@ -722,6 +744,8 @@ let () =
           Alcotest.test_case "summarized vs naive (seeded)" `Quick test_vc_model;
           Alcotest.test_case "wide promoted clocks vs naive (seeded)" `Quick
             test_vc_wide;
+          Alcotest.test_case "rebase rejects a differing base" `Quick
+            test_vc_rebase_guard;
         ] );
       ( "interval-log",
         [ Alcotest.test_case "indexed vs naive (seeded)" `Quick test_log_model ]
