@@ -7,9 +7,11 @@
 # The gate has two parts; it exits 1 if either fails.
 #
 # 1. perfbench medians.  For seeds 1-5, each tree runs its own
-#    perfbench/run.py on the n1024, paper8 and is512 workloads for 5 s,
-#    the side that runs first alternating by seed.  is512 is the
-#    workload where changes to the interval/clock metadata path show.  The change's
+#    perfbench/run.py on the n1024, paper8, is512 and crash8 workloads
+#    for 5 s, the side that runs first alternating by seed.  is512 is the
+#    workload where changes to the interval/clock metadata path show;
+#    crash8 is the only one that runs crash recovery (clock rollback,
+#    recovery rounds, interval-log and diff-store replay).  The change's
 #    perfbench/compare.py then pairs the runs and exits 1 on any
 #    `regressed` row, with the bounds of the change's BENCHMARK.json.
 #    Any failed run (non-zero run.py exit) also fails the gate.
@@ -35,7 +37,7 @@ rm -rf "$out"
 mkdir -p "$out"
 
 SEEDS="1 2 3 4 5"
-WORKLOADS="n1024 paper8 is512"
+WORKLOADS="n1024 paper8 is512 crash8"
 SECONDS_PER_RUN=5
 SUITE_RUNS=3
 

@@ -113,9 +113,10 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
                (Adsm_trace.Event.Sim_events { executed })))
   end;
   let total_pages = Layout.total_pages t.layout in
+  let vc_epoch = Vc.Epoch.create ~nprocs:cfg.Config.nprocs in
   let nodes =
     Array.init cfg.Config.nprocs (fun id ->
-        State.make_node ~cfg ~id ~total_pages)
+        State.make_node ~cfg ~vc_epoch ~id ~total_pages)
   in
   let cluster =
     {
@@ -130,6 +131,7 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
       tracer;
       recorder;
       diff_scratch = None;
+      vc_epoch;
     }
   in
   t.cluster <- Some cluster;
@@ -197,7 +199,9 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
   end;
   (* Post-run protocol invariants: a completed run must leave no blocked
      continuation, queued ownership request or deferred reply behind — any
-     of those means a protocol message was dropped. *)
+     of those means a protocol message was dropped.  And each node's
+     diff-store account, which the GC trigger reads, must be the bytes of
+     the diffs it holds. *)
   Array.iter
     (fun (n : State.node) ->
       let fail what =
@@ -219,7 +223,18 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
           if e.State.pending_own <> [] then
             fail
               (Printf.sprintf "queued ownership requests on page %d"
-                 e.State.page)))
+                 e.State.page));
+      let held =
+        Hashtbl.fold
+          (fun _ (_, diff) acc -> acc + Diff.size_bytes diff)
+          n.State.diffs 0
+      and account =
+        Stats.diff_store_bytes cluster.State.stats ~node:n.State.id
+      in
+      if held <> account then
+        fail
+          (Printf.sprintf "a diff-store account of %d bytes, holding %d" account
+             held))
     nodes;
   let net = Rpc.network rpc in
   {
@@ -234,6 +249,11 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
   }
 
 (* --- in-context operations --- *)
+
+let vc_base_mismatches (t : t) =
+  match t.cluster with
+  | Some cl -> Vc.Epoch.mismatches cl.State.vc_epoch
+  | None -> 0
 
 let me ctx = ctx.node.State.id
 

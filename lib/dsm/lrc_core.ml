@@ -60,9 +60,18 @@ let respond_msg cl node respond msg =
 (* Interval closure (release side)                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Default diff sink: keep the diff in the local store (TreadMarks). *)
-let store_diff _cl node (e : entry) ~seq ~vc diff =
-  Hashtbl.replace node.diffs (e.page, node.id, seq) (vc, diff);
+(* Default diff sink: keep the diff in the local store (TreadMarks).  A
+   key already there (only a seeded mutation that reissues sequence
+   numbers makes one) is replaced, and its bytes leave the store's
+   account. *)
+let store_diff cl node (e : entry) ~seq ~vc diff =
+  let key = (e.page, node.id, seq) in
+  (match Hashtbl.find_opt node.diffs key with
+  | Some (_, old) ->
+    Stats.diffs_dropped cl.stats ~node:node.id ~bytes:(Diff.size_bytes old)
+      ~count:1 ~time:(Engine.now cl.engine)
+  | None -> ());
+  Hashtbl.replace node.diffs key (vc, diff);
   e.own_diff_seqs <- seq :: e.own_diff_seqs
 
 (* Default closure of a dirty page with neither twin nor write log: a

@@ -147,6 +147,7 @@ type cluster = {
   tracer : Adsm_trace.Tracer.t;
   recorder : Adsm_check.Recorder.t;
   mutable diff_scratch : Diff.scratch option;
+  vc_epoch : Vc.Epoch.t;
 }
 
 let make_entry ~nprocs:_ ~page ~home =
@@ -328,10 +329,10 @@ let copyset_add (e : entry) ~nprocs q =
 let copyset_iter (e : entry) f =
   Array.iteri (fun q in_set -> if in_set then f q) e.copyset
 
-let make_node ~cfg ~id ~total_pages =
+let make_node ~cfg ~vc_epoch ~id ~total_pages =
   let nprocs = cfg.Config.nprocs in
-  let vc = Vc.zero ~nprocs in
-  let last_barrier_vc = Vc.zero ~nprocs in
+  let vc = Vc.Epoch.zero vc_epoch in
+  let last_barrier_vc = Vc.Epoch.zero vc_epoch in
   (* Both zero: the precondition of [Vc.rebase] (equal contents) holds.
      Epoch 0 = the all-zeros snapshot every node starts from (barrier
      completions stamp from 1 up). *)

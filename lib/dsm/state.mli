@@ -157,7 +157,8 @@ type node = {
   mutable gc_wait : unit Adsm_sim.Proc.Ivar.t option;
   last_barrier_vc : Vc.t;
       (** the cluster's knowledge at the last barrier (bounds what we
-          resend); overwritten in place at every barrier leave *)
+          resend): the cluster's shared epoch base, blitted in at every
+          barrier leave *)
   mutable barrier_epoch : int;
   mutable hlrc_waiting : (int * (int * int) list * Msg.t Adsm_net.Rpc.respond) list;
       (** HLRC: deferred fetch replies (page, needed (proc,seq) pairs,
@@ -202,6 +203,8 @@ type cluster = {
       (** consistency-oracle observation stream front-end *)
   mutable diff_scratch : Diff.scratch option;
       (** lazily allocated working space for {!Diff.create} *)
+  vc_epoch : Vc.Epoch.t;
+      (** the clock base the nodes share since the last barrier *)
 }
 
 val make_entry : nprocs:int -> page:int -> home:int -> entry
@@ -283,7 +286,9 @@ val copyset_add : entry -> nprocs:int -> int -> unit
 (** Iterate the members of the (approximate) copyset. *)
 val copyset_iter : entry -> (int -> unit) -> unit
 
-val make_node : cfg:Config.t -> id:int -> total_pages:int -> node
+(** A node whose clocks start on [vc_epoch]'s shared zero base. *)
+val make_node :
+  cfg:Config.t -> vc_epoch:Vc.Epoch.t -> id:int -> total_pages:int -> node
 
 (** Get-or-create the node's entry for a page.  A lazily-created entry is
     exactly what the eager initialization used to build: zero-page base,

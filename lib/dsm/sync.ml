@@ -98,14 +98,21 @@ let crash_pause cl node =
         clear_last_notices e
       end);
   tlb_reset node;
-  (* Remote diffs and remote interval logs are volatile caches. *)
-  let dropped =
+  (* Remote diffs and remote interval logs are volatile caches.  The
+     dropped diffs leave the node's diff-store account, which the GC
+     trigger reads. *)
+  let dropped, bytes =
     Hashtbl.fold
-      (fun ((_, proc, _) as key) _ acc ->
-        if proc <> node.id then key :: acc else acc)
-      node.diffs []
+      (fun ((_, proc, _) as key) (_, diff) ((keys, bytes) as acc) ->
+        if proc <> node.id then (key :: keys, bytes + Diff.size_bytes diff)
+        else acc)
+      node.diffs ([], 0)
   in
-  List.iter (Hashtbl.remove node.diffs) dropped;
+  if dropped <> [] then begin
+    List.iter (Hashtbl.remove node.diffs) dropped;
+    Stats.diffs_dropped cl.stats ~node:node.id ~bytes
+      ~count:(List.length dropped) ~time:(Engine.now cl.engine)
+  end;
   Interval.Logs.clear_except node.intervals ~keep:node.id;
   (* Roll the vector clock back to the checkpoint — except our own
      component, whose intervals are in the durable log (rolling it back
@@ -160,7 +167,7 @@ let crash_pause cl node =
   begin
     let vc =
       if mutation = Some Config.Skip_notice_replay then Vc.copy node.vc
-      else Vc.zero ~nprocs:node.nprocs
+      else Vc.Epoch.zero cl.vc_epoch
     in
     let batches = ref [] in
     (* One request record serves every peer: the payload is immutable
@@ -460,7 +467,8 @@ let tree_children cl node =
 (* Fold one arrival (the node's own, or a child subtree's combined one)
    into the local combining state.  An interior node copies clock
    components into [tb_vcmin], allocated at its first barrier and reused
-   after: nothing O(nprocs) is allocated per barrier. *)
+   after.  The clocks folded share the epoch base, so the blit and the
+   minimum walk only the components that moved since the last barrier. *)
 let tree_contribute cl node ~epoch ~vc ~intervals ~gc_wanted =
   let tb = node.tb in
   let first = tb.tb_arrived = 0 && not tb.tb_self_arrived in
@@ -474,7 +482,7 @@ let tree_contribute cl node ~epoch ~vc ~intervals ~gc_wanted =
       match tb.tb_vcmin with
       | Some m -> m
       | None ->
-        let m = Vc.zero ~nprocs:node.nprocs in
+        let m = Vc.Epoch.zero cl.vc_epoch in
         tb.tb_vcmin <- Some m;
         m
     in
@@ -609,12 +617,15 @@ let barrier cl node =
        (possibly long) rule-3 scan and GC work below.  The root released
        its children when it completed the barrier. *)
     if node.id <> 0 then tree_release_children cl node ~epoch ~gc_round;
+    (* Every node completing this barrier holds the same supremum: the
+       first to get here publishes it as the cluster's epoch base, the
+       others check their clock against it and share it (epochs count
+       from 1; 0 is the all-zeros base of [make_node]).  The snapshot
+       below is then a copy of no components, and the epoch stamp lets
+       the sparse-VC delta count of a clock on an older base be cached
+       once per epoch instead of rescanned per receiver. *)
+    Vc.Epoch.leave cl.vc_epoch ~epoch:(epoch + 1) node.vc;
     Vc.blit_into ~src:node.vc ~dst:node.last_barrier_vc;
-    (* Every node completing this barrier holds the same supremum, so
-       stamp the refreshed snapshot with the epoch number ([epoch + 1],
-       keeping 0 for the initial all-zeros stamp of [make_node]): the
-       sparse-VC delta count of a clock relayed to many nodes is then
-       cached once per epoch instead of rescanned per receiver. *)
     Vc.rebase node.vc ~base:node.last_barrier_vc ~epoch:(epoch + 1);
     rule3_scan cl node;
     if gc_round then begin

@@ -3,7 +3,17 @@
     Component [i] of a node's clock is the sequence number of the most
     recent interval of processor [i] whose modifications the node has seen.
     The happened-before-1 partial order of the paper is exactly the
-    componentwise order on these vectors. *)
+    componentwise order on these vectors.
+
+    Representation: a base array shared between clocks and never
+    written while shared, plus the sorted set of components that differ
+    from it.  A cluster's nodes share one base per barrier epoch
+    ({!Epoch}), so most operations on two clocks of one cluster walk
+    only their differing components instead of all [nprocs]; clocks on
+    different bases take one dense walk.  A clock that collects more
+    than [nprocs/16] (at least 4) differing components moves them into
+    a base of its own.  The representation is invisible: every function
+    below means what it means on a plain array of components. *)
 
 type t
 
@@ -29,8 +39,10 @@ val tick : t -> proc:int -> unit
 (** Componentwise maximum, into the first argument. *)
 val merge_into : t -> t -> unit
 
-(** Overwrite [dst] with [src]'s components (no allocation; the clocks
-    must have the same width). *)
+(** Overwrite [dst] with [src]'s components (the clocks must have the
+    same width).  [dst] shares [src]'s base, so this costs
+    O(differing components) and allocates only when [dst] has less room
+    for them than [src] holds. *)
 val blit_into : src:t -> dst:t -> unit
 
 (** Componentwise minimum, into the first argument.  The minimum over a
@@ -41,8 +53,9 @@ val min_into : t -> t -> unit
 
 (** Stamp [base] as the epoch-[epoch] snapshot, for the delta cache of
     {!delta_size_bytes}.  PRECONDITION: the clock [t] equals [base] (the
-    base is a just-taken snapshot of it), checked in O(1) through the
-    sums; [Invalid_argument] when the sums differ.  PRECONDITION: all
+    base is a just-taken snapshot of it), checked exactly — in
+    O(differing components) when both sit on one base;
+    [Invalid_argument] when they differ.  PRECONDITION: all
     clocks stamped with the same epoch number (across all nodes of the
     cluster) have identical components — true for barrier-completion
     snapshots, which all equal the global supremum of the epoch.  A
@@ -70,12 +83,52 @@ val size_bytes : t -> int
 (** Wire size under delta encoding against [since], a clock the receiver
     is known to share: 8-byte header + 8 bytes per differing component.
     Used by the [sparse_vc] cost model with the sender's last-barrier
-    clock as the base.  When [since] is a current epoch snapshot (see
-    {!rebase}) the count is cached on the clock, keyed by the epoch and
-    the clock's {!version}: a timestamp relayed to many receivers is
-    scanned once. *)
+    clock as the base.  O(1) when [since] is an adopted epoch base (see
+    {!Epoch}) and [t] shares it.  Otherwise, when [since] is a current
+    epoch snapshot (see {!rebase}), the count is cached on the clock,
+    keyed by the epoch and the clock's {!version}: a timestamp relayed
+    to many receivers is scanned once. *)
 val delta_size_bytes : since:t -> t -> int
 
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
+
+(** A cluster's per-barrier shared base.  At the end of barrier [e]
+    every node holds the same clock, the supremum.  The first node to
+    leave publishes it as the epoch-[e] base (one O(nprocs) copy per
+    cluster); every other node checks that its clock equals the base and
+    then shares it, so its clock has no differing components.  The check
+    is O(differing components) for a clock on the previous epoch's base,
+    and one dense walk otherwise.
+
+    A clock that fails the check (only a broken protocol, such as the
+    [Stale_vc_after_restart] mutation, can make one) keeps its own
+    representation, correct and slower, and is counted in
+    {!mismatches}.  Published bases are never mutated. *)
+module Epoch : sig
+  type clock := t
+
+  type t
+
+  (** Epoch 0: an all-zeros base. *)
+  val create : nprocs:int -> t
+
+  (** A fresh all-zeros clock on the epoch-0 base. *)
+  val zero : t -> clock
+
+  (** [leave es ~epoch c] at the end of barrier [epoch] (numbered from 1):
+      the first call for an epoch publishes [c]'s content, later calls
+      adopt the published base if [c] equals it.  [c]'s content and
+      {!version} never change. *)
+  val leave : t -> epoch:int -> clock -> unit
+
+  (** A fresh clock equal to the latest published base, on that base. *)
+  val base : t -> clock
+
+  (** [c] is on the latest published base. *)
+  val adopted : t -> clock -> bool
+
+  (** Clocks that failed the equality check of {!leave}. *)
+  val mismatches : t -> int
+end

@@ -22,6 +22,7 @@ type outcome = {
   faults : Fault.schedule option;
   report : Oracle.report;
   stream : Obs.stamped array;
+  vc_base_mismatches : int;
 }
 
 let run_program ?mutation ?faults ?(protocol = Config.Mw) ?(seed = 0x5EEDL)
@@ -66,6 +67,7 @@ let run_program ?mutation ?faults ?(protocol = Config.Mw) ?(seed = 0x5EEDL)
     faults;
     report = Oracle.check ~nprocs:p.Workload.nprocs stream;
     stream;
+    vc_base_mismatches = Dsm.vc_base_mismatches t;
   }
 
 (* A candidate "fails" only if the oracle flags it; a crash (e.g. a

@@ -18,6 +18,9 @@ type outcome = {
       (** the schedule the run executed under, if any *)
   report : Adsm_check.Oracle.report;
   stream : Adsm_check.Obs.stamped array;
+  vc_base_mismatches : int;
+      (** clocks that failed the shared-base check at a barrier leave
+          ({!Adsm_dsm.Dsm.vc_base_mismatches}) *)
 }
 
 (** Run one workload program under [protocol] (default MW) with the

@@ -159,11 +159,15 @@ let test_oracle_clean_under_crashes () =
               in
               let recorder = Recorder.create () in
               let tweak cfg = with_faults crash_sched { cfg with Config.barrier } in
-              let _m = measure ~tweak ~recorder name protocol in
+              let m = measure ~tweak ~recorder name protocol in
               let report = Oracle.check ~nprocs:4 (Recorder.stream recorder) in
               if not (Oracle.ok report) then
                 Alcotest.failf "%s: %s" cell
                   (Format.asprintf "%a" Oracle.pp_report report);
+              (* Recovery re-establishes the supremum by the next barrier:
+                 every clock adopts the shared base. *)
+              Alcotest.(check int) (cell ^ ": shared-base mismatches") 0
+                m.Runner.vc_base_mismatches;
               (* The stream must actually contain both crash/restart pairs. *)
               let crashes =
                 Array.fold_left
@@ -176,6 +180,36 @@ let test_oracle_clean_under_crashes () =
               Alcotest.(check int) (cell ^ ": both crashes manifested") 2 crashes)
             [ Config.Mw; Config.Sw; Config.Wfs ])
         [ "sor"; "is"; "water" ])
+    [ Config.Central; Config.Tree { fanout = 2 } ]
+
+(* A crash wipes the node's copies of other nodes' diffs, and their
+   bytes must leave its diff-store account, which the GC trigger reads.
+   [Dsm.run] fails a run that ends with an account other than the bytes
+   a node holds, so the run completing is the equality check.  With no
+   GC run, a fall in the live-diff series can only be a crash dropping
+   stored diffs: the cell exercises the drop (node 1 crashes a third of
+   the way into the run, after its first diff fetches).  It is also an
+   interior node of the binary tree, whose rollback puts its checkpoint
+   clock, on the shared epoch base, back. *)
+let test_crash_drops_remote_diffs () =
+  List.iter
+    (fun barrier ->
+      let tweak cfg =
+        with_faults (sched "crash=1@40ms:5ms") { cfg with Config.barrier }
+      in
+      let m = measure ~tweak "sor" Config.Mw in
+      let cell = "sor/MW/" ^ Config.barrier_name barrier in
+      Alcotest.(check int) (cell ^ ": no GC") 0 m.Runner.gc_runs;
+      let rec falls = function
+        | (_, a) :: ((_, b) :: _ as rest) -> b < a || falls rest
+        | _ -> false
+      in
+      Alcotest.(check bool)
+        (cell ^ ": stored diffs dropped")
+        true
+        (falls m.Runner.live_diff_series);
+      Alcotest.(check int) (cell ^ ": clocks adopt the shared base") 0
+        m.Runner.vc_base_mismatches)
     [ Config.Central; Config.Tree { fanout = 2 } ]
 
 let mentions ~needle s =
@@ -410,7 +444,10 @@ let test_fuzz_clean_under_faults () =
       let o = Fuzz.fuzz_once ~faults:true ~nprocs:4 ~seed:(Int64.of_int s) () in
       if not (Oracle.ok o.Fuzz.report) then
         Alcotest.failf "seed %d: clean run flagged:@ %s" s
-          (Format.asprintf "%a" Oracle.pp_report o.Fuzz.report))
+          (Format.asprintf "%a" Oracle.pp_report o.Fuzz.report);
+      if o.Fuzz.vc_base_mismatches <> 0 then
+        Alcotest.failf "seed %d: %d shared-base mismatches" s
+          o.Fuzz.vc_base_mismatches)
     (List.init 30 (fun i -> i + 1))
 
 let () =
@@ -432,6 +469,8 @@ let () =
             test_oracle_clean_under_crashes;
           Alcotest.test_case "crash gate: write_ranges and HLRC" `Quick
             test_crash_gate;
+          Alcotest.test_case "crash drops remote diffs from the account"
+            `Quick test_crash_drops_remote_diffs;
         ] );
       ( "determinism",
         [

@@ -79,11 +79,24 @@ let check_node step i vc nv ~ver =
 (* [promote]: run a full major collection before the ops and every 50
    steps, so that [blit_into] and [copy] also work on promoted clocks —
    narrow clocks start in the minor heap, clocks over 256 words are
-   allocated in the major heap directly. *)
+   allocated in the major heap directly.
+
+   Barriers go through [Vc.Epoch], the cluster-level publish/adopt path
+   of [Sync.barrier]: every clock must end on the published base, except
+   one a perturbed barrier ticks just before adoption, which must keep a
+   base of its own (and count as a mismatch).  Clocks start on the
+   shared zero base or on a base of their own, alternately.  After every
+   step each base published so far must still hold its components: a
+   shared base is never written. *)
 let vc_model ~width ~seeds ~steps ~promote =
   for seed = 0 to seeds - 1 do
     let rs = Random.State.make [| 0xADC0; seed |] in
-    let vcs = Array.init nnodes (fun _ -> Vc.zero ~nprocs:width) in
+    let es = Vc.Epoch.create ~nprocs:width in
+    let vcs =
+      Array.init nnodes (fun i ->
+          if i mod 2 = 0 then Vc.Epoch.zero es else Vc.zero ~nprocs:width)
+    in
+    let published = ref [] in
     let nvs = Array.init nnodes (fun _ -> Array.make width 0) in
     (* Expected [Vc.version]: bumped by every content change and by
        every [blit_into], restarted at 0 by [copy]. *)
@@ -99,12 +112,12 @@ let vc_model ~width ~seeds ~steps ~promote =
         :: (if List.length !bases > 8 then List.filteri (fun k _ -> k < 7) !bases
             else !bases)
     in
-    let epoch = ref 0 in
+    let epoch = ref 0 and stamp = ref 0 in
     for step = 1 to steps do
       if promote && step mod 50 = 1 then Gc.full_major ();
       let i = Random.State.int rs nnodes in
       let j = Random.State.int rs nnodes in
-      (match Random.State.int rs 12 with
+      (match Random.State.int rs 13 with
       | 0 | 1 ->
         (* set: usually a bump, occasionally a decrease (the API is
            generic even though the protocol only ever moves forward) *)
@@ -156,10 +169,12 @@ let vc_model ~width ~seeds ~steps ~promote =
         | _ ->
           Vc.blit_into ~src:vcs.(j) ~dst:bvc;
           Array.blit nvs.(j) 0 bnv 0 width)
-      | _ ->
-        (* barrier: every clock becomes the global supremum, then takes
-           an epoch-stamped snapshot — the one legitimate way to stamp
-           the same epoch on every node *)
+      | step_kind ->
+        (* barrier: every clock becomes the global supremum, leaves
+           through the shared-base path and takes an epoch-stamped
+           snapshot — the one legitimate way to stamp the same epoch on
+           every node.  Kind 12 perturbs one clock other than the first
+           to leave (which publishes) just before adoption. *)
         let sup = Vc.copy vcs.(0) in
         Array.iter (fun vc -> Vc.merge_into sup vc) vcs;
         let nsup = Array.make width 0 in
@@ -170,12 +185,50 @@ let vc_model ~width ~seeds ~steps ~promote =
           (fun k vc ->
             Vc.blit_into ~src:sup ~dst:vc;
             bump k true;
-            Array.blit nsup 0 nvs.(k) 0 width;
-            let b = Vc.copy vc in
-            Vc.rebase ~epoch:!epoch vc ~base:b;
-            push_base b (Array.copy nsup))
+            Array.blit nsup 0 nvs.(k) 0 width)
           vcs;
-        incr epoch);
+        let perturbed =
+          if step_kind = 12 then begin
+            let k = 1 + Random.State.int rs (nnodes - 1) in
+            let p = Random.State.int rs width in
+            Vc.tick vcs.(k) ~proc:p;
+            bump k true;
+            nvs.(k).(p) <- nvs.(k).(p) + 1;
+            k
+          end
+          else -1
+        in
+        incr epoch;
+        let before = Vc.Epoch.mismatches es in
+        Array.iter (fun vc -> Vc.Epoch.leave es ~epoch:!epoch vc) vcs;
+        Array.iteri
+          (fun k vc ->
+            if Vc.Epoch.adopted es vc <> (k <> perturbed) then
+              Alcotest.failf "step %d: clock %d %s the published base" step k
+                (if k = perturbed then "adopted" else "did not adopt"))
+          vcs;
+        if Vc.Epoch.mismatches es - before <> if perturbed < 0 then 0 else 1
+        then Alcotest.failf "step %d: mismatch count" step;
+        published := (Vc.Epoch.base es, Array.copy nsup) :: !published;
+        (* Snapshots stamped with one number must be equal: the
+           perturbed clock's gets a number of its own. *)
+        stamp := !stamp + 2;
+        Array.iteri
+          (fun k vc ->
+            let b = Vc.copy vc in
+            Vc.rebase ~epoch:(if k = perturbed then !stamp + 1 else !stamp) vc
+              ~base:b;
+            push_base b (Array.copy nvs.(k)))
+          vcs);
+      List.iteri
+        (fun k (b, nb) ->
+          Array.iteri
+            (fun p v ->
+              if Vc.get b p <> v then
+                Alcotest.failf "step %d: published base %d, component %d \
+                                changed" step k p)
+            nb)
+        !published;
       for a = 0 to nnodes - 1 do
         check_node step a vcs.(a) nvs.(a) ~ver:vers.(a);
         for b = 0 to nnodes - 1 do
@@ -410,7 +463,10 @@ let test_notice_summary_model () =
   for seed = 0 to 19 do
     let rs = Random.State.make [| 0x5107; seed |] in
     let cfg = Config.make ~protocol:Config.Wfs ~nprocs:nwriters () in
-    let node = State.make_node ~cfg ~id:0 ~total_pages:1 in
+    let node =
+      State.make_node ~cfg ~vc_epoch:(Vc.Epoch.create ~nprocs:nwriters) ~id:0
+        ~total_pages:1
+    in
     let e = State.entry_of node 0 in
     let slots = ref [] (* naive map, insertion order *) in
     let record q vc =

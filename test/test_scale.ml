@@ -349,21 +349,30 @@ let test_central_barrier_pins () =
    [heap.retained_mb] reads) on the 256-node tree.  Measured on the
    release build: IS/WFS 2,331,741 words and TSP/MW 1,567,260 before
    the writer maps and the record-free interval logs, 1,481,809 and
-   1,386,832 with them. *)
-let footprint_pins = [ ("IS", Config.Wfs, 1_700_000); ("TSP", Config.Mw, 1_470_000) ]
+   1,386,832 with them.  SOR/MW on the 1024-node tree pins the clocks'
+   shared epoch bases: 4,898,811 words when every node held two dense
+   1024-word clocks (and interior nodes a third), 2,463,447 with one
+   base per epoch shared by the cluster (IS/WFS and TSP/MW at 256 nodes:
+   1,200,918 and 1,118,124). *)
+let footprint_pins =
+  [
+    ("IS", Config.Wfs, 256, 1_700_000);
+    ("TSP", Config.Mw, 256, 1_470_000);
+    ("SOR", Config.Mw, 1024, 2_710_000);
+  ]
 
-let test_footprint_pins () =
+let test_footprint_pins ~nprocs () =
   List.iter
-    (fun (app, protocol, bound) ->
+    (fun (app, protocol, _, bound) ->
       let entry = Option.get (Registry.find app) in
-      let t = Dsm.create (tree_tweak (Config.make ~protocol ~nprocs:256 ())) in
+      let t = Dsm.create (tree_tweak (Config.make ~protocol ~nprocs ())) in
       let program, _ = entry.Registry.instantiate Registry.Tiny t in
       ignore (Dsm.run t program);
       let words = Obj.reachable_words (Obj.repr t) in
       if words > bound then
-        Alcotest.failf "%s/%s/256 tree: %d words reachable, bound %d" app
-          (Config.protocol_name protocol) words bound)
-    footprint_pins
+        Alcotest.failf "%s/%s/%d tree: %d words reachable, bound %d" app
+          (Config.protocol_name protocol) nprocs words bound)
+    (List.filter (fun (_, _, n, _) -> n = nprocs) footprint_pins)
 
 let () =
   Alcotest.run "scale"
@@ -398,6 +407,8 @@ let () =
           Alcotest.test_case "central barrier pinned at 256 nodes" `Slow
             test_central_barrier_pins;
           Alcotest.test_case "retained words bounded at 256 nodes" `Slow
-            test_footprint_pins;
+            (test_footprint_pins ~nprocs:256);
+          Alcotest.test_case "retained words bounded at 1024 nodes" `Slow
+            (test_footprint_pins ~nprocs:1024);
         ] );
     ]
