@@ -152,7 +152,9 @@ let () =
       | ("--jobs" | "-j") :: n :: _ -> (
         match int_of_string_opt n with
         | Some n when n >= 1 -> n
-        | _ -> failwith "bench: --jobs expects a positive integer")
+        | _ ->
+          Printf.eprintf "bench: --jobs expects a positive integer, got %s\n" n;
+          exit 2)
       | _ :: rest -> find rest
       | [] -> Pool.default_jobs ()
     in

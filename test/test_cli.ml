@@ -16,8 +16,11 @@ let slurp path =
   Sys.remove path;
   s
 
+let bench_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bench/main.exe"
+
 (* Run through /bin/sh to get exit code, stdout and stderr separately. *)
-let run_capture args =
+let run_capture ?(exe = exe) args =
   let out = Filename.temp_file "adsm_cli" ".out" in
   let err = Filename.temp_file "adsm_cli" ".err" in
   let cmd =
@@ -32,8 +35,8 @@ let contains ~needle haystack =
   let rec at i = i + nl <= hl && (String.sub haystack i nl = needle || at (i + 1)) in
   at 0
 
-let check_failure name args ~code ~stderr_has =
-  let got_code, _out, err = run_capture args in
+let check_failure ?exe name args ~code ~stderr_has =
+  let got_code, _out, err = run_capture ?exe args in
   Alcotest.(check int) (name ^ ": exit code") code got_code;
   Alcotest.(check bool)
     (Printf.sprintf "%s: stderr mentions %S (got %S)" name stderr_has err)
@@ -124,6 +127,19 @@ let test_zero_jobs () =
         ~stderr_has:"not a positive integer")
     [ "experiments"; "ablations"; "scaling"; "verify"; "survive"; "fuzz" ]
 
+(* The bench driver parses its own arguments: a bad --jobs value or an
+   unknown artifact name prints one stderr line and exits 2 before any
+   run. *)
+let test_bench_bad_args () =
+  List.iter
+    (fun (args, stderr_has) ->
+      check_failure ~exe:bench_exe ("bench " ^ args) args ~code:2 ~stderr_has)
+    [
+      ("table1 --tiny --jobs 0", "--jobs expects a positive integer, got 0");
+      ("table1 --tiny --jobs x", "--jobs expects a positive integer, got x");
+      ("nope --tiny", "unknown artifact nope");
+    ]
+
 (* A cap below the grid would run an empty sweep whose checksum and
    barrier-bound checks pass vacuously. *)
 let test_scaling_max_nodes_below_grid () =
@@ -184,6 +200,8 @@ let () =
           Alcotest.test_case "--jobs 0" `Quick test_zero_jobs;
           Alcotest.test_case "scaling: --max-nodes below the grid" `Quick
             test_scaling_max_nodes_below_grid;
+          Alcotest.test_case "bench: bad --jobs, unknown artifact" `Quick
+            test_bench_bad_args;
         ] );
       ( "smoke",
         [

@@ -109,6 +109,33 @@ let test_apps_oracle_deep_tree () =
         Config.all_protocols)
     oracle_apps
 
+(* The migratory-detection extension (paper Section 7), inert under the
+   non-adaptive protocols: its read miss asks for ownership, so a granted
+   upgrade and both refusals run under the oracle.  At 4 nodes the
+   upgrade fires in TSP and Water under WFS; those cells must therefore
+   differ in traffic from the same run without the extension. *)
+let test_apps_oracle_migratory () =
+  let tweak cfg = { cfg with Config.migratory_detection = true } in
+  List.iter
+    (fun app_name ->
+      List.iter
+        (check_app_cell ~tweak ~label:" migratory" ~nprocs:4 app_name)
+        [ Config.Wfs; Config.Wfs_wg ])
+    oracle_apps;
+  List.iter
+    (fun app_name ->
+      let app = Option.get (Registry.find app_name) in
+      let messages tweak =
+        (Runner.run ~tweak ~app ~protocol:Config.Wfs ~nprocs:4
+           ~scale:Registry.Tiny ())
+          .Runner.messages
+      in
+      let on = messages tweak and off = messages Fun.id in
+      if on = off then
+        Alcotest.failf "%s migratory: %d messages, the same as without it"
+          (case app_name Config.Wfs) on)
+    [ "TSP"; "Water" ]
+
 (* --- mutation detection: the oracle must have teeth --- *)
 
 (* For each broken protocol variant, some seed in a small budget must
@@ -211,6 +238,8 @@ let () =
           Alcotest.test_case "four apps, four protocols" `Quick test_apps_oracle;
           Alcotest.test_case "four apps on a binary barrier tree" `Quick
             test_apps_oracle_deep_tree;
+          Alcotest.test_case "four apps with migratory detection" `Quick
+            test_apps_oracle_migratory;
         ] );
       ( "mutations",
         [

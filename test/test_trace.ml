@@ -380,6 +380,56 @@ let test_paper_trace_pins () =
         (Digest.to_hex (Digest.string (Buffer.contents buf))))
     trace_pins
 
+(* Pins for paths the paper grid never runs, same recipe as
+   [trace_pins]: the migratory-detection extension under WFS (TSP and
+   Water are the tiny-scale cells where the read upgrade fires; under
+   WFS+WG, and in IS or SOR, it never does at this scale) and HLRC on
+   every app. *)
+let extra_trace_pins =
+  [
+    ("TSP", Config.Wfs, true, "0865a7fdf38bbb38f9bd0a6adb291dce");
+    ("Water", Config.Wfs, true, "a16b36f23f3db30b6993711f028cfe1c");
+    ("IS", Config.Hlrc, false, "996bcf381a177f70ef0ef3f5406873b2");
+    ("3D-FFT", Config.Hlrc, false, "4b30d5b5b96cdd78f8171a1f3314b900");
+    ("SOR", Config.Hlrc, false, "e17b4fb52e43574fcd74df59651825f6");
+    ("TSP", Config.Hlrc, false, "44753a7c809a98ee4d93650ee4141451");
+    ("Water", Config.Hlrc, false, "987cbec6073d8e1b12169fc3dca226cb");
+    ("Shallow", Config.Hlrc, false, "6e8a2176860f51cfbcac358ab68d3ec6");
+    ("Barnes", Config.Hlrc, false, "0875634a46dcf6004c5b6f1d342634a6");
+    ("ILINK", Config.Hlrc, false, "cd7142f8dbc8b8644ed654f97b71c8bd")
+  ]
+
+let traced_run ~migratory app_name protocol =
+  let app = Option.get (Registry.find app_name) in
+  let buf = Buffer.create (1 lsl 20) in
+  let tracer = Tracer.create [ Sink.jsonl (Buffer.add_string buf) ] in
+  let tweak c = { c with Config.migratory_detection = migratory } in
+  let m =
+    Runner.run ~tracer ~tweak ~app ~protocol ~nprocs:8
+      ~scale:Registry.Tiny ()
+  in
+  Tracer.close tracer;
+  (m, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_extra_trace_pins () =
+  List.iter
+    (fun (app_name, protocol, migratory, digest) ->
+      let label =
+        Printf.sprintf "%s/%s%s" app_name
+          (Config.protocol_name protocol)
+          (if migratory then "+migratory" else "")
+      in
+      let m, got = traced_run ~migratory app_name protocol in
+      Alcotest.(check string) (label ^ " trace digest") digest got;
+      if migratory then begin
+        (* Not vacuous: the read upgrade fired and changed the traffic. *)
+        let off, _ = traced_run ~migratory:false app_name protocol in
+        if m.Runner.messages = off.Runner.messages then
+          Alcotest.failf "%s: %d messages, the same as without the extension"
+            label m.Runner.messages
+      end)
+    extra_trace_pins
+
 let () =
   Alcotest.run "trace"
     [
@@ -420,5 +470,7 @@ let () =
         [
           Alcotest.test_case "paper grid traces at 8 nodes" `Quick
             test_paper_trace_pins;
+          Alcotest.test_case "migratory and HLRC traces at 8 nodes" `Quick
+            test_extra_trace_pins;
         ] );
     ]
