@@ -1,7 +1,8 @@
 (* Protocol selection: one total map from the configuration to a
-   first-class protocol module.  This replaces both the per-call [match] on
-   [Config.protocol] that was scattered through the old monolithic
-   [Proto] and the ref-cell forward references it needed. *)
+   first-class protocol module, so no protocol code matches on
+   [Config.protocol] per call.  Besides this map, only {!Mode}'s
+   predicates and [Dsm.run]'s up-front rejection of HLRC under crashes read
+   the protocol choice. *)
 
 let get : Config.protocol -> Protocol_intf.t = function
   | Config.Mw -> (module Proto_mw)

@@ -90,12 +90,7 @@ let close_owned cl node (e : entry) ~seq =
     (* Ownership refusal or WFS+WG sharing trigger: emit a final owner
        notice, then drop to MW mode. *)
     e.drop_at_release <- false;
-    e.is_owner <- false;
-    e.owner <- node.id;
-    Stats.mode_switch cl.stats;
-    if tracing cl then
-      emit cl ~node:node.id
-        (Adsm_trace.Event.Mode_change { page = e.page; mode = Adsm_trace.Event.Mw })
+    Mode.leave_sw cl node e
   end;
   Some v
 
@@ -339,8 +334,6 @@ let collect_unseen node vc = Interval.Logs.unseen_by node.intervals vc []
 (* Page validation (access-miss side)                                 *)
 (* ------------------------------------------------------------------ *)
 
-let still_needed = notice_relevant
-
 (* Install a received page copy as the new base of the local frame. *)
 let install_copy cl node e ~data ~version ~committed ~reflected =
   Proc.sleep cl.engine cl.cfg.Config.page_install_ns;
@@ -353,12 +346,12 @@ let install_copy cl node e ~data ~version ~committed ~reflected =
   if committed > e.content_version then e.content_version <- committed;
   if committed > e.committed_version then e.committed_version <- committed;
   reflected_install e reflected;
-  e.notices <- List.filter (still_needed node e) e.notices
+  e.notices <- List.filter (notice_relevant node e) e.notices
 
 (* Fetch (in parallel, one request per writer) and apply, in timestamp
    order, every pending diff for the page.  Runs in process context. *)
 let fetch_and_apply_diffs cl node (e : entry) =
-  let pending = List.filter (still_needed node e) e.notices in
+  let pending = List.filter (notice_relevant node e) e.notices in
   let plain = List.filter (fun n -> not (Notice.is_owner n)) pending in
   (* Own committed modifications not reflected in the (possibly freshly
      installed) base copy must be merged back from our own diffs. *)
@@ -454,7 +447,7 @@ let fetch_and_apply_diffs cl node (e : entry) =
    protocol except HLRC, whose homes serve whole current pages instead. *)
 let validate cl node (e : entry) =
   if not (Perm.allows_read e.perm) then begin
-    let pending = List.filter (still_needed node e) e.notices in
+    let pending = List.filter (notice_relevant node e) e.notices in
     let owner_notices = List.filter Notice.is_owner pending in
     (* The local frame (or the implicit initial zero page) is a valid diff
        base; a whole-page fetch is needed only after a GC dropped the copy,
@@ -519,6 +512,15 @@ let acquire_ownership_locally cl node (e : entry) =
   e.is_owner <- true;
   e.owner <- node.id;
   e.owned_at <- Engine.now cl.engine
+
+(* The version an ownership grant hands over (SW transfer and adaptive
+   grant alike).  Mutation seam (testing only): a stale version, so the new
+   owner's version bump collides with what peers already hold and its
+   owner write notices are silently discarded as dominated. *)
+let granted_version cl (e : entry) =
+  match cl.cfg.Config.mutation with
+  | Some Config.Stale_ownership_grant -> e.version - 1
+  | _ -> e.version
 
 (* MW-mode write path: valid copy + twin (or, with software write
    detection enabled, a write log instead of a twin). *)

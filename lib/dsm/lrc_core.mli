@@ -61,7 +61,7 @@ val apply_intervals :
 val collect_unseen : node -> Vc.t -> Interval.t list
 
 (** Is the notice's modification still missing from this node's copy? *)
-val still_needed : node -> entry -> Notice.t -> bool
+val notice_relevant : node -> entry -> Notice.t -> bool
 
 (* --- page validation (access-miss side) --- *)
 
@@ -87,6 +87,10 @@ val make_twin : cluster -> node -> entry -> unit
 (** Become (or re-become) owner locally: bump the version, as ownership is
     being (re)acquired (paper Section 2.3). *)
 val acquire_ownership_locally : cluster -> node -> entry -> unit
+
+(** The version an ownership grant hands to the new owner: the page's
+    version, or one less under the [Stale_ownership_grant] mutation. *)
+val granted_version : cluster -> entry -> int
 
 (** MW-mode write path: valid copy + twin (or a write log when software
     write detection is enabled). *)

@@ -74,17 +74,15 @@ let handle_message cl ~node:node_id ~src msg respond =
   (* Crash recovery: a restarted peer re-fetching missed intervals. *)
   | Msg.Recover_req { vc }, Some respond ->
     Sync.handle_recover_req cl node ~vc respond
-  (* Shared paging/ownership requests, served per the protocol's policy. *)
+  (* Page and diff requests, served per the protocol's policy. *)
   | Msg.Page_req { page }, Some respond ->
     let (module P : Protocol_intf.PROTOCOL) = Dispatch.for_cluster cl in
     P.handle_page_req cl node ~src page respond
   | Msg.Diff_req { page; seqs; sees_sw }, Some respond ->
     let (module P : Protocol_intf.PROTOCOL) = Dispatch.for_cluster cl in
     P.handle_diff_req cl node ~src ~page ~seqs ~sees_sw respond
-  | Msg.Own_req { page; version; want_data }, Some respond ->
-    let (module P : Protocol_intf.PROTOCOL) = Dispatch.for_cluster cl in
-    P.handle_own_req cl node ~src ~page ~version ~want_data respond
-  (* Protocol-private traffic (SW forwarding, HLRC home messages). *)
+  (* Protocol-private traffic (SW forwarding, adaptive ownership
+     requests, HLRC home messages). *)
   | _ ->
     let (module P : Protocol_intf.PROTOCOL) = Dispatch.for_cluster cl in
     if not (P.handle_protocol_msg cl node ~src msg respond) then

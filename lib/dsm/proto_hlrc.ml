@@ -10,8 +10,6 @@ module Engine = Adsm_sim.Engine
 module Proc = Adsm_sim.Proc
 open State
 
-let name = "HLRC"
-
 (* Diff sink: flush to the page's home and discard locally. *)
 let flush_to_home cl node (e : entry) ~seq ~vc diff =
   Lrc_core.cast cl ~src:node.id ~dst:(home_of_page cl e.page)
@@ -39,7 +37,7 @@ let close_page cl node (e : entry) ~seq ~vc ~charge =
 let hlrc_validate cl node (e : entry) =
   if not (Perm.allows_read e.perm) then begin
     let home = home_of_page cl e.page in
-    let pending = List.filter (Lrc_core.still_needed node e) e.notices in
+    let pending = List.filter (Lrc_core.notice_relevant node e) e.notices in
     if home = node.id then begin
       (* Master copy: in-flight diffs are guaranteed to arrive (they were
          flushed at the releases that happened before our acquire); poll
@@ -130,11 +128,6 @@ let handle_page_req cl node ~src page respond =
 
 let handle_diff_req cl node ~src ~page ~seqs ~sees_sw respond =
   Lrc_core.serve_diffs cl node ~src ~page ~seqs ~sees_sw respond
-
-let handle_own_req _cl _node ~src:_ ~page ~version:_ ~want_data:_ _respond =
-  failwith
-    (Printf.sprintf "Proto_hlrc: unexpected ownership request for page %d"
-       page)
 
 let handle_protocol_msg cl node ~src msg respond =
   match (msg, respond) with

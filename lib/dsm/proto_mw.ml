@@ -4,8 +4,6 @@
 
 open State
 
-let name = "MW"
-
 let read_fault cl node (e : entry) = Lrc_core.validate cl node e
 
 let write_fault cl node (e : entry) = Lrc_core.mw_write_path cl node e
@@ -18,10 +16,6 @@ let handle_page_req cl node ~src page respond =
 
 let handle_diff_req cl node ~src ~page ~seqs ~sees_sw respond =
   Lrc_core.serve_diffs cl node ~src ~page ~seqs ~sees_sw respond
-
-let handle_own_req _cl _node ~src:_ ~page ~version:_ ~want_data:_ _respond =
-  failwith
-    (Printf.sprintf "Proto_mw: unexpected ownership request for page %d" page)
 
 let handle_protocol_msg _cl _node ~src:_ _msg _respond = false
 

@@ -8,8 +8,6 @@ module Engine = Adsm_sim.Engine
 module Proc = Adsm_sim.Proc
 open State
 
-let name = "SW"
-
 let read_fault cl node (e : entry) = Lrc_core.validate cl node e
 
 let close_page cl node (e : entry) ~seq ~vc ~charge =
@@ -38,20 +36,12 @@ let sw_grant cl node (e : entry) requester =
          handler/sync chokepoints. *)
       tlb_reset node
     end;
-    (* Mutation seam (testing only): transfer a stale version so the new
-       owner's version bump collides with peers' existing knowledge and
-       its write notices are silently discarded as dominated. *)
-    let version =
-      match cl.cfg.Config.mutation with
-      | Some Config.Stale_ownership_grant -> e.version - 1
-      | _ -> e.version
-    in
     Lrc_core.cast cl ~src:node.id ~dst:requester
       (Msg.Sw_own_transfer
          {
            page = e.page;
            data = Page.copy (frame e);
-           version;
+           version = Lrc_core.granted_version cl e;
            committed = e.committed_version;
          });
     (* Anyone queued behind this transfer chases the new owner. *)
@@ -159,13 +149,6 @@ let handle_page_req cl node ~src page respond =
 
 let handle_diff_req cl node ~src ~page ~seqs ~sees_sw respond =
   Lrc_core.serve_diffs cl node ~src ~page ~seqs ~sees_sw respond
-
-let handle_own_req _cl _node ~src:_ ~page ~version:_ ~want_data:_ _respond =
-  failwith
-    (Printf.sprintf
-       "Proto_sw: unexpected adaptive ownership request for page %d \
-        (SW transfers go through Sw_own_req)"
-       page)
 
 let handle_protocol_msg cl node ~src msg respond =
   match (msg, respond) with

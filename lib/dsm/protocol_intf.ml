@@ -11,8 +11,6 @@
 open State
 
 module type PROTOCOL = sig
-  val name : string
-
   (** {2 Application context (may block and charge simulated time)} *)
 
   (** Make the page readable.  Runs after the generic fault prologue
@@ -44,15 +42,10 @@ module type PROTOCOL = sig
     cluster -> node -> src:int -> page:int -> seqs:int list -> sees_sw:bool ->
     Msg.t Adsm_net.Rpc.respond -> unit
 
-  (** Adaptive ownership request (the ownership-refusal protocol).
-      Protocols that never receive [Own_req] may fail. *)
-  val handle_own_req :
-    cluster -> node -> src:int -> page:int -> version:int -> want_data:bool ->
-    Msg.t Adsm_net.Rpc.respond -> unit
-
-  (** Protocol-private messages (SW ownership forwarding, HLRC home
-      traffic).  Returns false if the message does not belong to this
-      protocol, in which case the dispatcher reports it as malformed. *)
+  (** Protocol-private messages (SW ownership forwarding, the adaptive
+      protocols' ownership requests, HLRC home traffic).  Returns false if
+      the message does not belong to this protocol, in which case the
+      dispatcher reports it as malformed. *)
   val handle_protocol_msg :
     cluster -> node -> src:int -> Msg.t -> Msg.t Adsm_net.Rpc.respond option ->
     bool

@@ -150,7 +150,7 @@ type cluster = {
   vc_epoch : Vc.Epoch.t;
 }
 
-let make_entry ~nprocs:_ ~page ~home =
+let make_entry ~page ~home =
   {
     page;
     (* Every node starts with a zero-filled valid read-only copy, as if the
@@ -393,7 +393,7 @@ let entry_of node page =
   | Some e -> e
   | None ->
     let home = page mod node.nprocs in
-    let e = make_entry ~nprocs:node.nprocs ~page ~home in
+    let e = make_entry ~page ~home in
     if home = node.id then e.is_owner <- true;
     node.pages.(page) <- Some e;
     e
@@ -433,11 +433,8 @@ let frame entry =
 
 let committed_copy entry =
   match entry.twin with
-  | Some t when entry.dirty -> Some t
-  | Some _ | None -> (
-    (* A twin held for a lazily-pending diff is the PREVIOUS interval's
-       state; once the interval is closed the committed content is the
-       frame itself. *)
+  | Some _ as t -> t
+  | None -> (
     match entry.data with
     | Some _ as d -> d
     | None ->

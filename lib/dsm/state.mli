@@ -207,7 +207,7 @@ type cluster = {
       (** the clock base the nodes share since the last barrier *)
 }
 
-val make_entry : nprocs:int -> page:int -> home:int -> entry
+val make_entry : page:int -> home:int -> entry
 
 (** {2 Sparse entry-metadata accessors}
 
@@ -302,8 +302,9 @@ val iter_entries : node -> (entry -> unit) -> unit
 (** The cluster's diff-encoding scratch space, allocated on first use. *)
 val scratch : cluster -> Diff.scratch
 
-(** Committed contents of a page at this node: the twin while the page is
-    dirty, the current data otherwise.  [None] when the node has no copy. *)
+(** Committed contents of a page at this node: the twin if there is one
+    (a twin exists only while the page is dirty), the current data
+    otherwise.  [None] when the node has no copy. *)
 val committed_copy : entry -> Page.t option
 
 (** The node's frame for the page, allocating it on first use. *)

@@ -362,7 +362,7 @@ let gc_validate cl node =
   tlb_reset node;
   iter_entries node
     (fun (e : entry) ->
-      let pending = List.filter (Lrc_core.still_needed node e) e.notices in
+      let pending = List.filter (Lrc_core.notice_relevant node e) e.notices in
       if pending = [] then e.notices <- []
       else if P.gc_validator cl node e then begin
         (* Bring the copy fully up to date. *)

@@ -127,7 +127,7 @@ let test_zero_jobs () =
         ~stderr_has:"not a positive integer")
     [ "experiments"; "ablations"; "scaling"; "verify"; "survive"; "fuzz" ]
 
-(* The bench driver parses its own arguments: a bad --jobs value or an
+(* The bench executable parses its own arguments: a bad --jobs value or an
    unknown artifact name prints one stderr line and exits 2 before any
    run. *)
 let test_bench_bad_args () =

@@ -614,7 +614,7 @@ let prop_writer_map =
       let rs = Random.State.make [| 0x3A9; seed |] in
       List.for_all
         (fun nprocs ->
-          let e = State.make_entry ~nprocs ~page:0 ~home:0 in
+          let e = State.make_entry ~page:0 ~home:0 in
           let dense = Array.make nprocs 0 in
           let forms = ref [] in
           let agrees () =

@@ -363,21 +363,28 @@ let trace_pins =
     ("ILINK", Config.Wfs_wg, "4db8826aad05153c45c98a184aec620f")
   ]
 
+(* One traced run at 8 nodes, tiny scale: its measurement and the MD5 of
+   its JSONL trace. *)
+let traced_run ?(migratory = false) app_name protocol =
+  let app = Option.get (Registry.find app_name) in
+  let buf = Buffer.create (1 lsl 20) in
+  let tracer = Tracer.create [ Sink.jsonl (Buffer.add_string buf) ] in
+  let tweak c = { c with Config.migratory_detection = migratory } in
+  let m =
+    Runner.run ~tracer ~tweak ~app ~protocol ~nprocs:8
+      ~scale:Registry.Tiny ()
+  in
+  Tracer.close tracer;
+  (m, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_paper_trace_pins () =
   List.iter
     (fun (app_name, protocol, digest) ->
-      let app = Option.get (Registry.find app_name) in
-      let buf = Buffer.create (1 lsl 20) in
-      let tracer = Tracer.create [ Sink.jsonl (Buffer.add_string buf) ] in
-      let (_ : Runner.measurement) =
-        Runner.run ~tracer ~app ~protocol ~nprocs:8 ~scale:Registry.Tiny ()
-      in
-      Tracer.close tracer;
       Alcotest.(check string)
         (Printf.sprintf "%s/%s trace digest" app_name
            (Config.protocol_name protocol))
         digest
-        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+        (snd (traced_run app_name protocol)))
     trace_pins
 
 (* Pins for paths the paper grid never runs, same recipe as
@@ -399,18 +406,6 @@ let extra_trace_pins =
     ("ILINK", Config.Hlrc, false, "cd7142f8dbc8b8644ed654f97b71c8bd")
   ]
 
-let traced_run ~migratory app_name protocol =
-  let app = Option.get (Registry.find app_name) in
-  let buf = Buffer.create (1 lsl 20) in
-  let tracer = Tracer.create [ Sink.jsonl (Buffer.add_string buf) ] in
-  let tweak c = { c with Config.migratory_detection = migratory } in
-  let m =
-    Runner.run ~tracer ~tweak ~app ~protocol ~nprocs:8
-      ~scale:Registry.Tiny ()
-  in
-  Tracer.close tracer;
-  (m, Digest.to_hex (Digest.string (Buffer.contents buf)))
-
 let test_extra_trace_pins () =
   List.iter
     (fun (app_name, protocol, migratory, digest) ->
@@ -423,7 +418,7 @@ let test_extra_trace_pins () =
       Alcotest.(check string) (label ^ " trace digest") digest got;
       if migratory then begin
         (* Not vacuous: the read upgrade fired and changed the traffic. *)
-        let off, _ = traced_run ~migratory:false app_name protocol in
+        let off, _ = traced_run app_name protocol in
         if m.Runner.messages = off.Runner.messages then
           Alcotest.failf "%s: %d messages, the same as without the extension"
             label m.Runner.messages
