@@ -114,9 +114,10 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
   end;
   let total_pages = Layout.total_pages t.layout in
   let vc_epoch = Vc.Epoch.create ~nprocs:cfg.Config.nprocs in
+  let interval_store = Interval.Store.create ~nprocs:cfg.Config.nprocs in
   let nodes =
     Array.init cfg.Config.nprocs (fun id ->
-        State.make_node ~cfg ~vc_epoch ~id ~total_pages)
+        State.make_node ~cfg ~vc_epoch ~store:interval_store ~id ~total_pages)
   in
   let cluster =
     {
@@ -132,6 +133,7 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
       recorder;
       diff_scratch = None;
       vc_epoch;
+      interval_store;
     }
   in
   t.cluster <- Some cluster;
@@ -253,6 +255,15 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
 let vc_base_mismatches (t : t) =
   match t.cluster with
   | Some cl -> Vc.Epoch.mismatches cl.State.vc_epoch
+  | None -> 0
+
+let explicit_interval_logs (t : t) =
+  match t.cluster with
+  | Some cl ->
+    Array.fold_left
+      (fun n node ->
+        if Interval.Logs.explicit node.State.intervals then n + 1 else n)
+      0 cl.State.nodes
   | None -> 0
 
 let me ctx = ctx.node.State.id

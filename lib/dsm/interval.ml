@@ -40,8 +40,8 @@ let unseen_by vc ts = List.filter (fun t -> t.seq > Vc.get vc t.proc) ts
    ([Stale_vc_after_restart]) reissue sequence numbers on purpose; the
    log then degrades to the historical linear-filter behavior instead of
    misindexing (or refusing) the duplicates.  The functions below serve
-   both [Log], which keeps the three in a record, and [Logs], which
-   keeps them in per-writer arrays. *)
+   both [Log], which keeps the three in a record, and the explicit form
+   of [Logs], which keeps them in per-writer arrays. *)
 
 (* [a], or a copy with twice the capacity when its [len] slots are
    full; the spare slots hold [iv], which is about to be appended. *)
@@ -120,36 +120,136 @@ module Log = struct
   let unseen_by vc ~proc l acc = unseen_in vc ~proc l.a l.len ~sorted:l.sorted acc
 end
 
-(* A node's interval logs, indexed by writer id: writer [p]'s intervals
-   are the first [lens.(p)] slots of [logs.(p)].  The index grows only
-   as far as the highest writer id seen, storage is allocated on a
-   writer's first append and released when its log is emptied, and
-   [live] lists the writers whose log is non-empty, so walks, GC and
-   crash truncation touch only those.  Node set-up allocates no log, and
-   a barrier costs O(writers) per node, not O(nprocs). *)
-module Logs = struct
+(* A cluster's intervals, stored once: writer [p]'s intervals with seqs
+   [base.(p) + 1 .. base.(p) + count.(p)] are the first [count.(p)]
+   slots of [ivs.(p)], oldest first.  A writer adds each interval as it
+   closes it, so a writer's slots are contiguous in seq.  Node logs
+   ([logs] below) read their intervals from here, and every node's log
+   registers in [logs] so that the store can trim what no log can still
+   contain. *)
+type store = {
+  ivs : t array array;
+  base : int array;
+  count : int array;
+  zero : Vc.t;  (* the floor of a log never purged *)
+  mutable logs : logs list;
+  mutable nlogs : int;
+  mutable purged : int;  (* logs purged since the last trim *)
+}
+
+(* A node's interval logs, indexed by writer id.  Writer [p]'s log holds
+   [lens.(p)] intervals.  In the window form ([arrays] empty) they are
+   the store's seqs [floor.(p) + 1 .. floor.(p) + lens.(p)]: every
+   healthy producer appends contiguously above the node's clock at its
+   last purge, so a log is a window onto the store and holds no interval
+   of its own.  An append that breaks the window (crash replay of
+   covered intervals, a reissued seq) copies every window into explicit
+   per-writer arrays, the first [lens.(p)] slots of [arrays.(p)], which
+   serve until the next purge.
+
+   The index grows only as far as the highest writer id seen, and [live]
+   lists the writers whose log is non-empty, so walks, GC and crash
+   truncation touch only those.  Node set-up allocates no log, and a
+   barrier costs O(writers) per node, not O(nprocs). *)
+and logs = {
+  store : store;
+  mutable floor : Vc.t;
+  mutable lens : int array;
+  mutable arrays : t array array;  (* [[||]] in the window form *)
+  mutable unsorted : int list;  (* writers whose explicit log lost ascending order *)
+  mutable live : int array;  (* [nlive] writers with a non-empty log *)
+  mutable nlive : int;
+  mutable live_sorted : bool;  (* [live] ascending *)
+}
+
+module Store = struct
   type interval = t
 
-  type t = {
-    nprocs : int;
-    mutable logs : interval array array;
-    mutable lens : int array;
-    mutable unsorted : int list;  (* writers whose log lost ascending order *)
-    mutable live : int array;  (* [nlive] writers with a non-empty log *)
-    mutable nlive : int;
-    mutable live_sorted : bool;  (* [live] ascending *)
-  }
+  type t = store
 
   let create ~nprocs =
     {
-      nprocs;
-      logs = [||];
-      lens = [||];
-      unsorted = [];
-      live = [||];
-      nlive = 0;
-      live_sorted = true;
+      ivs = Array.make nprocs [||];
+      base = Array.make nprocs 0;
+      count = Array.make nprocs 0;
+      zero = Vc.zero ~nprocs;
+      logs = [];
+      nlogs = 0;
+      purged = 0;
     }
+
+  (* Only the writer's next seq is stored: a reissued one (the
+     [Stale_vc_after_restart] mutation) must not replace the interval
+     the logs already hold under it. *)
+  let add s (iv : interval) =
+    let p = iv.proc and n = s.count.(iv.proc) in
+    if iv.seq = s.base.(p) + n + 1 then begin
+      let a = room s.ivs.(p) n iv in
+      a.(n) <- iv;
+      s.ivs.(p) <- a;
+      s.count.(p) <- n + 1
+    end
+
+  let holds s (iv : interval) =
+    let p = iv.proc in
+    let i = iv.seq - s.base.(p) - 1 in
+    i >= 0 && i < s.count.(p) && s.ivs.(p).(i) == iv
+
+  (* Writer [p]'s interval [seq], which the store holds. *)
+  let get s p seq = s.ivs.(p).(seq - s.base.(p) - 1)
+
+  let length s = Array.fold_left ( + ) 0 s.count
+
+  (* Drop every interval at or below the lowest floor of any log: a
+     window lies above its log's floor, and appends to it are fresh. *)
+  let trim s =
+    Array.iteri
+      (fun p n ->
+        if n > 0 then begin
+          let f =
+            List.fold_left (fun m l -> Int.min m (Vc.get l.floor p)) max_int s.logs
+          in
+          let k = Int.min n (f - s.base.(p)) in
+          if k > 0 then begin
+            s.ivs.(p) <- (if k = n then [||] else Array.sub s.ivs.(p) k (n - k));
+            s.base.(p) <- s.base.(p) + k;
+            s.count.(p) <- n - k
+          end
+        end)
+      s.count
+
+  (* Prepend (newest first) writer [p]'s seqs [lo + 1 .. hi]. *)
+  let prepend s ~p ~lo ~hi acc =
+    let acc = ref acc in
+    for seq = lo + 1 to hi do
+      acc := get s p seq :: !acc
+    done;
+    !acc
+end
+
+module Logs = struct
+  type interval = t
+
+  type t = logs
+
+  let create store =
+    let t =
+      {
+        store;
+        floor = store.zero;
+        lens = [||];
+        arrays = [||];
+        unsorted = [];
+        live = [||];
+        nlive = 0;
+        live_sorted = true;
+      }
+    in
+    store.logs <- t :: store.logs;
+    store.nlogs <- store.nlogs + 1;
+    t
+
+  let explicit t = Array.length t.arrays > 0
 
   let add_live t p =
     if t.nlive = Array.length t.live then begin
@@ -163,30 +263,61 @@ module Logs = struct
 
   let sorted t p = t.unsorted = [] || not (List.mem p t.unsorted)
 
-  let append t (iv : interval) =
-    let p = iv.proc in
-    let n = Array.length t.logs in
+  (* Make the index cover writer [p]. *)
+  let reach t p =
+    let n = Array.length t.lens in
     if p >= n then begin
-      let n' = min t.nprocs (max (p + 1) (2 * n)) in
-      let logs = Array.make n' [||] and lens = Array.make n' 0 in
-      Array.blit t.logs 0 logs 0 n;
+      let n' = min (Array.length t.store.base) (max (p + 1) (2 * n)) in
+      let lens = Array.make n' 0 in
       Int_array.blit t.lens 0 lens 0 n;
-      t.logs <- logs;
-      t.lens <- lens
-    end;
-    let a = t.logs.(p) and len = t.lens.(p) in
-    if len = 0 then add_live t p
-    else if iv.seq <= a.(len - 1).seq && sorted t p then
+      t.lens <- lens;
+      if explicit t then begin
+        let arrays = Array.make n' [||] in
+        Array.blit t.arrays 0 arrays 0 n;
+        t.arrays <- arrays
+      end
+    end
+
+  (* Copy every window out of the store into explicit arrays. *)
+  let to_explicit t =
+    t.arrays <-
+      Array.mapi
+        (fun p len ->
+          let lo = Vc.get t.floor p in
+          Array.init len (fun i -> Store.get t.store p (lo + 1 + i)))
+        t.lens
+
+  let append_explicit t (iv : interval) =
+    let p = iv.proc in
+    let a = t.arrays.(p) and len = t.lens.(p) in
+    if len > 0 && iv.seq <= a.(len - 1).seq && sorted t p then
       t.unsorted <- p :: t.unsorted;
     let a' = room a len iv in
-    if a' != a then t.logs.(p) <- a';
-    a'.(len) <- iv;
+    if a' != a then t.arrays.(p) <- a';
+    a'.(len) <- iv
+
+  let append t (iv : interval) =
+    let p = iv.proc in
+    reach t p;
+    let len = t.lens.(p) in
+    if
+      explicit t
+      || not (iv.seq = Vc.get t.floor p + len + 1 && Store.holds t.store iv)
+    then begin
+      if not (explicit t) then to_explicit t;
+      append_explicit t iv
+    end;
+    if len = 0 then add_live t p;
     t.lens.(p) <- len + 1
 
   let unseen_of t ~proc vc acc =
-    if proc < Array.length t.logs then
-      unseen_in vc ~proc t.logs.(proc) t.lens.(proc) ~sorted:(sorted t proc) acc
-    else acc
+    if proc >= Array.length t.lens then acc
+    else if explicit t then
+      unseen_in vc ~proc t.arrays.(proc) t.lens.(proc) ~sorted:(sorted t proc) acc
+    else
+      let lo = Vc.get t.floor proc in
+      Store.prepend t.store ~p:proc ~lo:(Int.max lo (Vc.get vc proc))
+        ~hi:(lo + t.lens.(proc)) acc
 
   let sort_live t =
     if not t.live_sorted then begin
@@ -213,7 +344,7 @@ module Logs = struct
       let p = t.live.(i) in
       if p = keep then kept := true
       else begin
-        t.logs.(p) <- [||];
+        if explicit t then t.arrays.(p) <- [||];
         t.lens.(p) <- 0
       end
     done;
@@ -222,7 +353,16 @@ module Logs = struct
     t.unsorted <- List.filter (Int.equal keep) t.unsorted;
     if !kept then add_live t keep
 
-  let clear t = clear_except t ~keep:(-1)
+  let clear t ~floor =
+    clear_except t ~keep:(-1);
+    t.arrays <- [||];
+    t.floor <- Vc.copy floor;
+    let s = t.store in
+    s.purged <- s.purged + 1;
+    if s.purged >= s.nlogs then begin
+      s.purged <- 0;
+      Store.trim s
+    end
 end
 
 let pp ppf t =

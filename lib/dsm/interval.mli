@@ -66,17 +66,46 @@ module Log : sig
   val unseen_by : Vc.t -> proc:int -> t -> interval list -> interval list
 end
 
-(** A node's interval logs, one per writer, indexed by writer id: the
-    same storage and queries as {!Log}, without a record per writer.  A
-    writer's storage is allocated on its first append and released when
-    its log is emptied.  The writers with a non-empty log are tracked,
-    so walks, GC and crash truncation cost O(writers), not O(nprocs). *)
-module Logs : sig
+(** A cluster's intervals, each stored once, per writer in seq order.
+    A writer adds an interval when it closes it; the node logs of the
+    cluster ({!Logs}) read their intervals from here.  Once every log of
+    the store has been purged ({!Logs.clear}) since the last trim, the
+    store drops every interval at or below the lowest floor among its
+    logs, so it never retains an interval no log can still contain. *)
+module Store : sig
   type interval := t
 
   type t
 
   val create : nprocs:int -> t
+
+  (** Store a just-closed interval.  Only the writer's next seq is
+      stored: a reissued one (only seeded recovery mutations produce
+      one) leaves the interval already stored under it in place. *)
+  val add : t -> interval -> unit
+
+  (** Intervals retained. *)
+  val length : t -> int
+end
+
+(** A node's interval logs, one per writer, indexed by writer id: the
+    same queries as {!Log}, without a record per writer.  A log is a
+    window onto its cluster's {!Store}: writer [p]'s log holds the
+    stored seqs [floor.(p) + 1 .. floor.(p) + n], where [floor] is the
+    node's clock at its last purge (zero before any) — every healthy
+    producer appends contiguously above it.  An append that breaks the
+    window (crash replay of covered intervals, a reissued seq) turns the
+    log into explicit per-writer arrays until its next {!clear}; the
+    queries return the same lists in either form.  The writers with a
+    non-empty log are tracked, so walks, GC and crash truncation cost
+    O(writers), not O(nprocs). *)
+module Logs : sig
+  type interval := t
+
+  type t
+
+  (** An empty log onto [store], registered for its trims. *)
+  val create : Store.t -> t
 
   (** Append to the log of [iv.proc] (same contract as {!Log.append}). *)
   val append : t -> interval -> unit
@@ -89,11 +118,18 @@ module Logs : sig
       cover onto [acc]: writer 0's first, each writer's newest first. *)
   val unseen_by : t -> Vc.t -> interval list -> interval list
 
-  (** Empty every log (GC). *)
-  val clear : t -> unit
+  (** Empty every log (GC purge) and return to the window form above
+      [floor], the node's clock now (copied): every later append must
+      lie above it.  When every log of the store has been purged since
+      the last trim, the store trims. *)
+  val clear : t -> floor:Vc.t -> unit
 
   (** Empty every log but writer [keep]'s (crash truncation). *)
   val clear_except : t -> keep:int -> unit
+
+  (** The log holds explicit interval arrays: an append broke its
+      window since its last {!clear}. *)
+  val explicit : t -> bool
 end
 
 val pp : Format.formatter -> t -> unit

@@ -102,12 +102,12 @@ let close_owned cl node (e : entry) ~seq =
 let close_page_default ?(measure = false) ?(sink = store_diff)
     ?(close_clean = close_owned) cl node (e : entry) ~seq ~vc ~charge =
   let wg_measure modified =
-    (* Write-granularity measurement (Section 3.2). *)
+    (* Write-granularity measurement (Section 3.2).  A flip of [wg_large]
+       is not a mode change: the page changes mode only when a later
+       transition acts on it ([Mode.switched]). *)
     if measure then begin
       e.measured <- true;
-      let large = modified > cl.cfg.Config.wg_threshold_bytes in
-      if large <> e.wg_large then Stats.mode_switch cl.stats;
-      e.wg_large <- large
+      e.wg_large <- modified > cl.cfg.Config.wg_threshold_bytes
     end
   in
   match e.twin with
@@ -207,6 +207,7 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
     let ival =
       Interval.make ~proc:node.id ~vc:vc_snapshot ~notices:(List.rev !notices)
     in
+    Interval.Store.add cl.interval_store ival;
     Interval.Logs.append node.intervals ival
   end;
   if !total_cost > 0 then charge !total_cost

@@ -148,6 +148,7 @@ type cluster = {
   recorder : Adsm_check.Recorder.t;
   mutable diff_scratch : Diff.scratch option;
   vc_epoch : Vc.Epoch.t;
+  interval_store : Interval.Store.t;
 }
 
 let make_entry ~page ~home =
@@ -329,7 +330,7 @@ let copyset_add (e : entry) ~nprocs q =
 let copyset_iter (e : entry) f =
   Array.iteri (fun q in_set -> if in_set then f q) e.copyset
 
-let make_node ~cfg ~vc_epoch ~id ~total_pages =
+let make_node ~cfg ~vc_epoch ~store ~id ~total_pages =
   let nprocs = cfg.Config.nprocs in
   let vc = Vc.Epoch.zero vc_epoch in
   let last_barrier_vc = Vc.Epoch.zero vc_epoch in
@@ -342,7 +343,7 @@ let make_node ~cfg ~vc_epoch ~id ~total_pages =
     nprocs;
     vc;
     pages = Array.make total_pages None;
-    intervals = Interval.Logs.create ~nprocs;
+    intervals = Interval.Logs.create store;
     dirty_pages = [];
     diffs = Hashtbl.create 256;
     locks = Hashtbl.create 16;

@@ -143,8 +143,8 @@ type node = {
           touches.  Untouched pages hold no protocol state, so lazy
           creation is observationally identical. *)
   intervals : Interval.Logs.t;
-      (** one log per writer, created on first append (see
-          {!Interval.Logs}) *)
+      (** one log per writer, a window onto the cluster's
+          [interval_store] (see {!Interval.Logs}) *)
   mutable dirty_pages : int list;  (** pages written this interval *)
   diffs : (int * int * int, Vc.t * Diff.t) Hashtbl.t;
       (** (page, proc, seq) -> (interval timestamp, diff) *)
@@ -205,6 +205,9 @@ type cluster = {
       (** lazily allocated working space for {!Diff.create} *)
   vc_epoch : Vc.Epoch.t;
       (** the clock base the nodes share since the last barrier *)
+  interval_store : Interval.Store.t;
+      (** every closed interval, once per cluster: the nodes' logs are
+          windows onto it *)
 }
 
 val make_entry : page:int -> home:int -> entry
@@ -286,9 +289,15 @@ val copyset_add : entry -> nprocs:int -> int -> unit
 (** Iterate the members of the (approximate) copyset. *)
 val copyset_iter : entry -> (int -> unit) -> unit
 
-(** A node whose clocks start on [vc_epoch]'s shared zero base. *)
+(** A node whose clocks start on [vc_epoch]'s shared zero base and
+    whose interval log is a window onto [store]. *)
 val make_node :
-  cfg:Config.t -> vc_epoch:Vc.Epoch.t -> id:int -> total_pages:int -> node
+  cfg:Config.t ->
+  vc_epoch:Vc.Epoch.t ->
+  store:Interval.Store.t ->
+  id:int ->
+  total_pages:int ->
+  node
 
 (** Get-or-create the node's entry for a page.  A lazily-created entry is
     exactly what the eager initialization used to build: zero-page base,

@@ -403,8 +403,9 @@ let gc_purge cl node =
       (Adsm_trace.Event.Diff_gc { count = !count; bytes = !bytes });
   iter_entries node (fun (e : entry) -> e.own_diff_seqs <- []);
   (* Interval logs are globally known at this point; drop them so grants
-     stay small.  Vector clocks keep the ordering information. *)
-  Interval.Logs.clear node.intervals
+     stay small.  Vector clocks keep the ordering information.  Once
+     every node has purged, the store drops what no log still holds. *)
+  Interval.Logs.clear node.intervals ~floor:node.vc
 
 (* ------------------------------------------------------------------ *)
 (* Barrier: a combining tree rooted at node 0                         *)

@@ -341,77 +341,210 @@ let test_log_model () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Writer-indexed logs vs a dense walk over one list per processor     *)
+(* Store-backed node logs vs one list per (node, writer)               *)
 (* ------------------------------------------------------------------ *)
 
-let logs_nprocs = 8
-
-let logs_self = 2
+let logs_nodes = 5
 
 let proc_seqs = List.map (fun (iv : Interval.t) -> (iv.Interval.proc, iv.Interval.seq))
 
-(* Appends come from a shuffled pool of writers redrawn at every
-   truncation, so writers go live in any id order and the pool size
-   sets how many logs are empty.  The reference is one list per
-   processor, walked from the highest id down. *)
+type model_node = {
+  log : Interval.Logs.t;
+  clock : int array;
+  naive : Interval.t list array;  (* per writer, oldest first *)
+  mutable ckpt : int array;  (* the clock a crash rolls back to *)
+  mutable broken : bool;  (* crashed or reissued a seq since its last purge *)
+}
+
+let vc_of a =
+  let vc = Vc.zero ~nprocs:(Array.length a) in
+  Array.iteri (Vc.set vc) a;
+  vc
+
+(* Node logs driven the way a cluster drives them: every log shares one
+   store; a node ticks its clock before appending its own interval, and
+   appends received intervals contiguously above its clock.  A GC round
+   brings every clock to the supremum (the barrier), then the nodes
+   purge one by one, and nodes that already purged go on closing and
+   receiving.  A crash truncates the node's log to its own writer, rolls
+   the clock back to its checkpoint and replays the peers' logs, covered
+   intervals first.  Once per seed a node reissues a sequence number.
+   Every query is compared with one list per (node, writer), every
+   element by identity; a node that neither crashed nor reissued since
+   its last purge must still be in the window form, and after each GC
+   round the store holds exactly the intervals some log still holds. *)
 let test_logs_model () =
+  let n = logs_nodes in
+  let explicit_steps = ref 0 and kept_rounds = ref 0 in
   for seed = 0 to 19 do
     let rs = Random.State.make [| 0x1095; seed |] in
-    let logs = Interval.Logs.create ~nprocs:logs_nprocs in
-    let naive = Array.make logs_nprocs [] (* oldest first *) in
-    let last_seq = Array.make logs_nprocs 0 in
-    let draw_pool () =
-      let ids = Array.init logs_nprocs Fun.id in
-      for i = logs_nprocs - 1 downto 1 do
-        let j = Random.State.int rs (i + 1) in
-        let t = ids.(i) in
-        ids.(i) <- ids.(j);
-        ids.(j) <- t
-      done;
-      Array.sub ids 0 (1 + Random.State.int rs logs_nprocs)
+    let store = Interval.Store.create ~nprocs:n in
+    let nodes =
+      Array.init n (fun _ ->
+          {
+            log = Interval.Logs.create store;
+            clock = Array.make n 0;
+            naive = Array.make n [];
+            ckpt = Array.make n 0;
+            broken = false;
+          })
     in
-    let pool = ref (draw_pool ()) in
+    (* the latest interval issued under each (writer, seq), the
+       (writer, seq) pairs issued twice, and each writer's highest seq *)
+    let issued = Hashtbl.create 64 and reissued = Hashtbl.create 4 in
+    let top = Array.make n 0 in
+    let append x (iv : Interval.t) =
+      Interval.Logs.append x.log iv;
+      x.naive.(iv.proc) <- x.naive.(iv.proc) @ [ iv ]
+    in
+    let close w =
+      let x = nodes.(w) in
+      x.clock.(w) <- x.clock.(w) + 1;
+      let iv = Interval.make ~proc:w ~vc:(vc_of x.clock) ~notices:[] in
+      if Hashtbl.mem issued (w, iv.seq) then Hashtbl.replace reissued (w, iv.seq) ();
+      Hashtbl.replace issued (w, iv.seq) iv;
+      top.(w) <- max top.(w) iv.seq;
+      Interval.Store.add store iv;
+      append x iv
+    in
+    let receive x p upto =
+      for s = x.clock.(p) + 1 to upto do
+        (* a reissued interval is not the one its writer stored *)
+        if Hashtbl.mem reissued (p, s) then x.broken <- true;
+        append x (Hashtbl.find issued (p, s));
+        x.clock.(p) <- s
+      done
+    in
+    let random_op ~among =
+      let w = among.(Random.State.int rs (Array.length among)) in
+      if Random.State.bool rs then close w
+      else
+        let p = Random.State.int rs n in
+        let x = nodes.(w) in
+        receive x p (x.clock.(p) + Random.State.int rs (top.(p) - x.clock.(p) + 1))
+    in
+    let gc_round () =
+      Array.iter (fun x -> Array.iteri (fun p t -> receive x p t) top) nodes;
+      let floor = Array.copy top in
+      let order = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rs (i + 1) in
+        let t = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- t
+      done;
+      Array.iteri
+        (fun k w ->
+          let x = nodes.(w) in
+          Interval.Logs.clear x.log ~floor:(vc_of x.clock);
+          Array.fill x.naive 0 n [];
+          x.ckpt <- Array.copy x.clock;
+          x.broken <- false;
+          for _ = 1 to Random.State.int rs 3 do
+            random_op ~among:(Array.sub order 0 (k + 1))
+          done)
+        order;
+      let held = Hashtbl.create 64 in
+      Array.iter
+        (fun x ->
+          Array.iter
+            (List.iter (fun (iv : Interval.t) ->
+                 if iv.seq > floor.(iv.proc) then Hashtbl.replace held (iv.proc, iv.seq) ()))
+            x.naive)
+        nodes;
+      if Interval.Store.length store > 0 then incr kept_rounds;
+      Interval.Store.length store = Hashtbl.length held
+    in
+    let crash w =
+      let x = nodes.(w) in
+      Interval.Logs.clear_except x.log ~keep:w;
+      Array.iteri (fun p _ -> if p <> w then x.naive.(p) <- []) x.naive;
+      Array.iteri (fun p c -> if p <> w then x.clock.(p) <- c) x.ckpt;
+      x.broken <- true;
+      let seen = Hashtbl.create 64 in
+      let replay = Array.make n [] in
+      Array.iteri
+        (fun y (peer : model_node) ->
+          if y <> w then
+            Array.iter
+              (List.iter (fun (iv : Interval.t) ->
+                   if iv.proc <> w && not (Hashtbl.mem seen (iv.proc, iv.seq)) then begin
+                     Hashtbl.add seen (iv.proc, iv.seq) ();
+                     replay.(iv.proc) <- iv :: replay.(iv.proc)
+                   end))
+              peer.naive)
+        nodes;
+      Array.iteri
+        (fun p ivs ->
+          let ivs = List.sort (fun (a : Interval.t) b -> compare a.seq b.seq) ivs in
+          let covered, uncovered =
+            List.partition (fun (iv : Interval.t) -> iv.seq <= x.clock.(p)) ivs
+          in
+          List.iter (append x) covered;
+          List.iter
+            (fun (iv : Interval.t) ->
+              if iv.seq > x.clock.(p) then begin
+                append x iv;
+                x.clock.(p) <- iv.seq
+              end)
+            uncovered)
+        replay
+    in
+    let reissue_at = 50 + Random.State.int rs 200 in
     for step = 1 to 300 do
       let name fmt = Printf.sprintf "seed %d, step %d: %s" seed step fmt in
-      (match Random.State.int rs 12 with
+      (match Random.State.int rs 16 with
       | 0 ->
-        (* GC: every log empties *)
-        Interval.Logs.clear logs;
-        Array.fill naive 0 logs_nprocs [];
-        pool := draw_pool ()
-      | 1 ->
-        (* crash truncation: only the node's own (durable) log survives *)
-        Interval.Logs.clear_except logs ~keep:logs_self;
-        Array.iteri (fun p _ -> if p <> logs_self then naive.(p) <- []) naive;
-        pool := draw_pool ()
-      | _ ->
-        let p = !pool.(Random.State.int rs (Array.length !pool)) in
-        let seq = last_seq.(p) + 1 + Random.State.int rs 2 in
-        last_seq.(p) <- seq;
-        let vc = Vc.zero ~nprocs:logs_nprocs in
-        Vc.set vc p seq;
-        let iv = Interval.make ~proc:p ~vc ~notices:[] in
-        Interval.Logs.append logs iv;
-        naive.(p) <- naive.(p) @ [ iv ]);
-      (* a random clock: each component below, inside or past its log *)
-      let vc = Vc.zero ~nprocs:logs_nprocs in
-      Array.iteri (fun p s -> Vc.set vc p (Random.State.int rs (s + 2))) last_seq;
-      let unseen p =
-        List.rev (List.filter (fun (iv : Interval.t) -> iv.Interval.seq > Vc.get vc p) naive.(p))
-      in
-      let expected = ref [] in
-      for p = logs_nprocs - 1 downto 0 do
-        expected := unseen p @ !expected
-      done;
-      let acc = [ make_iv 1000 ] in
-      if proc_seqs (Interval.Logs.unseen_by logs vc acc)
-         <> proc_seqs (!expected @ acc)
-      then Alcotest.fail (name "unseen_by");
-      let p = Random.State.int rs logs_nprocs in
-      if proc_seqs (Interval.Logs.unseen_of logs ~proc:p vc []) <> proc_seqs (unseen p)
-      then Alcotest.fail (name (Printf.sprintf "unseen_of %d" p))
+        if not (gc_round ()) then
+          Alcotest.fail (name "the store keeps an interval no log holds")
+      | 1 -> crash (Random.State.int rs n)
+      | _ -> random_op ~among:(Array.init n Fun.id));
+      if step = reissue_at then begin
+        let w = Random.State.int rs n in
+        let x = nodes.(w) in
+        if x.clock.(w) > 0 then begin
+          x.clock.(w) <- x.clock.(w) - 1;
+          x.broken <- true;
+          close w
+        end
+      end;
+      Array.iteri
+        (fun xi x ->
+          let nname fmt = name (Printf.sprintf "node %d: %s" xi fmt) in
+          if Interval.Logs.explicit x.log then begin
+            incr explicit_steps;
+            if not x.broken then Alcotest.fail (nname "left the window form")
+          end;
+          (* a random clock: each component below, inside or past its log *)
+          let vc = Vc.zero ~nprocs:n in
+          Array.iteri (fun p s -> Vc.set vc p (Random.State.int rs (s + 2))) top;
+          let unseen p =
+            List.rev
+              (List.filter (fun (iv : Interval.t) -> iv.Interval.seq > Vc.get vc p) x.naive.(p))
+          in
+          let expected = ref [] in
+          for p = n - 1 downto 0 do
+            expected := unseen p @ !expected
+          done;
+          let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+          let acc = [ make_iv 1000 ] in
+          let got = Interval.Logs.unseen_by x.log vc acc in
+          if not (same got (!expected @ acc)) then
+            Alcotest.fail
+              (nname
+                 (Printf.sprintf "unseen_by: got %s"
+                    (String.concat " "
+                       (List.map (fun (p, s) -> Printf.sprintf "%d:%d" p s) (proc_seqs got)))));
+          let p = Random.State.int rs n in
+          if not (same (Interval.Logs.unseen_of x.log ~proc:p vc []) (unseen p)) then
+            Alcotest.fail (nname (Printf.sprintf "unseen_of %d" p)))
+        nodes
     done
-  done
+  done;
+  (* the op mix reaches the explicit form and trims under live windows *)
+  if !explicit_steps = 0 || !kept_rounds = 0 then
+    Alcotest.failf "explicit-form steps %d, GC rounds keeping intervals %d"
+      !explicit_steps !kept_rounds
 
 (* ------------------------------------------------------------------ *)
 (* Naive last-notice reference: every recorded slot, scanned densely   *)
@@ -464,8 +597,8 @@ let test_notice_summary_model () =
     let rs = Random.State.make [| 0x5107; seed |] in
     let cfg = Config.make ~protocol:Config.Wfs ~nprocs:nwriters () in
     let node =
-      State.make_node ~cfg ~vc_epoch:(Vc.Epoch.create ~nprocs:nwriters) ~id:0
-        ~total_pages:1
+      State.make_node ~cfg ~vc_epoch:(Vc.Epoch.create ~nprocs:nwriters)
+        ~store:(Interval.Store.create ~nprocs:nwriters) ~id:0 ~total_pages:1
     in
     let e = State.entry_of node 0 in
     let slots = ref [] (* naive map, insertion order *) in

@@ -374,6 +374,28 @@ let test_footprint_pins ~nprocs () =
           (Config.protocol_name protocol) nprocs words bound)
     (List.filter (fun (_, _, n, _) -> n = nprocs) footprint_pins)
 
+(* A node's interval log is a window onto the cluster's interval store
+   unless crash replay or a reissued sequence number breaks it.  A log
+   that fell back to explicit arrays in a fault-free run would lose the
+   heap saving without moving any output, so pin the window form where
+   the logs are largest (IS/WFS on the 256-node tree, no GC) and where
+   GC purges and trims them (SOR/MW at 8 nodes, default scale). *)
+let test_logs_stay_windows () =
+  List.iter
+    (fun (name, tweak, app, protocol, nprocs, scale, gcs) ->
+      let entry = Option.get (Registry.find app) in
+      let t = Dsm.create (tweak (Config.make ~protocol ~nprocs ())) in
+      let program, _ = entry.Registry.instantiate scale t in
+      let r = Dsm.run t program in
+      Alcotest.(check int) (name ^ ": GC rounds") gcs
+        (Adsm_dsm.Stats.gc_count r.Dsm.stats);
+      Alcotest.(check int) (name ^ ": explicit logs") 0
+        (Dsm.explicit_interval_logs t))
+    [
+      ("IS/WFS/256 tree", tree_tweak, "IS", Config.Wfs, 256, Registry.Tiny, 0);
+      ("SOR/MW/8", Fun.id, "SOR", Config.Mw, 8, Registry.Default, 7);
+    ]
+
 let () =
   Alcotest.run "scale"
     [
@@ -410,5 +432,7 @@ let () =
             (test_footprint_pins ~nprocs:256);
           Alcotest.test_case "retained words bounded at 1024 nodes" `Slow
             (test_footprint_pins ~nprocs:1024);
+          Alcotest.test_case "fault-free interval logs stay windows" `Slow
+            test_logs_stay_windows;
         ] );
     ]

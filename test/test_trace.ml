@@ -295,6 +295,36 @@ let test_sor_wfs_trace_matches_stats () =
     (Query.count ~tag:"barrier-enter" evs)
     (Query.count ~tag:"barrier-leave" evs)
 
+(* [Stats.mode_switches] counts exactly the traced page transitions.
+   Under WFS+WG the write-granularity measurement flips a page's
+   large-write flag without changing its mode; IS, 3D-FFT and Shallow
+   flip it often at the default scale. *)
+let test_wfs_wg_switches_match_trace () =
+  List.iter
+    (fun app_name ->
+      let app = Option.get (Registry.find app_name) in
+      let changes = ref 0 in
+      let sink =
+        {
+          Sink.emit =
+            (fun (s : Event.stamped) ->
+              match s.Event.event with
+              | Event.Mode_change _ -> incr changes
+              | _ -> ());
+          close = ignore;
+        }
+      in
+      let tracer = Tracer.create [ sink ] in
+      let m =
+        Runner.run ~tracer ~app ~protocol:Config.Wfs_wg ~nprocs:8
+          ~scale:Registry.Default ()
+      in
+      Tracer.close tracer;
+      Alcotest.(check bool) (app_name ^ ": pages change mode") true (!changes > 0);
+      Alcotest.(check int) (app_name ^ ": switches = mode-change events")
+        !changes m.Runner.mode_switches)
+    [ "IS"; "3D-FFT"; "Shallow" ]
+
 let test_is_mw_trace_shows_multiple_writers () =
   (* IS under MW: the shared bucket pages are written by several nodes in
      the same interval — the trace must show some page with diffs created
@@ -460,6 +490,8 @@ let () =
             test_sor_wfs_trace_matches_stats;
           Alcotest.test_case "IS/MW multiple writers" `Quick
             test_is_mw_trace_shows_multiple_writers;
+          Alcotest.test_case "WFS+WG switch count = mode-change events" `Quick
+            test_wfs_wg_switches_match_trace;
         ] );
       ( "pins",
         [
