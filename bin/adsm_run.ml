@@ -314,9 +314,21 @@ let run_fuzz protocol_name nprocs seeds seed mutation_name faults jobs =
       List.iter
         (fun (s, result) ->
           match result with
-          | Error msg ->
+          | Error msg -> (
             incr failures;
-            Printf.printf "seed %d: CRASH (%s)\n" s msg
+            Printf.printf "seed %d: CRASH (%s)\n" s msg;
+            let seed = Int64.of_int s in
+            match Fuzz.case ~protocol ~faults ~nprocs ~seed () with
+            | exception _ ->
+              (* The clean run that times the schedule raised: the same
+                 seed without --faults shrinks it. *)
+              ()
+            | program, sched -> (
+              match
+                Fuzz.shrink_failing ?mutation ~protocol ~seed ?faults:sched program
+              with
+              | Some shrunk -> Option.iter print_string (Fuzz.counterexample shrunk)
+              | None -> ()))
           | Ok o ->
             if Oracle.ok o.Fuzz.report then
               Printf.printf "seed %d: ok (%d observations, %d reads)\n" s

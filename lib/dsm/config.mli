@@ -41,15 +41,16 @@ type mutation =
           carry a stale version, so the new owner's write notices are
           ignored by peers that already hold the previous version *)
   | Skip_notice_replay
-      (** crash recovery omits both the checkpointed pending write
-          notices and the peer recovery round: writes the crashed node
-          had been told about but never applied are silently forgotten
-          (needs a crash schedule to manifest) *)
+      (** crash recovery asks peers only for the intervals its
+          rolled-back clock misses and re-applies no covered notice:
+          writes the crashed node had been told about but its wiped
+          pages lost are silently forgotten (needs a crash schedule) *)
   | Stale_vc_after_restart
-      (** a restarted node keeps its pre-crash vector clock instead of
-          rolling back to the checkpoint VC, so peers believe it has
-          seen intervals whose effects its wiped pages lost (needs a
-          crash schedule to manifest) *)
+      (** peers take a restarted node's first post-restart intervals,
+          as many as its clock advanced since the checkpoint, for
+          duplicates and drop their notices, as if its own clock
+          component had rolled back and reissued those seqs (needs a
+          crash schedule) *)
 
 val mutation_name : mutation -> string
 

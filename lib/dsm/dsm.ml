@@ -257,15 +257,6 @@ let vc_base_mismatches (t : t) =
   | Some cl -> Vc.Epoch.mismatches cl.State.vc_epoch
   | None -> 0
 
-let explicit_interval_logs (t : t) =
-  match t.cluster with
-  | Some cl ->
-    Array.fold_left
-      (fun n node ->
-        if Interval.Logs.explicit node.State.intervals then n + 1 else n)
-      0 cl.State.nodes
-  | None -> 0
-
 let me ctx = ctx.node.State.id
 
 let nprocs ctx = ctx.cluster.State.cfg.Config.nprocs

@@ -91,12 +91,6 @@ val run :
     run of a correct protocol reads 0. *)
 val vc_base_mismatches : t -> int
 
-(** Nodes whose interval log holds explicit interval arrays
-    ({!Interval.Logs.explicit}) at the end of the last {!run}; 0 before
-    any run.  Only crash replay and reissued sequence numbers break a
-    log's window, so a fault-free run reads 0. *)
-val explicit_interval_logs : t -> int
-
 (* --- operations available inside the application function --- *)
 
 val me : ctx -> int

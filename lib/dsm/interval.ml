@@ -32,16 +32,7 @@ let unseen_by vc ts = List.filter (fun t -> t.seq > Vc.get vc t.proc) ts
    component, which already covers everything logged).  "Which of p's
    intervals does clock [vc] not cover?" is then a binary search for the
    first seq above [Vc.get vc p] plus a suffix walk, instead of a filter
-   over a rebuilt list.
-
-   A log is a storage array whose first [len] slots hold the intervals,
-   oldest first, plus a flag for a log that lost its ascending order.
-   Every healthy producer appends ascending.  Seeded recovery mutations
-   ([Stale_vc_after_restart]) reissue sequence numbers on purpose; the
-   log then degrades to the historical linear-filter behavior instead of
-   misindexing (or refusing) the duplicates.  The functions below serve
-   both [Log], which keeps the three in a record, and the explicit form
-   of [Logs], which keeps them in per-writer arrays. *)
+   over a rebuilt list. *)
 
 (* [a], or a copy with twice the capacity when its [len] slots are
    full; the spare slots hold [iv], which is about to be appended. *)
@@ -53,50 +44,13 @@ let room a len iv =
     b
   end
 
-(* Index of the first logged interval with [seq > s] (= [len] if
-   none): binary search over the ascending seqs, linear scan on a log
-   that lost its sortedness. *)
-let first_after_in a len ~sorted s =
-  if sorted then begin
-    let lo = ref 0 and hi = ref len in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if a.(mid).seq > s then hi := mid else lo := mid + 1
-    done;
-    !lo
-  end
-  else begin
-    let i = ref 0 in
-    while !i < len && a.(!i).seq <= s do incr i done;
-    !i
-  end
-
-(* Prepend (newest first) every interval [vc] does not cover onto
-   [acc].  [proc] is the log's owner — the search key is the sender's
-   own clock component.  Appends are oldest-first, so the ascending
-   walk prepends into the newest-first orientation the old list
-   representation produced. *)
-let unseen_in vc ~proc a len ~sorted acc =
-  let s = Vc.get vc proc in
-  let acc = ref acc in
-  if sorted then
-    for i = first_after_in a len ~sorted s to len - 1 do
-      acc := a.(i) :: !acc
-    done
-  else
-    (* Element-for-element what [List.filter] did on the old
-       newest-first list. *)
-    for i = 0 to len - 1 do
-      if a.(i).seq > s then acc := a.(i) :: !acc
-    done;
-  !acc
-
 module Log = struct
   type interval = t
 
-  type t = { mutable a : interval array; mutable len : int; mutable sorted : bool }
+  (* The first [len] slots of [a] hold the intervals, oldest first. *)
+  type t = { mutable a : interval array; mutable len : int }
 
-  let create () = { a = [||]; len = 0; sorted = true }
+  let create () = { a = [||]; len = 0 }
 
   let length l = l.len
 
@@ -105,19 +59,31 @@ module Log = struct
     l.a.(i)
 
   let append l (iv : interval) =
-    if l.len > 0 && iv.seq <= l.a.(l.len - 1).seq then l.sorted <- false;
+    if l.len > 0 && iv.seq <= l.a.(l.len - 1).seq then
+      invalid_arg "Interval.Log.append: seq not ascending";
     l.a <- room l.a l.len iv;
     l.a.(l.len) <- iv;
     l.len <- l.len + 1
 
   let clear l =
     l.a <- [||];
-    l.len <- 0;
-    l.sorted <- true
+    l.len <- 0
 
-  let first_after l s = first_after_in l.a l.len ~sorted:l.sorted s
+  let first_after l s =
+    let lo = ref 0 and hi = ref l.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if l.a.(mid).seq > s then hi := mid else lo := mid + 1
+    done;
+    !lo
 
-  let unseen_by vc ~proc l acc = unseen_in vc ~proc l.a l.len ~sorted:l.sorted acc
+  (* Walking oldest first and prepending leaves the result newest first. *)
+  let unseen_by vc ~proc l acc =
+    let acc = ref acc in
+    for i = first_after l (Vc.get vc proc) to l.len - 1 do
+      acc := l.a.(i) :: !acc
+    done;
+    !acc
 end
 
 (* A cluster's intervals, stored once: writer [p]'s intervals with seqs
@@ -138,14 +104,10 @@ type store = {
 }
 
 (* A node's interval logs, indexed by writer id.  Writer [p]'s log holds
-   [lens.(p)] intervals.  In the window form ([arrays] empty) they are
    the store's seqs [floor.(p) + 1 .. floor.(p) + lens.(p)]: every
-   healthy producer appends contiguously above the node's clock at its
-   last purge, so a log is a window onto the store and holds no interval
-   of its own.  An append that breaks the window (crash replay of
-   covered intervals, a reissued seq) copies every window into explicit
-   per-writer arrays, the first [lens.(p)] slots of [arrays.(p)], which
-   serve until the next purge.
+   producer appends contiguously above the node's clock at its last
+   purge, so a log is a window onto the store and holds no interval of
+   its own.
 
    The index grows only as far as the highest writer id seen, and [live]
    lists the writers whose log is non-empty, so walks, GC and crash
@@ -155,8 +117,6 @@ and logs = {
   store : store;
   mutable floor : Vc.t;
   mutable lens : int array;
-  mutable arrays : t array array;  (* [[||]] in the window form *)
-  mutable unsorted : int list;  (* writers whose explicit log lost ascending order *)
   mutable live : int array;  (* [nlive] writers with a non-empty log *)
   mutable nlive : int;
   mutable live_sorted : bool;  (* [live] ascending *)
@@ -178,17 +138,16 @@ module Store = struct
       purged = 0;
     }
 
-  (* Only the writer's next seq is stored: a reissued one (the
-     [Stale_vc_after_restart] mutation) must not replace the interval
-     the logs already hold under it. *)
   let add s (iv : interval) =
     let p = iv.proc and n = s.count.(iv.proc) in
-    if iv.seq = s.base.(p) + n + 1 then begin
-      let a = room s.ivs.(p) n iv in
-      a.(n) <- iv;
-      s.ivs.(p) <- a;
-      s.count.(p) <- n + 1
-    end
+    if iv.seq <> s.base.(p) + n + 1 then
+      invalid_arg
+        (Printf.sprintf "Interval.Store.add: writer %d closed seq %d after %d" p
+           iv.seq (s.base.(p) + n));
+    let a = room s.ivs.(p) n iv in
+    a.(n) <- iv;
+    s.ivs.(p) <- a;
+    s.count.(p) <- n + 1
 
   let holds s (iv : interval) =
     let p = iv.proc in
@@ -238,8 +197,6 @@ module Logs = struct
         store;
         floor = store.zero;
         lens = [||];
-        arrays = [||];
-        unsorted = [];
         live = [||];
         nlive = 0;
         live_sorted = true;
@@ -248,8 +205,6 @@ module Logs = struct
     store.logs <- t :: store.logs;
     store.nlogs <- store.nlogs + 1;
     t
-
-  let explicit t = Array.length t.arrays > 0
 
   let add_live t p =
     if t.nlive = Array.length t.live then begin
@@ -261,8 +216,6 @@ module Logs = struct
     t.live.(t.nlive) <- p;
     t.nlive <- t.nlive + 1
 
-  let sorted t p = t.unsorted = [] || not (List.mem p t.unsorted)
-
   (* Make the index cover writer [p]. *)
   let reach t p =
     let n = Array.length t.lens in
@@ -270,50 +223,29 @@ module Logs = struct
       let n' = min (Array.length t.store.base) (max (p + 1) (2 * n)) in
       let lens = Array.make n' 0 in
       Int_array.blit t.lens 0 lens 0 n;
-      t.lens <- lens;
-      if explicit t then begin
-        let arrays = Array.make n' [||] in
-        Array.blit t.arrays 0 arrays 0 n;
-        t.arrays <- arrays
-      end
+      t.lens <- lens
     end
-
-  (* Copy every window out of the store into explicit arrays. *)
-  let to_explicit t =
-    t.arrays <-
-      Array.mapi
-        (fun p len ->
-          let lo = Vc.get t.floor p in
-          Array.init len (fun i -> Store.get t.store p (lo + 1 + i)))
-        t.lens
-
-  let append_explicit t (iv : interval) =
-    let p = iv.proc in
-    let a = t.arrays.(p) and len = t.lens.(p) in
-    if len > 0 && iv.seq <= a.(len - 1).seq && sorted t p then
-      t.unsorted <- p :: t.unsorted;
-    let a' = room a len iv in
-    if a' != a then t.arrays.(p) <- a';
-    a'.(len) <- iv
 
   let append t (iv : interval) =
     let p = iv.proc in
     reach t p;
     let len = t.lens.(p) in
-    if
-      explicit t
-      || not (iv.seq = Vc.get t.floor p + len + 1 && Store.holds t.store iv)
-    then begin
-      if not (explicit t) then to_explicit t;
-      append_explicit t iv
-    end;
+    let next = Vc.get t.floor p + len + 1 in
+    if not (iv.seq = next && Store.holds t.store iv) then
+      invalid_arg
+        (Printf.sprintf
+           "Interval.Logs.append: writer %d seq %d breaks a window ending at %d" p
+           iv.seq (next - 1));
     if len = 0 then add_live t p;
     t.lens.(p) <- len + 1
 
+  let holds t (iv : interval) =
+    let p = iv.proc and lo = Vc.get t.floor iv.proc in
+    p < Array.length t.lens && iv.seq > lo && iv.seq <= lo + t.lens.(p)
+    && Store.holds t.store iv
+
   let unseen_of t ~proc vc acc =
     if proc >= Array.length t.lens then acc
-    else if explicit t then
-      unseen_in vc ~proc t.arrays.(proc) t.lens.(proc) ~sorted:(sorted t proc) acc
     else
       let lo = Vc.get t.floor proc in
       Store.prepend t.store ~p:proc ~lo:(Int.max lo (Vc.get vc proc))
@@ -342,20 +274,34 @@ module Logs = struct
     let kept = ref false in
     for i = 0 to t.nlive - 1 do
       let p = t.live.(i) in
-      if p = keep then kept := true
-      else begin
-        if explicit t then t.arrays.(p) <- [||];
-        t.lens.(p) <- 0
-      end
+      if p = keep then kept := true else t.lens.(p) <- 0
     done;
     t.nlive <- 0;
     t.live_sorted <- true;
-    t.unsorted <- List.filter (Int.equal keep) t.unsorted;
     if !kept then add_live t keep
+
+  (* No trim runs while the node is down (its log joins no purge), so
+     the store still holds every seq above the floor closed before. *)
+  let restore t ~upto =
+    let s = t.store in
+    let n = Array.length s.base in
+    t.lens <- Array.make n 0;
+    t.nlive <- 0;
+    t.live_sorted <- true;
+    for p = 0 to n - 1 do
+      let lo = Vc.get t.floor p and hi = Vc.get upto p in
+      if hi < lo || hi > s.base.(p) + s.count.(p) then
+        invalid_arg
+          (Printf.sprintf "Interval.Logs.restore: writer %d window %d..%d not stored"
+             p (lo + 1) hi);
+      if hi > lo then begin
+        t.lens.(p) <- hi - lo;
+        add_live t p
+      end
+    done
 
   let clear t ~floor =
     clear_except t ~keep:(-1);
-    t.arrays <- [||];
     t.floor <- Vc.copy floor;
     let s = t.store in
     s.purged <- s.purged + 1;

@@ -48,9 +48,8 @@ module Log : sig
   (** [get l i] — the [i]-th oldest retained interval. *)
   val get : t -> int -> interval
 
-  (** Append.  A [seq] at or below the last logged one (only seeded
-      recovery mutations produce one) turns the log into a linearly
-      filtered one. *)
+  (** Append.  Raises [Invalid_argument] if [seq] is not above the last
+      logged one. *)
   val append : t -> interval -> unit
 
   (** Drop every logged interval and release the storage. *)
@@ -79,9 +78,8 @@ module Store : sig
 
   val create : nprocs:int -> t
 
-  (** Store a just-closed interval.  Only the writer's next seq is
-      stored: a reissued one (only seeded recovery mutations produce
-      one) leaves the interval already stored under it in place. *)
+  (** Store a just-closed interval.  Raises [Invalid_argument] unless
+      its seq is its writer's next one: no seq is ever issued twice. *)
   val add : t -> interval -> unit
 
   (** Intervals retained. *)
@@ -92,13 +90,11 @@ end
     same queries as {!Log}, without a record per writer.  A log is a
     window onto its cluster's {!Store}: writer [p]'s log holds the
     stored seqs [floor.(p) + 1 .. floor.(p) + n], where [floor] is the
-    node's clock at its last purge (zero before any) — every healthy
-    producer appends contiguously above it.  An append that breaks the
-    window (crash replay of covered intervals, a reissued seq) turns the
-    log into explicit per-writer arrays until its next {!clear}; the
-    queries return the same lists in either form.  The writers with a
-    non-empty log are tracked, so walks, GC and crash truncation cost
-    O(writers), not O(nprocs). *)
+    node's clock at its last purge (zero before any).  Every producer
+    appends contiguously above it, and a crashed node's log is restored
+    as a window ({!restore}), so there is no other form.  The writers
+    with a non-empty log are tracked, so walks, GC and crash truncation
+    cost O(writers), not O(nprocs). *)
 module Logs : sig
   type interval := t
 
@@ -107,8 +103,13 @@ module Logs : sig
   (** An empty log onto [store], registered for its trims. *)
   val create : Store.t -> t
 
-  (** Append to the log of [iv.proc] (same contract as {!Log.append}). *)
+  (** Append to the log of [iv.proc].  Raises [Invalid_argument] unless
+      [iv] is the stored interval right above that writer's window. *)
   val append : t -> interval -> unit
+
+  (** [holds t iv] — [iv] is the interval writer [iv.proc]'s window
+      holds under [iv.seq]. *)
+  val holds : t -> interval -> bool
 
   (** [unseen_of t ~proc vc acc] — {!Log.unseen_by} on writer [proc]'s
       log ([acc] if [proc] never appended). *)
@@ -118,18 +119,21 @@ module Logs : sig
       cover onto [acc]: writer 0's first, each writer's newest first. *)
   val unseen_by : t -> Vc.t -> interval list -> interval list
 
-  (** Empty every log (GC purge) and return to the window form above
-      [floor], the node's clock now (copied): every later append must
-      lie above it.  When every log of the store has been purged since
-      the last trim, the store trims. *)
+  (** Empty every log (GC purge) and set the floor to [floor], the
+      node's clock now (copied): every later append must lie above it.
+      When every log of the store has been purged since the last trim,
+      the store trims. *)
   val clear : t -> floor:Vc.t -> unit
 
   (** Empty every log but writer [keep]'s (crash truncation). *)
   val clear_except : t -> keep:int -> unit
 
-  (** The log holds explicit interval arrays: an append broke its
-      window since its last {!clear}. *)
-  val explicit : t -> bool
+  (** [restore t ~upto] — set every writer [p]'s window to the seqs
+      [floor.(p) + 1 .. upto.(p)], in one pass over the writers (crash
+      recovery, with the rolled-back clock).  Raises [Invalid_argument]
+      if [upto.(p)] is below the floor or the store no longer holds the
+      window; neither happens while no trim runs during the downtime. *)
+  val restore : t -> upto:Vc.t -> unit
 end
 
 val pp : Format.formatter -> t -> unit

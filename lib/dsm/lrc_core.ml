@@ -60,18 +60,15 @@ let respond_msg cl node respond msg =
 (* Interval closure (release side)                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Default diff sink: keep the diff in the local store (TreadMarks).  A
-   key already there (only a seeded mutation that reissues sequence
-   numbers makes one) is replaced, and its bytes leave the store's
-   account. *)
-let store_diff cl node (e : entry) ~seq ~vc diff =
+(* Default diff sink: keep the diff in the local store (TreadMarks).
+   No seq is issued twice, so the key is new. *)
+let store_diff _cl node (e : entry) ~seq ~vc diff =
   let key = (e.page, node.id, seq) in
-  (match Hashtbl.find_opt node.diffs key with
-  | Some (_, old) ->
-    Stats.diffs_dropped cl.stats ~node:node.id ~bytes:(Diff.size_bytes old)
-      ~count:1 ~time:(Engine.now cl.engine)
-  | None -> ());
-  Hashtbl.replace node.diffs key (vc, diff);
+  if Hashtbl.mem node.diffs key then
+    failwith
+      (Printf.sprintf "Proto: node %d stored a second diff of page %d at seq %d"
+         node.id e.page seq);
+  Hashtbl.add node.diffs key (vc, diff);
   e.own_diff_seqs <- seq :: e.own_diff_seqs
 
 (* Default closure of a dirty page with neither twin nor write log: a
@@ -300,6 +297,17 @@ let apply_notice ?(replay = false) cl node (n : Notice.t) =
     end
   end
 
+(* Mutation seam (testing only): under [Stale_vc_after_restart] peers
+   take a restarted writer's first intervals for duplicates of the
+   pre-crash ones a stale clock would have reissued: they log them and
+   merge their clocks, but drop their notices. *)
+let taken_for_duplicate cl (iv : Interval.t) =
+  match cl.cfg.Config.mutation with
+  | Some Config.Stale_vc_after_restart ->
+    let lo, hi = cl.nodes.(iv.proc).stale_seqs in
+    iv.seq > lo && iv.seq <= hi
+  | _ -> false
+
 (* Apply intervals received on a lock grant or barrier release, oldest
    first; duplicates (already covered by our vector clock) are skipped. *)
 let apply_intervals ?(replay = false) cl node ivals =
@@ -314,7 +322,8 @@ let apply_intervals ?(replay = false) cl node ivals =
   let apply (iv : Interval.t) =
     if iv.seq > Vc.get node.vc iv.proc then begin
       Interval.Logs.append node.intervals iv;
-      List.iter (apply_notice ~replay cl node) iv.notices;
+      if not (taken_for_duplicate cl iv) then
+        List.iter (apply_notice ~replay cl node) iv.notices;
       (* The full clock merge reduces to advancing the sender component.
          Interval chains are transitively complete: a dependency of [iv]
          — [p]'s interval [iv.vc.(p)] — is either already covered here

@@ -133,6 +133,7 @@ type node = {
   mutable crash_restart_at : int;
   mutable restart_wait : unit Proc.Ivar.t option;
   mutable crash_count : int;
+  mutable stale_seqs : int * int;
 }
 
 type cluster = {
@@ -376,6 +377,7 @@ let make_node ~cfg ~vc_epoch ~store ~id ~total_pages =
     crash_restart_at = 0;
     restart_wait = None;
     crash_count = 0;
+    stale_seqs = (0, 0);
   }
 
 let scratch cluster =

@@ -185,6 +185,9 @@ type node = {
       (** filled by the restart event when the app process is suspended
           in the downtime window *)
   mutable crash_count : int;
+  mutable stale_seqs : int * int;
+      (** [Stale_vc_after_restart] only: peers drop the notices of this
+          node's intervals with seqs in [(lo, hi]] ({!Config.mutation}) *)
 }
 
 (** The whole simulated cluster.  It holds no barrier bookkeeping: each

@@ -117,9 +117,11 @@ let crash_pause cl node =
   (* Roll the vector clock back to the checkpoint — except our own
      component, whose intervals are in the durable log (rolling it back
      would reuse sequence numbers).  The [Stale_vc_after_restart]
-     mutation rolls the own component back too: the node then reissues
-     already-used sequence numbers, so peers silently drop its
-     post-restart intervals as duplicates. *)
+     mutation models the restart that rolls it back too, without
+     reissuing a number: the next [own_seq - ck] intervals the node
+     closes are the ones a stale clock would have numbered as pre-crash
+     ones, and peers drop their notices as duplicates
+     ([Lrc_core.apply_intervals]). *)
   let own_seq = Vc.get stash_vc node.id in
   (match node.ckpt with
   | Some ck ->
@@ -130,8 +132,9 @@ let crash_pause cl node =
       Vc.set node.vc p 0;
       Vc.set node.last_barrier_vc p 0
     done);
-  if mutation <> Some Config.Stale_vc_after_restart then
-    Vc.set node.vc node.id own_seq;
+  if mutation = Some Config.Stale_vc_after_restart then
+    node.stale_seqs <- (own_seq, (2 * own_seq) - Vc.get node.vc node.id);
+  Vc.set node.vc node.id own_seq;
   (* Sleep out the rest of the downtime.  If this boundary was reached
      at or after the scheduled restart (the process was blocked the
      whole window), the effective downtime is zero but the wipe and
@@ -150,25 +153,29 @@ let crash_pause cl node =
      base).  Requests to a peer that is itself down park at its network
      interface and are answered after its restart.
 
-     Replies are merged in three groups, oldest first, after dropping
-     intervals we originated (our own log is durable and complete):
-     - already-covered intervals re-enter the local interval log and
-       have their notices re-applied ([apply_notice] consults the
-       per-entry reflected view, so notices a durable frame already
-       contains are skipped);
-     - not-yet-covered intervals go through the normal
-       [apply_intervals] (which also re-merges the clocks);
+     Once every reply is in, the log is restored as a window up to the
+     rolled-back clock: no GC round completes while a node is down, so
+     the store still holds every interval the clock covers.  Every
+     covered interval a peer replies with must be the one the window
+     holds (checked below, loudly).  Then:
+     - the covered intervals of other writers have their notices
+       re-applied, oldest first ([apply_notice] consults the per-entry
+       reflected view, so notices a durable frame already contains are
+       skipped);
+     - the replies go through the normal [apply_intervals], which
+       applies the intervals not yet covered (once each, however many
+       peers retain them) and re-merges the clocks;
      affected pages end up invalid and re-fetch on demand through the
      normal validate path.
 
-     The [Skip_notice_replay] mutation skips the rebuild of covered
-     intervals — the classic recovery bug where the restarted node
-     trusts its rolled-back clock to tell it what it is missing. *)
+     The [Skip_notice_replay] mutation asks only for what the
+     rolled-back clock misses and re-applies no covered notice — the
+     classic recovery bug where the restarted node trusts its clock to
+     tell it what it is missing. *)
   begin
-    let vc =
-      if mutation = Some Config.Skip_notice_replay then Vc.copy node.vc
-      else Vc.Epoch.zero cl.vc_epoch
-    in
+    let skip = mutation = Some Config.Skip_notice_replay in
+    let zero = Vc.Epoch.zero cl.vc_epoch in
+    let vc = if skip then Vc.copy node.vc else zero in
     let batches = ref [] in
     (* One request record serves every peer: the payload is immutable
        and the network never retains it past delivery. *)
@@ -180,35 +187,27 @@ let crash_pause cl node =
         | _ -> failwith "Proto: unexpected recover reply"
       end
     done;
-    (* Several peers may retain the same interval: dedupe by origin. *)
-    let seen = Hashtbl.create 64 in
-    let all =
-      List.filter
-        (fun (iv : Interval.t) ->
-          iv.proc <> node.id
-          &&
-          let key = (iv.proc, iv.seq) in
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.add seen key ();
-            true
-          end)
-        (List.concat !batches)
-    in
-    let covered, uncovered =
-      List.partition
-        (fun (iv : Interval.t) -> iv.seq <= Vc.get node.vc iv.proc)
-        all
-    in
-    let covered =
-      List.sort (fun (a : Interval.t) b -> Vc.order a.vc b.vc) covered
-    in
+    let replies = List.concat !batches in
+    Interval.Logs.restore node.intervals ~upto:node.vc;
     List.iter
       (fun (iv : Interval.t) ->
-        Interval.Logs.append node.intervals iv;
-        List.iter (Lrc_core.apply_notice ~replay:true cl node) iv.notices)
-      covered;
-    Lrc_core.apply_intervals ~replay:true cl node uncovered
+        if
+          iv.proc <> node.id
+          && iv.seq <= Vc.get node.vc iv.proc
+          && not (Interval.Logs.holds node.intervals iv)
+        then
+          failwith
+            (Printf.sprintf
+               "Proto: node %d recovered a window without writer %d's interval %d"
+               node.id iv.proc iv.seq))
+      replies;
+    if not skip then
+      Interval.Logs.unseen_by node.intervals zero []
+      |> List.filter (fun (iv : Interval.t) -> iv.proc <> node.id)
+      |> List.sort (fun (a : Interval.t) b -> Vc.order a.vc b.vc)
+      |> List.iter (fun (iv : Interval.t) ->
+             List.iter (Lrc_core.apply_notice ~replay:true cl node) iv.notices);
+    Lrc_core.apply_intervals ~replay:true cl node replies
   end;
   if checking cl then observe cl ~node:node.id Adsm_check.Obs.Restart
 

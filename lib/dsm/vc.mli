@@ -102,10 +102,9 @@ val pp : Format.formatter -> t -> unit
     is O(differing components) for a clock on the previous epoch's base,
     and one dense walk otherwise.
 
-    A clock that fails the check (only a broken protocol, such as the
-    [Stale_vc_after_restart] mutation, can make one) keeps its own
-    representation, correct and slower, and is counted in
-    {!mismatches}.  Published bases are never mutated. *)
+    A clock that fails the check (only a broken protocol can make one)
+    keeps its own representation, correct and slower, and is counted
+    in {!mismatches}.  Published bases are never mutated. *)
 module Epoch : sig
   type clock := t
 

@@ -23,6 +23,7 @@ type outcome = {
   report : Oracle.report;
   stream : Obs.stamped array;
   vc_base_mismatches : int;
+  abort : string option;
 }
 
 let run_program ?mutation ?faults ?(protocol = Config.Mw) ?(seed = 0x5EEDL)
@@ -68,11 +69,15 @@ let run_program ?mutation ?faults ?(protocol = Config.Mw) ?(seed = 0x5EEDL)
     report = Oracle.check ~nprocs:p.Workload.nprocs stream;
     stream;
     vc_base_mismatches = Dsm.vc_base_mismatches t;
+    abort = None;
   }
 
-(* A candidate "fails" only if the oracle flags it; a crash (e.g. a
-   mutated protocol deadlocking on a reduced program) is a different
-   failure mode and would derail the shrink, so it does not count.
+let failed o = o.abort <> None || not (Oracle.ok o.report)
+
+(* A candidate fails the way the input does: an oracle violation shrinks
+   among violations, an abort (the run raised) among aborts, so a
+   shrink never trades one bug for another (e.g. a mutated protocol
+   deadlocking on a reduced program).
 
    Shrinking is joint over (program, fault schedule): each step first
    tries to simplify the schedule (drop a crash, zero a probability)
@@ -82,11 +87,25 @@ let run_program ?mutation ?faults ?(protocol = Config.Mw) ?(seed = 0x5EEDL)
    both dimensions — e.g. the seeded recovery mutations typically
    shrink to a single crash and a two-node write/read program. *)
 let shrink_failing ?mutation ?protocol ?seed ?faults (p : Workload.program) =
-  let try_run (q, fs) =
+  let run (q, fs) =
     match run_program ?mutation ?faults:fs ?protocol ?seed q with
-    | o when not (Oracle.ok o.report) -> Some o
-    | _ -> None
-    | exception _ -> None
+    | o -> o
+    | exception e ->
+      {
+        program = q;
+        faults = fs;
+        report = Oracle.check ~nprocs:q.Workload.nprocs [||];
+        stream = [||];
+        vc_base_mismatches = 0;
+        abort = Some (Printexc.to_string e);
+      }
+  in
+  let first = run (p, faults) in
+  let try_run cand =
+    let o = run cand in
+    if failed o && Option.is_some o.abort = Option.is_some first.abort then
+      Some o
+    else None
   in
   let candidates (q, fs) =
     let sched_shrinks =
@@ -110,16 +129,16 @@ let shrink_failing ?mutation ?protocol ?seed ?faults (p : Workload.program) =
     | Some smaller -> go smaller
     | None -> current
   in
-  match try_run (p, faults) with None -> None | Some o -> Some (go o)
+  if failed first then Some (go first) else None
 
 (* Fault-mode fuzzing first runs the program clean (no mutation, no
    faults) to learn its simulated duration, then generates a schedule
    whose crashes land inside that horizon — a fixed horizon would miss
    short programs entirely and never exercise recovery. *)
-let fuzz_once ?mutation ?protocol ?(faults = false) ~nprocs ~seed () =
+let case ?protocol ~faults ~nprocs ~seed () =
   let rng = Rng.create seed in
   let p = Workload.generate rng (Workload.default_params ~nprocs) in
-  if not faults then run_program ?mutation ?protocol ~seed p
+  if not faults then (p, None)
   else
     let clean = run_program ?protocol ~seed p in
     let horizon_ns =
@@ -127,8 +146,11 @@ let fuzz_once ?mutation ?protocol ?(faults = false) ~nprocs ~seed () =
       if n = 0 then 1_000_000
       else max 100_000 clean.stream.(n - 1).Obs.time
     in
-    let sched = Fault.generate rng ~nprocs ~horizon_ns in
-    run_program ?mutation ~faults:sched ?protocol ~seed p
+    (p, Some (Fault.generate rng ~nprocs ~horizon_ns))
+
+let fuzz_once ?mutation ?protocol ?(faults = false) ~nprocs ~seed () =
+  let p, sched = case ?protocol ~faults ~nprocs ~seed () in
+  run_program ?mutation ?faults:sched ?protocol ~seed p
 
 (* Parallel seed sweep: each seed's generate+run+check is independent, so
    the sweep fans out over a {!Pool} and reports per-seed results in seed
@@ -156,17 +178,23 @@ let counterexample outcome =
     | Some s -> Format.asprintf "@.--- faults ---@.%a@." Fault.pp s
   in
   match
-    (outcome.report.Oracle.violations, outcome.report.Oracle.fault_errors)
+    ( outcome.abort,
+      outcome.report.Oracle.violations,
+      outcome.report.Oracle.fault_errors )
   with
-  | v :: _, _ ->
+  | Some msg, _, _ ->
+    Some
+      (Format.asprintf "ABORT: %s@.--- workload ---@.%a%s" msg Workload.pp
+         outcome.program faults)
+  | None, v :: _, _ ->
     Some
       (Format.asprintf "%a@.--- workload ---@.%a%s"
          (fun ppf (stream, v) -> Oracle.pp_counterexample ppf stream v)
          (outcome.stream, v) Workload.pp outcome.program faults)
-  | [], _ :: _ ->
+  | None, [], _ :: _ ->
     (* Crash/recovery structure errors have no single anchoring
        observation, so print the report itself plus the inputs. *)
     Some
       (Format.asprintf "%a@.--- workload ---@.%a%s" Oracle.pp_report
          outcome.report Workload.pp outcome.program faults)
-  | [], [] -> None
+  | None, [], [] -> None

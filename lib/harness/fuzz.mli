@@ -21,6 +21,9 @@ type outcome = {
   vc_base_mismatches : int;
       (** clocks that failed the shared-base check at a barrier leave
           ({!Adsm_dsm.Dsm.vc_base_mismatches}) *)
+  abort : string option;
+      (** the exception a shrunk run raised ([report] and [stream] are
+          then empty); {!run_program} and {!fuzz_once} raise instead *)
 }
 
 (** Run one workload program under [protocol] (default MW) with the
@@ -35,12 +38,13 @@ val run_program :
   Adsm_check.Workload.program ->
   outcome
 
-(** If the program fails the oracle, greedily shrink it to a minimal
-    failing (program, schedule) pair and return that outcome; [None] if
-    the full program passes.  Each greedy step first tries schedule
-    simplifications (drop a crash or partition, zero a probability),
-    then program shrinks.  Candidates that crash instead of failing the
-    oracle are skipped. *)
+(** If the program fails — the oracle flags it, or the run raises —
+    greedily shrink it to a minimal failing (program, schedule) pair and
+    return that outcome; [None] if the full program passes.  Each greedy
+    step first tries schedule simplifications (drop a crash or
+    partition, zero a probability), then program shrinks.  A candidate
+    counts only if it fails the same way as the input: an oracle
+    violation shrinks among violations, an abort among aborts. *)
 val shrink_failing :
   ?mutation:Adsm_dsm.Config.mutation ->
   ?protocol:Adsm_dsm.Config.protocol ->
@@ -62,6 +66,18 @@ val fuzz_once :
   unit ->
   outcome
 
+(** The (program, schedule) pair {!fuzz_once} runs (in fault mode after
+    a clean run that times the schedule, which may raise): with
+    {!shrink_failing}, how a seed that raised in {!sweep} becomes a
+    replayable counterexample. *)
+val case :
+  ?protocol:Adsm_dsm.Config.protocol ->
+  faults:bool ->
+  nprocs:int ->
+  seed:int64 ->
+  unit ->
+  Adsm_check.Workload.program * Adsm_net.Fault.schedule option
+
 (** [sweep ~jobs ~nprocs ~seed ~count ()] runs [fuzz_once] on the [count]
     consecutive seeds starting at [seed], on up to [jobs] worker domains
     (default 1, fully sequential).  Results come back in seed order; a
@@ -81,7 +97,7 @@ val sweep :
   unit ->
   (int * (outcome, string) result) list
 
-(** Human-readable counterexample (first violation's trace window plus
-    the workload program and, in fault mode, the schedule); [None] if
-    the outcome passed. *)
+(** Human-readable counterexample (first violation's trace window, or
+    the abort message, plus the workload program and, in fault mode,
+    the schedule); [None] if the outcome passed. *)
 val counterexample : outcome -> string option

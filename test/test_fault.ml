@@ -14,7 +14,8 @@
    - message faults (loss/dup/jitter/partition) complete, cost wire
      bytes, and keep checksums unchanged;
    - the two seeded recovery mutations are detected by the oracle and
-     shrunk by the joint (program, schedule) shrinker. *)
+     shrunk by the joint (program, schedule) shrinker;
+   - a known recovery abort shrinks to a replayable counterexample. *)
 
 module Config = Adsm_dsm.Config
 module Dsm = Adsm_dsm.Dsm
@@ -25,6 +26,7 @@ module Fuzz = Adsm_harness.Fuzz
 module Oracle = Adsm_check.Oracle
 module Recorder = Adsm_check.Recorder
 module Rng = Adsm_sim.Rng
+module Workload = Adsm_check.Workload
 
 let app name =
   match Registry.find name with
@@ -35,6 +37,13 @@ let sched spec =
   match Fault.of_string spec with
   | Ok s -> s
   | Error msg -> Alcotest.failf "bad schedule %S: %s" spec msg
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
 
 let with_faults s cfg = { cfg with Config.faults = Some s }
 
@@ -435,6 +444,39 @@ let test_mutation_stale_vc () =
   assert_detected_and_shrunk Config.Stale_vc_after_restart
     ~seeds:(List.init 30 (fun i -> i + 1))
 
+(* A known recovery abort, pinned as a replayable counterexample:
+   [adsm_run fuzz --faults --protocol SW --procs 4 --seeds 1 --seed 178]
+   ends with a restarted node asked for a page it holds no copy of (the
+   SW-ownership class of ROADMAP item 2).  The abort must shrink to a
+   (program, schedule) pair that still aborts, keeps its crash and grew
+   in neither dimension.  Item 2's fix flips this pin: the seed then
+   passes, and this case becomes a check that it stays clean. *)
+let test_sw_seed_178_aborts () =
+  let protocol = Config.Sw and seed = 178L in
+  let program, faults = Fuzz.case ~protocol ~faults:true ~nprocs:4 ~seed () in
+  let faults = Option.get faults in
+  (match Fuzz.run_program ~protocol ~seed ~faults program with
+  | _ -> Alcotest.fail "SW seed 178 no longer aborts"
+  | exception Failure msg ->
+    if not (contains msg "has no copy of page") then
+      Alcotest.failf "SW seed 178 aborts differently: %s" msg);
+  match Fuzz.shrink_failing ~protocol ~seed ~faults program with
+  | None -> Alcotest.fail "shrink lost the seed-178 abort"
+  | Some m -> (
+    (match m.Fuzz.abort with
+    | Some msg when contains msg "has no copy of page" -> ()
+    | Some msg -> Alcotest.failf "shrunk to another abort: %s" msg
+    | None -> Alcotest.fail "shrunk outcome does not abort");
+    if Workload.ops_count m.Fuzz.program > Workload.ops_count program then
+      Alcotest.fail "shrinking grew the program";
+    match m.Fuzz.faults with
+    | None -> Alcotest.fail "shrunk outcome lost its schedule"
+    | Some mf ->
+      if sched_size mf > sched_size faults then
+        Alcotest.fail "shrinking grew the fault schedule";
+      if mf.Fault.crashes = [] then
+        Alcotest.fail "shrunk schedule lost its crash")
+
 (* The unmutated recovery path stays oracle-clean over the same seed
    window the mutation tests sweep — the fuzzer's schedules (crashes,
    loss, duplication, jitter, partitions) never produce a violation. *)
@@ -497,5 +539,10 @@ let () =
             test_mutation_stale_vc;
           Alcotest.test_case "clean fuzz stays clean" `Slow
             test_fuzz_clean_under_faults;
+        ] );
+      ( "aborts",
+        [
+          Alcotest.test_case "SW seed 178 shrinks to an abort" `Quick
+            test_sw_seed_178_aborts;
         ] );
     ]

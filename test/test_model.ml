@@ -340,6 +340,19 @@ let test_log_model () =
     done
   done
 
+(* No seq is ever issued twice, so a log takes only ascending ones. *)
+let test_log_rejects_non_ascending () =
+  let log = Interval.Log.create () in
+  Interval.Log.append log (make_iv 3);
+  List.iter
+    (fun seq ->
+      Alcotest.check_raises (Printf.sprintf "seq %d after 3" seq)
+        (Invalid_argument "Interval.Log.append: seq not ascending") (fun () ->
+          Interval.Log.append log (make_iv seq)))
+    [ 3; 2 ];
+  Interval.Log.append log (make_iv 5);
+  Alcotest.(check int) "length" 2 (Interval.Log.length log)
+
 (* ------------------------------------------------------------------ *)
 (* Store-backed node logs vs one list per (node, writer)               *)
 (* ------------------------------------------------------------------ *)
@@ -353,7 +366,6 @@ type model_node = {
   clock : int array;
   naive : Interval.t list array;  (* per writer, oldest first *)
   mutable ckpt : int array;  (* the clock a crash rolls back to *)
-  mutable broken : bool;  (* crashed or reissued a seq since its last purge *)
 }
 
 let vc_of a =
@@ -366,16 +378,17 @@ let vc_of a =
    appends received intervals contiguously above its clock.  A GC round
    brings every clock to the supremum (the barrier), then the nodes
    purge one by one, and nodes that already purged go on closing and
-   receiving.  A crash truncates the node's log to its own writer, rolls
-   the clock back to its checkpoint and replays the peers' logs, covered
-   intervals first.  Once per seed a node reissues a sequence number.
-   Every query is compared with one list per (node, writer), every
-   element by identity; a node that neither crashed nor reissued since
-   its last purge must still be in the window form, and after each GC
+   receiving.  A node checkpoints its clock at random points after its
+   purge.  A crash truncates the node's log to its own writer, rolls the
+   clock back to its checkpoint and restores the log as a window up to
+   it ({!Interval.Logs.restore}); the reference is the naive recovery,
+   the union of the peers' logs with the covered part taken as is.  The
+   uncovered part is appended to both.  Every query is compared with one
+   list per (node, writer), every element by identity, and after each GC
    round the store holds exactly the intervals some log still holds. *)
 let test_logs_model () =
   let n = logs_nodes in
-  let explicit_steps = ref 0 and kept_rounds = ref 0 in
+  let restored = ref 0 and kept_rounds = ref 0 in
   for seed = 0 to 19 do
     let rs = Random.State.make [| 0x1095; seed |] in
     let store = Interval.Store.create ~nprocs:n in
@@ -386,12 +399,11 @@ let test_logs_model () =
             clock = Array.make n 0;
             naive = Array.make n [];
             ckpt = Array.make n 0;
-            broken = false;
           })
     in
-    (* the latest interval issued under each (writer, seq), the
-       (writer, seq) pairs issued twice, and each writer's highest seq *)
-    let issued = Hashtbl.create 64 and reissued = Hashtbl.create 4 in
+    (* the interval issued under each (writer, seq), and each writer's
+       highest seq *)
+    let issued = Hashtbl.create 64 in
     let top = Array.make n 0 in
     let append x (iv : Interval.t) =
       Interval.Logs.append x.log iv;
@@ -401,7 +413,6 @@ let test_logs_model () =
       let x = nodes.(w) in
       x.clock.(w) <- x.clock.(w) + 1;
       let iv = Interval.make ~proc:w ~vc:(vc_of x.clock) ~notices:[] in
-      if Hashtbl.mem issued (w, iv.seq) then Hashtbl.replace reissued (w, iv.seq) ();
       Hashtbl.replace issued (w, iv.seq) iv;
       top.(w) <- max top.(w) iv.seq;
       Interval.Store.add store iv;
@@ -409,8 +420,6 @@ let test_logs_model () =
     in
     let receive x p upto =
       for s = x.clock.(p) + 1 to upto do
-        (* a reissued interval is not the one its writer stored *)
-        if Hashtbl.mem reissued (p, s) then x.broken <- true;
         append x (Hashtbl.find issued (p, s));
         x.clock.(p) <- s
       done
@@ -439,7 +448,6 @@ let test_logs_model () =
           Interval.Logs.clear x.log ~floor:(vc_of x.clock);
           Array.fill x.naive 0 n [];
           x.ckpt <- Array.copy x.clock;
-          x.broken <- false;
           for _ = 1 to Random.State.int rs 3 do
             random_op ~among:(Array.sub order 0 (k + 1))
           done)
@@ -460,7 +468,7 @@ let test_logs_model () =
       Interval.Logs.clear_except x.log ~keep:w;
       Array.iteri (fun p _ -> if p <> w then x.naive.(p) <- []) x.naive;
       Array.iteri (fun p c -> if p <> w then x.clock.(p) <- c) x.ckpt;
-      x.broken <- true;
+      Interval.Logs.restore x.log ~upto:(vc_of x.clock);
       let seen = Hashtbl.create 64 in
       let replay = Array.make n [] in
       Array.iteri
@@ -480,7 +488,8 @@ let test_logs_model () =
           let covered, uncovered =
             List.partition (fun (iv : Interval.t) -> iv.seq <= x.clock.(p)) ivs
           in
-          List.iter (append x) covered;
+          if covered <> [] then incr restored;
+          if p <> w then x.naive.(p) <- covered;
           List.iter
             (fun (iv : Interval.t) ->
               if iv.seq > x.clock.(p) then begin
@@ -490,7 +499,6 @@ let test_logs_model () =
             uncovered)
         replay
     in
-    let reissue_at = 50 + Random.State.int rs 200 in
     for step = 1 to 300 do
       let name fmt = Printf.sprintf "seed %d, step %d: %s" seed step fmt in
       (match Random.State.int rs 16 with
@@ -498,23 +506,13 @@ let test_logs_model () =
         if not (gc_round ()) then
           Alcotest.fail (name "the store keeps an interval no log holds")
       | 1 -> crash (Random.State.int rs n)
+      | 2 ->
+        let x = nodes.(Random.State.int rs n) in
+        x.ckpt <- Array.copy x.clock
       | _ -> random_op ~among:(Array.init n Fun.id));
-      if step = reissue_at then begin
-        let w = Random.State.int rs n in
-        let x = nodes.(w) in
-        if x.clock.(w) > 0 then begin
-          x.clock.(w) <- x.clock.(w) - 1;
-          x.broken <- true;
-          close w
-        end
-      end;
       Array.iteri
         (fun xi x ->
           let nname fmt = name (Printf.sprintf "node %d: %s" xi fmt) in
-          if Interval.Logs.explicit x.log then begin
-            incr explicit_steps;
-            if not x.broken then Alcotest.fail (nname "left the window form")
-          end;
           (* a random clock: each component below, inside or past its log *)
           let vc = Vc.zero ~nprocs:n in
           Array.iteri (fun p s -> Vc.set vc p (Random.State.int rs (s + 2))) top;
@@ -541,10 +539,35 @@ let test_logs_model () =
         nodes
     done
   done;
-  (* the op mix reaches the explicit form and trims under live windows *)
-  if !explicit_steps = 0 || !kept_rounds = 0 then
-    Alcotest.failf "explicit-form steps %d, GC rounds keeping intervals %d"
-      !explicit_steps !kept_rounds
+  (* the op mix restores non-empty windows and trims under live ones *)
+  if !restored = 0 || !kept_rounds = 0 then
+    Alcotest.failf "restored windows %d, GC rounds keeping intervals %d"
+      !restored !kept_rounds
+
+(* A node log is a window onto the store: an append that skips a seq,
+   repeats one, or carries an interval the store does not hold under its
+   seq fails, and leaves the window as it was. *)
+let test_logs_reject_broken_window () =
+  let store = Interval.Store.create ~nprocs:4 in
+  let log = Interval.Logs.create store in
+  let stored = List.map make_iv [ 1; 2; 3 ] in
+  List.iter (Interval.Store.add store) stored;
+  Interval.Logs.append log (List.hd stored);
+  let breaks what iv =
+    match Interval.Logs.append log iv with
+    | () -> Alcotest.failf "%s: appended" what
+    | exception Invalid_argument _ -> ()
+  in
+  breaks "skipped seq" (List.nth stored 2);
+  breaks "repeated seq" (List.hd stored);
+  breaks "unstored interval" (make_iv 2);
+  Interval.Logs.append log (List.nth stored 1);
+  let vc = Vc.zero ~nprocs:4 in
+  Alcotest.(check (list int)) "window" [ 2; 1 ]
+    (seqs (Interval.Logs.unseen_by log vc []));
+  Alcotest.check_raises "reissued seq in the store"
+    (Invalid_argument "Interval.Store.add: writer 1 closed seq 2 after 3")
+    (fun () -> Interval.Store.add store (make_iv 2))
 
 (* ------------------------------------------------------------------ *)
 (* Naive last-notice reference: every recorded slot, scanned densely   *)
@@ -937,12 +960,17 @@ let () =
             test_vc_rebase_guard;
         ] );
       ( "interval-log",
-        [ Alcotest.test_case "indexed vs naive (seeded)" `Quick test_log_model ]
-      );
+        [
+          Alcotest.test_case "indexed vs naive (seeded)" `Quick test_log_model;
+          Alcotest.test_case "rejects a non-ascending seq" `Quick
+            test_log_rejects_non_ascending;
+        ] );
       ( "interval-logs",
         [
           Alcotest.test_case "writer index vs per-writer lists (seeded)" `Quick
             test_logs_model;
+          Alcotest.test_case "append rejects a broken window" `Quick
+            test_logs_reject_broken_window;
         ] );
       ( "notice-summary",
         [
