@@ -52,21 +52,13 @@ let all_mutations =
     Stale_vc_after_restart;
   ]
 
-type barrier = Central | Tree of { fanout : int }
-
-let barrier_name = function
-  | Central -> "central"
-  | Tree { fanout } -> Printf.sprintf "tree:%d" fanout
-
-type lock_homes = Modulo | Sharded of int
-
 type t = {
   protocol : protocol;
   nprocs : int;
   net : Adsm_net.Netcfg.t;
   topology : Adsm_net.Topology.shape;
-  barrier : barrier;
-  lock_homes : lock_homes;
+  barrier_fanout : int;
+  lock_shards : int;
   sparse_vc : bool;
   twin_ns : int;
   diff_create_ns : int;
@@ -93,8 +85,8 @@ let make ?(seed = 0x5EEDL) ~protocol ~nprocs () =
     nprocs;
     net = Adsm_net.Netcfg.atm_155;
     topology = Adsm_net.Topology.Flat;
-    barrier = Central;
-    lock_homes = Modulo;
+    barrier_fanout = max 2 nprocs;
+    lock_shards = nprocs;
     sparse_vc = false;
     twin_ns = 104_000;
     diff_create_ns = 179_000;

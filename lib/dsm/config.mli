@@ -58,23 +58,6 @@ val mutation_of_string : string -> mutation option
 
 val all_mutations : mutation list
 
-(** Barrier shape (see PROTOCOL.md §6).  The barrier is a combining tree
-    rooted at node 0: arrivals merge interval sets and vector clocks up
-    a [fanout]-ary tree, releases fan back down it.  [Central] is the
-    paper's manager at node 0, run as the one-level tree (every other
-    node a direct child of node 0); [Tree] picks the fanout for large
-    clusters. *)
-type barrier = Central | Tree of { fanout : int }
-
-val barrier_name : barrier -> string
-
-(** Lock-home placement.  [Sharded k] homes lock [l] at node
-    [l mod k * (nprocs / k)]: [k] manager nodes chosen evenly across the
-    cluster, which on a tree topology keeps managers on distinct switches
-    instead of crowding the low-numbered nodes.  [Modulo] (the default)
-    is the [Sharded nprocs] shape: lock [l] at node [l mod nprocs]. *)
-type lock_homes = Modulo | Sharded of int
-
 type t = {
   protocol : protocol;
   nprocs : int;
@@ -82,10 +65,21 @@ type t = {
   topology : Adsm_net.Topology.shape;
       (** fabric shape the cluster runs on; [Flat] (default) reproduces
           the paper's network byte-identically *)
-  barrier : barrier;
-      (** default [Central]; [Dsm.run] rejects a [Tree] fanout below 2 *)
-  lock_homes : lock_homes;
-      (** default [Modulo]; [Dsm.run] rejects a [Sharded] count outside
+  barrier_fanout : int;
+      (** fanout of the barrier tree (see PROTOCOL.md §6): the barrier
+          is a combining tree rooted at node 0, arrivals merge interval
+          sets and vector clocks up it and releases fan back down.  The
+          default [max 2 nprocs] is the paper's manager at node 0, the
+          one-level tree in which every other node is a direct child of
+          node 0; large clusters pick a small fanout.  [Dsm.run] rejects
+          a fanout below 2 *)
+  lock_shards : int;
+      (** lock-home placement: lock [l] lives at node
+          [l mod k * (nprocs / k)] for [k] shards, manager nodes chosen
+          evenly across the cluster, which on a tree topology keeps them
+          on distinct switches instead of crowding the low-numbered
+          nodes.  The default [nprocs] is the paper's placement, lock [l]
+          at node [l mod nprocs].  [Dsm.run] rejects a count outside
           [1..nprocs] *)
   sparse_vc : bool;
       (** account piggybacked vector clocks at their delta-encoded wire

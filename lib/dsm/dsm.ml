@@ -51,16 +51,14 @@ let fresh_lock t =
 let run ?(tracer = Adsm_trace.Tracer.disabled)
     ?(recorder = Adsm_check.Recorder.disabled) t app =
   let cfg = t.cfg in
-  let fanout = Sync.barrier_fanout cfg in
+  let fanout = cfg.Config.barrier_fanout and k = cfg.Config.lock_shards in
   if fanout < 2 then
     invalid_arg
       (Printf.sprintf "Dsm.run: tree barrier fanout %d is below 2" fanout);
-  (match cfg.Config.lock_homes with
-  | Config.Sharded k when k < 1 || k > cfg.Config.nprocs ->
+  if k < 1 || k > cfg.Config.nprocs then
     invalid_arg
       (Printf.sprintf "Dsm.run: %d lock shards is outside 1..%d" k
-         cfg.Config.nprocs)
-  | Config.Sharded _ | Config.Modulo -> ());
+         cfg.Config.nprocs);
   (* Fault-schedule gate.  Message faults (loss/dup/jitter/partitions)
      compose with every configuration; crash schedules additionally need
      the durable write-behind log of eagerly created diffs (so no
@@ -439,166 +437,104 @@ let[@inline] i32_add ctx a i v =
 
 (* Sugar over the word accessors with identical observable semantics: one
    bounds+permission check (and one fault retry loop) per within-page run
-   instead of per word.  The page split visits pages in ascending order,
-   exactly the order the equivalent scalar loop first touches them, and a
-   run can only fault at its first word — between the words of a run the
-   process never yields, so no handler can change the page's protection
-   mid-run (the same argument that makes the scalar loop fault-free after
-   its first touch).  When the consistency recorder is live the bulk ops
-   degrade to the scalar loop so the observation stream is identical.
-   The f64 runs move each within-page run with one memory copy
-   ({!Page.get_f64_run}); the fold and the i32 runs go word by word. *)
+   instead of per word.  [walk] visits the runs in ascending page order,
+   exactly the order the equivalent scalar loop first touches the pages,
+   and a run can only fault at its first word — between the words of a
+   run the process never yields, so no handler can change the page's
+   protection mid-run (the same argument that makes the scalar loop
+   fault-free after its first touch).  For the same reason the recorder
+   sees each run word by word afterwards ([observe_run]) with the times
+   and values the scalar loop would have recorded.  The f64 runs move
+   each within-page run with one memory copy ({!Page.get_f64_run}); the
+   folds and the i32 runs go word by word. *)
+
+(* [walk ~shift first_page i len f] splits elements [\[i, i+len)] of
+   [1 lsl shift]-byte words, laid out from [first_page], into within-page
+   runs and calls [f page off k run] for each in ascending order: [run]
+   words from byte [off] of [page], the first of them element [i + k]. *)
+let[@inline] walk ~shift first_page i len f =
+  let k = ref 0 in
+  while !k < len do
+    let byte = (i + !k) lsl shift in
+    let off = byte land Page.mask in
+    let run = min (len - !k) ((Page.size - off) lsr shift) in
+    f (first_page + (byte lsr Page.shift)) off !k run;
+    k := !k + run
+  done
+
+(* One observation per word of the run just read or written, ascending,
+   with the bits now in the frame. *)
+let[@inline never] observe_run ctx ~write ~shift page off raw run =
+  let width = 1 lsl shift in
+  for k = 0 to run - 1 do
+    let o = off + (k lsl shift) in
+    let bits =
+      if shift = 3 then get_64 raw o else Int64.of_int32 (get_32 raw o)
+    in
+    if write then observe_write ctx page o width bits
+    else observe_read ctx page o width bits
+  done
 
 let f64_get_run ctx a i dst pos len =
   if len < 0 || i < 0 || i + len > a.f_len then oob_run "f64" i len a.f_len;
   if pos < 0 || pos + len > Array.length dst then oob_buf "f64_get_run";
-  if State.checking ctx.cluster then
-    for k = 0 to len - 1 do
-      dst.(pos + k) <- f64_get ctx a (i + k)
-    done
-  else begin
-    let first_page = a.f_region.Layout.first_page in
-    let idx = ref i and dpos = ref pos and remaining = ref len in
-    while !remaining > 0 do
-      let byte = !idx lsl 3 in
-      let page = first_page + (byte lsr Page.shift) in
-      let off = byte land Page.mask in
-      let run = min !remaining ((Page.size - off) lsr 3) in
-      let d = !dpos in
-      Page.get_f64_run (read_raw ctx page) off dst d run;
-      idx := !idx + run;
-      dpos := d + run;
-      remaining := !remaining - run
-    done
-  end
+  walk ~shift:3 a.f_region.Layout.first_page i len (fun page off k run ->
+      let raw = read_raw ctx page in
+      Page.get_f64_run raw off dst (pos + k) run;
+      if State.checking ctx.cluster then
+        observe_run ctx ~write:false ~shift:3 page off raw run)
 
 let f64_set_run ctx a i src pos len =
   if len < 0 || i < 0 || i + len > a.f_len then oob_run "f64" i len a.f_len;
   if pos < 0 || pos + len > Array.length src then oob_buf "f64_set_run";
-  if State.checking ctx.cluster then
-    for k = 0 to len - 1 do
-      f64_set ctx a (i + k) src.(pos + k)
-    done
-  else begin
-    let first_page = a.f_region.Layout.first_page in
-    let idx = ref i and spos = ref pos and remaining = ref len in
-    while !remaining > 0 do
-      let byte = !idx lsl 3 in
-      let page = first_page + (byte lsr Page.shift) in
-      let off = byte land Page.mask in
-      let run = min !remaining ((Page.size - off) lsr 3) in
-      let s = !spos in
-      Page.set_f64_run
-        (write_raw ctx page off ~bytes:(run lsl 3) ~words:run)
-        off src s run;
-      idx := !idx + run;
-      spos := s + run;
-      remaining := !remaining - run
-    done
-  end
+  walk ~shift:3 a.f_region.Layout.first_page i len (fun page off k run ->
+      let raw = write_raw ctx page off ~bytes:(run lsl 3) ~words:run in
+      Page.set_f64_run raw off src (pos + k) run;
+      if State.checking ctx.cluster then
+        observe_run ctx ~write:true ~shift:3 page off raw run)
 
 let f64_fold_run ctx a i len ~init ~f =
   if len < 0 || i < 0 || i + len > a.f_len then oob_run "f64" i len a.f_len;
-  if State.checking ctx.cluster then begin
-    let acc = ref init in
-    for k = 0 to len - 1 do
-      acc := f !acc (f64_get ctx a (i + k))
-    done;
-    !acc
-  end
-  else begin
-    let first_page = a.f_region.Layout.first_page in
-    let idx = ref i and remaining = ref len and acc = ref init in
-    while !remaining > 0 do
-      let byte = !idx lsl 3 in
-      let page = first_page + (byte lsr Page.shift) in
-      let off = byte land Page.mask in
-      let run = min !remaining ((Page.size - off) lsr 3) in
+  let acc = ref init in
+  walk ~shift:3 a.f_region.Layout.first_page i len (fun page off _ run ->
       let raw = read_raw ctx page in
       for k = 0 to run - 1 do
         acc := f !acc (Int64.float_of_bits (get_64 raw (off + (k lsl 3))))
       done;
-      idx := !idx + run;
-      remaining := !remaining - run
-    done;
-    !acc
-  end
+      if State.checking ctx.cluster then
+        observe_run ctx ~write:false ~shift:3 page off raw run);
+  !acc
 
 let i32_get_run ctx a i dst pos len =
   if len < 0 || i < 0 || i + len > a.i_len then oob_run "i32" i len a.i_len;
   if pos < 0 || pos + len > Array.length dst then oob_buf "i32_get_run";
-  if State.checking ctx.cluster then
-    for k = 0 to len - 1 do
-      dst.(pos + k) <- i32_get ctx a (i + k)
-    done
-  else begin
-    let first_page = a.i_region.Layout.first_page in
-    let idx = ref i and dpos = ref pos and remaining = ref len in
-    while !remaining > 0 do
-      let byte = !idx lsl 2 in
-      let page = first_page + (byte lsr Page.shift) in
-      let off = byte land Page.mask in
-      let run = min !remaining ((Page.size - off) lsr 2) in
+  walk ~shift:2 a.i_region.Layout.first_page i len (fun page off k run ->
       let raw = read_raw ctx page in
-      let d = !dpos in
-      for k = 0 to run - 1 do
-        dst.(d + k) <- get_32 raw (off + (k lsl 2))
+      for j = 0 to run - 1 do
+        dst.(pos + k + j) <- get_32 raw (off + (j lsl 2))
       done;
-      idx := !idx + run;
-      dpos := d + run;
-      remaining := !remaining - run
-    done
-  end
+      if State.checking ctx.cluster then
+        observe_run ctx ~write:false ~shift:2 page off raw run)
 
 let i32_set_run ctx a i src pos len =
   if len < 0 || i < 0 || i + len > a.i_len then oob_run "i32" i len a.i_len;
   if pos < 0 || pos + len > Array.length src then oob_buf "i32_set_run";
-  if State.checking ctx.cluster then
-    for k = 0 to len - 1 do
-      i32_set ctx a (i + k) src.(pos + k)
-    done
-  else begin
-    let first_page = a.i_region.Layout.first_page in
-    let idx = ref i and spos = ref pos and remaining = ref len in
-    while !remaining > 0 do
-      let byte = !idx lsl 2 in
-      let page = first_page + (byte lsr Page.shift) in
-      let off = byte land Page.mask in
-      let run = min !remaining ((Page.size - off) lsr 2) in
+  walk ~shift:2 a.i_region.Layout.first_page i len (fun page off k run ->
       let raw = write_raw ctx page off ~bytes:(run lsl 2) ~words:run in
-      let s = !spos in
-      for k = 0 to run - 1 do
-        set_32 raw (off + (k lsl 2)) src.(s + k)
+      for j = 0 to run - 1 do
+        set_32 raw (off + (j lsl 2)) src.(pos + k + j)
       done;
-      idx := !idx + run;
-      spos := s + run;
-      remaining := !remaining - run
-    done
-  end
+      if State.checking ctx.cluster then
+        observe_run ctx ~write:true ~shift:2 page off raw run)
 
 let i32_fold_run ctx a i len ~init ~f =
   if len < 0 || i < 0 || i + len > a.i_len then oob_run "i32" i len a.i_len;
-  if State.checking ctx.cluster then begin
-    let acc = ref init in
-    for k = 0 to len - 1 do
-      acc := f !acc (i32_get ctx a (i + k))
-    done;
-    !acc
-  end
-  else begin
-    let first_page = a.i_region.Layout.first_page in
-    let idx = ref i and remaining = ref len and acc = ref init in
-    while !remaining > 0 do
-      let byte = !idx lsl 2 in
-      let page = first_page + (byte lsr Page.shift) in
-      let off = byte land Page.mask in
-      let run = min !remaining ((Page.size - off) lsr 2) in
+  let acc = ref init in
+  walk ~shift:2 a.i_region.Layout.first_page i len (fun page off _ run ->
       let raw = read_raw ctx page in
       for k = 0 to run - 1 do
         acc := f !acc (get_32 raw (off + (k lsl 2)))
       done;
-      idx := !idx + run;
-      remaining := !remaining - run
-    done;
-    !acc
-  end
+      if State.checking ctx.cluster then
+        observe_run ctx ~write:false ~shift:2 page off raw run);
+  !acc

@@ -73,9 +73,8 @@ val fresh_lock : t -> int
     {!Adsm_check.Oracle.check}.
 
     @raise Invalid_argument before any event runs if the configuration
-    is malformed: a [Tree] barrier fanout below 2, a [Sharded] lock-home
-    count outside [1..nprocs], or a fault schedule the configuration
-    cannot honour.
+    is malformed: a barrier fanout below 2, a lock-shard count outside
+    [1..nprocs], or a fault schedule the configuration cannot honour.
     @raise Failure if the run deadlocks (processes blocked when the
     event queue empties). *)
 val run :

@@ -98,21 +98,32 @@ let close_owned cl node (e : entry) ~seq =
    HLRC); [measure] enables the WFS+WG write-granularity measurement. *)
 let close_page_default ?(measure = false) ?(sink = store_diff)
     ?(close_clean = close_owned) cl node (e : entry) ~seq ~vc ~charge =
-  let wg_measure modified =
-    (* Write-granularity measurement (Section 3.2).  A flip of [wg_large]
-       is not a mode change: the page changes mode only when a later
-       transition acts on it ([Mode.switched]). *)
-    if measure then begin
-      e.measured <- true;
-      e.wg_large <- modified > cl.cfg.Config.wg_threshold_bytes
-    end
-  in
-  match e.twin with
-  | Some twin ->
-    (* MW-mode page: eager twin/diff. *)
-    let current = frame e in
-    let diff = Diff.create ~scratch:(State.scratch cl) ~twin ~current () in
-    charge cl.cfg.Config.diff_create_ns;
+  let twin = e.twin in
+  if Option.is_none twin && not e.log_writes then close_clean cl node e ~seq
+  else begin
+    let diff, cost =
+      match twin with
+      | Some twin ->
+        (* MW-mode page: eager twin/diff. *)
+        e.twin <- None;
+        Stats.twin_freed cl.stats ~node:node.id;
+        ( Diff.create ~scratch:(State.scratch cl) ~twin ~current:(frame e) (),
+          cl.cfg.Config.diff_create_ns )
+      | None ->
+        (* Software write detection: build the diff from the logged
+           ranges — no twin, no page scan; the cost is the per-write
+           logging plus a small assembly cost per range. *)
+        let diff = Diff.of_ranges e.logged_ranges (frame e) in
+        let cost =
+          (e.logged_count * cl.cfg.Config.write_log_ns)
+          + (Diff.run_count diff * 500)
+        in
+        e.log_writes <- false;
+        e.logged_ranges <- [];
+        e.logged_count <- 0;
+        (diff, cost)
+    in
+    charge cost;
     let bytes = Diff.size_bytes diff in
     let modified = Diff.modified_bytes diff in
     Stats.diff_created cl.stats ~node:node.id ~page:e.page ~bytes ~modified
@@ -120,41 +131,22 @@ let close_page_default ?(measure = false) ?(sink = store_diff)
     if tracing cl then begin
       emit cl ~node:node.id
         (Adsm_trace.Event.Diff_create { page = e.page; seq; bytes; modified });
-      emit cl ~node:node.id (Adsm_trace.Event.Twin_free { page = e.page })
+      if Option.is_some twin then
+        emit cl ~node:node.id (Adsm_trace.Event.Twin_free { page = e.page })
     end;
     sink cl node e ~seq ~vc diff;
-    e.twin <- None;
-    Stats.twin_freed cl.stats ~node:node.id;
     reflected_set e ~nprocs:node.nprocs node.id seq;
     e.perm <- Perm.Read_only;
     tlb_reset node;
-    wg_measure modified;
+    (* Write-granularity measurement (Section 3.2).  A flip of [wg_large]
+       is not a mode change: the page changes mode only when a later
+       transition acts on it ([Mode.switched]). *)
+    if measure then begin
+      e.measured <- true;
+      e.wg_large <- modified > cl.cfg.Config.wg_threshold_bytes
+    end;
     None
-  | None when e.log_writes ->
-    (* Software write detection: build the diff from the logged ranges —
-       no twin, no page scan; the cost is the per-write logging plus a
-       small assembly cost per range. *)
-    let diff = Diff.of_ranges e.logged_ranges (frame e) in
-    charge
-      ((e.logged_count * cl.cfg.Config.write_log_ns)
-      + (Diff.run_count diff * 500));
-    let bytes = Diff.size_bytes diff in
-    let modified = Diff.modified_bytes diff in
-    Stats.diff_created cl.stats ~node:node.id ~page:e.page ~bytes ~modified
-      ~time:(Engine.now cl.engine);
-    if tracing cl then
-      emit cl ~node:node.id
-        (Adsm_trace.Event.Diff_create { page = e.page; seq; bytes; modified });
-    sink cl node e ~seq ~vc diff;
-    e.log_writes <- false;
-    e.logged_ranges <- [];
-    e.logged_count <- 0;
-    reflected_set e ~nprocs:node.nprocs node.id seq;
-    e.perm <- Perm.Read_only;
-    tlb_reset node;
-    wg_measure modified;
-    None
-  | None -> close_clean cl node e ~seq
+  end
 
 (* Close the node's current interval: run the protocol's [close_page] on
    every dirty page and append the resulting write notices as a new

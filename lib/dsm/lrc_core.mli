@@ -19,10 +19,6 @@ val respond_msg : cluster -> node -> Msg.t Adsm_net.Rpc.respond -> Msg.t -> unit
 
 (* --- interval closure (release side) --- *)
 
-(** Default diff sink: store the diff locally (TreadMarks-style). *)
-val store_diff :
-  cluster -> node -> entry -> seq:int -> vc:Vc.t -> Diff.t -> unit
-
 (** Default clean-page closure: an owned single-writer page; emits an owner
     write notice (and handles a pending drop to MW mode). *)
 val close_owned : cluster -> node -> entry -> seq:int -> int option

@@ -213,6 +213,15 @@ let reflected_copy (e : entry) ~nprocs = Wmap.to_dense e.reflected ~nprocs
 
 let reflected_reset (e : entry) = e.reflected <- Wmap.empty
 
+let drop_copy (e : entry) =
+  e.data <- None;
+  e.has_base <- false;
+  e.perm <- Perm.No_access;
+  e.notices <- [];
+  e.content_version <- 0;
+  e.committed_version <- 0;
+  reflected_reset e
+
 let notice_slot (e : entry) q = Wmap.get e.nw_slots q - 1
 
 let last_notice (e : entry) q =
@@ -461,16 +470,11 @@ let home_of_page cluster page = page mod cluster.cfg.Config.nprocs
 
 (* Lock homes: lock l lives at one of k manager nodes chosen evenly
    across the id space — stride n/k keeps them on distinct leaf switches
-   of a tree fabric instead of crowding the low-numbered nodes.  [Modulo]
-   is the k = n shape (lock l at node l mod n). *)
+   of a tree fabric instead of crowding the low-numbered nodes.  The
+   default k = n is the paper's shape (lock l at node l mod n). *)
 let home_of_lock cluster lock =
-  let n = cluster.cfg.Config.nprocs in
-  let k =
-    match cluster.cfg.Config.lock_homes with
-    | Config.Modulo -> n
-    | Config.Sharded k -> k
-  in
-  lock mod k * (n / k)
+  let k = cluster.cfg.Config.lock_shards in
+  lock mod k * (cluster.cfg.Config.nprocs / k)
 
 (* Emission guard: callers write
      [if tracing cl then emit cl ~node (Event.X { ... })]

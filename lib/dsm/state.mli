@@ -103,9 +103,9 @@ val tlb_slots : int
 val tlb_mask : int
 
 (** Per-node combining state for the barrier, a tree rooted at node 0
-    ({!Sync}; [Config.Central] is its one-level shape).  A node folds its
-    own arrival and each direct child subtree's into the concatenated
-    interval list and, if it is an interior node, into the
+    ({!Sync}; the paper's central barrier is its one-level shape).  A
+    node folds its own arrival and each direct child subtree's into the
+    concatenated interval list and, if it is an interior node, into the
     componentwise-minimum clock [tb_vcmin] (the knowledge every subtree
     member shares), then forwards ONE combined arrival to its parent.
     The root forwards nothing and a leaf lends its own clock, so neither
@@ -237,6 +237,11 @@ val reflected_copy : entry -> nprocs:int -> int array
 
 (** Back to all zeros (crash wipe / GC drop). *)
 val reflected_reset : entry -> unit
+
+(** Forget the node's copy of the page: frame, base flag, permissions,
+    pending notices, content and committed versions and reflected view
+    (crash wipe / GC drop).  The caller resets the TLB. *)
+val drop_copy : entry -> unit
 
 (** Writer [q]'s slot in the last-notice arrays, [-1] if none. *)
 val notice_slot : entry -> int -> int

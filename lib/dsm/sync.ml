@@ -86,15 +86,9 @@ let crash_pause cl node =
          dominating-slot summary no longer holds for them: drop it. *)
       forget_dominating e;
       if not (e.is_owner || e.owner = node.id) then begin
-        e.data <- None;
-        e.has_base <- false;
-        e.perm <- Perm.No_access;
+        drop_copy e;
         e.twin <- None;
         e.dirty <- false;
-        e.notices <- [];
-        e.content_version <- 0;
-        e.committed_version <- 0;
-        reflected_reset e;
         clear_last_notices e
       end);
   tlb_reset node;
@@ -376,13 +370,7 @@ let gc_validate cl node =
         let hint = gc_fetch_hint pending e.owner in
         if tracing cl then
           emit cl ~node:node.id (Adsm_trace.Event.Gc_drop { page = e.page });
-        e.data <- None;
-        e.has_base <- false;
-        e.perm <- Perm.No_access;
-        e.notices <- [];
-        e.content_version <- 0;
-        e.committed_version <- 0;
-        reflected_reset e;
+        drop_copy e;
         if P.gc_retarget_owner_on_drop then e.owner <- hint
       end)
 
@@ -432,14 +420,9 @@ let gc_purge cl node =
    recomputes each direct child's missing set from the child's lent
    clock.
 
-   The paper's barrier, [Config.Central] (a manager at node 0 that every
-   node reports to directly), is the one-level tree: the same 2(n-1)
-   messages with the same contents. *)
-
-let barrier_fanout (cfg : Config.t) =
-  match cfg.Config.barrier with
-  | Config.Central -> max 2 cfg.Config.nprocs
-  | Config.Tree { fanout } -> fanout
+   The paper's barrier (a manager at node 0 that every node reports to
+   directly) is the one-level tree, [Config.make]'s default fanout
+   [max 2 nprocs]: the same 2(n-1) messages with the same contents. *)
 
 (* A barrier arrival lends a clock by reference instead of copying it —
    the leaf's own, or an interior node's subtree minimum: the lender is
@@ -453,16 +436,16 @@ let check_lent ~src vc version =
     failwith
       (Printf.sprintf "Proto: node %d's clock changed while lent to a barrier" src)
 
-let tree_parent cl node = (node.id - 1) / barrier_fanout cl.cfg
+let tree_parent cl node = (node.id - 1) / cl.cfg.Config.barrier_fanout
 
 (* A node's direct children are [tree_first_child ..] onwards,
    [tree_children] of them. *)
-let tree_first_child cl node = (node.id * barrier_fanout cl.cfg) + 1
+let tree_first_child cl node = (node.id * cl.cfg.Config.barrier_fanout) + 1
 
 let tree_children cl node =
   let first = tree_first_child cl node in
   if first >= node.nprocs then 0
-  else min (barrier_fanout cl.cfg) (node.nprocs - first)
+  else min cl.cfg.Config.barrier_fanout (node.nprocs - first)
 
 (* Fold one arrival (the node's own, or a child subtree's combined one)
    into the local combining state.  An interior node copies clock

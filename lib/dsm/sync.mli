@@ -22,11 +22,6 @@ val unlock : cluster -> node -> int -> unit
 
 (* --- barriers (application side; process context) --- *)
 
-(** Fanout of the barrier tree: [Tree { fanout }] is used as given, and
-    [Central] maps to [max 2 nprocs], the one-level tree in which every
-    other node is a direct child of node 0. *)
-val barrier_fanout : Config.t -> int
-
 (** Global barrier; runs garbage collection when any node's diff store
     exceeded the threshold. *)
 val barrier : cluster -> node -> unit

@@ -95,8 +95,8 @@ let tweak_of_fabric fabric cfg =
     {
       cfg with
       Config.topology = Topology.shape (Topology.tree cfg.Config.net);
-      barrier = Config.Tree { fanout = 4 };
-      lock_homes = Config.Sharded shards;
+      barrier_fanout = 4;
+      lock_shards = shards;
       sparse_vc = true;
     }
 

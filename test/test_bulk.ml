@@ -1,5 +1,5 @@
 (* Bulk-run accessors are sugar over word accesses: for every protocol,
-   a program using f64_get_run/f64_set_run/f64_fold_run must be
+   a program using the f64 and i32 get/set/fold runs must be
    indistinguishable — values, fault counts, events, per-kind message
    counters, diff bytes — from the same program written with per-word
    accessors.  The scenarios deliberately include runs that straddle a
@@ -78,8 +78,9 @@ let check_summary name a b =
 
    Accumulation order is ascending in both variants, so the float
    results are bit-identical, not just close. *)
-let f64_scenario ~bulk ?(recorder = Recorder.disabled) protocol =
-  let cfg = Config.make ~protocol ~nprocs:2 () in
+let f64_scenario ~bulk ?(recorder = Recorder.disabled) ?(write_ranges = false)
+    protocol =
+  let cfg = { (Config.make ~protocol ~nprocs:2 ()) with Config.write_ranges } in
   let t = Dsm.create cfg in
   let a = Dsm.alloc_f64 t ~name:"bulk-eq" ~len:2048 in
   let v1 = ref 0. and v2 = ref 0. in
@@ -206,26 +207,120 @@ let test_i32_add_equivalence () =
         (i32_scenario ~fast:true protocol))
     protocols
 
-(* With the consistency recorder live, bulk operations degrade to
-   per-word observation: the recorded streams of the scalar and bulk
-   variants must match element for element. *)
-let test_recorded_streams_equal () =
+(* The i32 runs against per-word i32_get/i32_set, on 2 processors and a
+   3-page array (1024 words a page):
+
+   - p0 writes [1000, 2100): straddles the boundaries at 1024 and 2048,
+     so the bulk run takes a write fault mid-run at each.
+   - p1 reads the same region back (read faults mid-run) and then
+     overwrites [1024, 2048): a run starting exactly at a page boundary,
+     covering one whole page.
+   - p0 folds [1000, 2100) back, over both boundaries. *)
+let i32_runs_scenario ~bulk ?(recorder = Recorder.disabled) protocol =
+  let cfg = Config.make ~protocol ~nprocs:2 () in
+  let t = Dsm.create cfg in
+  let b = Dsm.alloc_i32 t ~name:"bulk-i32-eq" ~len:3072 in
+  let v1 = ref 0. and v2 = ref 0. in
+  let buf = Array.make 1100 0l in
+  let report =
+    Dsm.run ~recorder t (fun ctx ->
+        let me = Dsm.me ctx in
+        if me = 0 then
+          if bulk then begin
+            for k = 0 to 1099 do
+              buf.(k) <- Int32.of_int (5 * (1000 + k))
+            done;
+            Dsm.i32_set_run ctx b 1000 buf 0 1100
+          end
+          else
+            for i = 1000 to 2099 do
+              Dsm.i32_set ctx b i (Int32.of_int (5 * i))
+            done;
+        Dsm.barrier ctx;
+        if me = 1 then begin
+          let s = ref 0. in
+          if bulk then begin
+            Dsm.i32_get_run ctx b 1000 buf 0 1100;
+            for k = 0 to 1099 do
+              s := !s +. Int32.to_float buf.(k)
+            done
+          end
+          else
+            for i = 1000 to 2099 do
+              s := !s +. Int32.to_float (Dsm.i32_get ctx b i)
+            done;
+          v1 := !s;
+          if bulk then begin
+            for k = 0 to 1023 do
+              buf.(k) <- Int32.of_int (7 - k)
+            done;
+            Dsm.i32_set_run ctx b 1024 buf 0 1024
+          end
+          else
+            for i = 1024 to 2047 do
+              Dsm.i32_set ctx b i (Int32.of_int (7 - (i - 1024)))
+            done
+        end;
+        Dsm.barrier ctx;
+        if me = 0 then
+          if bulk then
+            v2 :=
+              Dsm.i32_fold_run ctx b 1000 1100 ~init:0. ~f:(fun acc x ->
+                  acc +. Int32.to_float x)
+          else begin
+            let s = ref 0. in
+            for i = 1000 to 2099 do
+              s := !s +. Int32.to_float (Dsm.i32_get ctx b i)
+            done;
+            v2 := !s
+          end)
+  in
+  summarize report ~v1:!v1 ~v2:!v2
+
+let test_i32_runs_equivalence () =
   List.iter
     (fun protocol ->
       let name = Config.protocol_name protocol in
-      let rec_scalar = Recorder.create () in
-      let rec_bulk = Recorder.create () in
-      let s = f64_scenario ~bulk:false ~recorder:rec_scalar protocol in
-      let b = f64_scenario ~bulk:true ~recorder:rec_bulk protocol in
-      check_summary (name ^ " recorded") s b;
-      Alcotest.(check int)
-        (name ^ " observation count")
-        (Recorder.count rec_scalar) (Recorder.count rec_bulk);
+      let scalar = i32_runs_scenario ~bulk:false protocol in
+      let bulk = i32_runs_scenario ~bulk:true protocol in
+      check_summary name scalar bulk;
       Alcotest.(check bool)
-        (name ^ " observation streams equal")
-        true
-        (Recorder.stream rec_scalar = Recorder.stream rec_bulk))
+        (name ^ " scenario faults") true
+        (scalar.read_faults >= 2 && scalar.write_faults >= 2))
     protocols
+
+(* With the consistency recorder live, a bulk run is observed word by
+   word, as the scalar loop would be: the recorded streams of the scalar
+   and bulk variants must match element for element, for the f64 runs,
+   the i32 runs and the f64 runs under software write detection. *)
+let test_recorded_streams_equal () =
+  List.iter
+    (fun (label, scenario) ->
+      List.iter
+        (fun protocol ->
+          let name = Config.protocol_name protocol ^ label in
+          let rec_scalar = Recorder.create () in
+          let rec_bulk = Recorder.create () in
+          let s = scenario ~bulk:false ~recorder:rec_scalar protocol in
+          let b = scenario ~bulk:true ~recorder:rec_bulk protocol in
+          check_summary (name ^ " recorded") s b;
+          Alcotest.(check int)
+            (name ^ " observation count")
+            (Recorder.count rec_scalar) (Recorder.count rec_bulk);
+          Alcotest.(check bool)
+            (name ^ " observation streams equal")
+            true
+            (Recorder.stream rec_scalar = Recorder.stream rec_bulk))
+        protocols)
+    [
+      ("", fun ~bulk ~recorder p -> f64_scenario ~bulk ~recorder p);
+      (" i32", fun ~bulk ~recorder p -> i32_runs_scenario ~bulk ~recorder p);
+      (* Under software write detection a bulk write logs one coalesced
+         range per run where the scalar loop logs one per word. *)
+      ( " write_ranges",
+        fun ~bulk ~recorder p ->
+          f64_scenario ~bulk ~recorder ~write_ranges:true p );
+    ]
 
 (* Software-TLB staleness: a node's cached slots must be forgotten on
    every effective-rights downgrade.  p0 caches several pages — among
@@ -404,6 +499,8 @@ let () =
             test_i32_add_equivalence;
           Alcotest.test_case "recorded streams equal" `Quick
             test_recorded_streams_equal;
+          Alcotest.test_case "i32 scalar = bulk (all protocols)" `Quick
+            test_i32_runs_equivalence;
         ] );
       ( "fast path",
         [

@@ -101,7 +101,7 @@ let test_apps_oracle () =
    interior, so subtree-minimum clocks, buffered interval lists and the
    relayed releases and GC messages all run under the oracle. *)
 let test_apps_oracle_deep_tree () =
-  let tweak cfg = { cfg with Config.barrier = Config.Tree { fanout = 2 } } in
+  let tweak cfg = { cfg with Config.barrier_fanout = 2 } in
   List.iter
     (fun app_name ->
       List.iter

@@ -152,11 +152,19 @@ let test_apps_survive_crashes () =
         Alcotest.failf "%s: crashes made the run faster?" name)
     Registry.all
 
+(* The paper's barrier ([Config.make]'s one-level tree) and a binary
+   barrier tree, each with its cell label. *)
+let barriers =
+  [
+    ("central", Fun.id);
+    ("tree:2", fun cfg -> { cfg with Config.barrier_fanout = 2 });
+  ]
+
 (* Each cell runs on the paper's barrier and on a binary barrier tree,
    where crashed node 1 is an interior node and crashed node 2 a leaf. *)
 let test_oracle_clean_under_crashes () =
   List.iter
-    (fun barrier ->
+    (fun (barrier, shape) ->
       List.iter
         (fun name ->
           List.iter
@@ -164,10 +172,10 @@ let test_oracle_clean_under_crashes () =
               let cell =
                 Printf.sprintf "%s/%s/%s" name
                   (Config.protocol_name protocol)
-                  (Config.barrier_name barrier)
+                  barrier
               in
               let recorder = Recorder.create () in
-              let tweak cfg = with_faults crash_sched { cfg with Config.barrier } in
+              let tweak cfg = with_faults crash_sched (shape cfg) in
               let m = measure ~tweak ~recorder name protocol in
               let report = Oracle.check ~nprocs:4 (Recorder.stream recorder) in
               if not (Oracle.ok report) then
@@ -189,7 +197,7 @@ let test_oracle_clean_under_crashes () =
               Alcotest.(check int) (cell ^ ": both crashes manifested") 2 crashes)
             [ Config.Mw; Config.Sw; Config.Wfs ])
         [ "sor"; "is"; "water" ])
-    [ Config.Central; Config.Tree { fanout = 2 } ]
+    barriers
 
 (* A crash wipes the node's copies of other nodes' diffs, and their
    bytes must leave its diff-store account, which the GC trigger reads.
@@ -202,12 +210,10 @@ let test_oracle_clean_under_crashes () =
    clock, on the shared epoch base, back. *)
 let test_crash_drops_remote_diffs () =
   List.iter
-    (fun barrier ->
-      let tweak cfg =
-        with_faults (sched "crash=1@40ms:5ms") { cfg with Config.barrier }
-      in
+    (fun (barrier, shape) ->
+      let tweak cfg = with_faults (sched "crash=1@40ms:5ms") (shape cfg) in
       let m = measure ~tweak "sor" Config.Mw in
-      let cell = "sor/MW/" ^ Config.barrier_name barrier in
+      let cell = "sor/MW/" ^ barrier in
       Alcotest.(check int) (cell ^ ": no GC") 0 m.Runner.gc_runs;
       let rec falls = function
         | (_, a) :: ((_, b) :: _ as rest) -> b < a || falls rest
@@ -219,7 +225,7 @@ let test_crash_drops_remote_diffs () =
         (falls m.Runner.live_diff_series);
       Alcotest.(check int) (cell ^ ": clocks adopt the shared base") 0
         m.Runner.vc_base_mismatches)
-    [ Config.Central; Config.Tree { fanout = 2 } ]
+    barriers
 
 let mentions ~needle s =
   let n = String.length needle in

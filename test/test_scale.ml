@@ -72,7 +72,7 @@ let test_fanout_invariance () =
   let base = run ~app:"SOR" ~protocol:Config.Mw ~nprocs:13 () in
   List.iter
     (fun fanout ->
-      let tweak cfg = { cfg with Config.barrier = Config.Tree { fanout } } in
+      let tweak cfg = { cfg with Config.barrier_fanout = fanout } in
       let m = run ~tweak ~app:"SOR" ~protocol:Config.Mw ~nprocs:13 () in
       Alcotest.(check (float 0.0))
         (Printf.sprintf "fanout %d checksum" fanout)
@@ -114,18 +114,12 @@ let test_sharded_locks_transparent () =
   let base = run ~app:"Water" ~protocol:Config.Mw ~nprocs:8 () in
   List.iter
     (fun shards ->
-      let tweak cfg =
-        { cfg with Config.lock_homes = Config.Sharded shards }
-      in
+      let tweak cfg = { cfg with Config.lock_shards = shards } in
       let m = run ~tweak ~app:"Water" ~protocol:Config.Mw ~nprocs:8 () in
       Alcotest.(check (float 0.0))
         (Printf.sprintf "%d shards checksum" shards)
         base.Runner.checksum m.Runner.checksum)
-    [ 1; 2; 4 ];
-  (* [Modulo] is the [Sharded nprocs] shape: the whole run is the same. *)
-  let tweak cfg = { cfg with Config.lock_homes = Config.Sharded 8 } in
-  if run ~tweak ~app:"Water" ~protocol:Config.Mw ~nprocs:8 () <> base then
-    Alcotest.fail "Sharded 8 and Modulo differ at 8 nodes"
+    [ 1; 2; 4 ]
 
 (* Grant order is FIFO by request arrival at the home, whichever node
    the placement policy makes the home.  Node 0 grabs the lock and
@@ -134,9 +128,9 @@ let test_sharded_locks_transparent () =
    order exactly. *)
 let test_sharded_lock_fifo () =
   List.iter
-    (fun lock_homes ->
+    (fun lock_shards ->
       let cfg =
-        { (Config.make ~protocol:Config.Mw ~nprocs:8 ()) with lock_homes }
+        { (Config.make ~protocol:Config.Mw ~nprocs:8 ()) with lock_shards }
       in
       let t = Dsm.create cfg in
       let l = Dsm.fresh_lock t in
@@ -151,13 +145,9 @@ let test_sharded_lock_fifo () =
              if me = 0 then Dsm.compute ctx 200_000_000;
              Dsm.unlock ctx l));
       Alcotest.(check (list int))
-        (Printf.sprintf "grant order (%s)"
-           (match lock_homes with
-           | Config.Modulo -> "modulo"
-           | Config.Sharded k -> Printf.sprintf "sharded %d" k))
+        (Printf.sprintf "grant order (sharded %d)" lock_shards)
         (List.init 8 Fun.id) (List.rev !order))
-    [ Config.Modulo; Config.Sharded 1; Config.Sharded 2; Config.Sharded 4;
-      Config.Sharded 8 ]
+    [ 1; 2; 4; 8 ]
 
 (* A barrier fanout below 2 or a shard count outside 1..nprocs is
    rejected by [Dsm.run] before any event runs — the application body
@@ -165,9 +155,13 @@ let test_sharded_lock_fifo () =
    being silently clamped (shards).  The boundary values still run. *)
 let test_bad_sync_config_rejected () =
   let nprocs = 8 in
-  let attempt (barrier, lock_homes) =
+  let attempt (barrier_fanout, lock_shards) =
     let cfg =
-      { (Config.make ~protocol:Config.Mw ~nprocs ()) with barrier; lock_homes }
+      {
+        (Config.make ~protocol:Config.Mw ~nprocs ()) with
+        barrier_fanout;
+        lock_shards;
+      }
     in
     let t = Dsm.create cfg in
     let l = Dsm.fresh_lock t in
@@ -184,11 +178,8 @@ let test_bad_sync_config_rejected () =
     in
     (result, !started)
   in
-  let label (barrier, lock_homes) =
-    Printf.sprintf "%s, %s" (Config.barrier_name barrier)
-      (match lock_homes with
-      | Config.Modulo -> "modulo"
-      | Config.Sharded k -> Printf.sprintf "sharded %d" k)
+  let label (fanout, shards) =
+    Printf.sprintf "fanout %d, sharded %d" fanout shards
   in
   List.iter
     (fun c ->
@@ -196,18 +187,19 @@ let test_bad_sync_config_rejected () =
       | Error _, started ->
         Alcotest.(check bool) (label c ^ ": no event ran") false started
       | Ok _, _ -> Alcotest.fail (label c ^ ": accepted"))
-    [ (Config.Tree { fanout = 0 }, Config.Modulo);
-      (Config.Tree { fanout = 1 }, Config.Modulo);
-      (Config.Central, Config.Sharded 0);
-      (Config.Central, Config.Sharded (-1));
-      (Config.Central, Config.Sharded (nprocs + 1)) ];
+    [
+      (0, nprocs);
+      (1, nprocs);
+      (nprocs, 0);
+      (nprocs, -1);
+      (nprocs, nprocs + 1);
+    ];
   List.iter
     (fun c ->
       match attempt c with
       | Ok _, started -> Alcotest.(check bool) (label c ^ ": ran") true started
       | Error msg, _ -> Alcotest.fail (label c ^ ": rejected: " ^ msg))
-    [ (Config.Tree { fanout = 2 }, Config.Sharded 1);
-      (Config.Central, Config.Sharded nprocs) ]
+    [ (2, 1); (nprocs, nprocs) ]
 
 (* ------------------------------------------------------------------ *)
 (* 256-node completion and the scaling study's own checks              *)
