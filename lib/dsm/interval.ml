@@ -90,36 +90,31 @@ end
    [base.(p) + 1 .. base.(p) + count.(p)] are the first [count.(p)]
    slots of [ivs.(p)], oldest first.  A writer adds each interval as it
    closes it, so a writer's slots are contiguous in seq.  Node logs
-   ([logs] below) read their intervals from here, and every node's log
-   registers in [logs] so that the store can trim what no log can still
+   ([logs] below) read their intervals from here, and each registers its
+   floor in [floors] so that the store can trim what no log can still
    contain. *)
 type store = {
   ivs : t array array;
   base : int array;
   count : int array;
   zero : Vc.t;  (* the floor of a log never purged *)
-  mutable logs : logs list;
+  mutable floors : Vc.t ref list;
   mutable nlogs : int;
   mutable purged : int;  (* logs purged since the last trim *)
 }
 
-(* A node's interval logs, indexed by writer id.  Writer [p]'s log holds
-   the store's seqs [floor.(p) + 1 .. floor.(p) + lens.(p)]: every
-   producer appends contiguously above the node's clock at its last
-   purge, so a log is a window onto the store and holds no interval of
-   its own.
-
-   The index grows only as far as the highest writer id seen, and [live]
-   lists the writers whose log is non-empty, so walks, GC and crash
-   truncation touch only those.  Node set-up allocates no log, and a
-   barrier costs O(writers) per node, not O(nprocs). *)
+(* A node's interval logs: writer [p]'s log holds the store's seqs
+   [!floor.(p) + 1 .. clock.(p)], where [clock] is the node's own clock
+   and [floor] its clock at its last purge.  Every producer extends a
+   window by advancing the clock (an own close ticks it, [append] sets
+   it), so a log holds nothing but its floor.  Between a crash wipe and
+   [restore], [wiped] names the one writer whose window survived: the
+   rolled-back clock is not yet a window top for the others. *)
 and logs = {
   store : store;
-  mutable floor : Vc.t;
-  mutable lens : int array;
-  mutable live : int array;  (* [nlive] writers with a non-empty log *)
-  mutable nlive : int;
-  mutable live_sorted : bool;  (* [live] ascending *)
+  clock : Vc.t;
+  floor : Vc.t ref;
+  mutable wiped : int option;
 }
 
 module Store = struct
@@ -133,7 +128,7 @@ module Store = struct
       base = Array.make nprocs 0;
       count = Array.make nprocs 0;
       zero = Vc.zero ~nprocs;
-      logs = [];
+      floors = [];
       nlogs = 0;
       purged = 0;
     }
@@ -166,7 +161,7 @@ module Store = struct
       (fun p n ->
         if n > 0 then begin
           let f =
-            List.fold_left (fun m l -> Int.min m (Vc.get l.floor p)) max_int s.logs
+            List.fold_left (fun m l -> Int.min m (Vc.get !l p)) max_int s.floors
           in
           let k = Int.min n (f - s.base.(p)) in
           if k > 0 then begin
@@ -191,118 +186,62 @@ module Logs = struct
 
   type t = logs
 
-  let create store =
-    let t =
-      {
-        store;
-        floor = store.zero;
-        lens = [||];
-        live = [||];
-        nlive = 0;
-        live_sorted = true;
-      }
-    in
-    store.logs <- t :: store.logs;
+  let create store ~clock =
+    let floor = ref store.zero in
+    store.floors <- floor :: store.floors;
     store.nlogs <- store.nlogs + 1;
-    t
+    { store; clock; floor; wiped = None }
 
-  let add_live t p =
-    if t.nlive = Array.length t.live then begin
-      let a = Array.make (max 8 (2 * t.nlive)) 0 in
-      Int_array.blit t.live 0 a 0 t.nlive;
-      t.live <- a
-    end;
-    if t.nlive > 0 && t.live.(t.nlive - 1) > p then t.live_sorted <- false;
-    t.live.(t.nlive) <- p;
-    t.nlive <- t.nlive + 1
-
-  (* Make the index cover writer [p]. *)
-  let reach t p =
-    let n = Array.length t.lens in
-    if p >= n then begin
-      let n' = min (Array.length t.store.base) (max (p + 1) (2 * n)) in
-      let lens = Array.make n' 0 in
-      Int_array.blit t.lens 0 lens 0 n;
-      t.lens <- lens
-    end
+  let visible t p = match t.wiped with None -> true | Some keep -> p = keep
 
   let append t (iv : interval) =
-    let p = iv.proc in
-    reach t p;
-    let len = t.lens.(p) in
-    let next = Vc.get t.floor p + len + 1 in
-    if not (iv.seq = next && Store.holds t.store iv) then
+    let p = iv.proc and top = Vc.get t.clock iv.proc in
+    if not (iv.seq = top + 1 && Store.holds t.store iv) then
       invalid_arg
         (Printf.sprintf
            "Interval.Logs.append: writer %d seq %d breaks a window ending at %d" p
-           iv.seq (next - 1));
-    if len = 0 then add_live t p;
-    t.lens.(p) <- len + 1
+           iv.seq top);
+    Vc.set t.clock p iv.seq
 
   let holds t (iv : interval) =
-    let p = iv.proc and lo = Vc.get t.floor iv.proc in
-    p < Array.length t.lens && iv.seq > lo && iv.seq <= lo + t.lens.(p)
+    let p = iv.proc in
+    visible t p
+    && iv.seq > Vc.get !(t.floor) p
+    && iv.seq <= Vc.get t.clock p
     && Store.holds t.store iv
 
   let unseen_of t ~proc vc acc =
-    if proc >= Array.length t.lens then acc
+    if not (visible t proc) then acc
     else
-      let lo = Vc.get t.floor proc in
-      Store.prepend t.store ~p:proc ~lo:(Int.max lo (Vc.get vc proc))
-        ~hi:(lo + t.lens.(proc)) acc
+      Store.prepend t.store ~p:proc
+        ~lo:(Int.max (Vc.get !(t.floor) proc) (Vc.get vc proc))
+        ~hi:(Vc.get t.clock proc) acc
 
-  let sort_live t =
-    if not t.live_sorted then begin
-      let a = Int_array.sub t.live 0 t.nlive in
-      Array.sort Int.compare a;
-      Int_array.blit a 0 t.live 0 t.nlive;
-      t.live_sorted <- true
-    end
-
-  (* Live writers are walked from the highest id down, so the result
-     lists writer 0's intervals first, each log newest first.  Consumers
-     sort by [Vc.order], and that sort is cheapest on this order. *)
+  (* Writers are walked from the highest id down, so the result lists
+     writer 0's intervals first, each log newest first.  Consumers sort
+     by [Vc.order], and that sort is cheapest on this order. *)
   let unseen_by t vc acc =
-    sort_live t;
-    let acc = ref acc in
-    for i = t.nlive - 1 downto 0 do
-      acc := unseen_of t ~proc:t.live.(i) vc !acc
-    done;
-    !acc
+    Vc.fold_above t.clock ~floor:!(t.floor) ~since:vc
+      (fun p acc -> unseen_of t ~proc:p vc acc)
+      acc
 
-  let clear_except t ~keep =
-    let kept = ref false in
-    for i = 0 to t.nlive - 1 do
-      let p = t.live.(i) in
-      if p = keep then kept := true else t.lens.(p) <- 0
-    done;
-    t.nlive <- 0;
-    t.live_sorted <- true;
-    if !kept then add_live t keep
+  let clear_except t ~keep = t.wiped <- Some keep
 
   (* No trim runs while the node is down (its log joins no purge), so
      the store still holds every seq above the floor closed before. *)
-  let restore t ~upto =
+  let restore t =
     let s = t.store in
-    let n = Array.length s.base in
-    t.lens <- Array.make n 0;
-    t.nlive <- 0;
-    t.live_sorted <- true;
-    for p = 0 to n - 1 do
-      let lo = Vc.get t.floor p and hi = Vc.get upto p in
+    for p = 0 to Array.length s.base - 1 do
+      let lo = Vc.get !(t.floor) p and hi = Vc.get t.clock p in
       if hi < lo || hi > s.base.(p) + s.count.(p) then
         invalid_arg
           (Printf.sprintf "Interval.Logs.restore: writer %d window %d..%d not stored"
-             p (lo + 1) hi);
-      if hi > lo then begin
-        t.lens.(p) <- hi - lo;
-        add_live t p
-      end
-    done
+             p (lo + 1) hi)
+    done;
+    t.wiped <- None
 
-  let clear t ~floor =
-    clear_except t ~keep:(-1);
-    t.floor <- Vc.copy floor;
+  let clear t =
+    t.floor := Vc.copy t.clock;
     let s = t.store in
     s.purged <- s.purged + 1;
     if s.purged >= s.nlogs then begin

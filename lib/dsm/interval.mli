@@ -86,54 +86,61 @@ module Store : sig
   val length : t -> int
 end
 
-(** A node's interval logs, one per writer, indexed by writer id: the
-    same queries as {!Log}, without a record per writer.  A log is a
-    window onto its cluster's {!Store}: writer [p]'s log holds the
-    stored seqs [floor.(p) + 1 .. floor.(p) + n], where [floor] is the
-    node's clock at its last purge (zero before any).  Every producer
-    appends contiguously above it, and a crashed node's log is restored
-    as a window ({!restore}), so there is no other form.  The writers
-    with a non-empty log are tracked, so walks, GC and crash truncation
-    cost O(writers), not O(nprocs). *)
+(** A node's interval logs, one window per writer onto its cluster's
+    {!Store}, read off the node's own clock: writer [p]'s log holds the
+    stored seqs [floor(p) + 1 .. clock(p)], where [floor] is the clock
+    at the node's last purge (zero before any).  The log keeps nothing
+    but that floor: a closed own interval joins the window when the
+    clock ticks, a received one when {!append} advances the clock, and
+    a walk visits only the writers whose clock component is above both
+    the floor and the requester's clock ({!Vc.fold_above}).
+
+    A crash wipe ({!clear_except}) leaves the kept writer's window alone
+    visible until {!restore}: the rolled-back clock is not a window top
+    for the other writers until the recovery round has checked it. *)
 module Logs : sig
   type interval := t
 
   type t
 
-  (** An empty log onto [store], registered for its trims. *)
-  val create : Store.t -> t
+  (** An empty log onto [store] whose windows top at [clock], the
+      node's clock (kept by reference); registered for the store's
+      trims. *)
+  val create : Store.t -> clock:Vc.t -> t
 
-  (** Append to the log of [iv.proc].  Raises [Invalid_argument] unless
-      [iv] is the stored interval right above that writer's window. *)
+  (** [append t iv] — extend writer [iv.proc]'s window by [iv],
+      advancing the clock's component to [iv.seq].  Raises
+      [Invalid_argument] unless [iv] is the store's next interval above
+      the clock's component. *)
   val append : t -> interval -> unit
 
   (** [holds t iv] — [iv] is the interval writer [iv.proc]'s window
       holds under [iv.seq]. *)
   val holds : t -> interval -> bool
 
-  (** [unseen_of t ~proc vc acc] — {!Log.unseen_by} on writer [proc]'s
-      log ([acc] if [proc] never appended). *)
+  (** [unseen_of t ~proc vc acc] — prepend (newest first) the intervals
+      of writer [proc]'s window that [vc] does not cover onto [acc]. *)
   val unseen_of : t -> proc:int -> Vc.t -> interval list -> interval list
 
   (** [unseen_by t vc acc] — prepend every logged interval [vc] does not
       cover onto [acc]: writer 0's first, each writer's newest first. *)
   val unseen_by : t -> Vc.t -> interval list -> interval list
 
-  (** Empty every log (GC purge) and set the floor to [floor], the
-      node's clock now (copied): every later append must lie above it.
-      When every log of the store has been purged since the last trim,
-      the store trims. *)
-  val clear : t -> floor:Vc.t -> unit
+  (** Empty every window (GC purge): the floor becomes a copy of the
+      clock now.  When every log of the store has been purged since the
+      last trim, the store trims. *)
+  val clear : t -> unit
 
-  (** Empty every log but writer [keep]'s (crash truncation). *)
+  (** Crash wipe: hide every window but writer [keep]'s until
+      {!restore}. *)
   val clear_except : t -> keep:int -> unit
 
-  (** [restore t ~upto] — set every writer [p]'s window to the seqs
-      [floor.(p) + 1 .. upto.(p)], in one pass over the writers (crash
-      recovery, with the rolled-back clock).  Raises [Invalid_argument]
-      if [upto.(p)] is below the floor or the store no longer holds the
-      window; neither happens while no trim runs during the downtime. *)
-  val restore : t -> upto:Vc.t -> unit
+  (** End the crash wipe: every writer [p]'s window is again
+      [floor(p) + 1 .. clock(p)], with the rolled-back clock.  Raises
+      [Invalid_argument] if a component is below the floor or the store
+      no longer holds the window; neither happens while no trim runs
+      during the downtime. *)
+  val restore : t -> unit
 end
 
 val pp : Format.formatter -> t -> unit

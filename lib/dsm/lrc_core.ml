@@ -192,12 +192,10 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
     in
     List.iter close_page node.dirty_pages;
     node.dirty_pages <- [];
-    (* The interval owns the snapshot its notices already share. *)
-    let ival =
-      Interval.make ~proc:node.id ~vc:vc_snapshot ~notices:(List.rev !notices)
-    in
-    Interval.Store.add cl.interval_store ival;
-    Interval.Logs.append node.intervals ival
+    (* The interval owns the snapshot its notices already share; the
+       tick above already extended the node's own window over it. *)
+    Interval.Store.add cl.interval_store
+      (Interval.make ~proc:node.id ~vc:vc_snapshot ~notices:(List.rev !notices))
   end;
   if !total_cost > 0 then charge !total_cost
 
@@ -313,18 +311,18 @@ let apply_intervals ?(replay = false) cl node ivals =
   in
   let apply (iv : Interval.t) =
     if iv.seq > Vc.get node.vc iv.proc then begin
+      (* The append advances the sender component of the clock, which
+         is the whole clock merge.  Interval chains are transitively
+         complete: a dependency of [iv] — [p]'s interval [iv.vc.(p)] —
+         is either already covered here (its retention site GC'd it only
+         once every node covered it) or rides the same chain with a
+         dominated timestamp, hence was just applied ([Vc.order]
+         extends happened-before).  Either way every component of
+         [iv.vc] except [iv.proc]'s is at or below ours by the time [iv]
+         applies, and that one is exactly [iv.seq]. *)
       Interval.Logs.append node.intervals iv;
       if not (taken_for_duplicate cl iv) then
-        List.iter (apply_notice ~replay cl node) iv.notices;
-      (* The full clock merge reduces to advancing the sender component.
-         Interval chains are transitively complete: a dependency of [iv]
-         — [p]'s interval [iv.vc.(p)] — is either already covered here
-         (its retention site GC'd it only once every node covered it) or
-         rides the same chain with a dominated timestamp, hence was just
-         applied ([Vc.order] extends happened-before).  Either way every
-         component of [iv.vc] except [iv.proc]'s is at or below ours by
-         the time [iv] applies, and that one is exactly [iv.seq]. *)
-      Vc.set node.vc iv.proc iv.seq
+        List.iter (apply_notice ~replay cl node) iv.notices
     end
   in
   List.iter apply fresh

@@ -43,8 +43,9 @@ type entry = {
          invariant), so the false-sharing check scans [nw_since] only. *)
   mutable nw_since : int array;
   mutable nw_nsince : int;
-  mutable fs_view : bool array;  (* [[||]] = all [true] *)
-  mutable copyset : bool array;  (* [[||]] = all [false] *)
+  mutable fs_view : Bytes.t;
+      (* bitset of the processors NOT seeing the page as SW: empty = none *)
+  mutable copyset : Bytes.t;  (* bitset, empty until a first member *)
   mutable own_diff_seqs : int list;
   mutable sw_home_hint : int;
   mutable pending_own : (int * int) list;
@@ -182,8 +183,8 @@ let make_entry ~page ~home =
     nw_dom = -1;
     nw_since = [||];
     nw_nsince = 0;
-    fs_view = [||];
-    copyset = [||];
+    fs_view = Bytes.empty;
+    copyset = Bytes.empty;
     own_diff_seqs = [];
     sw_home_hint = home;
     pending_own = [];
@@ -323,22 +324,35 @@ let check_writers ?visit (e : entry) (n : Notice.t) =
     done;
   !acc
 
-let fs_view_get (e : entry) q =
-  Array.length e.fs_view = 0 || e.fs_view.(q)
+(* Per-processor bitsets: bit [q] is bit [q land 7] of byte [q lsr 3].
+   An empty bitset has no member; the first member allocates every
+   byte. *)
+let bit b q =
+  Bytes.length b > 0
+  && Char.code (Bytes.get b (q lsr 3)) land (1 lsl (q land 7)) <> 0
+
+let with_bit b ~nprocs q v =
+  let b =
+    if Bytes.length b = 0 then Bytes.make ((nprocs + 7) lsr 3) '\000' else b
+  in
+  let m = 1 lsl (q land 7) and c = Char.code (Bytes.get b (q lsr 3)) in
+  Bytes.set b (q lsr 3) (Char.chr (if v then c lor m else c land lnot m));
+  b
+
+let fs_view_get (e : entry) q = not (bit e.fs_view q)
 
 let fs_view_set (e : entry) ~nprocs q v =
-  if (not v) || Array.length e.fs_view > 0 then begin
-    if Array.length e.fs_view = 0 then e.fs_view <- Array.make nprocs true;
-    e.fs_view.(q) <- v
-  end
+  if (not v) || Bytes.length e.fs_view > 0 then
+    e.fs_view <- with_bit e.fs_view ~nprocs q (not v)
 
 let copyset_add (e : entry) ~nprocs q =
-  if Array.length e.copyset = 0 then e.copyset <- Array.make nprocs false;
-  e.copyset.(q) <- true
+  e.copyset <- with_bit e.copyset ~nprocs q true
 
-(* Iterate the members of the (approximate) copyset. *)
+(* Iterate the members of the (approximate) copyset, ascending. *)
 let copyset_iter (e : entry) f =
-  Array.iteri (fun q in_set -> if in_set then f q) e.copyset
+  for q = 0 to (8 * Bytes.length e.copyset) - 1 do
+    if bit e.copyset q then f q
+  done
 
 let make_node ~cfg ~vc_epoch ~store ~id ~total_pages =
   let nprocs = cfg.Config.nprocs in
@@ -353,9 +367,9 @@ let make_node ~cfg ~vc_epoch ~store ~id ~total_pages =
     nprocs;
     vc;
     pages = Array.make total_pages None;
-    intervals = Interval.Logs.create store;
+    intervals = Interval.Logs.create store ~clock:vc;
     dirty_pages = [];
-    diffs = Hashtbl.create 256;
+    diffs = Hashtbl.create 16;
     locks = Hashtbl.create 16;
     lock_waits = Hashtbl.create 16;
     own_waits = Hashtbl.create 16;

@@ -59,12 +59,14 @@ type entry = {
       (** slots written since [nw_dom] was recorded, [nw_nsince] live,
           at most {!since_cap} *)
   mutable nw_nsince : int;
-  mutable fs_view : bool array;
-      (** per processor: piggybacked "I see this page as SW" flags (WFS
-          rule 1); [[||]] = all [true] *)
-  mutable copyset : bool array;
-      (** approximate copyset: processors that requested this page or its
-          diffs from us; [[||]] = all [false] *)
+  mutable fs_view : Bytes.t;
+      (** bitset of the processors whose piggybacked "I see this page as
+          SW" flag (WFS rule 1) is off; empty = every flag on.  Use
+          {!fs_view_get} and {!fs_view_set} *)
+  mutable copyset : Bytes.t;
+      (** approximate copyset, a bitset of the processors that requested
+          this page or its diffs from us; empty = no member.  Use
+          {!copyset_add} and {!copyset_iter} *)
   mutable own_diff_seqs : int list;
       (** interval seqs of live diffs this node created for the page (for
           re-merging own modifications over a fetched base copy, and the MW

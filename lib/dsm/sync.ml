@@ -107,6 +107,8 @@ let crash_pause cl node =
     Stats.diffs_dropped cl.stats ~node:node.id ~bytes
       ~count:(List.length dropped) ~time:(Engine.now cl.engine)
   end;
+  (* Until [restore] below, the log shows only the node's own window:
+     the clock rolled back next is no window top for the others. *)
   Interval.Logs.clear_except node.intervals ~keep:node.id;
   (* Roll the vector clock back to the checkpoint — except our own
      component, whose intervals are in the durable log (rolling it back
@@ -148,10 +150,10 @@ let crash_pause cl node =
      interface and are answered after its restart.
 
      Once every reply is in, the log is restored as a window up to the
-     rolled-back clock: no GC round completes while a node is down, so
-     the store still holds every interval the clock covers.  Every
-     covered interval a peer replies with must be the one the window
-     holds (checked below, loudly).  Then:
+     rolled-back clock, ending the wipe: no GC round completes while a
+     node is down, so the store still holds every interval the clock
+     covers.  Every covered interval a peer replies with must be the
+     one the window holds (checked below, loudly).  Then:
      - the covered intervals of other writers have their notices
        re-applied, oldest first ([apply_notice] consults the per-entry
        reflected view, so notices a durable frame already contains are
@@ -182,7 +184,7 @@ let crash_pause cl node =
       end
     done;
     let replies = List.concat !batches in
-    Interval.Logs.restore node.intervals ~upto:node.vc;
+    Interval.Logs.restore node.intervals;
     List.iter
       (fun (iv : Interval.t) ->
         if
@@ -392,7 +394,7 @@ let gc_purge cl node =
   (* Interval logs are globally known at this point; drop them so grants
      stay small.  Vector clocks keep the ordering information.  Once
      every node has purged, the store drops what no log still holds. *)
-  Interval.Logs.clear node.intervals ~floor:node.vc
+  Interval.Logs.clear node.intervals
 
 (* ------------------------------------------------------------------ *)
 (* Barrier: a combining tree rooted at node 0                         *)

@@ -134,7 +134,9 @@ let shrink_failing ?mutation ?protocol ?seed ?faults (p : Workload.program) =
 (* Fault-mode fuzzing first runs the program clean (no mutation, no
    faults) to learn its simulated duration, then generates a schedule
    whose crashes land inside that horizon — a fixed horizon would miss
-   short programs entirely and never exercise recovery. *)
+   short programs entirely and never exercise recovery.  HLRC runs take
+   no crash schedule ([Dsm.run] rejects one), so theirs keeps only the
+   message faults, drawn from the same stream. *)
 let case ?protocol ~faults ~nprocs ~seed () =
   let rng = Rng.create seed in
   let p = Workload.generate rng (Workload.default_params ~nprocs) in
@@ -146,7 +148,11 @@ let case ?protocol ~faults ~nprocs ~seed () =
       if n = 0 then 1_000_000
       else max 100_000 clean.stream.(n - 1).Obs.time
     in
-    (p, Some (Fault.generate rng ~nprocs ~horizon_ns))
+    let s = Fault.generate rng ~nprocs ~horizon_ns in
+    let s =
+      if protocol = Some Config.Hlrc then { s with Fault.crashes = [] } else s
+    in
+    (p, Some s)
 
 let fuzz_once ?mutation ?protocol ?(faults = false) ~nprocs ~seed () =
   let p, sched = case ?protocol ~faults ~nprocs ~seed () in

@@ -56,7 +56,9 @@ val shrink_failing :
 (** Generate a random workload from [seed] and run it checked.  With
     [~faults:true] (default false) the program is first run clean to
     learn its simulated duration, then re-run under a schedule generated
-    from the same seed whose crashes land inside that horizon. *)
+    from the same seed whose crashes land inside that horizon.  Under
+    HLRC, which takes no crash schedule, the schedule keeps only its
+    message faults (loss, duplication, jitter, partitions). *)
 val fuzz_once :
   ?mutation:Adsm_dsm.Config.mutation ->
   ?protocol:Adsm_dsm.Config.protocol ->

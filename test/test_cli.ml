@@ -127,6 +127,22 @@ let test_zero_jobs () =
         ~stderr_has:"not a positive integer")
     [ "experiments"; "ablations"; "scaling"; "verify"; "survive"; "fuzz" ]
 
+(* HLRC takes no crash schedule, so its fault fuzzing draws message
+   faults only: every seed runs and checks, none aborts. *)
+let test_fuzz_faults_hlrc () =
+  let code, out, err =
+    run_capture "fuzz --faults --protocol HLRC --procs 4 --seeds 5 --seed 1"
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "stderr" "" err;
+  List.iteri
+    (fun i line ->
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d ok (got %S)" (i + 1) line)
+        true
+        (contains ~needle:(Printf.sprintf "seed %d: ok (" (i + 1)) line))
+    (String.split_on_char '\n' (String.trim out))
+
 (* The bench executable parses its own arguments: a bad --jobs value or an
    unknown artifact name prints one stderr line and exits 2 before any
    run. *)
@@ -207,5 +223,7 @@ let () =
         [
           Alcotest.test_case "list exits zero" `Quick test_list_ok;
           Alcotest.test_case "every --help renders" `Quick test_help_renders;
+          Alcotest.test_case "fuzz --faults under HLRC" `Quick
+            test_fuzz_faults_hlrc;
         ] );
     ]

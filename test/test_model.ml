@@ -362,45 +362,48 @@ let logs_nodes = 5
 let proc_seqs = List.map (fun (iv : Interval.t) -> (iv.Interval.proc, iv.Interval.seq))
 
 type model_node = {
+  clock : Vc.t;  (* the node's clock; its log's windows top at it *)
   log : Interval.Logs.t;
-  clock : int array;
   naive : Interval.t list array;  (* per writer, oldest first *)
   mutable ckpt : int array;  (* the clock a crash rolls back to *)
+  mutable down : bool;  (* between a crash wipe and its restore *)
 }
 
-let vc_of a =
-  let vc = Vc.zero ~nprocs:(Array.length a) in
-  Array.iteri (Vc.set vc) a;
-  vc
-
 (* Node logs driven the way a cluster drives them: every log shares one
-   store; a node ticks its clock before appending its own interval, and
+   store; a node ticks its clock and stores its own interval, and
    appends received intervals contiguously above its clock.  A GC round
    brings every clock to the supremum (the barrier), then the nodes
    purge one by one, and nodes that already purged go on closing and
    receiving.  A node checkpoints its clock at random points after its
-   purge.  A crash truncates the node's log to its own writer, rolls the
-   clock back to its checkpoint and restores the log as a window up to
-   it ({!Interval.Logs.restore}); the reference is the naive recovery,
-   the union of the peers' logs with the covered part taken as is.  The
-   uncovered part is appended to both.  Every query is compared with one
-   list per (node, writer), every element by identity, and after each GC
-   round the store holds exactly the intervals some log still holds. *)
+   purge.  A crash truncates the node's log to its own writer and rolls
+   the clock back to its checkpoint; while the node is down the others
+   go on, and no GC round runs.  Its restart restores the log as a
+   window up to the rolled-back clock ({!Interval.Logs.restore}); the
+   reference is the naive recovery, the union of the peers' logs with
+   the covered part taken as is.  The uncovered part is appended to
+   both.  Every query is compared with one list per (node, writer),
+   every element by identity; outside a crash each window's newest
+   interval is the one its clock names, and inside one only the own
+   writer's window is seen.  After each GC round the store holds exactly
+   the intervals some log still holds. *)
 let test_logs_model () =
   let n = logs_nodes in
-  let restored = ref 0 and kept_rounds = ref 0 in
+  let restored = ref 0 and kept_rounds = ref 0 and down_checks = ref 0 in
   for seed = 0 to 19 do
     let rs = Random.State.make [| 0x1095; seed |] in
     let store = Interval.Store.create ~nprocs:n in
     let nodes =
       Array.init n (fun _ ->
+          let clock = Vc.zero ~nprocs:n in
           {
-            log = Interval.Logs.create store;
-            clock = Array.make n 0;
+            clock;
+            log = Interval.Logs.create store ~clock;
             naive = Array.make n [];
             ckpt = Array.make n 0;
+            down = false;
           })
     in
+    let get x p = Vc.get x.clock p in
     (* the interval issued under each (writer, seq), and each writer's
        highest seq *)
     let issued = Hashtbl.create 64 in
@@ -411,26 +414,28 @@ let test_logs_model () =
     in
     let close w =
       let x = nodes.(w) in
-      x.clock.(w) <- x.clock.(w) + 1;
-      let iv = Interval.make ~proc:w ~vc:(vc_of x.clock) ~notices:[] in
+      Vc.tick x.clock ~proc:w;
+      let iv = Interval.make ~proc:w ~vc:(Vc.copy x.clock) ~notices:[] in
       Hashtbl.replace issued (w, iv.seq) iv;
       top.(w) <- max top.(w) iv.seq;
       Interval.Store.add store iv;
-      append x iv
+      x.naive.(w) <- x.naive.(w) @ [ iv ]
     in
     let receive x p upto =
-      for s = x.clock.(p) + 1 to upto do
-        append x (Hashtbl.find issued (p, s));
-        x.clock.(p) <- s
+      for s = get x p + 1 to upto do
+        append x (Hashtbl.find issued (p, s))
       done
     in
     let random_op ~among =
-      let w = among.(Random.State.int rs (Array.length among)) in
-      if Random.State.bool rs then close w
-      else
-        let p = Random.State.int rs n in
-        let x = nodes.(w) in
-        receive x p (x.clock.(p) + Random.State.int rs (top.(p) - x.clock.(p) + 1))
+      let among = List.filter (fun w -> not nodes.(w).down) among in
+      if among <> [] then begin
+        let w = List.nth among (Random.State.int rs (List.length among)) in
+        if Random.State.bool rs then close w
+        else
+          let p = Random.State.int rs n in
+          let x = nodes.(w) in
+          receive x p (get x p + Random.State.int rs (top.(p) - get x p + 1))
+      end
     in
     let gc_round () =
       Array.iter (fun x -> Array.iteri (fun p t -> receive x p t) top) nodes;
@@ -445,11 +450,11 @@ let test_logs_model () =
       Array.iteri
         (fun k w ->
           let x = nodes.(w) in
-          Interval.Logs.clear x.log ~floor:(vc_of x.clock);
+          Interval.Logs.clear x.log;
           Array.fill x.naive 0 n [];
-          x.ckpt <- Array.copy x.clock;
+          x.ckpt <- Array.init n (get x);
           for _ = 1 to Random.State.int rs 3 do
-            random_op ~among:(Array.sub order 0 (k + 1))
+            random_op ~among:(Array.to_list (Array.sub order 0 (k + 1)))
           done)
         order;
       let held = Hashtbl.create 64 in
@@ -467,8 +472,13 @@ let test_logs_model () =
       let x = nodes.(w) in
       Interval.Logs.clear_except x.log ~keep:w;
       Array.iteri (fun p _ -> if p <> w then x.naive.(p) <- []) x.naive;
-      Array.iteri (fun p c -> if p <> w then x.clock.(p) <- c) x.ckpt;
-      Interval.Logs.restore x.log ~upto:(vc_of x.clock);
+      Array.iteri (fun p c -> if p <> w then Vc.set x.clock p c) x.ckpt;
+      x.down <- true
+    in
+    let restart w =
+      let x = nodes.(w) in
+      x.down <- false;
+      Interval.Logs.restore x.log;
       let seen = Hashtbl.create 64 in
       let replay = Array.make n [] in
       Array.iteri
@@ -486,16 +496,12 @@ let test_logs_model () =
         (fun p ivs ->
           let ivs = List.sort (fun (a : Interval.t) b -> compare a.seq b.seq) ivs in
           let covered, uncovered =
-            List.partition (fun (iv : Interval.t) -> iv.seq <= x.clock.(p)) ivs
+            List.partition (fun (iv : Interval.t) -> iv.seq <= get x p) ivs
           in
           if covered <> [] then incr restored;
           if p <> w then x.naive.(p) <- covered;
           List.iter
-            (fun (iv : Interval.t) ->
-              if iv.seq > x.clock.(p) then begin
-                append x iv;
-                x.clock.(p) <- iv.seq
-              end)
+            (fun (iv : Interval.t) -> if iv.seq > get x p then append x iv)
             uncovered)
         replay
     in
@@ -503,16 +509,40 @@ let test_logs_model () =
       let name fmt = Printf.sprintf "seed %d, step %d: %s" seed step fmt in
       (match Random.State.int rs 16 with
       | 0 ->
-        if not (gc_round ()) then
+        (* no barrier completes while a node is down *)
+        if (not (Array.exists (fun x -> x.down) nodes)) && not (gc_round ()) then
           Alcotest.fail (name "the store keeps an interval no log holds")
-      | 1 -> crash (Random.State.int rs n)
+      | 1 -> (
+        match List.find_opt (fun w -> nodes.(w).down) (List.init n Fun.id) with
+        | Some w -> restart w
+        | None -> crash (Random.State.int rs n))
       | 2 ->
         let x = nodes.(Random.State.int rs n) in
-        x.ckpt <- Array.copy x.clock
-      | _ -> random_op ~among:(Array.init n Fun.id));
+        if not x.down then x.ckpt <- Array.init n (get x)
+      | _ -> random_op ~among:(List.init n Fun.id));
       Array.iteri
         (fun xi x ->
           let nname fmt = name (Printf.sprintf "node %d: %s" xi fmt) in
+          let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+          let zero = Vc.zero ~nprocs:n in
+          (* a window's newest interval is the one its clock names *)
+          if not x.down then
+            for p = 0 to n - 1 do
+              match Interval.Logs.unseen_of x.log ~proc:p zero [] with
+              | iv :: _ when iv.Interval.seq <> get x p ->
+                Alcotest.fail
+                  (nname (Printf.sprintf "writer %d's window tops at %d, clock %d" p
+                            iv.seq (get x p)))
+              | _ -> ()
+            done;
+          (* one writer's window holds exactly its naive list *)
+          let p = Random.State.int rs n in
+          for s = 1 to top.(p) do
+            let iv = Hashtbl.find issued (p, s) in
+            if Interval.Logs.holds x.log iv <> List.memq iv x.naive.(p) then
+              Alcotest.fail (nname (Printf.sprintf "holds %d:%d" p s))
+          done;
+          if x.down then incr down_checks;
           (* a random clock: each component below, inside or past its log *)
           let vc = Vc.zero ~nprocs:n in
           Array.iteri (fun p s -> Vc.set vc p (Random.State.int rs (s + 2))) top;
@@ -524,7 +554,6 @@ let test_logs_model () =
           for p = n - 1 downto 0 do
             expected := unseen p @ !expected
           done;
-          let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
           let acc = [ make_iv 1000 ] in
           let got = Interval.Logs.unseen_by x.log vc acc in
           if not (same got (!expected @ acc)) then
@@ -539,17 +568,19 @@ let test_logs_model () =
         nodes
     done
   done;
-  (* the op mix restores non-empty windows and trims under live ones *)
-  if !restored = 0 || !kept_rounds = 0 then
-    Alcotest.failf "restored windows %d, GC rounds keeping intervals %d"
-      !restored !kept_rounds
+  (* the op mix restores non-empty windows, trims under live ones and
+     queries wiped ones *)
+  if !restored = 0 || !kept_rounds = 0 || !down_checks = 0 then
+    Alcotest.failf
+      "restored windows %d, GC rounds keeping intervals %d, wiped-log checks %d"
+      !restored !kept_rounds !down_checks
 
 (* A node log is a window onto the store: an append that skips a seq,
    repeats one, or carries an interval the store does not hold under its
    seq fails, and leaves the window as it was. *)
 let test_logs_reject_broken_window () =
   let store = Interval.Store.create ~nprocs:4 in
-  let log = Interval.Logs.create store in
+  let log = Interval.Logs.create store ~clock:(Vc.zero ~nprocs:4) in
   let stored = List.map make_iv [ 1; 2; 3 ] in
   List.iter (Interval.Store.add store) stored;
   Interval.Logs.append log (List.hd stored);

@@ -345,12 +345,19 @@ let test_central_barrier_pins () =
    shared epoch bases: 4,898,811 words when every node held two dense
    1024-word clocks (and interior nodes a third), 2,463,447 with one
    base per epoch shared by the cluster (IS/WFS and TSP/MW at 256 nodes:
-   1,200,918 and 1,118,124). *)
+   1,200,918 and 1,118,124).  Logs read off the clock, bitset copysets
+   and diff tables grown on demand took IS/WFS/256 from 940,593 words
+   to 683,062, TSP/MW/256 from 1,054,006 to 941,305, SOR/MW/1024 from
+   2,205,610 to 1,908,914 and IS/WFS/512 from 3,061,377 to 2,155,146;
+   the first three bounds keep the relative slack they had over the
+   former figures (81%, 39%, 23%); the 512-node bound has 10% and lies
+   below the former figure. *)
 let footprint_pins =
   [
-    ("IS", Config.Wfs, 256, 1_700_000);
-    ("TSP", Config.Mw, 256, 1_470_000);
-    ("SOR", Config.Mw, 1024, 2_710_000);
+    ("IS", Config.Wfs, 256, 1_235_000);
+    ("TSP", Config.Mw, 256, 1_313_000);
+    ("IS", Config.Wfs, 512, 2_370_000);
+    ("SOR", Config.Mw, 1024, 2_346_000);
   ]
 
 let test_footprint_pins ~nprocs () =
@@ -365,6 +372,30 @@ let test_footprint_pins ~nprocs () =
         Alcotest.failf "%s/%s/%d tree: %d words reachable, bound %d" app
           (Config.protocol_name protocol) nprocs words bound)
     (List.filter (fun (_, _, n, _) -> n = nprocs) footprint_pins)
+
+(* What a node that touched nothing retains in its interval log and its
+   diff table does not depend on the cluster size: neither holds an
+   [nprocs]-sized array.  The log's own words are those its store and
+   clock (shared with the rest of the cluster) do not reach; the store
+   reaches the log's floor, not the log, so they include the log's
+   record. *)
+let test_untouched_node_size_free () =
+  let words ~nprocs =
+    let cfg = Config.make ~protocol:Config.Wfs ~nprocs () in
+    let store = Adsm_dsm.Interval.Store.create ~nprocs in
+    let node =
+      Adsm_dsm.State.make_node ~cfg ~vc_epoch:(Adsm_dsm.Vc.Epoch.create ~nprocs)
+        ~store ~id:1 ~total_pages:1
+    in
+    let reach x = Obj.reachable_words (Obj.repr x) in
+    let shared = (store, node.Adsm_dsm.State.vc) in
+    (reach (node.Adsm_dsm.State.intervals, shared) - reach (shared, shared),
+     reach node.Adsm_dsm.State.diffs)
+  in
+  let log8, diffs8 = words ~nprocs:8 and log512, diffs512 = words ~nprocs:512 in
+  Alcotest.(check bool) "the log owns its record" true (log8 > 0);
+  Alcotest.(check int) "interval-log words, 8 vs 512 nodes" log8 log512;
+  Alcotest.(check int) "diff-table words, 8 vs 512 nodes" diffs8 diffs512
 
 (* A node's interval log is a window onto the cluster's interval store
    and has no other form: an append that does not continue its writer's
@@ -420,8 +451,12 @@ let () =
             test_central_barrier_pins;
           Alcotest.test_case "retained words bounded at 256 nodes" `Slow
             (test_footprint_pins ~nprocs:256);
+          Alcotest.test_case "retained words bounded at 512 nodes" `Slow
+            (test_footprint_pins ~nprocs:512);
           Alcotest.test_case "retained words bounded at 1024 nodes" `Slow
             (test_footprint_pins ~nprocs:1024);
+          Alcotest.test_case "untouched node's log and diff table size-free"
+            `Quick test_untouched_node_size_free;
           Alcotest.test_case "fault-free interval logs stay windows" `Slow
             test_logs_stay_windows;
         ] );
