@@ -1,3 +1,19 @@
+let twin_ns = 104_000
+
+let diff_create_ns = 179_000
+
+let diff_apply_base_ns = 20_000
+
+let diff_apply_byte_ns = 40
+
+let page_install_ns = 30_000
+
+let fault_ns = 20_000
+
+let write_log_ns = 250
+
+let diff_run_ns = 500
+
 type protocol = Mw | Sw | Wfs | Wfs_wg | Hlrc
 
 let protocol_name = function
@@ -60,18 +76,11 @@ type t = {
   barrier_fanout : int;
   lock_shards : int;
   sparse_vc : bool;
-  twin_ns : int;
-  diff_create_ns : int;
-  diff_apply_base_ns : int;
-  diff_apply_byte_ns : int;
-  page_install_ns : int;
-  fault_ns : int;
   wg_threshold_bytes : int;
   ownership_quantum_ns : int;
   gc_threshold_bytes : int;
   migratory_detection : bool;
   write_ranges : bool;
-  write_log_ns : int;
   schedule_fuzz : int option;
   mutation : mutation option;
   faults : Adsm_net.Fault.schedule option;
@@ -88,18 +97,11 @@ let make ?(seed = 0x5EEDL) ~protocol ~nprocs () =
     barrier_fanout = max 2 nprocs;
     lock_shards = nprocs;
     sparse_vc = false;
-    twin_ns = 104_000;
-    diff_create_ns = 179_000;
-    diff_apply_base_ns = 20_000;
-    diff_apply_byte_ns = 40;
-    page_install_ns = 30_000;
-    fault_ns = 20_000;
     wg_threshold_bytes = 3_072;
     ownership_quantum_ns = 1_000_000;
     gc_threshold_bytes = 1_048_576;
     migratory_detection = false;
     write_ranges = false;
-    write_log_ns = 250;
     schedule_fuzz = None;
     mutation = None;
     faults = None;

@@ -1,6 +1,38 @@
-(** DSM runtime configuration: protocol selection and cost/threshold knobs.
+(** DSM runtime configuration: protocol selection and threshold knobs,
+    plus the fixed CPU cost model.
 
     Default values reproduce the paper's Section 4 environment. *)
+
+(** {1 CPU cost model}
+
+    The simulated CPU charges of the protocol work, fixed at the paper's
+    Section 4 measurements and shared by every run (see PROTOCOL.md §7). *)
+
+val twin_ns : int
+(** making a twin (paper: 104 us) *)
+
+val diff_create_ns : int
+(** diffing a full page against its twin (paper: 179 us) *)
+
+val diff_apply_base_ns : int
+(** fixed cost of applying one diff (20 us) *)
+
+val diff_apply_byte_ns : int
+(** per modified byte of an applied diff (40 ns) *)
+
+val page_install_ns : int
+(** installing a received page copy (30 us) *)
+
+val fault_ns : int
+(** trap and handler dispatch per page fault (20 us) *)
+
+val write_log_ns : int
+(** logging one shared write when [write_ranges] is on (250 ns) *)
+
+val diff_run_ns : int
+(** assembling one run of a diff from logged write ranges (500 ns) *)
+
+(** {1 Protocols and settings} *)
 
 type protocol =
   | Mw  (** non-adaptive multiple writer (TreadMarks) *)
@@ -47,7 +79,7 @@ type mutation =
           pages lost are silently forgotten (needs a crash schedule) *)
   | Stale_vc_after_restart
       (** peers take a restarted node's first post-restart intervals,
-          as many as its clock advanced since the checkpoint, for
+          as many as its clock advanced since its last barrier, for
           duplicates and drop their notices, as if its own clock
           component had rolled back and reissued those seqs (needs a
           crash schedule) *)
@@ -86,12 +118,6 @@ type t = {
           size (entries changed since the sender's last barrier) instead
           of 4 bytes per processor.  Pure cost-model change: no protocol
           content differs.  Off by default. *)
-  twin_ns : int;  (** cost of making a twin (paper: 104 us) *)
-  diff_create_ns : int;  (** cost of diffing a full page (paper: 179 us) *)
-  diff_apply_base_ns : int;  (** fixed cost of applying one diff *)
-  diff_apply_byte_ns : int;  (** per-byte cost of applying a diff *)
-  page_install_ns : int;  (** cost of installing a received page copy *)
-  fault_ns : int;  (** trap + handler dispatch cost per page fault *)
   wg_threshold_bytes : int;  (** diff size above which WFS+WG prefers SW
                                  (paper: 3 KB) *)
   ownership_quantum_ns : int;  (** minimum ownership tenure (paper: 1 ms) *)
@@ -107,8 +133,7 @@ type t = {
           as cheaper alternatives to diffing): every shared write is
           logged, and diffs are built from the logged ranges at release —
           no twins, no page scans, but a per-write logging cost
-          ([write_log_ns]).  Off by default. *)
-  write_log_ns : int;  (** per-write logging cost when [write_ranges] *)
+          ({!write_log_ns}).  Off by default. *)
   schedule_fuzz : int option;
       (** schedule fuzzing: permute the firing order of same-instant
           simulation events deterministically from this seed.  Correct

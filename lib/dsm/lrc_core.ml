@@ -106,17 +106,16 @@ let close_page_default ?(measure = false) ?(sink = store_diff)
       | Some twin ->
         (* MW-mode page: eager twin/diff. *)
         e.twin <- None;
-        Stats.twin_freed cl.stats ~node:node.id;
         ( Diff.create ~scratch:(State.scratch cl) ~twin ~current:(frame e) (),
-          cl.cfg.Config.diff_create_ns )
+          Config.diff_create_ns )
       | None ->
         (* Software write detection: build the diff from the logged
            ranges — no twin, no page scan; the cost is the per-write
            logging plus a small assembly cost per range. *)
         let diff = Diff.of_ranges e.logged_ranges (frame e) in
         let cost =
-          (e.logged_count * cl.cfg.Config.write_log_ns)
-          + (Diff.run_count diff * 500)
+          (e.logged_count * Config.write_log_ns)
+          + (Diff.run_count diff * Config.diff_run_ns)
         in
         e.log_writes <- false;
         e.logged_ranges <- [];
@@ -126,7 +125,7 @@ let close_page_default ?(measure = false) ?(sink = store_diff)
     charge cost;
     let bytes = Diff.size_bytes diff in
     let modified = Diff.modified_bytes diff in
-    Stats.diff_created cl.stats ~node:node.id ~page:e.page ~bytes ~modified
+    Stats.diff_created cl.stats ~node:node.id ~bytes ~modified
       ~time:(Engine.now cl.engine);
     if tracing cl then begin
       emit cl ~node:node.id
@@ -336,7 +335,7 @@ let collect_unseen node vc = Interval.Logs.unseen_by node.intervals vc []
 
 (* Install a received page copy as the new base of the local frame. *)
 let install_copy cl node e ~data ~version ~committed ~reflected =
-  Proc.sleep cl.engine cl.cfg.Config.page_install_ns;
+  Proc.sleep cl.engine Config.page_install_ns;
   Page.blit ~src:data ~dst:(frame e);
   e.has_base <- true;
   if version > e.version then e.version <- version;
@@ -422,8 +421,8 @@ let fetch_and_apply_diffs cl node (e : entry) =
     List.iter
       (fun (_, diff, proc, seq) ->
         Proc.sleep cl.engine
-          (cl.cfg.Config.diff_apply_base_ns
-          + (Diff.modified_bytes diff * cl.cfg.Config.diff_apply_byte_ns));
+          (Config.diff_apply_base_ns
+          + (Diff.modified_bytes diff * Config.diff_apply_byte_ns));
         (* Mutation seam (testing only): skip the memory effect of remote
            diffs while keeping every cost, message and bookkeeping step, so
            only the consistency oracle can tell the difference. *)
@@ -498,9 +497,9 @@ let mark_page_dirty node (e : entry) =
 
 let make_twin cl node (e : entry) =
   assert (Option.is_none e.twin);
-  Proc.sleep cl.engine cl.cfg.Config.twin_ns;
+  Proc.sleep cl.engine Config.twin_ns;
   e.twin <- Some (Page.copy (frame e));
-  Stats.twin_created cl.stats ~node:node.id;
+  Stats.twin_created cl.stats;
   if tracing cl then
     emit cl ~node:node.id (Adsm_trace.Event.Twin_create { page = e.page })
 

@@ -82,8 +82,8 @@ type t =
           copy covers them *)
   (* Crash recovery (see FAULTS.md). *)
   | Recover_req of { vc : Vc.t }
-      (** restarted node -> every peer; [vc] is the checkpoint clock it
-          rolled back to *)
+      (** restarted node -> every peer; [vc] is the zero clock (the full
+          log), or its rolled-back clock under [Skip_notice_replay] *)
   | Recover_reply of { intervals : Interval.t list }
       (** peer -> restarted node: every closed interval the peer knows of
           that [vc] does not cover (same shape as a lock grant) *)

@@ -26,7 +26,7 @@ let read_fault cl node (e : entry) =
   if tracing cl then
     emit cl ~node:node.id (Adsm_trace.Event.Read_fault { page = e.page });
   Stats.page_fault cl.stats ~read:true;
-  Proc.sleep cl.engine cl.cfg.Config.fault_ns;
+  Proc.sleep cl.engine Config.fault_ns;
   e.read_fault_seq <- Vc.get node.vc node.id;
   let (module P : Protocol_intf.PROTOCOL) = Dispatch.for_cluster cl in
   P.read_fault cl node e;
@@ -48,7 +48,7 @@ let write_fault cl node (e : entry) =
   if tracing cl then
     emit cl ~node:node.id (Adsm_trace.Event.Write_fault { page = e.page });
   Stats.page_fault cl.stats ~read:false;
-  Proc.sleep cl.engine cl.cfg.Config.fault_ns;
+  Proc.sleep cl.engine Config.fault_ns;
   update_migratory_score cl node e;
   let (module P : Protocol_intf.PROTOCOL) = Dispatch.for_cluster cl in
   P.write_fault cl node e;

@@ -132,7 +132,7 @@ let write_fault cl node (e : entry) =
       e.owned_at <- Engine.now cl.engine;
       e.notices <- [];
       reflected_fill e node.vc;
-      Proc.sleep cl.engine cl.cfg.Config.page_install_ns;
+      Proc.sleep cl.engine Config.page_install_ns;
       Hashtbl.remove node.own_waits e.page;
       Lrc_core.mark_page_dirty node e;
       (* Serve ownership requests that were queued on us while the

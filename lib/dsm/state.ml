@@ -84,14 +84,6 @@ type tree_barrier = {
   mutable tb_self_gc_done : bool;
 }
 
-(* Barrier-leave checkpoint for crash recovery (see FAULTS.md): only
-   the rollback clock.  Page contents are re-fetchable from copy
-   holders, own intervals/diffs survive in the write-behind log, and
-   notice lists are rebuilt from the peers' retained interval logs
-   during the recovery round — a checkpointed pending-notice snapshot
-   would be valid only relative to the page copies the crash wipes. *)
-type ckpt = { ck_vc : Vc.t }
-
 (* Software TLB size: a power of two, so a page's slot is [page land
    tlb_mask].  64 slots hold every array a stencil row touches at once. *)
 let tlb_slots = 64
@@ -129,11 +121,9 @@ type node = {
   (* Crash-recovery state, all inert when [cfg.faults] has no crashes:
      [crash_pending] is set by the node's crash event and checked (one
      bool load) at every DSM operation boundary. *)
-  mutable ckpt : ckpt option;
   mutable crash_pending : bool;
   mutable crash_restart_at : int;
   mutable restart_wait : unit Proc.Ivar.t option;
-  mutable crash_count : int;
   mutable stale_seqs : int * int;
 }
 
@@ -395,11 +385,9 @@ let make_node ~cfg ~vc_epoch ~store ~id ~total_pages =
         tb_self_gc_done = false;
       };
     rng = Rng.create (Int64.add cfg.Config.seed (Int64.of_int (id * 7919)));
-    ckpt = None;
     crash_pending = false;
     crash_restart_at = 0;
     restart_wait = None;
-    crash_count = 0;
     stale_seqs = (0, 0);
   }
 

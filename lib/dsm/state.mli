@@ -129,12 +129,6 @@ type tree_barrier = {
   mutable tb_self_gc_done : bool;
 }
 
-(** Barrier-leave checkpoint for crash recovery (see FAULTS.md): only
-    the rollback clock.  Notice lists are rebuilt from the peers'
-    retained interval logs during the recovery round, so no page or
-    notice state is copied at checkpoint time. *)
-type ckpt = { ck_vc : Vc.t }
-
 type node = {
   id : int;
   nprocs : int;
@@ -160,7 +154,9 @@ type node = {
   last_barrier_vc : Vc.t;
       (** the cluster's knowledge at the last barrier (bounds what we
           resend): the cluster's shared epoch base, blitted in at every
-          barrier leave *)
+          barrier leave, and the zero clock before the first.  It is
+          also the crash rollback point: a restarted node resumes from
+          its last-barrier clock (see FAULTS.md) *)
   mutable barrier_epoch : int;
   mutable hlrc_waiting : (int * (int * int) list * Msg.t Adsm_net.Rpc.respond) list;
       (** HLRC: deferred fetch replies (page, needed (proc,seq) pairs,
@@ -176,9 +172,6 @@ type node = {
           {!tlb_fill}, invalidated only by {!tlb_reset}. *)
   tb : tree_barrier;
   rng : Adsm_sim.Rng.t;
-  mutable ckpt : ckpt option;
-      (** latest barrier-leave checkpoint; [None] until the first
-          barrier (and always [None] without a crash schedule) *)
   mutable crash_pending : bool;
       (** set by the crash event; the next DSM operation boundary
           performs the fail-stop (wipe + recovery) *)
@@ -186,7 +179,6 @@ type node = {
   mutable restart_wait : unit Adsm_sim.Proc.Ivar.t option;
       (** filled by the restart event when the app process is suspended
           in the downtime window *)
-  mutable crash_count : int;
   mutable stale_seqs : int * int;
       (** [Stale_vc_after_restart] only: peers drop the notices of this
           node's intervals with seqs in [(lo, hi]] ({!Config.mutation}) *)

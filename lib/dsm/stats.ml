@@ -27,7 +27,6 @@ let page_add s page =
 type t = {
   procs : int;
   mutable twins_created : int;
-  mutable twins_live : int;
   mutable diffs_created : int;
   mutable diff_bytes_created : int;
   diff_store : int array;  (** live bytes per node *)
@@ -53,7 +52,6 @@ let create ~nprocs () =
   {
     procs = nprocs;
     twins_created = 0;
-    twins_live = 0;
     diffs_created = 0;
     diff_bytes_created = 0;
     diff_store = Array.make nprocs 0;
@@ -77,11 +75,7 @@ let create ~nprocs () =
 
 let nprocs t = t.procs
 
-let twin_created t ~node:_ =
-  t.twins_created <- t.twins_created + 1;
-  t.twins_live <- t.twins_live + 1
-
-let twin_freed t ~node:_ = t.twins_live <- t.twins_live - 1
+let twin_created t = t.twins_created <- t.twins_created + 1
 
 let twins_created_total t = t.twins_created
 
@@ -90,8 +84,7 @@ let twin_bytes_total t = t.twins_created * Page.size
 let record_live t ~time =
   Series.record t.series ~time ~value:(float_of_int t.diffs_live)
 
-let diff_created t ~node ~page ~bytes ~modified ~time =
-  ignore page;
+let diff_created t ~node ~bytes ~modified ~time =
   t.diff_store.(node) <- t.diff_store.(node) + bytes;
   t.diffs_created <- t.diffs_created + 1;
   t.diff_bytes_created <- t.diff_bytes_created + bytes;

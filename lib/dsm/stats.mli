@@ -1,10 +1,11 @@
 (** Protocol statistics.
 
     Collects everything the paper reports: message and data volumes come
-    from the network layer; this module tracks ownership requests, twin and
-    diff memory (cumulative and live), garbage collections, the live-diff
-    time series of Figure 3, and the sharing profile (writers per page,
-    write-write false sharing, diff granularity) behind Table 2. *)
+    from the network layer; this module tracks ownership requests, twin
+    memory (cumulative), diff memory (cumulative and live), garbage
+    collections, the live-diff time series of Figure 3, and the sharing
+    profile (writers per page, write-write false sharing, diff
+    granularity) behind Table 2. *)
 
 type t
 
@@ -14,9 +15,7 @@ val nprocs : t -> int
 
 (* --- twins --- *)
 
-val twin_created : t -> node:int -> unit
-
-val twin_freed : t -> node:int -> unit
+val twin_created : t -> unit
 
 val twins_created_total : t -> int
 
@@ -26,9 +25,8 @@ val twin_bytes_total : t -> int
 (* --- diffs --- *)
 
 (** A diff was created by [node]; [bytes] is its encoded size and
-    [modified] the number of bytes it changes on [page], at simulated
-    [time]. *)
-val diff_created : t -> node:int -> page:int -> bytes:int -> modified:int -> time:int -> unit
+    [modified] the number of bytes it changes, at simulated [time]. *)
+val diff_created : t -> node:int -> bytes:int -> modified:int -> time:int -> unit
 
 (** A fetched diff was added to [node]'s diff store at simulated [time]
     (counts as another live diff copy, as in the paper's Figure 3 which

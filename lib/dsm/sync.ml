@@ -26,8 +26,9 @@ let end_interval_local cl node =
 (* Failure model: fail-stop at DSM-operation granularity.  A crash event
    sets [node.crash_pending]; the next operation boundary (page fault,
    lock, unlock, barrier, compute) performs the actual fail-stop — wipe
-   volatile state, roll back to the barrier checkpoint, sleep out the
-   remaining downtime, run a recovery round — via [crash_pause] below.
+   volatile state, roll the clock back to the last-barrier clock, sleep
+   out the remaining downtime, run a recovery round — via [crash_pause]
+   below.
 
    Durability model (what "local stable storage" holds):
    - the node's own closed intervals and their diffs: a write-behind log
@@ -42,23 +43,17 @@ let end_interval_local cl node =
    Everything else — non-owned frames, twins, remote diffs, remote
    interval logs, pending notices, TLB — is volatile and lost.
 
-   The checkpoint, taken at every barrier leave, is tiny: just the VC
-   to roll back to.  Frames need no checkpoint (re-fetched from copy
-   holders on demand), and notice lists are NOT checkpointed — a
-   pending-notice snapshot is only meaningful relative to the page
-   copies it was taken against, and the crash wipes those.  Instead the
-   recovery round below rebuilds each page's notice list from the
+   The rollback point is [last_barrier_vc], the clock every barrier
+   leave keeps (the zero clock before the first barrier).  Frames are
+   re-fetched from copy holders on demand, and notice lists are NOT
+   saved — a pending-notice snapshot is only meaningful relative to the
+   page copies it was taken against, and the crash wipes those.  Instead
+   the recovery round below rebuilds each page's notice list from the
    peers' full retained interval logs, which stay alive while the node
    is down: no GC round can complete because barriers block on it. *)
 
-let checkpoint cl node =
-  match cl.cfg.Config.faults with
-  | Some { Adsm_net.Fault.crashes = _ :: _; _ } ->
-    node.ckpt <- Some { ck_vc = Vc.copy node.vc }
-  | _ -> ()
-
 (* A peer's view of a restarted node's recovery round: return every
-   closed interval the given (checkpoint) clock does not cover.  No
+   closed interval the given (rolled-back) clock does not cover.  No
    interval close is needed first — the requester's pre-crash VC can
    only cover closed intervals, never a peer's still-open one. *)
 let handle_recover_req cl node ~vc respond =
@@ -69,7 +64,6 @@ let handle_recover_req cl node ~vc respond =
    an operation boundary; [node.crash_pending] is already set. *)
 let crash_pause cl node =
   node.crash_pending <- false;
-  node.crash_count <- node.crash_count + 1;
   (* Flush the write-behind log: close the interval in progress so the
      writes already performed are durably diffed and noticed. *)
   end_interval_local cl node;
@@ -110,24 +104,16 @@ let crash_pause cl node =
   (* Until [restore] below, the log shows only the node's own window:
      the clock rolled back next is no window top for the others. *)
   Interval.Logs.clear_except node.intervals ~keep:node.id;
-  (* Roll the vector clock back to the checkpoint — except our own
+  (* Roll the vector clock back to the last barrier — except our own
      component, whose intervals are in the durable log (rolling it back
      would reuse sequence numbers).  The [Stale_vc_after_restart]
      mutation models the restart that rolls it back too, without
-     reissuing a number: the next [own_seq - ck] intervals the node
+     reissuing a number: the next [own_seq - b] intervals the node
      closes are the ones a stale clock would have numbered as pre-crash
-     ones, and peers drop their notices as duplicates
-     ([Lrc_core.apply_intervals]). *)
+     ones ([b] the last-barrier component), and peers drop their
+     notices as duplicates ([Lrc_core.apply_intervals]). *)
   let own_seq = Vc.get stash_vc node.id in
-  (match node.ckpt with
-  | Some ck ->
-    Vc.blit_into ~src:ck.ck_vc ~dst:node.vc;
-    Vc.blit_into ~src:ck.ck_vc ~dst:node.last_barrier_vc
-  | None ->
-    for p = 0 to node.nprocs - 1 do
-      Vc.set node.vc p 0;
-      Vc.set node.last_barrier_vc p 0
-    done);
+  Vc.blit_into ~src:node.last_barrier_vc ~dst:node.vc;
   if mutation = Some Config.Stale_vc_after_restart then
     node.stale_seqs <- (own_seq, (2 * own_seq) - Vc.get node.vc node.id);
   Vc.set node.vc node.id own_seq;
@@ -623,10 +609,6 @@ let barrier cl node =
       gc_purge cl node
     end
   | _ -> failwith "Proto: unexpected barrier reply");
-  (* Crash-recovery checkpoint: knowledge is barrier-complete and (on a
-     GC round) freshly purged, so the VC plus the still-pending notices
-     are exactly the state a restart must re-establish. *)
-  checkpoint cl node;
   if tracing cl then
     emit cl ~node:node.id (Adsm_trace.Event.Barrier_leave { epoch });
   if checking cl then

@@ -6,14 +6,6 @@
 
 open State
 
-(** Close the node's current interval under the cluster's protocol; CPU
-    cost goes to [charge] once (sleep in process context, reply latency in
-    event context). *)
-val end_interval : cluster -> node -> charge:(int -> unit) -> unit
-
-(** [end_interval] charging by sleeping; process context only. *)
-val end_interval_local : cluster -> node -> unit
-
 (* --- locks (application side; process context) --- *)
 
 val lock : cluster -> node -> int -> unit
@@ -30,19 +22,16 @@ val barrier : cluster -> node -> unit
 
 (** Operation-boundary hook: if a crash event marked this node
     ([crash_pending]), perform the fail-stop — close the current
-    interval (write-behind log flush), wipe volatile state, roll back to
-    the barrier checkpoint, sleep out the remaining downtime, and run
-    the peer recovery round.  One predictable-false branch when no
-    crash is pending.  Process context only. *)
+    interval (write-behind log flush), wipe volatile state, roll the
+    clock back to [last_barrier_vc] (keeping its own component), sleep
+    out the remaining downtime, and run the peer recovery round.  One
+    predictable-false branch when no crash is pending.  Process context
+    only. *)
 val pause_if_crashed : cluster -> node -> unit
-
-(** Take the barrier-leave checkpoint (no-op unless the run's fault
-    schedule contains crashes). *)
-val checkpoint : cluster -> node -> unit
 
 (* --- message handlers (event context: never block) --- *)
 
-(** A restarted peer asks for every closed interval its checkpoint clock
+(** A restarted peer asks for every closed interval its request clock
     does not cover. *)
 val handle_recover_req :
   cluster -> node -> vc:Vc.t -> Msg.t Adsm_net.Rpc.respond -> unit

@@ -224,9 +224,9 @@ let validate ~nprocs s =
    simulated time.  Probabilities are drawn on a 1/100 grid so the spec
    string round-trips exactly through %g. *)
 let generate rng ~nprocs ~horizon_ns =
-  let crash_count = 1 + Rng.int rng 2 in
+  let ncrashes = 1 + Rng.int rng 2 in
   let crashes =
-    List.init crash_count (fun _ ->
+    List.init ncrashes (fun _ ->
         {
           node = Rng.int rng nprocs;
           at = horizon_ns / 10 * (1 + Rng.int rng 9);
@@ -303,22 +303,10 @@ let shrink s () =
 (* ------------------------------------------------------------------ *)
 
 (* Mutable per-run state.  The parked queues live in {!Network}, where
-   the message type is known; [rng] and [counters] are only touched
-   inside [perturb], which {!Network.send} runs in global send order. *)
+   the message type is known; [rng] is only drawn inside [perturb],
+   which {!Network.send} runs in global send order. *)
 
-type counters = {
-  mutable retransmits : int;
-  mutable overhead_bytes : int;  (** retransmitted + duplicated wire bytes *)
-  mutable duplicates : int;
-  mutable partition_delays : int;
-}
-
-type runtime = {
-  sched : schedule;
-  rng : Rng.t;
-  down : bool array;
-  counters : counters;
-}
+type runtime = { sched : schedule; rng : Rng.t; down : bool array }
 
 let runtime sched ~seed ~nodes =
   {
@@ -327,9 +315,6 @@ let runtime sched ~seed ~nodes =
        workload generators (seed + id * 7919 in State.make_node). *)
     rng = Rng.create (Int64.add seed 0x0FA0_17ED_5EEDL);
     down = Array.make nodes false;
-    counters =
-      { retransmits = 0; overhead_bytes = 0; duplicates = 0;
-        partition_delays = 0 };
   }
 
 (* Perturb one message: returns its (possibly delayed) fabric arrival
@@ -340,7 +325,6 @@ let runtime sched ~seed ~nodes =
    strictly monotone per destination). *)
 let perturb rt ~now ~arrival ~src ~dst ~wire_bytes =
   let s = rt.sched in
-  let c = rt.counters in
   let arrival = ref arrival in
   let overhead = ref 0 in
   if s.loss > 0. then begin
@@ -348,26 +332,19 @@ let perturb rt ~now ~arrival ~src ~dst ~wire_bytes =
     while !tries < 8 && Rng.float rt.rng < s.loss do
       incr tries
     done;
-    if !tries > 0 then begin
-      c.retransmits <- c.retransmits + !tries;
-      overhead := !overhead + (!tries * wire_bytes);
-      arrival := !arrival + (!tries * s.rto_ns)
-    end
+    overhead := !overhead + (!tries * wire_bytes);
+    arrival := !arrival + (!tries * s.rto_ns)
   end;
-  if s.dup > 0. && Rng.float rt.rng < s.dup then begin
-    c.duplicates <- c.duplicates + 1;
-    overhead := !overhead + wire_bytes
-  end;
+  if s.dup > 0. && Rng.float rt.rng < s.dup then
+    overhead := !overhead + wire_bytes;
   if s.jitter_ns > 0 then arrival := !arrival + Rng.int rt.rng (s.jitter_ns + 1);
   List.iter
     (fun p ->
       if now >= p.p_from && now < p.p_until then begin
         let src_in = src >= p.p_lo && src <= p.p_hi in
         let dst_in = dst >= p.p_lo && dst <= p.p_hi in
-        if src_in <> dst_in && !arrival < p.p_until then begin
-          c.partition_delays <- c.partition_delays + 1;
+        if src_in <> dst_in && !arrival < p.p_until then
           arrival := p.p_until
-        end
       end)
     s.partitions;
   (!arrival, !overhead)

@@ -63,22 +63,10 @@ val shrink : schedule -> schedule Seq.t
 (** {1 Runtime state}
 
     Owned by {!Network}; exposed here because the schedule types live in
-    this module.  [rng] and [counters] are only touched from [perturb],
-    which runs in global send order. *)
+    this module.  [rng] is only drawn from [perturb], which runs in
+    global send order; [down] marks the nodes inside a crash window. *)
 
-type counters = {
-  mutable retransmits : int;
-  mutable overhead_bytes : int;  (** retransmitted + duplicated wire bytes *)
-  mutable duplicates : int;
-  mutable partition_delays : int;
-}
-
-type runtime = {
-  sched : schedule;
-  rng : Adsm_sim.Rng.t;
-  down : bool array;
-  counters : counters;
-}
+type runtime = { sched : schedule; rng : Adsm_sim.Rng.t; down : bool array }
 
 (** Fresh runtime state; the fault RNG stream is derived from [seed] with
     a fixed offset so it is independent of the per-node workload RNGs. *)

@@ -203,6 +203,64 @@ let test_mutation_seeds_clean_without_mutation () =
       done)
     [ Config.Mw; Config.Sw ]
 
+(* --- known fault-free violations under WFS and WFS+WG --- *)
+
+(* ROADMAP item 1, pinned: fault-free fuzz programs on which the
+   adaptive protocols return a stale value.  Each (protocol, nodes,
+   seed) cell must still violate, and its shrunk first violation is a
+   read of 0 on page 0 by [node] at [off] where a nonzero write is
+   legal.  Item 1's fix flips these cells: they then pass, and this case
+   becomes a check that they stay clean (as the SW seed-178 abort pin in
+   test_fault will). *)
+let known_violations =
+  [
+    (Config.Wfs, 8, 63, (3, 40));
+    (Config.Wfs_wg, 8, 63, (3, 40));
+    (Config.Wfs, 4, 101, (3, 48));
+    (Config.Wfs_wg, 4, 101, (2, 72));
+  ]
+
+let test_known_violations () =
+  List.iter
+    (fun (protocol, nprocs, seed, (node, off)) ->
+      let name =
+        Printf.sprintf "%s %dp seed %d" (case "fuzz" protocol) nprocs seed
+      in
+      let seed = Int64.of_int seed in
+      let o = Fuzz.fuzz_once ~protocol ~nprocs ~seed () in
+      if o.Fuzz.report.Oracle.violations = [] then
+        Alcotest.failf "%s: no longer violates (ROADMAP item 1 fixed?)" name;
+      match Fuzz.shrink_failing ~protocol ~seed o.Fuzz.program with
+      | None -> Alcotest.failf "%s: shrink lost the violation" name
+      | Some m -> (
+        match m.Fuzz.report.Oracle.violations with
+        | [] -> Alcotest.failf "%s: shrunk outcome does not violate" name
+        | v :: _ ->
+          Alcotest.(check (pair int int))
+            (name ^ ": shrunk reader (node, offset)") (node, off)
+            (v.Oracle.v_node, v.Oracle.v_off);
+          Alcotest.(check int) (name ^ ": page") 0 v.Oracle.v_page;
+          Alcotest.(check int64) (name ^ ": value read") 0L v.Oracle.v_got;
+          Alcotest.(check bool)
+            (name ^ ": a nonzero write is legal") true
+            (List.exists (fun (_, x) -> x <> 0L) v.Oracle.v_candidates)))
+    known_violations
+
+(* The same programs stay clean under the other protocols. *)
+let test_known_violations_elsewhere_clean () =
+  List.iter
+    (fun (nprocs, seed) ->
+      List.iter
+        (fun protocol ->
+          let o =
+            Fuzz.fuzz_once ~protocol ~nprocs ~seed:(Int64.of_int seed) ()
+          in
+          assert_clean
+            (Printf.sprintf "%s %dp seed %d" (case "fuzz" protocol) nprocs seed)
+            o.Fuzz.report)
+        [ Config.Mw; Config.Sw; Config.Hlrc ])
+    [ (8, 63); (4, 101) ]
+
 (* --- enabling the oracle is purely observational --- *)
 
 let test_recorder_is_observational () =
@@ -245,6 +303,16 @@ let () =
         [
           Alcotest.test_case "every mutant detected and shrunk" `Quick
             test_mutations_detected;
+        ] );
+      (* The known violations of ROADMAP item 1.  A group name wider
+         than "mutations" would widen the label column and truncate the
+         other groups' test names in the printed report. *)
+      ( "item 1",
+        [
+          Alcotest.test_case "known violations: WFS, WFS+WG" `Quick
+            test_known_violations;
+          Alcotest.test_case "known violations: MW, SW, HLRC clean" `Quick
+            test_known_violations_elsewhere_clean;
         ] );
       ( "overhead",
         [

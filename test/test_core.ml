@@ -381,8 +381,8 @@ let test_config_protocol_names () =
 
 let test_config_defaults_match_paper () =
   let cfg = Config.make ~protocol:Config.Wfs ~nprocs:8 () in
-  Alcotest.(check int) "twin cost 104us" 104_000 cfg.Config.twin_ns;
-  Alcotest.(check int) "diff cost 179us" 179_000 cfg.Config.diff_create_ns;
+  Alcotest.(check int) "twin cost 104us" 104_000 Config.twin_ns;
+  Alcotest.(check int) "diff cost 179us" 179_000 Config.diff_create_ns;
   Alcotest.(check int) "WG threshold 3KB" 3_072 cfg.Config.wg_threshold_bytes;
   Alcotest.(check int) "quantum 1ms" 1_000_000 cfg.Config.ownership_quantum_ns;
   Alcotest.(check int) "GC threshold 1MB" 1_048_576 cfg.Config.gc_threshold_bytes
@@ -393,12 +393,11 @@ let test_config_defaults_match_paper () =
 
 let test_stats_counters () =
   let s = Stats.create ~nprocs:2 () in
-  Stats.twin_created s ~node:0;
-  Stats.twin_created s ~node:1;
-  Stats.twin_freed s ~node:0;
+  Stats.twin_created s;
+  Stats.twin_created s;
   Alcotest.(check int) "twins" 2 (Stats.twins_created_total s);
-  Stats.diff_created s ~node:0 ~page:5 ~bytes:100 ~modified:64 ~time:10;
-  Stats.diff_created s ~node:0 ~page:5 ~bytes:200 ~modified:128 ~time:20;
+  Stats.diff_created s ~node:0 ~bytes:100 ~modified:64 ~time:10;
+  Stats.diff_created s ~node:0 ~bytes:200 ~modified:128 ~time:20;
   Alcotest.(check int) "diffs" 2 (Stats.diffs_created_total s);
   Alcotest.(check int) "diff bytes" 300 (Stats.diff_bytes_total s);
   Alcotest.(check int) "store" 300 (Stats.diff_store_bytes s ~node:0);
@@ -426,8 +425,8 @@ let test_stats_sharing_profile () =
 
 let test_stats_series () =
   let s = Stats.create ~nprocs:1 () in
-  Stats.diff_created s ~node:0 ~page:0 ~bytes:10 ~modified:10 ~time:5;
-  Stats.diff_created s ~node:0 ~page:0 ~bytes:10 ~modified:10 ~time:9;
+  Stats.diff_created s ~node:0 ~bytes:10 ~modified:10 ~time:5;
+  Stats.diff_created s ~node:0 ~bytes:10 ~modified:10 ~time:9;
   Stats.diffs_dropped s ~node:0 ~bytes:20 ~count:2 ~time:12;
   let series = Stats.live_diff_series s in
   Alcotest.(check (float 0.)) "peak" 2. (Adsm_sim.Series.max_value series);

@@ -450,38 +450,52 @@ let test_mutation_stale_vc () =
   assert_detected_and_shrunk Config.Stale_vc_after_restart
     ~seeds:(List.init 30 (fun i -> i + 1))
 
-(* A known recovery abort, pinned as a replayable counterexample:
-   [adsm_run fuzz --faults --protocol SW --procs 4 --seeds 1 --seed 178]
-   ends with a restarted node asked for a page it holds no copy of (the
-   SW-ownership class of ROADMAP item 2).  The abort must shrink to a
-   (program, schedule) pair that still aborts, keeps its crash and grew
-   in neither dimension.  Item 2's fix flips this pin: the seed then
-   passes, and this case becomes a check that it stays clean. *)
-let test_sw_seed_178_aborts () =
-  let protocol = Config.Sw and seed = 178L in
-  let program, faults = Fuzz.case ~protocol ~faults:true ~nprocs:4 ~seed () in
-  let faults = Option.get faults in
-  (match Fuzz.run_program ~protocol ~seed ~faults program with
-  | _ -> Alcotest.fail "SW seed 178 no longer aborts"
-  | exception Failure msg ->
-    if not (contains msg "has no copy of page") then
-      Alcotest.failf "SW seed 178 aborts differently: %s" msg);
-  match Fuzz.shrink_failing ~protocol ~seed ~faults program with
-  | None -> Alcotest.fail "shrink lost the seed-178 abort"
-  | Some m -> (
-    (match m.Fuzz.abort with
-    | Some msg when contains msg "has no copy of page" -> ()
-    | Some msg -> Alcotest.failf "shrunk to another abort: %s" msg
-    | None -> Alcotest.fail "shrunk outcome does not abort");
-    if Workload.ops_count m.Fuzz.program > Workload.ops_count program then
-      Alcotest.fail "shrinking grew the program";
-    match m.Fuzz.faults with
-    | None -> Alcotest.fail "shrunk outcome lost its schedule"
-    | Some mf ->
-      if sched_size mf > sched_size faults then
-        Alcotest.fail "shrinking grew the fault schedule";
-      if mf.Fault.crashes = [] then
-        Alcotest.fail "shrunk schedule lost its crash")
+(* Known recovery aborts, pinned as replayable counterexamples:
+   [adsm_run fuzz --faults --protocol P --procs 4 --seeds 1 --seed S]
+   for SW seed 178 and WFS seed 22 ends with a restarted node asked for
+   a page it holds no copy of (the SW-ownership class of ROADMAP item
+   2).  Each abort must shrink to a (program, schedule) pair that still
+   aborts on the same node and page, keeps its crash and grew in
+   neither dimension.  Item 2's fix flips this pin: the seeds then
+   pass, and this case becomes a check that they stay clean. *)
+let known_aborts =
+  [
+    (Config.Sw, 178L, "node 3 has no copy of page 0");
+    (Config.Wfs, 22L, "node 2 has no copy of page 0");
+  ]
+
+let test_known_aborts () =
+  List.iter
+    (fun (protocol, seed, shrunk_abort) ->
+      let name =
+        Printf.sprintf "%s seed %Ld" (Config.protocol_name protocol) seed
+      in
+      let program, faults =
+        Fuzz.case ~protocol ~faults:true ~nprocs:4 ~seed ()
+      in
+      let faults = Option.get faults in
+      (match Fuzz.run_program ~protocol ~seed ~faults program with
+      | _ -> Alcotest.failf "%s no longer aborts" name
+      | exception Failure msg ->
+        if not (contains msg "has no copy of page") then
+          Alcotest.failf "%s aborts differently: %s" name msg);
+      match Fuzz.shrink_failing ~protocol ~seed ~faults program with
+      | None -> Alcotest.failf "shrink lost the %s abort" name
+      | Some m -> (
+        (match m.Fuzz.abort with
+        | Some msg when contains msg shrunk_abort -> ()
+        | Some msg -> Alcotest.failf "%s shrunk to another abort: %s" name msg
+        | None -> Alcotest.failf "%s: shrunk outcome does not abort" name);
+        if Workload.ops_count m.Fuzz.program > Workload.ops_count program then
+          Alcotest.failf "%s: shrinking grew the program" name;
+        match m.Fuzz.faults with
+        | None -> Alcotest.failf "%s: shrunk outcome lost its schedule" name
+        | Some mf ->
+          if sched_size mf > sched_size faults then
+            Alcotest.failf "%s: shrinking grew the fault schedule" name;
+          if mf.Fault.crashes = [] then
+            Alcotest.failf "%s: shrunk schedule lost its crash" name))
+    known_aborts
 
 (* The unmutated recovery path stays oracle-clean over the same seed
    window the mutation tests sweep — the fuzzer's schedules (crashes,
@@ -549,6 +563,6 @@ let () =
       ( "aborts",
         [
           Alcotest.test_case "SW seed 178 shrinks to an abort" `Quick
-            test_sw_seed_178_aborts;
+            test_known_aborts;
         ] );
     ]
