@@ -24,8 +24,10 @@
 #
 # A cell whose outputs differ fails the gate unless its name is listed in
 # CHANGE_DIR/bench/identity_moves (one name a line, `#` comments); a
-# listed cell that does not move also fails.  Cells run through
-# `xargs -P` (IDENTITY_JOBS, default 2).  Results go to
+# listed cell that does not move also fails.  Cells run two at a time
+# through `xargs -P 2`, each under `timeout 600`: a cell that hangs
+# records exit code 124 instead of stalling the gate, and so moves
+# unless the parent hangs in it too.  Results go to
 # CHANGE_DIR/.identity_gate/: per-side cell directories, digests.txt per
 # side, and moved.txt.
 
@@ -47,7 +49,7 @@ if [ "${1:-}" = __cell ]; then
   mkdir -p "$dir"
   cd "$dir"
   rc=0
-  "$exe" "${words[@]:2}" > stdout 2> stderr || rc=$?
+  timeout 600 "$exe" "${words[@]:2}" > stdout 2> stderr || rc=$?
   echo "$rc" > exit
   if [ -f trace.jsonl ]; then
     grep -v '"ev":"sim-events"' trace.jsonl > trace-no-sim-events.jsonl || true
@@ -63,7 +65,6 @@ self=$(cd "$(dirname "$0")" && pwd)/$(basename "$0")
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 out="$change/.identity_gate"
-jobs=${IDENTITY_JOBS:-2}
 rm -rf "$out"
 mkdir -p "$out"
 
@@ -110,13 +111,13 @@ for side in parent change; do
     exit 1
   fi
   t1=$(date +%s)
-  xargs -d '\n' -P "$jobs" -I{} bash "$self" __cell "$bin" "$out/$side" {} \
+  xargs -d '\n' -P 2 -I{} bash "$self" __cell "$bin" "$out/$side" {} \
     < "$out/grid.txt"
   t2=$(date +%s)
   (cd "$out/$side" && find . -type f | sort | xargs sha256sum) \
     > "$out/digests-$side.txt"
   echo "$side: built in $((t1 - t0)) s, $cells cells in $((t2 - t1)) s" \
-    "at -P $jobs, $(wc -l < "$out/digests-$side.txt") outputs"
+    "at -P 2, $(wc -l < "$out/digests-$side.txt") outputs"
 done
 
 # A cell moves when any of its outputs differs or exists on one side
