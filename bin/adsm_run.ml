@@ -567,12 +567,14 @@ let run_survive tiny nprocs apps jobs =
     Experiments.survivability ?apps ~scale:(scale_of_tiny tiny) ~nprocs ~jobs
       ()
   with
-  | table ->
+  | { Experiments.table; failures } ->
+    (* A run that aborts or diverges under crashes is a failed row and a
+       replayable stderr line; the table is finished either way. *)
     print_string table;
-    0
+    List.iter (Printf.eprintf "survive: %s\n") failures;
+    if failures = [] then 0 else 1
   | exception Invalid_argument msg ->
-    (* A node count below 2, or a checksum divergence under crashes:
-       surface either as a non-zero exit for CI. *)
+    (* A node count below 2 or an unknown application, before any run. *)
     Printf.eprintf "%s\n" msg;
     1
 

@@ -1,29 +1,18 @@
 module Page = Adsm_mem.Page
 
-(* Flat representation: run [i] covers [offs.(i) .. offs.(i) + lens.(i)),
-   offsets strictly increasing, with every run's data concatenated in one
-   [payload] buffer — three allocations per diff however many runs it
-   has (a fine-grained diff of alternate words has hundreds, and a
-   per-run [Bytes.sub] dominated diff creation).  The encoded size and
-   modified byte count are computed once at construction —
-   [Stats.diff_created], message sizing and the protocol cost model all
-   query them on every diff. *)
-type t = {
-  offs : int array;
-  lens : int array;
-  payload : Bytes.t;  (* run data, concatenated in run order *)
-  size_bytes : int;  (* run headers + payload *)
-  modified_bytes : int;  (* payload only *)
-}
+(* A diff is its TreadMarks wire encoding, held in one buffer: run after
+   run, a 2-byte offset and a 2-byte length (both in bytes) and then the
+   run's words.  Offsets strictly increase and runs never touch (an equal
+   word separates any two), so the encoding is canonical: equal diffs
+   have equal buffers.  A stored diff costs what it weighs on the wire
+   plus one small record; the run count is cached beside the buffer,
+   and the modified bytes follow from it — [Stats.diff_created], message
+   sizing and the protocol cost model query both on every diff.  The
+   header fields use the native 16-bit primitives, which are
+   little-endian: [Page] refuses any other host. *)
+type t = { enc : Bytes.t; runs : int }
 
-let empty =
-  {
-    offs = [||];
-    lens = [||];
-    payload = Bytes.empty;
-    size_bytes = 0;
-    modified_bytes = 0;
-  }
+let empty = { enc = Bytes.empty; runs = 0 }
 
 let run_header_bytes = 4 (* 2-byte offset + 2-byte length *)
 
@@ -33,25 +22,13 @@ let run_header_bytes = 4 (* 2-byte offset + 2-byte length *)
    full page size (the paper's IS behaviour). *)
 let word = 4
 
-let of_runs ~nruns ~modified_words offs lens payload =
-  let modified_bytes = modified_words * word in
-  {
-    offs;
-    lens;
-    payload;
-    size_bytes = (nruns * run_header_bytes) + modified_bytes;
-    modified_bytes;
-  }
+(* A page with [m] modified words has at most [min m (1025 - m)] runs,
+   so no encoding exceeds one run over the whole page. *)
+let max_bytes = run_header_bytes + Page.size
 
-(* The page scan skips equal words eight bytes at a time and decides run
-   boundaries one 32-bit word at a time.  It avoids [Int32.equal] and
-   [Int64.equal]: comparing boxed [int32]/[int64] values goes through a C
-   call, which dominated the scan, while [Int32.to_int] is a compiler
-   primitive and [=] at the known type [int64] compiles to an unboxed
-   register compare.  Only *equality* of same-offset words is ever
-   tested, so native-endian loads are fine on any architecture, and the
-   indices are bounded by the page size by construction, so the
-   unchecked primitives are safe. *)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 
@@ -59,93 +36,113 @@ external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-let word_equal a b w =
-  Int32.to_int (get32u a (w * word)) = Int32.to_int (get32u b (w * word))
+(* Runs of at most this many bytes move word by word; longer ones take
+   one [Bytes.blit], whose call costs more than a few word moves. *)
+let short_run = 32
 
-(* Words [w] and [w + 1] are both equal ([w] even). *)
-let pair_equal a b w = (get64u a (w * word) : int64) = get64u b (w * word)
+(* Copy [len] bytes (a multiple of [word]) from [src] at [spos] to [dst]
+   at [dpos].  Every caller's indices lie within both buffers by
+   construction, so the unchecked primitives are safe. *)
+let[@inline] move src spos dst dpos len =
+  if len <= short_run then begin
+    let i = ref 0 in
+    while !i < len do
+      set32u dst (dpos + !i) (get32u src (spos + !i));
+      i := !i + word
+    done
+  end
+  else Bytes.blit src spos dst dpos len
 
-(* First differing word index >= [w0], or [n] if none ([n] even).  [w0]
-   is 0 or the end of a run, whose word is equal, so the scan may start
-   at the even word that rounds it up. *)
-let[@inline] next_diff a b w0 n =
-  let w = ref ((w0 + 1) land lnot 1) in
-  while !w < n && pair_equal a b !w do
-    w := !w + 2
-  done;
-  if !w < n && word_equal a b !w then !w + 1 else !w
+(* The page scan compares 64 bits at a time and decides run boundaries
+   one 32-bit word at a time, so the runs are exactly those of a
+   word-at-a-time scan.  [xor] of the pair at even word [w] is zero when
+   both words are equal; on a little-endian host word [w] is its low
+   half and [w + 1] its high half.  Only equality of same-offset words is
+   ever tested, and [=] at the known type [int64] compiles to an unboxed
+   register compare (comparing boxed values would go through a C call);
+   the indices are bounded by the page size by construction, so the
+   unchecked loads are safe. *)
+let[@inline] xor a b w = Int64.logxor (get64u a (w * word)) (get64u b (w * word))
 
-(* Copy the run of differing words starting at [w0] from [b] into
-   [payload] at byte [pos]; return the first equal word index (the end of
-   the run), or [n] if none. *)
-let[@inline] copy_run a b w0 n payload pos =
-  let w = ref w0 in
-  while !w < n && not (word_equal a b !w) do
-    set32u payload (pos + ((!w - w0) * word)) (get32u b (!w * word));
-    incr w
-  done;
-  !w
+let[@inline] low_differs x = Int64.to_int x land 0xFFFF_FFFF <> 0
 
-(* Reusable per-caller working space for [create]: the scan writes run
-   boundaries and payload here in a single pass, then copies out
-   exact-sized arrays.  A page of [w] modified words has at most
-   [(w+1)/2 <= 512] runs.  NOT thread-safe — simulations running in
-   separate domains (the [Pool] workers) must each use their own
-   scratch; the DSM runtime keeps one per cluster. *)
-type scratch = {
-  s_offs : int array;
-  s_lens : int array;
-  s_payload : Bytes.t;
-}
+let[@inline] high_differs x = (Int64.shift_right_logical x 32 : int64) <> 0L
 
-let make_scratch () =
-  {
-    s_offs = Array.make 512 0;
-    s_lens = Array.make 512 0;
-    s_payload = Bytes.create Page.size;
-  }
+(* First differing word at or after even word [w], or [n] ([n] even). *)
+let rec next_diff a b w n =
+  if w >= n then n
+  else
+    let x = xor a b w in
+    if (x : int64) = 0L then next_diff a b (w + 2) n
+    else if low_differs x then w
+    else w + 1
+
+(* First equal word at or after even word [w], every word before [w] in
+   the run differing, or [n] if the run reaches the end. *)
+let rec run_end a b w n =
+  if w >= n then n
+  else
+    let x = xor a b w in
+    if not (low_differs x) then w
+    else if not (high_differs x) then w + 1
+    else run_end a b (w + 2) n
+
+(* Reusable per-caller working space for [create]: the scan encodes into
+   it in a single pass, then copies out the exact-sized buffer.  NOT
+   thread-safe — simulations running in separate domains (the [Pool]
+   workers) must each use their own scratch; the DSM runtime keeps one
+   per cluster. *)
+type scratch = Bytes.t
+
+let make_scratch () = Bytes.create max_bytes
 
 let create ?scratch ~twin ~current () =
   let s = match scratch with Some s -> s | None -> make_scratch () in
   let a = Page.raw twin and b = Page.raw current in
   let n = Page.size / word in
-  let nruns = ref 0 and pos = ref 0 in
+  let runs = ref 0 and pos = ref 0 in
   let w = ref (next_diff a b 0 n) in
   while !w < n do
-    let stop = copy_run a b !w n s.s_payload !pos in
-    let len = (stop - !w) * word in
-    s.s_offs.(!nruns) <- !w * word;
-    s.s_lens.(!nruns) <- len;
-    pos := !pos + len;
-    incr nruns;
-    w := next_diff a b stop n
+    let start = !w in
+    (* An even [start] is the low half of its pair, known to differ; an
+       odd one is a high half, so the run goes on from the next pair. *)
+    let stop = run_end a b ((start + 1) land lnot 1) n in
+    let off = start * word and len = (stop - start) * word in
+    set16u s !pos off;
+    set16u s (!pos + 2) len;
+    move b off s (!pos + run_header_bytes) len;
+    pos := !pos + run_header_bytes + len;
+    incr runs;
+    w := next_diff a b ((stop + 1) land lnot 1) n
   done;
-  if !nruns = 0 then empty
-  else
-    of_runs ~nruns:!nruns ~modified_words:(!pos / word)
-      (Int_array.sub s.s_offs 0 !nruns)
-      (Int_array.sub s.s_lens 0 !nruns)
-      (Bytes.sub s.s_payload 0 !pos)
+  if !runs = 0 then empty else { enc = Bytes.sub s 0 !pos; runs = !runs }
 
+(* [apply] and [ranges] walk the run headers. *)
 let apply t page =
-  let raw = Page.raw page in
+  let raw = Page.raw page and enc = t.enc in
   let pos = ref 0 in
-  for i = 0 to Array.length t.offs - 1 do
-    let len = t.lens.(i) in
-    Bytes.blit t.payload !pos raw t.offs.(i) len;
-    pos := !pos + len
+  for _ = 1 to t.runs do
+    let off = get16u enc !pos and len = get16u enc (!pos + 2) in
+    move enc (!pos + run_header_bytes) raw off len;
+    pos := !pos + run_header_bytes + len
   done
 
-let size_bytes t = t.size_bytes
+let size_bytes t = Bytes.length t.enc
 
-let is_empty t = Array.length t.offs = 0
+let is_empty t = t.runs = 0
 
-let run_count t = Array.length t.offs
+let run_count t = t.runs
 
-let modified_bytes t = t.modified_bytes
+let modified_bytes t = Bytes.length t.enc - (run_header_bytes * t.runs)
 
 let ranges t =
-  Array.to_list (Array.mapi (fun i off -> (off, t.lens.(i))) t.offs)
+  let rec go pos k acc =
+    if k = 0 then List.rev acc
+    else
+      let off = get16u t.enc pos and len = get16u t.enc (pos + 2) in
+      go (pos + run_header_bytes + len) (k - 1) ((off, len) :: acc)
+  in
+  go 0 t.runs []
 
 let pp ppf t =
   Format.fprintf ppf "diff[%d runs, %d bytes]" (run_count t) (modified_bytes t)
@@ -173,30 +170,30 @@ let of_ranges ranges page =
     in
     (* Single linear merge pass over the sorted ranges: a range starting
        at or before the previous stop extends it (adjacent ranges
-       coalesce too). *)
-    let max_runs = List.length sorted in
-    let starts = Array.make max_runs 0 and stops = Array.make max_runs 0 in
-    let count = ref 0 in
-    List.iter
-      (fun (start, stop) ->
-        if !count > 0 && start <= stops.(!count - 1) then begin
-          if stop > stops.(!count - 1) then stops.(!count - 1) <- stop
-        end
-        else begin
-          starts.(!count) <- start;
-          stops.(!count) <- stop;
-          incr count
-        end)
-      sorted;
+       coalesce too), so runs never touch, as in a scanned diff. *)
+    let merged =
+      List.fold_left
+        (fun acc (start, stop) ->
+          match acc with
+          | (s, e) :: rest when start <= e -> (s, max e stop) :: rest
+          | _ -> (start, stop) :: acc)
+        [] sorted
+    in
+    let runs = List.length merged in
+    let enc =
+      Bytes.create
+        (List.fold_left
+           (fun acc (s, e) -> acc + run_header_bytes + e - s)
+           0 merged)
+    in
     let raw = Page.raw page in
-    let nruns = !count in
-    let offs = Int_array.sub starts 0 nruns in
-    let lens = Array.init nruns (fun i -> stops.(i) - starts.(i)) in
-    let modified_bytes = Array.fold_left ( + ) 0 lens in
-    let payload = Bytes.create modified_bytes in
-    let pos = ref 0 in
-    for i = 0 to nruns - 1 do
-      Bytes.blit raw offs.(i) payload !pos lens.(i);
-      pos := !pos + lens.(i)
-    done;
-    of_runs ~nruns ~modified_words:(modified_bytes / word) offs lens payload
+    ignore
+      (List.fold_left
+         (fun pos (start, stop) ->
+           let len = stop - start in
+           set16u enc pos start;
+           set16u enc (pos + 2) len;
+           move raw start enc (pos + run_header_bytes) len;
+           pos + run_header_bytes + len)
+         0 (List.rev merged));
+    { enc; runs }

@@ -2,14 +2,16 @@
 
     A diff records the byte ranges on which a page differs from its twin,
     together with the new contents of those ranges.  Applying a diff
-    overwrites exactly those ranges. *)
+    overwrites exactly those ranges.  A diff is held as its wire
+    encoding — per run a 2-byte offset, a 2-byte length and the run's
+    words — in one buffer of {!size_bytes} bytes. *)
 
 type t
 
-(** Reusable working space for {!create}: the single-pass scan stages run
-    boundaries and payload here before copying out exact-sized arrays.
-    NOT thread-safe — each domain (e.g. each [Pool] worker) must use its
-    own; the DSM runtime keeps one per cluster. *)
+(** Reusable working space for {!create}: the single-pass scan encodes
+    here before copying out the exact-sized buffer.  NOT thread-safe —
+    each domain (e.g. each [Pool] worker) must use its own; the DSM
+    runtime keeps one per cluster. *)
 type scratch
 
 val make_scratch : unit -> scratch
@@ -31,7 +33,8 @@ val of_ranges : (int * int) list -> Adsm_mem.Page.t -> t
 (** Overwrite the diff's ranges in the target page. *)
 val apply : t -> Adsm_mem.Page.t -> unit
 
-(** Encoded wire/storage size: 4 bytes per run header plus the run data. *)
+(** Encoded wire and storage size: 4 bytes per run header plus the run
+    data. *)
 val size_bytes : t -> int
 
 val is_empty : t -> bool

@@ -129,7 +129,8 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
       running = cfg.Config.nprocs;
       tracer;
       recorder;
-      diff_scratch = None;
+      diff_scratch = Diff.make_scratch ();
+      spare_twins = [];
       vc_epoch;
       interval_store;
     }
@@ -172,7 +173,12 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
         app { cluster; node = nodes.(id) };
         cluster.State.running <- cluster.State.running - 1)
   done;
-  let time_ns = Engine.run engine in
+  (* Spare twins are scratch for the run alone: none outlives it. *)
+  let time_ns =
+    Fun.protect
+      ~finally:(fun () -> cluster.State.spare_twins <- [])
+      (fun () -> Engine.run engine)
+  in
   if cluster.State.running > 0 then begin
     let describe (n : State.node) =
       let waits = Buffer.create 64 in
@@ -249,6 +255,8 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
   }
 
 (* --- in-context operations --- *)
+
+let cluster (t : t) = t.cluster
 
 let vc_base_mismatches (t : t) =
   match t.cluster with

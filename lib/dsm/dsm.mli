@@ -84,6 +84,11 @@ val run :
   (ctx -> unit) ->
   report
 
+(** The cluster of the last {!run}, set as the run starts: its protocol
+    state, for inspection during or after the run (tests, tools).  [None]
+    before any run. *)
+val cluster : t -> State.cluster option
+
 (** Clocks that failed the shared-base equality check at a barrier
     leave ({!Vc.Epoch.mismatches}) in the last {!run}; 0 before any run.
     Every node leaves a barrier holding the same clock, so a fault-free

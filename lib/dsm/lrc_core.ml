@@ -104,10 +104,15 @@ let close_page_default ?(measure = false) ?(sink = store_diff)
     let diff, cost =
       match twin with
       | Some twin ->
-        (* MW-mode page: eager twin/diff. *)
+        (* MW-mode page: eager twin/diff.  The diff holds its own copy
+           of the modified words, so the twin buffer is free for the
+           next twin ([make_twin]). *)
         e.twin <- None;
-        ( Diff.create ~scratch:(State.scratch cl) ~twin ~current:(frame e) (),
-          Config.diff_create_ns )
+        let diff =
+          Diff.create ~scratch:cl.diff_scratch ~twin ~current:(frame e) ()
+        in
+        cl.spare_twins <- twin :: cl.spare_twins;
+        (diff, Config.diff_create_ns)
       | None ->
         (* Software write detection: build the diff from the logged
            ranges — no twin, no page scan; the cost is the per-write
@@ -495,10 +500,24 @@ let mark_page_dirty node (e : entry) =
     node.dirty_pages <- e.page :: node.dirty_pages
   end
 
+(* A twin reuses a buffer an earlier interval close freed, if any: an
+   MW run twins and diffs the same pages interval after interval, and a
+   fresh page-sized buffer per twin is major-heap allocation the GC must
+   then reclaim.  Only twins are recycled.  Frames are not: a software-TLB
+   slot may still hold a frame's buffer after the entry lets it go.  Nor
+   are page copies in messages, which live until delivery. *)
 let make_twin cl node (e : entry) =
   assert (Option.is_none e.twin);
   Proc.sleep cl.engine Config.twin_ns;
-  e.twin <- Some (Page.copy (frame e));
+  let twin =
+    match cl.spare_twins with
+    | spare :: rest ->
+      cl.spare_twins <- rest;
+      Page.blit ~src:(frame e) ~dst:spare;
+      spare
+    | [] -> Page.copy (frame e)
+  in
+  e.twin <- Some twin;
   Stats.twin_created cl.stats;
   if tracing cl then
     emit cl ~node:node.id (Adsm_trace.Event.Twin_create { page = e.page })

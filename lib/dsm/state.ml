@@ -138,7 +138,8 @@ type cluster = {
   mutable running : int;
   tracer : Adsm_trace.Tracer.t;
   recorder : Adsm_check.Recorder.t;
-  mutable diff_scratch : Diff.scratch option;
+  diff_scratch : Diff.scratch;
+  mutable spare_twins : Page.t list;
   vc_epoch : Vc.Epoch.t;
   interval_store : Interval.Store.t;
 }
@@ -390,14 +391,6 @@ let make_node ~cfg ~vc_epoch ~store ~id ~total_pages =
     restart_wait = None;
     stale_seqs = (0, 0);
   }
-
-let scratch cluster =
-  match cluster.diff_scratch with
-  | Some s -> s
-  | None ->
-    let s = Diff.make_scratch () in
-    cluster.diff_scratch <- Some s;
-    s
 
 (* Get-or-create the node's entry for [page].  A lazily-created entry is
    exactly the entry the old eager initialization built: zero-page base,

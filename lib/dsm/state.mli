@@ -198,8 +198,10 @@ type cluster = {
   tracer : Adsm_trace.Tracer.t;  (** structured trace emission front-end *)
   recorder : Adsm_check.Recorder.t;
       (** consistency-oracle observation stream front-end *)
-  mutable diff_scratch : Diff.scratch option;
-      (** lazily allocated working space for {!Diff.create} *)
+  diff_scratch : Diff.scratch;  (** working space for {!Diff.create} *)
+  mutable spare_twins : Page.t list;
+      (** twin buffers freed by interval closes, reused by the next twins;
+          emptied when the run returns *)
   vc_epoch : Vc.Epoch.t;
       (** the clock base the nodes share since the last barrier *)
   interval_store : Interval.Store.t;
@@ -309,9 +311,6 @@ val entry_of : node -> int -> entry
 (** Iterate over the materialized entries — the only ones that can carry
     any protocol state. *)
 val iter_entries : node -> (entry -> unit) -> unit
-
-(** The cluster's diff-encoding scratch space, allocated on first use. *)
-val scratch : cluster -> Diff.scratch
 
 (** Committed contents of a page at this node: the twin if there is one
     (a twin exists only while the page is dirty), the current data

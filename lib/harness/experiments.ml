@@ -417,6 +417,8 @@ let survivability_schedule ~count ~nprocs ~duration_ns =
   in
   { Adsm_net.Fault.empty with Adsm_net.Fault.crashes }
 
+type survival = { table : string; failures : string list }
+
 let survivability ?(apps = [ "SOR"; "IS"; "Water" ])
     ?(scale = Registry.Tiny) ?(nprocs = 8) ?(jobs = 1) () =
   if nprocs < 2 then
@@ -432,7 +434,10 @@ let survivability ?(apps = [ "SOR"; "IS"; "Water" ])
         List.map (fun protocol -> (app, protocol)) protocols)
       apps
   in
-  let rows =
+  (* Each crashed run either completes with the fault-free checksum or
+     fails: a failed run becomes a row naming its app, protocol and
+     replayable schedule, plus one failure line, and the table goes on. *)
+  let results =
     Pool.map ~jobs
       (fun ((app : Registry.entry), protocol) ->
         let base = Runner.run ~app ~protocol ~nprocs ~scale () in
@@ -442,38 +447,57 @@ let survivability ?(apps = [ "SOR"; "IS"; "Water" ])
               survivability_schedule ~count ~nprocs
                 ~duration_ns:base.Runner.time_ns
             in
-            let m = Runner.run ~faults ~app ~protocol ~nprocs ~scale () in
-            if m.Runner.checksum <> base.Runner.checksum then
-              invalid_arg
-                (Printf.sprintf
-                   "Experiments: %s/%s checksum diverged under %d crash(es)"
-                   app.Registry.name
-                   (Config.protocol_name protocol)
-                   count);
-            let pct part whole =
-              Printf.sprintf "%+.1f%%"
-                (100. *. float_of_int (part - whole) /. float_of_int whole)
+            let name = app.Registry.name
+            and proto = Config.protocol_name protocol in
+            let failed verdict cause =
+              let spec = Adsm_net.Fault.to_string faults in
+              ( [ name; proto; string_of_int count; verdict; "-"; "-"; "-";
+                  Printf.sprintf "--faults '%s'" spec ],
+                Some
+                  (Printf.sprintf
+                     "%s/%s, %d crash(es): %s; replay: adsm_run run --app %s \
+                      --protocol %s --procs %d%s --faults '%s'"
+                     name proto count cause name proto nprocs
+                     (if scale = Registry.Tiny then " --tiny" else "")
+                     spec) )
             in
-            [
-              (if count = 1 then app.Registry.name else "");
-              (if count = 1 then Config.protocol_name protocol else "");
-              string_of_int count;
-              seconds m.Runner.time_ns;
-              pct m.Runner.time_ns base.Runner.time_ns;
-              Tables.thousands m.Runner.messages;
-              pct m.Runner.wire_bytes base.Runner.wire_bytes;
-            ])
+            match Runner.run ~faults ~app ~protocol ~nprocs ~scale () with
+            | exception e -> failed "ABORT" (Printexc.to_string e)
+            | m when m.Runner.checksum <> base.Runner.checksum ->
+              failed "DIVERGED"
+                (Printf.sprintf "checksum %g, fault-free %g" m.Runner.checksum
+                   base.Runner.checksum)
+            | m ->
+              let pct part whole =
+                Printf.sprintf "%+.1f%%"
+                  (100. *. float_of_int (part - whole) /. float_of_int whole)
+              in
+              ( [
+                  (if count = 1 then name else "");
+                  (if count = 1 then proto else "");
+                  string_of_int count;
+                  seconds m.Runner.time_ns;
+                  pct m.Runner.time_ns base.Runner.time_ns;
+                  Tables.thousands m.Runner.messages;
+                  pct m.Runner.wire_bytes base.Runner.wire_bytes;
+                ],
+                None ))
           [ 1; 2 ])
       cells
+    |> List.concat
   in
-  Tables.render
-    ~title:
-      "Survivability: completion under node crashes (checksums verified\n\
-       against the fault-free run; overheads relative to it)"
-    ~header:
-      [ "Program"; "Protocol"; "Crashes"; "Time(s)"; "Slowdown"; "Msgs";
-        "Wire" ]
-    (List.concat rows)
+  {
+    table =
+      Tables.render
+        ~title:
+          "Survivability: completion under node crashes (checksums verified\n\
+           against the fault-free run; overheads relative to it)"
+        ~header:
+          [ "Program"; "Protocol"; "Crashes"; "Time(s)"; "Slowdown"; "Msgs";
+            "Wire" ]
+        (List.map fst results);
+    failures = List.filter_map snd results;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* CSV export                                                         *)

@@ -65,11 +65,23 @@ val breakdown : suite -> string
 val export_csv : suite -> dir:string -> string list
 (** Returns the paths written. *)
 
+(** The survivability table and its failed runs. *)
+type survival = {
+  table : string;
+      (** one row per crashed run; a failed one reads [ABORT] (the run
+          raised) or [DIVERGED] (its checksum differs from the
+          fault-free run's) and ends with its [--faults] spec *)
+  failures : string list;
+      (** one line per failed run: app, protocol, crash count, cause and
+          the [adsm_run run] command that replays it *)
+}
+
 (** "Crashing nodes" appendix (FAULTS.md): completion time and message
     overhead of SOR/IS/Water under MW, SW and WFS with 1 and 2 node
     crashes, schedules derived from each cell's fault-free duration so
     the crashes land mid-run.  Every faulty run's checksum is verified
-    against the fault-free one ([Invalid_argument] on divergence).
+    against the fault-free one; a run that aborts or diverges is
+    reported in the table and in [failures], and the study goes on.
     Raises [Invalid_argument] before any run if [nprocs < 2]: node 0 is
     never crashed, so there must be another node to crash. *)
 val survivability :
@@ -78,7 +90,7 @@ val survivability :
   ?nprocs:int ->
   ?jobs:int ->
   unit ->
-  string
+  survival
 
 (** Everything, in paper order. *)
 val run_all :

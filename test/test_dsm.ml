@@ -456,6 +456,105 @@ let test_lock_ids_are_independent () =
          Dsm.barrier ctx));
   Alcotest.(check int) "both entered" 2 !entered
 
+(* ------------------------------------------------------------------ *)
+(* Twin reuse: a recycled buffer is never shared                      *)
+(* ------------------------------------------------------------------ *)
+
+module State = Adsm_dsm.State
+module Registry = Adsm_apps.Registry
+
+(* Interval closes hand twin buffers back to the cluster's spare list and
+   the next twins take them.  At every moment each live twin must be a
+   buffer of its own, and no spare may still be some entry's twin or
+   frame. *)
+let check_no_alias where (cl : State.cluster) =
+  let twins = ref [] and frames = ref [] in
+  Array.iter
+    (fun n ->
+      State.iter_entries n (fun (e : State.entry) ->
+          Option.iter (fun tw -> twins := tw :: !twins) e.State.twin;
+          Option.iter (fun f -> frames := f :: !frames) e.State.data))
+    cl.State.nodes;
+  let rec distinct = function
+    | [] -> true
+    | x :: rest -> (not (List.exists (( == ) x) rest)) && distinct rest
+  in
+  if not (distinct !twins) then Alcotest.failf "%s: two entries share a twin" where;
+  List.iter
+    (fun spare ->
+      if List.exists (( == ) spare) !twins then
+        Alcotest.failf "%s: a spare buffer is a live twin" where;
+      if List.exists (( == ) spare) !frames then
+        Alcotest.failf "%s: a spare buffer is a frame" where)
+    cl.State.spare_twins;
+  List.iter
+    (fun tw ->
+      if List.exists (( == ) tw) !frames then
+        Alcotest.failf "%s: a twin is a frame" where)
+    !twins
+
+(* Run [app] and check at every twin creation and diff creation (the
+   two moments a buffer changes hands), then once the run is over. *)
+let run_checking_twins ?faults ~app ~protocol () =
+  let app = Option.get (Registry.find app) in
+  let cfg = Config.make ~protocol ~nprocs:4 () in
+  let cfg = { cfg with Config.faults } in
+  let t = Dsm.create cfg in
+  let program, result = app.Registry.instantiate Registry.Tiny t in
+  let where =
+    Printf.sprintf "%s/%s%s" app.Registry.name
+      (Config.protocol_name protocol)
+      (if faults = None then "" else " with a crash")
+  in
+  let checks = ref 0 in
+  let probe (s : Adsm_trace.Event.stamped) =
+    match s.Adsm_trace.Event.event with
+    | Adsm_trace.Event.Twin_create _ | Adsm_trace.Event.Diff_create _ ->
+      incr checks;
+      check_no_alias where (Option.get (Dsm.cluster t))
+    | _ -> ()
+  in
+  let tracer =
+    Adsm_trace.Tracer.create
+      [ { Adsm_trace.Sink.emit = probe; close = ignore } ]
+  in
+  let report = Dsm.run ~tracer t program in
+  Adsm_trace.Tracer.close tracer;
+  ignore (result ());
+  let cl = Option.get (Dsm.cluster t) in
+  check_no_alias (where ^ " after the run") cl;
+  Alcotest.(check int) (where ^ ": no spare after the run") 0
+    (List.length cl.State.spare_twins);
+  if protocol = Config.Mw || protocol = Config.Hlrc then
+    Alcotest.(check bool) (where ^ ": twins were checked") true
+      (Stats.twins_created_total report.Dsm.stats > 0 && !checks > 0);
+  report
+
+let test_twin_reuse_no_alias () =
+  List.iter
+    (fun app ->
+      List.iter
+        (fun protocol -> ignore (run_checking_twins ~app ~protocol ()))
+        [ Config.Mw; Config.Wfs; Config.Wfs_wg; Config.Hlrc ])
+    [ "SOR"; "IS"; "Water" ]
+
+let test_twin_reuse_under_crash () =
+  List.iter
+    (fun app ->
+      let base = run_checking_twins ~app ~protocol:Config.Mw () in
+      let d = base.Dsm.time_ns in
+      let faults =
+        {
+          Adsm_net.Fault.empty with
+          Adsm_net.Fault.crashes =
+            [ { Adsm_net.Fault.node = 1; at = d / 2; downtime = max 1 (d / 10) } ];
+        }
+      in
+      let crashed = run_checking_twins ~faults ~app ~protocol:Config.Mw () in
+      Alcotest.(check bool) (app ^ ": the crash ran a recovery round") true
+        (List.mem_assoc "recover" crashed.Dsm.by_kind))
+    [ "SOR"; "IS"; "Water" ]
+
 let () =
   Alcotest.run "dsm"
     [
@@ -503,5 +602,12 @@ let () =
           Alcotest.test_case "API errors" `Quick test_api_errors;
           Alcotest.test_case "independent locks" `Quick
             test_lock_ids_are_independent;
+        ] );
+      ( "twin-reuse",
+        [
+          Alcotest.test_case "spares never alias" `Quick
+            test_twin_reuse_no_alias;
+          Alcotest.test_case "spares never alias: MW crash" `Quick
+            test_twin_reuse_under_crash;
         ] );
     ]

@@ -138,10 +138,11 @@ let test_figure1_narrative () =
    has negative Wire cells; the test requires one, so it cannot pass
    vacuously. *)
 let test_survive_signed_overheads () =
-  let s =
+  let { Experiments.table = s; failures } =
     Experiments.survivability ~apps:[ "IS" ] ~scale:Registry.Default
       ~nprocs:8 ~jobs:1 ()
   in
+  Alcotest.(check (list string)) "no failed run" [] failures;
   let n = String.length s in
   let rec find p i = i < n - 1 && (p s.[i] s.[i + 1] || find p (i + 1)) in
   Alcotest.(check bool) "has a negative cell" true

@@ -10,7 +10,8 @@
    (stamp a just-taken snapshot, equal components per epoch stamp,
    strictly ascending log appends) — and compare every query.  The
    page-diff scan, which skips equal words eight bytes at a time, is
-   checked the same way against a word-at-a-time scan. *)
+   checked the same way against a word-at-a-time scan, and its encoding
+   against the logged-range encoder. *)
 
 module Vc = Adsm_dsm.Vc
 module Interval = Adsm_dsm.Interval
@@ -927,6 +928,12 @@ let diff_pages (pattern, seed) =
     sparse (Random.State.int rng 8));
   (twin, current)
 
+(* A diff's heap is its wire encoding plus a small record: no per-run
+   arrays.  [Obj.reachable_words] counts every block with its header. *)
+let retained_bytes d = 8 * Obj.reachable_words (Obj.repr d)
+
+let memory_is_wire_size d = retained_bytes d <= Diff.size_bytes d + 64
+
 let prop_diff_scan =
   QCheck.Test.make ~name:"Diff.create = word-at-a-time scan" ~count:400
     QCheck.(pair (int_range 0 3) int)
@@ -942,10 +949,52 @@ let prop_diff_scan =
           Bytes.blit (Page.raw current) off (Page.raw reference) off len)
         ranges;
       Diff.ranges d = ranges
+      && Diff.run_count d = List.length ranges
       && Diff.modified_bytes d = modified
       && Diff.size_bytes d = (4 * List.length ranges) + modified
       && Page.equal applied reference
-      && Page.equal applied current)
+      && Page.equal applied current
+      (* The encoding is canonical: logged writes covering exactly the
+         modified words encode the same runs, byte for byte, and so does
+         a scan without the caller's scratch. *)
+      && Diff.of_ranges ranges current = d
+      && Diff.create ~twin ~current () = d
+      && (Diff.is_empty d || memory_is_wire_size d))
+
+(* The two extreme pages: every word modified (one run, the largest
+   encoding) and every other word (the most runs).  They, and a page of
+   256 one-word runs, retain about their wire size. *)
+let test_diff_extremes () =
+  let twin = Page.create () in
+  let every k =
+    let current = Page.create () in
+    for w = 0 to page_words - 1 do
+      if w mod k = 0 then Page.set_i32 current (4 * w) 1l
+    done;
+    Diff.create ~twin ~current ()
+  in
+  let full = every 1 and alternate = every 2 and quarter = every 4 in
+  Alcotest.(check int) "full page: one run" 1 (Diff.run_count full);
+  Alcotest.(check int) "full page: 4,100 bytes" 4100 (Diff.size_bytes full);
+  Alcotest.(check int) "alternate words: 512 runs" 512
+    (Diff.run_count alternate);
+  Alcotest.(check int) "alternate words: 4,096 bytes" 4096
+    (Diff.size_bytes alternate);
+  Alcotest.(check int) "alternate words: 2,048 modified" 2048
+    (Diff.modified_bytes alternate);
+  Alcotest.(check int) "every fourth word: 2,048 bytes" 2048
+    (Diff.size_bytes quarter);
+  List.iter
+    (fun (name, d) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d B retained for %d B encoded" name
+           (retained_bytes d) (Diff.size_bytes d))
+        true (memory_is_wire_size d))
+    [
+      ("full page", full);
+      ("alternate words", alternate);
+      ("every fourth word", quarter);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Int_array: write-barrier-free int copies = the stdlib ones         *)
@@ -1010,5 +1059,7 @@ let () =
         ] );
       ("writer-map", [ QCheck_alcotest.to_alcotest prop_writer_map ]);
       ("diff-scan", [ QCheck_alcotest.to_alcotest prop_diff_scan ]);
+      ( "diff-encoding",
+        [ Alcotest.test_case "extreme pages" `Quick test_diff_extremes ] );
       ("int-array", [ QCheck_alcotest.to_alcotest prop_int_array ]);
     ]
