@@ -14,7 +14,9 @@
 #   - run -n 8 --trace, 8 apps x MW/SW/WFS/WFS+WG/HLRC, default scale;
 #   - the same 40 cells as run -n 4 --tiny --check, and as
 #     run -n 8 --tiny --topology tree:2;
-#   - survive --tiny at 4 and 8 nodes;
+#   - survive --tiny at 4 and 8 nodes, and survive -n 8 at default
+#     scale (crashes across GC rounds and fetched-diff drops; it exits 1
+#     on both sides with its two SOR/MW ABORT rows);
 #   - scaling --tiny --max-nodes 256 (combining barrier, sharded lock
 #     homes and sparse clocks at up to 256 nodes);
 #   - fuzz, 30 seeds from seed 1 at 4 and 8 nodes for every protocol,
@@ -81,6 +83,7 @@ grid() {
   done
   echo "survive-n4 adsm survive --tiny -n 4 --jobs 1"
   echo "survive-n8 adsm survive --tiny -n 8 --jobs 1"
+  echo "survive-n8-default adsm survive -n 8 --jobs 1"
   echo "scaling adsm scaling --tiny --max-nodes 256 --jobs 1"
   for p in $PROTOCOLS; do
     for n in 4 8; do

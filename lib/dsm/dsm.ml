@@ -207,7 +207,7 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
      continuation, queued ownership request or deferred reply behind — any
      of those means a protocol message was dropped.  And each node's
      diff-store account, which the GC trigger reads, must be the bytes of
-     the diffs it holds. *)
+     its own diffs plus those of its fetched-diff account. *)
   Array.iter
     (fun (n : State.node) ->
       let fail what =
@@ -232,8 +232,11 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
                  e.State.page));
       let held =
         Hashtbl.fold
-          (fun _ (_, diff) acc -> acc + Diff.size_bytes diff)
-          n.State.diffs 0
+          (fun _ diffs acc ->
+            List.fold_left
+              (fun acc (_, _, diff) -> acc + Diff.size_bytes diff)
+              acc diffs)
+          n.State.diffs n.State.fetched_bytes
       and account =
         Stats.diff_store_bytes cluster.State.stats ~node:n.State.id
       in

@@ -22,8 +22,6 @@ let size_bytes ?(vc_bytes = Vc.size_bytes) t =
 let size_bytes_list ?vc_bytes ts =
   List.fold_left (fun acc t -> acc + size_bytes ?vc_bytes t) 0 ts
 
-let unseen_by vc ts = List.filter (fun t -> t.seq > Vc.get vc t.proc) ts
-
 (* Array-backed, clock-indexed per-processor interval logs.
 
    Intervals of one processor are appended in strictly ascending [seq]

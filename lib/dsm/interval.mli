@@ -27,10 +27,6 @@ val size_bytes : ?vc_bytes:(Vc.t -> int) -> t -> int
 
 val size_bytes_list : ?vc_bytes:(Vc.t -> int) -> t list -> int
 
-(** Intervals of [intervals] not yet covered by [vc] (i.e. with
-    [seq > Vc.get vc proc]). *)
-val unseen_by : Vc.t -> t list -> t list
-
 (** Array-backed, clock-indexed per-processor interval log.  Appends are
     ascending in [seq], so coverage queries binary search on the
     observer's clock component instead of filtering a list.  The storage

@@ -61,15 +61,16 @@ let respond_msg cl node respond msg =
 (* ------------------------------------------------------------------ *)
 
 (* Default diff sink: keep the diff in the local store (TreadMarks).
-   No seq is issued twice, so the key is new. *)
+   Seqs only grow, so the page's list stays newest first. *)
 let store_diff _cl node (e : entry) ~seq ~vc diff =
-  let key = (e.page, node.id, seq) in
-  if Hashtbl.mem node.diffs key then
-    failwith
-      (Printf.sprintf "Proto: node %d stored a second diff of page %d at seq %d"
-         node.id e.page seq);
-  Hashtbl.add node.diffs key (vc, diff);
-  e.own_diff_seqs <- seq :: e.own_diff_seqs
+  let held = Option.value ~default:[] (Hashtbl.find_opt node.diffs e.page) in
+  (match held with
+   | (newest, _, _) :: _ when newest >= seq ->
+     failwith
+       (Printf.sprintf "Proto: node %d stored diff %d of page %d after %d"
+          node.id seq e.page newest)
+   | _ -> ());
+  Hashtbl.replace node.diffs e.page ((seq, vc, diff) :: held)
 
 (* Default closure of a dirty page with neither twin nor write log: a
    single-writer page the node owned while writing (it may have transferred
@@ -360,64 +361,61 @@ let fetch_and_apply_diffs cl node (e : entry) =
   (* Own committed modifications not reflected in the (possibly freshly
      installed) base copy must be merged back from our own diffs. *)
   let own_missing =
-    List.filter (fun seq -> seq > reflected_get e node.id) e.own_diff_seqs
+    List.filter
+      (fun (seq, _, _) -> seq > reflected_get e node.id)
+      (Option.value ~default:[] (Hashtbl.find_opt node.diffs e.page))
   in
   if plain <> [] || own_missing <> [] then begin
     (* Group the missing diffs by their writer. *)
     let by_writer = Hashtbl.create 8 in
     let record (n : Notice.t) =
-      if not (Hashtbl.mem node.diffs (n.page, n.proc, n.seq)) then begin
-        let prev =
-          Option.value ~default:[] (Hashtbl.find_opt by_writer n.proc)
-        in
-        Hashtbl.replace by_writer n.proc (n.seq :: prev)
-      end
+      let prev = Option.value ~default:[] (Hashtbl.find_opt by_writer n.proc) in
+      Hashtbl.replace by_writer n.proc (n.seq :: prev)
     in
     List.iter record plain;
     let requests =
       Hashtbl.fold
         (fun writer seqs acc ->
+          let seqs = List.sort compare seqs in
           let msg =
             Msg.Diff_req
-              {
-                page = e.page;
-                seqs = List.sort compare seqs;
-                sees_sw = Mode.sees_page_as_sw e;
-              }
+              { page = e.page; seqs; sees_sw = Mode.sees_page_as_sw e }
           in
           let ivar =
             Rpc.call_async cl.rpc ~src:node.id ~dst:writer
               ~bytes:(Msg.size_bytes msg) ~kind:(Msg.kind msg) msg
           in
-          (writer, ivar) :: acc)
+          (writer, seqs, ivar) :: acc)
         by_writer []
     in
-    (* Await the replies and store the received diffs. *)
-    List.iter
-      (fun (writer, ivar) ->
-        match Proc.Ivar.await ivar with
-        | Msg.Diff_reply { page; diffs } ->
-          List.iter
-            (fun (seq, vc, diff) ->
-              Hashtbl.replace node.diffs (page, writer, seq) (vc, diff);
-              Stats.diff_stored cl.stats ~node:node.id
-                ~bytes:(Diff.size_bytes diff)
-                ~time:(Engine.now cl.engine))
-            diffs
-        | _ -> failwith "Proto: unexpected reply to Diff_req")
-      requests;
-    (* Apply every pending diff — remote and our own — in timestamp order. *)
-    let lookup proc seq =
-      match Hashtbl.find_opt node.diffs (e.page, proc, seq) with
-      | Some (vc, diff) -> (vc, diff, proc, seq)
-      | None ->
-        failwith
-          (Printf.sprintf "Proto: missing diff for page %d proc %d seq %d"
-             e.page proc seq)
+    (* Await the replies.  A fetched diff is applied from its reply and
+       then only accounted: nothing reads it back. *)
+    let fetched =
+      List.concat_map
+        (fun (writer, seqs, ivar) ->
+          match Proc.Ivar.await ivar with
+          | Msg.Diff_reply { diffs; _ }
+            when List.map (fun (seq, _, _) -> seq) diffs = seqs ->
+            List.map
+              (fun (seq, vc, diff) ->
+                let bytes = Diff.size_bytes diff in
+                node.fetched_diffs <- node.fetched_diffs + 1;
+                node.fetched_bytes <- node.fetched_bytes + bytes;
+                Stats.diff_stored cl.stats ~node:node.id ~bytes
+                  ~time:(Engine.now cl.engine);
+                (vc, diff, writer, seq))
+              diffs
+          | Msg.Diff_reply _ ->
+            failwith
+              (Printf.sprintf "Proto: node %d's reply lacks a diff of page %d"
+                 writer e.page)
+          | _ -> failwith "Proto: unexpected reply to Diff_req")
+        requests
     in
+    (* Apply every pending diff — remote and our own — in timestamp order. *)
     let to_apply =
-      List.map (fun (n : Notice.t) -> lookup n.proc n.seq) plain
-      @ List.map (fun seq -> lookup node.id seq) own_missing
+      fetched
+      @ List.map (fun (seq, vc, diff) -> (vc, diff, node.id, seq)) own_missing
     in
     let to_apply =
       List.sort (fun (va, _, _, _) (vb, _, _, _) -> Vc.order va vb) to_apply
@@ -592,15 +590,18 @@ let serve_diffs ?(rule1 = false) cl node ~src ~page ~seqs ~sees_sw respond =
     copyset_iter e (fun q -> if not (fs_view_get e q) then all_sw := false);
     if !all_sw then Mode.set_fs_active cl ~node:node.id e false
   end;
-  let diffs =
-    List.map
-      (fun seq ->
-        match Hashtbl.find_opt node.diffs (page, node.id, seq) with
-        | Some (vc, diff) -> (seq, vc, diff)
-        | None ->
-          failwith
-            (Printf.sprintf "Proto: node %d asked for missing diff %d/%d"
-               node.id page seq))
-      seqs
+  (* [seqs] is ascending and the page's diffs newest first: one walk
+     down the list from the last seq. *)
+  let rec pick acc wanted held =
+    match (wanted, held) with
+    | [], _ -> acc
+    | w :: ws, ((seq, _, _) as d) :: _ when seq = w -> pick (d :: acc) ws held
+    | w :: _, (seq, _, _) :: older when seq > w -> pick acc wanted older
+    | w :: _, _ ->
+      failwith
+        (Printf.sprintf "Proto: node %d asked for missing diff %d/%d" node.id
+           page w)
   in
+  let held = Option.value ~default:[] (Hashtbl.find_opt node.diffs page) in
+  let diffs = pick [] (List.rev seqs) held in
   respond_msg cl node respond (Msg.Diff_reply { page; diffs })

@@ -46,7 +46,6 @@ type entry = {
   mutable fs_view : Bytes.t;
       (* bitset of the processors NOT seeing the page as SW: empty = none *)
   mutable copyset : Bytes.t;  (* bitset, empty until a first member *)
-  mutable own_diff_seqs : int list;
   mutable sw_home_hint : int;
   mutable pending_own : (int * int) list;
   mutable migratory_score : int;
@@ -102,7 +101,9 @@ type node = {
          laziness is observationally identical to the old eager array. *)
   intervals : Interval.Logs.t;
   mutable dirty_pages : int list;
-  diffs : (int * int * int, Vc.t * Diff.t) Hashtbl.t;
+  diffs : (int, (int * Vc.t * Diff.t) list) Hashtbl.t;
+  mutable fetched_diffs : int;
+  mutable fetched_bytes : int;
   locks : (int, lock_state) Hashtbl.t;
   lock_waits : (int, Interval.t list Proc.Ivar.t) Hashtbl.t;
   own_waits : (int, Msg.t Proc.Ivar.t) Hashtbl.t;
@@ -176,7 +177,6 @@ let make_entry ~page ~home =
     nw_nsince = 0;
     fs_view = Bytes.empty;
     copyset = Bytes.empty;
-    own_diff_seqs = [];
     sw_home_hint = home;
     pending_own = [];
     migratory_score = 0;
@@ -361,6 +361,8 @@ let make_node ~cfg ~vc_epoch ~store ~id ~total_pages =
     intervals = Interval.Logs.create store ~clock:vc;
     dirty_pages = [];
     diffs = Hashtbl.create 16;
+    fetched_diffs = 0;
+    fetched_bytes = 0;
     locks = Hashtbl.create 16;
     lock_waits = Hashtbl.create 16;
     own_waits = Hashtbl.create 16;

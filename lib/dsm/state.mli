@@ -67,10 +67,6 @@ type entry = {
       (** approximate copyset, a bitset of the processors that requested
           this page or its diffs from us; empty = no member.  Use
           {!copyset_add} and {!copyset_iter} *)
-  mutable own_diff_seqs : int list;
-      (** interval seqs of live diffs this node created for the page (for
-          re-merging own modifications over a fetched base copy, and the MW
-          GC validator test) *)
   mutable sw_home_hint : int;
       (** SW protocol: at the page's home, the last known/queued owner *)
   mutable pending_own : (int * int) list;
@@ -142,8 +138,14 @@ type node = {
       (** one log per writer, a window onto the cluster's
           [interval_store] (see {!Interval.Logs}) *)
   mutable dirty_pages : int list;  (** pages written this interval *)
-  diffs : (int * int * int, Vc.t * Diff.t) Hashtbl.t;
-      (** (page, proc, seq) -> (interval timestamp, diff) *)
+  diffs : (int, (int * Vc.t * Diff.t) list) Hashtbl.t;
+      (** page -> the live diffs this node created for it, as (interval
+          seq, interval timestamp, diff), newest first; absent = none.
+          Fetched diffs are applied from their reply and not kept *)
+  mutable fetched_diffs : int;
+  mutable fetched_bytes : int;
+      (** the account of the live diffs this node fetched: their count
+          and encoded bytes, dropped by a crash wipe or a GC purge *)
   locks : (int, lock_state) Hashtbl.t;
   lock_waits : (int, Interval.t list Adsm_sim.Proc.Ivar.t) Hashtbl.t;
       (** lock id -> continuation of a blocked acquire *)

@@ -28,7 +28,7 @@ val twin_bytes_total : t -> int
     [modified] the number of bytes it changes, at simulated [time]. *)
 val diff_created : t -> node:int -> bytes:int -> modified:int -> time:int -> unit
 
-(** A fetched diff was added to [node]'s diff store at simulated [time]
+(** A fetched diff joined [node]'s fetched-diff account at simulated [time]
     (counts as another live diff copy, as in the paper's Figure 3 which
     plots the total number of diffs on all processors — so the live
     series must record a point here just as it does on creation). *)

@@ -32,16 +32,16 @@ let end_interval_local cl node =
 
    Durability model (what "local stable storage" holds):
    - the node's own closed intervals and their diffs: a write-behind log
-     flushed at every interval close.  Implementation: own intervals,
-     own diff-store entries and [own_diff_seqs] are simply not wiped;
+     flushed at every interval close.  Implementation: own intervals
+     and the diff store (which holds own diffs only) are not wiped;
    - the committed frame of every page the node is the designated copy
      holder for ([is_owner], or [owner = self] after an adaptive MW
      drop): peers' Page/Diff requests parked during the downtime must
      still be servable after restart;
    - directory fields (version, owner hint, copyset, mode bits): a
      page's directory claim survives so no page becomes ownerless.
-   Everything else — non-owned frames, twins, remote diffs, remote
-   interval logs, pending notices, TLB — is volatile and lost.
+   Everything else — non-owned frames, twins, the fetched-diff account,
+   remote interval logs, pending notices, TLB — is volatile and lost.
 
    The rollback point is [last_barrier_vc], the clock every barrier
    leave keeps (the zero clock before the first barrier).  Frames are
@@ -86,20 +86,14 @@ let crash_pause cl node =
         clear_last_notices e
       end);
   tlb_reset node;
-  (* Remote diffs and remote interval logs are volatile caches.  The
-     dropped diffs leave the node's diff-store account, which the GC
+  (* The fetched diffs and remote interval logs are volatile.  The
+     fetched diffs leave the node's diff-store account, which the GC
      trigger reads. *)
-  let dropped, bytes =
-    Hashtbl.fold
-      (fun ((_, proc, _) as key) (_, diff) ((keys, bytes) as acc) ->
-        if proc <> node.id then (key :: keys, bytes + Diff.size_bytes diff)
-        else acc)
-      node.diffs ([], 0)
-  in
-  if dropped <> [] then begin
-    List.iter (Hashtbl.remove node.diffs) dropped;
-    Stats.diffs_dropped cl.stats ~node:node.id ~bytes
-      ~count:(List.length dropped) ~time:(Engine.now cl.engine)
+  if node.fetched_diffs > 0 then begin
+    Stats.diffs_dropped cl.stats ~node:node.id ~bytes:node.fetched_bytes
+      ~count:node.fetched_diffs ~time:(Engine.now cl.engine);
+    node.fetched_diffs <- 0;
+    node.fetched_bytes <- 0
   end;
   (* Until [restore] below, the log shows only the node's own window:
      the clock rolled back next is no window top for the others. *)
@@ -364,19 +358,23 @@ let gc_validate cl node =
 
 (* Purge the diff store and twins after everyone has validated. *)
 let gc_purge cl node =
-  let bytes = ref 0 and count = ref 0 in
+  let bytes = ref node.fetched_bytes and count = ref node.fetched_diffs in
   Hashtbl.iter
-    (fun _ (_, diff) ->
-      bytes := !bytes + Diff.size_bytes diff;
-      incr count)
+    (fun _ diffs ->
+      List.iter
+        (fun (_, _, diff) ->
+          bytes := !bytes + Diff.size_bytes diff;
+          incr count)
+        diffs)
     node.diffs;
   Hashtbl.reset node.diffs;
+  node.fetched_diffs <- 0;
+  node.fetched_bytes <- 0;
   Stats.diffs_dropped cl.stats ~node:node.id ~bytes:!bytes ~count:!count
     ~time:(Engine.now cl.engine);
   if tracing cl then
     emit cl ~node:node.id
       (Adsm_trace.Event.Diff_gc { count = !count; bytes = !bytes });
-  iter_entries node (fun (e : entry) -> e.own_diff_seqs <- []);
   (* Interval logs are globally known at this point; drop them so grants
      stay small.  Vector clocks keep the ordering information.  Once
      every node has purged, the store drops what no log still holds. *)

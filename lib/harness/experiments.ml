@@ -338,13 +338,8 @@ let figure3 suite =
     let sampled =
       List.map
         (fun (p, (m : Runner.measurement)) ->
-          let series = Adsm_sim.Series.create ~name:"d" in
-          List.iter
-            (fun (time, value) ->
-              Adsm_sim.Series.record series ~time ~value)
-            m.live_diff_series;
           ( Config.protocol_name p,
-            Adsm_sim.Series.resample series ~buckets:72 ~t_end ))
+            Adsm_sim.Series.resample m.live_diff_series ~buckets:72 ~t_end ))
         runs
     in
     "Figure 3: total live diffs over time, 3D-FFT (each drop in the MW\n\
@@ -553,7 +548,7 @@ let export_csv suite ~dir =
           let rows =
             List.map
               (fun (t, v) -> Printf.sprintf "%d,%.0f\n" t v)
-              m.Runner.live_diff_series
+              (Adsm_sim.Series.to_list m.Runner.live_diff_series)
           in
           let name =
             Printf.sprintf "fig3_%s.csv"

@@ -29,7 +29,7 @@ type measurement = {
   write_faults : int;
   checksum : float;
   by_kind : (string * (int * int)) list;  (* kind -> (messages, bytes) *)
-  live_diff_series : (int * float) list;
+  live_diff_series : Series.t;
   events : int;
   compute_ns : int;
   fault_time_ns : int;
@@ -75,7 +75,7 @@ let run ?(seed = 0x5EEDL) ?(tweak = Fun.id) ?faults ?tracer ?recorder
     write_faults = Stats.write_faults stats;
     checksum = result ();
     by_kind = report.Dsm.by_kind;
-    live_diff_series = Series.to_list (Stats.live_diff_series stats);
+    live_diff_series = Stats.live_diff_series stats;
     events = report.Dsm.events;
     compute_ns = Stats.total_time stats ~category:Stats.Compute;
     fault_time_ns = Stats.total_time stats ~category:Stats.Fault;

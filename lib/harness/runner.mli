@@ -28,7 +28,7 @@ type measurement = {
   by_kind : (string * (int * int)) list;
       (** traffic class -> (messages, bytes); e.g. ["barrier"] for the
           scaling study's barrier message-count bound *)
-  live_diff_series : (int * float) list;
+  live_diff_series : Adsm_sim.Series.t;
       (** (time_ns, live diff count) samples — the paper's Figure 3 *)
   events : int;
   compute_ns : int;  (** execution-time breakdown, summed over nodes: *)

@@ -304,17 +304,6 @@ let test_notice_sizes () =
   Alcotest.(check int) "plain" 8 (Notice.size_bytes plain);
   Alcotest.(check int) "owner" 12 (Notice.size_bytes owner)
 
-let test_interval_unseen () =
-  let mk seq =
-    Interval.make ~proc:1
-      ~vc:(vc_of_list [ 0; seq; 0 ])
-      ~notices:[]
-  in
-  let log = [ mk 3; mk 2; mk 1 ] in
-  let unseen = Interval.unseen_by (vc_of_list [ 9; 1; 9 ]) log in
-  Alcotest.(check (list int)) "seqs above the clock" [ 3; 2 ]
-    (List.map (fun (i : Interval.t) -> i.seq) unseen)
-
 (* ------------------------------------------------------------------ *)
 (* Msg sizes                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -469,7 +458,6 @@ let () =
         [
           Alcotest.test_case "covers" `Quick test_notice_covers;
           Alcotest.test_case "sizes" `Quick test_notice_sizes;
-          Alcotest.test_case "interval unseen" `Quick test_interval_unseen;
         ] );
       ( "msg",
         [

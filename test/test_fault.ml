@@ -15,7 +15,8 @@
      bytes, and keep checksums unchanged;
    - the two seeded recovery mutations are detected by the oracle and
      shrunk by the joint (program, schedule) shrinker;
-   - a known recovery abort shrinks to a replayable counterexample. *)
+   - a known recovery abort shrinks to a replayable counterexample, and
+     the paper inputs recovery cannot survive yet abort as documented. *)
 
 module Config = Adsm_dsm.Config
 module Dsm = Adsm_dsm.Dsm
@@ -199,12 +200,12 @@ let test_oracle_clean_under_crashes () =
         [ "sor"; "is"; "water" ])
     barriers
 
-(* A crash wipes the node's copies of other nodes' diffs, and their
-   bytes must leave its diff-store account, which the GC trigger reads.
-   [Dsm.run] fails a run that ends with an account other than the bytes
-   a node holds, so the run completing is the equality check.  With no
-   GC run, a fall in the live-diff series can only be a crash dropping
-   stored diffs: the cell exercises the drop (node 1 crashes a third of
+(* A crash wipes the node's fetched-diff account, and its bytes must
+   leave the node's diff-store account, which the GC trigger reads.
+   [Dsm.run] fails a run that ends with an account other than a node's
+   own-diff bytes plus its fetched bytes, so the run completing is the
+   equality check.  With no GC run, a fall in the live-diff series can
+   only be a crash dropping fetched diffs: the cell exercises the drop (node 1 crashes a third of
    the way into the run, after its first diff fetches).  It is also an
    interior node of the binary tree, whose rollback puts its checkpoint
    clock, on the shared epoch base, back. *)
@@ -222,7 +223,7 @@ let test_crash_drops_remote_diffs () =
       Alcotest.(check bool)
         (cell ^ ": stored diffs dropped")
         true
-        (falls m.Runner.live_diff_series);
+        (falls (Adsm_sim.Series.to_list m.Runner.live_diff_series));
       Alcotest.(check int) (cell ^ ": clocks adopt the shared base") 0
         m.Runner.vc_base_mismatches)
     barriers
@@ -497,6 +498,40 @@ let test_known_aborts () =
             Alcotest.failf "%s: shrunk schedule lost its crash" name))
     known_aborts
 
+(* The paper's own inputs that recovery cannot survive yet (ROADMAP item
+   2): each replays [adsm_run run --app A --protocol P --procs 8
+   --faults SPEC] and ends with a restarted node asked for a page it
+   holds no copy of.  Item 2's fix flips these pins. *)
+let paper_aborts =
+  [
+    ("SOR", Config.Mw, Registry.Default, "crash=1@1756896us:527069us",
+     "node 5 has no copy of page 53");
+    ("Water", Config.Sw, Registry.Default,
+     "crash=7@2051409871:623260220;crash=0@4130151027:623260220",
+     "node 0 has no copy of page 66");
+    ("Water", Config.Sw, Registry.Tiny,
+     "crash=4@111746486:33101750;crash=2@197972756:33101750",
+     "node 2 has no copy of page 2");
+  ]
+
+let test_paper_aborts () =
+  List.iter
+    (fun (name, protocol, scale, spec, expected) ->
+      let cell = name ^ "/" ^ Config.protocol_name protocol ^ " " ^ spec in
+      let faults =
+        match Fault.of_string spec with
+        | Ok f -> f
+        | Error msg -> Alcotest.failf "%s: %s" cell msg
+      in
+      match
+        Runner.run ~faults ~app:(app name) ~protocol ~nprocs:8 ~scale ()
+      with
+      | _ -> Alcotest.failf "%s no longer aborts" cell
+      | exception Failure msg ->
+        if not (contains msg expected) then
+          Alcotest.failf "%s aborts differently: %s" cell msg)
+    paper_aborts
+
 (* The unmutated recovery path stays oracle-clean over the same seed
    window the mutation tests sweep — the fuzzer's schedules (crashes,
    loss, duplication, jitter, partitions) never produce a violation. *)
@@ -564,5 +599,7 @@ let () =
         [
           Alcotest.test_case "SW seed 178 shrinks to an abort" `Quick
             test_known_aborts;
+          Alcotest.test_case "paper inputs abort in recovery" `Quick
+            test_paper_aborts;
         ] );
     ]

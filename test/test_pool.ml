@@ -138,7 +138,8 @@ let check_measurement (a : Runner.measurement) (b : Runner.measurement) =
   Alcotest.(check (float 0.)) (name ^ " checksum") a.Runner.checksum
     b.Runner.checksum;
   Alcotest.(check bool) (name ^ " live_diff_series") true
-    (a.Runner.live_diff_series = b.Runner.live_diff_series)
+    (Adsm_sim.Series.to_list a.Runner.live_diff_series
+    = Adsm_sim.Series.to_list b.Runner.live_diff_series)
 
 let test_parallel_suite_identical () =
   (* The full grid — every application under all four protocols plus
