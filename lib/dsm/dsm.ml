@@ -206,8 +206,8 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
   (* Post-run protocol invariants: a completed run must leave no blocked
      continuation, queued ownership request or deferred reply behind — any
      of those means a protocol message was dropped.  And each node's
-     diff-store account, which the GC trigger reads, must be the bytes of
-     its own diffs plus those of its fetched-diff account. *)
+     running own-diff byte count, which the GC trigger reads, must be the
+     bytes its entries hold. *)
   Array.iter
     (fun (n : State.node) ->
       let fail what =
@@ -225,25 +225,19 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
           if ls.State.held then
             fail (Printf.sprintf "lock %d still held" lock))
         n.State.locks;
+      let held = ref 0 in
       State.iter_entries n (fun (e : State.entry) ->
           if e.State.pending_own <> [] then
             fail
               (Printf.sprintf "queued ownership requests on page %d"
-                 e.State.page));
-      let held =
-        Hashtbl.fold
-          (fun _ diffs acc ->
-            List.fold_left
-              (fun acc (_, _, diff) -> acc + Diff.size_bytes diff)
-              acc diffs)
-          n.State.diffs n.State.fetched_bytes
-      and account =
-        Stats.diff_store_bytes cluster.State.stats ~node:n.State.id
-      in
-      if held <> account then
+                 e.State.page);
+          List.iter
+            (fun (_, _, diff) -> held := !held + Diff.size_bytes diff)
+            e.State.own_diffs);
+      if !held <> n.State.own_bytes then
         fail
-          (Printf.sprintf "a diff-store account of %d bytes, holding %d" account
-             held))
+          (Printf.sprintf "an own-diff account of %d bytes, holding %d"
+             n.State.own_bytes !held))
     nodes;
   let net = Rpc.network rpc in
   {
@@ -260,11 +254,6 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
 (* --- in-context operations --- *)
 
 let cluster (t : t) = t.cluster
-
-let vc_base_mismatches (t : t) =
-  match t.cluster with
-  | Some cl -> Vc.Epoch.mismatches cl.State.vc_epoch
-  | None -> 0
 
 let me ctx = ctx.node.State.id
 

@@ -89,12 +89,6 @@ val run :
     before any run. *)
 val cluster : t -> State.cluster option
 
-(** Clocks that failed the shared-base equality check at a barrier
-    leave ({!Vc.Epoch.mismatches}) in the last {!run}; 0 before any run.
-    Every node leaves a barrier holding the same clock, so a fault-free
-    run of a correct protocol reads 0. *)
-val vc_base_mismatches : t -> int
-
 (* --- operations available inside the application function --- *)
 
 val me : ctx -> int

@@ -60,17 +60,19 @@ let respond_msg cl node respond msg =
 (* Interval closure (release side)                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Default diff sink: keep the diff in the local store (TreadMarks).
-   Seqs only grow, so the page's list stays newest first. *)
+(* Default diff sink: keep the diff on the page's entry (TreadMarks).
+   [vc] is the snapshot [end_interval] also hands to [Interval.make]:
+   the diff's clock is its interval's timestamp, not a copy.  Seqs only
+   grow, so the page's list stays newest first. *)
 let store_diff _cl node (e : entry) ~seq ~vc diff =
-  let held = Option.value ~default:[] (Hashtbl.find_opt node.diffs e.page) in
-  (match held with
+  (match e.own_diffs with
    | (newest, _, _) :: _ when newest >= seq ->
      failwith
        (Printf.sprintf "Proto: node %d stored diff %d of page %d after %d"
           node.id seq e.page newest)
    | _ -> ());
-  Hashtbl.replace node.diffs e.page ((seq, vc, diff) :: held)
+  e.own_diffs <- (seq, vc, diff) :: e.own_diffs;
+  node.own_bytes <- node.own_bytes + Diff.size_bytes diff
 
 (* Default closure of a dirty page with neither twin nor write log: a
    single-writer page the node owned while writing (it may have transferred
@@ -131,8 +133,7 @@ let close_page_default ?(measure = false) ?(sink = store_diff)
     charge cost;
     let bytes = Diff.size_bytes diff in
     let modified = Diff.modified_bytes diff in
-    Stats.diff_created cl.stats ~node:node.id ~bytes ~modified
-      ~time:(Engine.now cl.engine);
+    Stats.diff_created cl.stats ~bytes ~modified ~time:(Engine.now cl.engine);
     if tracing cl then begin
       emit cl ~node:node.id
         (Adsm_trace.Event.Diff_create { page = e.page; seq; bytes; modified });
@@ -361,9 +362,7 @@ let fetch_and_apply_diffs cl node (e : entry) =
   (* Own committed modifications not reflected in the (possibly freshly
      installed) base copy must be merged back from our own diffs. *)
   let own_missing =
-    List.filter
-      (fun (seq, _, _) -> seq > reflected_get e node.id)
-      (Option.value ~default:[] (Hashtbl.find_opt node.diffs e.page))
+    List.filter (fun (seq, _, _) -> seq > reflected_get e node.id) e.own_diffs
   in
   if plain <> [] || own_missing <> [] then begin
     (* Group the missing diffs by their writer. *)
@@ -398,11 +397,9 @@ let fetch_and_apply_diffs cl node (e : entry) =
             when List.map (fun (seq, _, _) -> seq) diffs = seqs ->
             List.map
               (fun (seq, vc, diff) ->
-                let bytes = Diff.size_bytes diff in
                 node.fetched_diffs <- node.fetched_diffs + 1;
-                node.fetched_bytes <- node.fetched_bytes + bytes;
-                Stats.diff_stored cl.stats ~node:node.id ~bytes
-                  ~time:(Engine.now cl.engine);
+                node.fetched_bytes <- node.fetched_bytes + Diff.size_bytes diff;
+                Stats.diff_fetched cl.stats ~time:(Engine.now cl.engine);
                 (vc, diff, writer, seq))
               diffs
           | Msg.Diff_reply _ ->
@@ -602,6 +599,5 @@ let serve_diffs ?(rule1 = false) cl node ~src ~page ~seqs ~sees_sw respond =
         (Printf.sprintf "Proto: node %d asked for missing diff %d/%d" node.id
            page w)
   in
-  let held = Option.value ~default:[] (Hashtbl.find_opt node.diffs page) in
-  let diffs = pick [] (List.rev seqs) held in
+  let diffs = pick [] (List.rev seqs) e.own_diffs in
   respond_msg cl node respond (Msg.Diff_reply { page; diffs })

@@ -14,8 +14,7 @@ open State
 let flush_to_home cl node (e : entry) ~seq ~vc diff =
   Lrc_core.cast cl ~src:node.id ~dst:(home_of_page cl e.page)
     (Msg.Hlrc_diff { page = e.page; seq; vc; diff });
-  Stats.diffs_dropped cl.stats ~node:node.id ~bytes:(Diff.size_bytes diff)
-    ~count:1 ~time:(Engine.now cl.engine)
+  Stats.diffs_dropped cl.stats ~count:1 ~time:(Engine.now cl.engine)
 
 (* Home page closed dirty: the modifications are already in place in the
    master copy; emit a plain notice and re-protect so the next interval's

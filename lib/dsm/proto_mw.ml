@@ -21,7 +21,7 @@ let handle_protocol_msg _cl _node ~src:_ _msg _respond = false
 
 (* A node with live own diffs (and a frame to validate) keeps its copy at a
    GC round; everyone else drops theirs and refetches on demand. *)
-let gc_validator _cl node (e : entry) =
-  Hashtbl.mem node.diffs e.page && Option.is_some e.data
+let gc_validator _cl _node (e : entry) =
+  e.own_diffs <> [] && Option.is_some e.data
 
 let gc_retarget_owner_on_drop = true

@@ -53,6 +53,7 @@ type entry = {
   mutable log_writes : bool;
   mutable logged_ranges : (int * int) list;
   mutable logged_count : int;
+  mutable own_diffs : (int * Vc.t * Diff.t) list;
 }
 
 type lock_state = {
@@ -101,7 +102,7 @@ type node = {
          laziness is observationally identical to the old eager array. *)
   intervals : Interval.Logs.t;
   mutable dirty_pages : int list;
-  diffs : (int, (int * Vc.t * Diff.t) list) Hashtbl.t;
+  mutable own_bytes : int;
   mutable fetched_diffs : int;
   mutable fetched_bytes : int;
   locks : (int, lock_state) Hashtbl.t;
@@ -184,6 +185,7 @@ let make_entry ~page ~home =
     log_writes = false;
     logged_ranges = [];
     logged_count = 0;
+    own_diffs = [];
   }
 
 (* --- sparse entry-metadata accessors ------------------------------- *)
@@ -360,7 +362,7 @@ let make_node ~cfg ~vc_epoch ~store ~id ~total_pages =
     pages = Array.make total_pages None;
     intervals = Interval.Logs.create store ~clock:vc;
     dirty_pages = [];
-    diffs = Hashtbl.create 16;
+    own_bytes = 0;
     fetched_diffs = 0;
     fetched_bytes = 0;
     locks = Hashtbl.create 16;
@@ -410,6 +412,8 @@ let entry_of node page =
 (* Iterate the materialized entries (the only ones any state can live on). *)
 let iter_entries node f =
   Array.iter (function None -> () | Some e -> f e) node.pages
+
+let diff_bytes node = node.own_bytes + node.fetched_bytes
 
 (* TLB contract (see DESIGN.md, "Access fast path"): any code that lowers
    an entry's effective access rights on a node — protection downgrade,

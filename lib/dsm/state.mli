@@ -82,6 +82,12 @@ type entry = {
           write ranges instead of relying on a twin *)
   mutable logged_ranges : (int * int) list;  (** (offset, length) log *)
   mutable logged_count : int;  (** writes logged (for cost accounting) *)
+  mutable own_diffs : (int * Vc.t * Diff.t) list;
+      (** the live diffs this node created for the page, as (interval
+          seq, interval timestamp, diff), newest first.  The timestamp is
+          the interval's own clock, shared with its notices and its
+          {!Interval.t}.  Durable: a crash wipe keeps them, a GC purge
+          drops them *)
 }
 
 (** Distributed lock state. *)
@@ -138,14 +144,15 @@ type node = {
       (** one log per writer, a window onto the cluster's
           [interval_store] (see {!Interval.Logs}) *)
   mutable dirty_pages : int list;  (** pages written this interval *)
-  diffs : (int, (int * Vc.t * Diff.t) list) Hashtbl.t;
-      (** page -> the live diffs this node created for it, as (interval
-          seq, interval timestamp, diff), newest first; absent = none.
-          Fetched diffs are applied from their reply and not kept *)
+  mutable own_bytes : int;
+      (** encoded bytes of the diffs on the entries' [own_diffs], kept as
+          a running count *)
   mutable fetched_diffs : int;
   mutable fetched_bytes : int;
       (** the account of the live diffs this node fetched: their count
-          and encoded bytes, dropped by a crash wipe or a GC purge *)
+          and encoded bytes.  Fetched diffs are applied from their reply
+          and not kept; the account is dropped by a crash wipe or a GC
+          purge *)
   locks : (int, lock_state) Hashtbl.t;
   lock_waits : (int, Interval.t list Adsm_sim.Proc.Ivar.t) Hashtbl.t;
       (** lock id -> continuation of a blocked acquire *)
@@ -313,6 +320,11 @@ val entry_of : node -> int -> entry
 (** Iterate over the materialized entries — the only ones that can carry
     any protocol state. *)
 val iter_entries : node -> (entry -> unit) -> unit
+
+(** The node's byte account: its own-diff running count plus its
+    fetched-diff account, what the GC trigger compares with
+    [Config.gc_threshold_bytes]. *)
+val diff_bytes : node -> int
 
 (** Committed contents of a page at this node: the twin if there is one
     (a twin exists only while the page is dirty), the current data

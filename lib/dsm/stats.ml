@@ -29,7 +29,6 @@ type t = {
   mutable twins_created : int;
   mutable diffs_created : int;
   mutable diff_bytes_created : int;
-  diff_store : int array;  (** live bytes per node *)
   mutable diffs_live : int;  (** live diff count, all nodes *)
   series : Series.t;
   mutable own_requests : int;
@@ -54,7 +53,6 @@ let create ~nprocs () =
     twins_created = 0;
     diffs_created = 0;
     diff_bytes_created = 0;
-    diff_store = Array.make nprocs 0;
     diffs_live = 0;
     series = Series.create ~name:"live diffs";
     own_requests = 0;
@@ -84,31 +82,24 @@ let twin_bytes_total t = t.twins_created * Page.size
 let record_live t ~time =
   Series.record t.series ~time ~value:(float_of_int t.diffs_live)
 
-let diff_created t ~node ~bytes ~modified ~time =
-  t.diff_store.(node) <- t.diff_store.(node) + bytes;
+let diff_created t ~bytes ~modified ~time =
   t.diffs_created <- t.diffs_created + 1;
   t.diff_bytes_created <- t.diff_bytes_created + bytes;
   t.diffs_live <- t.diffs_live + 1;
   t.modified_bytes <- t.modified_bytes + modified;
   record_live t ~time
 
-let diff_stored t ~node ~bytes ~time =
-  t.diff_store.(node) <- t.diff_store.(node) + bytes;
-  (* a fetched diff is another live copy; garbage collection drops it
-     per node, so it must be counted per node too *)
+let diff_fetched t ~time =
   t.diffs_live <- t.diffs_live + 1;
   record_live t ~time
 
-let diffs_dropped t ~node ~bytes ~count ~time =
-  t.diff_store.(node) <- t.diff_store.(node) - bytes;
+let diffs_dropped t ~count ~time =
   t.diffs_live <- t.diffs_live - count;
   record_live t ~time
 
 let diffs_created_total t = t.diffs_created
 
 let diff_bytes_total t = t.diff_bytes_created
-
-let diff_store_bytes t ~node = t.diff_store.(node)
 
 let live_diff_series t = t.series
 

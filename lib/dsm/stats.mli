@@ -2,10 +2,12 @@
 
     Collects everything the paper reports: message and data volumes come
     from the network layer; this module tracks ownership requests, twin
-    memory (cumulative), diff memory (cumulative and live), garbage
-    collections, the live-diff time series of Figure 3, and the sharing
-    profile (writers per page, write-write false sharing, diff
-    granularity) behind Table 2. *)
+    memory (cumulative), diff memory (cumulative), garbage collections,
+    the live-diff time series of Figure 3, and the sharing profile
+    (writers per page, write-write false sharing, diff granularity)
+    behind Table 2.  It keeps no per-node diff state: the diffs a node
+    holds, and the byte account the GC trigger reads, are node state
+    ({!State.diff_bytes}). *)
 
 type t
 
@@ -24,27 +26,24 @@ val twin_bytes_total : t -> int
 
 (* --- diffs --- *)
 
-(** A diff was created by [node]; [bytes] is its encoded size and
-    [modified] the number of bytes it changes, at simulated [time]. *)
-val diff_created : t -> node:int -> bytes:int -> modified:int -> time:int -> unit
+(** A diff was created; [bytes] is its encoded size and [modified] the
+    number of bytes it changes, at simulated [time]. *)
+val diff_created : t -> bytes:int -> modified:int -> time:int -> unit
 
-(** A fetched diff joined [node]'s fetched-diff account at simulated [time]
-    (counts as another live diff copy, as in the paper's Figure 3 which
-    plots the total number of diffs on all processors — so the live
-    series must record a point here just as it does on creation). *)
-val diff_stored : t -> node:int -> bytes:int -> time:int -> unit
+(** A diff was fetched at simulated [time]: another live diff copy, as
+    in the paper's Figure 3, which plots the total number of diffs on
+    all processors, so the live series records a point here just as it
+    does on creation. *)
+val diff_fetched : t -> time:int -> unit
 
-(** [node] dropped [bytes] of diff store and [count] diffs at [time]
-    (garbage collection). *)
-val diffs_dropped : t -> node:int -> bytes:int -> count:int -> time:int -> unit
+(** [count] live diffs were dropped at [time] (garbage collection, a
+    crash wipe of fetched diffs, an HLRC flush). *)
+val diffs_dropped : t -> count:int -> time:int -> unit
 
 val diffs_created_total : t -> int
 
 val diff_bytes_total : t -> int
 (** Cumulative encoded bytes of all diffs ever created. *)
-
-val diff_store_bytes : t -> node:int -> int
-(** Current live diff-store bytes at [node] (triggers GC). *)
 
 val live_diff_series : t -> Adsm_sim.Series.t
 (** Total live diffs across all nodes over time (paper Figure 3). *)

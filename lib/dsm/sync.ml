@@ -33,7 +33,7 @@ let end_interval_local cl node =
    Durability model (what "local stable storage" holds):
    - the node's own closed intervals and their diffs: a write-behind log
      flushed at every interval close.  Implementation: own intervals
-     and the diff store (which holds own diffs only) are not wiped;
+     and the entries' own diffs are not wiped;
    - the committed frame of every page the node is the designated copy
      holder for ([is_owner], or [owner = self] after an adaptive MW
      drop): peers' Page/Diff requests parked during the downtime must
@@ -87,11 +87,11 @@ let crash_pause cl node =
       end);
   tlb_reset node;
   (* The fetched diffs and remote interval logs are volatile.  The
-     fetched diffs leave the node's diff-store account, which the GC
-     trigger reads. *)
+     fetched diffs leave the node's byte account, which the GC trigger
+     reads; its own diffs are durable. *)
   if node.fetched_diffs > 0 then begin
-    Stats.diffs_dropped cl.stats ~node:node.id ~bytes:node.fetched_bytes
-      ~count:node.fetched_diffs ~time:(Engine.now cl.engine);
+    Stats.diffs_dropped cl.stats ~count:node.fetched_diffs
+      ~time:(Engine.now cl.engine);
     node.fetched_diffs <- 0;
     node.fetched_bytes <- 0
   end;
@@ -359,19 +359,17 @@ let gc_validate cl node =
 (* Purge the diff store and twins after everyone has validated. *)
 let gc_purge cl node =
   let bytes = ref node.fetched_bytes and count = ref node.fetched_diffs in
-  Hashtbl.iter
-    (fun _ diffs ->
+  iter_entries node (fun e ->
       List.iter
         (fun (_, _, diff) ->
           bytes := !bytes + Diff.size_bytes diff;
           incr count)
-        diffs)
-    node.diffs;
-  Hashtbl.reset node.diffs;
+        e.own_diffs;
+      e.own_diffs <- []);
+  node.own_bytes <- 0;
   node.fetched_diffs <- 0;
   node.fetched_bytes <- 0;
-  Stats.diffs_dropped cl.stats ~node:node.id ~bytes:!bytes ~count:!count
-    ~time:(Engine.now cl.engine);
+  Stats.diffs_dropped cl.stats ~count:!count ~time:(Engine.now cl.engine);
   if tracing cl then
     emit cl ~node:node.id
       (Adsm_trace.Event.Diff_gc { count = !count; bytes = !bytes });
@@ -564,10 +562,7 @@ let barrier cl node =
     observe cl ~node:node.id
       (Adsm_check.Obs.Barrier_enter { epoch = node.barrier_epoch });
   end_interval_local cl node;
-  let gc_wanted =
-    Stats.diff_store_bytes cl.stats ~node:node.id
-    > cl.cfg.Config.gc_threshold_bytes
-  in
+  let gc_wanted = diff_bytes node > cl.cfg.Config.gc_threshold_bytes in
   let ivar = Proc.Ivar.create () in
   node.barrier_wait <- Some ivar;
   let epoch = node.barrier_epoch in

@@ -14,8 +14,8 @@ val unlock : cluster -> node -> int -> unit
 
 (* --- barriers (application side; process context) --- *)
 
-(** Global barrier; runs garbage collection when any node's diff store
-    exceeded the threshold. *)
+(** Global barrier; runs garbage collection when any node's diff byte
+    account ({!State.diff_bytes}) exceeded the threshold. *)
 val barrier : cluster -> node -> unit
 
 (* --- crash recovery (see FAULTS.md) --- *)

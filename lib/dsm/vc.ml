@@ -396,7 +396,6 @@ module Epoch = struct
     mutable parent : int array;
     mutable didx : int array;
     mutable dvals : int array;
-    mutable mismatches : int;
   }
 
   let on base ~sum = make base ~own:false ~idx:[||] ~vals:[||] ~len:0 ~sum
@@ -405,15 +404,13 @@ module Epoch = struct
     if nprocs <= 0 then invalid_arg "Vc.Epoch.create: nprocs must be positive";
     let zeros = Array.make nprocs 0 in
     { zeros; epoch = 0; base = on zeros ~sum:0; parent = zeros; didx = [||];
-      dvals = [||]; mismatches = 0 }
+      dvals = [||] }
 
   let zero es = on es.zeros ~sum:0
 
   let base es = on es.base.base ~sum:es.base.sum
 
   let adopted es (c : clock) = c.base == es.base.base
-
-  let mismatches es = es.mismatches
 
   let adopt es (c : clock) =
     c.base <- es.base.base;
@@ -454,5 +451,10 @@ module Epoch = struct
     if epoch > es.epoch then publish es ~epoch c
     else if not (adopted es c && c.len = 0) then
       if epoch = es.epoch && matches es c then adopt es c
-      else es.mismatches <- es.mismatches + 1
+      else
+        failwith
+          (Printf.sprintf
+             "Vc.Epoch.leave: a clock leaving barrier %d differs from the \
+              epoch-%d base"
+             epoch es.epoch)
 end

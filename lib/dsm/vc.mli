@@ -109,8 +109,8 @@ val pp : Format.formatter -> t -> unit
     and one dense walk otherwise.
 
     A clock that fails the check (only a broken protocol can make one)
-    keeps its own representation, correct and slower, and is counted
-    in {!mismatches}.  Published bases are never mutated. *)
+    raises: every run makes the check.  Published bases are never
+    mutated. *)
 module Epoch : sig
   type clock := t
 
@@ -124,8 +124,12 @@ module Epoch : sig
 
   (** [leave es ~epoch c] at the end of barrier [epoch] (numbered from 1):
       the first call for an epoch publishes [c]'s content, later calls
-      adopt the published base if [c] equals it.  [c]'s content and
-      {!version} never change. *)
+      adopt the published base.  [c]'s content and {!version} never
+      change.
+
+      @raise Failure naming the epoch if [c] differs from the published
+      base, or leaves an epoch older than the latest; [c] then stays
+      off the base. *)
   val leave : t -> epoch:int -> clock -> unit
 
   (** A fresh clock equal to the latest published base, on that base. *)
@@ -133,7 +137,4 @@ module Epoch : sig
 
   (** [c] is on the latest published base. *)
   val adopted : t -> clock -> bool
-
-  (** Clocks that failed the equality check of {!leave}. *)
-  val mismatches : t -> int
 end

@@ -22,7 +22,6 @@ type outcome = {
   faults : Fault.schedule option;
   report : Oracle.report;
   stream : Obs.stamped array;
-  vc_base_mismatches : int;
   abort : string option;
 }
 
@@ -68,7 +67,6 @@ let run_program ?mutation ?faults ?(protocol = Config.Mw) ?(seed = 0x5EEDL)
     faults;
     report = Oracle.check ~nprocs:p.Workload.nprocs stream;
     stream;
-    vc_base_mismatches = Dsm.vc_base_mismatches t;
     abort = None;
   }
 
@@ -96,7 +94,6 @@ let shrink_failing ?mutation ?protocol ?seed ?faults (p : Workload.program) =
         faults = fs;
         report = Oracle.check ~nprocs:q.Workload.nprocs [||];
         stream = [||];
-        vc_base_mismatches = 0;
         abort = Some (Printexc.to_string e);
       }
   in

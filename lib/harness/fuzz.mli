@@ -18,9 +18,6 @@ type outcome = {
       (** the schedule the run executed under, if any *)
   report : Adsm_check.Oracle.report;
   stream : Adsm_check.Obs.stamped array;
-  vc_base_mismatches : int;
-      (** clocks that failed the shared-base check at a barrier leave
-          ({!Adsm_dsm.Dsm.vc_base_mismatches}) *)
   abort : string option;
       (** the exception a shrunk run raised ([report] and [stream] are
           then empty); {!run_program} and {!fuzz_once} raise instead *)

@@ -35,7 +35,6 @@ type measurement = {
   fault_time_ns : int;
   lock_time_ns : int;
   barrier_time_ns : int;
-  vc_base_mismatches : int;
 }
 
 let run ?(seed = 0x5EEDL) ?(tweak = Fun.id) ?faults ?tracer ?recorder
@@ -81,7 +80,6 @@ let run ?(seed = 0x5EEDL) ?(tweak = Fun.id) ?faults ?tracer ?recorder
     fault_time_ns = Stats.total_time stats ~category:Stats.Fault;
     lock_time_ns = Stats.total_time stats ~category:Stats.Lock;
     barrier_time_ns = Stats.total_time stats ~category:Stats.Barrier;
-    vc_base_mismatches = Dsm.vc_base_mismatches t;
   }
 
 (* The sequential-baseline cache is the one cross-run mutable global in

@@ -35,9 +35,6 @@ type measurement = {
   fault_time_ns : int;  (** time inside page-fault service *)
   lock_time_ns : int;  (** time acquiring locks *)
   barrier_time_ns : int;  (** time in barriers (including GC) *)
-  vc_base_mismatches : int;
-      (** clocks that failed the shared-base check at a barrier leave
-          ({!Adsm_dsm.Dsm.vc_base_mismatches}): 0 on a fault-free run *)
 }
 
 val run :

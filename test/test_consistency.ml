@@ -28,12 +28,6 @@ let assert_clean name (report : Oracle.report) =
     Alcotest.failf "%s: %s" name (Format.asprintf "%a" Oracle.pp_report report);
   Alcotest.(check bool) (name ^ ": observed something") true (report.Oracle.observations > 0)
 
-(* Every node of a fault-free run leaves each barrier with the same
-   clock, so every clock passes the check against the cluster's shared
-   base ([Vc.Epoch]). *)
-let assert_adopted name mismatches =
-  Alcotest.(check int) (name ^ ": shared-base mismatches") 0 mismatches
-
 (* --- fuzzing: every protocol, several node counts, 10+ seeds --- *)
 
 let test_fuzz_protocols () =
@@ -42,8 +36,7 @@ let test_fuzz_protocols () =
       for seed = 1 to 10 do
         let o = Fuzz.fuzz_once ~protocol ~nprocs:4 ~seed:(Int64.of_int seed) () in
         let name = Printf.sprintf "%s seed %d" (case "fuzz" protocol) seed in
-        assert_clean name o.Fuzz.report;
-        assert_adopted name o.Fuzz.vc_base_mismatches
+        assert_clean name o.Fuzz.report
       done)
     Config.all_protocols
 
@@ -59,8 +52,7 @@ let test_fuzz_node_counts () =
             let name =
               Printf.sprintf "%s %dp seed %d" (case "fuzz" protocol) nprocs seed
             in
-            assert_clean name o.Fuzz.report;
-            assert_adopted name o.Fuzz.vc_base_mismatches
+            assert_clean name o.Fuzz.report
           done)
         [ Config.Mw; Config.Wfs_wg ])
     [ 2; 8 ]
@@ -73,12 +65,10 @@ let oracle_apps = [ "SOR"; "TSP"; "IS"; "Water" ]
 let check_app_cell ~tweak ~label ~nprocs app_name protocol =
   let app = Option.get (Registry.find app_name) in
   let recorder = Recorder.create () in
-  let m =
-    Runner.run ~tweak ~recorder ~app ~protocol ~nprocs ~scale:Registry.Tiny ()
-  in
+  ignore
+    (Runner.run ~tweak ~recorder ~app ~protocol ~nprocs ~scale:Registry.Tiny ());
   let name = case app_name protocol ^ label in
-  assert_clean name (Oracle.check ~nprocs (Recorder.stream recorder));
-  assert_adopted name m.Runner.vc_base_mismatches
+  assert_clean name (Oracle.check ~nprocs (Recorder.stream recorder))
 
 (* Every protocol, HLRC included, on the paper configuration and with
    software write detection, whose diffs are built from the logged write
@@ -198,8 +188,7 @@ let test_mutation_seeds_clean_without_mutation () =
           Printf.sprintf "control %s seed %d" (Config.protocol_name protocol)
             seed
         in
-        assert_clean name o.Fuzz.report;
-        assert_adopted name o.Fuzz.vc_base_mismatches
+        assert_clean name o.Fuzz.report
       done)
     [ Config.Mw; Config.Sw ]
 

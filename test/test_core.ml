@@ -385,13 +385,10 @@ let test_stats_counters () =
   Stats.twin_created s;
   Stats.twin_created s;
   Alcotest.(check int) "twins" 2 (Stats.twins_created_total s);
-  Stats.diff_created s ~node:0 ~bytes:100 ~modified:64 ~time:10;
-  Stats.diff_created s ~node:0 ~bytes:200 ~modified:128 ~time:20;
+  Stats.diff_created s ~bytes:100 ~modified:64 ~time:10;
+  Stats.diff_created s ~bytes:200 ~modified:128 ~time:20;
   Alcotest.(check int) "diffs" 2 (Stats.diffs_created_total s);
   Alcotest.(check int) "diff bytes" 300 (Stats.diff_bytes_total s);
-  Alcotest.(check int) "store" 300 (Stats.diff_store_bytes s ~node:0);
-  Stats.diffs_dropped s ~node:0 ~bytes:300 ~count:2 ~time:30;
-  Alcotest.(check int) "store emptied" 0 (Stats.diff_store_bytes s ~node:0);
   Alcotest.(check (float 0.)) "mean diff" 96. (Stats.mean_diff_size s)
 
 let test_stats_sharing_profile () =
@@ -414,9 +411,9 @@ let test_stats_sharing_profile () =
 
 let test_stats_series () =
   let s = Stats.create ~nprocs:1 () in
-  Stats.diff_created s ~node:0 ~bytes:10 ~modified:10 ~time:5;
-  Stats.diff_created s ~node:0 ~bytes:10 ~modified:10 ~time:9;
-  Stats.diffs_dropped s ~node:0 ~bytes:20 ~count:2 ~time:12;
+  Stats.diff_created s ~bytes:10 ~modified:10 ~time:5;
+  Stats.diff_created s ~bytes:10 ~modified:10 ~time:9;
+  Stats.diffs_dropped s ~count:2 ~time:12;
   let series = Stats.live_diff_series s in
   Alcotest.(check (float 0.)) "peak" 2. (Adsm_sim.Series.max_value series);
   Alcotest.(check (float 0.)) "after drop" 0.

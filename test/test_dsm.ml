@@ -304,6 +304,72 @@ let test_mw_gc_triggers_and_preserves_data () =
   Alcotest.(check bool) "data correct across GC" true !ok;
   Alcotest.(check bool) "GC ran" true (Stats.gc_count report.Dsm.stats >= 1)
 
+(* The byte account the GC trigger reads ([State.diff_bytes]) is the
+   own-diff bytes on the node's entries plus its fetched-diff account.
+   Each node checks every node's account after each barrier of a
+   two-node MW run whose 16 KB threshold makes GC rounds run, and its
+   own account reads 0 after a barrier that ran a round: its purge ran
+   before the barrier returned.  HLRC flushes each diff to its home, so
+   its accounts read 0 throughout. *)
+let check_accounts where (cl : Adsm_dsm.State.cluster) ~zero =
+  Array.iter
+    (fun (n : Adsm_dsm.State.node) ->
+      let held = ref 0 in
+      Adsm_dsm.State.iter_entries n (fun e ->
+          List.iter
+            (fun (_, _, d) -> held := !held + Adsm_dsm.Diff.size_bytes d)
+            e.Adsm_dsm.State.own_diffs);
+      let account = Adsm_dsm.State.diff_bytes n in
+      let what = Printf.sprintf "%s: node %d's account" where n.id in
+      Alcotest.(check int) what (!held + n.Adsm_dsm.State.fetched_bytes)
+        account;
+      if zero n then Alcotest.(check int) (what ^ " after a purge") 0 account)
+    cl.Adsm_dsm.State.nodes
+
+let test_diff_account_at_every_barrier () =
+  List.iter
+    (fun (protocol, min_gcs) ->
+      let cfg = Config.make ~protocol ~nprocs:2 () in
+      let cfg = { cfg with Config.gc_threshold_bytes = 16_384 } in
+      let t = Dsm.create cfg in
+      let a = Dsm.alloc_f64 t ~name:"a" ~len:(512 * 8) in
+      let checks = ref 0 in
+      let report =
+        Dsm.run t (fun ctx ->
+            let me = Dsm.me ctx in
+            let cl = Option.get (Dsm.cluster t) in
+            let barrier step =
+              let gcs = Stats.gc_count cl.Adsm_dsm.State.stats in
+              Dsm.barrier ctx;
+              let purged = Stats.gc_count cl.Adsm_dsm.State.stats > gcs in
+              let where =
+                Printf.sprintf "%s step %d, node %d"
+                  (Config.protocol_name protocol) step me
+              in
+              check_accounts where cl ~zero:(fun n ->
+                  protocol = Config.Hlrc || (purged && n.Adsm_dsm.State.id = me));
+              incr checks
+            in
+            for iter = 1 to 6 do
+              for i = 0 to (4 * 512) - 1 do
+                Dsm.f64_set ctx a ((me * 4 * 512) + i)
+                  (float_of_int ((iter * 100_000) + i))
+              done;
+              barrier (2 * iter);
+              for i = 0 to (4 * 512) - 1 do
+                ignore (Dsm.f64_get ctx a (((1 - me) * 4 * 512) + i))
+              done;
+              barrier ((2 * iter) + 1)
+            done)
+      in
+      let name = Config.protocol_name protocol in
+      Alcotest.(check int) (name ^ ": every barrier checked") 24 !checks;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: at least %d GC rounds" name min_gcs)
+        true
+        (Stats.gc_count report.Dsm.stats >= min_gcs))
+    [ (Config.Mw, 2); (Config.Hlrc, 0) ]
+
 (* ------------------------------------------------------------------ *)
 (* WFS+WG specifics                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -366,8 +432,8 @@ let test_wg_keeps_small_writes_in_mw () =
 
 let test_live_diff_series_counts_stored_copies () =
   (* Producer/consumer on one page under MW: p0 creates one diff per
-     iteration and p1 fetches (and stores) a copy of each.  Both sides
-     count toward the live-diff population that GC eventually collects,
+     iteration and p1 fetches each into its fetched-diff account.  Both
+     sides count toward the live-diff population that GC eventually collects,
      so the Figure 3 series must sample at both kinds of event — the
      fetched copies used to be counted but never sampled, leaving the
      even plateaus invisible. *)
@@ -595,6 +661,8 @@ let () =
             test_mw_gc_triggers_and_preserves_data;
           Alcotest.test_case "live-diff series counts stored copies" `Quick
             test_live_diff_series_counts_stored_copies;
+          Alcotest.test_case "diff account at every barrier" `Quick
+            test_diff_account_at_every_barrier;
         ] );
       ( "runtime",
         [

@@ -177,15 +177,11 @@ let test_oracle_clean_under_crashes () =
               in
               let recorder = Recorder.create () in
               let tweak cfg = with_faults crash_sched (shape cfg) in
-              let m = measure ~tweak ~recorder name protocol in
+              ignore (measure ~tweak ~recorder name protocol);
               let report = Oracle.check ~nprocs:4 (Recorder.stream recorder) in
               if not (Oracle.ok report) then
                 Alcotest.failf "%s: %s" cell
                   (Format.asprintf "%a" Oracle.pp_report report);
-              (* Recovery re-establishes the supremum by the next barrier:
-                 every clock adopts the shared base. *)
-              Alcotest.(check int) (cell ^ ": shared-base mismatches") 0
-                m.Runner.vc_base_mismatches;
               (* The stream must actually contain both crash/restart pairs. *)
               let crashes =
                 Array.fold_left
@@ -200,15 +196,17 @@ let test_oracle_clean_under_crashes () =
         [ "sor"; "is"; "water" ])
     barriers
 
-(* A crash wipes the node's fetched-diff account, and its bytes must
-   leave the node's diff-store account, which the GC trigger reads.
-   [Dsm.run] fails a run that ends with an account other than a node's
-   own-diff bytes plus its fetched bytes, so the run completing is the
-   equality check.  With no GC run, a fall in the live-diff series can
-   only be a crash dropping fetched diffs: the cell exercises the drop (node 1 crashes a third of
-   the way into the run, after its first diff fetches).  It is also an
-   interior node of the binary tree, whose rollback puts its checkpoint
-   clock, on the shared epoch base, back. *)
+(* A crash wipes the node's fetched-diff account, so its diffs leave
+   the live-diff series and the node's byte account, which the GC
+   trigger reads.  With no GC run, a fall in the series can only be a
+   crash dropping fetched diffs: the cell exercises the drop (node 1
+   crashes a third of the way into the run, after its first diff
+   fetches).  The node's own diffs are durable, and [Dsm.run] fails a
+   run whose running own-diff count differs from the bytes its entries
+   hold.  Node 1 is also an interior node of the binary tree, whose
+   rollback puts its last-barrier clock, on the shared epoch base,
+   back: [Vc.Epoch.leave] raises on a clock that does not re-adopt
+   it. *)
 let test_crash_drops_remote_diffs () =
   List.iter
     (fun (barrier, shape) ->
@@ -221,11 +219,9 @@ let test_crash_drops_remote_diffs () =
         | _ -> false
       in
       Alcotest.(check bool)
-        (cell ^ ": stored diffs dropped")
+        (cell ^ ": fetched diffs dropped")
         true
-        (falls (Adsm_sim.Series.to_list m.Runner.live_diff_series));
-      Alcotest.(check int) (cell ^ ": clocks adopt the shared base") 0
-        m.Runner.vc_base_mismatches)
+        (falls (Adsm_sim.Series.to_list m.Runner.live_diff_series)))
     barriers
 
 let mentions ~needle s =
@@ -541,10 +537,7 @@ let test_fuzz_clean_under_faults () =
       let o = Fuzz.fuzz_once ~faults:true ~nprocs:4 ~seed:(Int64.of_int s) () in
       if not (Oracle.ok o.Fuzz.report) then
         Alcotest.failf "seed %d: clean run flagged:@ %s" s
-          (Format.asprintf "%a" Oracle.pp_report o.Fuzz.report);
-      if o.Fuzz.vc_base_mismatches <> 0 then
-        Alcotest.failf "seed %d: %d shared-base mismatches" s
-          o.Fuzz.vc_base_mismatches)
+          (Format.asprintf "%a" Oracle.pp_report o.Fuzz.report))
     (List.init 30 (fun i -> i + 1))
 
 let () =

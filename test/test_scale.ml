@@ -378,12 +378,12 @@ let test_footprint_pins ~nprocs () =
           (Config.protocol_name protocol) nprocs words bound)
     (List.filter (fun (_, _, n, _) -> n = nprocs) footprint_pins)
 
-(* What a node that touched nothing retains in its interval log and its
-   diff table does not depend on the cluster size: neither holds an
-   [nprocs]-sized array.  The log's own words are those its store and
-   clock (shared with the rest of the cluster) do not reach; the store
-   reaches the log's floor, not the log, so they include the log's
-   record. *)
+(* What a node that touched nothing retains in its interval log does
+   not depend on the cluster size: the log holds no [nprocs]-sized
+   array.  The log's own words are those its store and clock (shared
+   with the rest of the cluster) do not reach; the store reaches the
+   log's floor, not the log, so they include the log's record.  The
+   node's diffs live on its page entries, of which it has none. *)
 let test_untouched_node_size_free () =
   let words ~nprocs =
     let cfg = Config.make ~protocol:Config.Wfs ~nprocs () in
@@ -394,13 +394,11 @@ let test_untouched_node_size_free () =
     in
     let reach x = Obj.reachable_words (Obj.repr x) in
     let shared = (store, node.Adsm_dsm.State.vc) in
-    (reach (node.Adsm_dsm.State.intervals, shared) - reach (shared, shared),
-     reach node.Adsm_dsm.State.diffs)
+    reach (node.Adsm_dsm.State.intervals, shared) - reach (shared, shared)
   in
-  let log8, diffs8 = words ~nprocs:8 and log512, diffs512 = words ~nprocs:512 in
+  let log8 = words ~nprocs:8 and log512 = words ~nprocs:512 in
   Alcotest.(check bool) "the log owns its record" true (log8 > 0);
-  Alcotest.(check int) "interval-log words, 8 vs 512 nodes" log8 log512;
-  Alcotest.(check int) "diff-table words, 8 vs 512 nodes" diffs8 diffs512
+  Alcotest.(check int) "interval-log words, 8 vs 512 nodes" log8 log512
 
 (* A node's interval log is a window onto the cluster's interval store
    and has no other form: an append that does not continue its writer's
@@ -460,7 +458,7 @@ let () =
             (test_footprint_pins ~nprocs:512);
           Alcotest.test_case "retained words bounded at 1024 nodes" `Slow
             (test_footprint_pins ~nprocs:1024);
-          Alcotest.test_case "untouched node's log and diff table size-free"
+          Alcotest.test_case "untouched node's log size-free"
             `Quick test_untouched_node_size_free;
           Alcotest.test_case "fault-free interval logs stay windows" `Slow
             test_logs_stay_windows;
