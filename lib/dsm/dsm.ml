@@ -122,11 +122,8 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
       State.cfg;
       engine;
       rpc;
-      layout = t.layout;
       nodes;
-      stats = Stats.create ~nprocs:cfg.Config.nprocs ();
-      next_lock = t.next_lock;
-      running = cfg.Config.nprocs;
+      stats = Stats.create ();
       tracer;
       recorder;
       diff_scratch = Diff.make_scratch ();
@@ -143,35 +140,16 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
   (match cfg.Config.faults with
   | None -> ()
   | Some sched ->
-    let net = Rpc.network rpc in
-    Network.set_faults net
+    Network.set_faults (Rpc.network rpc)
       (Some
          (Adsm_net.Fault.runtime sched ~seed:cfg.Config.seed
             ~nodes:cfg.Config.nprocs));
-    (* Crash and restart are engine events: the crash parks subsequent
-       deliveries and marks the node so its next DSM operation boundary
-       fail-stops (Sync.crash_pause); the restart flushes the parked
-       queue and resumes a process suspended in the downtime window. *)
-    List.iter
-      (fun (c : Adsm_net.Fault.crash) ->
-        let n = nodes.(c.Adsm_net.Fault.node) in
-        Engine.schedule_at engine ~time:c.Adsm_net.Fault.at (fun () ->
-            Network.fault_crash net ~node:c.Adsm_net.Fault.node;
-            n.State.crash_pending <- true;
-            n.State.crash_restart_at <- c.Adsm_net.Fault.at + c.Adsm_net.Fault.downtime);
-        Engine.schedule_at engine
-          ~time:(c.Adsm_net.Fault.at + c.Adsm_net.Fault.downtime) (fun () ->
-            Network.fault_restart net ~node:c.Adsm_net.Fault.node;
-            match n.State.restart_wait with
-            | Some ivar ->
-              n.State.restart_wait <- None;
-              Proc.Ivar.fill engine ivar ()
-            | None -> ()))
-      sched.Adsm_net.Fault.crashes);
+    Sync.arm_crashes cluster sched.Adsm_net.Fault.crashes);
+  let running = ref cfg.Config.nprocs in
   for id = 0 to cfg.Config.nprocs - 1 do
     Proc.spawn engine (fun () ->
         app { cluster; node = nodes.(id) };
-        cluster.State.running <- cluster.State.running - 1)
+        decr running)
   done;
   (* Spare twins are scratch for the run alone: none outlives it. *)
   let time_ns =
@@ -179,46 +157,31 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
       ~finally:(fun () -> cluster.State.spare_twins <- [])
       (fun () -> Engine.run engine)
   in
-  if cluster.State.running > 0 then begin
+  if !running > 0 then begin
     let describe (n : State.node) =
-      let waits = Buffer.create 64 in
-      if n.State.barrier_wait <> None then Buffer.add_string waits " barrier";
-      if n.State.gc_wait <> None then Buffer.add_string waits " gc";
-      Hashtbl.iter
-        (fun l _ -> Buffer.add_string waits (Printf.sprintf " lock:%d" l))
-        n.State.lock_waits;
-      Hashtbl.iter
-        (fun p _ -> Buffer.add_string waits (Printf.sprintf " own:%d" p))
-        n.State.own_waits;
-      Printf.sprintf "node %d:%s" n.State.id
-        (if Buffer.length waits = 0 then " (running/none)"
-         else Buffer.contents waits)
+      Printf.sprintf "node %d: %s" n.State.id (State.describe_wait n.State.wait)
     in
-    let detail =
-      String.concat "; " (Array.to_list (Array.map describe nodes))
-    in
+    let detail = String.concat "; " (List.map describe (Array.to_list nodes)) in
     failwith
       (Printf.sprintf
          "Dsm.run: deadlock — %d process(es) still blocked at simulated time \
           %d ns [%s]"
-         cluster.State.running time_ns detail)
+         !running time_ns detail)
   end;
-  (* Post-run protocol invariants: a completed run must leave no blocked
-     continuation, queued ownership request or deferred reply behind — any
-     of those means a protocol message was dropped.  And each node's
-     running own-diff byte count, which the GC trigger reads, must be the
-     bytes its entries hold. *)
+  (* Post-run protocol invariants: a completed run must leave no wait,
+     queued ownership request or deferred reply behind — any of those
+     means a protocol message was dropped.  And each node's running
+     own-diff byte count, which the GC trigger reads, must be the bytes
+     its entries hold. *)
   Array.iter
     (fun (n : State.node) ->
       let fail what =
         failwith
           (Printf.sprintf "Dsm.run: node %d finished with %s" n.State.id what)
       in
-      if Hashtbl.length n.State.lock_waits > 0 then fail "a blocked lock wait";
-      if Hashtbl.length n.State.own_waits > 0 then
-        fail "a blocked ownership wait";
-      if n.State.barrier_wait <> None then fail "a blocked barrier wait";
-      if n.State.gc_wait <> None then fail "a blocked GC wait";
+      (match n.State.wait with
+      | State.Running -> ()
+      | w -> fail ("a blocked wait: " ^ State.describe_wait w));
       if n.State.hlrc_waiting <> [] then fail "an unanswered HLRC fetch";
       Hashtbl.iter
         (fun lock (ls : State.lock_state) ->
@@ -264,8 +227,7 @@ let compute ctx ns =
   if State.tracing ctx.cluster then
     State.emit ctx.cluster ~node:ctx.node.State.id
       (Adsm_trace.Event.Compute { ns });
-  Stats.add_time ctx.cluster.State.stats ~node:ctx.node.State.id
-    ~category:Stats.Compute ~ns;
+  Stats.add_time ctx.cluster.State.stats ~category:Stats.Compute ~ns;
   Proc.sleep ctx.cluster.State.engine ns
 
 let now ctx = Engine.now ctx.cluster.State.engine

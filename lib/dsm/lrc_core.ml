@@ -52,6 +52,10 @@ let call cl ~src ~dst msg =
   Rpc.call cl.rpc ~src ~dst ~bytes:(msg_bytes cl ~src msg)
     ~kind:(Msg.kind msg) msg
 
+let call_async cl ~src ~dst msg =
+  Rpc.call_async cl.rpc ~src ~dst ~bytes:(msg_bytes cl ~src msg)
+    ~kind:(Msg.kind msg) msg
+
 (* [node] is the responder: its last-barrier clock is the delta base. *)
 let respond_msg cl node respond msg =
   respond ~bytes:(msg_bytes cl ~src:node.id msg) ~kind:(Msg.kind msg) msg
@@ -380,11 +384,7 @@ let fetch_and_apply_diffs cl node (e : entry) =
             Msg.Diff_req
               { page = e.page; seqs; sees_sw = Mode.sees_page_as_sw e }
           in
-          let ivar =
-            Rpc.call_async cl.rpc ~src:node.id ~dst:writer
-              ~bytes:(Msg.size_bytes msg) ~kind:(Msg.kind msg) msg
-          in
-          (writer, seqs, ivar) :: acc)
+          (writer, seqs, call_async cl ~src:node.id ~dst:writer msg) :: acc)
         by_writer []
     in
     (* Await the replies.  A fetched diff is applied from its reply and

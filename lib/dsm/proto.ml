@@ -20,40 +20,33 @@ module Engine = Adsm_sim.Engine
 module Proc = Adsm_sim.Proc
 open State
 
-let read_fault cl node (e : entry) =
+(* The fault prologue and epilogue around the protocol's handler.
+   Under migratory detection a read fault stamps the interval it fell
+   in, and a write fault preceded by a read fault in the same interval
+   is migratory evidence, one without it counter-evidence. *)
+let fault cl node (e : entry) ~read =
   Sync.pause_if_crashed cl node;
   let t0 = Engine.now cl.engine in
   if tracing cl then
-    emit cl ~node:node.id (Adsm_trace.Event.Read_fault { page = e.page });
-  Stats.page_fault cl.stats ~read:true;
+    emit cl ~node:node.id
+      (if read then Adsm_trace.Event.Read_fault { page = e.page }
+       else Adsm_trace.Event.Write_fault { page = e.page });
+  Stats.page_fault cl.stats ~read;
   Proc.sleep cl.engine Config.fault_ns;
-  e.read_fault_seq <- Vc.get node.vc node.id;
   let (module P : Protocol_intf.PROTOCOL) = Dispatch.for_cluster cl in
-  P.read_fault cl node e;
-  Stats.add_time cl.stats ~node:node.id ~category:Stats.Fault
-    ~ns:(Engine.now cl.engine - t0)
-
-(* Update the migratory classifier: a write fault preceded by a read fault
-   in the same interval is migratory evidence; one without is counter-
-   evidence. *)
-let update_migratory_score cl node (e : entry) =
-  if cl.cfg.Config.migratory_detection then
-    if e.read_fault_seq = Vc.get node.vc node.id then
+  if cl.cfg.Config.migratory_detection then begin
+    let seq = Vc.get node.vc node.id in
+    if read then e.read_fault_seq <- seq
+    else if e.read_fault_seq = seq then
       e.migratory_score <- min 3 (e.migratory_score + 1)
     else e.migratory_score <- max 0 (e.migratory_score - 1)
+  end;
+  if read then P.read_fault cl node e else P.write_fault cl node e;
+  Stats.add_time cl.stats ~category:Stats.Fault ~ns:(Engine.now cl.engine - t0)
 
-let write_fault cl node (e : entry) =
-  Sync.pause_if_crashed cl node;
-  let t0 = Engine.now cl.engine in
-  if tracing cl then
-    emit cl ~node:node.id (Adsm_trace.Event.Write_fault { page = e.page });
-  Stats.page_fault cl.stats ~read:false;
-  Proc.sleep cl.engine Config.fault_ns;
-  update_migratory_score cl node e;
-  let (module P : Protocol_intf.PROTOCOL) = Dispatch.for_cluster cl in
-  P.write_fault cl node e;
-  Stats.add_time cl.stats ~node:node.id ~category:Stats.Fault
-    ~ns:(Engine.now cl.engine - t0)
+let read_fault cl node e = fault cl node e ~read:true
+
+let write_fault cl node e = fault cl node e ~read:false
 
 let handle_message cl ~node:node_id ~src msg respond =
   let node = cl.nodes.(node_id) in
@@ -63,12 +56,10 @@ let handle_message cl ~node:node_id ~src msg respond =
     Sync.handle_lock_acquire cl node ~src ~vc lock
   | Msg.Lock_forward { lock; requester; vc }, None ->
     Sync.handle_lock_forward cl node ~requester ~vc lock
-  | Msg.Lock_grant { lock; intervals }, None ->
-    Sync.handle_lock_grant cl node ~lock intervals
+  | (Msg.Lock_grant _ | Msg.Barrier_release _), None -> wake cl node msg
   | Msg.Barrier_arrive { epoch; vc; vc_version; intervals; gc_wanted }, None ->
     Sync.handle_barrier_arrive cl node ~src ~vc ~vc_version ~intervals
       ~gc_wanted epoch
-  | Msg.Barrier_release _, None -> Sync.handle_barrier_release cl node msg
   | Msg.Gc_done { epoch }, None -> Sync.handle_gc_done cl node epoch
   | Msg.Gc_complete { epoch }, None -> Sync.handle_gc_complete cl node epoch
   (* Crash recovery: a restarted peer re-fetching missed intervals. *)

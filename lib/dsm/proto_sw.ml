@@ -62,7 +62,10 @@ let sw_grant cl node (e : entry) requester =
 let sw_handle_forward cl node ~requester ~version page =
   let e = entry_of node page in
   if e.is_owner then sw_grant cl node e requester
-  else if Hashtbl.mem node.own_waits page || e.owner = node.id then
+  else if
+    (match node.wait with Own (p, _) -> p = page | _ -> false)
+    || e.owner = node.id
+  then
     (* Either we are waiting for this page's ownership ourselves, or our
        own outgoing grant is scheduled but has not fired yet ([e.owner]
        still names us until the transfer fires): queue the request.  It is
@@ -105,7 +108,7 @@ let write_fault cl node (e : entry) =
   else begin
     Stats.ownership_request cl.stats;
     let ivar = Proc.Ivar.create () in
-    Hashtbl.replace node.own_waits e.page ivar;
+    block node (Own (e.page, ivar));
     let home = home_of_page cl e.page in
     if tracing cl then
       emit cl ~node:node.id
@@ -133,7 +136,7 @@ let write_fault cl node (e : entry) =
       e.notices <- [];
       reflected_fill e node.vc;
       Proc.sleep cl.engine Config.page_install_ns;
-      Hashtbl.remove node.own_waits e.page;
+      node.wait <- Running;
       Lrc_core.mark_page_dirty node e;
       (* Serve ownership requests that were queued on us while the
          transfer was in flight (unless a forward arriving during the
@@ -158,12 +161,9 @@ let handle_protocol_msg cl node ~src msg respond =
   | Msg.Sw_own_forward { page; requester; version }, None ->
     sw_handle_forward cl node ~requester ~version page;
     true
-  | Msg.Sw_own_transfer { page; _ }, None ->
-    (match Hashtbl.find_opt node.own_waits page with
-    | Some ivar ->
-      Proc.Ivar.fill cl.engine ivar msg;
-      true
-    | None -> failwith "Proto: unexpected ownership transfer")
+  | Msg.Sw_own_transfer _, None ->
+    wake cl node msg;
+    true
   | _ -> false
 
 (* SW keeps no diff store; GC never triggers, so no copy survives as a

@@ -1,6 +1,5 @@
 module Page = Adsm_mem.Page
 module Perm = Adsm_mem.Perm
-module Layout = Adsm_mem.Layout
 module Proc = Adsm_sim.Proc
 module Rng = Adsm_sim.Rng
 module Engine = Adsm_sim.Engine
@@ -90,6 +89,14 @@ let tlb_slots = 64
 
 let tlb_mask = tlb_slots - 1
 
+type wait =
+  | Running
+  | Lock of int * Interval.t list Proc.Ivar.t
+  | Own of int * Msg.t Proc.Ivar.t
+  | Barrier of Msg.t Proc.Ivar.t
+  | Gc of unit Proc.Ivar.t
+  | Restart of unit Proc.Ivar.t
+
 type node = {
   id : int;
   nprocs : int;
@@ -106,10 +113,7 @@ type node = {
   mutable fetched_diffs : int;
   mutable fetched_bytes : int;
   locks : (int, lock_state) Hashtbl.t;
-  lock_waits : (int, Interval.t list Proc.Ivar.t) Hashtbl.t;
-  own_waits : (int, Msg.t Proc.Ivar.t) Hashtbl.t;
-  mutable barrier_wait : Msg.t Proc.Ivar.t option;
-  mutable gc_wait : unit Proc.Ivar.t option;
+  mutable wait : wait;
   last_barrier_vc : Vc.t;  (* overwritten in place at every barrier leave *)
   mutable barrier_epoch : int;
   mutable hlrc_waiting : (int * (int * int) list * Msg.t Adsm_net.Rpc.respond) list;
@@ -125,7 +129,6 @@ type node = {
      bool load) at every DSM operation boundary. *)
   mutable crash_pending : bool;
   mutable crash_restart_at : int;
-  mutable restart_wait : unit Proc.Ivar.t option;
   mutable stale_seqs : int * int;
 }
 
@@ -133,11 +136,8 @@ type cluster = {
   cfg : Config.t;
   engine : Engine.t;
   rpc : Msg.t Adsm_net.Rpc.t;
-  layout : Layout.t;
   nodes : node array;
   stats : Stats.t;
-  mutable next_lock : int;
-  mutable running : int;
   tracer : Adsm_trace.Tracer.t;
   recorder : Adsm_check.Recorder.t;
   diff_scratch : Diff.scratch;
@@ -366,10 +366,7 @@ let make_node ~cfg ~vc_epoch ~store ~id ~total_pages =
     fetched_diffs = 0;
     fetched_bytes = 0;
     locks = Hashtbl.create 16;
-    lock_waits = Hashtbl.create 16;
-    own_waits = Hashtbl.create 16;
-    barrier_wait = None;
-    gc_wait = None;
+    wait = Running;
     last_barrier_vc;
     barrier_epoch = 0;
     hlrc_waiting = [];
@@ -392,7 +389,6 @@ let make_node ~cfg ~vc_epoch ~store ~id ~total_pages =
     rng = Rng.create (Int64.add cfg.Config.seed (Int64.of_int (id * 7919)));
     crash_pending = false;
     crash_restart_at = 0;
-    restart_wait = None;
     stale_seqs = (0, 0);
   }
 
@@ -476,6 +472,40 @@ let home_of_page cluster page = page mod cluster.cfg.Config.nprocs
 let home_of_lock cluster lock =
   let k = cluster.cfg.Config.lock_shards in
   lock mod k * (cluster.cfg.Config.nprocs / k)
+
+let describe_wait = function
+  | Running -> "(running/none)"
+  | Lock (l, _) -> Printf.sprintf "lock:%d" l
+  | Own (p, _) -> Printf.sprintf "own:%d" p
+  | Barrier _ -> "barrier"
+  | Gc _ -> "gc"
+  | Restart _ -> "restart"
+
+let block node wait =
+  match node.wait with
+  | Running -> node.wait <- wait
+  | held ->
+    failwith
+      (Printf.sprintf "Proto: node %d blocks on %s while awaiting %s" node.id
+         (describe_wait wait) (describe_wait held))
+
+let wake cluster node (arrived : Msg.t) =
+  let fill ivar v = Proc.Ivar.fill cluster.engine ivar v in
+  match (node.wait, arrived) with
+  | Lock (l, ivar), Msg.Lock_grant { lock; intervals } when lock = l ->
+    fill ivar intervals
+  | Own (p, ivar), Msg.Sw_own_transfer { page; _ } when page = p ->
+    fill ivar arrived
+  | Barrier ivar, Msg.Barrier_release _ ->
+    node.wait <- Running;
+    fill ivar arrived
+  | Gc ivar, Msg.Gc_complete _ ->
+    node.wait <- Running;
+    fill ivar ()
+  | held, _ ->
+    failwith
+      (Format.asprintf "Proto: node %d got %a while awaiting %s" node.id
+         Msg.pp arrived (describe_wait held))
 
 (* Emission guard: callers write
      [if tracing cl then emit cl ~node (Event.X { ... })]

@@ -6,7 +6,6 @@
 
 module Page = Adsm_mem.Page
 module Perm = Adsm_mem.Perm
-module Layout = Adsm_mem.Layout
 
 (** Per-page protocol state at one node. *)
 type entry = {
@@ -131,6 +130,17 @@ type tree_barrier = {
   mutable tb_self_gc_done : bool;
 }
 
+(** What a node's application process awaits, with its continuation.
+    The process blocks in one place at a time, so a node has one wait
+    slot. *)
+type wait =
+  | Running  (** blocked on none of these *)
+  | Lock of int * Interval.t list Adsm_sim.Proc.Ivar.t  (** a lock's grant *)
+  | Own of int * Msg.t Adsm_sim.Proc.Ivar.t  (** a page's SW ownership *)
+  | Barrier of Msg.t Adsm_sim.Proc.Ivar.t  (** the barrier release *)
+  | Gc of unit Adsm_sim.Proc.Ivar.t  (** the GC round's completion *)
+  | Restart of unit Adsm_sim.Proc.Ivar.t  (** the end of a crash downtime *)
+
 type node = {
   id : int;
   nprocs : int;
@@ -154,12 +164,9 @@ type node = {
           and not kept; the account is dropped by a crash wipe or a GC
           purge *)
   locks : (int, lock_state) Hashtbl.t;
-  lock_waits : (int, Interval.t list Adsm_sim.Proc.Ivar.t) Hashtbl.t;
-      (** lock id -> continuation of a blocked acquire *)
-  own_waits : (int, Msg.t Adsm_sim.Proc.Ivar.t) Hashtbl.t;
-      (** page -> continuation of a blocked SW ownership transfer *)
-  mutable barrier_wait : Msg.t Adsm_sim.Proc.Ivar.t option;
-  mutable gc_wait : unit Adsm_sim.Proc.Ivar.t option;
+  mutable wait : wait;
+      (** what the node's application process is blocked on; set with
+          {!block}, filled by {!wake} *)
   last_barrier_vc : Vc.t;
       (** the cluster's knowledge at the last barrier (bounds what we
           resend): the cluster's shared epoch base, blitted in at every
@@ -185,9 +192,6 @@ type node = {
       (** set by the crash event; the next DSM operation boundary
           performs the fail-stop (wipe + recovery) *)
   mutable crash_restart_at : int;  (** absolute restart instant *)
-  mutable restart_wait : unit Adsm_sim.Proc.Ivar.t option;
-      (** filled by the restart event when the app process is suspended
-          in the downtime window *)
   mutable stale_seqs : int * int;
       (** [Stale_vc_after_restart] only: peers drop the notices of this
           node's intervals with seqs in [(lo, hi]] ({!Config.mutation}) *)
@@ -199,11 +203,8 @@ type cluster = {
   cfg : Config.t;
   engine : Adsm_sim.Engine.t;
   rpc : Msg.t Adsm_net.Rpc.t;
-  layout : Layout.t;
   nodes : node array;
   stats : Stats.t;
-  mutable next_lock : int;
-  mutable running : int;  (** application processes still active *)
   tracer : Adsm_trace.Tracer.t;  (** structured trace emission front-end *)
   recorder : Adsm_check.Recorder.t;
       (** consistency-oracle observation stream front-end *)
@@ -353,6 +354,22 @@ val tlb_fill : node -> int -> Bytes.t -> write:bool -> unit
 (** The node's state for a lock, created on first use; the token initially
     rests at the [home] node. *)
 val lock_state : node -> home:int -> int -> lock_state
+
+(** What a wait awaits, as the deadlock report prints it: [lock:L],
+    [own:P], [barrier], [gc], [restart], or [(running/none)]. *)
+val describe_wait : wait -> string
+
+(** Put the node's process in the wait slot.
+    @raise Failure if the slot already holds a wait. *)
+val block : node -> wait -> unit
+
+(** Fill the wait that a lock grant, SW ownership transfer, barrier
+    release or GC completion matches (the same lock, the same page).
+    The barrier and GC waits leave the slot here; a lock or ownership
+    wait stays until its process resumes and clears it, so a forward
+    arriving during the ownership install still finds the node waiting.
+    @raise Failure naming the node, the arrival and the wait otherwise. *)
+val wake : cluster -> node -> Msg.t -> unit
 
 val home_of_page : cluster -> int -> int
 

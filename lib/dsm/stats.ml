@@ -25,7 +25,6 @@ let page_add s page =
   end
 
 type t = {
-  procs : int;
   mutable twins_created : int;
   mutable diffs_created : int;
   mutable diff_bytes_created : int;
@@ -41,15 +40,14 @@ type t = {
   mutable modified_bytes : int;  (** summed over every created diff *)
   mutable switches : int;
   mutable migratory_upgrades : int;
-  compute_ns : int array;
-  fault_ns : int array;
-  lock_ns : int array;
-  barrier_ns : int array;
+  mutable compute_ns : int;
+  mutable fault_ns : int;
+  mutable lock_ns : int;
+  mutable barrier_ns : int;
 }
 
-let create ~nprocs () =
+let create () =
   {
-    procs = nprocs;
     twins_created = 0;
     diffs_created = 0;
     diff_bytes_created = 0;
@@ -65,13 +63,11 @@ let create ~nprocs () =
     modified_bytes = 0;
     switches = 0;
     migratory_upgrades = 0;
-    compute_ns = Array.make nprocs 0;
-    fault_ns = Array.make nprocs 0;
-    lock_ns = Array.make nprocs 0;
-    barrier_ns = Array.make nprocs 0;
+    compute_ns = 0;
+    fault_ns = 0;
+    lock_ns = 0;
+    barrier_ns = 0;
   }
-
-let nprocs t = t.procs
 
 let twin_created t = t.twins_created <- t.twins_created + 1
 
@@ -150,22 +146,16 @@ let migratory_upgrades t = t.migratory_upgrades
 
 type time_category = Compute | Fault | Lock | Barrier
 
-let add_time t ~node ~category ~ns =
-  let a =
-    match category with
-    | Compute -> t.compute_ns
-    | Fault -> t.fault_ns
-    | Lock -> t.lock_ns
-    | Barrier -> t.barrier_ns
-  in
-  a.(node) <- a.(node) + ns
+let add_time t ~category ~ns =
+  match category with
+  | Compute -> t.compute_ns <- t.compute_ns + ns
+  | Fault -> t.fault_ns <- t.fault_ns + ns
+  | Lock -> t.lock_ns <- t.lock_ns + ns
+  | Barrier -> t.barrier_ns <- t.barrier_ns + ns
 
 let total_time t ~category =
-  let a =
-    match category with
-    | Compute -> t.compute_ns
-    | Fault -> t.fault_ns
-    | Lock -> t.lock_ns
-    | Barrier -> t.barrier_ns
-  in
-  Array.fold_left ( + ) 0 a
+  match category with
+  | Compute -> t.compute_ns
+  | Fault -> t.fault_ns
+  | Lock -> t.lock_ns
+  | Barrier -> t.barrier_ns

@@ -11,9 +11,7 @@
 
 type t
 
-val create : nprocs:int -> unit -> t
-
-val nprocs : t -> int
+val create : unit -> t
 
 (* --- twins --- *)
 
@@ -103,13 +101,13 @@ val migratory_upgrades : t -> int
 
 (* --- execution-time breakdown --- *)
 
-(** Where a processor's simulated time goes: its own computation
+(** Where the processors' simulated time goes: their own computation
     ([Dsm.compute] charges), page-fault service (including twin/diff and
     install costs incurred inside the fault), lock acquisition, or
-    barrier waits (including garbage collection). *)
+    barrier waits (including garbage collection).  Kept as one total
+    per category, summed over all processors. *)
 type time_category = Compute | Fault | Lock | Barrier
 
-val add_time : t -> node:int -> category:time_category -> ns:int -> unit
+val add_time : t -> category:time_category -> ns:int -> unit
 
-(** Sum over all processors. *)
 val total_time : t -> category:time_category -> int

@@ -24,11 +24,11 @@ let end_interval_local cl node =
 (* ------------------------------------------------------------------ *)
 
 (* Failure model: fail-stop at DSM-operation granularity.  A crash event
-   sets [node.crash_pending]; the next operation boundary (page fault,
-   lock, unlock, barrier, compute) performs the actual fail-stop — wipe
-   volatile state, roll the clock back to the last-barrier clock, sleep
-   out the remaining downtime, run a recovery round — via [crash_pause]
-   below.
+   ([arm_crashes] below) sets [node.crash_pending]; the next operation
+   boundary (page fault, lock, unlock, barrier, compute) performs the
+   actual fail-stop — wipe volatile state, roll the clock back to the
+   last-barrier clock, sleep out the remaining downtime in the node's
+   wait slot, run a recovery round — via [crash_pause] below.
 
    Durability model (what "local stable storage" holds):
    - the node's own closed intervals and their diffs: a write-behind log
@@ -117,7 +117,7 @@ let crash_pause cl node =
      recovery above/below still happened. *)
   if Engine.now cl.engine < node.crash_restart_at then begin
     let ivar = Proc.Ivar.create () in
-    node.restart_wait <- Some ivar;
+    block node (Restart ivar);
     Proc.Ivar.await ivar
   end;
   (* Recovery round: ask every peer for its FULL retained interval log
@@ -191,6 +191,29 @@ let crash_pause cl node =
    fault-free path. *)
 let pause_if_crashed cl node = if node.crash_pending then crash_pause cl node
 
+(* Crash and restart are engine events.  The crash parks the node's
+   subsequent deliveries and marks it, so its next DSM operation
+   boundary fail-stops ([crash_pause]).  The restart flushes the parked
+   queue and wakes a process waiting out the downtime; it leaves any
+   other wait alone — the flush may just have filled a lock wait. *)
+let arm_crashes cl crashes =
+  let net = Adsm_net.Rpc.network cl.rpc in
+  List.iter
+    (fun { Adsm_net.Fault.node = id; at; downtime } ->
+      let node = cl.nodes.(id) in
+      Engine.schedule_at cl.engine ~time:at (fun () ->
+          Adsm_net.Network.fault_crash net ~node:id;
+          node.crash_pending <- true;
+          node.crash_restart_at <- at + downtime);
+      Engine.schedule_at cl.engine ~time:(at + downtime) (fun () ->
+          Adsm_net.Network.fault_restart net ~node:id;
+          match node.wait with
+          | Restart ivar ->
+            node.wait <- Running;
+            Proc.Ivar.fill cl.engine ivar ()
+          | _ -> ()))
+    crashes
+
 (* ------------------------------------------------------------------ *)
 (* Locks                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -237,11 +260,6 @@ let handle_lock_acquire cl node ~src ~vc lock =
     Lrc_core.cast cl ~src:node.id ~dst:prev
       (Msg.Lock_forward { lock; requester = src; vc })
 
-let handle_lock_grant cl node ~lock intervals =
-  match Hashtbl.find_opt node.lock_waits lock with
-  | Some ivar -> Proc.Ivar.fill cl.engine ivar intervals
-  | None -> failwith "Proto: unexpected lock grant"
-
 let lock cl node l =
   pause_if_crashed cl node;
   let t0 = Engine.now cl.engine in
@@ -250,7 +268,7 @@ let lock cl node l =
   else begin
     end_interval_local cl node;
     let ivar = Proc.Ivar.create () in
-    Hashtbl.replace node.lock_waits l ivar;
+    block node (Lock (l, ivar));
     let vc = Vc.copy node.vc in
     let home = home_of_lock cl l in
     if home = node.id then handle_lock_acquire cl node ~src:node.id ~vc l
@@ -258,7 +276,7 @@ let lock cl node l =
       Lrc_core.cast cl ~src:node.id ~dst:home
         (Msg.Lock_acquire { lock = l; vc });
     let intervals = Proc.Ivar.await ivar in
-    Hashtbl.remove node.lock_waits l;
+    node.wait <- Running;
     Lrc_core.apply_intervals cl node intervals;
     ls.have_token <- true;
     ls.held <- true
@@ -266,8 +284,7 @@ let lock cl node l =
   if tracing cl then
     emit cl ~node:node.id (Adsm_trace.Event.Lock_acquire { lock = l });
   if checking cl then observe cl ~node:node.id (Adsm_check.Obs.Acquire { lock = l });
-  Stats.add_time cl.stats ~node:node.id ~category:Stats.Lock
-    ~ns:(Engine.now cl.engine - t0)
+  Stats.add_time cl.stats ~category:Stats.Lock ~ns:(Engine.now cl.engine - t0)
 
 let unlock cl node l =
   pause_if_crashed cl node;
@@ -459,13 +476,6 @@ let tree_contribute cl node ~epoch ~vc ~intervals ~gc_wanted =
   tb.tb_intervals <- List.rev_append intervals tb.tb_intervals;
   if gc_wanted then tb.tb_gc_wanted <- true
 
-let handle_barrier_release cl node msg =
-  match node.barrier_wait with
-  | Some ivar ->
-    node.barrier_wait <- None;
-    Proc.Ivar.fill cl.engine ivar msg
-  | None -> failwith "Proto: unexpected barrier release"
-
 (* Send each direct child the intervals its lent clock misses, in arrival
    order, and reset the combining state for the next barrier. *)
 let tree_release_children cl node ~epoch ~gc_round =
@@ -493,8 +503,7 @@ let tree_root_complete cl node =
   if gc_round then Stats.gc_started cl.stats;
   let epoch = tb.tb_epoch in
   tree_release_children cl node ~epoch ~gc_round;
-  handle_barrier_release cl node
-    (Msg.Barrier_release { epoch; intervals = []; gc_round })
+  wake cl node (Msg.Barrier_release { epoch; intervals = []; gc_round })
 
 let tree_maybe_forward cl node =
   let tb = node.tb in
@@ -531,11 +540,7 @@ let handle_gc_complete cl node epoch =
   done;
   tb.tb_gc_done <- 0;
   tb.tb_self_gc_done <- false;
-  match node.gc_wait with
-  | Some ivar ->
-    node.gc_wait <- None;
-    Proc.Ivar.fill cl.engine ivar ()
-  | None -> failwith "Proto: unexpected gc complete"
+  wake cl node msg
 
 (* Combine Gc_done up the tree: forwarded once this node AND every direct
    child subtree have finished validating. *)
@@ -564,7 +569,7 @@ let barrier cl node =
   end_interval_local cl node;
   let gc_wanted = diff_bytes node > cl.cfg.Config.gc_threshold_bytes in
   let ivar = Proc.Ivar.create () in
-  node.barrier_wait <- Some ivar;
+  block node (Barrier ivar);
   let epoch = node.barrier_epoch in
   node.barrier_epoch <- epoch + 1;
   let own_intervals =
@@ -594,7 +599,7 @@ let barrier cl node =
     rule3_scan cl node;
     if gc_round then begin
       let gc_ivar = Proc.Ivar.create () in
-      node.gc_wait <- Some gc_ivar;
+      block node (Gc gc_ivar);
       gc_validate cl node;
       node.tb.tb_self_gc_done <- true;
       tree_gc_maybe_up cl node ~epoch;
@@ -606,5 +611,5 @@ let barrier cl node =
     emit cl ~node:node.id (Adsm_trace.Event.Barrier_leave { epoch });
   if checking cl then
     observe cl ~node:node.id (Adsm_check.Obs.Barrier_leave { epoch });
-  Stats.add_time cl.stats ~node:node.id ~category:Stats.Barrier
+  Stats.add_time cl.stats ~category:Stats.Barrier
     ~ns:(Engine.now cl.engine - t0)

@@ -29,6 +29,11 @@ val barrier : cluster -> node -> unit
     only. *)
 val pause_if_crashed : cluster -> node -> unit
 
+(** Schedule each crash's engine events: the crash parks the node's
+    deliveries and marks it [crash_pending]; the restart flushes them
+    and wakes a [Restart] wait, and no other. *)
+val arm_crashes : cluster -> Adsm_net.Fault.crash list -> unit
+
 (* --- message handlers (event context: never block) --- *)
 
 (** A restarted peer asks for every closed interval its request clock
@@ -41,8 +46,6 @@ val handle_lock_acquire : cluster -> node -> src:int -> vc:Vc.t -> int -> unit
 val handle_lock_forward :
   cluster -> node -> requester:int -> vc:Vc.t -> int -> unit
 
-val handle_lock_grant : cluster -> node -> lock:int -> Interval.t list -> unit
-
 (** A child subtree's barrier arrival at [node]: folded into the node's
     combining state; once the whole subtree has checked in, the node
     forwards one combined arrival to its parent, or, at the root, applies
@@ -52,9 +55,6 @@ val handle_lock_grant : cluster -> node -> lock:int -> Interval.t list -> unit
 val handle_barrier_arrive :
   cluster -> node -> src:int -> vc:Vc.t -> vc_version:int ->
   intervals:Interval.t list -> gc_wanted:bool -> int -> unit
-
-(** Wake the local barrier waiter with the release message. *)
-val handle_barrier_release : cluster -> node -> Msg.t -> unit
 
 (** A child subtree finished GC validation; forwarded up once the whole
     subtree has. *)

@@ -381,7 +381,7 @@ let test_config_defaults_match_paper () =
 (* ------------------------------------------------------------------ *)
 
 let test_stats_counters () =
-  let s = Stats.create ~nprocs:2 () in
+  let s = Stats.create () in
   Stats.twin_created s;
   Stats.twin_created s;
   Alcotest.(check int) "twins" 2 (Stats.twins_created_total s);
@@ -392,7 +392,7 @@ let test_stats_counters () =
   Alcotest.(check (float 0.)) "mean diff" 96. (Stats.mean_diff_size s)
 
 let test_stats_sharing_profile () =
-  let s = Stats.create ~nprocs:4 () in
+  let s = Stats.create () in
   Stats.note_write s ~page:1;
   Stats.note_write s ~page:1;
   Stats.note_write s ~page:2;
@@ -410,7 +410,7 @@ let test_stats_sharing_profile () =
     (Stats.page_false_shared s ~page:4097)
 
 let test_stats_series () =
-  let s = Stats.create ~nprocs:1 () in
+  let s = Stats.create () in
   Stats.diff_created s ~bytes:10 ~modified:10 ~time:5;
   Stats.diff_created s ~bytes:10 ~modified:10 ~time:9;
   Stats.diffs_dropped s ~count:2 ~time:12;

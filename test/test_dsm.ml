@@ -469,19 +469,45 @@ let test_live_diff_series_counts_stored_copies () =
 (* Deadlock detection                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_deadlock_detected () =
+(* The report names what each node's process awaits.  It is pinned from
+   the bracketed list on: the simulated time before it is the run's. *)
+let deadlock_report ~setup =
   let cfg = Config.make ~protocol:Config.Mw ~nprocs:2 () in
   let t = Dsm.create cfg in
   let _a = Dsm.alloc_f64 t ~name:"a" ~len:8 in
-  let raised = ref false in
-  (try
-     ignore
-       (Dsm.run t (fun ctx ->
-            (* only node 0 reaches the barrier *)
-            if Dsm.me ctx = 0 then Dsm.barrier ctx))
-   with Failure msg ->
-     raised := String.length msg > 0);
-  Alcotest.(check bool) "deadlock reported" true !raised
+  let app = setup t in
+  match Dsm.run t app with
+  | _ -> Alcotest.fail "deadlock not reported"
+  | exception Failure msg -> (
+    match String.index_opt msg '[' with
+    | Some i -> String.sub msg i (String.length msg - i)
+    | None -> Alcotest.failf "deadlock report without waits: %s" msg)
+
+let test_deadlock_detected () =
+  (* only node 0 reaches the barrier *)
+  let report =
+    deadlock_report ~setup:(fun _ ctx -> if Dsm.me ctx = 0 then Dsm.barrier ctx)
+  in
+  Alcotest.(check string) "barrier deadlock"
+    "[node 0: barrier; node 1: (running/none)]" report;
+  (* node 0 holds the lock at a barrier node 1 never reaches: node 1 is
+     blocked on the lock *)
+  let report =
+    deadlock_report ~setup:(fun t ->
+        let l = Dsm.fresh_lock t in
+        fun ctx ->
+          if Dsm.me ctx = 0 then begin
+            Dsm.lock ctx l;
+            Dsm.barrier ctx;
+            Dsm.unlock ctx l
+          end
+          else begin
+            Dsm.compute ctx 1_000_000;
+            Dsm.lock ctx l
+          end)
+  in
+  Alcotest.(check string) "lock deadlock"
+    "[node 0: barrier; node 1: lock:0]" report
 
 (* ------------------------------------------------------------------ *)
 (* API edge cases                                                     *)
