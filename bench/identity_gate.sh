@@ -14,6 +14,8 @@
 #   - run -n 8 --trace, 8 apps x MW/SW/WFS/WFS+WG/HLRC, default scale;
 #   - the same 40 cells as run -n 4 --tiny --check, and as
 #     run -n 8 --tiny --topology tree:2;
+#   - run -n 512 --tiny --topology tree --trace, IS x WFS/SW (the
+#     metadata-bound barrier and lock path at scale);
 #   - survive --tiny at 4 and 8 nodes, and survive -n 8 at default
 #     scale (crashes across GC rounds and fetched-diff drops; it exits 1
 #     on both sides with its two SOR/MW ABORT rows);
@@ -80,6 +82,9 @@ grid() {
       echo "check-$app-$p adsm run -a $app -p $p -n 4 --tiny --check"
       echo "tree-$app-$p adsm run -a $app -p $p -n 8 --tiny --topology tree:2"
     done
+  done
+  for p in WFS SW; do
+    echo "is512-$p adsm run -a IS -p $p -n 512 --tiny --topology tree --trace trace.jsonl"
   done
   echo "survive-n4 adsm survive --tiny -n 4 --jobs 1"
   echo "survive-n8 adsm survive --tiny -n 8 --jobs 1"

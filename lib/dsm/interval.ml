@@ -90,7 +90,21 @@ end
    closes it, so a writer's slots are contiguous in seq.  Node logs
    ([logs] below) read their intervals from here, and each registers its
    floor in [floors] so that the store can trim what no log can still
-   contain. *)
+   contain.
+
+   The same intervals sit a second time in the first [olen] slots of
+   [order], ascending in [Vc.order]: the order every receiver applies
+   them in, so a walk of it hands them out sorted.  A mark records a
+   barrier's clock [mvc], which covers every interval stored when it
+   was taken, and [from], the length of [order] then: every interval
+   closed later has a clock at or above [mvc] with a larger sum, so it
+   sorts at or after [from], and the slots below [from] keep exactly
+   the intervals [mvc] covers.  [marks] holds the newest two since the
+   last trim, newest first: no node can complete a barrier before every
+   node has left the one before, so every clock a walk is asked for
+   (a lock request, a barrier's lent clock, a rolled-back clock) covers
+   the older of the two, and an older mark would only cost memory.  A
+   recovery round's zero clock covers none and walks everything. *)
 type store = {
   ivs : t array array;
   base : int array;
@@ -99,7 +113,13 @@ type store = {
   mutable floors : Vc.t ref list;
   mutable nlogs : int;
   mutable purged : int;  (* logs purged since the last trim *)
+  mutable order : t array;
+  mutable olen : int;
+  mutable marks : mark list;
+  mutable mark_epoch : int;  (* the epoch of the newest mark ever taken *)
 }
+
+and mark = { mvc : Vc.t; from : int }
 
 (* A node's interval logs: writer [p]'s log holds the store's seqs
    [!floor.(p) + 1 .. clock.(p)], where [clock] is the node's own clock
@@ -129,7 +149,20 @@ module Store = struct
       floors = [];
       nlogs = 0;
       purged = 0;
+      order = [||];
+      olen = 0;
+      marks = [];
+      mark_epoch = 0;
     }
+
+  (* The first slot of [order] that sorts after [iv]. *)
+  let order_slot s (iv : interval) =
+    let lo = ref 0 and hi = ref s.olen in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Vc.order s.order.(mid).vc iv.vc > 0 then hi := mid else lo := mid + 1
+    done;
+    !lo
 
   let add s (iv : interval) =
     let p = iv.proc and n = s.count.(iv.proc) in
@@ -137,10 +170,47 @@ module Store = struct
       invalid_arg
         (Printf.sprintf "Interval.Store.add: writer %d closed seq %d after %d" p
            iv.seq (s.base.(p) + n));
+    let i = order_slot s iv in
+    (match s.marks with
+    | m :: _ when i < m.from ->
+      invalid_arg
+        (Printf.sprintf
+           "Interval.Store.add: writer %d's interval %d sorts below the epoch-%d \
+            mark"
+           p iv.seq s.mark_epoch)
+    | _ -> ());
     let a = room s.ivs.(p) n iv in
     a.(n) <- iv;
     s.ivs.(p) <- a;
-    s.count.(p) <- n + 1
+    s.count.(p) <- n + 1;
+    let o = room s.order s.olen iv in
+    Array.blit o i o (i + 1) (s.olen - i);
+    o.(i) <- iv;
+    s.order <- o;
+    s.olen <- s.olen + 1
+
+  let mark s ~epoch vc =
+    if epoch > s.mark_epoch then begin
+      Array.iteri
+        (fun p n ->
+          let top = s.base.(p) + n in
+          if n > 0 && top > Vc.get vc p then
+            invalid_arg
+              (Printf.sprintf
+                 "Interval.Store.mark: the epoch-%d clock lacks writer %d's \
+                  interval %d"
+                 epoch p top))
+        s.count;
+      s.mark_epoch <- epoch;
+      let m = { mvc = Vc.copy vc; from = s.olen } in
+      s.marks <- (match s.marks with newest :: _ -> [ m; newest ] | [] -> [ m ])
+    end
+
+  (* The newest mark [vc] covers: every slot below it holds an interval
+     [vc] covers. *)
+  let rec walk_from vc = function
+    | [] -> 0
+    | m :: older -> if Vc.leq m.mvc vc then m.from else walk_from vc older
 
   let holds s (iv : interval) =
     let p = iv.proc in
@@ -153,7 +223,9 @@ module Store = struct
   let length s = Array.fold_left ( + ) 0 s.count
 
   (* Drop every interval at or below the lowest floor of any log: a
-     window lies above its log's floor, and appends to it are fresh. *)
+     window lies above its log's floor, and appends to it are fresh.
+     [order] keeps the survivors in place, and the marks, whose
+     positions no longer hold, go. *)
   let trim s =
     Array.iteri
       (fun p n ->
@@ -168,7 +240,18 @@ module Store = struct
             s.count.(p) <- n - k
           end
         end)
-      s.count
+      s.count;
+    let kept = ref 0 in
+    for i = 0 to s.olen - 1 do
+      let iv = s.order.(i) in
+      if iv.seq > s.base.(iv.proc) then begin
+        s.order.(!kept) <- iv;
+        incr kept
+      end
+    done;
+    s.order <- Array.sub s.order 0 !kept;
+    s.olen <- !kept;
+    s.marks <- []
 
   (* Prepend (newest first) writer [p]'s seqs [lo + 1 .. hi]. *)
   let prepend s ~p ~lo ~hi acc =
@@ -215,13 +298,23 @@ module Logs = struct
         ~lo:(Int.max (Vc.get !(t.floor) proc) (Vc.get vc proc))
         ~hi:(Vc.get t.clock proc) acc
 
-  (* Writers are walked from the highest id down, so the result lists
-     writer 0's intervals first, each log newest first.  Consumers sort
-     by [Vc.order], and that sort is cheapest on this order. *)
-  let unseen_by t vc acc =
-    Vc.fold_above t.clock ~floor:!(t.floor) ~since:vc
-      (fun p acc -> unseen_of t ~proc:p vc acc)
-      acc
+  (* The store's [order] from the newest mark [vc] covers, walked
+     newest first and prepended, so the result comes out in apply
+     order. *)
+  let unseen_by t vc =
+    let s = t.store and floor = !(t.floor) in
+    let acc = ref [] in
+    for i = s.olen - 1 downto Store.walk_from vc s.marks do
+      let iv = s.order.(i) in
+      let p = iv.proc in
+      if
+        iv.seq > Vc.get vc p
+        && iv.seq <= Vc.get t.clock p
+        && iv.seq > Vc.get floor p
+        && visible t p
+      then acc := iv :: !acc
+    done;
+    !acc
 
   let clear_except t ~keep = t.wiped <- Some keep
 

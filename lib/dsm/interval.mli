@@ -61,12 +61,16 @@ module Log : sig
   val unseen_by : Vc.t -> proc:int -> t -> interval list -> interval list
 end
 
-(** A cluster's intervals, each stored once, per writer in seq order.
-    A writer adds an interval when it closes it; the node logs of the
-    cluster ({!Logs}) read their intervals from here.  Once every log of
-    the store has been purged ({!Logs.clear}) since the last trim, the
-    store drops every interval at or below the lowest floor among its
-    logs, so it never retains an interval no log can still contain. *)
+(** A cluster's intervals, each stored once, per writer in seq order,
+    and in one sequence in ascending {!Vc.order}: the order receivers
+    apply them in.  A writer adds an interval when it closes it; the
+    node logs of the cluster ({!Logs}) read their intervals from here.
+    Each barrier marks where the intervals closed after it begin
+    ({!mark}; the two newest marks are kept), so a walk for a clock
+    that covers the barrier's starts there.  Once every log of the store has been purged ({!Logs.clear})
+    since the last trim, the store drops every interval at or below the
+    lowest floor among its logs, so it never retains an interval no log
+    can still contain, and forgets its marks. *)
 module Store : sig
   type interval := t
 
@@ -74,9 +78,19 @@ module Store : sig
 
   val create : nprocs:int -> t
 
-  (** Store a just-closed interval.  Raises [Invalid_argument] unless
-      its seq is its writer's next one: no seq is ever issued twice. *)
+  (** Store a just-closed interval at its place in {!Vc.order}.  Raises
+      [Invalid_argument] unless its seq is its writer's next one (no seq
+      is ever issued twice), or if it sorts below the newest {!mark}
+      (its clock is not at or above the barrier's). *)
   val add : t -> interval -> unit
+
+  (** [mark t ~epoch vc] — barrier [epoch] completed with every node at
+      clock [vc]: every interval closed from now on sorts after every
+      one stored so far.  The first call for an epoch above every marked
+      one takes the mark (a copy of [vc]); later calls do nothing.
+      Raises [Invalid_argument] if [vc] does not cover every stored
+      interval. *)
+  val mark : t -> epoch:int -> Vc.t -> unit
 
   (** Intervals retained. *)
   val length : t -> int
@@ -87,9 +101,10 @@ end
     stored seqs [floor(p) + 1 .. clock(p)], where [floor] is the clock
     at the node's last purge (zero before any).  The log keeps nothing
     but that floor: a closed own interval joins the window when the
-    clock ticks, a received one when {!append} advances the clock, and
-    a walk visits only the writers whose clock component is above both
-    the floor and the requester's clock ({!Vc.fold_above}).
+    clock ticks, a received one when {!append} advances the clock.  A
+    walk for a requester's clock reads the store's apply order from the
+    newest mark that clock covers, and keeps what lies in the windows
+    and the clock lacks.
 
     A crash wipe ({!clear_except}) leaves the kept writer's window alone
     visible until {!restore}: the rolled-back clock is not a window top
@@ -118,9 +133,10 @@ module Logs : sig
       of writer [proc]'s window that [vc] does not cover onto [acc]. *)
   val unseen_of : t -> proc:int -> Vc.t -> interval list -> interval list
 
-  (** [unseen_by t vc acc] — prepend every logged interval [vc] does not
-      cover onto [acc]: writer 0's first, each writer's newest first. *)
-  val unseen_by : t -> Vc.t -> interval list -> interval list
+  (** [unseen_by t vc] — every logged interval [vc] does not cover,
+      oldest first in {!Vc.order}: the order a receiver applies them
+      in. *)
+  val unseen_by : t -> Vc.t -> interval list
 
   (** Empty every window (GC purge): the floor becomes a copy of the
       clock now.  When every log of the store has been purged since the

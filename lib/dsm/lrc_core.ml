@@ -308,17 +308,15 @@ let taken_for_duplicate cl (iv : Interval.t) =
     iv.seq > lo && iv.seq <= hi
   | _ -> false
 
-(* Apply intervals received on a lock grant or barrier release, oldest
-   first; duplicates (already covered by our vector clock) are skipped. *)
+(* Apply intervals received on a lock grant, barrier release or recovery
+   round, in the order given, which must be [Vc.order]: the store keeps
+   them in it, so a batch read off a log arrives sorted.  Duplicates
+   (already covered by our vector clock) are skipped.  Neighbours whose
+   sums are inverted fail loudly: that is every inversion that can put
+   an interval before one it depends on, since a dominated clock has the
+   smaller sum.  Equal neighbours pass (a recovery round hears one
+   interval from several peers). *)
 let apply_intervals ?(replay = false) cl node ivals =
-  let fresh =
-    List.filter
-      (fun (iv : Interval.t) -> iv.seq > Vc.get node.vc iv.proc)
-      ivals
-  in
-  let fresh =
-    List.sort (fun (a : Interval.t) b -> Vc.order a.vc b.vc) fresh
-  in
   let apply (iv : Interval.t) =
     if iv.seq > Vc.get node.vc iv.proc then begin
       (* The append advances the sender component of the clock, which
@@ -335,10 +333,25 @@ let apply_intervals ?(replay = false) cl node ivals =
         List.iter (apply_notice ~replay cl node) iv.notices
     end
   in
-  List.iter apply fresh
+  let rec go = function
+    | [] -> ()
+    | (iv : Interval.t) :: rest ->
+      (match rest with
+      | (next : Interval.t) :: _ when Vc.sum iv.vc > Vc.sum next.vc ->
+        failwith
+          (Printf.sprintf
+             "Proto: node %d got writer %d's interval %d before writer %d's \
+              interval %d, out of timestamp order"
+             node.id iv.proc iv.seq next.proc next.seq)
+      | _ -> ());
+      apply iv;
+      go rest
+  in
+  go ivals
 
-(* All intervals this node knows that [vc] does not cover. *)
-let collect_unseen node vc = Interval.Logs.unseen_by node.intervals vc []
+(* All intervals this node knows that [vc] does not cover, in apply
+   order. *)
+let collect_unseen node vc = Interval.Logs.unseen_by node.intervals vc
 
 (* ------------------------------------------------------------------ *)
 (* Page validation (access-miss side)                                 *)

@@ -19,6 +19,12 @@ let end_interval cl node ~charge =
 let end_interval_local cl node =
   end_interval cl node ~charge:(fun ns -> Proc.sleep cl.engine ns)
 
+(* Put a batch gathered from several senders into apply order.  A batch
+   read off one log is in it already; only the barrier root's combined
+   arrivals and a recovery round's replies need this. *)
+let sort_intervals ivals =
+  List.stable_sort (fun (a : Interval.t) b -> Vc.order a.vc b.vc) ivals
+
 (* ------------------------------------------------------------------ *)
 (* Crash recovery (see FAULTS.md)                                     *)
 (* ------------------------------------------------------------------ *)
@@ -138,9 +144,10 @@ let crash_pause cl node =
        re-applied, oldest first ([apply_notice] consults the per-entry
        reflected view, so notices a durable frame already contains are
        skipped);
-     - the replies go through the normal [apply_intervals], which
-       applies the intervals not yet covered (once each, however many
-       peers retain them) and re-merges the clocks;
+     - the replies, sorted into apply order, go through the normal
+       [apply_intervals], which applies the intervals not yet covered
+       (once each, however many peers retain them) and re-merges the
+       clocks;
      affected pages end up invalid and re-fetch on demand through the
      normal validate path.
 
@@ -178,12 +185,12 @@ let crash_pause cl node =
                node.id iv.proc iv.seq))
       replies;
     if not skip then
-      Interval.Logs.unseen_by node.intervals zero []
-      |> List.filter (fun (iv : Interval.t) -> iv.proc <> node.id)
-      |> List.sort (fun (a : Interval.t) b -> Vc.order a.vc b.vc)
-      |> List.iter (fun (iv : Interval.t) ->
-             List.iter (Lrc_core.apply_notice ~replay:true cl node) iv.notices);
-    Lrc_core.apply_intervals ~replay:true cl node replies
+      List.iter
+        (fun (iv : Interval.t) ->
+          if iv.proc <> node.id then
+            List.iter (Lrc_core.apply_notice ~replay:true cl node) iv.notices)
+        (Interval.Logs.unseen_by node.intervals zero);
+    Lrc_core.apply_intervals ~replay:true cl node (sort_intervals replies)
   end;
   if checking cl then observe cl ~node:node.id Adsm_check.Obs.Restart
 
@@ -411,15 +418,20 @@ let gc_purge cl node =
    the root forwards nothing.
 
    Interior nodes only BUFFER interval lists on the way up (they apply
-   nothing), and the root applies the full combined batch in ONE step:
-   applying arrivals one at a time would merge one node's clock (which
-   covers other nodes' intervals) before those intervals' notices have
-   been applied, silently dropping them.  Releases fan back down: the
-   root sends them from the handler that completed the barrier; every
-   other node, after applying its own release (which makes its knowledge
+   nothing, in no particular order), and the root sorts the full
+   combined batch into apply order and applies it in ONE step: applying
+   arrivals one at a time would merge one node's clock (which covers
+   other nodes' intervals) before those intervals' notices have been
+   applied, silently dropping them.  Releases fan back down: the root
+   sends them from the handler that completed the barrier; every other
+   node, after applying its own release (which makes its knowledge
    complete — its release was computed against its subtree minimum),
    recomputes each direct child's missing set from the child's lent
-   clock.
+   clock.  A release is read off the interval store in apply order, so
+   no receiver sorts; the walk starts at the newest barrier mark the
+   child's clock covers ([Interval.Store.mark], taken by the first node
+   to leave each barrier), which for a node released after that mark
+   was taken is the previous barrier's.
 
    The paper's barrier (a manager at node 0 that every node reports to
    directly) is the one-level tree, [Config.make]'s default fanout
@@ -472,7 +484,7 @@ let tree_contribute cl node ~epoch ~vc ~intervals ~gc_wanted =
     in
     if first then Vc.blit_into ~src:vc ~dst:vcmin else Vc.min_into vcmin vc
   end;
-  (* Order is irrelevant: apply_intervals sorts by timestamp. *)
+  (* Order is irrelevant: the root sorts the combined batch once. *)
   tb.tb_intervals <- List.rev_append intervals tb.tb_intervals;
   if gc_wanted then tb.tb_gc_wanted <- true
 
@@ -498,7 +510,7 @@ let tree_release_children cl node ~epoch ~gc_round =
    which the paper's manager released its nodes. *)
 let tree_root_complete cl node =
   let tb = node.tb in
-  Lrc_core.apply_intervals cl node tb.tb_intervals;
+  Lrc_core.apply_intervals cl node (sort_intervals tb.tb_intervals);
   let gc_round = tb.tb_gc_wanted in
   if gc_round then Stats.gc_started cl.stats;
   let epoch = tb.tb_epoch in
@@ -592,8 +604,11 @@ let barrier cl node =
        from 1; 0 is the all-zeros base of [make_node]).  The snapshot
        below is then a copy of no components, and the epoch stamp lets
        the sparse-VC delta count of a clock on an older base be cached
-       once per epoch instead of rescanned per receiver. *)
+       once per epoch instead of rescanned per receiver.  The first to
+       leave also marks the interval store: every interval closed from
+       here on sorts after every one stored so far. *)
     Vc.Epoch.leave cl.vc_epoch ~epoch:(epoch + 1) node.vc;
+    Interval.Store.mark cl.interval_store ~epoch:(epoch + 1) node.vc;
     Vc.blit_into ~src:node.vc ~dst:node.last_barrier_vc;
     Vc.rebase node.vc ~base:node.last_barrier_vc ~epoch:(epoch + 1);
     rule3_scan cl node;

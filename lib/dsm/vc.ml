@@ -219,20 +219,6 @@ let first_diff a b f =
 
 let differ _ _ _ = 1
 
-(* Walk against whichever of [floor] and [since] shares [t]'s base
-   ([since] when both or neither do): a component where [t] is above
-   [since] differs from it, and likewise for [floor]. *)
-let fold_above t ~floor ~since f acc =
-  let o =
-    if since.base != t.base && floor.base == t.base then floor else since
-  in
-  let above = ref [] in
-  ignore
-    (first_diff o t (fun i _ x ->
-         if x > get floor i && x > get since i then above := i :: !above;
-         0));
-  List.fold_left (fun acc i -> f i acc) acc !above
-
 (* Componentwise maximum ([up]) or minimum into [t].  The changes are
    collected first: writing moves the touched set the walk is reading.
    Many changes fold [t] first, so that they are written in place. *)

@@ -36,12 +36,6 @@ val version : t -> int
 (** Increment component [proc] (a new interval of that processor). *)
 val tick : t -> proc:int -> unit
 
-(** [fold_above t ~floor ~since f acc] folds [f i] over every component
-    [i] where [t] is above both [floor] and [since], highest [i] first.
-    It walks the components where [t] differs from one of the two, so it
-    costs O(differing components) when that one shares [t]'s base. *)
-val fold_above : t -> floor:t -> since:t -> (int -> 'a -> 'a) -> 'a -> 'a
-
 (** Componentwise maximum, into the first argument. *)
 val merge_into : t -> t -> unit
 

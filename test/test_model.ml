@@ -387,14 +387,19 @@ type model_node = {
    window up to the rolled-back clock ({!Interval.Logs.restore}); the
    reference is the naive recovery, the union of the peers' logs with
    the covered part taken as is.  The uncovered part is appended to
-   both.  Every query is compared with one list per (node, writer),
-   every element by identity; outside a crash each window's newest
-   interval is the one its clock names, and inside one only the own
-   writer's window is seen.  After each GC round the store holds exactly
-   the intervals some log still holds. *)
+   both.  A barrier, with or without a GC round, brings every clock to
+   the supremum and marks the store there ({!Interval.Store.mark}); the
+   crash checkpoint is then that clock, as a node's last-barrier clock
+   is.  Every query is compared with one list per (node, writer), every
+   element by identity, and [unseen_by] with those lists merged in
+   [Vc.order], for clocks both below and above the newest mark; outside
+   a crash each window's newest interval is the one its clock names, and
+   inside one only the own writer's window is seen.  After each GC round
+   the store holds exactly the intervals some log still holds. *)
 let test_logs_model () =
   let n = logs_nodes in
   let restored = ref 0 and kept_rounds = ref 0 and down_checks = ref 0 in
+  let above_mark = ref 0 and below_mark = ref 0 in
   for seed = 0 to 19 do
     let rs = Random.State.make [| 0x1095; seed |] in
     let store = Interval.Store.create ~nprocs:n in
@@ -414,6 +419,8 @@ let test_logs_model () =
        highest seq *)
     let issued = Hashtbl.create 64 in
     let top = Array.make n 0 in
+    (* the clock of the newest mark since the last trim, and the epoch *)
+    let marked = ref None and epoch = ref 0 in
     let append x (iv : Interval.t) =
       Interval.Logs.append x.log iv;
       x.naive.(iv.proc) <- x.naive.(iv.proc) @ [ iv ]
@@ -443,8 +450,17 @@ let test_logs_model () =
           receive x p (get x p + Random.State.int rs (top.(p) - get x p + 1))
       end
     in
-    let gc_round () =
+    let barrier () =
       Array.iter (fun x -> Array.iteri (fun p t -> receive x p t) top) nodes;
+      Array.iter (fun x -> x.ckpt <- Array.copy top) nodes;
+      incr epoch;
+      Interval.Store.mark store ~epoch:!epoch nodes.(0).clock;
+      (* every later call for the epoch is a no-op *)
+      Interval.Store.mark store ~epoch:!epoch nodes.(n - 1).clock;
+      marked := Some (Array.copy top)
+    in
+    let gc_round () =
+      barrier ();
       let floor = Array.copy top in
       let order = Array.init n Fun.id in
       for i = n - 1 downto 1 do
@@ -472,6 +488,7 @@ let test_logs_model () =
             x.naive)
         nodes;
       if Interval.Store.length store > 0 then incr kept_rounds;
+      marked := None;
       Interval.Store.length store = Hashtbl.length held
     in
     let crash w =
@@ -513,11 +530,13 @@ let test_logs_model () =
     in
     for step = 1 to 300 do
       let name fmt = Printf.sprintf "seed %d, step %d: %s" seed step fmt in
+      (* no barrier completes while a node is down *)
+      let up = not (Array.exists (fun x -> x.down) nodes) in
       (match Random.State.int rs 16 with
       | 0 ->
-        (* no barrier completes while a node is down *)
-        if (not (Array.exists (fun x -> x.down) nodes)) && not (gc_round ()) then
+        if up && not (gc_round ()) then
           Alcotest.fail (name "the store keeps an interval no log holds")
+      | 3 -> if up then barrier ()
       | 1 -> (
         match List.find_opt (fun w -> nodes.(w).down) (List.init n Fun.id) with
         | Some w -> restart w
@@ -549,20 +568,33 @@ let test_logs_model () =
               Alcotest.fail (nname (Printf.sprintf "holds %d:%d" p s))
           done;
           if x.down then incr down_checks;
-          (* a random clock: each component below, inside or past its log *)
+          (* a random clock: each component below, inside or past its
+             log; half of them at or above the newest mark *)
           let vc = Vc.zero ~nprocs:n in
-          Array.iteri (fun p s -> Vc.set vc p (Random.State.int rs (s + 2))) top;
+          let low =
+            match !marked with
+            | Some m when Random.State.bool rs -> m
+            | _ -> Array.make n 0
+          in
+          Array.iteri
+            (fun p s -> Vc.set vc p (low.(p) + Random.State.int rs (s - low.(p) + 2)))
+            top;
+          (match !marked with
+          | Some m ->
+            if Array.for_all2 ( <= ) m (Array.init n (Vc.get vc)) then
+              incr above_mark
+            else incr below_mark
+          | None -> ());
           let unseen p =
             List.rev
               (List.filter (fun (iv : Interval.t) -> iv.Interval.seq > Vc.get vc p) x.naive.(p))
           in
-          let expected = ref [] in
-          for p = n - 1 downto 0 do
-            expected := unseen p @ !expected
-          done;
-          let acc = [ make_iv 1000 ] in
-          let got = Interval.Logs.unseen_by x.log vc acc in
-          if not (same got (!expected @ acc)) then
+          let expected =
+            List.concat (List.init n unseen)
+            |> List.sort (fun (a : Interval.t) b -> Vc.order a.vc b.vc)
+          in
+          let got = Interval.Logs.unseen_by x.log vc in
+          if not (same got expected) then
             Alcotest.fail
               (nname
                  (Printf.sprintf "unseen_by: got %s"
@@ -576,10 +608,14 @@ let test_logs_model () =
   done;
   (* the op mix restores non-empty windows, trims under live ones and
      queries wiped ones *)
-  if !restored = 0 || !kept_rounds = 0 || !down_checks = 0 then
+  if
+    !restored = 0 || !kept_rounds = 0 || !down_checks = 0 || !above_mark = 0
+    || !below_mark = 0
+  then
     Alcotest.failf
-      "restored windows %d, GC rounds keeping intervals %d, wiped-log checks %d"
-      !restored !kept_rounds !down_checks
+      "restored windows %d, GC rounds keeping intervals %d, wiped-log checks %d, \
+       queries above / below a mark %d / %d"
+      !restored !kept_rounds !down_checks !above_mark !below_mark
 
 (* A node log is a window onto the store: an append that skips a seq,
    repeats one, or carries an interval the store does not hold under its
@@ -600,11 +636,50 @@ let test_logs_reject_broken_window () =
   breaks "unstored interval" (make_iv 2);
   Interval.Logs.append log (List.nth stored 1);
   let vc = Vc.zero ~nprocs:4 in
-  Alcotest.(check (list int)) "window" [ 2; 1 ]
-    (seqs (Interval.Logs.unseen_by log vc []));
+  let window = Interval.Logs.unseen_by log vc in
+  Alcotest.(check bool) "window, oldest first" true
+    (List.length window = 2
+    && List.for_all2 ( == ) [ List.hd stored; List.nth stored 1 ] window);
   Alcotest.check_raises "reissued seq in the store"
     (Invalid_argument "Interval.Store.add: writer 1 closed seq 2 after 3")
     (fun () -> Interval.Store.add store (make_iv 2))
+
+(* A barrier mark is taken only at a clock that covers every stored
+   interval, and an interval closed after it must sort after every one
+   stored before; a walk for a clock that covers the mark starts there. *)
+let test_store_marks () =
+  let store = Interval.Store.create ~nprocs:4 in
+  let clock = Vc.zero ~nprocs:4 in
+  let log = Interval.Logs.create store ~clock in
+  let vc_of a =
+    let vc = Vc.zero ~nprocs:4 in
+    Array.iteri (Vc.set vc) a;
+    vc
+  in
+  let stored = List.map make_iv [ 1; 2; 3 ] in
+  List.iter (Interval.Store.add store) stored;
+  List.iter (Interval.Logs.append log) stored;
+  Alcotest.check_raises "mark below a stored interval"
+    (Invalid_argument
+       "Interval.Store.mark: the epoch-1 clock lacks writer 1's interval 3")
+    (fun () -> Interval.Store.mark store ~epoch:1 (vc_of [| 0; 2; 0; 0 |]));
+  Interval.Store.mark store ~epoch:1 clock;
+  let early = Interval.make ~proc:2 ~vc:(vc_of [| 0; 0; 1; 0 |]) ~notices:[] in
+  Alcotest.check_raises "interval below the mark"
+    (Invalid_argument
+       "Interval.Store.add: writer 2's interval 1 sorts below the epoch-1 mark")
+    (fun () -> Interval.Store.add store early);
+  Alcotest.(check int) "the rejected interval is not stored" 3
+    (Interval.Store.length store);
+  let late = Interval.make ~proc:2 ~vc:(vc_of [| 0; 3; 1; 0 |]) ~notices:[] in
+  Interval.Store.add store late;
+  Interval.Logs.append log late;
+  let unseen a = Interval.Logs.unseen_by log (vc_of a) in
+  Alcotest.(check bool) "a clock on the mark walks from it" true
+    (match unseen [| 0; 3; 0; 0 |] with [ iv ] -> iv == late | _ -> false);
+  Alcotest.(check (list int)) "a clock below the mark walks from the start"
+    [ 2; 3; 1 ]
+    (seqs (unseen [| 0; 1; 0; 0 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Naive last-notice reference: every recorded slot, scanned densely   *)
@@ -1056,6 +1131,7 @@ let () =
             test_logs_model;
           Alcotest.test_case "append rejects a broken window" `Quick
             test_logs_reject_broken_window;
+          Alcotest.test_case "marks bound the walk" `Quick test_store_marks;
         ] );
       ( "notice-summary",
         [

@@ -7,6 +7,8 @@
 module Config = Adsm_dsm.Config
 module Dsm = Adsm_dsm.Dsm
 module Stats = Adsm_dsm.Stats
+module Interval = Adsm_dsm.Interval
+module Vc = Adsm_dsm.Vc
 
 let make ?(nprocs = 2) ?(tweak = Fun.id) protocol =
   let cfg = tweak (Config.make ~protocol ~nprocs ()) in
@@ -335,6 +337,27 @@ let test_barrier_interval_batching () =
    version: claiming the in-progress one made the eventual owner notice
    look dominated, and the fetcher silently missed the rest of the
    interval's writes. *)
+(* A batch reaches [apply_intervals] in timestamp order, as the interval
+   store hands it out; a receiver does not sort, so a reversed batch
+   fails before anything in it applies. *)
+let test_out_of_order_batch_fails () =
+  let t = make Config.Mw in
+  ignore (Dsm.run t (fun ctx -> Dsm.barrier ctx));
+  let cl = Option.get (Dsm.cluster t) in
+  let node = cl.Adsm_dsm.State.nodes.(0) in
+  let interval seq =
+    let vc = Vc.zero ~nprocs:2 in
+    Vc.set vc 1 seq;
+    Interval.make ~proc:1 ~vc ~notices:[]
+  in
+  Alcotest.check_raises "reversed neighbours"
+    (Failure
+       "Proto: node 0 got writer 1's interval 2 before writer 1's interval 1, \
+        out of timestamp order")
+    (fun () ->
+      Adsm_dsm.Lrc_core.apply_intervals cl node [ interval 2; interval 1 ]);
+  Alcotest.(check int) "nothing applied" 0 (Vc.get node.Adsm_dsm.State.vc 1)
+
 let test_dirty_owner_copy_versioning () =
   let t = make Config.Sw in
   let a = Dsm.alloc_f64 t ~name:"page" ~len:512 in
@@ -617,6 +640,8 @@ let () =
         ] );
       ( "regressions",
         [
+          Alcotest.test_case "out-of-order batch fails" `Quick
+            test_out_of_order_batch_fails;
           Alcotest.test_case "barrier interval batching" `Quick
             test_barrier_interval_batching;
           Alcotest.test_case "dirty-owner copy versioning" `Quick
