@@ -16,6 +16,9 @@
 #     run -n 8 --tiny --topology tree:2;
 #   - run -n 512 --tiny --topology tree --trace, IS x WFS/SW (the
 #     metadata-bound barrier and lock path at scale);
+#   - run -a Water -p WFS -n 256 --tiny --topology tree (the cell where
+#     the false-sharing check reads the most notice clocks from the
+#     interval store);
 #   - survive --tiny at 4 and 8 nodes, and survive -n 8 at default
 #     scale (crashes across GC rounds and fetched-diff drops; it exits 1
 #     on both sides with its two SOR/MW ABORT rows);
@@ -86,6 +89,7 @@ grid() {
   for p in WFS SW; do
     echo "is512-$p adsm run -a IS -p $p -n 512 --tiny --topology tree --trace trace.jsonl"
   done
+  echo "water256-WFS adsm run -a Water -p WFS -n 256 --tiny --topology tree"
   echo "survive-n4 adsm survive --tiny -n 4 --jobs 1"
   echo "survive-n8 adsm survive --tiny -n 8 --jobs 1"
   echo "survive-n8-default adsm survive -n 8 --jobs 1"

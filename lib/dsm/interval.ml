@@ -127,9 +127,11 @@ and mark = { mvc : Vc.t; from : int }
    window by advancing the clock (an own close ticks it, [append] sets
    it), so a log holds nothing but its floor.  Between a crash wipe and
    [restore], [wiped] names the one writer whose window survived: the
-   rolled-back clock is not yet a window top for the others. *)
+   rolled-back clock is not yet a window top for the others.  [node]
+   names the log's node in failures. *)
 and logs = {
   store : store;
+  node : int;
   clock : Vc.t;
   floor : Vc.t ref;
   mutable wiped : int option;
@@ -267,11 +269,11 @@ module Logs = struct
 
   type t = logs
 
-  let create store ~clock =
+  let create store ~node ~clock =
     let floor = ref store.zero in
     store.floors <- floor :: store.floors;
     store.nlogs <- store.nlogs + 1;
-    { store; clock; floor; wiped = None }
+    { store; node; clock; floor; wiped = None }
 
   let visible t p = match t.wiped with None -> true | Some keep -> p = keep
 
@@ -290,6 +292,17 @@ module Logs = struct
     && iv.seq > Vc.get !(t.floor) p
     && iv.seq <= Vc.get t.clock p
     && Store.holds t.store iv
+
+  let clock_of t ~page ~proc seq =
+    let s = t.store in
+    let i = seq - s.base.(proc) - 1 in
+    if i < 0 || i >= s.count.(proc) then
+      invalid_arg
+        (Printf.sprintf
+           "Interval.Logs.clock_of: node %d, page %d: the store does not hold \
+            writer %d's interval %d"
+           t.node page proc seq);
+    s.ivs.(proc).(i).vc
 
   let unseen_of t ~proc vc acc =
     if not (visible t proc) then acc

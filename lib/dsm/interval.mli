@@ -114,10 +114,10 @@ module Logs : sig
 
   type t
 
-  (** An empty log onto [store] whose windows top at [clock], the
-      node's clock (kept by reference); registered for the store's
-      trims. *)
-  val create : Store.t -> clock:Vc.t -> t
+  (** An empty log of node [node] onto [store] whose windows top at
+      [clock], the node's clock (kept by reference); registered for the
+      store's trims. *)
+  val create : Store.t -> node:int -> clock:Vc.t -> t
 
   (** [append t iv] — extend writer [iv.proc]'s window by [iv],
       advancing the clock's component to [iv.seq].  Raises
@@ -128,6 +128,13 @@ module Logs : sig
   (** [holds t iv] — [iv] is the interval writer [iv.proc]'s window
       holds under [iv.seq]. *)
   val holds : t -> interval -> bool
+
+  (** [clock_of t ~page ~proc seq] — the clock of writer [proc]'s
+      interval [seq], read from the store, window or not.  Raises
+      [Invalid_argument] naming the log's node, [page], [proc] and [seq]
+      if the store does not hold it: no notice applied after a trim
+      leaves a trimmed one uncovered, so no false-sharing check asks. *)
+  val clock_of : t -> page:int -> proc:int -> int -> Vc.t
 
   (** [unseen_of t ~proc vc acc] — prepend (newest first) the intervals
       of writer [proc]'s window that [vc] does not cover onto [acc]. *)

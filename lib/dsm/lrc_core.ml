@@ -184,7 +184,7 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
       assert e.dirty;
       e.dirty <- false;
       Stats.note_write cl.stats ~page;
-      set_last_notice ~covers_all:false node e node.id vc_snapshot;
+      set_last_notice ~covers_all:false node e node.id seq;
       let version =
         P.close_page cl node e ~seq ~vc:vc_snapshot ~charge:charge_later
       in
@@ -214,7 +214,7 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
 (* ------------------------------------------------------------------ *)
 
 (* Note false sharing if any recorded writer is concurrent with [n];
-   returns whether [n] covers every recorded slot, for [set_last_notice]
+   returns whether [n] covers every recorded writer, for [set_last_notice]
    (false when the check is skipped). *)
 let note_concurrent_writers cl node (e : entry) (n : Notice.t) =
   (* Both effects of a detected concurrent writer are idempotent — the
@@ -227,7 +227,7 @@ let note_concurrent_writers cl node (e : entry) (n : Notice.t) =
     (not (Stats.page_false_shared cl.stats ~page:n.page))
     || (Mode.adaptive cl && not e.fs_active)
   then
-    match check_writers e n with
+    match check_writers node e n with
     | Covers_all -> true
     | Uncovered -> false
     | Concurrent ->
@@ -246,11 +246,27 @@ let notice_relevant node (e : entry) (n : Notice.t) =
   | Some v -> v > e.content_version
   | None -> n.seq > reflected_get e n.proc
 
-let apply_notice ?(replay = false) cl node (n : Notice.t) =
+(* [notices] without those [n] covers (on-the-fly GC below), physically
+   unchanged when it drops none. *)
+let rec drop_covered (n : Notice.t) = function
+  | [] -> []
+  | m :: rest as l ->
+    let rest' = drop_covered n rest in
+    if Notice.covers ~by:n m then rest'
+    else if rest' == rest then l
+    else m :: rest'
+
+(* Some pending notice of another writer is concurrent with [n]. *)
+let rec other_concurrent (n : Notice.t) = function
+  | [] -> false
+  | (m : Notice.t) :: rest ->
+    (m.proc <> n.proc && Notice.concurrent m n) || other_concurrent n rest
+
+let apply_notice ~replay cl node (n : Notice.t) =
   let e = entry_of node n.page in
   Stats.note_write cl.stats ~page:n.page;
   let covers_all = note_concurrent_writers cl node e n in
-  set_last_notice ~covers_all node e n.proc n.vc;
+  set_last_notice ~covers_all node e n.proc n.seq;
   if notice_relevant node e n then begin
     (match n.version with
     | Some v ->
@@ -263,25 +279,23 @@ let apply_notice ?(replay = false) cl node (n : Notice.t) =
       end;
       (* On-the-fly garbage collection: notices covered by an owner write
          notice are reflected in the owner's copy and can be discarded. *)
-      e.notices <- List.filter (fun m -> not (Notice.covers ~by:n m)) e.notices;
+      e.notices <- drop_covered n e.notices;
       (* Rule 2 (Section 3.1.2): a fresh owner notice with no concurrent
          secondary notices means false sharing has stopped.  Our own recent
          writes count as secondary notices here: an owner notice concurrent
-         with them does NOT end the false sharing. *)
+         with them does NOT end the false sharing.  Our latest notice's
+         clock is read only when [n] does not cover it. *)
+      let own = last_seq e node.id in
       let own_concurrent =
-        match last_notice e node.id with
-        | Some v ->
-          Vc.get n.vc node.id < Vc.get v node.id
-          && Vc.get v n.proc < n.seq
-        | None -> false
+        Vc.get n.vc node.id < own
+        && Vc.get
+             (Interval.Logs.clock_of node.intervals ~page:n.page ~proc:node.id own)
+             n.proc
+           < n.seq
       in
       if
         Mode.adaptive cl && (not own_concurrent)
-        && not
-             (List.exists
-                (fun (m : Notice.t) ->
-                  m.proc <> n.proc && Notice.concurrent m n)
-                e.notices)
+        && not (other_concurrent n e.notices)
       then Mode.set_fs_active cl ~node:node.id e false
     | None -> ());
     (* Steady state cannot deliver a pending notice twice: a notice
@@ -296,6 +310,12 @@ let apply_notice ?(replay = false) cl node (n : Notice.t) =
       tlb_reset node
     end
   end
+
+let rec apply_notices ~replay cl node = function
+  | [] -> ()
+  | n :: rest ->
+    apply_notice ~replay cl node n;
+    apply_notices ~replay cl node rest
 
 (* Mutation seam (testing only): under [Stale_vc_after_restart] peers
    take a restarted writer's first intervals for duplicates of the
@@ -316,8 +336,17 @@ let taken_for_duplicate cl (iv : Interval.t) =
    an interval before one it depends on, since a dominated clock has the
    smaller sum.  Equal neighbours pass (a recovery round hears one
    interval from several peers). *)
-let apply_intervals ?(replay = false) cl node ivals =
-  let apply (iv : Interval.t) =
+let rec apply_intervals ~replay cl node = function
+  | [] -> ()
+  | (iv : Interval.t) :: rest ->
+    (match rest with
+    | (next : Interval.t) :: _ when Vc.sum iv.vc > Vc.sum next.vc ->
+      failwith
+        (Printf.sprintf
+           "Proto: node %d got writer %d's interval %d before writer %d's \
+            interval %d, out of timestamp order"
+           node.id iv.proc iv.seq next.proc next.seq)
+    | _ -> ());
     if iv.seq > Vc.get node.vc iv.proc then begin
       (* The append advances the sender component of the clock, which
          is the whole clock merge.  Interval chains are transitively
@@ -330,24 +359,9 @@ let apply_intervals ?(replay = false) cl node ivals =
          applies, and that one is exactly [iv.seq]. *)
       Interval.Logs.append node.intervals iv;
       if not (taken_for_duplicate cl iv) then
-        List.iter (apply_notice ~replay cl node) iv.notices
-    end
-  in
-  let rec go = function
-    | [] -> ()
-    | (iv : Interval.t) :: rest ->
-      (match rest with
-      | (next : Interval.t) :: _ when Vc.sum iv.vc > Vc.sum next.vc ->
-        failwith
-          (Printf.sprintf
-             "Proto: node %d got writer %d's interval %d before writer %d's \
-              interval %d, out of timestamp order"
-             node.id iv.proc iv.seq next.proc next.seq)
-      | _ -> ());
-      apply iv;
-      go rest
-  in
-  go ivals
+        apply_notices ~replay cl node iv.notices
+    end;
+    apply_intervals ~replay cl node rest
 
 (* All intervals this node knows that [vc] does not cover, in apply
    order. *)

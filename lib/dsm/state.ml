@@ -23,23 +23,10 @@ type entry = {
   mutable dirty : bool;
   mutable notices : Notice.t list;
   mutable reflected : Wmap.t;
-  mutable nw_slots : Wmap.t;
-      (* writer -> its slot in [nw_procs]/[nw_vcs] plus one, so that a
-         last-notice lookup is O(1) without a dense per-entry table *)
-  mutable nw_procs : int array;
-      (* Sparse "last notice per writer" map, replacing the former dense
-         [Vc.t option array]: parallel arrays of writer ids and their
-         latest notice clocks, [nw_len] slots live, in the order the
-         writers were first recorded.  [nw_slots] indexes them. *)
-  mutable nw_vcs : Vc.t array;
-  mutable nw_len : int;
+  mutable nw_seqs : Wmap.t;  (* writer -> seq of its latest notice *)
   mutable nw_dom : int;
-      (* Dominating-slot summary of the map above: slot [nw_dom] (-1 =
-         no summary) holds a clock covering every slot NOT listed in
-         [nw_since] — the slots written since it was recorded, at most
-         [since_cap], [nw_nsince] live.  A notice covering the
-         dominating clock covers every such slot too (transitive-clock
-         invariant), so the false-sharing check scans [nw_since] only. *)
+      (* Writer [nw_dom]'s latest notice (-1 = none) covers every
+         writer's not in [nw_since]: see [check_writers]. *)
   mutable nw_since : int array;
   mutable nw_nsince : int;
   mutable fs_view : Bytes.t;
@@ -169,10 +156,7 @@ let make_entry ~page ~home =
     dirty = false;
     notices = [];
     reflected = Wmap.empty;
-    nw_slots = Wmap.empty;
-    nw_procs = [||];
-    nw_vcs = [||];
-    nw_len = 0;
+    nw_seqs = Wmap.empty;
     nw_dom = -1;
     nw_since = [||];
     nw_nsince = 0;
@@ -216,106 +200,74 @@ let drop_copy (e : entry) =
   e.committed_version <- 0;
   reflected_reset e
 
-let notice_slot (e : entry) q = Wmap.get e.nw_slots q - 1
-
-let last_notice (e : entry) q =
-  let i = notice_slot e q in
-  if i < 0 then None else Some e.nw_vcs.(i)
+let last_seq (e : entry) q = Wmap.get e.nw_seqs q
 
 (* A page written by more writers than this between two dominating
-   notices takes the dense scan anyway. *)
+   notices takes the full scan anyway. *)
 let since_cap = 8
 
 let forget_dominating (e : entry) =
   e.nw_dom <- -1;
   e.nw_nsince <- 0
 
-let rec in_since (e : entry) i j =
-  j < e.nw_nsince && (e.nw_since.(j) = i || in_since e i (j + 1))
+let rec in_since (e : entry) q j =
+  j < e.nw_nsince && (e.nw_since.(j) = q || in_since e q (j + 1))
 
-(* Slot [i] was written by a clock not known to cover the others. *)
-let note_since (e : entry) i =
-  if e.nw_dom = i then forget_dominating e
+(* Writer [q]'s notice was recorded by a clock not known to cover the
+   others. *)
+let note_since (e : entry) q =
+  if e.nw_dom = q then forget_dominating e
   else if e.nw_dom >= 0 then begin
-    if not (in_since e i 0) then
+    if not (in_since e q 0) then
       if e.nw_nsince = since_cap then forget_dominating e
       else begin
         if Array.length e.nw_since = 0 then e.nw_since <- Array.make since_cap 0;
-        e.nw_since.(e.nw_nsince) <- i;
+        e.nw_since.(e.nw_nsince) <- q;
         e.nw_nsince <- e.nw_nsince + 1
       end
   end
 
-let set_last_notice ~covers_all node (e : entry) q vc =
-  let i = notice_slot e q in
-  let i =
-    if i >= 0 then begin
-      e.nw_vcs.(i) <- vc;
-      i
-    end
-    else begin
-      if e.nw_len = Array.length e.nw_procs then begin
-        let cap = max 4 (2 * e.nw_len) in
-        let procs = Array.make cap 0 and vcs = Array.make cap vc in
-        Int_array.blit e.nw_procs 0 procs 0 e.nw_len;
-        Array.blit e.nw_vcs 0 vcs 0 e.nw_len;
-        e.nw_procs <- procs;
-        e.nw_vcs <- vcs
-      end;
-      let i = e.nw_len in
-      e.nw_procs.(i) <- q;
-      e.nw_vcs.(i) <- vc;
-      e.nw_slots <- Wmap.set e.nw_slots ~nprocs:node.nprocs q (i + 1);
-      e.nw_len <- i + 1;
-      i
-    end
-  in
+let set_last_notice ~covers_all node (e : entry) q seq =
+  e.nw_seqs <- Wmap.set e.nw_seqs ~nprocs:node.nprocs q seq;
   if covers_all then begin
-    e.nw_dom <- i;
+    e.nw_dom <- q;
     e.nw_nsince <- 0
   end
-  else note_since e i
+  else note_since e q
 
 let clear_last_notices (e : entry) =
-  e.nw_slots <- Wmap.empty;
-  e.nw_procs <- [||];
-  e.nw_vcs <- [||];
-  e.nw_len <- 0;
+  e.nw_seqs <- Wmap.empty;
   forget_dominating e
-
-(* Does notice [n] cover slot [i]?  One component read: the slot's clock
-   is writer [q]'s snapshot at its writing interval, so [m.(q)] is that
-   interval's seq (see [Notice.covers]). *)
-let covers_slot (e : entry) (n : Notice.t) i =
-  let q = e.nw_procs.(i) in
-  Vc.get n.vc q >= Vc.get e.nw_vcs.(i) q
 
 type writers = Covers_all | Uncovered | Concurrent
 
-(* Fold slot [i] into [acc].  An uncovered slot is concurrent with [n]
-   unless it is [n]'s own writer or saw [n]'s interval.  A top-level
-   function, not a closure, so the scans below allocate nothing. *)
-let classify visit (e : entry) (n : Notice.t) i acc =
-  if covers_slot e n i then acc
-  else
-    let q = e.nw_procs.(i) in
-    if q <> n.proc && Vc.get e.nw_vcs.(i) n.proc < n.seq then begin
-      (match visit with Some f -> f q | None -> ());
-      Concurrent
-    end
-    else match acc with Concurrent -> acc | Covers_all | Uncovered -> Uncovered
+(* Fold writer [q], whose latest notice is interval [seq], into [acc]:
+   an uncovered notice is concurrent with [n] unless it is [n]'s own
+   writer's or saw [n]'s interval, which only its clock tells.  A
+   top-level function, so the since-set scan allocates nothing. *)
+let classify visit node (e : entry) (n : Notice.t) q seq acc =
+  if Vc.get n.vc q >= seq then acc
+  else if
+    q <> n.proc
+    && Vc.get (Interval.Logs.clock_of node.intervals ~page:e.page ~proc:q seq)
+         n.proc
+       < n.seq
+  then begin
+    (match visit with Some f -> f q | None -> ());
+    Concurrent
+  end
+  else match acc with Concurrent -> acc | Covers_all | Uncovered -> Uncovered
 
-let check_writers ?visit (e : entry) (n : Notice.t) =
-  let acc = ref Covers_all in
-  if e.nw_dom >= 0 && covers_slot e n e.nw_dom then
+let check_writers ?visit node (e : entry) (n : Notice.t) =
+  if e.nw_dom >= 0 && Vc.get n.vc e.nw_dom >= last_seq e e.nw_dom then begin
+    let acc = ref Covers_all in
     for j = 0 to e.nw_nsince - 1 do
-      acc := classify visit e n e.nw_since.(j) !acc
-    done
-  else
-    for i = 0 to e.nw_len - 1 do
-      acc := classify visit e n i !acc
+      let q = e.nw_since.(j) in
+      acc := classify visit node e n q (last_seq e q) !acc
     done;
-  !acc
+    !acc
+  end
+  else Wmap.fold (classify visit node e n) e.nw_seqs Covers_all
 
 (* Per-processor bitsets: bit [q] is bit [q land 7] of byte [q lsr 3].
    An empty bitset has no member; the first member allocates every
@@ -360,7 +312,7 @@ let make_node ~cfg ~vc_epoch ~store ~id ~total_pages =
     nprocs;
     vc;
     pages = Array.make total_pages None;
-    intervals = Interval.Logs.create store ~clock:vc;
+    intervals = Interval.Logs.create store ~node:id ~clock:vc;
     dirty_pages = [];
     own_bytes = 0;
     fetched_diffs = 0;

@@ -40,23 +40,20 @@ type entry = {
       (** per writer: highest interval seq whose modifications are
           reflected in the committed local copy (absent = 0).  Use
           {!reflected_get} and the other [reflected_*] accessors *)
-  mutable nw_slots : Wmap.t;
-      (** writer -> its slot in [nw_procs]/[nw_vcs] plus one (absent =
-          no slot); see {!notice_slot} *)
-  mutable nw_procs : int array;
-      (** sparse "latest notice timestamp per writer" map (write-write
-          false-sharing detection): parallel arrays of writer ids /
-          clocks in insertion order, [nw_len] live slots *)
-  mutable nw_vcs : Vc.t array;
-  mutable nw_len : int;
+  mutable nw_seqs : Wmap.t;
+      (** latest notice per writer (write-write false-sharing
+          detection): writer -> the seq of its latest interval whose
+          notice on this page was recorded (absent = none).  The
+          notice's clock is that interval's, read from the interval
+          store by {!check_writers} *)
   mutable nw_dom : int;
-      (** dominating-slot summary of the last-notice map: the slot whose
-          clock covers every slot not in [nw_since]; [-1] = no summary.
-          Maintained by {!set_last_notice}, dropped by
+      (** dominating-writer summary of [nw_seqs]: the writer whose
+          latest notice covers every writer's not in [nw_since]; [-1] =
+          no summary.  Maintained by {!set_last_notice}, dropped by
           {!forget_dominating}; see {!check_writers} *)
   mutable nw_since : int array;
-      (** slots written since [nw_dom] was recorded, [nw_nsince] live,
-          at most {!since_cap} *)
+      (** writers recorded since [nw_dom] was, [nw_nsince] live, at
+          most {!since_cap} *)
   mutable nw_nsince : int;
   mutable fs_view : Bytes.t;
       (** bitset of the processors whose piggybacked "I see this page as
@@ -249,50 +246,52 @@ val reflected_reset : entry -> unit
     (crash wipe / GC drop).  The caller resets the TLB. *)
 val drop_copy : entry -> unit
 
-(** Writer [q]'s slot in the last-notice arrays, [-1] if none. *)
-val notice_slot : entry -> int -> int
+(** The seq of writer [q]'s latest notice recorded on the page, [0] if
+    none. *)
+val last_seq : entry -> int -> int
 
-(** Latest notice clock recorded for writer [q], if any.  O(1) through
-    [nw_slots]. *)
-val last_notice : entry -> int -> Vc.t option
+(** Record interval [seq] as writer [q]'s latest notice.  [covers_all]
+    says its notice covers every writer's recorded before this call
+    ({!check_writers} answered [Covers_all] for it) and makes [q] the
+    dominating writer.  Otherwise [q] joins the since-set; recording the
+    dominating writer itself again, or overflowing the since-set, drops
+    the summary. *)
+val set_last_notice : covers_all:bool -> node -> entry -> int -> int -> unit
 
-(** Record [vc] as writer [q]'s latest notice clock.  [covers_all] says
-    [vc] covers every slot recorded before this call ({!check_writers}
-    answered [Covers_all] for the notice) and makes this slot the
-    dominating one.  Otherwise the slot joins the since-set; overwriting
-    the dominating slot itself, or overflowing the since-set, drops the
-    summary. *)
-val set_last_notice : covers_all:bool -> node -> entry -> int -> Vc.t -> unit
-
-(** Drop every slot (and the summary with them), in O(1). *)
+(** Drop every writer's latest notice (and the summary with them), in
+    O(1). *)
 val clear_last_notices : entry -> unit
 
 (** Capacity of the since-set. *)
 val since_cap : int
 
-(** Drop the dominating-slot summary, keeping the slots; the next check
-    scans every slot and may re-establish it.  Needed wherever the
-    transitive-clock invariant may not hold for the recorded clocks
-    (crash rollback). *)
+(** Drop the dominating-writer summary, keeping the latest notices;
+    the next check scans every writer and may re-establish it.  Needed
+    wherever the transitive-clock invariant may not hold for the
+    recorded notices (crash rollback). *)
 val forget_dominating : entry -> unit
 
 (** How a notice relates to the recorded writers. *)
 type writers =
-  | Covers_all  (** the notice covers every recorded slot *)
-  | Uncovered  (** some slot is not covered, none is concurrent *)
+  | Covers_all  (** the notice covers every recorded writer's notice *)
+  | Uncovered  (** some is not covered, none is concurrent *)
   | Concurrent  (** some recorded writer is concurrent with the notice *)
 
-(** [check_writers ?visit e n] classifies notice [n] against the
-    recorded writers, calling [visit q] for every writer [q] whose
-    latest notice is concurrent with [n] (neither saw the other).
+(** [check_writers ?visit node e n] classifies notice [n] against the
+    writers recorded on [node]'s entry [e], calling [visit q] for every
+    writer [q] whose latest notice is concurrent with [n] (neither saw
+    the other).  Whether [n] covers a notice is one comparison of its
+    seq; only a notice [n] does not cover is classified by its clock,
+    read with {!Interval.Logs.clock_of}.
 
-    When [n] covers the dominating clock only the since-set is scanned:
+    When [n] covers the dominating notice only the since-set is scanned:
     by the transitive-clock invariant (see {!Notice.covers}) [n] then
-    covers every slot the dominating clock covers.  Otherwise every slot
-    is scanned.  The answer and the set of writers visited are the same
-    either way; the visiting order may differ.  Allocation-free without
-    [visit]. *)
-val check_writers : ?visit:(int -> unit) -> entry -> Notice.t -> writers
+    covers every notice the dominating one covers.  Otherwise every
+    writer is scanned, in {!Wmap.fold} order.  The answer and the set of
+    writers visited are the same either way; the visiting order may
+    differ.  Without [visit] only a full scan allocates (one closure). *)
+val check_writers :
+  ?visit:(int -> unit) -> node -> entry -> Notice.t -> writers
 
 val fs_view_get : entry -> int -> bool
 

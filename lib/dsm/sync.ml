@@ -284,7 +284,7 @@ let lock cl node l =
         (Msg.Lock_acquire { lock = l; vc });
     let intervals = Proc.Ivar.await ivar in
     node.wait <- Running;
-    Lrc_core.apply_intervals cl node intervals;
+    Lrc_core.apply_intervals ~replay:false cl node intervals;
     ls.have_token <- true;
     ls.held <- true
   end;
@@ -325,14 +325,10 @@ let rule3_scan cl node =
               (fun (m : Notice.t) ->
                 Notice.same_write n m || Notice.covers ~by:n m)
               notices
-            &&
-            match last_notice e node.id with
-            | Some own ->
-              (* [own.(id)] is the seq of this node's latest writing
-                 interval on the page: O(1) coverage (see
-                 [Notice.covers]). *)
-              Vc.get n.vc node.id >= Vc.get own node.id
-            | None -> true
+            (* [last_seq] is the seq of this node's latest writing
+               interval on the page (0 if none): O(1) coverage (see
+               [Notice.covers]). *)
+            && Vc.get n.vc node.id >= last_seq e node.id
           in
           if List.exists dominates notices then
             Mode.set_fs_active cl ~node:node.id e false)
@@ -510,7 +506,8 @@ let tree_release_children cl node ~epoch ~gc_round =
    which the paper's manager released its nodes. *)
 let tree_root_complete cl node =
   let tb = node.tb in
-  Lrc_core.apply_intervals cl node (sort_intervals tb.tb_intervals);
+  Lrc_core.apply_intervals ~replay:false cl node
+    (sort_intervals tb.tb_intervals);
   let gc_round = tb.tb_gc_wanted in
   if gc_round then Stats.gc_started cl.stats;
   let epoch = tb.tb_epoch in
@@ -593,7 +590,7 @@ let barrier cl node =
   tree_maybe_forward cl node;
   (match Proc.Ivar.await ivar with
   | Msg.Barrier_release { intervals; gc_round; _ } ->
-    Lrc_core.apply_intervals cl node intervals;
+    Lrc_core.apply_intervals ~replay:false cl node intervals;
     (* Knowledge is complete now; release the children before the
        (possibly long) rule-3 scan and GC work below.  The root released
        its children when it completed the barrier. *)

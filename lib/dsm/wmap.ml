@@ -99,23 +99,27 @@ let add m q v =
     m.(0) <- h + 2
   end
 
-(* [f q v] for every writer with a nonzero value. *)
-let iter f m =
+(* Fold [f q v] over every writer with a nonzero value, in slot order. *)
+let fold f m acc =
+  let acc = ref acc in
   if Array.length m > 0 then begin
     let h = m.(0) in
     if h < 0 then
       for q = 0 to Array.length m - 2 do
-        if m.(q + 1) <> 0 then f q m.(q + 1)
+        if m.(q + 1) <> 0 then acc := f q m.(q + 1) !acc
       done
     else if h land 1 = 0 then
       for i = 0 to (h lsr 1) - 1 do
-        if m.(2 + (2 * i)) <> 0 then f m.(1 + (2 * i)) m.(2 + (2 * i))
+        if m.(2 + (2 * i)) <> 0 then
+          acc := f m.(1 + (2 * i)) m.(2 + (2 * i)) !acc
       done
     else
       for i = 0 to mask_of m do
-        if m.(2 + (2 * i)) <> 0 then f (m.(1 + (2 * i)) - 1) m.(2 + (2 * i))
+        if m.(2 + (2 * i)) <> 0 then
+          acc := f (m.(1 + (2 * i)) - 1) m.(2 + (2 * i)) !acc
       done
-  end
+  end;
+  !acc
 
 let set m ~nprocs q v =
   if Array.length m = 0 then
@@ -154,7 +158,7 @@ let set m ~nprocs q v =
       end
       else begin
         let m' = alloc ~nprocs (count + 1) in
-        iter (add m') m;
+        fold (fun q v () -> add m' q v) m ();
         add m' q v;
         m'
       end
@@ -179,5 +183,5 @@ let of_dense a = init ~nprocs:(Array.length a) (Array.get a)
 
 let to_dense m ~nprocs =
   let a = Array.make nprocs 0 in
-  iter (fun q v -> a.(q) <- v) m;
+  fold (fun q v () -> a.(q) <- v) m ();
   a

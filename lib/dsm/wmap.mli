@@ -1,8 +1,8 @@
 (** Writer maps: writer id -> int, sized by the writers actually held.
 
-    Per-entry "per writer" metadata (the last-notice slot index, the
-    reflected sequence numbers) maps a few of [nprocs] writers to ints.
-    A map stores them in one of three forms, chosen by its population:
+    Per-entry "per writer" metadata (the seq of each writer's latest
+    notice, the reflected sequence numbers) maps a few of [nprocs]
+    writers to ints.  A map stores them in one of three forms, chosen by its population:
     a linear list of pairs while small, an open-addressed hash table at
     mid size, and a dense [nprocs] array as soon as the sparse form
     would not be smaller.  Below 9 nodes every non-empty map is dense.
@@ -26,6 +26,10 @@ val get : t -> int -> int
 (** [set m ~nprocs q v] — [m] with writer [q] mapped to [v], [0 <= q <
     nprocs]; reuses [m] when it has room. *)
 val set : t -> nprocs:int -> int -> int -> t
+
+(** [fold f m acc] folds [f q v] over every writer [q] with a nonzero
+    value [v]: ascending in a dense map, otherwise in slot order. *)
+val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** [init ~nprocs f] maps every writer [q < nprocs] to [f q]. *)
 val init : nprocs:int -> (int -> int) -> t

@@ -408,7 +408,7 @@ let test_logs_model () =
           let clock = Vc.zero ~nprocs:n in
           {
             clock;
-            log = Interval.Logs.create store ~clock;
+            log = Interval.Logs.create store ~node:0 ~clock;
             naive = Array.make n [];
             ckpt = Array.make n 0;
             down = false;
@@ -622,7 +622,7 @@ let test_logs_model () =
    seq fails, and leaves the window as it was. *)
 let test_logs_reject_broken_window () =
   let store = Interval.Store.create ~nprocs:4 in
-  let log = Interval.Logs.create store ~clock:(Vc.zero ~nprocs:4) in
+  let log = Interval.Logs.create store ~node:0 ~clock:(Vc.zero ~nprocs:4) in
   let stored = List.map make_iv [ 1; 2; 3 ] in
   List.iter (Interval.Store.add store) stored;
   Interval.Logs.append log (List.hd stored);
@@ -650,7 +650,7 @@ let test_logs_reject_broken_window () =
 let test_store_marks () =
   let store = Interval.Store.create ~nprocs:4 in
   let clock = Vc.zero ~nprocs:4 in
-  let log = Interval.Logs.create store ~clock in
+  let log = Interval.Logs.create store ~node:0 ~clock in
   let vc_of a =
     let vc = Vc.zero ~nprocs:4 in
     Array.iteri (Vc.set vc) a;
@@ -682,15 +682,15 @@ let test_store_marks () =
     (seqs (unseen [| 0; 1; 0; 0 |]))
 
 (* ------------------------------------------------------------------ *)
-(* Naive last-notice reference: every recorded slot, scanned densely   *)
+(* Naive last-notice reference: every writer's clock, scanned densely  *)
 (* ------------------------------------------------------------------ *)
 
 (* Writer 0 is the observing node; the rest are remote writers. *)
 let nwriters = 12
 
-(* The check the dominating-slot summary replaced: walk every (writer,
-   latest clock) slot, collect the writers concurrent with [n] and
-   whether [n] covers them all. *)
+(* The check the dominating-writer summary replaced: walk every
+   (writer, latest clock) slot, collect the writers concurrent with [n]
+   and whether [n] covers them all. *)
 let dense_scan slots (n : Notice.t) =
   List.fold_left
     (fun (conc, all) (q, m) ->
@@ -702,9 +702,12 @@ let dense_scan slots (n : Notice.t) =
       (conc, all && covered))
     ([], true) slots
 
-let summarized e n =
+(* The answer and the SET of writers visited (the order may differ). *)
+let summarized node e n =
   let seen = ref [] in
-  let answer = State.check_writers ~visit:(fun q -> seen := q :: !seen) e n in
+  let answer =
+    State.check_writers ~visit:(fun q -> seen := q :: !seen) node e n
+  in
   (List.sort compare !seen, answer)
 
 let vc_of_array a =
@@ -714,75 +717,117 @@ let vc_of_array a =
 
 let merge_clock dst src = Array.iteri (fun p v -> dst.(p) <- max dst.(p) v) src
 
+(* The observer, node 0, on a fresh store of [nwriters] writers: the
+   only log of the store, so its purge trims it. *)
+let observer () =
+  let cfg = Config.make ~protocol:Config.Wfs ~nprocs:nwriters () in
+  let store = Interval.Store.create ~nprocs:nwriters in
+  let node =
+    State.make_node ~cfg ~vc_epoch:(Vc.Epoch.create ~nprocs:nwriters) ~store
+      ~id:0 ~total_pages:1
+  in
+  (store, node, State.entry_of node 0)
+
+(* Writer [p] closes its next interval, from its clock [clk.(p)], with
+   one notice on page 0, and stores it. *)
+let close_interval store clk p =
+  clk.(p).(p) <- clk.(p).(p) + 1;
+  let vc = vc_of_array clk.(p) in
+  let n =
+    { Notice.page = 0; proc = p; seq = clk.(p).(p); vc; version = None }
+  in
+  Interval.Store.add store (Interval.make ~proc:p ~vc ~notices:[ n ]);
+  n
+
+(* The naive map: (writer, latest clock), in first-recorded order. *)
+let record slots (n : Notice.t) =
+  if List.mem_assoc n.proc !slots then
+    slots :=
+      List.map (fun (p, m) -> if p = n.proc then (p, n.vc) else (p, m)) !slots
+  else slots := !slots @ [ (n.proc, n.vc) ]
+
+(* The check against the dense scan; returns whether [n] covers every
+   recorded writer. *)
+let check_against_dense ~name node e slots (n : Notice.t) =
+  let conc, all = dense_scan slots n in
+  let conc', answer = summarized node e n in
+  if List.sort compare conc <> conc' then
+    Alcotest.fail (name "concurrent writers");
+  if all <> (answer = State.Covers_all) then
+    Alcotest.fail (name "covers every writer");
+  if (conc <> []) <> (answer = State.Concurrent) then
+    Alcotest.fail (name "concurrent answer");
+  all
+
+(* The map holds exactly the naive map's seqs, and the dominating
+   writer's notice covers every writer's outside the since-set. *)
+let check_map ~name e slots =
+  List.iter
+    (fun (q, m) ->
+      if State.last_seq e q <> Vc.get m q then
+        Alcotest.fail (name "latest seq"))
+    slots;
+  let dom = e.State.nw_dom in
+  if dom >= 0 then begin
+    let dvc = List.assoc dom slots in
+    List.iter
+      (fun (q, m) ->
+        let in_since = ref false in
+        for j = 0 to e.State.nw_nsince - 1 do
+          if e.State.nw_since.(j) = q then in_since := true
+        done;
+        if (not !in_since) && Vc.get dvc q < Vc.get m q then
+          Alcotest.fail (name (Printf.sprintf "writer %d not dominated" q)))
+      slots
+  end
+
 (* Seeded per-page notice streams at one observing node.  Remote writers
    close intervals, sometimes after merging another writer's clock
    (causally ordered — the migratory lock-chain pattern) and sometimes
    without (truly concurrent writers); their notices reach the observer
-   in arbitrary order.  The observer closes its own intervals, applies
-   notices with or without the check's answer (the already-flagged skip
-   path), and occasionally crashes.  Every clock is built by merging
-   whole clocks, the transitive-clock invariant the summary relies on
-   (the crash's clock rollback is undone by the recovery round before
-   the next close, so it is not modelled).  After every step each
+   in arbitrary order.  Every interval is stored in a real interval
+   store, from which the check reads the clocks of the notices it does
+   not cover.  The observer closes its own intervals, applies notices
+   with or without the check's answer (the already-flagged skip path),
+   and occasionally crashes.  Every clock is built by merging whole
+   clocks, the transitive-clock invariant the summary relies on (the
+   crash's clock rollback is undone by the recovery round before the
+   next close, so it is not modelled).  After every step each
    undelivered notice is checked against the dense scan. *)
 let test_notice_summary_model () =
   let fast_with_since = ref 0 and overflows = ref 0 and dom_overwrites = ref 0 in
   let reestablished = ref 0 and concurrent_hits = ref 0 in
   for seed = 0 to 19 do
     let rs = Random.State.make [| 0x5107; seed |] in
-    let cfg = Config.make ~protocol:Config.Wfs ~nprocs:nwriters () in
-    let node =
-      State.make_node ~cfg ~vc_epoch:(Vc.Epoch.create ~nprocs:nwriters)
-        ~store:(Interval.Store.create ~nprocs:nwriters) ~id:0 ~total_pages:1
-    in
-    let e = State.entry_of node 0 in
-    let slots = ref [] (* naive map, insertion order *) in
-    let record q vc =
-      if List.mem_assoc q !slots then
-        slots := List.map (fun (p, m) -> if p = q then (p, vc) else (p, m)) !slots
-      else slots := !slots @ [ (q, vc) ]
-    in
+    let store, node, e = observer () in
+    let slots = ref [] in
     let clk = Array.init nwriters (fun _ -> Array.make nwriters 0) in
     let pending = ref [] in
     let last_writer = ref 1 in
-    let close p =
-      clk.(p).(p) <- clk.(p).(p) + 1;
-      let vc = vc_of_array clk.(p) in
-      { Notice.page = 0; proc = p; seq = clk.(p).(p); vc; version = None }
-    in
+    let close = close_interval store clk in
     let check step (n : Notice.t) =
       let name what =
         Printf.sprintf "seed %d, step %d, notice p%d#%d: %s" seed step n.proc
           n.seq what
       in
-      let conc, all = dense_scan !slots n in
-      let conc', answer = summarized e n in
-      if e.State.nw_dom >= 0
-         && Vc.get n.vc e.State.nw_procs.(e.State.nw_dom)
-            >= Vc.get e.State.nw_vcs.(e.State.nw_dom)
-                 e.State.nw_procs.(e.State.nw_dom)
+      let dom = e.State.nw_dom in
+      if dom >= 0 && Vc.get n.vc dom >= State.last_seq e dom
          && e.State.nw_nsince > 0
       then incr fast_with_since;
-      if conc <> [] then incr concurrent_hits;
-      if List.sort compare conc <> conc' then Alcotest.fail (name "concurrent writers");
-      if all <> (answer = State.Covers_all) then
-        Alcotest.fail (name "covers every slot");
-      if (conc <> []) <> (answer = State.Concurrent) then
-        Alcotest.fail (name "concurrent answer");
-      all
+      if fst (dense_scan !slots n) <> [] then incr concurrent_hits;
+      check_against_dense ~name node e !slots n
     in
     let apply step (n : Notice.t) =
       let all = check step n in
       let dom_before = e.State.nw_dom and since_before = e.State.nw_nsince in
-      let slot_before = State.notice_slot e n.proc in
       (* One apply in six takes the skipped-check path: no answer. *)
       let covers_all = all && Random.State.int rs 6 > 0 in
-      State.set_last_notice ~covers_all node e n.proc n.vc;
-      record n.proc n.vc;
+      State.set_last_notice ~covers_all node e n.proc n.seq;
+      record slots n;
       merge_clock clk.(0) (Array.init nwriters (Vc.get n.vc));
       if covers_all && dom_before < 0 then incr reestablished;
       if (not covers_all) && dom_before >= 0 && e.State.nw_dom < 0 then
-        if slot_before = dom_before then incr dom_overwrites
+        if n.proc = dom_before then incr dom_overwrites
         else if since_before = State.since_cap then incr overflows
     in
     for step = 1 to 400 do
@@ -805,10 +850,11 @@ let test_notice_summary_model () =
       | 9 | 10 ->
         (* own interval close *)
         let n = close 0 in
-        State.set_last_notice ~covers_all:false node e 0 n.vc;
-        record 0 n.vc
+        State.set_last_notice ~covers_all:false node e 0 n.seq;
+        record slots n
       | 11 ->
-        (* crash: durable entries keep their slots, others lose them *)
+        (* crash: durable entries keep their latest notices, others
+           lose them *)
         State.forget_dominating e;
         if Random.State.bool rs then begin
           State.clear_last_notices e;
@@ -827,20 +873,8 @@ let test_notice_summary_model () =
           pending := List.filteri (fun i _ -> i <> k) l;
           apply step n));
       List.iter (fun n -> ignore (check step n)) !pending;
-      (* The summary's own invariant: the dominating clock covers every
-         slot outside the since-set. *)
-      let dom = e.State.nw_dom in
-      if dom >= 0 then
-        for i = 0 to e.State.nw_len - 1 do
-          let q = e.State.nw_procs.(i) in
-          let in_since = ref false in
-          for j = 0 to e.State.nw_nsince - 1 do
-            if e.State.nw_since.(j) = i then in_since := true
-          done;
-          if (not !in_since)
-             && Vc.get e.State.nw_vcs.(dom) q < Vc.get e.State.nw_vcs.(i) q
-          then Alcotest.failf "seed %d, step %d: slot %d not dominated" seed step i
-        done
+      check_map e !slots ~name:(fun what ->
+          Printf.sprintf "seed %d, step %d: %s" seed step what)
     done
   done;
   (* The streams must actually reach every path the summary has. *)
@@ -849,9 +883,93 @@ let test_notice_summary_model () =
   in
   reached "fast path with a non-empty since-set" !fast_with_since;
   reached "since-set overflow" !overflows;
-  reached "dominating slot overwritten" !dom_overwrites;
+  reached "dominating writer recorded again" !dom_overwrites;
   reached "summary re-established" !reestablished;
   reached "concurrent writers" !concurrent_hits
+
+(* GC rounds under the same streams: a barrier delivers every pending
+   notice and brings every clock to the supremum, and the observer's
+   purge, the store's only log, trims every interval.  The latest
+   notices recorded before the barrier keep naming trimmed intervals,
+   but every notice closed after it covers them, so checks against the
+   dense scan never ask the store for one. *)
+let test_notice_summary_after_trim () =
+  let trims = ref 0 and concurrent_hits = ref 0 in
+  for seed = 0 to 9 do
+    let rs = Random.State.make [| 0x7219; seed |] in
+    let store, node, e = observer () in
+    let slots = ref [] in
+    let clk = Array.init nwriters (fun _ -> Array.make nwriters 0) in
+    let pending = ref [] in
+    let step = ref 0 in
+    let name what = Printf.sprintf "seed %d, step %d: %s" seed !step what in
+    let apply (n : Notice.t) =
+      let all = check_against_dense ~name node e !slots n in
+      State.set_last_notice ~covers_all:all node e n.proc n.seq;
+      record slots n;
+      merge_clock clk.(0) (Array.init nwriters (Vc.get n.vc))
+    in
+    for _round = 1 to 6 do
+      for _ = 1 to 40 do
+        incr step;
+        (match Random.State.int rs 6 with
+        | 0 | 1 ->
+          let p = 1 + Random.State.int rs (nwriters - 1)
+          and q = Random.State.int rs nwriters in
+          if Random.State.bool rs then merge_clock clk.(p) clk.(q);
+          pending := !pending @ [ close_interval store clk p ]
+        | 2 ->
+          let n = close_interval store clk 0 in
+          State.set_last_notice ~covers_all:false node e 0 n.seq;
+          record slots n
+        | _ -> (
+          match !pending with
+          | [] -> ()
+          | n :: rest ->
+            pending := rest;
+            if fst (dense_scan !slots n) <> [] then incr concurrent_hits;
+            apply n));
+        check_map ~name e !slots
+      done;
+      (* The barrier: every pending notice, then every clock at the
+         supremum, the observer's included; then the purge. *)
+      List.iter apply !pending;
+      pending := [];
+      let sup = Array.make nwriters 0 in
+      Array.iter (merge_clock sup) clk;
+      Array.iter (fun c -> Array.blit sup 0 c 0 nwriters) clk;
+      Array.iteri (fun p v -> Vc.set node.State.vc p v) sup;
+      Interval.Logs.clear node.State.intervals;
+      if Interval.Store.length store <> 0 then
+        Alcotest.fail (name "store not trimmed");
+      incr trims
+    done
+  done;
+  if !concurrent_hits = 0 then
+    Alcotest.fail "model never exercised: concurrent writers";
+  Alcotest.(check int) "trims" 60 !trims
+
+(* Asked for a trimmed interval, the clock accessor fails naming the
+   node, page, writer and seq — and so does a check against a notice
+   that does not cover a trimmed latest notice, which no run applies. *)
+let test_trimmed_clock_fails () =
+  let store, node, e = observer () in
+  let clk = Array.init nwriters (fun _ -> Array.make nwriters 0) in
+  let n = close_interval store clk 3 in
+  State.set_last_notice ~covers_all:true node e 3 n.seq;
+  Vc.set node.State.vc 3 n.seq;
+  Interval.Logs.clear node.State.intervals;
+  Alcotest.(check int) "trimmed" 0 (Interval.Store.length store);
+  let missing =
+    Invalid_argument
+      "Interval.Logs.clock_of: node 0, page 0: the store does not hold writer \
+       3's interval 1"
+  in
+  Alcotest.check_raises "accessor" missing (fun () ->
+      ignore (Interval.Logs.clock_of node.State.intervals ~page:0 ~proc:3 1));
+  let stale = close_interval store clk 5 in
+  Alcotest.check_raises "check against an uncovering notice" missing (fun () ->
+      ignore (State.check_writers node e stale))
 
 (* ------------------------------------------------------------------ *)
 (* Writer maps: every form against a dense array                       *)
@@ -1137,6 +1255,10 @@ let () =
         [
           Alcotest.test_case "dominating slot vs dense scan (seeded)" `Quick
             test_notice_summary_model;
+          Alcotest.test_case "checks after a trim never miss (seeded)" `Quick
+            test_notice_summary_after_trim;
+          Alcotest.test_case "a trimmed clock fails loudly" `Quick
+            test_trimmed_clock_fails;
         ] );
       ("writer-map", [ QCheck_alcotest.to_alcotest prop_writer_map ]);
       ("diff-scan", [ QCheck_alcotest.to_alcotest prop_diff_scan ]);

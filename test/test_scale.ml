@@ -338,31 +338,29 @@ let test_central_barrier_pins () =
 
 (* Per-node metadata is sized by the writers a node has heard from: pin
    the words reachable from the [Dsm.t] after a run (what perfbench's
-   [heap.retained_mb] reads) on the 256-node tree.  Measured on the
-   release build: IS/WFS 2,331,741 words and TSP/MW 1,567,260 before
-   the writer maps and the record-free interval logs, 1,481,809 and
-   1,386,832 with them.  SOR/MW on the 1024-node tree pins the clocks'
-   shared epoch bases: 4,898,811 words when every node held two dense
-   1024-word clocks (and interior nodes a third), 2,463,447 with one
-   base per epoch shared by the cluster (IS/WFS and TSP/MW at 256 nodes:
-   1,200,918 and 1,118,124).  Logs read off the clock, bitset copysets
-   and diff tables grown on demand took IS/WFS/256 from 940,593 words
-   to 683,062, TSP/MW/256 from 1,054,006 to 941,305, SOR/MW/1024 from
-   2,205,610 to 1,908,914 and IS/WFS/512 from 3,061,377 to 2,155,146;
-   the first three bounds keep the relative slack they had over the
-   former figures (81%, 39%, 23%); the 512-node bound has 10% and lies
-   below the former figure.  Diff tables that hold only a node's own
-   diffs (a fetched diff is applied from its reply and only accounted)
-   took TSP/MW/256 from 939,048 words to 709,330, its bound keeping its
-   39% slack, and Water/MW/256 from 5,614,718 to 3,737,006, pinned with
-   10% slack. *)
+   [heap.retained_mb] reads) on the tree fabric, measured on the release
+   build.  Each bound keeps the relative slack it has carried so far:
+   IS/WFS/256 81%, TSP/MW/256 39%, SOR/MW/1024 23%, Water/MW/256 and
+   IS/WFS/512 10%.  Earlier steps (writer maps, record-free interval
+   logs, shared epoch bases for the clocks, logs read off the clock,
+   bitset copysets, diff tables holding only a node's own diffs) took
+   IS/WFS/256 from 2,331,741 words to 665,425, TSP/MW/256 from 1,567,260
+   to 690,902, Water/MW/256 from 5,614,718 to 3,722,190, IS/WFS/512 from
+   3,061,377 to 2,119,333 and SOR/MW/1024 from 4,898,811 to 1,797,470.
+   Keeping one writer -> seq map per page for the false-sharing check,
+   with the clocks read from the interval store, in place of a writer ->
+   slot map and two slot arrays (writers and clocks), took them to
+   530,001, 650,454, 3,437,774, 1,586,341 and 1,585,502, and IS/SW/512,
+   whose copies fill [reflected] from the whole clock, from 2,120,343 to
+   1,587,351 (pinned with 10% slack). *)
 let footprint_pins =
   [
-    ("IS", Config.Wfs, 256, 1_235_000);
-    ("TSP", Config.Mw, 256, 986_000);
-    ("Water", Config.Mw, 256, 4_110_000);
-    ("IS", Config.Wfs, 512, 2_370_000);
-    ("SOR", Config.Mw, 1024, 2_346_000);
+    ("IS", Config.Wfs, 256, 959_000);
+    ("TSP", Config.Mw, 256, 904_000);
+    ("Water", Config.Mw, 256, 3_782_000);
+    ("IS", Config.Wfs, 512, 1_745_000);
+    ("IS", Config.Sw, 512, 1_746_000);
+    ("SOR", Config.Mw, 1024, 1_949_000);
   ]
 
 let test_footprint_pins ~nprocs () =
