@@ -15,7 +15,8 @@
 #   - the same 40 cells as run -n 4 --tiny --check, and as
 #     run -n 8 --tiny --topology tree:2;
 #   - run -n 512 --tiny --topology tree --trace, IS x WFS/SW (the
-#     metadata-bound barrier and lock path at scale);
+#     metadata-bound lock path at scale; --topology sets only the
+#     fabric, so their barrier is the one-level central one);
 #   - run -a Water -p WFS -n 256 --tiny --topology tree (the cell where
 #     the false-sharing check reads the most notice clocks from the
 #     interval store);
@@ -24,6 +25,11 @@
 #     on both sides with its two SOR/MW ABORT rows);
 #   - scaling --tiny --max-nodes 256 (combining barrier, sharded lock
 #     homes and sparse clocks at up to 256 nodes);
+#   - scaling --apps IS --max-nodes 512, which holds perfbench's is512
+#     cells (IS on a 512-node tree fabric with the combining barrier);
+#   - run -n 64 --tiny --topology tree --check under two crashes, IS and
+#     Water x MW/SW/WFS/WFS+WG (recovery rounds at a width where
+#     writer maps are sparse, checked by the oracle);
 #   - fuzz, 30 seeds from seed 1 at 4 and 8 nodes for every protocol,
 #     with and without --faults, plus the two recovery mutations as CI's
 #     fault-smoke job runs them;
@@ -94,6 +100,14 @@ grid() {
   echo "survive-n8 adsm survive --tiny -n 8 --jobs 1"
   echo "survive-n8-default adsm survive -n 8 --jobs 1"
   echo "scaling adsm scaling --tiny --max-nodes 256 --jobs 1"
+  echo "scaling-is512 adsm scaling --apps IS --max-nodes 512 --jobs 1" \
+    "--out scaling.json"
+  for app in IS Water; do
+    for p in MW SW WFS WFS+WG; do
+      echo "crash64-$app-$p adsm run -a $app -p $p -n 64 --tiny --topology" \
+        "tree --check --faults crash=5@300ms:50ms;crash=40@600ms:50ms"
+    done
+  done
   for p in $PROTOCOLS; do
     for n in 4 8; do
       echo "fuzz-$p-n$n adsm fuzz -p $p -n $n --seeds 30 --seed 1 --jobs 1"

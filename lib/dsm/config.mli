@@ -74,9 +74,10 @@ type mutation =
           ignored by peers that already hold the previous version *)
   | Skip_notice_replay
       (** crash recovery asks peers only for the intervals its
-          rolled-back clock misses and re-applies no covered notice:
-          writes the crashed node had been told about but its wiped
-          pages lost are silently forgotten (needs a crash schedule) *)
+          last-barrier clock misses and re-applies no covered notice:
+          writes the crashed node had been told about but lost with
+          its volatile state are silently forgotten (needs a crash
+          schedule) *)
   | Stale_vc_after_restart
       (** peers take a restarted node's first post-restart intervals,
           as many as its clock advanced since its last barrier, for

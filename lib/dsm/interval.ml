@@ -102,7 +102,7 @@ end
    the intervals [mvc] covers.  [marks] holds the newest two since the
    last trim, newest first: no node can complete a barrier before every
    node has left the one before, so every clock a walk is asked for
-   (a lock request, a barrier's lent clock, a rolled-back clock) covers
+   (a lock request, a barrier's lent clock, a last-barrier clock) covers
    the older of the two, and an older mark would only cost memory.  A
    recovery round's zero clock covers none and walks everything. *)
 type store = {
@@ -125,17 +125,10 @@ and mark = { mvc : Vc.t; from : int }
    [!floor.(p) + 1 .. clock.(p)], where [clock] is the node's own clock
    and [floor] its clock at its last purge.  Every producer extends a
    window by advancing the clock (an own close ticks it, [append] sets
-   it), so a log holds nothing but its floor.  Between a crash wipe and
-   [restore], [wiped] names the one writer whose window survived: the
-   rolled-back clock is not yet a window top for the others.  [node]
-   names the log's node in failures. *)
-and logs = {
-  store : store;
-  node : int;
-  clock : Vc.t;
-  floor : Vc.t ref;
-  mutable wiped : int option;
-}
+   it), so a log holds nothing but its floor; a crash empties windows
+   by rolling the clock back to it.  [node] names the log's node in
+   failures. *)
+and logs = { store : store; node : int; clock : Vc.t; floor : Vc.t ref }
 
 module Store = struct
   type interval = t
@@ -273,9 +266,7 @@ module Logs = struct
     let floor = ref store.zero in
     store.floors <- floor :: store.floors;
     store.nlogs <- store.nlogs + 1;
-    { store; node; clock; floor; wiped = None }
-
-  let visible t p = match t.wiped with None -> true | Some keep -> p = keep
+    { store; node; clock; floor }
 
   let append t (iv : interval) =
     let p = iv.proc and top = Vc.get t.clock iv.proc in
@@ -285,13 +276,6 @@ module Logs = struct
            "Interval.Logs.append: writer %d seq %d breaks a window ending at %d" p
            iv.seq top);
     Vc.set t.clock p iv.seq
-
-  let holds t (iv : interval) =
-    let p = iv.proc in
-    visible t p
-    && iv.seq > Vc.get !(t.floor) p
-    && iv.seq <= Vc.get t.clock p
-    && Store.holds t.store iv
 
   let clock_of t ~page ~proc seq =
     let s = t.store in
@@ -305,11 +289,9 @@ module Logs = struct
     s.ivs.(proc).(i).vc
 
   let unseen_of t ~proc vc acc =
-    if not (visible t proc) then acc
-    else
-      Store.prepend t.store ~p:proc
-        ~lo:(Int.max (Vc.get !(t.floor) proc) (Vc.get vc proc))
-        ~hi:(Vc.get t.clock proc) acc
+    Store.prepend t.store ~p:proc
+      ~lo:(Int.max (Vc.get !(t.floor) proc) (Vc.get vc proc))
+      ~hi:(Vc.get t.clock proc) acc
 
   (* The store's [order] from the newest mark [vc] covers, walked
      newest first and prepended, so the result comes out in apply
@@ -324,25 +306,14 @@ module Logs = struct
         iv.seq > Vc.get vc p
         && iv.seq <= Vc.get t.clock p
         && iv.seq > Vc.get floor p
-        && visible t p
       then acc := iv :: !acc
     done;
     !acc
 
-  let clear_except t ~keep = t.wiped <- Some keep
-
-  (* No trim runs while the node is down (its log joins no purge), so
-     the store still holds every seq above the floor closed before. *)
-  let restore t =
-    let s = t.store in
-    for p = 0 to Array.length s.base - 1 do
-      let lo = Vc.get !(t.floor) p and hi = Vc.get t.clock p in
-      if hi < lo || hi > s.base.(p) + s.count.(p) then
-        invalid_arg
-          (Printf.sprintf "Interval.Logs.restore: writer %d window %d..%d not stored"
-             p (lo + 1) hi)
-    done;
-    t.wiped <- None
+  let rollback t ~keep =
+    let own = Vc.get t.clock keep in
+    Vc.blit_into ~src:!(t.floor) ~dst:t.clock;
+    Vc.set t.clock keep own
 
   let clear t =
     t.floor := Vc.copy t.clock;

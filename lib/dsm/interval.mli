@@ -104,11 +104,8 @@ end
     clock ticks, a received one when {!append} advances the clock.  A
     walk for a requester's clock reads the store's apply order from the
     newest mark that clock covers, and keeps what lies in the windows
-    and the clock lacks.
-
-    A crash wipe ({!clear_except}) leaves the kept writer's window alone
-    visible until {!restore}: the rolled-back clock is not a window top
-    for the other writers until the recovery round has checked it. *)
+    and the clock lacks.  A crash wipe ({!rollback}) empties windows by
+    rolling the clock back to the floor. *)
 module Logs : sig
   type interval := t
 
@@ -124,10 +121,6 @@ module Logs : sig
       [Invalid_argument] unless [iv] is the store's next interval above
       the clock's component. *)
   val append : t -> interval -> unit
-
-  (** [holds t iv] — [iv] is the interval writer [iv.proc]'s window
-      holds under [iv.seq]. *)
-  val holds : t -> interval -> bool
 
   (** [clock_of t ~page ~proc seq] — the clock of writer [proc]'s
       interval [seq], read from the store, window or not.  Raises
@@ -150,16 +143,11 @@ module Logs : sig
       last trim, the store trims. *)
   val clear : t -> unit
 
-  (** Crash wipe: hide every window but writer [keep]'s until
-      {!restore}. *)
-  val clear_except : t -> keep:int -> unit
-
-  (** End the crash wipe: every writer [p]'s window is again
-      [floor(p) + 1 .. clock(p)], with the rolled-back clock.  Raises
-      [Invalid_argument] if a component is below the floor or the store
-      no longer holds the window; neither happens while no trim runs
-      during the downtime. *)
-  val restore : t -> unit
+  (** [rollback t ~keep] — crash wipe: every writer's clock component
+      but [keep]'s drops to the floor, which empties its window.  The
+      recovery round re-appends the window from the peers' logs; no
+      trim runs while the node is down, so the store still holds it. *)
+  val rollback : t -> keep:int -> unit
 end
 
 val pp : Format.formatter -> t -> unit

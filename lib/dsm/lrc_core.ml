@@ -38,11 +38,12 @@ open State
    relayed to many receivers is counted once per barrier epoch.  Pure
    cost model: message content and protocol behaviour are unchanged. *)
 let msg_bytes cl ~src msg =
+  let node = cl.nodes.(src) in
   if cl.cfg.Config.sparse_vc then
     Msg.size_bytes
-      ~vc_bytes:(Vc.delta_size_bytes ~since:cl.nodes.(src).last_barrier_vc)
-      msg
-  else Msg.size_bytes msg
+      ~vc_bytes:(Vc.delta_size_bytes ~since:node.last_barrier_vc)
+      ~nprocs:node.nprocs msg
+  else Msg.size_bytes ~nprocs:node.nprocs msg
 
 let cast cl ~src ~dst msg =
   Rpc.cast cl.rpc ~src ~dst ~bytes:(msg_bytes cl ~src msg)
@@ -262,9 +263,8 @@ let rec other_concurrent (n : Notice.t) = function
   | (m : Notice.t) :: rest ->
     (m.proc <> n.proc && Notice.concurrent m n) || other_concurrent n rest
 
-let apply_notice ~replay cl node (n : Notice.t) =
+let apply_notice cl node (n : Notice.t) =
   let e = entry_of node n.page in
-  Stats.note_write cl.stats ~page:n.page;
   let covers_all = note_concurrent_writers cl node e n in
   set_last_notice ~covers_all node e n.proc n.seq;
   if notice_relevant node e n then begin
@@ -298,24 +298,22 @@ let apply_notice ~replay cl node (n : Notice.t) =
         && not (other_concurrent n e.notices)
       then Mode.set_fs_active cl ~node:node.id e false
     | None -> ());
-    (* Steady state cannot deliver a pending notice twice: a notice
-       belongs to exactly one interval, and the freshness guard applies
-       each interval at most once per node.  Only crash-recovery replay
-       ([replay]) re-walks intervals a durable page may already hold
-       pending notices from — the duplicate scan is confined to it. *)
-    if (not replay) || not (List.exists (Notice.same_write n) e.notices)
-    then e.notices <- n :: e.notices;
+    (* No pending notice arrives twice: a notice belongs to exactly one
+       interval, the freshness guard applies each interval at most once
+       per node, and a crash wipe, which rolls the clock back over
+       applied intervals, empties every entry's pending notices. *)
+    e.notices <- n :: e.notices;
     if Perm.allows_read e.perm then begin
       e.perm <- Perm.No_access;
       tlb_reset node
     end
   end
 
-let rec apply_notices ~replay cl node = function
+let rec apply_notices cl node = function
   | [] -> ()
   | n :: rest ->
-    apply_notice ~replay cl node n;
-    apply_notices ~replay cl node rest
+    apply_notice cl node n;
+    apply_notices cl node rest
 
 (* Mutation seam (testing only): under [Stale_vc_after_restart] peers
    take a restarted writer's first intervals for duplicates of the
@@ -336,7 +334,7 @@ let taken_for_duplicate cl (iv : Interval.t) =
    an interval before one it depends on, since a dominated clock has the
    smaller sum.  Equal neighbours pass (a recovery round hears one
    interval from several peers). *)
-let rec apply_intervals ~replay cl node = function
+let rec apply_intervals cl node = function
   | [] -> ()
   | (iv : Interval.t) :: rest ->
     (match rest with
@@ -359,9 +357,9 @@ let rec apply_intervals ~replay cl node = function
          applies, and that one is exactly [iv.seq]. *)
       Interval.Logs.append node.intervals iv;
       if not (taken_for_duplicate cl iv) then
-        apply_notices ~replay cl node iv.notices
+        apply_notices cl node iv.notices
     end;
-    apply_intervals ~replay cl node rest
+    apply_intervals cl node rest
 
 (* All intervals this node knows that [vc] does not cover, in apply
    order. *)
@@ -599,7 +597,7 @@ let serve_page cl node ~src page respond =
            data = Page.copy copy;
            version = e.version;
            committed = e.committed_version;
-           reflected = reflected_copy e ~nprocs:node.nprocs;
+           reflected = reflected_copy e;
          })
 
 (* Serve a diff request.  [rule1] enables the adaptive protocols' copyset

@@ -43,19 +43,14 @@ val end_interval :
 
 (* --- notice application (acquire side) --- *)
 
-(** [replay] marks crash-recovery replay of retained intervals — the
-    only path that can re-deliver a notice a durable page already holds
-    pending, and hence the only one that pays the duplicate scan. *)
-val apply_notice : replay:bool -> cluster -> node -> Notice.t -> unit
-
 (** Apply intervals received on a lock grant, barrier release or
-    recovery round, in the order given; duplicates (already covered by
-    our vector clock) are skipped.  The batch must be in {!Vc.order}, as
+    recovery round, in the order given: each one our vector clock does
+    not cover joins our log and has its write notices applied; covered
+    ones are skipped.  The batch must be in {!Vc.order}, as
     {!collect_unseen} returns it: the receiver does not sort.  Fails
     naming the node and both intervals if a neighbour's clock sum
-    exceeds the next one's (equal neighbours pass).  [replay] as for
-    {!apply_notice}. *)
-val apply_intervals : replay:bool -> cluster -> node -> Interval.t list -> unit
+    exceeds the next one's (equal neighbours pass). *)
+val apply_intervals : cluster -> node -> Interval.t list -> unit
 
 (** All intervals this node knows that [vc] does not cover, oldest
     first in {!Vc.order}. *)
@@ -69,7 +64,7 @@ val notice_relevant : node -> entry -> Notice.t -> bool
 (** Install a received page copy as the new base of the local frame. *)
 val install_copy :
   cluster -> node -> entry -> data:Adsm_mem.Page.t -> version:int ->
-  committed:int -> reflected:int array -> unit
+  committed:int -> reflected:Wmap.t -> unit
 
 (** Fetch (in parallel, one request per writer) and apply, in timestamp
     order, every pending diff for the page.  Process context. *)

@@ -26,7 +26,7 @@ type t =
       data : Page.t;
       version : int;
       committed : int;
-      reflected : int array;
+      reflected : Wmap.t;
     }
   | Diff_req of { page : int; seqs : int list; sees_sw : bool }
   | Diff_reply of { page : int; diffs : (int * Vc.t * Diff.t) list }
@@ -37,7 +37,7 @@ type t =
       version : int;
       committed : int;
       data : Page.t option;
-      reflected : int array;
+      reflected : Wmap.t;
     }
   | Sw_own_req of { page : int; version : int }
   | Sw_own_forward of { page : int; requester : int; version : int }
@@ -47,7 +47,7 @@ type t =
   | Recover_req of { vc : Vc.t }
   | Recover_reply of { intervals : Interval.t list }
 
-let size_bytes ?(vc_bytes = Vc.size_bytes) = function
+let size_bytes ?(vc_bytes = Vc.size_bytes) ~nprocs = function
   | Lock_acquire { vc; _ } -> 8 + vc_bytes vc
   | Lock_forward { vc; _ } -> 12 + vc_bytes vc
   | Lock_grant { intervals; _ } ->
@@ -58,17 +58,15 @@ let size_bytes ?(vc_bytes = Vc.size_bytes) = function
     12 + Interval.size_bytes_list ~vc_bytes intervals
   | Gc_done _ | Gc_complete _ -> 8
   | Page_req _ -> 8
-  | Page_reply { reflected; _ } -> 8 + Page.size + (4 * Array.length reflected)
+  | Page_reply _ -> 8 + Page.size + (4 * nprocs)
   | Diff_req { seqs; _ } -> 9 + (4 * List.length seqs)
   | Diff_reply { diffs; _ } ->
     List.fold_left
       (fun acc (_, vc, diff) -> acc + 4 + vc_bytes vc + Diff.size_bytes diff)
       8 diffs
   | Own_req _ -> 13
-  | Own_reply { data; reflected; _ } ->
-    13
-    + (match data with None -> 0 | Some _ -> Page.size)
-    + (4 * Array.length reflected)
+  | Own_reply { data; _ } ->
+    13 + (match data with None -> 0 | Some _ -> Page.size) + (4 * nprocs)
   | Sw_own_req _ -> 12
   | Sw_own_forward _ -> 16
   | Sw_own_transfer _ -> 12 + Page.size

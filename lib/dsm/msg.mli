@@ -49,7 +49,9 @@ type t =
       data : Adsm_mem.Page.t;
       version : int;  (** server's highest known version *)
       committed : int;  (** version fully contained in [data] *)
-      reflected : int array;
+      reflected : Wmap.t;
+          (** the server's reflected view, a snapshot ({!Wmap.copy}) the
+              receiver installs; charged as a dense [nprocs] array *)
     }
   | Diff_req of { page : int; seqs : int list; sees_sw : bool }
       (** [seqs]: the target's interval numbers whose diffs are wanted.
@@ -64,7 +66,7 @@ type t =
       version : int;
       committed : int;  (** version fully contained in [data] *)
       data : Adsm_mem.Page.t option;
-      reflected : int array;
+      reflected : Wmap.t;  (** as in [Page_reply] *)
     }
   | Sw_own_req of { page : int; version : int }
       (** SW protocol: requester -> home (one-way) *)
@@ -88,11 +90,12 @@ type t =
       (** peer -> restarted node: every closed interval the peer knows of
           that [vc] does not cover (same shape as a lock grant) *)
 
-(** Payload size in bytes for the network cost model.  [vc_bytes]
-    overrides the cost of every piggybacked vector clock (defaults to
-    dense {!Vc.size_bytes}); the [sparse_vc] cost model passes a
-    delta-encoder based on the sender's last-barrier clock. *)
-val size_bytes : ?vc_bytes:(Vc.t -> int) -> t -> int
+(** Payload size in bytes for the network cost model, in a cluster of
+    [nprocs] nodes.  [vc_bytes] overrides the cost of every piggybacked
+    vector clock (defaults to dense {!Vc.size_bytes}); the [sparse_vc]
+    cost model passes a delta-encoder based on the sender's last-barrier
+    clock. *)
+val size_bytes : ?vc_bytes:(Vc.t -> int) -> nprocs:int -> t -> int
 
 (** Traffic class for the network's per-kind counters.  Derived here, once,
     from the constructor — the single interning point for message labels

@@ -151,7 +151,7 @@ let handle_own_req cl node ~src ~page ~version:v_req ~want_data respond =
            data =
              (if want_data then Option.map Page.copy (committed_copy e)
               else None);
-           reflected = reflected_copy e ~nprocs:node.nprocs;
+           reflected = reflected_copy e;
          })
   in
   (* The caller has already handed ownership to [src].  We do NOT learn

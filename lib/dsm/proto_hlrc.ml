@@ -97,7 +97,7 @@ let hlrc_reply_now cl node (e : entry) respond =
          data = Page.copy (frame e);
          version = 0;
          committed = 0;
-         reflected = reflected_copy e ~nprocs:node.nprocs;
+         reflected = reflected_copy e;
        })
 
 (* A diff arrived at this home: apply it to the master copy and release

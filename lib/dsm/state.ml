@@ -173,9 +173,7 @@ let make_entry ~page ~home =
   }
 
 (* --- sparse entry-metadata accessors ------------------------------- *)
-(* All of these preserve the dense semantics exactly.  Message
-   [reflected] fields stay dense: their wire size is part of the byte
-   accounting and must not depend on the representation. *)
+(* All of these preserve the dense semantics exactly. *)
 
 let reflected_get (e : entry) q = Wmap.get e.reflected q
 
@@ -185,9 +183,9 @@ let reflected_set (e : entry) ~nprocs q v =
 let reflected_fill (e : entry) vc =
   e.reflected <- Wmap.init ~nprocs:(Vc.nprocs vc) (Vc.get vc)
 
-let reflected_install (e : entry) dense = e.reflected <- Wmap.of_dense dense
+let reflected_install (e : entry) m = e.reflected <- m
 
-let reflected_copy (e : entry) ~nprocs = Wmap.to_dense e.reflected ~nprocs
+let reflected_copy (e : entry) = Wmap.copy e.reflected
 
 let reflected_reset (e : entry) = e.reflected <- Wmap.empty
 

@@ -167,9 +167,9 @@ type node = {
   last_barrier_vc : Vc.t;
       (** the cluster's knowledge at the last barrier (bounds what we
           resend): the cluster's shared epoch base, blitted in at every
-          barrier leave, and the zero clock before the first.  It is
-          also the crash rollback point: a restarted node resumes from
-          its last-barrier clock (see FAULTS.md) *)
+          barrier leave, and the zero clock before the first.  A
+          restarted node's recovery round must bring its clock back to
+          at least this one (see FAULTS.md) *)
   mutable barrier_epoch : int;
   mutable hlrc_waiting : (int * (int * int) list * Msg.t Adsm_net.Rpc.respond) list;
       (** HLRC: deferred fetch replies (page, needed (proc,seq) pairs,
@@ -220,9 +220,7 @@ val make_entry : page:int -> home:int -> entry
 
 (** {2 Sparse entry-metadata accessors}
 
-    Dense semantics over the sized representations above; a message's
-    [reflected] field stays a dense array, because its length is part of
-    the wire-size accounting. *)
+    Dense semantics over the sized representations above. *)
 
 val reflected_get : entry -> int -> int
 
@@ -232,11 +230,13 @@ val reflected_set : entry -> nprocs:int -> int -> int -> unit
     the clock). *)
 val reflected_fill : entry -> Vc.t -> unit
 
-(** Install the dense [reflected] field of a received page copy. *)
-val reflected_install : entry -> int array -> unit
+(** Install the [reflected] snapshot of a received page copy; the entry
+    takes the map over. *)
+val reflected_install : entry -> Wmap.t -> unit
 
-(** Dense copy for a message's [reflected] field (always [nprocs] long). *)
-val reflected_copy : entry -> nprocs:int -> int array
+(** A snapshot of the reflected view for a message's [reflected]
+    field. *)
+val reflected_copy : entry -> Wmap.t
 
 (** Back to all zeros (crash wipe / GC drop). *)
 val reflected_reset : entry -> unit

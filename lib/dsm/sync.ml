@@ -32,14 +32,14 @@ let sort_intervals ivals =
 (* Failure model: fail-stop at DSM-operation granularity.  A crash event
    ([arm_crashes] below) sets [node.crash_pending]; the next operation
    boundary (page fault, lock, unlock, barrier, compute) performs the
-   actual fail-stop — wipe volatile state, roll the clock back to the
-   last-barrier clock, sleep out the remaining downtime in the node's
-   wait slot, run a recovery round — via [crash_pause] below.
+   actual fail-stop — wipe volatile state, roll the clock back, sleep
+   out the remaining downtime in the node's wait slot, run a recovery
+   round — via [crash_pause] below.
 
    Durability model (what "local stable storage" holds):
    - the node's own closed intervals and their diffs: a write-behind log
      flushed at every interval close.  Implementation: own intervals
-     and the entries' own diffs are not wiped;
+     and the entries' own diffs are kept;
    - the committed frame of every page the node is the designated copy
      holder for ([is_owner], or [owner = self] after an adaptive MW
      drop): peers' Page/Diff requests parked during the downtime must
@@ -49,19 +49,20 @@ let sort_intervals ivals =
    Everything else — non-owned frames, twins, the fetched-diff account,
    remote interval logs, pending notices, TLB — is volatile and lost.
 
-   The rollback point is [last_barrier_vc], the clock every barrier
-   leave keeps (the zero clock before the first barrier).  Frames are
-   re-fetched from copy holders on demand, and notice lists are NOT
-   saved — a pending-notice snapshot is only meaningful relative to the
-   page copies it was taken against, and the crash wipes those.  Instead
-   the recovery round below rebuilds each page's notice list from the
-   peers' full retained interval logs, which stay alive while the node
-   is down: no GC round can complete because barriers block on it. *)
+   The rollback point is the log's floor, the clock at the node's last
+   GC purge (zero before any), for every writer but the node itself:
+   what the node knows is its clock plus its log, and the log keeps
+   nothing below the floor.  Notice lists are NOT saved — a
+   pending-notice snapshot is only meaningful relative to the page
+   copies it was taken against, and the crash wipes those.  Instead the
+   recovery round below rebuilds them from the peers' retained interval
+   logs, which stay alive while the node is down: no GC round can
+   complete because barriers block on it. *)
 
 (* A peer's view of a restarted node's recovery round: return every
-   closed interval the given (rolled-back) clock does not cover.  No
-   interval close is needed first — the requester's pre-crash VC can
-   only cover closed intervals, never a peer's still-open one. *)
+   closed interval the given clock does not cover.  No interval close
+   is needed first — the requester's pre-crash VC can only cover closed
+   intervals, never a peer's still-open one. *)
 let handle_recover_req cl node ~vc respond =
   let intervals = Lrc_core.collect_unseen node vc in
   Lrc_core.respond_msg cl node respond (Msg.Recover_reply { intervals })
@@ -74,17 +75,18 @@ let crash_pause cl node =
      writes already performed are durably diffed and noticed. *)
   end_interval_local cl node;
   if checking cl then observe cl ~node:node.id Adsm_check.Obs.Crash;
-  let stash_vc = Vc.copy node.vc in
   let mutation = cl.cfg.Config.mutation in
-  (* Wipe volatile state.  Pages whose committed frame is durable (we
-     are the designated copy holder) keep everything; all other entries
-     lose frame, twin, permissions, versions, reflected view and
-     notices.  Directory fields survive (durable directory claim). *)
+  (* Wipe volatile state.  Every entry loses its pending notices.
+     Pages whose committed frame is durable (we are the designated copy
+     holder) keep the rest; all other entries lose frame, twin,
+     permissions, versions, reflected view and last notices.  Directory
+     fields survive (durable directory claim). *)
   iter_entries node (fun (e : entry) ->
       (* Durable entries keep their last-notice slots while the clock
          rolls back below, so the transitive-clock invariant behind the
          dominating-slot summary no longer holds for them: drop it. *)
       forget_dominating e;
+      e.notices <- [];
       if not (e.is_owner || e.owner = node.id) then begin
         drop_copy e;
         e.twin <- None;
@@ -101,22 +103,20 @@ let crash_pause cl node =
     node.fetched_diffs <- 0;
     node.fetched_bytes <- 0
   end;
-  (* Until [restore] below, the log shows only the node's own window:
-     the clock rolled back next is no window top for the others. *)
-  Interval.Logs.clear_except node.intervals ~keep:node.id;
-  (* Roll the vector clock back to the last barrier — except our own
-     component, whose intervals are in the durable log (rolling it back
-     would reuse sequence numbers).  The [Stale_vc_after_restart]
-     mutation models the restart that rolls it back too, without
-     reissuing a number: the next [own_seq - b] intervals the node
-     closes are the ones a stale clock would have numbered as pre-crash
-     ones ([b] the last-barrier component), and peers drop their
-     notices as duplicates ([Lrc_core.apply_intervals]). *)
-  let own_seq = Vc.get stash_vc node.id in
-  Vc.blit_into ~src:node.last_barrier_vc ~dst:node.vc;
+  (* Roll the vector clock back to the log's floor, which empties every
+     window — except our own component, whose intervals are in the
+     durable log (rolling it back would reuse sequence numbers).  The
+     [Stale_vc_after_restart] mutation models the restart that rolls it
+     back to the last barrier too, without reissuing a number: the next
+     [own_seq - b] intervals the node closes are the ones a stale clock
+     would have numbered as pre-crash ones ([b] the last-barrier
+     component), and peers drop their notices as duplicates
+     ([Lrc_core.apply_intervals]). *)
+  let own_seq = Vc.get node.vc node.id in
+  Interval.Logs.rollback node.intervals ~keep:node.id;
   if mutation = Some Config.Stale_vc_after_restart then
-    node.stale_seqs <- (own_seq, (2 * own_seq) - Vc.get node.vc node.id);
-  Vc.set node.vc node.id own_seq;
+    node.stale_seqs <-
+      (own_seq, (2 * own_seq) - Vc.get node.last_barrier_vc node.id);
   (* Sleep out the rest of the downtime.  If this boundary was reached
      at or after the scheduled restart (the process was blocked the
      whole window), the effective downtime is zero but the wipe and
@@ -127,70 +127,60 @@ let crash_pause cl node =
     Proc.Ivar.await ivar
   end;
   (* Recovery round: ask every peer for its FULL retained interval log
-     (a zero request clock), not just the intervals our rolled-back
-     clock misses.  The full log is needed because a wiped page's next
-     base copy can come from an arbitrarily stale holder: the notice
-     list must cover every retained write so diffs always chain from
-     whatever base arrives (the zero page is the ultimate fallback
-     base).  Requests to a peer that is itself down park at its network
+     (a zero request clock).  Every log's floor is the same GC barrier
+     clock and every peer's own window holds its intervals above it, so
+     the replies, sorted into apply order, hold every interval the
+     rolled-back clock lacks.  One [apply_intervals] re-appends those,
+     once each however many peers retain them, and applies their
+     notices, which rebuilds every notice list: [apply_notice] consults
+     the per-entry reflected view, so notices a durable frame already
+     contains are skipped.  A dropped page's next base copy can come from
+     an arbitrarily stale holder, so its notice list must cover every
+     retained write for diffs to chain from whatever base arrives (the
+     zero page is the ultimate fallback base).  Affected pages end up
+     invalid and re-fetch on demand through the normal validate path.
+     Requests to a peer that is itself down park at its network
      interface and are answered after its restart.
 
-     Once every reply is in, the log is restored as a window up to the
-     rolled-back clock, ending the wipe: no GC round completes while a
-     node is down, so the store still holds every interval the clock
-     covers.  Every covered interval a peer replies with must be the
-     one the window holds (checked below, loudly).  Then:
-     - the covered intervals of other writers have their notices
-       re-applied, oldest first ([apply_notice] consults the per-entry
-       reflected view, so notices a durable frame already contains are
-       skipped);
-     - the replies, sorted into apply order, go through the normal
-       [apply_intervals], which applies the intervals not yet covered
-       (once each, however many peers retain them) and re-merges the
-       clocks;
-     affected pages end up invalid and re-fetch on demand through the
-     normal validate path.
-
      The [Skip_notice_replay] mutation asks only for what the
-     rolled-back clock misses and re-applies no covered notice — the
-     classic recovery bug where the restarted node trusts its clock to
-     tell it what it is missing. *)
-  begin
-    let skip = mutation = Some Config.Skip_notice_replay in
-    let zero = Vc.Epoch.zero cl.vc_epoch in
-    let vc = if skip then Vc.copy node.vc else zero in
-    let batches = ref [] in
-    (* One request record serves every peer: the payload is immutable
-       and the network never retains it past delivery. *)
-    let req = Msg.Recover_req { vc } in
-    for p = node.nprocs - 1 downto 0 do
-      if p <> node.id then begin
-        match Lrc_core.call cl ~src:node.id ~dst:p req with
-        | Msg.Recover_reply { intervals } -> batches := intervals :: !batches
-        | _ -> failwith "Proto: unexpected recover reply"
-      end
-    done;
-    let replies = List.concat !batches in
-    Interval.Logs.restore node.intervals;
-    List.iter
-      (fun (iv : Interval.t) ->
-        if
-          iv.proc <> node.id
-          && iv.seq <= Vc.get node.vc iv.proc
-          && not (Interval.Logs.holds node.intervals iv)
-        then
-          failwith
-            (Printf.sprintf
-               "Proto: node %d recovered a window without writer %d's interval %d"
-               node.id iv.proc iv.seq))
-      replies;
-    if not skip then
-      List.iter
-        (fun (iv : Interval.t) ->
-          if iv.proc <> node.id then
-            List.iter (Lrc_core.apply_notice ~replay:true cl node) iv.notices)
-        (Interval.Logs.unseen_by node.intervals zero);
-    Lrc_core.apply_intervals ~replay:true cl node (sort_intervals replies)
+     last-barrier clock misses, moves the clock there without applying
+     a notice, and then applies the replies — the classic recovery bug
+     where the restarted node trusts its clock to tell it what it is
+     missing. *)
+  let skip = mutation = Some Config.Skip_notice_replay in
+  let vc =
+    if skip then begin
+      let vc = Vc.copy node.last_barrier_vc in
+      Vc.set vc node.id own_seq;
+      vc
+    end
+    else Vc.Epoch.zero cl.vc_epoch
+  in
+  let batches = ref [] in
+  (* One request record serves every peer: the payload is immutable and
+     the network never retains it past delivery. *)
+  let req = Msg.Recover_req { vc } in
+  for p = node.nprocs - 1 downto 0 do
+    if p <> node.id then begin
+      match Lrc_core.call cl ~src:node.id ~dst:p req with
+      | Msg.Recover_reply { intervals } -> batches := intervals :: !batches
+      | _ -> failwith "Proto: unexpected recover reply"
+    end
+  done;
+  if skip then Vc.blit_into ~src:vc ~dst:node.vc;
+  Lrc_core.apply_intervals cl node (sort_intervals (List.concat !batches));
+  (* The round must bring back everything the last barrier covered. *)
+  if not (Vc.leq node.last_barrier_vc node.vc) then begin
+    let p =
+      List.find
+        (fun p -> Vc.get node.vc p < Vc.get node.last_barrier_vc p)
+        (List.init node.nprocs Fun.id)
+    in
+    failwith
+      (Printf.sprintf
+         "Proto: node %d recovered writer %d's clock to %d, below its last \
+          barrier's %d"
+         node.id p (Vc.get node.vc p) (Vc.get node.last_barrier_vc p))
   end;
   if checking cl then observe cl ~node:node.id Adsm_check.Obs.Restart
 
@@ -284,7 +274,7 @@ let lock cl node l =
         (Msg.Lock_acquire { lock = l; vc });
     let intervals = Proc.Ivar.await ivar in
     node.wait <- Running;
-    Lrc_core.apply_intervals ~replay:false cl node intervals;
+    Lrc_core.apply_intervals cl node intervals;
     ls.have_token <- true;
     ls.held <- true
   end;
@@ -506,7 +496,7 @@ let tree_release_children cl node ~epoch ~gc_round =
    which the paper's manager released its nodes. *)
 let tree_root_complete cl node =
   let tb = node.tb in
-  Lrc_core.apply_intervals ~replay:false cl node
+  Lrc_core.apply_intervals cl node
     (sort_intervals tb.tb_intervals);
   let gc_round = tb.tb_gc_wanted in
   if gc_round then Stats.gc_started cl.stats;
@@ -590,7 +580,7 @@ let barrier cl node =
   tree_maybe_forward cl node;
   (match Proc.Ivar.await ivar with
   | Msg.Barrier_release { intervals; gc_round; _ } ->
-    Lrc_core.apply_intervals ~replay:false cl node intervals;
+    Lrc_core.apply_intervals cl node intervals;
     (* Knowledge is complete now; release the children before the
        (possibly long) rule-3 scan and GC work below.  The root released
        its children when it completed the barrier. *)

@@ -23,10 +23,12 @@ val barrier : cluster -> node -> unit
 (** Operation-boundary hook: if a crash event marked this node
     ([crash_pending]), perform the fail-stop — close the current
     interval (write-behind log flush), wipe volatile state, roll the
-    clock back to [last_barrier_vc] (keeping its own component), sleep
-    out the remaining downtime, and run the peer recovery round.  One
-    predictable-false branch when no crash is pending.  Process context
-    only. *)
+    clock back to its log's floor (keeping its own component), sleep
+    out the remaining downtime, and run the peer recovery round: one
+    {!Lrc_core.apply_intervals} of every interval the peers retain.
+    Fails naming the node and writer if the recovered clock is below
+    [last_barrier_vc] in any component.  One predictable-false branch
+    when no crash is pending.  Process context only. *)
 val pause_if_crashed : cluster -> node -> unit
 
 (** Schedule each crash's engine events: the crash parks the node's

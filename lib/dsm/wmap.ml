@@ -179,9 +179,4 @@ let init ~nprocs f =
     m
   end
 
-let of_dense a = init ~nprocs:(Array.length a) (Array.get a)
-
-let to_dense m ~nprocs =
-  let a = Array.make nprocs 0 in
-  fold (fun q v () -> a.(q) <- v) m ();
-  a
+let copy = Array.copy

@@ -34,8 +34,5 @@ val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** [init ~nprocs f] maps every writer [q < nprocs] to [f q]. *)
 val init : nprocs:int -> (int -> int) -> t
 
-(** The map of a dense array ([nprocs] is its length). *)
-val of_dense : int array -> t
-
-(** The dense [nprocs]-long array of the map. *)
-val to_dense : t -> nprocs:int -> int array
+(** A snapshot: a map that later {!set}s on [m] leave alone. *)
+val copy : t -> t

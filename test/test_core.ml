@@ -7,6 +7,7 @@ module Diff = Adsm_dsm.Diff
 module Notice = Adsm_dsm.Notice
 module Interval = Adsm_dsm.Interval
 module Msg = Adsm_dsm.Msg
+module Wmap = Adsm_dsm.Wmap
 module Config = Adsm_dsm.Config
 module Stats = Adsm_dsm.Stats
 module Page = Adsm_mem.Page
@@ -311,20 +312,25 @@ let test_notice_sizes () =
 let test_msg_sizes () =
   let vc = vc_of_list [ 1; 2 ] in
   Alcotest.(check int) "lock acquire" (8 + 8)
-    (Msg.size_bytes (Msg.Lock_acquire { lock = 0; vc }));
+    (Msg.size_bytes ~nprocs:2 (Msg.Lock_acquire { lock = 0; vc }));
+  let page_reply =
+    Msg.Page_reply
+      {
+        page = 0;
+        data = Page.create ();
+        version = 0;
+        committed = 0;
+        reflected = Wmap.empty;
+      }
+  in
   Alcotest.(check bool) "page reply carries a page" true
-    (Msg.size_bytes
-       (Msg.Page_reply
-          {
-            page = 0;
-            data = Page.create ();
-            version = 0;
-            committed = 0;
-            reflected = [| 0; 0 |];
-          })
-    >= Page.size);
+    (Msg.size_bytes ~nprocs:2 page_reply >= Page.size);
+  (* the reflected view is charged dense, whatever the map holds *)
+  Alcotest.(check int) "page reply charges a dense view"
+    (8 + Page.size + (4 * 64))
+    (Msg.size_bytes ~nprocs:64 page_reply);
   Alcotest.(check bool) "own reply without data is small" true
-    (Msg.size_bytes
+    (Msg.size_bytes ~nprocs:2
        (Msg.Own_reply
           {
             page = 0;
@@ -332,7 +338,7 @@ let test_msg_sizes () =
             version = 1;
             committed = 1;
             data = None;
-            reflected = [| 0; 0 |];
+            reflected = Wmap.empty;
           })
     < 64)
 

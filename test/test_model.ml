@@ -371,8 +371,8 @@ type model_node = {
   clock : Vc.t;  (* the node's clock; its log's windows top at it *)
   log : Interval.Logs.t;
   naive : Interval.t list array;  (* per writer, oldest first *)
-  mutable ckpt : int array;  (* the clock a crash rolls back to *)
-  mutable down : bool;  (* between a crash wipe and its restore *)
+  mutable floor : int array;  (* the clock at the last purge *)
+  mutable down : bool;  (* between a crash and its restart *)
 }
 
 (* Node logs driven the way a cluster drives them: every log shares one
@@ -380,22 +380,19 @@ type model_node = {
    appends received intervals contiguously above its clock.  A GC round
    brings every clock to the supremum (the barrier), then the nodes
    purge one by one, and nodes that already purged go on closing and
-   receiving.  A node checkpoints its clock at random points after its
-   purge.  A crash truncates the node's log to its own writer and rolls
-   the clock back to its checkpoint; while the node is down the others
-   go on, and no GC round runs.  Its restart restores the log as a
-   window up to the rolled-back clock ({!Interval.Logs.restore}); the
-   reference is the naive recovery, the union of the peers' logs with
-   the covered part taken as is.  The uncovered part is appended to
-   both.  A barrier, with or without a GC round, brings every clock to
-   the supremum and marks the store there ({!Interval.Store.mark}); the
-   crash checkpoint is then that clock, as a node's last-barrier clock
-   is.  Every query is compared with one list per (node, writer), every
-   element by identity, and [unseen_by] with those lists merged in
-   [Vc.order], for clocks both below and above the newest mark; outside
-   a crash each window's newest interval is the one its clock names, and
-   inside one only the own writer's window is seen.  After each GC round
-   the store holds exactly the intervals some log still holds. *)
+   receiving.  A crash ({!Interval.Logs.rollback}) drops every other
+   writer's clock component to the node's floor, which truncates the
+   log to its own writer; while the node is down the others go on, and
+   no GC round runs.  Its restart appends every peer interval above the
+   floor, in seq order per writer, to both the log and the reference.
+   A barrier, with or without a GC round, brings every clock to the
+   supremum and marks the store there ({!Interval.Store.mark}).  Every
+   query is compared with one list per (node, writer), every element by
+   identity, and [unseen_by] with those lists merged in [Vc.order], for
+   clocks both below and above the newest mark; outside a crash each
+   window's newest interval is the one its clock names, and inside one
+   only the own writer's window is seen.  After each GC round the store
+   holds exactly the intervals some log still holds. *)
 let test_logs_model () =
   let n = logs_nodes in
   let restored = ref 0 and kept_rounds = ref 0 and down_checks = ref 0 in
@@ -410,7 +407,7 @@ let test_logs_model () =
             clock;
             log = Interval.Logs.create store ~node:0 ~clock;
             naive = Array.make n [];
-            ckpt = Array.make n 0;
+            floor = Array.make n 0;
             down = false;
           })
     in
@@ -452,7 +449,6 @@ let test_logs_model () =
     in
     let barrier () =
       Array.iter (fun x -> Array.iteri (fun p t -> receive x p t) top) nodes;
-      Array.iter (fun x -> x.ckpt <- Array.copy top) nodes;
       incr epoch;
       Interval.Store.mark store ~epoch:!epoch nodes.(0).clock;
       (* every later call for the epoch is a no-op *)
@@ -474,7 +470,7 @@ let test_logs_model () =
           let x = nodes.(w) in
           Interval.Logs.clear x.log;
           Array.fill x.naive 0 n [];
-          x.ckpt <- Array.init n (get x);
+          x.floor <- Array.init n (get x);
           for _ = 1 to Random.State.int rs 3 do
             random_op ~among:(Array.to_list (Array.sub order 0 (k + 1)))
           done)
@@ -493,15 +489,18 @@ let test_logs_model () =
     in
     let crash w =
       let x = nodes.(w) in
-      Interval.Logs.clear_except x.log ~keep:w;
+      Interval.Logs.rollback x.log ~keep:w;
       Array.iteri (fun p _ -> if p <> w then x.naive.(p) <- []) x.naive;
-      Array.iteri (fun p c -> if p <> w then Vc.set x.clock p c) x.ckpt;
+      for p = 0 to n - 1 do
+        if p <> w && get x p <> x.floor.(p) then
+          Alcotest.failf "node %d's writer %d rolled back to %d, floor %d" w p
+            (get x p) x.floor.(p)
+      done;
       x.down <- true
     in
     let restart w =
       let x = nodes.(w) in
       x.down <- false;
-      Interval.Logs.restore x.log;
       let seen = Hashtbl.create 64 in
       let replay = Array.make n [] in
       Array.iteri
@@ -515,17 +514,11 @@ let test_logs_model () =
                    end))
               peer.naive)
         nodes;
-      Array.iteri
-        (fun p ivs ->
-          let ivs = List.sort (fun (a : Interval.t) b -> compare a.seq b.seq) ivs in
-          let covered, uncovered =
-            List.partition (fun (iv : Interval.t) -> iv.seq <= get x p) ivs
-          in
-          if covered <> [] then incr restored;
-          if p <> w then x.naive.(p) <- covered;
-          List.iter
-            (fun (iv : Interval.t) -> if iv.seq > get x p then append x iv)
-            uncovered)
+      Array.iter
+        (fun ivs ->
+          if ivs <> [] then incr restored;
+          List.iter (append x)
+            (List.sort (fun (a : Interval.t) b -> compare a.seq b.seq) ivs))
         replay
     in
     for step = 1 to 300 do
@@ -541,9 +534,6 @@ let test_logs_model () =
         match List.find_opt (fun w -> nodes.(w).down) (List.init n Fun.id) with
         | Some w -> restart w
         | None -> crash (Random.State.int rs n))
-      | 2 ->
-        let x = nodes.(Random.State.int rs n) in
-        if not x.down then x.ckpt <- Array.init n (get x)
       | _ -> random_op ~among:(List.init n Fun.id));
       Array.iteri
         (fun xi x ->
@@ -560,13 +550,6 @@ let test_logs_model () =
                             iv.seq (get x p)))
               | _ -> ()
             done;
-          (* one writer's window holds exactly its naive list *)
-          let p = Random.State.int rs n in
-          for s = 1 to top.(p) do
-            let iv = Hashtbl.find issued (p, s) in
-            if Interval.Logs.holds x.log iv <> List.memq iv x.naive.(p) then
-              Alcotest.fail (nname (Printf.sprintf "holds %d:%d" p s))
-          done;
           if x.down then incr down_checks;
           (* a random clock: each component below, inside or past its
              log; half of them at or above the newest mark *)
@@ -606,14 +589,14 @@ let test_logs_model () =
         nodes
     done
   done;
-  (* the op mix restores non-empty windows, trims under live ones and
-     queries wiped ones *)
+  (* the op mix re-appends non-empty windows, trims under live ones and
+     queries rolled-back ones *)
   if
     !restored = 0 || !kept_rounds = 0 || !down_checks = 0 || !above_mark = 0
     || !below_mark = 0
   then
     Alcotest.failf
-      "restored windows %d, GC rounds keeping intervals %d, wiped-log checks %d, \
+      "restored windows %d, GC rounds keeping intervals %d, rolled-back log checks %d, \
        queries above / below a mark %d / %d"
       !restored !kept_rounds !down_checks !above_mark !below_mark
 
@@ -990,10 +973,11 @@ let sparse_values rs n =
 (* An entry's [reflected] map driven through every accessor next to a
    dense array.  First every writer is set once, in a random order, so
    the map grows through each form its width allows; then random sets
-   (some to 0), resets, installs of a dense array and fills from a
-   clock.  After every step the map must read back as the dense array
-   and be no larger than the dense form; below 9 nodes a non-empty map
-   is dense. *)
+   (some to 0), resets, installs of another entry's snapshot, fills
+   from a clock, and snapshots of the map itself, which must read back
+   unchanged after later sets on it.  After every step the map must
+   read back as the dense array, writer by writer, and be no larger
+   than the dense form; below 9 nodes a non-empty map is dense. *)
 let prop_writer_map =
   QCheck.Test.make ~name:"writer map = dense array" ~count:30 QCheck.int
     (fun seed ->
@@ -1003,10 +987,13 @@ let prop_writer_map =
           let e = State.make_entry ~page:0 ~home:0 in
           let dense = Array.make nprocs 0 in
           let forms = ref [] in
+          let reads_as m a =
+            Array.for_all (fun q -> Wmap.get m q = a.(q)) (Array.init nprocs Fun.id)
+          in
           let agrees () =
             let f = Wmap.form e.State.reflected in
             if not (List.mem f !forms) then forms := f :: !forms;
-            State.reflected_copy e ~nprocs = dense
+            reads_as e.State.reflected dense
             && Array.for_all
                  (fun q -> State.reflected_get e q = dense.(q))
                  (Array.init 4 (fun _ -> Random.State.int rs nprocs))
@@ -1044,7 +1031,9 @@ let prop_writer_map =
               Array.fill dense 0 nprocs 0
             | 1 | 2 ->
               let a = sparse_values rs nprocs in
-              State.reflected_install e a;
+              let src = State.make_entry ~page:1 ~home:0 in
+              Array.iteri (fun q v -> State.reflected_set src ~nprocs q v) a;
+              State.reflected_install e (State.reflected_copy src);
               Array.blit a 0 dense 0 nprocs
             | 3 | 4 ->
               let a = sparse_values rs nprocs in
@@ -1052,6 +1041,14 @@ let prop_writer_map =
               Array.iteri (fun q v -> if v <> 0 then Vc.set vc q v) a;
               State.reflected_fill e vc;
               Array.blit a 0 dense 0 nprocs
+            | 5 | 6 ->
+              let snap = State.reflected_copy e and was = Array.copy dense in
+              for _ = 1 to 3 do
+                set (Random.State.int rs nprocs) (1 + Random.State.int rs 1000)
+              done;
+              if not (reads_as snap was) then
+                QCheck.Test.fail_reportf "nprocs %d: a later set moved a snapshot"
+                  nprocs
             | k ->
               set (Random.State.int rs nprocs)
                 (if k < 15 then 0 else 1 + Random.State.int rs 1000));

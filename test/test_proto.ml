@@ -355,7 +355,7 @@ let test_out_of_order_batch_fails () =
        "Proto: node 0 got writer 1's interval 2 before writer 1's interval 1, \
         out of timestamp order")
     (fun () ->
-      Adsm_dsm.Lrc_core.apply_intervals ~replay:false cl node
+      Adsm_dsm.Lrc_core.apply_intervals cl node
         [ interval 2; interval 1 ]);
   Alcotest.(check int) "nothing applied" 0 (Vc.get node.Adsm_dsm.State.vc 1)
 
