@@ -127,7 +127,7 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
       tracer;
       recorder;
       diff_scratch = Diff.make_scratch ();
-      spare_twins = [];
+      spare_pages = [];
       vc_epoch;
       interval_store;
     }
@@ -151,10 +151,10 @@ let run ?(tracer = Adsm_trace.Tracer.disabled)
         app { cluster; node = nodes.(id) };
         decr running)
   done;
-  (* Spare twins are scratch for the run alone: none outlives it. *)
+  (* Spare pages are scratch for the run alone: none outlives it. *)
   let time_ns =
     Fun.protect
-      ~finally:(fun () -> cluster.State.spare_twins <- [])
+      ~finally:(fun () -> cluster.State.spare_pages <- [])
       (fun () -> Engine.run engine)
   in
   if !running > 0 then begin

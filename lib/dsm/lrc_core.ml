@@ -113,13 +113,13 @@ let close_page_default ?(measure = false) ?(sink = store_diff)
       match twin with
       | Some twin ->
         (* MW-mode page: eager twin/diff.  The diff holds its own copy
-           of the modified words, so the twin buffer is free for the
-           next twin ([make_twin]). *)
+           of the modified words, so the twin buffer goes back to the
+           page pool. *)
         e.twin <- None;
         let diff =
           Diff.create ~scratch:cl.diff_scratch ~twin ~current:(frame e) ()
         in
-        cl.spare_twins <- twin :: cl.spare_twins;
+        recycle_page cl twin;
         (diff, Config.diff_create_ns)
       | None ->
         (* Software write detection: build the diff from the logged
@@ -369,10 +369,13 @@ let collect_unseen node vc = Interval.Logs.unseen_by node.intervals vc
 (* Page validation (access-miss side)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Install a received page copy as the new base of the local frame. *)
+(* Install a received page copy as the new base of the local frame.
+   The copy was its message's until now; the frame holds it from here
+   on, so its buffer goes back to the page pool. *)
 let install_copy cl node e ~data ~version ~committed ~reflected =
   Proc.sleep cl.engine Config.page_install_ns;
   Page.blit ~src:data ~dst:(frame e);
+  recycle_page cl data;
   e.has_base <- true;
   if version > e.version then e.version <- version;
   (* Only the version whose interval the copy fully contains dominates
@@ -520,23 +523,16 @@ let mark_page_dirty node (e : entry) =
     node.dirty_pages <- e.page :: node.dirty_pages
   end
 
-(* A twin reuses a buffer an earlier interval close freed, if any: an
-   MW run twins and diffs the same pages interval after interval, and a
-   fresh page-sized buffer per twin is major-heap allocation the GC must
-   then reclaim.  Only twins are recycled.  Frames are not: a software-TLB
-   slot may still hold a frame's buffer after the entry lets it go.  Nor
-   are page copies in messages, which live until delivery. *)
+(* A twin comes from the page pool: an MW run twins and diffs the same
+   pages interval after interval, and a fresh page-sized buffer per twin
+   is major-heap allocation the GC must then reclaim.  Twins and page
+   copies in messages share the pool; frames never enter it, because a
+   software-TLB slot may still hold a frame's buffer after the entry
+   lets it go. *)
 let make_twin cl node (e : entry) =
   assert (Option.is_none e.twin);
   Proc.sleep cl.engine Config.twin_ns;
-  let twin =
-    match cl.spare_twins with
-    | spare :: rest ->
-      cl.spare_twins <- rest;
-      Page.blit ~src:(frame e) ~dst:spare;
-      spare
-    | [] -> Page.copy (frame e)
-  in
+  let twin = pooled_copy cl (frame e) in
   e.twin <- Some twin;
   Stats.twin_created cl.stats;
   if tracing cl then
@@ -594,7 +590,7 @@ let serve_page cl node ~src page respond =
       (Msg.Page_reply
          {
            page;
-           data = Page.copy copy;
+           data = pooled_copy cl copy;
            version = e.version;
            committed = e.committed_version;
            reflected = reflected_copy e;

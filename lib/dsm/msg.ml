@@ -36,8 +36,7 @@ type t =
       result : own_result;
       version : int;
       committed : int;
-      data : Page.t option;
-      reflected : Wmap.t;
+      data : (Page.t * Wmap.t) option;
     }
   | Sw_own_req of { page : int; version : int }
   | Sw_own_forward of { page : int; requester : int; version : int }
@@ -66,6 +65,8 @@ let size_bytes ?(vc_bytes = Vc.size_bytes) ~nprocs = function
       8 diffs
   | Own_req _ -> 13
   | Own_reply { data; _ } ->
+    (* A reply without a copy carries no writer map, but the cost model
+       charges every ownership reply a dense map. *)
     13 + (match data with None -> 0 | Some _ -> Page.size) + (4 * nprocs)
   | Sw_own_req _ -> 12
   | Sw_own_forward _ -> 16

@@ -47,6 +47,8 @@ type t =
   | Page_reply of {
       page : int;
       data : Adsm_mem.Page.t;
+          (** a page-pool buffer ([State.pooled_copy]) the message owns
+              until the receiver installs it *)
       version : int;  (** server's highest known version *)
       committed : int;  (** version fully contained in [data] *)
       reflected : Wmap.t;
@@ -65,15 +67,18 @@ type t =
       result : own_result;
       version : int;
       committed : int;  (** version fully contained in [data] *)
-      data : Adsm_mem.Page.t option;
-      reflected : Wmap.t;  (** as in [Page_reply] *)
+      data : (Adsm_mem.Page.t * Wmap.t) option;
+          (** a page copy and its reflected view, as in [Page_reply]; a
+              reply without a copy carries no map, but is charged a dense
+              one all the same *)
     }
   | Sw_own_req of { page : int; version : int }
       (** SW protocol: requester -> home (one-way) *)
   | Sw_own_forward of { page : int; requester : int; version : int }
       (** home -> current owner (one-way) *)
   | Sw_own_transfer of { page : int; data : Adsm_mem.Page.t; version : int; committed : int }
-      (** previous owner -> requester (one-way) *)
+      (** previous owner -> requester (one-way); [data] as in
+          [Page_reply] *)
   (* HLRC extension. *)
   | Hlrc_diff of { page : int; seq : int; vc : Vc.t; diff : Diff.t }
       (** writer -> home at release (one-way); the home applies and

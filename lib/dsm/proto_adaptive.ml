@@ -11,7 +11,6 @@
    [grant] and [refuse]. *)
 
 module Perm = Adsm_mem.Perm
-module Page = Adsm_mem.Page
 open State
 
 let close_page cl node (e : entry) ~seq ~vc ~charge =
@@ -47,9 +46,9 @@ let request_ownership cl node (e : entry) ~want_data =
     Lrc_core.call cl ~src:node.id ~dst:e.owner
       (Msg.Own_req { page = e.page; version = e.version; want_data })
   with
-  | Msg.Own_reply { result; version; committed; data; reflected; _ } ->
+  | Msg.Own_reply { result; version; committed; data; _ } ->
     (match data with
-    | Some data ->
+    | Some (data, reflected) ->
       Lrc_core.install_copy cl node e ~data ~version ~committed ~reflected
     | None -> ());
     (match result with
@@ -149,9 +148,11 @@ let handle_own_req cl node ~src ~page ~version:v_req ~want_data respond =
            version;
            committed = e.committed_version;
            data =
-             (if want_data then Option.map Page.copy (committed_copy e)
+             (if want_data then
+                Option.map
+                  (fun copy -> (pooled_copy cl copy, reflected_copy e))
+                  (committed_copy e)
               else None);
-           reflected = reflected_copy e;
          })
   in
   (* The caller has already handed ownership to [src].  We do NOT learn

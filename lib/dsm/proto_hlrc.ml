@@ -4,7 +4,6 @@
    whole current pages from the home, naming the modifications the reply
    must already contain. *)
 
-module Page = Adsm_mem.Page
 module Perm = Adsm_mem.Perm
 module Engine = Adsm_sim.Engine
 module Proc = Adsm_sim.Proc
@@ -94,7 +93,7 @@ let hlrc_reply_now cl node (e : entry) respond =
     (Msg.Page_reply
        {
          page = e.page;
-         data = Page.copy (frame e);
+         data = pooled_copy cl (frame e);
          version = 0;
          committed = 0;
          reflected = reflected_copy e;

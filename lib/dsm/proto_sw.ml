@@ -40,7 +40,7 @@ let sw_grant cl node (e : entry) requester =
       (Msg.Sw_own_transfer
          {
            page = e.page;
-           data = Page.copy (frame e);
+           data = pooled_copy cl (frame e);
            version = Lrc_core.granted_version cl e;
            committed = e.committed_version;
          });
@@ -126,6 +126,7 @@ let write_fault cl node (e : entry) =
          never observe us neither waiting nor owning.  The install cost is
          charged afterwards. *)
       Page.blit ~src:data ~dst:(frame e);
+      recycle_page cl data;
       e.has_base <- true;
       e.version <- max e.version (version + 1);
       e.content_version <- max e.content_version committed;

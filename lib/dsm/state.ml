@@ -128,7 +128,7 @@ type cluster = {
   tracer : Adsm_trace.Tracer.t;
   recorder : Adsm_check.Recorder.t;
   diff_scratch : Diff.scratch;
-  mutable spare_twins : Page.t list;
+  mutable spare_pages : Page.t list;
   vc_epoch : Vc.Epoch.t;
   interval_store : Interval.Store.t;
 }
@@ -188,6 +188,18 @@ let reflected_install (e : entry) m = e.reflected <- m
 let reflected_copy (e : entry) = Wmap.copy e.reflected
 
 let reflected_reset (e : entry) = e.reflected <- Wmap.empty
+
+(* --- the cluster's page pool --------------------------------------- *)
+
+let pooled_copy cl src =
+  match cl.spare_pages with
+  | spare :: rest ->
+    cl.spare_pages <- rest;
+    Page.blit ~src ~dst:spare;
+    spare
+  | [] -> Page.copy src
+
+let recycle_page cl page = cl.spare_pages <- page :: cl.spare_pages
 
 let drop_copy (e : entry) =
   e.data <- None;

@@ -206,9 +206,11 @@ type cluster = {
   recorder : Adsm_check.Recorder.t;
       (** consistency-oracle observation stream front-end *)
   diff_scratch : Diff.scratch;  (** working space for {!Diff.create} *)
-  mutable spare_twins : Page.t list;
-      (** twin buffers freed by interval closes, reused by the next twins;
-          emptied when the run returns *)
+  mutable spare_pages : Page.t list;
+      (** the page pool: twin buffers freed by interval closes and page
+          copies their receivers installed, reused by the next twin or
+          copy a message carries ({!pooled_copy}); emptied when the run
+          returns *)
   vc_epoch : Vc.Epoch.t;
       (** the clock base the nodes share since the last barrier *)
   interval_store : Interval.Store.t;
@@ -240,6 +242,21 @@ val reflected_copy : entry -> Wmap.t
 
 (** Back to all zeros (crash wipe / GC drop). *)
 val reflected_reset : entry -> unit
+
+(** {2 The page pool}
+
+    A buffer taken from the pool belongs to its taker: a twin to its
+    entry until the diff exists, a page copy to its message until the
+    receiver installs it.  Messages are installed exactly once (the
+    transport suppresses duplicates and delivers a crashed node's parked
+    messages once, after its restart), so each buffer returns once. *)
+
+(** A copy of [src] in a spare buffer, or a fresh one when the pool is
+    empty. *)
+val pooled_copy : cluster -> Page.t -> Page.t
+
+(** Hand a buffer nothing else references back to the pool. *)
+val recycle_page : cluster -> Page.t -> unit
 
 (** Forget the node's copy of the page: frame, base flag, permissions,
     pending notices, content and committed versions and reflected view

@@ -179,4 +179,6 @@ let init ~nprocs f =
     m
   end
 
-let copy = Array.copy
+(* [Array.copy] fills a copy of more than 256 words (a dense map from
+   256 nodes up) through [caml_initialize], once per word. *)
+let copy = Int_array.copy

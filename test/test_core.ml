@@ -329,18 +329,19 @@ let test_msg_sizes () =
   Alcotest.(check int) "page reply charges a dense view"
     (8 + Page.size + (4 * 64))
     (Msg.size_bytes ~nprocs:64 page_reply);
+  let own_reply data =
+    Msg.Own_reply
+      { page = 0; result = Msg.Refused_fs; version = 1; committed = 1; data }
+  in
   Alcotest.(check bool) "own reply without data is small" true
-    (Msg.size_bytes ~nprocs:2
-       (Msg.Own_reply
-          {
-            page = 0;
-            result = Msg.Refused_fs;
-            version = 1;
-            committed = 1;
-            data = None;
-            reflected = Wmap.empty;
-          })
-    < 64)
+    (Msg.size_bytes ~nprocs:2 (own_reply None) < 64);
+  (* a reply without a copy carries no map but is charged a dense one *)
+  Alcotest.(check int) "own reply without data charges a dense view"
+    (13 + (4 * 64))
+    (Msg.size_bytes ~nprocs:64 (own_reply None));
+  Alcotest.(check int) "own reply with data"
+    (13 + Page.size + (4 * 64))
+    (Msg.size_bytes ~nprocs:64 (own_reply (Some (Page.create (), Wmap.empty))))
 
 let test_msg_kinds () =
   let vc = vc_of_list [ 0 ] in

@@ -549,16 +549,19 @@ let test_lock_ids_are_independent () =
   Alcotest.(check int) "both entered" 2 !entered
 
 (* ------------------------------------------------------------------ *)
-(* Twin reuse: a recycled buffer is never shared                      *)
+(* Page pool: a recycled buffer is never shared                       *)
 (* ------------------------------------------------------------------ *)
 
 module State = Adsm_dsm.State
 module Registry = Adsm_apps.Registry
+module Page = Adsm_mem.Page
+module Event = Adsm_trace.Event
 
-(* Interval closes hand twin buffers back to the cluster's spare list and
-   the next twins take them.  At every moment each live twin must be a
-   buffer of its own, and no spare may still be some entry's twin or
-   frame. *)
+(* Twins and the page copies messages carry come from the cluster's page
+   pool and go back to it: a twin once its diff exists, a copy once its
+   receiver installed it.  At every moment each live twin must be a
+   buffer of its own, and no spare may be in the pool twice or still be
+   some entry's twin or frame. *)
 let check_no_alias where (cl : State.cluster) =
   let twins = ref [] and frames = ref [] in
   Array.iter
@@ -572,22 +575,29 @@ let check_no_alias where (cl : State.cluster) =
     | x :: rest -> (not (List.exists (( == ) x) rest)) && distinct rest
   in
   if not (distinct !twins) then Alcotest.failf "%s: two entries share a twin" where;
+  if not (distinct cl.State.spare_pages) then
+    Alcotest.failf "%s: a buffer is in the pool twice" where;
   List.iter
     (fun spare ->
       if List.exists (( == ) spare) !twins then
         Alcotest.failf "%s: a spare buffer is a live twin" where;
       if List.exists (( == ) spare) !frames then
         Alcotest.failf "%s: a spare buffer is a frame" where)
-    cl.State.spare_twins;
+    cl.State.spare_pages;
   List.iter
     (fun tw ->
       if List.exists (( == ) tw) !frames then
         Alcotest.failf "%s: a twin is a frame" where)
     !twins
 
-(* Run [app] and check at every twin creation and diff creation (the
-   two moments a buffer changes hands), then once the run is over. *)
-let run_checking_twins ?faults ~app ~protocol () =
+let carries_pages = function
+  | Adsm_net.Kind.Page | Adsm_net.Kind.Own -> true
+  | _ -> false
+
+(* Run [app] and check at every twin creation, diff creation and page or
+   ownership message delivery (the moments a buffer changes hands), then
+   once the run is over. *)
+let run_checking_pool ?faults ~app ~protocol () =
   let app = Option.get (Registry.find app) in
   let cfg = Config.make ~protocol ~nprocs:4 () in
   let cfg = { cfg with Config.faults } in
@@ -598,11 +608,14 @@ let run_checking_twins ?faults ~app ~protocol () =
       (Config.protocol_name protocol)
       (if faults = None then "" else " with a crash")
   in
-  let checks = ref 0 in
-  let probe (s : Adsm_trace.Event.stamped) =
-    match s.Adsm_trace.Event.event with
-    | Adsm_trace.Event.Twin_create _ | Adsm_trace.Event.Diff_create _ ->
-      incr checks;
+  let twin_checks = ref 0 and delivery_checks = ref 0 in
+  let probe (s : Event.stamped) =
+    match s.Event.event with
+    | Event.Twin_create _ | Event.Diff_create _ ->
+      incr twin_checks;
+      check_no_alias where (Option.get (Dsm.cluster t))
+    | Event.Msg_deliver { kind; _ } when carries_pages kind ->
+      incr delivery_checks;
       check_no_alias where (Option.get (Dsm.cluster t))
     | _ -> ()
   in
@@ -616,24 +629,27 @@ let run_checking_twins ?faults ~app ~protocol () =
   let cl = Option.get (Dsm.cluster t) in
   check_no_alias (where ^ " after the run") cl;
   Alcotest.(check int) (where ^ ": no spare after the run") 0
-    (List.length cl.State.spare_twins);
+    (List.length cl.State.spare_pages);
   if protocol = Config.Mw || protocol = Config.Hlrc then
     Alcotest.(check bool) (where ^ ": twins were checked") true
-      (Stats.twins_created_total report.Dsm.stats > 0 && !checks > 0);
+      (Stats.twins_created_total report.Dsm.stats > 0 && !twin_checks > 0);
+  if protocol = Config.Sw || protocol = Config.Hlrc then
+    Alcotest.(check bool) (where ^ ": page copies were checked") true
+      (!delivery_checks > 0);
   report
 
-let test_twin_reuse_no_alias () =
+let test_pool_no_alias () =
   List.iter
     (fun app ->
       List.iter
-        (fun protocol -> ignore (run_checking_twins ~app ~protocol ()))
-        [ Config.Mw; Config.Wfs; Config.Wfs_wg; Config.Hlrc ])
+        (fun protocol -> ignore (run_checking_pool ~app ~protocol ()))
+        [ Config.Mw; Config.Sw; Config.Wfs; Config.Wfs_wg; Config.Hlrc ])
     [ "SOR"; "IS"; "Water" ]
 
-let test_twin_reuse_under_crash () =
+let test_pool_under_crash () =
   List.iter
     (fun app ->
-      let base = run_checking_twins ~app ~protocol:Config.Mw () in
+      let base = run_checking_pool ~app ~protocol:Config.Mw () in
       let d = base.Dsm.time_ns in
       let faults =
         {
@@ -642,10 +658,110 @@ let test_twin_reuse_under_crash () =
             [ { Adsm_net.Fault.node = 1; at = d / 2; downtime = max 1 (d / 10) } ];
         }
       in
-      let crashed = run_checking_twins ~faults ~app ~protocol:Config.Mw () in
+      let crashed = run_checking_pool ~faults ~app ~protocol:Config.Mw () in
       Alcotest.(check bool) (app ^ ": the crash ran a recovery round") true
         (List.mem_assoc "recover" crashed.Dsm.by_kind))
     [ "SOR"; "IS"; "Water" ]
+
+(* A copy belongs to its message until it is installed.  Node 0 writes
+   42 to a page it is home of; node 1 then reads the page, or writes
+   another word of it first and reads after.  Just before each page or
+   ownership message reaches node 1, the probe zeroes node 0's frames,
+   standing in for the server writing the page after it sent its copy:
+   node 1 must still read the 42 that was served. *)
+let test_pool_copy_isolated () =
+  List.iter
+    (fun (protocol, write_first) ->
+      let name =
+        Printf.sprintf "%s %s" (Config.protocol_name protocol)
+          (if write_first then "write miss" else "read miss")
+      in
+      let t = Dsm.create (Config.make ~protocol ~nprocs:2 ()) in
+      let a = Dsm.alloc_f64 t ~name:"a" ~len:2 in
+      let zeroed = ref 0 in
+      let probe (s : Event.stamped) =
+        match s.Event.event with
+        | Event.Msg_deliver { kind; _ }
+          when s.Event.node = 1 && carries_pages kind ->
+          let cl = Option.get (Dsm.cluster t) in
+          State.iter_entries cl.State.nodes.(0) (fun (e : State.entry) ->
+              Option.iter
+                (fun f ->
+                  incr zeroed;
+                  Page.blit ~src:(Page.create ()) ~dst:f)
+                e.State.data)
+        | _ -> ()
+      in
+      let tracer =
+        Adsm_trace.Tracer.create
+          [ { Adsm_trace.Sink.emit = probe; close = ignore } ]
+      in
+      let seen = ref nan in
+      ignore
+        (Dsm.run ~tracer t (fun ctx ->
+             if Dsm.me ctx = 0 then Dsm.f64_set ctx a 0 42.;
+             Dsm.barrier ctx;
+             if Dsm.me ctx = 1 then begin
+               if write_first then Dsm.f64_set ctx a 1 7.;
+               seen := Dsm.f64_get ctx a 0
+             end;
+             Dsm.barrier ctx));
+      Adsm_trace.Tracer.close tracer;
+      Alcotest.(check bool) (name ^ ": a served frame was overwritten") true
+        (!zeroed > 0);
+      Alcotest.(check (float 0.)) (name ^ ": node 1 read the served copy") 42.
+        !seen)
+    [
+      (Config.Sw, false);
+      (Config.Sw, true);
+      (Config.Wfs, true);
+      (Config.Hlrc, false);
+    ]
+
+(* The pool is last in, first out: the buffer node 1 returns when it
+   installs a page copy is the one node 0 blits its next copy into.
+   Node 0 writes pages 0 and 2 (both homed on it, so SW serves them with
+   no ownership traffic); node 1 reads them one after the other and then
+   writes page 0, whose ownership transfer carries the third copy.
+   Right after each access the head of the pool is the buffer its
+   install returned. *)
+let test_pool_reuses_returned_copy () =
+  let t = Dsm.create (Config.make ~protocol:Config.Sw ~nprocs:2 ()) in
+  let a = Dsm.alloc_f64 t ~name:"a" ~len:(3 * Page.size / 8) in
+  let page2 = 2 * Page.size / 8 in
+  let returned = ref [] in
+  ignore
+    (Dsm.run t (fun ctx ->
+         if Dsm.me ctx = 0 then begin
+           Dsm.f64_set ctx a 0 1.;
+           Dsm.f64_set ctx a page2 2.
+         end;
+         Dsm.barrier ctx;
+         if Dsm.me ctx = 1 then
+           List.iter
+             (fun access ->
+               let pool () = (Option.get (Dsm.cluster t)).State.spare_pages in
+               let before = List.length (pool ()) in
+               access ();
+               (* The server took a spare (or, with none, allocated one)
+                  and the install gave it back. *)
+               Alcotest.(check int) "pool size" (max 1 before)
+                 (List.length (pool ()));
+               returned := List.hd (pool ()) :: !returned)
+             [
+               (fun () ->
+                 Alcotest.(check (float 0.)) "page 0" 1. (Dsm.f64_get ctx a 0));
+               (fun () ->
+                 Alcotest.(check (float 0.)) "page 2" 2.
+                   (Dsm.f64_get ctx a page2));
+               (fun () -> Dsm.f64_set ctx a 1 3.);
+             ];
+         Dsm.barrier ctx));
+  match !returned with
+  | [ third; second; first ] ->
+    Alcotest.(check bool) "the page copies shared one buffer" true
+      (second == first && third == first)
+  | _ -> Alcotest.fail "expected three page copies"
 
 let () =
   Alcotest.run "dsm"
@@ -697,11 +813,14 @@ let () =
           Alcotest.test_case "independent locks" `Quick
             test_lock_ids_are_independent;
         ] );
-      ( "twin-reuse",
+      ( "page-pool",
         [
-          Alcotest.test_case "spares never alias" `Quick
-            test_twin_reuse_no_alias;
+          Alcotest.test_case "spares never alias" `Quick test_pool_no_alias;
           Alcotest.test_case "spares never alias: MW crash" `Quick
-            test_twin_reuse_under_crash;
+            test_pool_under_crash;
+          Alcotest.test_case "a served copy is isolated" `Quick
+            test_pool_copy_isolated;
+          Alcotest.test_case "a returned copy is reused" `Quick
+            test_pool_reuses_returned_copy;
         ] );
     ]
