@@ -20,6 +20,8 @@
 #   - run -a Water -p WFS -n 256 --tiny --topology tree (the cell where
 #     the false-sharing check reads the most notice clocks from the
 #     interval store);
+#   - run -a SOR -p MW -n 1024 --tiny --topology tree (16 rows over 1024
+#     nodes: most nodes have no rows, as in perfbench's n1024);
 #   - survive --tiny at 4 and 8 nodes, and survive -n 8 at default
 #     scale (crashes across GC rounds and fetched-diff drops; it exits 1
 #     on both sides with its two SOR/MW ABORT rows);
@@ -96,6 +98,7 @@ grid() {
     echo "is512-$p adsm run -a IS -p $p -n 512 --tiny --topology tree --trace trace.jsonl"
   done
   echo "water256-WFS adsm run -a Water -p WFS -n 256 --tiny --topology tree"
+  echo "sor1024-MW adsm run -a SOR -p MW -n 1024 --tiny --topology tree"
   echo "survive-n4 adsm survive --tiny -n 4 --jobs 1"
   echo "survive-n8 adsm survive --tiny -n 8 --jobs 1"
   echo "survive-n8-default adsm survive -n 8 --jobs 1"

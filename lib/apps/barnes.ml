@@ -58,11 +58,14 @@ let octant c x y z =
   lor (if y >= c.cy then 2 else 0)
   lor if z >= c.cz then 4 else 0
 
-let child_center c o =
+(* A fresh empty cell for octant [o] of [c]. *)
+let new_child c o =
   let q = c.half /. 2. in
-  ( (c.cx +. if o land 1 = 1 then q else -.q),
-    (c.cy +. if o land 2 = 2 then q else -.q),
-    c.cz +. if o land 4 = 4 then q else -.q )
+  new_cell
+    (c.cx +. if o land 1 = 1 then q else -.q)
+    (c.cy +. if o land 2 = 2 then q else -.q)
+    (c.cz +. if o land 4 = 4 then q else -.q)
+    (c.half /. 2.)
 
 (* Coincident (or nearly so) bodies would split forever; beyond the depth
    cap they are merged into the leaf's aggregate mass. *)
@@ -81,7 +84,7 @@ let rec insert ?(depth = 0) c i x y z m inserts =
     c.mass <- total;
     c.body <- -2
   end
-  else if c.children = [||] && c.body = -1 && c.mass = 0. then begin
+  else if Array.length c.children = 0 && c.body = -1 && c.mass = 0. then begin
     (* empty leaf slot *)
     c.body <- i;
     c.mass <- m;
@@ -90,15 +93,14 @@ let rec insert ?(depth = 0) c i x y z m inserts =
     c.mz <- z
   end
   else begin
-    if c.children = [||] then begin
+    if Array.length c.children = 0 then begin
       (* split: push the resident body down *)
       c.children <- Array.make 8 Empty;
       let b = c.body in
       if b >= 0 then begin
         c.body <- -1;
         let o = octant c c.mx c.my c.mz in
-        let ox, oy, oz = child_center c o in
-        let sub = new_cell ox oy oz (c.half /. 2.) in
+        let sub = new_child c o in
         c.children.(o) <- Node sub;
         insert ~depth:(depth + 1) sub b c.mx c.my c.mz c.mass inserts;
         c.mass <- 0.
@@ -108,31 +110,75 @@ let rec insert ?(depth = 0) c i x y z m inserts =
     (match c.children.(o) with
     | Node sub -> insert ~depth:(depth + 1) sub i x y z m inserts
     | Empty ->
-      let ox, oy, oz = child_center c o in
-      let sub = new_cell ox oy oz (c.half /. 2.) in
+      let sub = new_child c o in
       c.children.(o) <- Node sub;
       insert ~depth:(depth + 1) sub i x y z m inserts)
   end
 
+(* Children are summarized before any is summed: their subtrees are
+   disjoint, so the sums read what a child-by-child pass would.  Plain
+   loops and local float refs, so nothing is allocated. *)
 let rec summarize c =
-  if c.children <> [||] then begin
+  let children = c.children in
+  if Array.length children > 0 then begin
+    for o = 0 to Array.length children - 1 do
+      match children.(o) with Empty -> () | Node sub -> summarize sub
+    done;
     let m = ref 0. and x = ref 0. and y = ref 0. and z = ref 0. in
-    Array.iter
-      (function
-        | Empty -> ()
-        | Node sub ->
-          summarize sub;
-          m := !m +. sub.mass;
-          x := !x +. (sub.mass *. sub.mx);
-          y := !y +. (sub.mass *. sub.my);
-          z := !z +. (sub.mass *. sub.mz))
-      c.children;
+    for o = 0 to Array.length children - 1 do
+      match children.(o) with
+      | Empty -> ()
+      | Node sub ->
+        m := !m +. sub.mass;
+        x := !x +. (sub.mass *. sub.mx);
+        y := !y +. (sub.mass *. sub.my);
+        z := !z +. (sub.mass *. sub.mz)
+    done;
     c.mass <- !m;
     if !m > 0. then begin
       c.mx <- !x /. !m;
       c.my <- !y /. !m;
       c.mz <- !z /. !m
     end
+  end
+
+(* The force walk's state for one body: its position, the opening
+   criterion and the acceleration so far.  All floats, so the record is
+   flat and its updates allocate nothing. *)
+type probe = {
+  px : float;
+  py : float;
+  pz : float;
+  theta2 : float;  (** theta squared *)
+  mutable ax : float;
+  mutable ay : float;
+  mutable az : float;
+}
+
+(* Add the force on body [i] from cell [c]'s subtree to [pr], counting
+   the interactions. *)
+let rec walk pr i interactions c =
+  if c.mass > 0. then begin
+    let dx = c.mx -. pr.px and dy = c.my -. pr.py and dz = c.mz -. pr.pz in
+    let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1e-6 in
+    let width = 2. *. c.half in
+    let children = c.children in
+    if Array.length children = 0 || width *. width < pr.theta2 *. r2 then begin
+      if c.body <> i then begin
+        incr interactions;
+        let r = sqrt r2 in
+        let f = c.mass /. (r2 *. r) in
+        pr.ax <- pr.ax +. (f *. dx);
+        pr.ay <- pr.ay +. (f *. dy);
+        pr.az <- pr.az +. (f *. dz)
+      end
+    end
+    else
+      for o = 0 to Array.length children - 1 do
+        match children.(o) with
+        | Empty -> ()
+        | Node sub -> walk pr i interactions sub
+      done
   end
 
 let make t p =
@@ -172,39 +218,17 @@ let make t p =
       (* Forces on own bodies via tree walk; update acceleration,
          velocity, position (fine-grained scattered writes). *)
       let interactions = ref 0 in
+      let theta2 = p.theta *. p.theta in
       for i = 0 to p.bodies - 1 do
         if mine i then begin
           let x = Dsm.f64_get ctx bodies (fidx i 1)
           and y = Dsm.f64_get ctx bodies (fidx i 2)
           and z = Dsm.f64_get ctx bodies (fidx i 3) in
-          let ax = ref 0. and ay = ref 0. and az = ref 0. in
-          let rec walk c =
-            if c.mass > 0. then begin
-              let dx = c.mx -. x and dy = c.my -. y and dz = c.mz -. z in
-              let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1e-6 in
-              let width = 2. *. c.half in
-              if c.children = [||] || width *. width < p.theta *. p.theta *. r2
-              then begin
-                if c.body <> i then begin
-                  incr interactions;
-                  let r = sqrt r2 in
-                  let f = c.mass /. (r2 *. r) in
-                  ax := !ax +. (f *. dx);
-                  ay := !ay +. (f *. dy);
-                  az := !az +. (f *. dz)
-                end
-              end
-              else
-                Array.iter
-                  (function Empty -> () | Node sub -> walk sub)
-                  c.children
-            end
-          in
-          walk root;
-          for k = 0 to 2 do
-            let a = match k with 0 -> !ax | 1 -> !ay | _ -> !az in
-            Dsm.f64_set ctx bodies (fidx i (7 + k)) a
-          done
+          let pr = { px = x; py = y; pz = z; theta2; ax = 0.; ay = 0.; az = 0. } in
+          walk pr i interactions root;
+          Dsm.f64_set ctx bodies (fidx i 7) pr.ax;
+          Dsm.f64_set ctx bodies (fidx i 8) pr.ay;
+          Dsm.f64_set ctx bodies (fidx i 9) pr.az
         end
       done;
       Dsm.compute ctx (ns_per_interaction * !interactions);

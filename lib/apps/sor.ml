@@ -22,19 +22,18 @@ let make t p =
     let me = Dsm.me ctx and nprocs = Dsm.nprocs ctx in
     let lo, hi = Common.band ~n:p.rows ~nprocs ~me in
     let idx i j = (i * p.cols) + j in
-    (* Private row buffers for the bulk reads.  The red-black coloring
-       makes the row snapshots exact: a phase only writes elements of one
-       parity and only reads the other, so nothing read here can have been
-       written earlier in the same phase. *)
-    let up = Array.make p.cols 0. in
-    let down = Array.make p.cols 0. in
-    let row = Array.make p.cols 0. in
-    let ones = Array.make p.cols 1.0 in
+    (* Private row buffers for the bulk reads, on a node that has rows
+       (at tiny scale most of a large cluster has none).  The red-black
+       coloring makes the row snapshots exact: a phase only writes
+       elements of one parity and only reads the other, so nothing read
+       here can have been written earlier in the same phase. *)
+    let buffer () = if lo < hi then Array.make p.cols 0. else [||] in
+    let up = buffer () and down = buffer () and row = buffer () in
     (* Each processor initializes its own band: boundary elements 1,
        interior 0 (pages are already zero-filled). *)
     for i = lo to hi - 1 do
       if i = 0 || i = p.rows - 1 then
-        Dsm.f64_set_run ctx grid (idx i 0) ones 0 p.cols
+        Dsm.f64_set_run ctx grid (idx i 0) (Array.make p.cols 1.0) 0 p.cols
       else begin
         Dsm.f64_set ctx grid (idx i 0) 1.0;
         Dsm.f64_set ctx grid (idx i (p.cols - 1)) 1.0

@@ -301,11 +301,11 @@ let[@inline never] read_slow ctx page =
   done;
   let raw = Page.raw (State.frame e) in
   State.tlb_fill ctx.node page raw
-    ~write:(Perm.allows_write e.State.perm && not e.State.log_writes);
+    ~write:(Perm.allows_write e.State.perm && Option.is_none e.State.write_log);
   raw
 
 (* [words] is the number of word writes the logged range covers: software
-   write detection charges per logged WORD ([logged_count]), while the
+   write detection charges per logged WORD (the log's [words]), while the
    range list carries one coalesced entry per run — [Diff.of_ranges]
    word-aligns, sorts and merges ranges, so the resulting diff is
    byte-identical to per-word logging of the same run. *)
@@ -315,13 +315,13 @@ let[@inline never] write_slow ctx page off ~bytes ~words =
     Proto.write_fault ctx.cluster ctx.node e
   done;
   let raw = Page.raw (State.frame e) in
-  if e.State.log_writes then begin
+  (match e.State.write_log with
+  | Some log ->
     (* software write detection (Config.write_ranges); the TLB must not
        admit writes to a logging page, so every write comes here. *)
-    e.State.logged_ranges <- (off, bytes) :: e.State.logged_ranges;
-    e.State.logged_count <- e.State.logged_count + words
-  end
-  else State.tlb_fill ctx.node page raw ~write:true;
+    log.ranges <- (off, bytes) :: log.ranges;
+    log.words <- log.words + words
+  | None -> State.tlb_fill ctx.node page raw ~write:true);
   raw
 
 (* The frame to read [page] from: a TLB hit, else the slow path. *)

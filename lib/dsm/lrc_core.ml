@@ -107,7 +107,8 @@ let close_owned cl node (e : entry) ~seq =
 let close_page_default ?(measure = false) ?(sink = store_diff)
     ?(close_clean = close_owned) cl node (e : entry) ~seq ~vc ~charge =
   let twin = e.twin in
-  if Option.is_none twin && not e.log_writes then close_clean cl node e ~seq
+  if Option.is_none twin && Option.is_none e.write_log then
+    close_clean cl node e ~seq
   else begin
     let diff, cost =
       match twin with
@@ -125,14 +126,13 @@ let close_page_default ?(measure = false) ?(sink = store_diff)
         (* Software write detection: build the diff from the logged
            ranges — no twin, no page scan; the cost is the per-write
            logging plus a small assembly cost per range. *)
-        let diff = Diff.of_ranges e.logged_ranges (frame e) in
+        let log = Option.get e.write_log in
+        let diff = Diff.of_ranges log.ranges (frame e) in
         let cost =
-          (e.logged_count * Config.write_log_ns)
+          (log.words * Config.write_log_ns)
           + (Diff.run_count diff * Config.diff_run_ns)
         in
-        e.log_writes <- false;
-        e.logged_ranges <- [];
-        e.logged_count <- 0;
+        e.write_log <- None;
         (diff, cost)
     in
     charge cost;
@@ -561,7 +561,8 @@ let granted_version cl (e : entry) =
 let mw_write_path cl node (e : entry) =
   validate cl node e;
   if cl.cfg.Config.write_ranges then begin
-    e.log_writes <- true;
+    if Option.is_none e.write_log then
+      e.write_log <- Some { ranges = []; words = 0 };
     (* A cached writable slot would bypass the write log. *)
     tlb_reset node
   end
@@ -593,7 +594,7 @@ let serve_page cl node ~src page respond =
            data = pooled_copy cl copy;
            version = e.version;
            committed = e.committed_version;
-           reflected = reflected_copy e;
+           reflected = reflected_copy e ~nprocs:node.nprocs;
          })
 
 (* Serve a diff request.  [rule1] enables the adaptive protocols' copyset

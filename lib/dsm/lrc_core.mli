@@ -64,7 +64,7 @@ val notice_relevant : node -> entry -> Notice.t -> bool
 (** Install a received page copy as the new base of the local frame. *)
 val install_copy :
   cluster -> node -> entry -> data:Adsm_mem.Page.t -> version:int ->
-  committed:int -> reflected:Wmap.t -> unit
+  committed:int -> reflected:Msg.reflected -> unit
 
 (** Fetch (in parallel, one request per writer) and apply, in timestamp
     order, every pending diff for the page.  Process context. *)

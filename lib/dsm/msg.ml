@@ -2,6 +2,8 @@ module Page = Adsm_mem.Page
 
 type own_result = Granted | Refused_fs | Refused_measure
 
+type reflected = { clock : Vc.t option; above : Wmap.t }
+
 type t =
   | Lock_acquire of { lock : int; vc : Vc.t }
   | Lock_forward of { lock : int; requester : int; vc : Vc.t }
@@ -26,7 +28,7 @@ type t =
       data : Page.t;
       version : int;
       committed : int;
-      reflected : Wmap.t;
+      reflected : reflected;
     }
   | Diff_req of { page : int; seqs : int list; sees_sw : bool }
   | Diff_reply of { page : int; diffs : (int * Vc.t * Diff.t) list }
@@ -36,7 +38,7 @@ type t =
       result : own_result;
       version : int;
       committed : int;
-      data : (Page.t * Wmap.t) option;
+      data : (Page.t * reflected) option;
     }
   | Sw_own_req of { page : int; version : int }
   | Sw_own_forward of { page : int; requester : int; version : int }
@@ -65,8 +67,8 @@ let size_bytes ?(vc_bytes = Vc.size_bytes) ~nprocs = function
       8 diffs
   | Own_req _ -> 13
   | Own_reply { data; _ } ->
-    (* A reply without a copy carries no writer map, but the cost model
-       charges every ownership reply a dense map. *)
+    (* A reply without a copy carries no reflected view, but the cost
+       model charges every ownership reply a dense one. *)
     13 + (match data with None -> 0 | Some _ -> Page.size) + (4 * nprocs)
   | Sw_own_req _ -> 12
   | Sw_own_forward _ -> 16

@@ -14,6 +14,14 @@ type own_result =
                          requester must use MW so the write granularity can
                          be measured *)
 
+(** A page copy's reflected view as shipped (see [State.entry]): for
+    writer [q], the larger of [clock]'s component [q] (absent = 0) and
+    [above]'s.  [clock] is the server's snapshot, shared by reference:
+    nothing mutates it.  [above] is a copy ({!Wmap.copy}) the receiver
+    takes over.  Whatever the two hold, the cost model charges the view
+    as a dense [nprocs]-word array. *)
+type reflected = { clock : Vc.t option; above : Wmap.t }
+
 type t =
   (* Locks (one-way). *)
   | Lock_acquire of { lock : int; vc : Vc.t }  (** requester -> home *)
@@ -51,9 +59,9 @@ type t =
               until the receiver installs it *)
       version : int;  (** server's highest known version *)
       committed : int;  (** version fully contained in [data] *)
-      reflected : Wmap.t;
-          (** the server's reflected view, a snapshot ({!Wmap.copy}) the
-              receiver installs; charged as a dense [nprocs] array *)
+      reflected : reflected;
+          (** the server's reflected view, which the receiver installs;
+              charged as a dense [nprocs] array *)
     }
   | Diff_req of { page : int; seqs : int list; sees_sw : bool }
       (** [seqs]: the target's interval numbers whose diffs are wanted.
@@ -67,10 +75,10 @@ type t =
       result : own_result;
       version : int;
       committed : int;  (** version fully contained in [data] *)
-      data : (Adsm_mem.Page.t * Wmap.t) option;
+      data : (Adsm_mem.Page.t * reflected) option;
           (** a page copy and its reflected view, as in [Page_reply]; a
-              reply without a copy carries no map, but is charged a dense
-              one all the same *)
+              reply without a copy carries no view, but is charged a
+              dense one all the same *)
     }
   | Sw_own_req of { page : int; version : int }
       (** SW protocol: requester -> home (one-way) *)

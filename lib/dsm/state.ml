@@ -4,6 +4,8 @@ module Proc = Adsm_sim.Proc
 module Rng = Adsm_sim.Rng
 module Engine = Adsm_sim.Engine
 
+type write_log = { mutable ranges : (int * int) list; mutable words : int }
+
 type entry = {
   page : int;
   mutable data : Page.t option;
@@ -22,7 +24,8 @@ type entry = {
   mutable drop_at_release : bool;
   mutable dirty : bool;
   mutable notices : Notice.t list;
-  mutable reflected : Wmap.t;
+  mutable reflected_clock : Vc.t option;  (* a snapshot: never mutated *)
+  mutable reflected : Wmap.t;  (* seqs recorded above [reflected_clock] *)
   mutable nw_seqs : Wmap.t;  (* writer -> seq of its latest notice *)
   mutable nw_dom : int;
       (* Writer [nw_dom]'s latest notice (-1 = none) covers every
@@ -36,9 +39,7 @@ type entry = {
   mutable pending_own : (int * int) list;
   mutable migratory_score : int;
   mutable read_fault_seq : int;
-  mutable log_writes : bool;
-  mutable logged_ranges : (int * int) list;
-  mutable logged_count : int;
+  mutable write_log : write_log option;
   mutable own_diffs : (int * Vc.t * Diff.t) list;
 }
 
@@ -155,6 +156,7 @@ let make_entry ~page ~home =
     drop_at_release = false;
     dirty = false;
     notices = [];
+    reflected_clock = None;
     reflected = Wmap.empty;
     nw_seqs = Wmap.empty;
     nw_dom = -1;
@@ -166,28 +168,70 @@ let make_entry ~page ~home =
     pending_own = [];
     migratory_score = 0;
     read_fault_seq = -1;
-    log_writes = false;
-    logged_ranges = [];
-    logged_count = 0;
+    write_log = None;
     own_diffs = [];
   }
 
 (* --- sparse entry-metadata accessors ------------------------------- *)
 (* All of these preserve the dense semantics exactly. *)
 
-let reflected_get (e : entry) q = Wmap.get e.reflected q
+(* The view reads as the larger of the snapshot and the map.  Every
+   value the map holds was set above the view's value at the time
+   ([reflected_set] only raises), so a nonzero map value is that
+   larger one. *)
+let reflected_get (e : entry) q =
+  let v = Wmap.get e.reflected q in
+  if v <> 0 then v
+  else match e.reflected_clock with None -> 0 | Some c -> Vc.get c q
 
 let reflected_set (e : entry) ~nprocs q v =
-  e.reflected <- Wmap.set e.reflected ~nprocs q v
+  let old = reflected_get e q in
+  if v < old then
+    failwith
+      (Printf.sprintf
+         "State.reflected_set: page %d, writer %d: %d would lower the \
+          reflected view from %d"
+         e.page q v old)
+  else if v > old then e.reflected <- Wmap.set e.reflected ~nprocs q v
 
+(* Below 9 nodes a non-empty map is dense and smaller than a snapshot's
+   [Vc.t] record: the view is filled as a map there. *)
 let reflected_fill (e : entry) vc =
-  e.reflected <- Wmap.init ~nprocs:(Vc.nprocs vc) (Vc.get vc)
+  let nprocs = Vc.nprocs vc in
+  if nprocs <= 8 then begin
+    e.reflected_clock <- None;
+    e.reflected <- Wmap.empty;
+    for q = 0 to nprocs - 1 do
+      e.reflected <- Wmap.set e.reflected ~nprocs q (Vc.get vc q)
+    done
+  end
+  else begin
+    e.reflected_clock <- Some (Vc.copy vc);
+    e.reflected <- Wmap.empty
+  end
 
-let reflected_install (e : entry) m = e.reflected <- m
+let reflected_install (e : entry) (r : Msg.reflected) =
+  e.reflected_clock <- r.clock;
+  e.reflected <- r.above
 
-let reflected_copy (e : entry) = Wmap.copy e.reflected
+(* A map whose copy would not fit the minor heap (a dense map from 256
+   nodes up) is not copied into each reply: it is frozen into a
+   snapshot, which this reply, later ones and their receivers share. *)
+let reflected_copy (e : entry) ~nprocs : Msg.reflected =
+  if nprocs >= 256 && Wmap.form e.reflected = Wmap.Dense then begin
+    let c = Vc.zero ~nprocs in
+    for q = 0 to nprocs - 1 do
+      let v = reflected_get e q in
+      if v <> 0 then Vc.set c q v
+    done;
+    e.reflected_clock <- Some c;
+    e.reflected <- Wmap.empty
+  end;
+  { clock = e.reflected_clock; above = Wmap.copy e.reflected }
 
-let reflected_reset (e : entry) = e.reflected <- Wmap.empty
+let reflected_reset (e : entry) =
+  e.reflected_clock <- None;
+  e.reflected <- Wmap.empty
 
 (* --- the cluster's page pool --------------------------------------- *)
 

@@ -7,6 +7,12 @@
 module Page = Adsm_mem.Page
 module Perm = Adsm_mem.Perm
 
+(** A page's software write log for the current interval. *)
+type write_log = {
+  mutable ranges : (int * int) list;  (** (offset, length) log *)
+  mutable words : int;  (** words logged (for cost accounting) *)
+}
+
 (** Per-page protocol state at one node. *)
 type entry = {
   page : int;
@@ -36,10 +42,18 @@ type entry = {
           ownership and switch the page to MW mode *)
   mutable dirty : bool;  (** written during the current interval *)
   mutable notices : Notice.t list;  (** pending (unapplied) write notices *)
+  mutable reflected_clock : Vc.t option;
+      (** with [reflected], the reflected view: per writer, the highest
+          interval seq whose modifications are reflected in the
+          committed local copy.  Writer [q] reads as the larger of this
+          clock's component [q] and [reflected]'s.  The clock is a
+          snapshot taken by {!reflected_fill} (or installed from a
+          copy's server), shared by reference and never mutated;
+          [None] = all zeros *)
   mutable reflected : Wmap.t;
-      (** per writer: highest interval seq whose modifications are
-          reflected in the committed local copy (absent = 0).  Use
-          {!reflected_get} and the other [reflected_*] accessors *)
+      (** the seqs recorded above [reflected_clock] (absent = 0), each
+          above the clock's component.  Use {!reflected_get} and the
+          other [reflected_*] accessors *)
   mutable nw_seqs : Wmap.t;
       (** latest notice per writer (write-write false-sharing
           detection): writer -> the seq of its latest interval whose
@@ -73,11 +87,9 @@ type entry = {
           a read-then-write pattern at this node *)
   mutable read_fault_seq : int;
       (** interval index of the last local read fault on this page *)
-  mutable log_writes : bool;
-      (** software write detection: the accessors log this interval's
-          write ranges instead of relying on a twin *)
-  mutable logged_ranges : (int * int) list;  (** (offset, length) log *)
-  mutable logged_count : int;  (** writes logged (for cost accounting) *)
+  mutable write_log : write_log option;
+      (** software write detection: while [Some], the accessors log this
+          interval's write ranges instead of relying on a twin *)
   mutable own_diffs : (int * Vc.t * Diff.t) list;
       (** the live diffs this node created for the page, as (interval
           seq, interval timestamp, diff), newest first.  The timestamp is
@@ -226,19 +238,31 @@ val make_entry : page:int -> home:int -> entry
 
 val reflected_get : entry -> int -> int
 
+(** [reflected_set e ~nprocs q v] records that the copy reflects
+    writer [q]'s interval [v].  The view only rises: a [v] below
+    [reflected_get e q] raises [Failure], so the map's values stay
+    above the snapshot's and a read never has to compare them. *)
 val reflected_set : entry -> nprocs:int -> int -> int -> unit
 
 (** Every writer [q] gets [Vc.get vc q] (the copy is up to date with
-    the clock). *)
+    the clock).  The view keeps a {!Vc.copy} of [vc], which shares
+    [vc]'s base: O(components [vc] differs from its base in), not
+    O(nprocs).  The map above it is emptied.  Below 9 nodes, where a
+    dense map is smaller than a snapshot, the view is filled as a map
+    with no snapshot. *)
 val reflected_fill : entry -> Vc.t -> unit
 
-(** Install the [reflected] snapshot of a received page copy; the entry
-    takes the map over. *)
-val reflected_install : entry -> Wmap.t -> unit
+(** Install the reflected view of a received page copy; the entry
+    shares the snapshot and takes the map over. *)
+val reflected_install : entry -> Msg.reflected -> unit
 
-(** A snapshot of the reflected view for a message's [reflected]
-    field. *)
-val reflected_copy : entry -> Wmap.t
+(** The reflected view for a message's [reflected] field: the snapshot
+    by reference and a copy of the map, so later sets on the entry
+    leave it alone.  From 256 nodes up, a dense map (too large for the
+    minor heap) is first frozen into a new snapshot of the whole view,
+    which the entry keeps with an empty map: later replies and their
+    receivers share it instead of copying [nprocs] words each. *)
+val reflected_copy : entry -> nprocs:int -> Msg.reflected
 
 (** Back to all zeros (crash wipe / GC drop). *)
 val reflected_reset : entry -> unit

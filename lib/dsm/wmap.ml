@@ -164,21 +164,6 @@ let set m ~nprocs q v =
       end
     end
 
-let init ~nprocs f =
-  let count = ref 0 in
-  for q = 0 to nprocs - 1 do
-    if f q <> 0 then incr count
-  done;
-  if !count = 0 then empty
-  else begin
-    let m = alloc ~nprocs !count in
-    for q = 0 to nprocs - 1 do
-      let v = f q in
-      if v <> 0 then add m q v
-    done;
-    m
-  end
-
 (* [Array.copy] fills a copy of more than 256 words (a dense map from
    256 nodes up) through [caml_initialize], once per word. *)
 let copy = Int_array.copy

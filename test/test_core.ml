@@ -313,35 +313,44 @@ let test_msg_sizes () =
   let vc = vc_of_list [ 1; 2 ] in
   Alcotest.(check int) "lock acquire" (8 + 8)
     (Msg.size_bytes ~nprocs:2 (Msg.Lock_acquire { lock = 0; vc }));
-  let page_reply =
-    Msg.Page_reply
-      {
-        page = 0;
-        data = Page.create ();
-        version = 0;
-        committed = 0;
-        reflected = Wmap.empty;
-      }
+  (* Reflected views that hold nothing, a sparse map, and a clock
+     snapshot with a map above it: none of them moves a charge. *)
+  let views =
+    let clock = Vc.zero ~nprocs:64 in
+    List.iter (fun q -> Vc.set clock q (q + 1)) [ 0; 5; 63 ];
+    let sparse = Wmap.set Wmap.empty ~nprocs:64 7 3 in
+    [
+      ("empty view", { Msg.clock = None; above = Wmap.empty });
+      ("sparse view", { Msg.clock = None; above = sparse });
+      ("clock snapshot", { Msg.clock = Some clock; above = sparse });
+    ]
   in
-  Alcotest.(check bool) "page reply carries a page" true
-    (Msg.size_bytes ~nprocs:2 page_reply >= Page.size);
-  (* the reflected view is charged dense, whatever the map holds *)
-  Alcotest.(check int) "page reply charges a dense view"
-    (8 + Page.size + (4 * 64))
-    (Msg.size_bytes ~nprocs:64 page_reply);
+  let page_reply reflected =
+    Msg.Page_reply
+      { page = 0; data = Page.create (); version = 0; committed = 0; reflected }
+  in
   let own_reply data =
     Msg.Own_reply
       { page = 0; result = Msg.Refused_fs; version = 1; committed = 1; data }
   in
+  Alcotest.(check bool) "page reply carries a page" true
+    (Msg.size_bytes ~nprocs:2 (page_reply (snd (List.hd views))) >= Page.size);
   Alcotest.(check bool) "own reply without data is small" true
     (Msg.size_bytes ~nprocs:2 (own_reply None) < 64);
-  (* a reply without a copy carries no map but is charged a dense one *)
+  (* a reply without a copy carries no view but is charged a dense one *)
   Alcotest.(check int) "own reply without data charges a dense view"
     (13 + (4 * 64))
     (Msg.size_bytes ~nprocs:64 (own_reply None));
-  Alcotest.(check int) "own reply with data"
-    (13 + Page.size + (4 * 64))
-    (Msg.size_bytes ~nprocs:64 (own_reply (Some (Page.create (), Wmap.empty))))
+  (* the reflected view is charged dense, whatever it holds *)
+  List.iter
+    (fun (name, view) ->
+      Alcotest.(check int) ("page reply, " ^ name)
+        (8 + Page.size + (4 * 64))
+        (Msg.size_bytes ~nprocs:64 (page_reply view));
+      Alcotest.(check int) ("own reply with data, " ^ name)
+        (13 + Page.size + (4 * 64))
+        (Msg.size_bytes ~nprocs:64 (own_reply (Some (Page.create (), view)))))
+    views
 
 let test_msg_kinds () =
   let vc = vc_of_list [ 0 ] in

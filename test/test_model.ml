@@ -970,54 +970,54 @@ let sparse_values rs n =
       if Random.State.int rs 100 < density then 1 + Random.State.int rs 1000
       else 0)
 
-(* An entry's [reflected] map driven through every accessor next to a
-   dense array.  First every writer is set once, in a random order, so
-   the map grows through each form its width allows; then random sets
-   (some to 0), resets, installs of another entry's snapshot, fills
-   from a clock, and snapshots of the map itself, which must read back
-   unchanged after later sets on it.  After every step the map must
-   read back as the dense array, writer by writer, and be no larger
-   than the dense form; below 9 nodes a non-empty map is dense. *)
+(* A random order of the writers [0, n). *)
+let shuffled rs n =
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rs (i + 1) in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  order
+
+(* A writer map driven next to a dense array.  First every writer is
+   set once, in a random order, so the map grows through each form its
+   width allows; then random sets (some to 0), resets, and snapshots of
+   the map, which must read back unchanged after later sets on it.
+   After every step the map must read back as the dense array, writer
+   by writer, and be no larger than the dense form; below 9 nodes a
+   non-empty map is dense. *)
 let prop_writer_map =
   QCheck.Test.make ~name:"writer map = dense array" ~count:30 QCheck.int
     (fun seed ->
       let rs = Random.State.make [| 0x3A9; seed |] in
       List.for_all
         (fun nprocs ->
-          let e = State.make_entry ~page:0 ~home:0 in
+          let m = ref Wmap.empty in
           let dense = Array.make nprocs 0 in
           let forms = ref [] in
           let reads_as m a =
-            Array.for_all (fun q -> Wmap.get m q = a.(q)) (Array.init nprocs Fun.id)
+            Array.for_all Fun.id (Array.mapi (fun q v -> Wmap.get m q = v) a)
           in
           let agrees () =
-            let f = Wmap.form e.State.reflected in
+            let f = Wmap.form !m in
             if not (List.mem f !forms) then forms := f :: !forms;
-            reads_as e.State.reflected dense
-            && Array.for_all
-                 (fun q -> State.reflected_get e q = dense.(q))
-                 (Array.init 4 (fun _ -> Random.State.int rs nprocs))
-            && Obj.size (Obj.repr e.State.reflected) <= nprocs + 1
+            reads_as !m dense
+            && Obj.size (Obj.repr !m) <= nprocs + 1
             && (nprocs > 8 || f = Wmap.Empty || f = Wmap.Dense)
           in
           let set q v =
-            State.reflected_set e ~nprocs q v;
+            m := Wmap.set !m ~nprocs q v;
             dense.(q) <- v
           in
-          let order = Array.init nprocs Fun.id in
-          for i = nprocs - 1 downto 1 do
-            let j = Random.State.int rs (i + 1) in
-            let t = order.(i) in
-            order.(i) <- order.(j);
-            order.(j) <- t
-          done;
           let grown =
             agrees ()
             && Array.for_all
                  (fun q ->
                    set q (1 + Random.State.int rs 1000);
                    agrees ())
-                 order
+                 (shuffled rs nprocs)
           in
           let expected =
             List.sort compare
@@ -1027,22 +1027,10 @@ let prop_writer_map =
           let step _ =
             (match Random.State.int rs 50 with
             | 0 ->
-              State.reflected_reset e;
+              m := Wmap.empty;
               Array.fill dense 0 nprocs 0
-            | 1 | 2 ->
-              let a = sparse_values rs nprocs in
-              let src = State.make_entry ~page:1 ~home:0 in
-              Array.iteri (fun q v -> State.reflected_set src ~nprocs q v) a;
-              State.reflected_install e (State.reflected_copy src);
-              Array.blit a 0 dense 0 nprocs
-            | 3 | 4 ->
-              let a = sparse_values rs nprocs in
-              let vc = Vc.zero ~nprocs in
-              Array.iteri (fun q v -> if v <> 0 then Vc.set vc q v) a;
-              State.reflected_fill e vc;
-              Array.blit a 0 dense 0 nprocs
-            | 5 | 6 ->
-              let snap = State.reflected_copy e and was = Array.copy dense in
+            | 1 | 2 | 3 ->
+              let snap = Wmap.copy !m and was = Array.copy dense in
               for _ = 1 to 3 do
                 set (Random.State.int rs nprocs) (1 + Random.State.int rs 1000)
               done;
@@ -1058,6 +1046,185 @@ let prop_writer_map =
           && List.sort compare !forms = expected
           && List.for_all step (List.init 200 Fun.id))
         wmap_widths)
+
+(* A clock whose nonzero components are [a]'s. *)
+let clock_of a =
+  let vc = Vc.zero ~nprocs:(Array.length a) in
+  Array.iteri (fun q v -> if v <> 0 then Vc.set vc q v) a;
+  vc
+
+(* [e]'s reflected view reads as [a], writer by writer. *)
+let view_reads e a =
+  Array.for_all Fun.id (Array.mapi (fun q v -> State.reflected_get e q = v) a)
+
+(* A shipped view reads as [a], through a fresh entry. *)
+let shipped_reads (r : Adsm_dsm.Msg.reflected) a =
+  let e = State.make_entry ~page:2 ~home:0 in
+  State.reflected_install e r;
+  view_reads e a
+
+(* An entry's reflected view (a clock snapshot plus the writer map
+   above it) driven next to a dense array.  First every writer is
+   raised once, in a random order; then random raises, resets, installs
+   of another entry's shipped view (filled from a clock and raised, or
+   raised only), fills from a clock, and shipped copies of the view
+   itself, which must read back unchanged after later raises on it.
+   After every step the view must read back as the dense array, writer
+   by writer, and its map be no larger than the dense form. *)
+let prop_reflected_view =
+  QCheck.Test.make ~name:"reflected view = dense array" ~count:30 QCheck.int
+    (fun seed ->
+      let rs = Random.State.make [| 0x5E1; seed |] in
+      List.for_all
+        (fun nprocs ->
+          let e = State.make_entry ~page:0 ~home:0 in
+          let dense = Array.make nprocs 0 in
+          let agrees () =
+            view_reads e dense
+            && Obj.size (Obj.repr e.State.reflected) <= nprocs + 1
+          in
+          let raise_on e a q =
+            let v = a.(q) + 1 + Random.State.int rs 1000 in
+            State.reflected_set e ~nprocs q v;
+            a.(q) <- v
+          in
+          let grown =
+            Array.for_all
+              (fun q ->
+                raise_on e dense q;
+                agrees ())
+              (shuffled rs nprocs)
+          in
+          let step _ =
+            (match Random.State.int rs 50 with
+            | 0 ->
+              State.reflected_reset e;
+              Array.fill dense 0 nprocs 0
+            | 1 | 2 ->
+              let src = State.make_entry ~page:1 ~home:0 in
+              let a =
+                if Random.State.bool rs then Array.make nprocs 0
+                else begin
+                  let a = sparse_values rs nprocs in
+                  State.reflected_fill src (clock_of a);
+                  a
+                end
+              in
+              for _ = 1 to Random.State.int rs 4 do
+                raise_on src a (Random.State.int rs nprocs)
+              done;
+              State.reflected_install e (State.reflected_copy src ~nprocs);
+              Array.blit a 0 dense 0 nprocs
+            | 3 | 4 ->
+              let a = sparse_values rs nprocs in
+              State.reflected_fill e (clock_of a);
+              Array.blit a 0 dense 0 nprocs
+            | 5 | 6 ->
+              let snap = State.reflected_copy e ~nprocs
+              and was = Array.copy dense in
+              for _ = 1 to 3 do
+                raise_on e dense (Random.State.int rs nprocs)
+              done;
+              if not (shipped_reads snap was) then
+                QCheck.Test.fail_reportf "nprocs %d: a later set moved a snapshot"
+                  nprocs
+            | _ -> raise_on e dense (Random.State.int rs nprocs));
+            agrees ()
+          in
+          grown && List.for_all step (List.init 200 Fun.id))
+        wmap_widths)
+
+(* A shipped view shares its server's clock snapshot by reference, and
+   the snapshot shares the base of the clock it was filled from.  It
+   must read unchanged after later sets on the server's entry, and
+   after later ticks, merges and folds of that clock: an owned base
+   (written in place until the fill) and a cluster's epoch base. *)
+let test_shipped_view_isolated () =
+  List.iter
+    (fun nprocs ->
+      let es = Vc.Epoch.create ~nprocs in
+      (* An owned base is written in place before the fill; a clock on
+         the epoch base keeps 3 components in its touched set. *)
+      let clocks =
+        [
+          ("owned base", Vc.zero ~nprocs, nprocs - 1);
+          ("epoch base", Vc.Epoch.zero es, 3);
+        ]
+      in
+      List.iter
+        (fun (name, vc, set) ->
+          let name = Printf.sprintf "%s, %d nodes" name nprocs in
+          for q = 1 to set do
+            Vc.set vc q (1 + (q mod 7))
+          done;
+          let e = State.make_entry ~page:0 ~home:0 in
+          State.reflected_fill e vc;
+          State.reflected_set e ~nprocs 1 (Vc.get vc 1 + 5);
+          let expect = Array.init nprocs (State.reflected_get e) in
+          let shipped = State.reflected_copy e ~nprocs in
+          let receiver = State.make_entry ~page:0 ~home:1 in
+          State.reflected_install receiver shipped;
+          let unchanged what =
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: the installed view, after %s" name what)
+              true (view_reads receiver expect);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: the shipped view, after %s" name what)
+              true (shipped_reads shipped expect)
+          in
+          for q = 0 to nprocs - 1 do
+            State.reflected_set e ~nprocs q (State.reflected_get e q + 2)
+          done;
+          unchanged "sets on the server's entry";
+          (* Every writer is now above the snapshot: from 256 nodes up the
+             map is dense, and shipping it freezes it into a snapshot. *)
+          let expect2 = Array.init nprocs (State.reflected_get e) in
+          let shipped2 = State.reflected_copy e ~nprocs in
+          State.reflected_set e ~nprocs 0 (expect2.(0) + 1);
+          Alcotest.(check bool)
+            (name ^ ": a view shipped from a full map, after a set")
+            true (shipped_reads shipped2 expect2);
+          Alcotest.(check int) (name ^ ": the server reads its set")
+            (expect2.(0) + 1) (State.reflected_get e 0);
+          (* Every component once: more than a touched set holds, so the
+             clock folds into a base of its own. *)
+          for q = 0 to nprocs - 1 do
+            Vc.tick vc ~proc:q
+          done;
+          unchanged "ticks and a fold of the clock";
+          let other = Vc.zero ~nprocs in
+          Vc.set other 0 1_000;
+          Vc.set other (nprocs - 1) 1_000;
+          Vc.merge_into vc other;
+          State.reflected_fill e vc;
+          Vc.tick vc ~proc:0;
+          unchanged "a merge, a second fill and a tick")
+        clocks)
+    [ 8; 64; 512 ]
+
+(* The view only rises: a set below the value the view reads raises,
+   whether the map or the snapshot holds it, and a set to the same
+   value is a no-op. *)
+let test_reflected_set_only_raises () =
+  let nprocs = 16 in
+  let e = State.make_entry ~page:0 ~home:0 in
+  let lowers what q v =
+    match State.reflected_set e ~nprocs q v with
+    | exception Failure _ -> ()
+    | () -> Alcotest.failf "a set that lowers %s did not raise" what
+  in
+  State.reflected_set e ~nprocs 2 5;
+  lowers "a map value" 2 4;
+  State.reflected_set e ~nprocs 2 5;
+  Alcotest.(check int) "an equal set is a no-op" 5 (State.reflected_get e 2);
+  let vc = Vc.zero ~nprocs in
+  Vc.set vc 3 7;
+  State.reflected_fill e vc;
+  lowers "a snapshot value" 3 6;
+  lowers "a snapshot value to 0" 3 0;
+  State.reflected_set e ~nprocs 3 9;
+  Alcotest.(check int) "a raise above the snapshot" 9 (State.reflected_get e 3);
+  Alcotest.(check int) "the rest of the snapshot" 0 (State.reflected_get e 2)
 
 (* ------------------------------------------------------------------ *)
 (* Page diff: the pairwise scan vs a word-at-a-time reference          *)
@@ -1257,7 +1424,15 @@ let () =
           Alcotest.test_case "a trimmed clock fails loudly" `Quick
             test_trimmed_clock_fails;
         ] );
-      ("writer-map", [ QCheck_alcotest.to_alcotest prop_writer_map ]);
+      ( "writer-map",
+        [
+          QCheck_alcotest.to_alcotest prop_writer_map;
+          QCheck_alcotest.to_alcotest prop_reflected_view;
+          Alcotest.test_case "a shipped view stays put" `Quick
+            test_shipped_view_isolated;
+          Alcotest.test_case "the view only rises" `Quick
+            test_reflected_set_only_raises;
+        ] );
       ("diff-scan", [ QCheck_alcotest.to_alcotest prop_diff_scan ]);
       ( "diff-encoding",
         [ Alcotest.test_case "extreme pages" `Quick test_diff_extremes ] );

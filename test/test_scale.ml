@@ -352,14 +352,18 @@ let test_central_barrier_pins () =
    slot map and two slot arrays (writers and clocks), took them to
    530,001, 650,454, 3,437,774, 1,586,341 and 1,585,502, and IS/SW/512,
    whose copies fill [reflected] from the whole clock, from 2,120,343 to
-   1,587,351 (pinned with 10% slack). *)
+   1,587,351 (pinned with 10% slack).  Keeping a reflected view as a
+   clock snapshot shared by reference plus the writer map above it, in
+   place of a dense writer-map copy per fill and per reply, took
+   IS/WFS/256 from 529,745 to 486,343, IS/WFS/512 from 1,585,829 to
+   1,411,931 and IS/SW/512 from 1,586,839 to 1,340,279. *)
 let footprint_pins =
   [
-    ("IS", Config.Wfs, 256, 959_000);
+    ("IS", Config.Wfs, 256, 880_000);
     ("TSP", Config.Mw, 256, 904_000);
     ("Water", Config.Mw, 256, 3_782_000);
-    ("IS", Config.Wfs, 512, 1_745_000);
-    ("IS", Config.Sw, 512, 1_746_000);
+    ("IS", Config.Wfs, 512, 1_553_000);
+    ("IS", Config.Sw, 512, 1_474_000);
     ("SOR", Config.Mw, 1024, 1_949_000);
   ]
 
