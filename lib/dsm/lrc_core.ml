@@ -594,7 +594,7 @@ let serve_page cl node ~src page respond =
            data = pooled_copy cl copy;
            version = e.version;
            committed = e.committed_version;
-           reflected = reflected_copy e ~nprocs:node.nprocs;
+           reflected = reflected_ship e ~nprocs:node.nprocs;
          })
 
 (* Serve a diff request.  [rule1] enables the adaptive protocols' copyset

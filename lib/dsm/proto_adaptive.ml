@@ -151,7 +151,7 @@ let handle_own_req cl node ~src ~page ~version:v_req ~want_data respond =
              (if want_data then
                 Option.map
                   (fun copy ->
-                    (pooled_copy cl copy, reflected_copy e ~nprocs:node.nprocs))
+                    (pooled_copy cl copy, reflected_ship e ~nprocs:node.nprocs))
                   (committed_copy e)
               else None);
          })

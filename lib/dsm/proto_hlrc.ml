@@ -96,7 +96,7 @@ let hlrc_reply_now cl node (e : entry) respond =
          data = pooled_copy cl (frame e);
          version = 0;
          committed = 0;
-         reflected = reflected_copy e ~nprocs:node.nprocs;
+         reflected = reflected_ship e ~nprocs:node.nprocs;
        })
 
 (* A diff arrived at this home: apply it to the master copy and release

@@ -194,31 +194,33 @@ let reflected_set (e : entry) ~nprocs q v =
          e.page q v old)
   else if v > old then e.reflected <- Wmap.set e.reflected ~nprocs q v
 
-(* Below 9 nodes a non-empty map is dense and smaller than a snapshot's
-   [Vc.t] record: the view is filled as a map there. *)
+(* Below 9 nodes every non-empty writer map is dense, at most 9 words,
+   and smaller than a snapshot's 13-word [Vc.t] record: there the view
+   is a map alone, which a fill writes and a reply copies.  From 9
+   nodes up a fill takes a snapshot, and shipping a dense map freezes
+   it into one. *)
+let snapshots ~nprocs = nprocs > 8
+
 let reflected_fill (e : entry) vc =
   let nprocs = Vc.nprocs vc in
-  if nprocs <= 8 then begin
+  e.reflected <- Wmap.empty;
+  if snapshots ~nprocs then e.reflected_clock <- Some (Vc.copy vc)
+  else begin
     e.reflected_clock <- None;
-    e.reflected <- Wmap.empty;
     for q = 0 to nprocs - 1 do
       e.reflected <- Wmap.set e.reflected ~nprocs q (Vc.get vc q)
     done
-  end
-  else begin
-    e.reflected_clock <- Some (Vc.copy vc);
-    e.reflected <- Wmap.empty
   end
 
 let reflected_install (e : entry) (r : Msg.reflected) =
   e.reflected_clock <- r.clock;
   e.reflected <- r.above
 
-(* A map whose copy would not fit the minor heap (a dense map from 256
-   nodes up) is not copied into each reply: it is frozen into a
-   snapshot, which this reply, later ones and their receivers share. *)
-let reflected_copy (e : entry) ~nprocs : Msg.reflected =
-  if nprocs >= 256 && Wmap.form e.reflected = Wmap.Dense then begin
+(* A frozen map becomes a new snapshot of the whole view, shared by
+   this reply, later ones and their receivers; the entry keeps an empty
+   map. *)
+let reflected_ship (e : entry) ~nprocs : Msg.reflected =
+  if snapshots ~nprocs && Wmap.form e.reflected = Wmap.Dense then begin
     let c = Vc.zero ~nprocs in
     for q = 0 to nprocs - 1 do
       let v = reflected_get e q in

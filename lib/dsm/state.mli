@@ -247,22 +247,23 @@ val reflected_set : entry -> nprocs:int -> int -> int -> unit
 (** Every writer [q] gets [Vc.get vc q] (the copy is up to date with
     the clock).  The view keeps a {!Vc.copy} of [vc], which shares
     [vc]'s base: O(components [vc] differs from its base in), not
-    O(nprocs).  The map above it is emptied.  Below 9 nodes, where a
-    dense map is smaller than a snapshot, the view is filled as a map
-    with no snapshot. *)
+    O(nprocs).  The map above it is emptied.  Below 9 nodes, where
+    every non-empty map is dense and smaller than a snapshot, the view
+    is filled as a map with no snapshot. *)
 val reflected_fill : entry -> Vc.t -> unit
 
 (** Install the reflected view of a received page copy; the entry
     shares the snapshot and takes the map over. *)
 val reflected_install : entry -> Msg.reflected -> unit
 
-(** The reflected view for a message's [reflected] field: the snapshot
+(** The reflected view for a reply's [reflected] field: the snapshot
     by reference and a copy of the map, so later sets on the entry
-    leave it alone.  From 256 nodes up, a dense map (too large for the
-    minor heap) is first frozen into a new snapshot of the whole view,
-    which the entry keeps with an empty map: later replies and their
-    receivers share it instead of copying [nprocs] words each. *)
-val reflected_copy : entry -> nprocs:int -> Msg.reflected
+    leave it alone.  From 9 nodes up, a map in its dense form is first
+    frozen into a new snapshot of the whole view, which the entry keeps
+    with an empty map: later replies and their receivers share it
+    instead of copying [nprocs + 1] words each.  What the view reads is
+    unchanged. *)
+val reflected_ship : entry -> nprocs:int -> Msg.reflected
 
 (** Back to all zeros (crash wipe / GC drop). *)
 val reflected_reset : entry -> unit

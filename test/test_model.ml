@@ -1113,14 +1113,14 @@ let prop_reflected_view =
               for _ = 1 to Random.State.int rs 4 do
                 raise_on src a (Random.State.int rs nprocs)
               done;
-              State.reflected_install e (State.reflected_copy src ~nprocs);
+              State.reflected_install e (State.reflected_ship src ~nprocs);
               Array.blit a 0 dense 0 nprocs
             | 3 | 4 ->
               let a = sparse_values rs nprocs in
               State.reflected_fill e (clock_of a);
               Array.blit a 0 dense 0 nprocs
             | 5 | 6 ->
-              let snap = State.reflected_copy e ~nprocs
+              let snap = State.reflected_ship e ~nprocs
               and was = Array.copy dense in
               for _ = 1 to 3 do
                 raise_on e dense (Random.State.int rs nprocs)
@@ -1161,7 +1161,7 @@ let test_shipped_view_isolated () =
           State.reflected_fill e vc;
           State.reflected_set e ~nprocs 1 (Vc.get vc 1 + 5);
           let expect = Array.init nprocs (State.reflected_get e) in
-          let shipped = State.reflected_copy e ~nprocs in
+          let shipped = State.reflected_ship e ~nprocs in
           let receiver = State.make_entry ~page:0 ~home:1 in
           State.reflected_install receiver shipped;
           let unchanged what =
@@ -1176,10 +1176,10 @@ let test_shipped_view_isolated () =
             State.reflected_set e ~nprocs q (State.reflected_get e q + 2)
           done;
           unchanged "sets on the server's entry";
-          (* Every writer is now above the snapshot: from 256 nodes up the
+          (* Every writer is now above the snapshot: from 9 nodes up the
              map is dense, and shipping it freezes it into a snapshot. *)
           let expect2 = Array.init nprocs (State.reflected_get e) in
-          let shipped2 = State.reflected_copy e ~nprocs in
+          let shipped2 = State.reflected_ship e ~nprocs in
           State.reflected_set e ~nprocs 0 (expect2.(0) + 1);
           Alcotest.(check bool)
             (name ^ ": a view shipped from a full map, after a set")
