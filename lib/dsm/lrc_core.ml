@@ -81,9 +81,10 @@ let store_diff _cl node (e : entry) ~seq ~vc diff =
 
 (* Default closure of a dirty page with neither twin nor write log: a
    single-writer page the node owned while writing (it may have transferred
-   ownership away mid-interval under SW).  Emits an owner write notice. *)
-let close_owned cl node (e : entry) ~seq =
-  reflected_set e ~nprocs:node.nprocs node.id seq;
+   ownership away mid-interval under SW).  Emits an owner write notice.
+   The interval has no diff, so the reflected view does not record it:
+   the page's versions track owner writes. *)
+let close_owned cl node (e : entry) ~seq:_ =
   e.committed_version <- e.version;
   if e.content_version < e.version then e.content_version <- e.version;
   if cl.cfg.Config.nprocs > 1 && e.is_owner then begin
@@ -575,7 +576,6 @@ let mw_write_path cl node (e : entry) =
 
 let serve_page cl node ~src page respond =
   let e = entry_of node page in
-  copyset_add e ~nprocs:node.nprocs src;
   match committed_copy e with
   | None ->
     failwith
@@ -597,18 +597,8 @@ let serve_page cl node ~src page respond =
            reflected = reflected_ship e ~nprocs:node.nprocs;
          })
 
-(* Serve a diff request.  [rule1] enables the adaptive protocols' copyset
-   scan (Section 3.1.2, rule 1): if every processor in the approximate
-   copyset sees the page as SW, false sharing has stopped. *)
-let serve_diffs ?(rule1 = false) cl node ~src ~page ~seqs ~sees_sw respond =
+let serve_diffs cl node ~page ~seqs respond =
   let e = entry_of node page in
-  copyset_add e ~nprocs:node.nprocs src;
-  fs_view_set e ~nprocs:node.nprocs src sees_sw;
-  if rule1 then begin
-    let all_sw = ref true in
-    copyset_iter e (fun q -> if not (fs_view_get e q) then all_sw := false);
-    if !all_sw then Mode.set_fs_active cl ~node:node.id e false
-  end;
   (* [seqs] is ascending and the page's diffs newest first: one walk
      down the list from the last seq. *)
   let rec pick acc wanted held =

@@ -98,9 +98,7 @@ val mw_write_path : cluster -> node -> entry -> unit
 val serve_page :
   cluster -> node -> src:int -> int -> Msg.t Adsm_net.Rpc.respond -> unit
 
-(** Serve a diff request; [rule1] enables the adaptive copyset scan that
-    clears the false-sharing flag (Section 3.1.2, rule 1). *)
+(** Serve a diff request: the page's own diffs with the given seqs. *)
 val serve_diffs :
-  ?rule1:bool ->
-  cluster -> node -> src:int -> page:int -> seqs:int list -> sees_sw:bool ->
-  Msg.t Adsm_net.Rpc.respond -> unit
+  cluster -> node -> page:int -> seqs:int list -> Msg.t Adsm_net.Rpc.respond ->
+  unit

@@ -2,7 +2,7 @@ module Page = Adsm_mem.Page
 
 type own_result = Granted | Refused_fs | Refused_measure
 
-type reflected = { clock : Vc.t option; above : Wmap.t }
+type reflected = { frozen : Wmap.t; above : Wmap.t }
 
 type t =
   | Lock_acquire of { lock : int; vc : Vc.t }

@@ -15,12 +15,13 @@ type own_result =
                          be measured *)
 
 (** A page copy's reflected view as shipped (see [State.entry]): for
-    writer [q], the larger of [clock]'s component [q] (absent = 0) and
-    [above]'s.  [clock] is the server's snapshot, shared by reference:
-    nothing mutates it.  [above] is a copy ({!Wmap.copy}) the receiver
-    takes over.  Whatever the two hold, the cost model charges the view
-    as a dense [nprocs]-word array. *)
-type reflected = { clock : Vc.t option; above : Wmap.t }
+    writer [q], the newest interval of [q] whose diff the copy holds,
+    the larger of [frozen]'s value for [q] and [above]'s (absent = 0).
+    [frozen] is the server's frozen map, shared by reference: nothing
+    sets it.  [above] is a copy ({!Wmap.copy}) the receiver takes over.
+    Whatever the two hold, the cost model charges the view as a dense
+    [nprocs]-word array. *)
+type reflected = { frozen : Wmap.t; above : Wmap.t }
 
 type t =
   (* Locks (one-way). *)

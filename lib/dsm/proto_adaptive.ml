@@ -127,12 +127,25 @@ let read_fault cl node (e : entry) =
 
 (* --- server side --- *)
 
+(* Every page or diff request adds its requester to the page's
+   approximate copyset, which only rule 1 below reads. *)
 let handle_page_req cl node ~src page respond =
-  let (_ : bool) = wg_sharing_trigger cl node (entry_of node page) in
+  let e = entry_of node page in
+  let (_ : bool) = wg_sharing_trigger cl node e in
+  copyset_add e ~nprocs:node.nprocs src;
   Lrc_core.serve_page cl node ~src page respond
 
+(* Rule 1 (Section 3.1.2): a diff request piggybacks the requester's
+   view of the page; once every processor in the copyset sees it as SW,
+   false sharing has stopped. *)
 let handle_diff_req cl node ~src ~page ~seqs ~sees_sw respond =
-  Lrc_core.serve_diffs ~rule1:true cl node ~src ~page ~seqs ~sees_sw respond
+  let e = entry_of node page in
+  copyset_add e ~nprocs:node.nprocs src;
+  fs_view_set e ~nprocs:node.nprocs src sees_sw;
+  let all_sw = ref true in
+  copyset_iter e (fun q -> if not (fs_view_get e q) then all_sw := false);
+  if !all_sw then Mode.set_fs_active cl ~node:node.id e false;
+  Lrc_core.serve_diffs cl node ~page ~seqs respond
 
 (* The ownership-refusal protocol, owner side (Section 3.1.1).  Always two
    messages; never forwarded. *)

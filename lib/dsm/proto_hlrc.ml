@@ -124,8 +124,8 @@ let handle_hlrc_fetch cl node ~page ~need respond =
 let handle_page_req cl node ~src page respond =
   Lrc_core.serve_page cl node ~src page respond
 
-let handle_diff_req cl node ~src ~page ~seqs ~sees_sw respond =
-  Lrc_core.serve_diffs cl node ~src ~page ~seqs ~sees_sw respond
+let handle_diff_req cl node ~src:_ ~page ~seqs ~sees_sw:_ respond =
+  Lrc_core.serve_diffs cl node ~page ~seqs respond
 
 let handle_protocol_msg cl node ~src msg respond =
   match (msg, respond) with

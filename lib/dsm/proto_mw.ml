@@ -14,8 +14,8 @@ let close_page cl node (e : entry) ~seq ~vc ~charge =
 let handle_page_req cl node ~src page respond =
   Lrc_core.serve_page cl node ~src page respond
 
-let handle_diff_req cl node ~src ~page ~seqs ~sees_sw respond =
-  Lrc_core.serve_diffs cl node ~src ~page ~seqs ~sees_sw respond
+let handle_diff_req cl node ~src:_ ~page ~seqs ~sees_sw:_ respond =
+  Lrc_core.serve_diffs cl node ~page ~seqs respond
 
 let handle_protocol_msg _cl _node ~src:_ _msg _respond = false
 

@@ -135,7 +135,6 @@ let write_fault cl node (e : entry) =
       e.owner <- node.id;
       e.owned_at <- Engine.now cl.engine;
       e.notices <- [];
-      reflected_fill e node.vc;
       Proc.sleep cl.engine Config.page_install_ns;
       node.wait <- Running;
       Lrc_core.mark_page_dirty node e;
@@ -151,8 +150,8 @@ let write_fault cl node (e : entry) =
 let handle_page_req cl node ~src page respond =
   Lrc_core.serve_page cl node ~src page respond
 
-let handle_diff_req cl node ~src ~page ~seqs ~sees_sw respond =
-  Lrc_core.serve_diffs cl node ~src ~page ~seqs ~sees_sw respond
+let handle_diff_req cl node ~src:_ ~page ~seqs ~sees_sw:_ respond =
+  Lrc_core.serve_diffs cl node ~page ~seqs respond
 
 let handle_protocol_msg cl node ~src msg respond =
   match (msg, respond) with

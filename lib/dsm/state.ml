@@ -24,8 +24,8 @@ type entry = {
   mutable drop_at_release : bool;
   mutable dirty : bool;
   mutable notices : Notice.t list;
-  mutable reflected_clock : Vc.t option;  (* a snapshot: never mutated *)
-  mutable reflected : Wmap.t;  (* seqs recorded above [reflected_clock] *)
+  mutable reflected_frozen : Wmap.t;  (* shared with shipped views: never set *)
+  mutable reflected : Wmap.t;  (* seqs recorded above [reflected_frozen] *)
   mutable nw_seqs : Wmap.t;  (* writer -> seq of its latest notice *)
   mutable nw_dom : int;
       (* Writer [nw_dom]'s latest notice (-1 = none) covers every
@@ -156,7 +156,7 @@ let make_entry ~page ~home =
     drop_at_release = false;
     dirty = false;
     notices = [];
-    reflected_clock = None;
+    reflected_frozen = Wmap.empty;
     reflected = Wmap.empty;
     nw_seqs = Wmap.empty;
     nw_dom = -1;
@@ -175,14 +175,13 @@ let make_entry ~page ~home =
 (* --- sparse entry-metadata accessors ------------------------------- *)
 (* All of these preserve the dense semantics exactly. *)
 
-(* The view reads as the larger of the snapshot and the map.  Every
-   value the map holds was set above the view's value at the time
-   ([reflected_set] only raises), so a nonzero map value is that
-   larger one. *)
+(* The view reads as the larger of the frozen map and the map above
+   it.  Every value the map above holds was set above the view's value
+   at the time ([reflected_set] only raises), so a nonzero value there
+   is that larger one. *)
 let reflected_get (e : entry) q =
   let v = Wmap.get e.reflected q in
-  if v <> 0 then v
-  else match e.reflected_clock with None -> 0 | Some c -> Vc.get c q
+  if v <> 0 then v else Wmap.get e.reflected_frozen q
 
 let reflected_set (e : entry) ~nprocs q v =
   let old = reflected_get e q in
@@ -194,45 +193,27 @@ let reflected_set (e : entry) ~nprocs q v =
          e.page q v old)
   else if v > old then e.reflected <- Wmap.set e.reflected ~nprocs q v
 
-(* Below 9 nodes every non-empty writer map is dense, at most 9 words,
-   and smaller than a snapshot's 13-word [Vc.t] record: there the view
-   is a map alone, which a fill writes and a reply copies.  From 9
-   nodes up a fill takes a snapshot, and shipping a dense map freezes
-   it into one. *)
-let snapshots ~nprocs = nprocs > 8
-
-let reflected_fill (e : entry) vc =
-  let nprocs = Vc.nprocs vc in
-  e.reflected <- Wmap.empty;
-  if snapshots ~nprocs then e.reflected_clock <- Some (Vc.copy vc)
-  else begin
-    e.reflected_clock <- None;
-    for q = 0 to nprocs - 1 do
-      e.reflected <- Wmap.set e.reflected ~nprocs q (Vc.get vc q)
-    done
-  end
-
 let reflected_install (e : entry) (r : Msg.reflected) =
-  e.reflected_clock <- r.clock;
+  e.reflected_frozen <- r.frozen;
   e.reflected <- r.above
 
-(* A frozen map becomes a new snapshot of the whole view, shared by
-   this reply, later ones and their receivers; the entry keeps an empty
-   map. *)
+(* A dense map is frozen when it ships: the entry, this reply, later
+   ones and their receivers share it, and the entry starts an empty map
+   above it.  A map frozen already is merged in first; it only fills
+   writers the dense map does not hold, since the dense map's values
+   are the larger. *)
 let reflected_ship (e : entry) ~nprocs : Msg.reflected =
-  if snapshots ~nprocs && Wmap.form e.reflected = Wmap.Dense then begin
-    let c = Vc.zero ~nprocs in
-    for q = 0 to nprocs - 1 do
-      let v = reflected_get e q in
-      if v <> 0 then Vc.set c q v
-    done;
-    e.reflected_clock <- Some c;
+  if Wmap.form e.reflected = Wmap.Dense then begin
+    e.reflected_frozen <-
+      Wmap.fold
+        (fun q v m -> if Wmap.get m q = 0 then Wmap.set m ~nprocs q v else m)
+        e.reflected_frozen e.reflected;
     e.reflected <- Wmap.empty
   end;
-  { clock = e.reflected_clock; above = Wmap.copy e.reflected }
+  { frozen = e.reflected_frozen; above = Wmap.copy e.reflected }
 
 let reflected_reset (e : entry) =
-  e.reflected_clock <- None;
+  e.reflected_frozen <- Wmap.empty;
   e.reflected <- Wmap.empty
 
 (* --- the cluster's page pool --------------------------------------- *)

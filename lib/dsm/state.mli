@@ -42,17 +42,17 @@ type entry = {
           ownership and switch the page to MW mode *)
   mutable dirty : bool;  (** written during the current interval *)
   mutable notices : Notice.t list;  (** pending (unapplied) write notices *)
-  mutable reflected_clock : Vc.t option;
-      (** with [reflected], the reflected view: per writer, the highest
-          interval seq whose modifications are reflected in the
-          committed local copy.  Writer [q] reads as the larger of this
-          clock's component [q] and [reflected]'s.  The clock is a
-          snapshot taken by {!reflected_fill} (or installed from a
-          copy's server), shared by reference and never mutated;
-          [None] = all zeros *)
+  mutable reflected_frozen : Wmap.t;
+      (** with [reflected], the reflected view: per writer [q], the
+          newest interval of [q] whose diff the committed local copy
+          holds.  Only diff creation and diff application record it; an
+          install takes the server's view whole.  Writer [q] reads as
+          the larger of this map's value and [reflected]'s.  This map
+          was frozen when a reply shipped it ({!reflected_ship}), is
+          shared with that reply's receivers and is never set *)
   mutable reflected : Wmap.t;
-      (** the seqs recorded above [reflected_clock] (absent = 0), each
-          above the clock's component.  Use {!reflected_get} and the
+      (** the seqs recorded above [reflected_frozen] (absent = 0), each
+          above the frozen map's value.  Use {!reflected_get} and the
           other [reflected_*] accessors *)
   mutable nw_seqs : Wmap.t;
       (** latest notice per writer (write-write false-sharing
@@ -71,12 +71,14 @@ type entry = {
   mutable nw_nsince : int;
   mutable fs_view : Bytes.t;
       (** bitset of the processors whose piggybacked "I see this page as
-          SW" flag (WFS rule 1) is off; empty = every flag on.  Use
-          {!fs_view_get} and {!fs_view_set} *)
+          SW" flag (WFS rule 1) is off; empty = every flag on.  Kept
+          by the adaptive protocols only.  Use {!fs_view_get} and
+          {!fs_view_set} *)
   mutable copyset : Bytes.t;
       (** approximate copyset, a bitset of the processors that requested
-          this page or its diffs from us; empty = no member.  Use
-          {!copyset_add} and {!copyset_iter} *)
+          this page or its diffs from us; empty = no member.  Kept by
+          the adaptive protocols only, for rule 1.  Use {!copyset_add}
+          and {!copyset_iter} *)
   mutable sw_home_hint : int;
       (** SW protocol: at the page's home, the last known/queued owner *)
   mutable pending_own : (int * int) list;
@@ -238,31 +240,23 @@ val make_entry : page:int -> home:int -> entry
 
 val reflected_get : entry -> int -> int
 
-(** [reflected_set e ~nprocs q v] records that the copy reflects
-    writer [q]'s interval [v].  The view only rises: a [v] below
+(** [reflected_set e ~nprocs q v] records that the copy holds writer
+    [q]'s diff [v].  The view only rises: a [v] below
     [reflected_get e q] raises [Failure], so the map's values stay
-    above the snapshot's and a read never has to compare them. *)
+    above the frozen map's and a read never has to compare them. *)
 val reflected_set : entry -> nprocs:int -> int -> int -> unit
 
-(** Every writer [q] gets [Vc.get vc q] (the copy is up to date with
-    the clock).  The view keeps a {!Vc.copy} of [vc], which shares
-    [vc]'s base: O(components [vc] differs from its base in), not
-    O(nprocs).  The map above it is emptied.  Below 9 nodes, where
-    every non-empty map is dense and smaller than a snapshot, the view
-    is filled as a map with no snapshot. *)
-val reflected_fill : entry -> Vc.t -> unit
-
 (** Install the reflected view of a received page copy; the entry
-    shares the snapshot and takes the map over. *)
+    shares the frozen map and takes the map above it over. *)
 val reflected_install : entry -> Msg.reflected -> unit
 
-(** The reflected view for a reply's [reflected] field: the snapshot
-    by reference and a copy of the map, so later sets on the entry
-    leave it alone.  From 9 nodes up, a map in its dense form is first
-    frozen into a new snapshot of the whole view, which the entry keeps
-    with an empty map: later replies and their receivers share it
-    instead of copying [nprocs + 1] words each.  What the view reads is
-    unchanged. *)
+(** The reflected view for a reply's [reflected] field: the frozen map
+    by reference and a copy of the map above it, so later sets on the
+    entry leave it alone.  A map in its dense form is first frozen
+    (merged with the map frozen before, if any), and the entry keeps an
+    empty map above it: later replies and their receivers share the
+    frozen map instead of copying [nprocs + 1] words each.  What the
+    view reads is unchanged. *)
 val reflected_ship : entry -> nprocs:int -> Msg.reflected
 
 (** Back to all zeros (crash wipe / GC drop). *)

@@ -355,8 +355,7 @@ let gc_validate cl node =
         Lrc_core.fetch_and_apply_diffs cl node e;
         e.perm <- Perm.Read_only;
         e.content_version <- e.version;
-        e.committed_version <- e.version;
-        reflected_fill e node.vc
+        e.committed_version <- e.version
       end
       else begin
         let hint = gc_fetch_hint pending e.owner in

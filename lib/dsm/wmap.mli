@@ -1,7 +1,7 @@
 (** Writer maps: writer id -> int, sized by the writers actually held.
 
     Per-entry "per writer" metadata (the seq of each writer's latest
-    notice, the reflected seqs above a clock snapshot) maps a few of
+    notice, the reflected seqs above a frozen map) maps a few of
     [nprocs] writers to ints.  A map stores them in one of three forms,
     chosen by its population: a linear list of pairs while small, an
     open-addressed hash table at mid size, and a dense [nprocs] array

@@ -313,16 +313,19 @@ let test_msg_sizes () =
   let vc = vc_of_list [ 1; 2 ] in
   Alcotest.(check int) "lock acquire" (8 + 8)
     (Msg.size_bytes ~nprocs:2 (Msg.Lock_acquire { lock = 0; vc }));
-  (* Reflected views that hold nothing, a sparse map, and a clock
-     snapshot with a map above it: none of them moves a charge. *)
+  (* Reflected views that hold nothing, a sparse map, and a frozen
+     dense map with a map above it: none of them moves a charge. *)
   let views =
-    let clock = Vc.zero ~nprocs:64 in
-    List.iter (fun q -> Vc.set clock q (q + 1)) [ 0; 5; 63 ];
-    let sparse = Wmap.set Wmap.empty ~nprocs:64 7 3 in
+    let frozen =
+      List.fold_left
+        (fun m q -> Wmap.set m ~nprocs:64 q (q + 1))
+        Wmap.empty (List.init 64 Fun.id)
+    in
+    let sparse = Wmap.set Wmap.empty ~nprocs:64 7 80 in
     [
-      ("empty view", { Msg.clock = None; above = Wmap.empty });
-      ("sparse view", { Msg.clock = None; above = sparse });
-      ("clock snapshot", { Msg.clock = Some clock; above = sparse });
+      ("empty view", { Msg.frozen = Wmap.empty; above = Wmap.empty });
+      ("sparse view", { Msg.frozen = Wmap.empty; above = sparse });
+      ("frozen map", { Msg.frozen; above = sparse });
     ]
   in
   let page_reply reflected =

@@ -963,13 +963,6 @@ module Wmap = Adsm_dsm.Wmap
 (* Widths on both sides of the dense threshold, one not a power of two. *)
 let wmap_widths = [ 3; 8; 64; 512; 1000 ]
 
-(* Values for [n] writers, a random share of them nonzero. *)
-let sparse_values rs n =
-  let density = Random.State.int rs 101 in
-  Array.init n (fun _ ->
-      if Random.State.int rs 100 < density then 1 + Random.State.int rs 1000
-      else 0)
-
 (* A random order of the writers [0, n). *)
 let shuffled rs n =
   let order = Array.init n Fun.id in
@@ -1047,12 +1040,6 @@ let prop_writer_map =
           && List.for_all step (List.init 200 Fun.id))
         wmap_widths)
 
-(* A clock whose nonzero components are [a]'s. *)
-let clock_of a =
-  let vc = Vc.zero ~nprocs:(Array.length a) in
-  Array.iteri (fun q v -> if v <> 0 then Vc.set vc q v) a;
-  vc
-
 (* [e]'s reflected view reads as [a], writer by writer. *)
 let view_reads e a =
   Array.for_all Fun.id (Array.mapi (fun q v -> State.reflected_get e q = v) a)
@@ -1063,14 +1050,15 @@ let shipped_reads (r : Adsm_dsm.Msg.reflected) a =
   State.reflected_install e r;
   view_reads e a
 
-(* An entry's reflected view (a clock snapshot plus the writer map
-   above it) driven next to a dense array.  First every writer is
-   raised once, in a random order; then random raises, resets, installs
-   of another entry's shipped view (filled from a clock and raised, or
-   raised only), fills from a clock, and shipped copies of the view
-   itself, which must read back unchanged after later raises on it.
-   After every step the view must read back as the dense array, writer
-   by writer, and its map be no larger than the dense form. *)
+(* An entry's reflected view (a frozen writer map plus the map above
+   it) driven next to a dense array.  First every writer is raised
+   once, in a random order; then random raises, resets, installs of
+   another entry's shipped view (raised and shipped over a few rounds,
+   so it may carry a frozen map, a map above it, or both), and shipped
+   copies of the view itself, which must read back unchanged after
+   later raises on it.  After every step the view must read back as the
+   dense array, writer by writer, its map be no larger than the dense
+   form, and its frozen map be empty or dense. *)
 let prop_reflected_view =
   QCheck.Test.make ~name:"reflected view = dense array" ~count:30 QCheck.int
     (fun seed ->
@@ -1082,6 +1070,10 @@ let prop_reflected_view =
           let agrees () =
             view_reads e dense
             && Obj.size (Obj.repr e.State.reflected) <= nprocs + 1
+            &&
+            match Wmap.form e.State.reflected_frozen with
+            | Wmap.Empty | Wmap.Dense -> true
+            | Wmap.Linear | Wmap.Hashed -> false
           in
           let raise_on e a q =
             let v = a.(q) + 1 + Random.State.int rs 1000 in
@@ -1100,26 +1092,21 @@ let prop_reflected_view =
             | 0 ->
               State.reflected_reset e;
               Array.fill dense 0 nprocs 0
-            | 1 | 2 ->
+            | 1 | 2 | 3 ->
               let src = State.make_entry ~page:1 ~home:0 in
-              let a =
-                if Random.State.bool rs then Array.make nprocs 0
-                else begin
-                  let a = sparse_values rs nprocs in
-                  State.reflected_fill src (clock_of a);
-                  a
-                end
-              in
+              let a = Array.make nprocs 0 in
+              for _ = 0 to Random.State.int rs 3 do
+                for _ = 1 to Random.State.int rs (nprocs + 1) do
+                  raise_on src a (Random.State.int rs nprocs)
+                done;
+                ignore (State.reflected_ship src ~nprocs : Adsm_dsm.Msg.reflected)
+              done;
               for _ = 1 to Random.State.int rs 4 do
                 raise_on src a (Random.State.int rs nprocs)
               done;
               State.reflected_install e (State.reflected_ship src ~nprocs);
               Array.blit a 0 dense 0 nprocs
-            | 3 | 4 ->
-              let a = sparse_values rs nprocs in
-              State.reflected_fill e (clock_of a);
-              Array.blit a 0 dense 0 nprocs
-            | 5 | 6 ->
+            | 4 | 5 | 6 ->
               let snap = State.reflected_ship e ~nprocs
               and was = Array.copy dense in
               for _ = 1 to 3 do
@@ -1134,76 +1121,64 @@ let prop_reflected_view =
           grown && List.for_all step (List.init 200 Fun.id))
         wmap_widths)
 
-(* A shipped view shares its server's clock snapshot by reference, and
-   the snapshot shares the base of the clock it was filled from.  It
-   must read unchanged after later sets on the server's entry, and
-   after later ticks, merges and folds of that clock: an owned base
-   (written in place until the fill) and a cluster's epoch base. *)
+(* Shipping a dense map freezes it: the first time the map itself moves
+   into the frozen slot, and the next time the map frozen before merges
+   into the new dense map.  Either way the entry goes on with an empty
+   map above the frozen one, and every view shipped so far, and every
+   entry that installed one, reads unchanged after later sets on the
+   server's entry. *)
 let test_shipped_view_isolated () =
   List.iter
     (fun nprocs ->
-      let es = Vc.Epoch.create ~nprocs in
-      (* An owned base is written in place before the fill; a clock on
-         the epoch base keeps 3 components in its touched set. *)
-      let clocks =
-        [
-          ("owned base", Vc.zero ~nprocs, nprocs - 1);
-          ("epoch base", Vc.Epoch.zero es, 3);
-        ]
-      in
-      List.iter
-        (fun (name, vc, set) ->
-          let name = Printf.sprintf "%s, %d nodes" name nprocs in
-          for q = 1 to set do
-            Vc.set vc q (1 + (q mod 7))
-          done;
-          let e = State.make_entry ~page:0 ~home:0 in
-          State.reflected_fill e vc;
-          State.reflected_set e ~nprocs 1 (Vc.get vc 1 + 5);
-          let expect = Array.init nprocs (State.reflected_get e) in
-          let shipped = State.reflected_ship e ~nprocs in
-          let receiver = State.make_entry ~page:0 ~home:1 in
-          State.reflected_install receiver shipped;
-          let unchanged what =
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: the installed view, after %s" name what)
-              true (view_reads receiver expect);
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: the shipped view, after %s" name what)
-              true (shipped_reads shipped expect)
-          in
-          for q = 0 to nprocs - 1 do
-            State.reflected_set e ~nprocs q (State.reflected_get e q + 2)
-          done;
-          unchanged "sets on the server's entry";
-          (* Every writer is now above the snapshot: from 9 nodes up the
-             map is dense, and shipping it freezes it into a snapshot. *)
-          let expect2 = Array.init nprocs (State.reflected_get e) in
-          let shipped2 = State.reflected_ship e ~nprocs in
-          State.reflected_set e ~nprocs 0 (expect2.(0) + 1);
-          Alcotest.(check bool)
-            (name ^ ": a view shipped from a full map, after a set")
-            true (shipped_reads shipped2 expect2);
-          Alcotest.(check int) (name ^ ": the server reads its set")
-            (expect2.(0) + 1) (State.reflected_get e 0);
-          (* Every component once: more than a touched set holds, so the
-             clock folds into a base of its own. *)
-          for q = 0 to nprocs - 1 do
-            Vc.tick vc ~proc:q
-          done;
-          unchanged "ticks and a fold of the clock";
-          let other = Vc.zero ~nprocs in
-          Vc.set other 0 1_000;
-          Vc.set other (nprocs - 1) 1_000;
-          Vc.merge_into vc other;
-          State.reflected_fill e vc;
-          Vc.tick vc ~proc:0;
-          unchanged "a merge, a second fill and a tick")
-        clocks)
-    [ 8; 64; 512 ]
+      let name what = Printf.sprintf "%d nodes: %s" nprocs what in
+      let check what b = Alcotest.(check bool) (name what) true b in
+      let e = State.make_entry ~page:0 ~home:0 in
+      let view () = Array.init nprocs (State.reflected_get e) in
+      let empty_above () = Wmap.form e.State.reflected = Wmap.Empty in
+      for q = 0 to nprocs - 1 do
+        State.reflected_set e ~nprocs q (q + 1)
+      done;
+      let m = e.State.reflected in
+      let expect1 = view () in
+      let shipped1 = State.reflected_ship e ~nprocs in
+      check "a first freeze moves the map"
+        (shipped1.frozen == m && e.State.reflected_frozen == m);
+      check "nothing above the first freeze"
+        (empty_above () && Wmap.form shipped1.above = Wmap.Empty);
+      let receiver = State.make_entry ~page:0 ~home:1 in
+      State.reflected_install receiver shipped1;
+      (* Half the writers raised: a dense map at every width here. *)
+      for q = 0 to nprocs - 1 do
+        if q mod 2 = 0 then State.reflected_set e ~nprocs q (q + 1 + nprocs)
+      done;
+      let above = e.State.reflected in
+      check "half the writers make a dense map" (Wmap.form above = Wmap.Dense);
+      let expect2 = view () in
+      let shipped2 = State.reflected_ship e ~nprocs in
+      check "a second freeze merges into the dense map"
+        (shipped2.frozen == above && empty_above ());
+      check "the merged view" (shipped_reads shipped2 expect2);
+      check "the first frozen map, after the merge"
+        (shipped_reads shipped1 expect1 && view_reads receiver expect1);
+      (* One writer above the frozen map: a sparse map from 9 nodes up,
+         which a reply copies. *)
+      State.reflected_set e ~nprocs 1 (expect2.(1) + 5);
+      let expect3 = view () in
+      let shipped3 = State.reflected_ship e ~nprocs in
+      State.reflected_set e ~nprocs 1 (expect3.(1) + 5);
+      State.reflected_set e ~nprocs 0 (expect3.(0) + 5);
+      check "the server reads its sets"
+        (State.reflected_get e 1 = expect3.(1) + 5
+        && State.reflected_get e 0 = expect3.(0) + 5);
+      check "every shipped view, after later sets on the server"
+        (shipped_reads shipped3 expect3
+        && shipped_reads shipped2 expect2
+        && shipped_reads shipped1 expect1
+        && view_reads receiver expect1))
+    [ 3; 8; 64; 512 ]
 
 (* The view only rises: a set below the value the view reads raises,
-   whether the map or the snapshot holds it, and a set to the same
+   whether the map or the frozen map holds it, and a set to the same
    value is a no-op. *)
 let test_reflected_set_only_raises () =
   let nprocs = 16 in
@@ -1217,14 +1192,20 @@ let test_reflected_set_only_raises () =
   lowers "a map value" 2 4;
   State.reflected_set e ~nprocs 2 5;
   Alcotest.(check int) "an equal set is a no-op" 5 (State.reflected_get e 2);
-  let vc = Vc.zero ~nprocs in
-  Vc.set vc 3 7;
-  State.reflected_fill e vc;
-  lowers "a snapshot value" 3 6;
-  lowers "a snapshot value to 0" 3 0;
+  (* Five more writers make the map dense, and shipping freezes it. *)
+  for q = 3 to 7 do
+    State.reflected_set e ~nprocs q 7
+  done;
+  ignore (State.reflected_ship e ~nprocs : Adsm_dsm.Msg.reflected);
+  Alcotest.(check bool) "the map is frozen" true
+    (Wmap.form e.State.reflected = Wmap.Empty);
+  lowers "a frozen value" 3 6;
+  lowers "a frozen value to 0" 3 0;
   State.reflected_set e ~nprocs 3 9;
-  Alcotest.(check int) "a raise above the snapshot" 9 (State.reflected_get e 3);
-  Alcotest.(check int) "the rest of the snapshot" 0 (State.reflected_get e 2)
+  Alcotest.(check int) "a raise above the frozen map" 9
+    (State.reflected_get e 3);
+  Alcotest.(check int) "the rest of the frozen map" 7 (State.reflected_get e 4);
+  Alcotest.(check int) "a writer neither map holds" 0 (State.reflected_get e 8)
 
 (* ------------------------------------------------------------------ *)
 (* Page diff: the pairwise scan vs a word-at-a-time reference          *)

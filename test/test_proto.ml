@@ -9,6 +9,9 @@ module Dsm = Adsm_dsm.Dsm
 module Stats = Adsm_dsm.Stats
 module Interval = Adsm_dsm.Interval
 module Vc = Adsm_dsm.Vc
+module State = Adsm_dsm.State
+module Registry = Adsm_apps.Registry
+module Runner = Adsm_harness.Runner
 
 let make ?(nprocs = 2) ?(tweak = Fun.id) protocol =
   let cfg = tweak (Config.make ~protocol ~nprocs ()) in
@@ -605,6 +608,60 @@ let test_hlrc_fetch_waits_for_diffs () =
     [ 16484.; 12388.; 8292.; 4196. ]
     !seen
 
+(* The adaptive protocols' GC round at application scale: at a 64 KB
+   threshold ILINK/WFS and Water/WFS+WG collect (8 and 4 rounds at 8
+   nodes, default scale), and each must compute what the same cell
+   computes at the default threshold, where it never collects. *)
+let test_adaptive_gc_at_app_scale () =
+  List.iter
+    (fun (app, protocol) ->
+      let name = app ^ "/" ^ Config.protocol_name protocol in
+      let run tweak =
+        Runner.run ~tweak
+          ~app:(Option.get (Registry.find app))
+          ~protocol ~nprocs:8 ~scale:Registry.Default ()
+      in
+      let base = run Fun.id in
+      let low = run (fun c -> { c with Config.gc_threshold_bytes = 65_536 }) in
+      Alcotest.(check bool) (name ^ ": GC ran") true (low.Runner.gc_runs >= 1);
+      Alcotest.(check (float 0.)) (name ^ ": checksum") base.Runner.checksum
+        low.Runner.checksum)
+    [ ("ILINK", Config.Wfs); ("Water", Config.Wfs_wg) ]
+
+(* ------------------------------------------------------------------ *)
+(* The reflected view                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A copy's reflected view records the diffs it holds, and nothing
+   else.  SW makes no diffs, so an SW run leaves every entry's view
+   empty on every node: at 8 nodes, and on a 64-node tree. *)
+let test_sw_views_stay_empty () =
+  List.iter
+    (fun (app, nprocs, tweak) ->
+      let t = Dsm.create (tweak (Config.make ~protocol:Config.Sw ~nprocs ())) in
+      let program, _ =
+        (Option.get (Registry.find app)).Registry.instantiate Registry.Tiny t
+      in
+      ignore (Dsm.run t program : Dsm.report);
+      let held = ref 0 in
+      Array.iter
+        (fun node ->
+          State.iter_entries node (fun e ->
+              for q = 0 to nprocs - 1 do
+                if State.reflected_get e q <> 0 then incr held
+              done))
+        (Option.get (Dsm.cluster t)).State.nodes;
+      Alcotest.(check int)
+        (Printf.sprintf "%s/SW/%d: writers in reflected views" app nprocs)
+        0 !held)
+    [
+      ("Water", 8, Fun.id);
+      ( "IS",
+        64,
+        Adsm_harness.Scaling.tweak_of_fabric
+          Adsm_harness.Scaling.Tree_combining );
+    ]
+
 let () =
   Alcotest.run "proto"
     [
@@ -638,6 +695,13 @@ let () =
             test_gc_under_all_protocols;
           Alcotest.test_case "adaptive GC cheaper" `Quick
             test_adaptive_gc_cheaper_than_mw;
+          Alcotest.test_case "adaptive GC at application scale" `Quick
+            test_adaptive_gc_at_app_scale;
+        ] );
+      ( "reflected-view",
+        [
+          Alcotest.test_case "an SW run leaves every view empty" `Quick
+            test_sw_views_stay_empty;
         ] );
       ( "regressions",
         [

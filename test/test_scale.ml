@@ -356,14 +356,18 @@ let test_central_barrier_pins () =
    clock snapshot shared by reference plus the writer map above it, in
    place of a dense writer-map copy per fill and per reply, took
    IS/WFS/256 from 529,745 to 486,343, IS/WFS/512 from 1,585,829 to
-   1,411,931 and IS/SW/512 from 1,586,839 to 1,340,279. *)
+   1,411,931 and IS/SW/512 from 1,586,839 to 1,340,279.  A view that
+   records diffs only (no clock fills, a frozen writer map in place of
+   the clock snapshot), with the copyset and rule-1 bitsets kept only
+   by the adaptive protocols, took them to 463,175, 1,321,627 and
+   1,317,013. *)
 let footprint_pins =
   [
-    ("IS", Config.Wfs, 256, 880_000);
+    ("IS", Config.Wfs, 256, 839_000);
     ("TSP", Config.Mw, 256, 904_000);
     ("Water", Config.Mw, 256, 3_782_000);
-    ("IS", Config.Wfs, 512, 1_553_000);
-    ("IS", Config.Sw, 512, 1_474_000);
+    ("IS", Config.Wfs, 512, 1_454_000);
+    ("IS", Config.Sw, 512, 1_449_000);
     ("SOR", Config.Mw, 1024, 1_949_000);
   ]
 
